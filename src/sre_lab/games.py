@@ -442,13 +442,16 @@ def push_profile(p: MixedProfile, maps: Sequence[Sequence[int]], base: Game) -> 
 # ---------------------------------------------------------------------------
 
 
-def opponent_weights(g: Game, i: int, p: MixedProfile) -> np.ndarray:
-    """Joint probability over opponents' pure profiles, flattened in axis order."""
-    vecs = [p.distributions[j] for j in range(g.num_players) if j != i]
-    joint = np.array([1.0])
-    for v in vecs:
-        joint = np.multiply.outer(joint, v).ravel()
-    return joint
+def opponent_weights(dists: Sequence[np.ndarray], i: int) -> np.ndarray:
+    """Joint probability over player i's opponents' pure profiles, flattened in axis order.
+
+    With a single opponent this is that opponent's distribution itself, not a copy.
+    """
+    joint = None
+    for j, v in enumerate(dists):
+        if j != i:
+            joint = v if joint is None else np.multiply.outer(joint, v).ravel()
+    return np.ones(1) if joint is None else joint
 
 
 def action_payoff_matrix(g: Game, i: int) -> np.ndarray:
@@ -465,11 +468,11 @@ def action_lottery(g: Game, i: int, a: int, p: MixedProfile) -> Lottery:
     if not p.matches(g):
         raise ValueError("profile does not match the game")
     outcomes = action_payoff_matrix(g, i)[a]
-    weights = opponent_weights(g, i, p)
+    weights = opponent_weights(p.distributions, i)
     keep = weights > 0
     return Lottery(outcomes[keep], weights[keep])
 
 
 def expected_payoffs(g: Game, i: int, p: MixedProfile) -> np.ndarray:
     """Expected payoff of each of player i's actions against p's opponents."""
-    return action_payoff_matrix(g, i) @ opponent_weights(g, i, p)
+    return action_payoff_matrix(g, i) @ opponent_weights(p.distributions, i)

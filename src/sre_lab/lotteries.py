@@ -263,17 +263,6 @@ def grid_upper(x: Lottery, n: int) -> Lottery:
     return _grid_cdf(x, n, round_up=False)
 
 
-def _normalized_cgf(x: Lottery, a: float) -> float:
-    # Local CGF used only by the large-numbers precondition probe; the public
-    # statistic evaluator lives in sre_lab.statistics.
-    if a == 0.0:
-        return x.mean()
-    if math.isinf(a):
-        return x.max() if a > 0 else x.min()
-    shift = x.max() if a > 0 else x.min()
-    return shift + math.log(float(x.weights @ np.exp(a * (x.outcomes - shift)))) / a
-
-
 # Probe locations standing in for "all a in the extended reals".  A finite
 # grid can miss a violation, so the scan below stays the ground truth.
 PROBE_GRID: tuple[float, ...] = tuple(
@@ -312,9 +301,11 @@ def dominates_in_large_numbers(x: Lottery, y: Lottery, cap: int = MAX_LARGE_NUMB
     brute-force convolution and is the actual certificate; not finding M by
     the cap is reported, not raised.
     """
+    from .statistics import k_a
+
     if cap < 1 or cap > MAX_LARGE_NUMBERS_CAP:
         raise ValueError(f"cap must be in 1..{MAX_LARGE_NUMBERS_CAP}")
-    failures = tuple(a for a in PROBE_GRID if not _normalized_cgf(x, a) > _normalized_cgf(y, a))
+    failures = tuple(a for a in PROBE_GRID if not k_a(x, a) > k_a(y, a))
     if failures:
         return LargeNumbersResult("hypothesis_violated", probe_failures=failures)
     x_m, y_m = x, y

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,11 +24,11 @@ from .games import (
     Game,
     MixedProfile,
     action_payoff_matrix,
+    opponent_weights,
 )
-from .statistics import MAStatistic, TAYLOR_CUTOFF
+from .statistics import MAStatistic, normalized_cgf
 
 DEDUP_TOL = 1e-6
-THREADS_ENV = "SRE_LAB_THREADS"
 
 
 class SolverError(RuntimeError):
@@ -106,34 +104,10 @@ class PhiEvaluator:
         self.tables = [action_payoff_matrix(game, i) for i in range(self.n)]
         self.pure_min = [t.min(axis=1) for t in self.tables]
         self.pure_max = [t.max(axis=1) for t in self.tables]
+        self.spread = [float(np.max(hi - lo)) for lo, hi in zip(self.pure_min, self.pure_max)]
         self.w_min = phi.weight_at(-math.inf)
         self.w_max = phi.weight_at(math.inf)
-        self.w_mean = phi.weight_at(0.0)
-        self.finite = [(a, w) for a, w in phi.atoms if math.isfinite(a) and a != 0.0]
-
-    def joint(self, i: int, dists: Sequence[np.ndarray]) -> np.ndarray:
-        out = np.array([1.0])
-        for j in range(self.n):
-            if j != i:
-                out = np.multiply.outer(out, dists[j]).ravel()
-        return out
-
-    def _finite_kernel(self, table: np.ndarray, joint: np.ndarray, a: float, shift: np.ndarray) -> np.ndarray:
-        if abs(a) < TAYLOR_CUTOFF:
-            m1 = table @ joint
-            m2 = (table**2) @ joint
-            m3 = (table**3) @ joint
-            var = m2 - m1**2
-            kappa3 = m3 - 3 * m1 * m2 + 2 * m1**3
-            return m1 + a * var / 2.0 + a * a * kappa3 / 6.0
-        weighted = np.exp(a * (table - shift[:, None])) @ joint
-        # Underflow guard: fall back to a support-aware shift if needed.
-        if np.any(weighted <= 0):
-            mask = joint > 0
-            sub = table[:, mask]
-            shift = sub.max(axis=1) if a > 0 else sub.min(axis=1)
-            weighted = np.exp(a * (table - shift[:, None])) @ joint
-        return shift + np.log(weighted) / a
+        self.kernel_atoms = [(a, w) for a, w in phi.atoms if math.isfinite(a)]
 
     def values(self, i: int, dists: Sequence[np.ndarray], boundary_pure: bool) -> np.ndarray:
         """Action values for player i against the given opponent mixes.
@@ -144,23 +118,20 @@ class PhiEvaluator:
         statistic of the realized lottery.
         """
         table = self.tables[i]
-        joint = self.joint(i, dists)
+        joint = opponent_weights(dists, i)
+        lo, hi = self.pure_min[i], self.pure_max[i]
         out = np.zeros(table.shape[0])
-        if boundary_pure or (self.w_min == 0 and self.w_max == 0):
-            lo, hi = self.pure_min[i], self.pure_max[i]
-        else:
-            mask = joint > 0
-            sub = table[:, mask]
-            lo, hi = sub.min(axis=1), sub.max(axis=1)
-        if self.w_min:
-            out += self.w_min * lo
-        if self.w_max:
-            out += self.w_max * hi
-        if self.w_mean:
-            out += self.w_mean * (table @ joint)
-        for a, w in self.finite:
-            shift = self.pure_max[i] if a > 0 else self.pure_min[i]
-            out += w * self._finite_kernel(table, joint, a, shift)
+        if self.w_min or self.w_max:
+            ext_lo, ext_hi = lo, hi
+            if not boundary_pure:
+                reached = table[:, joint > 0]
+                ext_lo, ext_hi = reached.min(axis=1), reached.max(axis=1)
+            if self.w_min:
+                out += self.w_min * ext_lo
+            if self.w_max:
+                out += self.w_max * ext_hi
+        for a, w in self.kernel_atoms:
+            out += w * normalized_cgf(table, joint, a, lo, hi, self.spread[i])
         return out
 
 
@@ -370,14 +341,6 @@ def _solve_fixed_point(
     return None, best_res, iters
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _interior_starts(game: Game, cfg: SolverConfig) -> list[list[np.ndarray]]:
     rng = np.random.default_rng(cfg.seed)
     starts = [[np.full(k, 1.0 / k) for k in game.action_counts]]
@@ -418,19 +381,12 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
         return _response(evaluator, lam, dists)
 
     starts = _interior_starts(game, cfg)
-
-    def run(start: list[np.ndarray]):
-        # Newton-first makes each start a root-finding attempt as well:
-        # unstable fixed points trap the damped map in limit cycles but are
-        # perfectly reachable for a Newton step from a nearby start.
-        return _solve_fixed_point(step, start, game.action_counts, cfg, newton_first=True)
-
-    workers = min(_thread_count(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, starts))
-    else:
-        outcomes = [run(s) for s in starts]
+    # Newton-first makes each start a root-finding attempt as well: unstable
+    # fixed points trap the damped map in limit cycles but are perfectly
+    # reachable for a Newton step from a nearby start.
+    outcomes = [
+        _solve_fixed_point(step, start, game.action_counts, cfg, newton_first=True) for start in starts
+    ]
 
     found = [(dists, res) for dists, res, _ in outcomes if dists is not None]
     total_iters = sum(it for _, _, it in outcomes)
@@ -493,12 +449,6 @@ def homotopy_trace(
 # ---------------------------------------------------------------------------
 # best-response (Nash-type) equilibria
 # ---------------------------------------------------------------------------
-
-
-def statistic_values(game: Game, phi: MAStatistic, p: MixedProfile, i: int) -> np.ndarray:
-    """Raw statistic of each action lottery of player i under p."""
-    evaluator = PhiEvaluator(game, phi)
-    return evaluator.values(i, list(p.distributions), boundary_pure=False)
 
 
 def verify_nash_phi(
@@ -858,9 +808,6 @@ class ConceptSpec:
     def fosd_qre(cls) -> "ConceptSpec":
         return cls("fosd-qre")
 
-    def with_solver(self, solver: SolverConfig) -> "ConceptSpec":
-        return replace(self, solver=solver)
-
     def label(self) -> str:
         if self.kind == "lqre":
             return f"lqre(lambda={self.lam:g}, phi={self.phi.describe()})"
@@ -880,20 +827,6 @@ class ConceptSpec:
         if self.kind in ("nash", "nash-phi"):
             return solve_nash_phi(game, self.phi, self.solver)
         raise ValueError(f"{self.kind} is check-only and cannot be solved for")
-
-    def membership_residual(self, game: Game, p: MixedProfile) -> Optional[float]:
-        if self.kind == "lqre":
-            return verify_lqre(game, self.phi, self.lam, p)
-        return None
-
-    def is_member(self, game: Game, p: MixedProfile, tol: float = 1e-8) -> bool:
-        if self.kind == "lqre":
-            return verify_lqre(game, self.phi, self.lam, p) <= tol
-        if self.kind in ("nash", "nash-phi"):
-            return verify_nash_phi(game, self.phi, p, tol=tol, support_tol=self.solver.support_tol)
-        if self.kind == "fosd-nash":
-            return not verify_fosd_nash(game, p, support_tol=self.solver.support_tol)
-        return not verify_fosd_qre(game, p, tol=self.solver.support_tol)
 
     def membership_report(self, game: Game, p: MixedProfile, tol: float = 1e-8) -> dict:
         report: dict = {"concept": self.label(), "tolerance": tol}

@@ -23,36 +23,65 @@ from .lotteries import Lottery
 NEG_INF = -math.inf
 POS_INF = math.inf
 
-# Below this |a| the direct formula loses all precision; switch to the
-# cumulant expansion through the third cumulant.
+# Below this |a| * (max - min) the log-sum-exp loses its precision to
+# cancellation; switch to the cumulant expansion through the third cumulant.
+# The switch is dimensionless so that it holds at every payoff scale.
 TAYLOR_CUTOFF = 1e-4
 
 ATOM_WEIGHT_SUM_TOL = 1e-12
+
+
+def normalized_cgf(
+    table: np.ndarray,
+    weights: np.ndarray,
+    a: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    spread: float,
+) -> np.ndarray:
+    """Normalized CGF of each row of an (actions x opponent profiles) table.
+
+    Row r is the lottery paying table[r, c] with probability weights[c];
+    zero weights are allowed.  lo and hi hold each row's minimum and maximum
+    over a set of columns that contains the support, and spread is
+    max(hi - lo), passed in so that a caller evaluating many weight vectors
+    on one table computes it once.  a = 0 returns the means and a = -inf /
+    +inf return lo / hi.  Finite nonzero a uses the cumulant expansion
+    E + a Var/2 + a^2 kappa3/6, clamped to [lo, hi], when
+    |a| * spread < TAYLOR_CUTOFF.  Otherwise it uses a log-sum-exp shifted
+    by hi (a > 0) or lo (a < 0), which stays inside the support up to
+    rounding; when every term of some row underflows, the shifts move to
+    the extremes of the support itself.
+    """
+    if a == 0.0:
+        return table @ weights
+    if math.isinf(a):
+        return hi if a > 0 else lo
+    if abs(a) * spread < TAYLOR_CUTOFF:
+        m1 = table @ weights
+        centered = table - m1[:, None]
+        squared = centered * centered
+        var = squared @ weights
+        kappa3 = (squared * centered) @ weights
+        return np.minimum(np.maximum(m1 + a * var / 2.0 + a * a * kappa3 / 6.0, lo), hi)
+    shift = hi if a > 0 else lo
+    total = np.exp(a * (table - shift[:, None])) @ weights
+    if np.any(total <= 0):
+        reached = table[:, weights > 0]
+        shift = reached.max(axis=1) if a > 0 else reached.min(axis=1)
+        total = np.exp(a * (table - shift[:, None])) @ weights
+    return shift + np.log(total) / a
 
 
 def k_a(x: Lottery, a: float) -> float:
     """Normalized CGF of the lottery at parameter a (extended real).
 
     a = 0 returns the expectation; a = -inf / +inf return the minimum and
-    maximum of the support.  Finite nonzero a uses a shifted log-sum-exp
-    (shift by the max outcome for a > 0, the min for a < 0); for
-    |a| < TAYLOR_CUTOFF the cumulant expansion E + a Var/2 + a^2 kappa3/6 is
-    used instead.  The result always lies in [min(x), max(x)].
+    maximum of the support.  This is ``normalized_cgf`` on a one-row table.
+    The result always lies in [min(x), max(x)].
     """
-    if a == 0.0:
-        return x.mean()
-    if math.isinf(a):
-        return x.max() if a > 0 else x.min()
-    if abs(a) < TAYLOR_CUTOFF:
-        m1 = x.mean()
-        centered = x.outcomes - m1
-        var = float(x.weights @ centered**2)
-        kappa3 = float(x.weights @ centered**3)
-        val = m1 + a * var / 2.0 + a * a * kappa3 / 6.0
-    else:
-        shift = x.max() if a > 0 else x.min()
-        total = float(x.weights @ np.exp(a * (x.outcomes - shift)))
-        val = shift + math.log(total) / a
+    lo, hi = x.outcomes[:1], x.outcomes[-1:]
+    val = float(normalized_cgf(x.outcomes[None, :], x.weights, a, lo, hi, x.max() - x.min())[0])
     # Clamp float noise at the edges of the support.
     return min(max(val, x.min()), x.max())
 

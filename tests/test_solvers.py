@@ -13,7 +13,7 @@ from sre_lab.games import (
     product_profile,
     strategic_shift,
 )
-from sre_lab.statistics import EXPECTATION, MAStatistic, evaluate
+from sre_lab.statistics import EXPECTATION, TAYLOR_CUTOFF, MAStatistic, evaluate
 from sre_lab.solvers import (
     ConceptSpec,
     PhiEvaluator,
@@ -76,6 +76,39 @@ class TestLogitResponse:
                 for a in range(g.action_counts[i]):
                     direct = evaluate(phi, action_lottery(g, i, a, p))
                     assert abs(vals[a] - direct) <= 1e-12
+        # The raw statistic against the slow reference, with opponents that
+        # leave actions unplayed, payoffs up to 1e6 and finite atoms on both
+        # sides of the Taylor switch: |a| near TAYLOR_CUTOFF, where wide
+        # payoffs put |a| * spread far past it, and |a| * spread near it.
+        for scale in (1.0, 1e2, 1e4, 1e6):
+            near = TAYLOR_CUTOFF / scale
+            phi = MAStatistic(
+                (
+                    (-math.inf, 0.1),
+                    (-1.1 * TAYLOR_CUTOFF, 0.15),
+                    (-0.9 * near, 0.15),
+                    (0.0, 0.1),
+                    (1.1 * near, 0.15),
+                    (0.9 * TAYLOR_CUTOFF, 0.15),
+                    (math.inf, 0.2),
+                )
+            )
+            for _ in range(15):
+                g = random_game(rng, payoff_range=(-2.0 * scale, 2.0 * scale))
+                dists = []
+                for k in g.action_counts:
+                    d = rng.dirichlet(np.ones(k))
+                    d[rng.random(k) < 0.4] = 0.0
+                    if not d.any():
+                        d[rng.integers(k)] = 1.0
+                    dists.append(d / d.sum())
+                p = MixedProfile(tuple(dists))
+                evaluator = PhiEvaluator(g, phi)
+                for i in range(g.num_players):
+                    vals = evaluator.values(i, list(p.distributions), boundary_pure=False)
+                    for a in range(g.action_counts[i]):
+                        direct = evaluate(phi, action_lottery(g, i, a, p))
+                        assert abs(vals[a] - direct) <= 1e-9 * scale
 
     def test_negative_lambda_rejected(self):
         g = make_matching_pennies()
@@ -352,13 +385,3 @@ class TestConceptSpec:
         tiny = SolverConfig(multistarts=0, max_iters=50, tol_fixed_point=1e-17)
         with pytest.raises(SolverError):
             solve_lqre(make_vmp(), EXPECTATION, 5.0, tiny)
-
-
-class TestThreadControl:
-    def test_env_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("SRE_LAB_THREADS", "2")
-        res = solve_lqre(make_matching_pennies(), EXPECTATION, 1.0, FAST)
-        assert res.profiles[0].is_uniform(tol=1e-9)
-        monkeypatch.setenv("SRE_LAB_THREADS", "not-a-number")
-        res2 = solve_lqre(make_matching_pennies(), EXPECTATION, 1.0, FAST)
-        assert res2.profiles[0].is_uniform(tol=1e-9)

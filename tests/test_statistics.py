@@ -6,6 +6,7 @@ import pytest
 from sre_lab.lotteries import DominanceVerdict, Lottery, convolve, fosd_compare
 from sre_lab.statistics import (
     EXPECTATION,
+    TAYLOR_CUTOFF,
     MAStatistic,
     cara_certainty_equivalent,
     evaluate,
@@ -73,9 +74,10 @@ class TestKernel:
         rng = np.random.default_rng(7)
         for _ in range(40):
             x = random_lottery(rng)
+            spread = x.max() - x.min()
             for sign in (1.0, -1.0):
-                inside = sign * (1e-4 - 1e-7)   # Taylor branch
-                outside = sign * (1e-4 + 1e-7)  # log-sum-exp branch
+                inside = sign * (TAYLOR_CUTOFF - 1e-7) / spread   # Taylor branch
+                outside = sign * (TAYLOR_CUTOFF + 1e-7) / spread  # log-sum-exp branch
                 assert abs(k_a(x, inside) - lse(x, inside)) <= 1e-8
                 assert abs(k_a(x, outside) - taylor(x, outside)) <= 1e-8
 
@@ -198,6 +200,13 @@ class TestCaraOracle:
             x = random_lottery(rng)
             for a in (-5.0, -2.0, -0.5, 0.5, 1.0, 2.0, 5.0):
                 assert cara_certainty_equivalent(x, a) == pytest.approx(k_a(x, a), abs=1e-9)
+        # Wide lotteries at small |a|: |a| * spread runs from 0.01 to 90,
+        # well past the Taylor expansion's range although |a| < TAYLOR_CUTOFF.
+        for spread in (1e4, 1e6):
+            for _ in range(5):
+                x = random_lottery(rng, scale=spread / 2)
+                for a in (-9e-5, -5e-5, 1e-6, 5e-5, 9e-5):
+                    assert cara_certainty_equivalent(x, a) == pytest.approx(k_a(x, a), abs=1e-9 * spread)
 
     def test_overflow_guarded(self):
         x = Lottery.from_vector([0.0, 500.0])
