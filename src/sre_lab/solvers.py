@@ -173,30 +173,79 @@ def _flatten(dists: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(dists)
 
 
-def _unflatten(vec: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
-    out = []
-    pos = 0
-    for k in counts:
-        out.append(vec[pos : pos + k])
-        pos += k
-    return out
-
-
-def _project(dists: list[np.ndarray]) -> list[np.ndarray]:
-    fixed = []
-    for d in dists:
-        d = np.clip(d, 0.0, None)
-        total = d.sum()
-        if total <= 0:
-            d = np.full(d.size, 1.0 / d.size)
-        else:
-            d = d / total
-        fixed.append(d)
-    return fixed
-
-
 def _sup_residual(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
+
+
+def _dists_from_theta(
+    theta: np.ndarray, supports: Sequence[Sequence[int]], counts: Sequence[int]
+) -> list[np.ndarray]:
+    """The simplex chart: one mixed strategy per player from free coordinates.
+
+    Each player takes len(support) - 1 coordinates as the weights of all but
+    the last support action; the last gets one minus their sum.  Negative
+    weights are cut to zero and the vector is renormalized (the weights sum
+    to one before the cut, so the total is never below one).
+    """
+    dists = []
+    pos = 0
+    for sup, k in zip(supports, counts):
+        idx = list(sup)
+        head = theta[pos : pos + len(idx) - 1]
+        pos += len(idx) - 1
+        vec = np.zeros(k)
+        vec[idx[:-1]] = head
+        vec[idx[-1]] = 1.0 - head.sum()
+        np.maximum(vec, 0.0, out=vec)
+        vec /= vec.sum()
+        dists.append(vec)
+    return dists
+
+
+def _newton(
+    residual: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, tol: float, max_steps: int
+) -> tuple[np.ndarray, float, bool]:
+    """Backtracking Newton on residual(theta) = 0 with a forward-difference Jacobian.
+
+    Returns (theta, sup-norm residual, flat); flat is True when the Jacobian
+    is identically zero, i.e. the residual does not react to theta at all.
+    Steps are least-squares solves capped at 0.5 in the sup norm, and a step
+    is taken only if it lowers the residual: near a solution a full step can
+    be dominated by finite-difference noise.
+    """
+    f = residual(theta)
+    res = float(np.max(np.abs(f), initial=0.0))
+    h = 1e-7
+    for _ in range(max_steps):
+        if res <= tol:
+            break
+        jac = np.empty((f.size, theta.size))
+        for d in range(theta.size):
+            bumped = theta.copy()
+            bumped[d] += h
+            jac[:, d] = (residual(bumped) - f) / h
+        if not jac.any():
+            return theta, res, True
+        try:
+            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+        except np.linalg.LinAlgError:
+            break
+        norm = float(np.max(np.abs(step)))
+        if not math.isfinite(norm) or norm == 0.0:
+            break
+        if norm > 0.5:
+            step = step * (0.5 / norm)
+        for _ in range(8):
+            cand = theta + step
+            f_cand = residual(cand)
+            res_cand = float(np.max(np.abs(f_cand)))
+            if res_cand < res:
+                theta, f, res = cand, f_cand, res_cand
+                break
+            step = 0.5 * step
+        else:
+            break  # no halving lowered the residual
+    return theta, res, False
 
 
 def _newton_polish(
@@ -212,73 +261,17 @@ def _newton_polish(
     rest), which removes the normalization null space that would otherwise
     let finite-difference noise hijack the least-squares step.
     """
+    supports = [range(k) for k in counts]
+    free = np.concatenate([np.arange(k) < k - 1 for k in counts])
 
-    def from_free(theta: np.ndarray) -> list[np.ndarray]:
-        parts = []
-        pos = 0
-        for k in counts:
-            head = theta[pos : pos + k - 1]
-            pos += k - 1
-            parts.append(np.concatenate([head, [1.0 - head.sum()]]))
-        return _project(parts)
+    def residual(theta: np.ndarray) -> np.ndarray:
+        parts = _dists_from_theta(theta, supports, counts)
+        return (_flatten(parts) - _flatten(step_fn(parts)))[free]
 
-    def to_free(parts: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([d[:-1] for d in parts])
-
-    def residual_free(theta: np.ndarray) -> np.ndarray:
-        parts = from_free(theta)
-        return to_free(parts) - to_free(step_fn(parts))
-
-    def full_residual(theta: np.ndarray) -> float:
-        parts = from_free(theta)
-        return _sup_residual(parts, step_fn(parts))
-
-    theta = to_free(dists)
-    dim = theta.size
-    if dim == 0:
-        only = [np.array([1.0]) for _ in counts]
-        return only, _sup_residual(only, step_fn(only))
-    f0 = residual_free(theta)
-    res = float(np.max(np.abs(f0)))
-    best, best_res = theta, res
-    h = 1e-7
     # The eliminated coordinate's residual is minus the block sum of the
     # free ones, so drive the free residual below tol / max block size.
-    free_tol = tol / max(counts)
-    for _ in range(max_steps):
-        if res <= free_tol:
-            break
-        jac = np.empty((dim, dim))
-        for d in range(dim):
-            bumped = theta.copy()
-            bumped[d] += h
-            jac[:, d] = (residual_free(bumped) - f0) / h
-        try:
-            step, *_ = np.linalg.lstsq(jac, -f0, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        norm = float(np.max(np.abs(step)))
-        if not math.isfinite(norm) or norm == 0.0:
-            break
-        if norm > 0.5:
-            step = step * (0.5 / norm)
-        # Backtrack: a full step from a near-solution can be dominated by
-        # finite-difference noise, so only accept residual improvements.
-        improved = False
-        for _ in range(8):
-            cand = theta + step
-            f_cand = residual_free(cand)
-            res_cand = float(np.max(np.abs(f_cand)))
-            if res_cand < res:
-                theta, f0, res = cand, f_cand, res_cand
-                improved = True
-                break
-            step = 0.5 * step
-        if not improved:
-            break
-        if res < best_res:
-            best, best_res = theta, res
-    final = from_free(best)
+    theta, _, _ = _newton(residual, _flatten(dists)[free], tol / max(counts), max_steps)
+    final = _dists_from_theta(theta, supports, counts)
     return final, _sup_residual(final, step_fn(final))
 
 
@@ -288,21 +281,21 @@ def _solve_fixed_point(
     counts: Sequence[int],
     cfg: SolverConfig,
     first_polish: int = 250,
-    newton_first: bool = False,
 ) -> tuple[Optional[list[np.ndarray]], float, int]:
-    """Damped iteration with stall-adaptive damping, then a Newton polish.
+    """Newton from the start, then damped iteration with stall-adaptive damping.
 
-    Returns (dists or None, residual, iterations).  Fixed damping alone can
-    orbit cycling fixed points once the response becomes stiff, so the step
-    size shrinks on stall and Newton finishes from the best iterate.  With
-    newton_first=True (warm starts near a solution) Newton runs immediately.
+    Returns (dists or None, residual, iterations).  Newton first makes each
+    start a root-finding attempt: unstable fixed points trap the damped map
+    in limit cycles but are reachable for a Newton step from a nearby start.
+    Fixed damping alone can orbit cycling fixed points once the response
+    becomes stiff, so the step size shrinks on stall and Newton finishes
+    from the best iterate.
     """
     p = [d.copy() for d in start]
-    if newton_first:
-        polished, pres = _newton_polish(step_fn, p, counts, cfg.tol_fixed_point, max_steps=12)
-        if pres <= cfg.tol_fixed_point:
-            return polished, pres, 12
-        p = polished if pres < math.inf else p
+    polished, pres = _newton_polish(step_fn, p, counts, cfg.tol_fixed_point, max_steps=12)
+    if pres <= cfg.tol_fixed_point:
+        return polished, pres, 12
+    p = polished if pres < math.inf else p
     alpha = cfg.damping
     best = p
     best_res = math.inf
@@ -381,12 +374,7 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
         return _response(evaluator, lam, dists)
 
     starts = _interior_starts(game, cfg)
-    # Newton-first makes each start a root-finding attempt as well: unstable
-    # fixed points trap the damped map in limit cycles but are perfectly
-    # reachable for a Newton step from a nearby start.
-    outcomes = [
-        _solve_fixed_point(step, start, game.action_counts, cfg, newton_first=True) for start in starts
-    ]
+    outcomes = [_solve_fixed_point(step, start, game.action_counts, cfg) for start in starts]
 
     found = [(dists, res) for dists, res, _ in outcomes if dists is not None]
     total_iters = sum(it for _, _, it in outcomes)
@@ -433,9 +421,7 @@ def homotopy_trace(
         def step(dists: list[np.ndarray], _lam=lam) -> list[np.ndarray]:
             return _response(evaluator, _lam, dists)
 
-        dists, res, _ = _solve_fixed_point(
-            step, current, game.action_counts, cfg, first_polish=80, newton_first=lam > 0
-        )
+        dists, res, _ = _solve_fixed_point(step, current, game.action_counts, cfg, first_polish=80)
         if dists is None:
             last = trace[-1][0] if trace else 0.0
             raise HomotopyBreakdown(
@@ -486,32 +472,9 @@ def _support_residual(
     return np.concatenate(parts)
 
 
-def _dists_from_theta(
-    theta: np.ndarray, supports: Sequence[Sequence[int]], counts: Sequence[int]
-) -> list[np.ndarray]:
-    dists = []
-    pos = 0
-    for sup, k in zip(supports, counts):
-        vec = np.zeros(k)
-        if len(sup) == 1:
-            vec[sup[0]] = 1.0
-        else:
-            free = np.clip(theta[pos : pos + len(sup) - 1], 0.0, 1.0)
-            pos += len(sup) - 1
-            last = max(0.0, 1.0 - free.sum())
-            vec[list(sup[:-1])] = free
-            vec[sup[-1]] = last
-            total = vec.sum()
-            if total > 0:
-                vec /= total
-        dists.append(vec)
-    return dists
-
-
 def _solve_support(
     evaluator: PhiEvaluator,
     supports: Sequence[Sequence[int]],
-    cfg: SolverConfig,
     rng: np.random.Generator,
     scale: float,
 ) -> Optional[list[np.ndarray]]:
@@ -530,67 +493,39 @@ def _solve_support(
         starts.append(
             np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
         )
-    h = 1e-7
-    insensitive = False
     for theta in starts:
-        if insensitive:
-            break
-        theta = theta.copy()
-        ok = False
-        initial = None
-        for it in range(24):
-            f0 = residual(theta)
-            gap = float(np.max(np.abs(f0)))
-            if initial is None:
-                initial = gap
-            if gap <= tol:
-                ok = True
-                break
-            # No progress after a few steps means this support is hopeless.
-            if it == 8 and gap > 0.5 * initial:
-                break
-            jac = np.empty((f0.size, dim))
-            for d in range(dim):
-                bumped = theta.copy()
-                bumped[d] += h
-                jac[:, d] = (residual(bumped) - f0) / h
-            if float(np.max(np.abs(jac))) < 1e-9 * scale:
-                insensitive = True  # values do not react to this support's mixing
-                break
-            try:
-                step, *_ = np.linalg.lstsq(jac, -f0, rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            norm = float(np.max(np.abs(step)))
-            if not math.isfinite(norm):
-                break
-            if norm > 0.4:
-                step = step * (0.4 / norm)
-            theta = theta + step
-        if not ok:
+        theta, gap, flat = _newton(residual, theta, tol, 24)
+        if flat:
+            break  # values do not react to this support's mixing
+        if gap > tol:
             continue
         dists = _dists_from_theta(theta, supports, counts)
-        valid = True
-        for sup, vec in zip(supports, dists):
-            probs = vec[list(sup)]
-            if probs.min() <= 1e-9:
-                valid = False  # boundary case; a smaller support covers it
-                break
-        if valid:
+        # A support weight at zero is a boundary case; a smaller support covers it.
+        if all(vec[list(sup)].min() > 1e-9 for sup, vec in zip(supports, dists)):
             return dists
     return None
 
 
 def _support_profiles(counts: Sequence[int]):
-    per_player = []
-    for k in counts:
-        subsets = []
-        for size in range(1, k + 1):
-            subsets.extend(itertools.combinations(range(k), size))
-        per_player.append(subsets)
-    yield from sorted(
-        itertools.product(*per_player), key=lambda sups: sum(len(s) for s in sups)
-    )
+    """Every support profile, by increasing total size.
+
+    Profiles of one total size come in the order of itertools.product over
+    each player's supports listed by (size, combination).  They are made
+    lazily, so a large game can start enumerating without listing them all.
+    """
+
+    def with_total(players: Sequence[int], total: int):
+        if not players:
+            yield ()
+            return
+        k, rest = players[0], players[1:]
+        for size in range(max(1, total - sum(rest)), min(k, total - len(rest)) + 1):
+            for head in itertools.combinations(range(k), size):
+                for tail in with_total(rest, total - size):
+                    yield (head, *tail)
+
+    for total in range(len(counts), sum(counts) + 1):
+        yield from with_total(tuple(counts), total)
 
 
 def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = None) -> SolveResult:
@@ -644,7 +579,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
                 if sum(len(s) for s in sups) <= cfg.support_cap:
                     candidate_supports.add(tuple(sups))
     for sups in sorted(candidate_supports):
-        dists = _solve_support(evaluator, sups, cfg, rng, scale)
+        dists = _solve_support(evaluator, sups, rng, scale)
         if dists is None:
             continue
         profile = MixedProfile(tuple(dists))
@@ -666,7 +601,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
                 truncated = True
                 break
             examined += 1
-            dists = _solve_support(evaluator, sups, cfg, rng, scale)
+            dists = _solve_support(evaluator, sups, rng, scale)
             if dists is None:
                 continue
             profile = MixedProfile(tuple(dists))

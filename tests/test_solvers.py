@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from sre_lab.solvers import (
     verify_lqre,
     verify_nash_phi,
 )
+from sre_lab.solvers import _dists_from_theta, _newton, _support_profiles
 from sre_lab.testgames import (
     make_card_game,
     make_matching_pennies,
@@ -267,6 +269,65 @@ class TestHomotopy:
             homotopy_trace(make_vmp(), EXPECTATION, 10.0, 12, impossible)
         assert err.value.last_lambda >= 0.0
         assert isinstance(err.value.trace, list)
+
+
+class TestNewton:
+    def test_chart_cuts_negative_weights_and_renormalizes(self):
+        # The last weight is one minus the unclipped free weights: [2, -5, 4] -> [2, 0, 4] / 6.
+        (vec,) = _dists_from_theta(np.array([2.0, -5.0]), [(0, 1, 2)], [3])
+        np.testing.assert_allclose(vec, [1 / 3, 0.0, 2 / 3], rtol=0, atol=1e-15)
+
+    def test_solves_linear_system(self):
+        a = np.array([[3.0, 1.0], [1.0, 2.0]])
+        b = np.array([0.2, -0.1])
+        theta, res, flat = _newton(lambda t: a @ t - b, np.zeros(2), 1e-12, 40)
+        assert res <= 1e-12 and not flat
+        np.testing.assert_allclose(theta, np.linalg.solve(a, b), rtol=0, atol=1e-11)
+
+    def test_constant_residual_is_flat_after_one_jacobian(self):
+        calls = []
+
+        def residual(theta):
+            calls.append(theta)
+            return np.array([1.0, -2.0])
+
+        theta, res, flat = _newton(residual, np.array([0.3, 0.4]), 1e-12, 24)
+        assert flat and res == 2.0
+        assert len(calls) == 3  # the residual at theta, then one Jacobian column per coordinate
+        np.testing.assert_array_equal(theta, [0.3, 0.4])
+
+    def test_stops_when_no_halving_lowers_the_residual(self):
+        # 1 + t^2 has its minimum at t = 0, so every step, however short, raises it.
+        calls = []
+
+        def residual(theta):
+            calls.append(theta)
+            return 1.0 + theta**2
+
+        theta, res, flat = _newton(residual, np.zeros(1), 1e-12, 24)
+        assert not flat and res == 1.0
+        np.testing.assert_array_equal(theta, [0.0])
+        assert len(calls) == 10  # the residual, one Jacobian column and eight halvings
+
+
+class TestSupportProfiles:
+    @pytest.mark.parametrize(
+        "counts", [(12, 3), (4, 2), (4, 3, 2), (3, 3, 3), (2, 2, 2, 2), (1, 5), (6, 1, 4)]
+    )
+    def test_product_order_by_total_size(self, counts):
+        per_player = [
+            [sup for size in range(1, k + 1) for sup in itertools.combinations(range(k), size)]
+            for k in counts
+        ]
+        expected = sorted(
+            itertools.product(*per_player), key=lambda sups: sum(len(s) for s in sups)
+        )
+        assert list(_support_profiles(counts)) == expected
+
+    def test_large_game_yields_without_listing_every_profile(self):
+        # Listing all (2^30 - 1)^2 profiles first would never finish.
+        first = list(itertools.islice(_support_profiles((30, 30)), 5))
+        assert first == [((0,), (j,)) for j in range(5)]
 
 
 class TestSolveNashPhi:
