@@ -478,32 +478,88 @@ def _solve_support(
     rng: np.random.Generator,
     scale: float,
 ) -> Optional[list[np.ndarray]]:
-    """Find within-support indifference by Newton on the value differences."""
+    """Find within-support indifference: zeros of the value differences."""
     counts = evaluator.game.action_counts
     dim = sum(len(s) - 1 for s in supports)
     if dim == 0:
         return _dists_from_theta(np.zeros(0), supports, counts)
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        return _support_residual(evaluator, supports, _dists_from_theta(theta, supports, counts))
-
     tol = 1e-10 * scale
     starts = [np.concatenate([np.full(len(s) - 1, 1.0 / len(s)) for s in supports if len(s) > 1])]
     for _ in range(2):
         starts.append(
             np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
         )
-    for theta in starts:
-        theta, gap, flat = _newton(residual, theta, tol, 24)
-        if flat:
-            break  # values do not react to this support's mixing
-        if gap > tol:
-            continue
+    if evaluator.n == 2 and all(a == 0.0 for a, _ in evaluator.kernel_atoms):
+        roots = _linear_support_roots(evaluator, supports, starts, tol)
+    else:
+        roots = _newton_support_roots(evaluator, supports, starts, tol)
+    for theta in roots:
         dists = _dists_from_theta(theta, supports, counts)
         # A support weight at zero is a boundary case; a smaller support covers it.
         if all(vec[list(sup)].min() > 1e-9 for sup, vec in zip(supports, dists)):
             return dists
     return None
+
+
+def _newton_support_roots(
+    evaluator: PhiEvaluator,
+    supports: Sequence[Sequence[int]],
+    starts: list[np.ndarray],
+    tol: float,
+):
+    """Newton on the value differences from each start, yielding every point within tol."""
+    counts = evaluator.game.action_counts
+
+    def residual(theta: np.ndarray) -> np.ndarray:
+        return _support_residual(evaluator, supports, _dists_from_theta(theta, supports, counts))
+
+    for theta in starts:
+        theta, gap, flat = _newton(residual, theta, tol, 24)
+        if flat:
+            return  # values do not react to this support's mixing
+        if gap <= tol:
+            yield theta
+
+
+def _linear_support_roots(
+    evaluator: PhiEvaluator,
+    supports: Sequence[Sequence[int]],
+    starts: list[np.ndarray],
+    tol: float,
+) -> Sequence[np.ndarray]:
+    """Exact roots of the value differences of a two-player game whose finite atoms sit at 0.
+
+    Player i's value differences depend on the opponent's mix alone: through
+    the mean, linearly, and through the -inf/+inf atoms only by the reached
+    support, which is constant inside it.  So the residual is affine in theta
+    on the support's interior, and one least-squares solve from each start
+    gives the point Newton reaches along its interior path.  Returns one root
+    per start, or none: the least-squares gap is the same from every start,
+    so an inconsistent system has no root from any of them.
+    """
+    counts = evaluator.game.action_counts
+    w0 = evaluator.phi.weight_at(0.0)
+    free = [len(s) - 1 for s in supports]
+    offset = [0, free[0]]
+    jac = np.zeros((sum(free), sum(free)))
+    for i, j in ((0, 1), (1, 0)):
+        if free[i] and free[j]:
+            sup_i, sup_j = list(supports[i]), list(supports[j])
+            table = evaluator.tables[i]
+            d = (table[sup_i[:-1]] - table[sup_i[-1]])[:, sup_j]
+            jac[offset[i] : offset[i] + free[i], offset[j] : offset[j] + free[j]] = w0 * (
+                d[:, :-1] - d[:, -1:]
+            )
+    # The uniform start is interior, so the reached support is the whole support.
+    theta0 = starts[0]
+    const = _support_residual(evaluator, supports, _dists_from_theta(theta0, supports, counts))
+    const = const - jac @ theta0
+    thetas = np.stack(starts, axis=1)
+    step, *_ = np.linalg.lstsq(jac, -(jac @ thetas + const[:, None]), rcond=None)
+    thetas = thetas + step
+    if np.max(np.abs(jac @ thetas[:, 0] + const)) > tol:
+        return []
+    return thetas.T
 
 
 def _support_profiles(counts: Sequence[int]):
@@ -595,8 +651,9 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     if cfg.max_enum_supports > 0:
         for sups in _support_profiles(game.action_counts):
             if sum(len(s) for s in sups) > cfg.support_cap:
-                skipped_by_cap += 1
-                continue
+                # Profiles come by increasing total size: every later one is over the cap too.
+                skipped_by_cap = math.prod(2**k - 1 for k in game.action_counts) - examined
+                break
             if examined >= cfg.max_enum_supports:
                 truncated = True
                 break

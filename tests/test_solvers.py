@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sre_lab.games import (
+    Game,
     MixedProfile,
     PlayerPermutation,
     action_lottery,
@@ -29,7 +30,13 @@ from sre_lab.solvers import (
     verify_lqre,
     verify_nash_phi,
 )
-from sre_lab.solvers import _dists_from_theta, _newton, _support_profiles
+from sre_lab.solvers import (
+    _dists_from_theta,
+    _newton,
+    _solve_support,
+    _support_profiles,
+    _support_residual,
+)
 from sre_lab.testgames import (
     make_card_game,
     make_matching_pennies,
@@ -330,6 +337,83 @@ class TestSupportProfiles:
         assert first == [((0,), (j,)) for j in range(5)]
 
 
+def _newton_support(evaluator, supports, rng, scale):
+    """The Newton path of _solve_support, from the same three starts.
+
+    Returns (dists or None, smallest support weight of Newton's accepted point).
+    """
+    counts = evaluator.game.action_counts
+
+    def residual(theta):
+        return _support_residual(evaluator, supports, _dists_from_theta(theta, supports, counts))
+
+    tol = 1e-10 * scale
+    starts = [np.concatenate([np.full(len(s) - 1, 1.0 / len(s)) for s in supports if len(s) > 1])]
+    for _ in range(2):
+        starts.append(
+            np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
+        )
+    for theta in starts:
+        theta, gap, flat = _newton(residual, theta, tol, 24)
+        if flat:
+            break
+        if gap > tol:
+            continue
+        dists = _dists_from_theta(theta, supports, counts)
+        low = min(vec[list(sup)].min() for sup, vec in zip(supports, dists))
+        if low > 1e-9:
+            return dists, low
+    return None, None
+
+
+def _random_two_player_game(seed, counts):
+    rng = np.random.default_rng(seed)
+    return Game(counts, rng.uniform(-2.0, 2.0, size=counts + (2,)))
+
+
+class TestSupportSolve:
+    @pytest.mark.parametrize(
+        "game",
+        [
+            _random_two_player_game(11, (3, 4)),
+            _random_two_player_game(12, (4, 4)),
+            make_card_game(0.4, [0, 1], 0.1),
+        ],
+    )
+    def test_linear_path_matches_newton_on_every_support(self, game):
+        scale = 1.0 + float(np.max(np.abs(game.payoffs)))
+        accepted = 0
+        for phi in (EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))):
+            evaluator = PhiEvaluator(game, phi)
+            for sups in _support_profiles(game.action_counts):
+                if sum(len(s) for s in sups) == 2:
+                    continue  # no free weights: both paths return the pure profile
+                exact = _solve_support(evaluator, sups, np.random.default_rng(5), scale)
+                newton, low = _newton_support(evaluator, sups, np.random.default_rng(5), scale)
+                if newton is None:
+                    assert exact is None, (phi, sups)
+                elif exact is None:
+                    # Newton's accepted point sits at the boundary: its exact weight is zero.
+                    assert low < 1e-7, (phi, sups)
+                else:
+                    accepted += 1
+                    for a, b in zip(exact, newton):
+                        np.testing.assert_allclose(a, b, rtol=0, atol=1e-7)
+        assert accepted > 0
+
+    def test_zero_weight_solutions_are_rejected(self):
+        game = make_card_game(0.4, [0, 1, 2], 0.01)
+        evaluator = PhiEvaluator(game, EXPECTATION)
+        scale = 1.0 + float(np.max(np.abs(game.payoffs)))
+        for seed in range(40):
+            for sups in (((7, 10), (0, 2)), ((8, 9), (0, 1)), ((8, 9), (0, 2))):
+                assert _solve_support(evaluator, sups, np.random.default_rng(seed), scale) is None
+            dists = _solve_support(evaluator, ((7, 10), (0, 1)), np.random.default_rng(seed), scale)
+            assert dists is not None
+            np.testing.assert_allclose(dists[0][[7, 10]], [0.5, 0.5], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dists[1][[0, 1]], [0.5, 0.5], rtol=0, atol=1e-12)
+
+
 class TestSolveNashPhi:
     def test_pennies_unique_uniform(self):
         res = solve_nash_phi(make_matching_pennies(), EXPECTATION, FAST)
@@ -351,6 +435,22 @@ class TestSolveNashPhi:
         res = solve_nash_phi(make_test_game_gx(1.0), EXPECTATION, FAST)
         assert len(res.profiles) == 1
         assert res.profiles[0].distributions[0][0] == pytest.approx(1.0)
+
+    def test_support_cap_counts_skipped_profiles_without_walking_them(self):
+        # (2^10 - 1)^2 profiles, of which the 100 pure ones fit under the cap.
+        g = _random_two_player_game(0, (10, 10))
+        d = solve_nash_phi(g, EXPECTATION, SolverConfig(support_cap=2)).diagnostics
+        assert d["enumeration_examined"] == 100
+        assert d["enumeration_skipped_by_cap"] == 1_046_429
+        assert d["enumeration_truncated"] is True
+
+    def test_support_cap_on_a_game_too_large_to_walk(self):
+        # Walking the (2^14 - 1)^2 - 196 skipped profiles one by one would take minutes.
+        g = _random_two_player_game(0, (14, 14))
+        cfg = SolverConfig(support_cap=2, homotopy_steps=2)
+        d = solve_nash_phi(g, EXPECTATION, cfg).diagnostics
+        assert d["enumeration_examined"] == 196
+        assert d["enumeration_skipped_by_cap"] == 268_402_493
 
 
 class TestVerifyNashPhi:
