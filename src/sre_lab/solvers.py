@@ -109,18 +109,23 @@ class PhiEvaluator:
         self.w_max = phi.weight_at(math.inf)
         self.kernel_atoms = [(a, w) for a, w in phi.atoms if math.isfinite(a)]
 
-    def values(self, i: int, dists: Sequence[np.ndarray], boundary_pure: bool) -> np.ndarray:
+    def values(self, i: int, dists: Sequence[np.ndarray], boundary_pure: bool, grad: bool = False):
         """Action values for player i against the given opponent mixes.
 
         boundary_pure=True evaluates the -inf/+inf atoms as pure-strategy
         min/max over all opponent profiles (the continuous logit functional);
         False restricts them to the support actually reached, i.e. the raw
-        statistic of the realized lottery.
+        statistic of the realized lottery.  grad=True returns (values,
+        slopes), slopes being the derivative with respect to the joint
+        opponent weights (see normalized_cgf); the -inf/+inf atoms add
+        nothing to it in either mode, as the reached support is constant
+        wherever the weights stay positive.
         """
         table = self.tables[i]
         joint = opponent_weights(dists, i)
         lo, hi = self.pure_min[i], self.pure_max[i]
         out = np.zeros(table.shape[0])
+        slopes = np.zeros(table.shape) if grad else None
         if self.w_min or self.w_max:
             ext_lo, ext_hi = lo, hi
             if not boundary_pure:
@@ -131,8 +136,34 @@ class PhiEvaluator:
             if self.w_max:
                 out += self.w_max * ext_hi
         for a, w in self.kernel_atoms:
-            out += w * normalized_cgf(table, joint, a, lo, hi, self.spread[i])
-        return out
+            if grad:
+                value, slope = normalized_cgf(table, joint, a, lo, hi, self.spread[i], grad=True)
+                slopes += w * slope
+            else:
+                value = normalized_cgf(table, joint, a, lo, hi, self.spread[i])
+            out += w * value
+        return (out, slopes) if grad else out
+
+    def mix_slopes(self, i: int, dists: Sequence[np.ndarray], slopes: np.ndarray) -> dict[int, np.ndarray]:
+        """Player i's value derivatives with respect to each opponent j's own mix.
+
+        slopes is values(..., grad=True)'s derivative with respect to the
+        joint opponent weights; block j contracts it with every other
+        opponent's mix, so it has shape (actions of i) x (actions of j).
+        """
+        others = [j for j in range(self.n) if j != i]
+        if len(others) == 1:
+            return {others[0]: slopes}
+        grid = slopes.reshape((slopes.shape[0], *(dists[j].size for j in others)))
+        blocks = {}
+        for keep, j in enumerate(others):
+            block = grid
+            # Contract from the last axis down, so the axes still to go keep their places.
+            for pos in reversed(range(len(others))):
+                if pos != keep:
+                    block = np.tensordot(block, dists[others[pos]], axes=([pos + 1], [0]))
+            blocks[j] = block
+        return blocks
 
 
 def _logit(values: np.ndarray, lam: float) -> np.ndarray:
@@ -202,30 +233,42 @@ def _dists_from_theta(
     return dists
 
 
-def _newton(
-    residual: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, tol: float, max_steps: int
-) -> tuple[np.ndarray, float, bool]:
-    """Backtracking Newton on residual(theta) = 0 with a forward-difference Jacobian.
+def _chart_columns(cols: np.ndarray) -> np.ndarray:
+    """A derivative with respect to the weights of a support, taken to the chart's free weights.
 
-    Returns (theta, sup-norm residual, flat); flat is True when the Jacobian
-    is identically zero, i.e. the residual does not react to theta at all.
-    Steps are least-squares solves capped at 0.5 in the sup norm, and a step
-    is taken only if it lowers the residual: near a solution a full step can
-    be dominated by finite-difference noise.
+    cols holds one column per support action.  Inside the chart, raising
+    free weight t raises that action's weight and lowers the last support
+    action's by as much.
     """
-    f = residual(theta)
+    return cols[:, :-1] - cols[:, -1:]
+
+
+def _newton(
+    system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
+    theta: np.ndarray,
+    tol: float,
+    max_steps: int,
+) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """Backtracking Newton on f(theta) = 0 with an exact Jacobian.
+
+    system(theta) returns f(theta) and a function that gives the Jacobian at
+    theta from what evaluating f computed; it is called only where a step
+    starts.  Returns (theta, f(theta), flat, steps taken); flat is True when
+    the Jacobian is identically zero, i.e. the residual does not react to
+    theta at all.  The stop test and step acceptance use the sup norm of f.  Steps are least-squares solves capped at 0.5 in
+    the sup norm, and a step is taken only if it lowers the residual, halving
+    it up to eight times: far from a root a full step can overshoot into the
+    chart's clipped region.
+    """
+    f, jacobian = system(theta)
     res = float(np.max(np.abs(f), initial=0.0))
-    h = 1e-7
+    steps = 0
     for _ in range(max_steps):
         if res <= tol:
             break
-        jac = np.empty((f.size, theta.size))
-        for d in range(theta.size):
-            bumped = theta.copy()
-            bumped[d] += h
-            jac[:, d] = (residual(bumped) - f) / h
+        jac = jacobian()
         if not jac.any():
-            return theta, res, True
+            return theta, f, True, steps
         try:
             step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         except np.linalg.LinAlgError:
@@ -237,64 +280,95 @@ def _newton(
             step = step * (0.5 / norm)
         for _ in range(8):
             cand = theta + step
-            f_cand = residual(cand)
+            f_cand, jacobian_cand = system(cand)
             res_cand = float(np.max(np.abs(f_cand)))
             if res_cand < res:
-                theta, f, res = cand, f_cand, res_cand
+                theta, f, jacobian, res = cand, f_cand, jacobian_cand, res_cand
+                steps += 1
                 break
             step = 0.5 * step
         else:
             break  # no halving lowered the residual
-    return theta, res, False
+    return theta, f, False, steps
+
+
+def _logit_system(evaluator: PhiEvaluator, lam: float):
+    """p - T(p) on the free coordinates of the full-support chart, with its exact Jacobian.
+
+    Player i's response s = logit(lam v_i) moves with opponent j's mix by
+    lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.
+    """
+    counts = evaluator.game.action_counts
+    supports = [range(k) for k in counts]
+    offsets = list(itertools.accumulate((k - 1 for k in counts), initial=0))
+
+    def system(theta: np.ndarray):
+        dists = _dists_from_theta(theta, supports, counts)
+        parts = [evaluator.values(i, dists, boundary_pure=True, grad=True) for i in range(evaluator.n)]
+        resp = [_logit(v, lam) for v, _ in parts]
+        f = np.concatenate([(d - s)[:-1] for d, s in zip(dists, resp)])
+
+        def jacobian() -> np.ndarray:
+            jac = np.eye(theta.size)  # inside the chart, the free coordinates of p are theta
+            for i, ((_, slopes), s) in enumerate(zip(parts, resp)):
+                rows = slice(offsets[i], offsets[i + 1])
+                for j, block in evaluator.mix_slopes(i, dists, slopes).items():
+                    ds = lam * s[:-1, None] * (block[:-1] - s @ block)
+                    jac[rows, offsets[j] : offsets[j + 1]] -= _chart_columns(ds)
+            return jac
+
+        return f, jacobian
+
+    return system
 
 
 def _newton_polish(
-    step_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
+    evaluator: PhiEvaluator,
+    lam: float,
     dists: list[np.ndarray],
-    counts: Sequence[int],
     tol: float,
     max_steps: int = 40,
-) -> tuple[list[np.ndarray], float]:
+) -> tuple[list[np.ndarray], float, int]:
     """Newton iteration on p - T(p) = 0; works at unstable fixed points too.
 
     Each player's last coordinate is eliminated (it equals one minus the
-    rest), which removes the normalization null space that would otherwise
-    let finite-difference noise hijack the least-squares step.
+    rest), which removes the normalization null space from the
+    least-squares step.  Returns (dists, sup-norm residual, Newton steps).
     """
-    supports = [range(k) for k in counts]
-    free = np.concatenate([np.arange(k) < k - 1 for k in counts])
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        parts = _dists_from_theta(theta, supports, counts)
-        return (_flatten(parts) - _flatten(step_fn(parts)))[free]
-
-    # The eliminated coordinate's residual is minus the block sum of the
-    # free ones, so drive the free residual below tol / max block size.
-    theta, _, _ = _newton(residual, _flatten(dists)[free], tol / max(counts), max_steps)
-    final = _dists_from_theta(theta, supports, counts)
-    return final, _sup_residual(final, step_fn(final))
+    counts = evaluator.game.action_counts
+    # Both p and T(p) sum to one, so the eliminated coordinate's residual is
+    # minus the block sum of the free ones: drive the free residual below
+    # tol / max block size, and read the sup-norm residual off it.
+    theta = np.concatenate([d[:-1] for d in dists])
+    theta, f, _, steps = _newton(_logit_system(evaluator, lam), theta, tol / max(counts), max_steps)
+    res = float(np.max(np.abs(f), initial=0.0))
+    pos = 0
+    for k in counts:
+        res = max(res, abs(float(f[pos : pos + k - 1].sum())))
+        pos += k - 1
+    return _dists_from_theta(theta, [range(k) for k in counts], counts), res, steps
 
 
 def _solve_fixed_point(
-    step_fn: Callable[[list[np.ndarray]], list[np.ndarray]],
+    evaluator: PhiEvaluator,
+    lam: float,
     start: list[np.ndarray],
-    counts: Sequence[int],
     cfg: SolverConfig,
     first_polish: int = 250,
-) -> tuple[Optional[list[np.ndarray]], float, int]:
+) -> tuple[Optional[list[np.ndarray]], float, int, int]:
     """Newton from the start, then damped iteration with stall-adaptive damping.
 
-    Returns (dists or None, residual, iterations).  Newton first makes each
-    start a root-finding attempt: unstable fixed points trap the damped map
-    in limit cycles but are reachable for a Newton step from a nearby start.
-    Fixed damping alone can orbit cycling fixed points once the response
-    becomes stiff, so the step size shrinks on stall and Newton finishes
-    from the best iterate.
+    Returns (dists or None, residual, damped iterations, Newton steps).
+    Newton first makes each start a root-finding attempt: unstable fixed
+    points trap the damped map in limit cycles but are reachable for a
+    Newton step from a nearby start.  Fixed damping alone can orbit cycling
+    fixed points once the response becomes stiff, so the step size shrinks
+    on stall and Newton finishes from the best iterate.
     """
     p = [d.copy() for d in start]
-    polished, pres = _newton_polish(step_fn, p, counts, cfg.tol_fixed_point, max_steps=12)
+    polished, pres, steps = _newton_polish(evaluator, lam, p, cfg.tol_fixed_point, max_steps=12)
     if pres <= cfg.tol_fixed_point:
-        return polished, pres, 12
+        return polished, pres, 0, steps
     p = polished if pres < math.inf else p
     alpha = cfg.damping
     best = p
@@ -303,7 +377,7 @@ def _solve_fixed_point(
     iters = 0
     next_polish = min(cfg.max_iters, first_polish)
     while iters < cfg.max_iters:
-        t = step_fn(p)
+        t = _response(evaluator, lam, p)
         res = _sup_residual(p, t)
         iters += 1
         if res < best_res * 0.95:
@@ -313,25 +387,25 @@ def _solve_fixed_point(
         if res < best_res:
             best, best_res = p, res
         if res <= cfg.tol_fixed_point:
-            return p, res, iters
+            return p, res, iters, steps
         if stall >= 60:
             alpha = max(alpha * 0.5, 1e-3)
             stall = 0
         p = [(1 - alpha) * a + alpha * b for a, b in zip(p, t)]
         if iters >= next_polish:
-            polished, pres = _newton_polish(step_fn, best, counts, cfg.tol_fixed_point)
-            iters += 40
+            polished, pres, taken = _newton_polish(evaluator, lam, best, cfg.tol_fixed_point)
+            steps += taken
             if pres <= cfg.tol_fixed_point:
-                return polished, pres, iters
+                return polished, pres, iters, steps
             if pres < best_res:
                 best, best_res = polished, pres
                 p = [d.copy() for d in polished]
             next_polish = min(cfg.max_iters, next_polish * 4)
-    polished, res = _newton_polish(step_fn, best, counts, cfg.tol_fixed_point)
-    iters += 40
+    polished, res, taken = _newton_polish(evaluator, lam, best, cfg.tol_fixed_point)
+    steps += taken
     if res <= cfg.tol_fixed_point:
-        return polished, res, iters
-    return None, best_res, iters
+        return polished, res, iters, steps
+    return None, best_res, iters, steps
 
 
 def _interior_starts(game: Game, cfg: SolverConfig) -> list[list[np.ndarray]]:
@@ -369,15 +443,10 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
         raise ValueError("lambda must be nonnegative")
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
-
-    def step(dists: list[np.ndarray]) -> list[np.ndarray]:
-        return _response(evaluator, lam, dists)
-
     starts = _interior_starts(game, cfg)
-    outcomes = [_solve_fixed_point(step, start, game.action_counts, cfg) for start in starts]
+    outcomes = [_solve_fixed_point(evaluator, lam, start, cfg) for start in starts]
 
-    found = [(dists, res) for dists, res, _ in outcomes if dists is not None]
-    total_iters = sum(it for _, _, it in outcomes)
+    found = [(dists, res) for dists, res, _, _ in outcomes if dists is not None]
     if not found:
         raise SolverError(
             f"no start converged within {cfg.max_iters} iterations (lambda={lam})"
@@ -386,7 +455,8 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     profiles = [MixedProfile(tuple(d)) for d, _ in kept]
     residuals = [res for _, res in kept]
     diagnostics = {
-        "iterations": int(total_iters),
+        "iterations": sum(iters for _, _, iters, _ in outcomes),
+        "newton_steps": sum(steps for _, _, _, steps in outcomes),
         "starts": len(starts),
         "starts_converged": len(found),
     }
@@ -418,10 +488,7 @@ def homotopy_trace(
     trace: list[tuple[float, MixedProfile]] = []
     current = [np.full(k, 1.0 / k) for k in game.action_counts]
     for lam in homotopy_lambda_grid(lambda_max, steps):
-        def step(dists: list[np.ndarray], _lam=lam) -> list[np.ndarray]:
-            return _response(evaluator, _lam, dists)
-
-        dists, res, _ = _solve_fixed_point(step, current, game.action_counts, cfg, first_polish=80)
+        dists, _, _, _ = _solve_fixed_point(evaluator, lam, current, cfg, first_polish=80)
         if dists is None:
             last = trace[-1][0] if trace else 0.0
             raise HomotopyBreakdown(
@@ -458,18 +525,37 @@ def verify_nash_phi(
     return True
 
 
-def _support_residual(
-    evaluator: PhiEvaluator, supports: Sequence[Sequence[int]], dists: list[np.ndarray]
-) -> np.ndarray:
-    parts = []
-    for i, sup in enumerate(supports):
-        if len(sup) < 2:
-            continue
-        vals = evaluator.values(i, dists, boundary_pure=False)[list(sup)]
-        parts.append(vals[:-1] - vals[-1])
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
+    """The within-support value differences on the chart of the supports, with their exact Jacobian.
+
+    Player i's residual is v_i[sup_i[:-1]] - v_i[sup_i[-1]] under the raw
+    statistic (boundary_pure=False); players with one support action have
+    none.  Its derivative comes from the same dv_i/dd_j as the logit's.
+    """
+    counts = evaluator.game.action_counts
+    offsets = list(itertools.accumulate((len(s) - 1 for s in supports), initial=0))
+    movers = [i for i, sup in enumerate(supports) if len(sup) > 1]
+
+    def system(theta: np.ndarray):
+        dists = _dists_from_theta(theta, supports, counts)
+        parts = {i: evaluator.values(i, dists, boundary_pure=False, grad=True) for i in movers}
+        f = np.concatenate([v[list(supports[i][:-1])] - v[supports[i][-1]] for i, (v, _) in parts.items()])
+
+        def jacobian() -> np.ndarray:
+            jac = np.zeros((offsets[-1], offsets[-1]))
+            for i, (_, slopes) in parts.items():
+                sup_i = list(supports[i])
+                for j, block in evaluator.mix_slopes(i, dists, slopes).items():
+                    if len(supports[j]) > 1:
+                        diff = block[sup_i[:-1]] - block[sup_i[-1]]
+                        jac[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = _chart_columns(
+                            diff[:, list(supports[j])]
+                        )
+            return jac
+
+        return f, jacobian
+
+    return system
 
 
 def _solve_support(
@@ -489,10 +575,11 @@ def _solve_support(
         starts.append(
             np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
         )
+    system = _support_system(evaluator, supports)
     if evaluator.n == 2 and all(a == 0.0 for a, _ in evaluator.kernel_atoms):
-        roots = _linear_support_roots(evaluator, supports, starts, tol)
+        roots = _linear_support_roots(system, starts, tol)
     else:
-        roots = _newton_support_roots(evaluator, supports, starts, tol)
+        roots = _newton_support_roots(system, starts, tol)
     for theta in roots:
         dists = _dists_from_theta(theta, supports, counts)
         # A support weight at zero is a boundary case; a smaller support covers it.
@@ -501,32 +588,17 @@ def _solve_support(
     return None
 
 
-def _newton_support_roots(
-    evaluator: PhiEvaluator,
-    supports: Sequence[Sequence[int]],
-    starts: list[np.ndarray],
-    tol: float,
-):
+def _newton_support_roots(system, starts: list[np.ndarray], tol: float):
     """Newton on the value differences from each start, yielding every point within tol."""
-    counts = evaluator.game.action_counts
-
-    def residual(theta: np.ndarray) -> np.ndarray:
-        return _support_residual(evaluator, supports, _dists_from_theta(theta, supports, counts))
-
     for theta in starts:
-        theta, gap, flat = _newton(residual, theta, tol, 24)
+        theta, f, flat, _ = _newton(system, theta, tol, 24)
         if flat:
             return  # values do not react to this support's mixing
-        if gap <= tol:
+        if np.max(np.abs(f)) <= tol:
             yield theta
 
 
-def _linear_support_roots(
-    evaluator: PhiEvaluator,
-    supports: Sequence[Sequence[int]],
-    starts: list[np.ndarray],
-    tol: float,
-) -> Sequence[np.ndarray]:
+def _linear_support_roots(system, starts: list[np.ndarray], tol: float) -> Sequence[np.ndarray]:
     """Exact roots of the value differences of a two-player game whose finite atoms sit at 0.
 
     Player i's value differences depend on the opponent's mix alone: through
@@ -537,23 +609,11 @@ def _linear_support_roots(
     per start, or none: the least-squares gap is the same from every start,
     so an inconsistent system has no root from any of them.
     """
-    counts = evaluator.game.action_counts
-    w0 = evaluator.phi.weight_at(0.0)
-    free = [len(s) - 1 for s in supports]
-    offset = [0, free[0]]
-    jac = np.zeros((sum(free), sum(free)))
-    for i, j in ((0, 1), (1, 0)):
-        if free[i] and free[j]:
-            sup_i, sup_j = list(supports[i]), list(supports[j])
-            table = evaluator.tables[i]
-            d = (table[sup_i[:-1]] - table[sup_i[-1]])[:, sup_j]
-            jac[offset[i] : offset[i] + free[i], offset[j] : offset[j] + free[j]] = w0 * (
-                d[:, :-1] - d[:, -1:]
-            )
     # The uniform start is interior, so the reached support is the whole support.
     theta0 = starts[0]
-    const = _support_residual(evaluator, supports, _dists_from_theta(theta0, supports, counts))
-    const = const - jac @ theta0
+    f0, jacobian = system(theta0)
+    jac = jacobian()
+    const = f0 - jac @ theta0
     thetas = np.stack(starts, axis=1)
     step, *_ = np.linalg.lstsq(jac, -(jac @ thetas + const[:, None]), rcond=None)
     thetas = thetas + step
@@ -584,6 +644,40 @@ def _support_profiles(counts: Sequence[int]):
         yield from with_total(tuple(counts), total)
 
 
+def _candidate_supports(points: Sequence[Sequence[np.ndarray]], support_cap: int) -> set:
+    """Support profiles suggested by the points of a logit trace.
+
+    At each point: the actions above 1e-2 and 1e-4 of each player's largest
+    weight, the argmax profile and, when there are at most 256 of them,
+    every product of probability-ranked prefixes within support_cap; the
+    prefixes catch near-tied classes that a fixed threshold splits the wrong
+    way.  These depend on the point only through each player's ranking and
+    threshold sets, so each distinct combination is expanded once.
+    """
+    rankings, above = [], []  # per player: one row per point
+    for i in range(len(points[0])):
+        mixes = np.array([p[i] for p in points])
+        top = mixes.max(axis=1, keepdims=True)
+        rankings.append(np.argsort(-mixes, axis=1, kind="stable"))
+        above.append([mixes > cut * top for cut in (1e-2, 1e-4)])
+    keys = np.hstack(rankings + [mask for masks in above for mask in masks])
+    _, first = np.unique(keys, axis=0, return_index=True)
+    out = set()
+    for t in first.tolist():
+        orders = [ranking[t].tolist() for ranking in rankings]
+        for c in range(2):
+            out.add(tuple(tuple(np.flatnonzero(masks[c][t]).tolist()) for masks in above))
+        out.add(tuple((order[0],) for order in orders))
+        prefix_lists = [
+            [tuple(sorted(order[:size])) for size in range(1, min(len(order), support_cap) + 1)] for order in orders
+        ]
+        if math.prod(len(choices) for choices in prefix_lists) <= 256:
+            for sups in itertools.product(*prefix_lists):
+                if sum(len(s) for s in sups) <= support_cap:
+                    out.add(sups)
+    return out
+
+
 def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Best-response equilibria for a monotone additive statistic.
 
@@ -609,31 +703,11 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     except HomotopyBreakdown as breakdown:
         trace = breakdown.trace
         diagnostics["homotopy_breakdown_lambda"] = breakdown.last_lambda
+    # Every point of the trace proposes supports, not only its end: where
+    # the continuation passes near a best-response point is not known ahead.
     candidate_supports = set()
     if trace:
-        end = trace[-1][1]
-        for cut in (1e-2, 1e-4):
-            sups = tuple(
-                tuple(np.flatnonzero(d > cut * d.max())) for d in end.distributions
-            )
-            if all(len(s) > 0 for s in sups):
-                candidate_supports.add(sups)
-        candidate_supports.add(tuple((int(np.argmax(d)),) for d in end.distributions))
-        # Probability-ranked prefixes catch near-tied classes that a fixed
-        # threshold splits the wrong way; bounded so the product stays small.
-        prefix_lists = []
-        for d in end.distributions:
-            order = np.argsort(-d, kind="stable")
-            prefix_lists.append(
-                [tuple(sorted(order[:size].tolist())) for size in range(1, min(d.size, cfg.support_cap) + 1)]
-            )
-        n_combos = 1
-        for choices in prefix_lists:
-            n_combos *= len(choices)
-        if n_combos <= 256:
-            for sups in itertools.product(*prefix_lists):
-                if sum(len(s) for s in sups) <= cfg.support_cap:
-                    candidate_supports.add(tuple(sups))
+        candidate_supports = _candidate_supports([p.distributions for _, p in trace], cfg.support_cap)
     for sups in sorted(candidate_supports):
         dists = _solve_support(evaluator, sups, rng, scale)
         if dists is None:

@@ -38,7 +38,8 @@ def normalized_cgf(
     lo: np.ndarray,
     hi: np.ndarray,
     spread: float,
-) -> np.ndarray:
+    grad: bool = False,
+):
     """Normalized CGF of each row of an (actions x opponent profiles) table.
 
     Row r is the lottery paying table[r, c] with probability weights[c];
@@ -52,25 +53,48 @@ def normalized_cgf(
     by hi (a > 0) or lo (a < 0), which stays inside the support up to
     rounding; when every term of some row underflows, the shifts move to
     the extremes of the support itself.
+
+    grad=True returns (values, slopes) instead, where slopes[r, c] is the
+    derivative of row r's value with respect to weights[c] at weights that
+    sum to one, made from the same intermediates as the values: the table
+    itself at a = 0, zero at -inf / +inf (lo and hi do not move with the
+    weights), the derivative of the clamped expansion (zero where the clamp
+    holds), and the tilted weights exp(a(T - shift)) / (a E[exp(a(T - shift))]).
     """
     if a == 0.0:
-        return table @ weights
+        value = table @ weights
+        return (value, table) if grad else value
     if math.isinf(a):
-        return hi if a > 0 else lo
+        value = hi if a > 0 else lo
+        return (value, np.zeros(table.shape)) if grad else value
     if abs(a) * spread < TAYLOR_CUTOFF:
         m1 = table @ weights
         centered = table - m1[:, None]
         squared = centered * centered
+        cubed = squared * centered
         var = squared @ weights
-        kappa3 = (squared * centered) @ weights
-        return np.minimum(np.maximum(m1 + a * var / 2.0 + a * a * kappa3 / 6.0, lo), hi)
+        kappa3 = cubed @ weights
+        raw = m1 + a * var / 2.0 + a * a * kappa3 / 6.0
+        value = np.minimum(np.maximum(raw, lo), hi)
+        if not grad:
+            return value
+        # On the simplex, dVar/dw_c = (T_c - E)^2 and dkappa3/dw_c = (T_c - E)^3 - 3 T_c Var.
+        slopes = table + a * squared / 2.0 + a * a * (cubed - 3.0 * table * var[:, None]) / 6.0
+        slopes[(raw < lo) | (raw > hi)] = 0.0
+        return value, slopes
     shift = hi if a > 0 else lo
-    total = np.exp(a * (table - shift[:, None])) @ weights
-    if np.any(total <= 0):
+    tilted = np.exp(a * (table - shift[:, None]))
+    total = tilted @ weights
+    if (total <= 0).any():
         reached = table[:, weights > 0]
         shift = reached.max(axis=1) if a > 0 else reached.min(axis=1)
-        total = np.exp(a * (table - shift[:, None])) @ weights
-    return shift + np.log(total) / a
+        # Columns outside the support can lie beyond the new shift, where exp
+        # overflows and inf * 0 would turn the total into NaN; their weight is
+        # zero, so capping the exponent at 0 leaves the values alone.
+        tilted = np.exp(np.minimum(a * (table - shift[:, None]), 0.0))
+        total = tilted @ weights
+    value = shift + np.log(total) / a
+    return (value, tilted / (a * total)[:, None]) if grad else value
 
 
 def k_a(x: Lottery, a: float) -> float:

@@ -32,10 +32,11 @@ from sre_lab.solvers import (
 )
 from sre_lab.solvers import (
     _dists_from_theta,
+    _logit_system,
     _newton,
     _solve_support,
     _support_profiles,
-    _support_residual,
+    _support_system,
 )
 from sre_lab.testgames import (
     make_card_game,
@@ -191,6 +192,13 @@ class TestSolveLqre:
         assert res.diagnostics["starts"] == FAST.multistarts + 1
         assert res.diagnostics["starts_converged"] >= 1
 
+    def test_iterations_count_damped_steps_apart_from_newton_steps(self):
+        # At lambda = 0 the response is uniform: the uniform start is already
+        # the fixed point, and each random start needs one Newton step on an
+        # affine residual.  No damped iteration runs.
+        d = solve_lqre(make_vmp(), EXPECTATION, 0.0, SolverConfig(multistarts=2)).diagnostics
+        assert d == {"iterations": 0, "newton_steps": 2, "starts": 3, "starts_converged": 3}
+
 
 class TestBracketingResiduals:
     def test_product_of_fixed_points_is_fixed(self):
@@ -268,6 +276,13 @@ class TestHomotopy:
         for lam, p in trace:
             assert verify_lqre(g, MMM_THIRDS, lam, p) <= FAST.tol_fixed_point
 
+    @pytest.mark.parametrize("cards, eps", [([0, 1], 0.1), ([0, 1], 0.01), ([0, 1, 2], 0.1), ([0, 1, 2], 0.01)])
+    def test_card_games_reach_lambda_max(self, cards, eps):
+        # Criterion 05's games and settings, as solve_nash_phi runs them.
+        cfg = SolverConfig(multistarts=2, max_iters=20_000)
+        trace = homotopy_trace(make_card_game(0.4, cards, eps), EXPECTATION, 200.0, 160, cfg)
+        assert len(trace) == 160 and trace[-1][0] == pytest.approx(200.0)
+
     def test_breakdown_reports_last_good_lambda(self):
         from sre_lab.solvers import HomotopyBreakdown
 
@@ -287,34 +302,47 @@ class TestNewton:
     def test_solves_linear_system(self):
         a = np.array([[3.0, 1.0], [1.0, 2.0]])
         b = np.array([0.2, -0.1])
-        theta, res, flat = _newton(lambda t: a @ t - b, np.zeros(2), 1e-12, 40)
-        assert res <= 1e-12 and not flat
+        theta, f, flat, steps = _newton(lambda t: (a @ t - b, lambda: a), np.zeros(2), 1e-12, 40)
+        assert np.max(np.abs(f)) <= 1e-12 and not flat and steps >= 1
         np.testing.assert_allclose(theta, np.linalg.solve(a, b), rtol=0, atol=1e-11)
 
     def test_constant_residual_is_flat_after_one_jacobian(self):
         calls = []
 
-        def residual(theta):
-            calls.append(theta)
-            return np.array([1.0, -2.0])
+        def system(theta):
+            calls.append("f")
 
-        theta, res, flat = _newton(residual, np.array([0.3, 0.4]), 1e-12, 24)
-        assert flat and res == 2.0
-        assert len(calls) == 3  # the residual at theta, then one Jacobian column per coordinate
+            def jacobian():
+                calls.append("jacobian")
+                return np.zeros((2, 2))
+
+            return np.array([1.0, -2.0]), jacobian
+
+        theta, f, flat, steps = _newton(system, np.array([0.3, 0.4]), 1e-12, 24)
+        assert flat and steps == 0
+        np.testing.assert_array_equal(f, [1.0, -2.0])
+        assert calls == ["f", "jacobian"]
         np.testing.assert_array_equal(theta, [0.3, 0.4])
 
     def test_stops_when_no_halving_lowers_the_residual(self):
         # 1 + t^2 has its minimum at t = 0, so every step, however short, raises it.
+        # At t = 0 the true Jacobian is 0; a stated Jacobian of 1 proposes a step that cannot help.
         calls = []
 
-        def residual(theta):
-            calls.append(theta)
-            return 1.0 + theta**2
+        def system(theta):
+            calls.append("f")
 
-        theta, res, flat = _newton(residual, np.zeros(1), 1e-12, 24)
-        assert not flat and res == 1.0
+            def jacobian():
+                calls.append("jacobian")
+                return np.ones((1, 1))
+
+            return 1.0 + theta**2, jacobian
+
+        theta, f, flat, steps = _newton(system, np.zeros(1), 1e-12, 24)
+        assert not flat and steps == 0
+        np.testing.assert_array_equal(f, [1.0])
         np.testing.assert_array_equal(theta, [0.0])
-        assert len(calls) == 10  # the residual, one Jacobian column and eight halvings
+        assert calls == ["f", "jacobian"] + ["f"] * 8  # the residual, its Jacobian and eight halvings
 
 
 class TestSupportProfiles:
@@ -343,10 +371,7 @@ def _newton_support(evaluator, supports, rng, scale):
     Returns (dists or None, smallest support weight of Newton's accepted point).
     """
     counts = evaluator.game.action_counts
-
-    def residual(theta):
-        return _support_residual(evaluator, supports, _dists_from_theta(theta, supports, counts))
-
+    system = _support_system(evaluator, supports)
     tol = 1e-10 * scale
     starts = [np.concatenate([np.full(len(s) - 1, 1.0 / len(s)) for s in supports if len(s) > 1])]
     for _ in range(2):
@@ -354,10 +379,10 @@ def _newton_support(evaluator, supports, rng, scale):
             np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
         )
     for theta in starts:
-        theta, gap, flat = _newton(residual, theta, tol, 24)
+        theta, f, flat, _ = _newton(system, theta, tol, 24)
         if flat:
             break
-        if gap > tol:
+        if np.max(np.abs(f)) > tol:
             continue
         dists = _dists_from_theta(theta, supports, counts)
         low = min(vec[list(sup)].min() for sup, vec in zip(supports, dists))
@@ -369,6 +394,94 @@ def _newton_support(evaluator, supports, rng, scale):
 def _random_two_player_game(seed, counts):
     rng = np.random.default_rng(seed)
     return Game(counts, rng.uniform(-2.0, 2.0, size=counts + (2,)))
+
+
+def _central_jacobian(system, theta, h=1e-6):
+    cols = []
+    for d in range(theta.size):
+        bump = np.zeros(theta.size)
+        bump[d] = h
+        cols.append((system(theta + bump)[0] - system(theta - bump)[0]) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def _jacobian_statistics(game):
+    """One statistic per kind of atom: 0, the exp branch, the Taylor branch and -inf/+inf."""
+    spread = max(float(np.max(np.ptp(t, axis=1))) for t in PhiEvaluator(game, EXPECTATION).tables)
+    taylor = 0.9 * TAYLOR_CUTOFF / spread
+    return [
+        EXPECTATION,
+        K_PAIR,
+        MAStatistic.single(1.5),
+        MAStatistic.single(-taylor),
+        MAStatistic(((-math.inf, 0.25), (taylor, 0.5), (math.inf, 0.25))),
+        MAStatistic(((-math.inf, 0.5), (math.inf, 0.5))),
+        MAStatistic(((-math.inf, 0.2), (0.0, 0.3), (0.8, 0.5))),
+    ]
+
+
+JACOBIAN_GAMES = [
+    _random_two_player_game(21, (3, 4)),
+    Game((2, 3, 2), np.random.default_rng(22).uniform(-2.0, 2.0, size=(2, 3, 2, 3))),
+    Game((3, 2, 2, 2), np.random.default_rng(23).uniform(-2.0, 2.0, size=(3, 2, 2, 2, 4))),
+]
+
+
+class TestExactJacobians:
+    @pytest.mark.parametrize("game", JACOBIAN_GAMES)
+    def test_logit_response_map(self, game):
+        rng = np.random.default_rng(1)
+        for phi in _jacobian_statistics(game):
+            system = _logit_system(PhiEvaluator(game, phi), 3.0)
+            theta = np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in game.action_counts])
+            exact = system(theta)[1]()
+            np.testing.assert_allclose(exact, _central_jacobian(system, theta), rtol=0, atol=1e-8, err_msg=phi.describe())
+
+    @pytest.mark.parametrize("game", JACOBIAN_GAMES)
+    def test_support_value_differences(self, game):
+        rng = np.random.default_rng(2)
+        for phi in _jacobian_statistics(game):
+            evaluator = PhiEvaluator(game, phi)
+            for _ in range(4):
+                # Sizes from 2 up, so every player has free weights.
+                sups = [tuple(sorted(rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False))) for k in game.action_counts]
+                system = _support_system(evaluator, sups)
+                theta = np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in sups])
+                exact = system(theta)[1]()
+                np.testing.assert_allclose(
+                    exact, _central_jacobian(system, theta), rtol=0, atol=1e-8, err_msg=f"{phi.describe()} {sups}"
+                )
+
+    def test_jacobian_reuses_the_evaluation(self):
+        game = JACOBIAN_GAMES[1]
+        evaluator = PhiEvaluator(game, K_PAIR)
+        calls = []
+        inner = evaluator.values
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        evaluator.values = counted
+        systems = [
+            (_logit_system(evaluator, 2.0), np.array([0.4, 0.3, 0.3, 0.5])),
+            (_support_system(evaluator, [(0, 1), (0, 2), (0, 1)]), np.array([0.4, 0.3, 0.5])),
+        ]
+        for system, theta in systems:
+            f, jacobian = system(theta)
+            assert calls == [0, 1, 2]  # one evaluation per player
+            jacobian()
+            assert calls == [0, 1, 2]  # and none for the Jacobian
+            calls.clear()
+
+    def test_taylor_branch_is_not_the_mean(self):
+        # The Taylor-band statistic's Jacobian differs from the expectation's
+        # by far more than the tolerance above, so the tests tell them apart.
+        game = JACOBIAN_GAMES[0]
+        theta = np.array([0.2, 0.5, 0.3, 0.1, 0.4])
+        taylor = _jacobian_statistics(game)[3]
+        jacs = [_logit_system(PhiEvaluator(game, phi), 3.0)(theta)[1]() for phi in (EXPECTATION, taylor)]
+        assert np.max(np.abs(jacs[0] - jacs[1])) > 1e-6
 
 
 class TestSupportSolve:
@@ -444,6 +557,19 @@ class TestSolveNashPhi:
         assert d["enumeration_skipped_by_cap"] == 1_046_429
         assert d["enumeration_truncated"] is True
 
+    def test_default_limits_find_only_complete_enumeration_solutions(self):
+        # The 12x3 card game's enumeration is truncated at the default limits;
+        # every profile returned must still be one the complete enumeration finds.
+        game = make_card_game(0.4, [0, 1, 2], 0.1)
+        complete = solve_nash_phi(game, EXPECTATION, SolverConfig(support_cap=15, max_enum_supports=30_000))
+        assert complete.diagnostics["enumeration_truncated"] is False
+        default = solve_nash_phi(game, EXPECTATION, SolverConfig(multistarts=2, max_iters=20_000))
+        assert default.diagnostics["enumeration_truncated"] is True
+        assert "homotopy_breakdown_lambda" not in default.diagnostics
+        assert len(default.profiles) > 8
+        for p in default.profiles:
+            assert min(p.sup_distance(q) for q in complete.profiles) <= 1e-9
+
     def test_support_cap_on_a_game_too_large_to_walk(self):
         # Walking the (2^14 - 1)^2 - 196 skipped profiles one by one would take minutes.
         g = _random_two_player_game(0, (14, 14))
@@ -469,6 +595,14 @@ class TestVerifyNashPhi:
     def test_pure_profile_fails(self):
         g = make_matching_pennies()
         assert not verify_nash_phi(g, EXPECTATION, MixedProfile.pure(g, [0, 0]))
+
+    def test_unreached_payoff_far_above_the_reached_one(self):
+        # Action 0 reaches 0 and action 1 reaches 1, so playing action 0 is no
+        # best response.  Under a = 100 the unreached payoff 10 sits 1000 log
+        # units above the reached one, where the kernel's exponentials overflow.
+        g = Game((2, 2), np.stack([[[0.0, 10.0], [1.0, 2.0]], np.zeros((2, 2))], axis=-1))
+        p = MixedProfile((np.array([1.0, 0.0]), np.array([1.0, 0.0])))
+        assert not verify_nash_phi(g, MAStatistic.single(100.0), p)
 
 
 class TestOrdinalChecks:

@@ -12,6 +12,7 @@ from sre_lab.statistics import (
     evaluate,
     is_positively_homogeneous,
     k_a,
+    normalized_cgf,
 )
 
 COIN = Lottery.from_vector([0.0, 1.0])
@@ -97,6 +98,40 @@ class TestKernel:
             z = convolve(x, y)
             for a in grid:
                 assert abs(k_a(z, a) - k_a(x, a) - k_a(y, a)) <= 1e-9
+
+
+class TestKernelSlopes:
+    @pytest.mark.parametrize("a", [0.0, 1.5, -0.7, 2e-5, -2e-5, 60.0, -math.inf, math.inf])
+    def test_slopes_match_central_differences_on_the_simplex(self, a):
+        # a = 60 on this table underflows every term of some rows at the first
+        # shift, so the re-shifted branch is covered too.
+        rng = np.random.default_rng(3)
+        table = rng.uniform(-2.0, 2.0, size=(4, 6))
+        table[0] = [-30.0, -2.0, -1.0, 0.0, 1.0, 40.0]
+        lo, hi = table.min(axis=1), table.max(axis=1)
+        spread = float(np.max(hi - lo)) if abs(a) > 1e-3 else 4.0  # 2e-5 * 4 is in the Taylor band
+        weights = rng.dirichlet(np.ones(6))
+        if a == 60.0:
+            weights[-1] = 0.0
+            weights /= weights.sum()
+        value, slopes = normalized_cgf(table, weights, a, lo, hi, spread, grad=True)
+        np.testing.assert_array_equal(value, normalized_cgf(table, weights, a, lo, hi, spread))
+        h = 1e-6
+        for _ in range(3):
+            step = rng.normal(size=6) * (weights > 0)
+            step -= weights * step.sum() / weights.sum()  # tangent to the simplex, support kept
+            up = normalized_cgf(table, weights + h * step, a, lo, hi, spread)
+            down = normalized_cgf(table, weights - h * step, a, lo, hi, spread)
+            np.testing.assert_allclose(slopes @ step, (up - down) / (2 * h), rtol=1e-7, atol=1e-8)
+
+    def test_reshift_ignores_unreached_columns_beyond_it(self):
+        # Every term of row 0 underflows at shift 10; after the re-shift to 0,
+        # exp(100 * 10) would overflow on the zero-weight column.
+        table = np.array([[0.0, 10.0], [1.0, 2.0]])
+        weights = np.array([1.0, 0.0])
+        value, slopes = normalized_cgf(table, weights, 100.0, table.min(axis=1), table.max(axis=1), 10.0, grad=True)
+        np.testing.assert_allclose(value, [0.0, 1.0], rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(slopes))
 
 
 class TestStatisticType:
