@@ -255,10 +255,11 @@ def _newton(
     theta from what evaluating f computed; it is called only where a step
     starts.  Returns (theta, f(theta), flat, steps taken); flat is True when
     the Jacobian is identically zero, i.e. the residual does not react to
-    theta at all.  The stop test and step acceptance use the sup norm of f.  Steps are least-squares solves capped at 0.5 in
-    the sup norm, and a step is taken only if it lowers the residual, halving
-    it up to eight times: far from a root a full step can overshoot into the
-    chart's clipped region.
+    theta at all.  The stop test and step acceptance use the sup norm of f.
+    Steps are least-squares solves capped at 0.5 in the sup norm, and a step
+    is taken only if it lowers the residual, halving it up to eight times:
+    far from a root a full step can overshoot into the chart's clipped
+    region.
     """
     f, jacobian = system(theta)
     res = float(np.max(np.abs(f), initial=0.0))
@@ -354,7 +355,7 @@ def _solve_fixed_point(
     lam: float,
     start: list[np.ndarray],
     cfg: SolverConfig,
-    first_polish: int = 250,
+    first_polish: int = 16,
 ) -> tuple[Optional[list[np.ndarray]], float, int, int]:
     """Newton from the start, then damped iteration with stall-adaptive damping.
 
@@ -363,7 +364,10 @@ def _solve_fixed_point(
     points trap the damped map in limit cycles but are reachable for a
     Newton step from a nearby start.  Fixed damping alone can orbit cycling
     fixed points once the response becomes stiff, so the step size shrinks
-    on stall and Newton finishes from the best iterate.
+    on stall.  Newton is retried from the best iterate after first_polish
+    damped iterations and again each time their count doubles, since a few
+    damped steps often carry a start into Newton's basin; it finishes from
+    the best iterate when the budget runs out.
     """
     p = [d.copy() for d in start]
     polished, pres, steps = _newton_polish(evaluator, lam, p, cfg.tol_fixed_point, max_steps=12)
@@ -400,7 +404,7 @@ def _solve_fixed_point(
             if pres < best_res:
                 best, best_res = polished, pres
                 p = [d.copy() for d in polished]
-            next_polish = min(cfg.max_iters, next_polish * 4)
+            next_polish = min(cfg.max_iters, next_polish * 2)
     polished, res, taken = _newton_polish(evaluator, lam, best, cfg.tol_fixed_point)
     steps += taken
     if res <= cfg.tol_fixed_point:
@@ -433,7 +437,11 @@ def _dedup(
 
 
 def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverConfig] = None) -> SolveResult:
-    """All logit fixed points found by damped multistart iteration.
+    """All logit fixed points found from multiple starts.
+
+    The uniform start and cfg.multistarts Dirichlet starts drawn from
+    cfg.seed each run Newton, then damped iteration with early and
+    repeated Newton retries (see _solve_fixed_point).
 
     At least one fixed point exists for every game and lambda >= 0; if no
     start converges a SolverError is raised rather than returning an empty

@@ -2,8 +2,11 @@
 
 The card and sure-thing families put one player in front of a choice between
 a (nearly) sure amount r and a lottery generated endogenously by another
-player's mixing; bisecting on r recovers the statistic a solution concept
-responds to.
+player's mixing; the threshold r at which that player turns indifferent
+recovers the statistic a solution concept responds to.  Logit play gives a
+smooth, strictly decreasing indifference gap in r, found by a bracketed
+Illinois secant; best-response play gives only a yes/no verdict, found by
+bisection.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .solvers import ConceptSpec, solve_lqre, solve_nash_phi
 
 MAX_CARD_VALUES = 5
 MAX_ELICIT_CARD_VALUES = 3
+# Only a guarantee that elicit_qre's root-finder ends; it stops on its bracket width first.
+ELICIT_MAX_PROBES = 100
 
 
 # ---------------------------------------------------------------------------
@@ -216,39 +221,70 @@ class ElicitationResult:
         }
 
 
-def elicit_qre(spec: ConceptSpec, x: Sequence[float], bisection_iters: int = 60) -> float:
+def elicit_qre(spec: ConceptSpec, x: Sequence[float]) -> float:
     """Recover the statistic value of the uniform lottery over x from logit play.
 
     In the sure-thing game the two choices are mixed 50/50 exactly when r
-    matches the statistic of the lottery, so r is bisected on the sign of
-    p_1(b_x) - 1/2.  The game has a unique fixed point (all opponents face
-    identically zero payoffs), so probes run a light two-start configuration.
+    matches the statistic of the lottery, so the threshold is the root of
+    g(r) = p_1(b_x) - 1/2 on [min x, max x].  g is smooth and strictly
+    decreasing there.  A statistic equal to min x or max x (the minimum or
+    the maximum, say) puts the root on an end of the bracket, which is then
+    returned as it stands.  Otherwise the root is found by the Illinois
+    modified regula falsi (Dowell & Jarratt, BIT 11, 1971): a secant step
+    inside the bracket, with the retained end's value halved whenever the
+    same end is kept twice running, and a midpoint wherever the secant point
+    does not lie strictly inside.  It stops at an exact zero, or once the
+    bracket is narrower than 1e-12 max(1, |lo|, |hi|), and returns the
+    bracket's midpoint.
+
+    Each probe solves from the uniform start alone.  Player 2 earns zero
+    whatever happens, so it mixes uniformly; player 1 then answers a fixed
+    lottery, and the game has a single logit fixed point, reached from the
+    uniform start in one Newton step.
     """
     if spec.kind != "lqre":
         raise ValueError("elicit_qre needs an lqre concept")
     if spec.lam <= 0:
         raise ValueError("lambda must be positive to elicit anything")
     xs = np.asarray(x, dtype=float)
-    cfg = replace(spec.solver, multistarts=2)
+    cfg = replace(spec.solver, multistarts=0)
 
-    def keep_probability(r: float) -> float:
+    def gap(r: float) -> float:
         game = make_sure_thing_game(r, xs)
         result = solve_lqre(game, spec.phi, spec.lam, cfg)
-        return float(result.profiles[0].distributions[0][1])
+        return float(result.profiles[0].distributions[0][1]) - 0.5
 
     lo, hi = float(xs.min()), float(xs.max())
     if hi - lo <= 0:
         return lo
-    f_lo = keep_probability(lo) - 0.5
-    f_hi = keep_probability(hi) - 0.5
+    f_lo = gap(lo)
+    f_hi = gap(hi)
     if f_lo < -1e-9 or f_hi > 1e-9:
         raise ValueError("bisection bracket failure: keep probability is not monotone in r")
-    for _ in range(bisection_iters):
-        mid = 0.5 * (lo + hi)
-        if keep_probability(mid) - 0.5 >= 0.0:
-            lo = mid
+    if f_lo <= 0.0:
+        return lo
+    if f_hi >= 0.0:
+        return hi
+    moved = 0  # the end the last probe replaced: +1 for lo, -1 for hi
+    for _ in range(ELICIT_MAX_PROBES):
+        if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+            break
+        r = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+        if not lo < r < hi:
+            r = 0.5 * (lo + hi)
+        f = gap(r)
+        if f == 0.0:
+            return r
+        if f > 0.0:
+            lo, f_lo = r, f
+            if moved == 1:
+                f_hi *= 0.5
+            moved = 1
         else:
-            hi = mid
+            hi, f_hi = r, f
+            if moved == -1:
+                f_lo *= 0.5
+            moved = -1
     return 0.5 * (lo + hi)
 
 

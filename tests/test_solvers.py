@@ -200,6 +200,21 @@ class TestSolveLqre:
         assert d == {"iterations": 0, "newton_steps": 2, "starts": 3, "starts_converged": 3}
 
 
+    def test_newton_retried_after_few_damped_iterations(self):
+        # Criterion 03's corpus op 239: a 4x3 game under K_PAIR at lambda = 5.
+        # One start needs a few damped steps to reach Newton's basin, and
+        # Newton retried early takes it from there.
+        rng = np.random.default_rng(777)
+        for _ in range(80):
+            g = random_game(rng)
+        assert g.action_counts == (4, 3)
+        res = solve_lqre(g, K_PAIR, 5.0, SolverConfig(multistarts=2, max_iters=20_000))
+        assert res.diagnostics["iterations"] < 200
+        assert res.profiles
+        for p in res.profiles:
+            assert verify_lqre(g, K_PAIR, 5.0, p) <= 1e-8
+
+
 class TestBracketingResiduals:
     def test_product_of_fixed_points_is_fixed(self):
         rng = np.random.default_rng(5)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sre_lab import testgames
 from sre_lab.lotteries import Lottery
-from sre_lab.statistics import EXPECTATION, MAStatistic
+from sre_lab.statistics import EXPECTATION, MAStatistic, evaluate
 from sre_lab.solvers import ConceptSpec, SolverConfig, solve_lqre
 from sre_lab.testgames import (
     ElicitationResult,
@@ -24,6 +25,7 @@ from sre_lab.testgames import (
     random_game,
     vector_from_lottery,
 )
+from test_acceptance import _random_statistic
 
 FAST = SolverConfig(multistarts=2, max_iters=20_000)
 
@@ -177,6 +179,20 @@ class TestVectorFromLottery:
             vector_from_lottery(x, max_m=50)
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """One entry per solve_lqre call made from testgames."""
+    calls = []
+    inner = testgames.solve_lqre
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(testgames, "solve_lqre", counted)
+    return calls
+
+
 class TestElicitQre:
     def test_mean_response_symmetric(self):
         spec = ConceptSpec.lqre(1.0, solver=FAST)
@@ -195,6 +211,25 @@ class TestElicitQre:
     def test_requires_positive_lambda(self):
         with pytest.raises(ValueError):
             elicit_qre(ConceptSpec.lqre(0.0), [0.0, 1.0])
+
+    def test_criterion_06_triples_take_few_solves(self, solve_calls):
+        # Criterion 06's logit cases, drawn as it draws them.  Each probe is
+        # one single-start solve, and a value takes about six of them.
+        rng = np.random.default_rng(4242)
+        for trial in range(20):
+            phi = _random_statistic(rng)
+            x = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 5)))
+            spec = ConceptSpec.lqre((0.5, 1.0, 5.0)[trial % 3], phi, FAST)
+            assert abs(elicit_qre(spec, x) - evaluate(phi, Lottery.from_vector(x))) <= 1e-9
+        assert len(solve_calls) <= 200
+
+    @pytest.mark.parametrize("end, pick", [(-math.inf, min), (math.inf, max)])
+    def test_extreme_statistic_returns_bracket_end(self, solve_calls, end, pick):
+        # The minimum and the maximum sit on an end of the bracket [min x, max x].
+        x = [0.5, -1.0, 2.0]
+        spec = ConceptSpec.lqre(1.0, MAStatistic(((end, 1.0),)), FAST)
+        assert elicit_qre(spec, x) == pick(x)
+        assert len(solve_calls) == 2
 
     def test_indifference_at_returned_threshold(self):
         phi = MAStatistic(((-2.0, 0.4), (1.0, 0.6)))
