@@ -3,8 +3,8 @@
 Every check returns an AxiomReport listing the violations it found; a report
 passes exactly when the list is empty.  Universally quantified axioms are
 checked over whatever instances the caller supplies (or the seeded random
-corpus in run_suite) — reports describe what was checked and never claim a
-universal proof.  Membership is always residual-based through the concept's
+corpus the CLI assembles in cli._suite_reports) — reports describe what was
+checked and never claim a universal proof.  Membership is always residual-based through the concept's
 verifier, since solutions are numeric.
 """
 
@@ -32,7 +32,7 @@ from .games import (
     strategic_shift,
 )
 from .lotteries import DominanceVerdict, fosd_compare
-from .solvers import ConceptSpec, SolveResult
+from .solvers import ConceptSpec
 
 
 @dataclass
@@ -205,16 +205,22 @@ def check_rationality(game: Game, p: MixedProfile, tol: float = 1e-7) -> AxiomRe
 # ---------------------------------------------------------------------------
 
 
-def _solutions(spec: ConceptSpec, game: Game) -> SolveResult:
-    if not spec.solvable:
-        raise ValueError(f"{spec.kind} cannot be solved for; use a solvable concept")
-    return spec.solve(game)
+def _non_members(
+    spec: ConceptSpec, target: Game, profiles: Sequence[MixedProfile], tol: float, **where
+) -> list[dict]:
+    """One violation, tagged with where, per profile that is not a member of spec on target."""
+    violations = []
+    for p in profiles:
+        report = spec.membership_report(target, p, tol=tol)
+        if not report["member"]:
+            violations.append({**where, "magnitude": float(report.get("residual") or 1.0)})
+    return violations
 
 
 def check_bracketing(spec: ConceptSpec, g: Game, h: Game, tol: float = 1e-8) -> AxiomReport:
     """Products of component solutions must solve the composite game."""
-    sols_g = _solutions(spec, g)
-    sols_h = _solutions(spec, h)
+    sols_g = spec.solve(g)
+    sols_h = spec.solve(h)
     composite = compose(g, h)
     violations = []
     instances = 0
@@ -238,21 +244,11 @@ def check_anonymity(
     spec: ConceptSpec, game: Game, pi: PlayerPermutation, tol: float = 1e-8
 ) -> AxiomReport:
     """Permuting player names must permute the solution set."""
-    sols = _solutions(spec, game)
-    permuted_game = permute_players(game, pi)
-    violations = []
-    for p in sols.profiles:
-        permuted = permute_profile(p, pi)
-        report = spec.membership_report(permuted_game, permuted, tol=tol)
-        if not report["member"]:
-            violations.append(
-                {
-                    "game": _describe(game),
-                    "permutation": list(pi.mapping),
-                    "magnitude": float(report.get("residual") or 1.0),
-                }
-            )
-    return AxiomReport("anonymity", len(sols.profiles), violations)
+    permuted = [permute_profile(p, pi) for p in spec.solve(game).profiles]
+    violations = _non_members(
+        spec, permute_players(game, pi), permuted, tol, game=_describe(game), permutation=list(pi.mapping)
+    )
+    return AxiomReport("anonymity", len(permuted), violations)
 
 
 def check_scale_invariance(
@@ -265,8 +261,7 @@ def check_scale_invariance(
     for alpha in alphas:
         if not 0 < alpha < 1:
             raise ValueError("alphas must lie in (0, 1)")
-    sols = _solutions(spec, game)
-    uniform_sols = [p for p in sols.profiles if p.is_uniform(1e-9)]
+    uniform_sols = [p for p in spec.solve(game).profiles if p.is_uniform(1e-9)]
     if not uniform_sols:
         return AxiomReport(
             "scale-invariance",
@@ -275,21 +270,10 @@ def check_scale_invariance(
             notes="no uniform solution found; check is vacuous",
         )
     violations = []
-    instances = 0
     for alpha in alphas:
         scaled = scale_game(game, alpha)
-        for p in uniform_sols:
-            instances += 1
-            report = spec.membership_report(scaled, p, tol=tol)
-            if not report["member"]:
-                violations.append(
-                    {
-                        "game": _describe(game),
-                        "alpha": alpha,
-                        "magnitude": float(report.get("residual") or 1.0),
-                    }
-                )
-    return AxiomReport("scale-invariance", instances, violations)
+        violations += _non_members(spec, scaled, uniform_sols, tol, game=_describe(game), alpha=alpha)
+    return AxiomReport("scale-invariance", len(alphas) * len(uniform_sols), violations)
 
 
 def check_strategic_invariance(
@@ -299,21 +283,10 @@ def check_strategic_invariance(
     shifted = strategic_shift(game, shifts)
     violations = []
     instances = 0
-    for source, target, direction in (
-        (game, shifted, "forward"),
-        (shifted, game, "backward"),
-    ):
-        for p in _solutions(spec, source).profiles:
-            instances += 1
-            report = spec.membership_report(target, p, tol=tol)
-            if not report["member"]:
-                violations.append(
-                    {
-                        "game": _describe(game),
-                        "direction": direction,
-                        "magnitude": float(report.get("residual") or 1.0),
-                    }
-                )
+    for source, target, direction in ((game, shifted, "forward"), (shifted, game, "backward")):
+        sols = spec.solve(source).profiles
+        instances += len(sols)
+        violations += _non_members(spec, target, sols, tol, game=_describe(game), direction=direction)
     return AxiomReport("strategic-invariance", instances, violations)
 
 
@@ -327,8 +300,8 @@ def check_consistency(
     """Common solutions of two games must solve every convex payoff blend."""
     if game_u.action_counts != game_v.action_counts:
         raise ValueError("consistency needs games on the same action sets")
-    sols_u = _solutions(spec, game_u).profiles
-    sols_v = _solutions(spec, game_v).profiles
+    sols_u = spec.solve(game_u).profiles
+    sols_v = spec.solve(game_v).profiles
     common = []
     for p in sols_u:
         if any(p.sup_distance(q) <= 1e-6 for q in sols_v):
@@ -341,20 +314,10 @@ def check_consistency(
             notes="solution sets do not intersect; check is vacuous",
         )
     violations = []
-    instances = 0
     for alpha in alphas:
         blended = blend_games(game_u, game_v, alpha)
-        for p in common:
-            instances += 1
-            report = spec.membership_report(blended, p, tol=tol)
-            if not report["member"]:
-                violations.append(
-                    {
-                        "game": f"blend({_describe(game_u)}, alpha={alpha})",
-                        "magnitude": float(report.get("residual") or 1.0),
-                    }
-                )
-    return AxiomReport("consistency", instances, violations)
+        violations += _non_members(spec, blended, common, tol, game=f"blend({_describe(game_u)}, alpha={alpha})")
+    return AxiomReport("consistency", len(alphas) * len(common), violations)
 
 
 def _lifts(q: MixedProfile, maps: Sequence[Sequence[int]], blown: Game) -> list[MixedProfile]:
@@ -383,30 +346,8 @@ def check_consequentialism(
 ) -> AxiomReport:
     """Duplicating actions must only split probabilities, in both directions."""
     blown = blow_up(base, maps)
-    violations = []
-    instances = 0
-    for p in _solutions(spec, blown).profiles:
-        instances += 1
-        pushed = push_profile(p, maps, base)
-        report = spec.membership_report(base, pushed, tol=tol)
-        if not report["member"]:
-            violations.append(
-                {
-                    "game": _describe(blown),
-                    "direction": "push",
-                    "magnitude": float(report.get("residual") or 1.0),
-                }
-            )
-    for q in _solutions(spec, base).profiles:
-        for lift in _lifts(q, maps, blown):
-            instances += 1
-            report = spec.membership_report(blown, lift, tol=tol)
-            if not report["member"]:
-                violations.append(
-                    {
-                        "game": _describe(blown),
-                        "direction": "lift",
-                        "magnitude": float(report.get("residual") or 1.0),
-                    }
-                )
-    return AxiomReport("consequentialism", instances, violations)
+    pushed = [push_profile(p, maps, base) for p in spec.solve(blown).profiles]
+    lifted = [lift for q in spec.solve(base).profiles for lift in _lifts(q, maps, blown)]
+    violations = _non_members(spec, base, pushed, tol, game=_describe(blown), direction="push")
+    violations += _non_members(spec, blown, lifted, tol, game=_describe(blown), direction="lift")
+    return AxiomReport("consequentialism", len(pushed) + len(lifted), violations)

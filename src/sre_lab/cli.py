@@ -74,21 +74,17 @@ def _concept(args) -> ConceptSpec:
     phi = MAStatistic.expectation()
     if getattr(args, "statistic", None):
         phi = _load_json(args.statistic, MAStatistic.from_json, "statistic")
-    name = args.concept
-    if name == "nash":
-        if not phi.is_expectation:
-            return ConceptSpec.nash_phi(phi, solver)
-        return ConceptSpec.nash(solver)
-    if name == "nash-phi":
-        return ConceptSpec.nash_phi(phi, solver)
-    if name == "lqre":
-        lam = args.lam if args.lam is not None else 1.0
-        return ConceptSpec.lqre(lam, phi, solver)
-    if name == "fosd-nash-check-only":
+    kind = args.concept
+    if kind == "fosd-nash-check-only":
         # Solve under best response to the expectation, then report the
         # ordinal no-dominated-action check on every solution found.
-        return ConceptSpec.nash(solver)
-    raise UsageError(f"unknown concept {name!r}")
+        kind, phi = "nash", MAStatistic.expectation()
+    if kind == "nash" and not phi.is_expectation:
+        kind = "nash-phi"
+    try:
+        return ConceptSpec(kind, phi, args.lam if args.lam is not None else 1.0, solver)
+    except ValueError as err:
+        raise UsageError(str(err))
 
 
 def _add_concept_flags(sub, default_concept: Optional[str] = None):
@@ -205,11 +201,14 @@ def _named_reparam(path: str):
 def _cmd_compose(args) -> int:
     g = _load_json(args.game, Game.from_json, "game")
     h = _load_json(args.game2, Game.from_json, "game")
-    if args.phi_reparam:
-        phi, phi_inv = _named_reparam(args.phi_reparam)
-        combined = compose_generalized(g, h, phi, phi_inv)
-    else:
-        combined = compose(g, h)
+    try:
+        if args.phi_reparam:
+            phi, phi_inv = _named_reparam(args.phi_reparam)
+            combined = compose_generalized(g, h, phi, phi_inv)
+        else:
+            combined = compose(g, h)
+    except ValueError as err:
+        raise UsageError(str(err))
     with open(args.output, "w") as fh:
         json.dump(combined.to_json(), fh, sort_keys=True)
     print(f"wrote {args.output}: players={combined.num_players} actions={list(combined.action_counts)}")
@@ -241,7 +240,7 @@ def _suite_reports(spec: ConceptSpec, suite: str, corpus_size: int, seed: int) -
             reports.append(ax.check_anonymity(spec, game, pi))
     if suite in ("scale", "all"):
         reports.append(ax.check_scale_invariance(spec, make_matching_pennies()))
-        if spec.kind == "lqre":
+        if spec.family == "logit":
             x = np.array([0.0, 1.0])
             r = evaluate(spec.phi, Lottery.from_vector(x))
             reports.append(ax.check_scale_invariance(spec, make_sure_thing_game(r, x)))
@@ -285,15 +284,14 @@ def _cmd_elicit(args) -> int:
     except ValueError as err:
         raise UsageError(str(err))
     spec = _concept(args)
+    elicit = elicit_qre if args.mode == "qre" else elicit_fosd
+    try:
+        result = elicit(spec, x)
+    except ValueError as err:
+        raise UsageError(str(err))
     if args.mode == "qre":
-        if spec.kind != "lqre":
-            raise UsageError("qre elicitation needs --concept lqre")
-        r_star = elicit_qre(spec, x)
-        print(_dump({"mode": "qre", "r_star": r_star, "concept": spec.label()}))
+        print(_dump({"mode": "qre", "r_star": result, "concept": spec.label()}))
         return EXIT_OK
-    if spec.kind not in ("nash", "nash-phi"):
-        raise UsageError("fosd elicitation needs --concept nash or nash-phi")
-    result = elicit_fosd(spec, x)
     payload = result.to_json()
     payload["mode"] = "fosd"
     payload["concept"] = spec.label()

@@ -23,12 +23,18 @@ import numpy as np
 from .games import (
     Game,
     MixedProfile,
+    action_lottery,
     action_payoff_matrix,
     opponent_weights,
 )
+from .lotteries import DominanceVerdict, fosd_compare, weakly_dominates
 from .statistics import MAStatistic, normalized_cgf
 
 DEDUP_TOL = 1e-6
+# The damped iteration's first step size, before stalls shrink it.
+DAMPING = 0.5
+# The largest lambda of the continuation that proposes best-response candidates.
+HOMOTOPY_LAMBDA_MAX = 200.0
 
 
 class SolverError(RuntimeError):
@@ -48,10 +54,8 @@ class SolverConfig:
 
     tol_fixed_point: float = 1e-10
     max_iters: int = 100_000
-    damping: float = 0.5
     multistarts: int = 16
-    homotopy_lambda_max: float = 200.0
-    homotopy_steps: int = 400
+    homotopy_steps: int = 160
     support_tol: float = 1e-7
     seed: int = 0
     # Enumeration limits: supports larger than support_cap in total size are
@@ -62,9 +66,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.tol_fixed_point <= 0 or self.max_iters <= 0 or self.multistarts < 0:
             raise ValueError("tolerances and iteration budgets must be positive")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.homotopy_lambda_max <= 0 or self.homotopy_steps < 2:
+        if self.homotopy_steps < 2:
             raise ValueError("homotopy grid is too small")
         if self.support_tol <= 0:
             raise ValueError("support_tol must be positive")
@@ -374,7 +376,7 @@ def _solve_fixed_point(
     if pres <= cfg.tol_fixed_point:
         return polished, pres, 0, steps
     p = polished if pres < math.inf else p
-    alpha = cfg.damping
+    alpha = DAMPING
     best = p
     best_res = math.inf
     stall = 0
@@ -522,15 +524,27 @@ def verify_nash_phi(
     """True when every action played above support_tol is within tol of the best value."""
     if not p.matches(game):
         raise ValueError("profile does not match the game")
-    evaluator = PhiEvaluator(game, phi)
-    dists = list(p.distributions)
-    for i in range(game.num_players):
+    return _best_response_gap(PhiEvaluator(game, phi), p.distributions, tol, support_tol) is not None
+
+
+def _best_response_gap(
+    evaluator: PhiEvaluator, dists: Sequence[np.ndarray], tol: float, support_tol: float
+) -> Optional[float]:
+    """The largest shortfall of an action played above support_tol below its player's best value.
+
+    Values are the raw statistic of each action's realized lottery.  Returns
+    None as soon as one player's shortfall exceeds tol.
+    """
+    gap = 0.0
+    for i in range(evaluator.n):
         vals = evaluator.values(i, dists, boundary_pure=False)
-        ceiling = vals.max() - tol
-        for a in range(game.action_counts[i]):
-            if p.distributions[i][a] > support_tol and vals[a] < ceiling:
-                return False
-    return True
+        played = dists[i] > support_tol
+        best = vals.max()
+        worst = vals[played].min() if played.any() else best
+        if worst < best - tol:
+            return None
+        gap = max(gap, float(best - worst))
+    return gap
 
 
 def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
@@ -701,13 +715,21 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     found: list[tuple[list[np.ndarray], float]] = []
     diagnostics: dict = {}
 
+    def accept(sups) -> bool:
+        """Solve one support profile and keep the solution, with its gap, if it is a best response."""
+        dists = _solve_support(evaluator, sups, rng, scale)
+        if dists is None:
+            return False
+        # The gap is taken on the profile as returned, so it is that profile's residual.
+        gap = _best_response_gap(evaluator, MixedProfile(tuple(dists)).distributions, 1e-9, cfg.support_tol)
+        if gap is not None:
+            found.append((dists, gap))
+        return gap is not None
+
     # Stage 1: limit candidates along the logit continuation.
-    homotopy_candidates = 0
     trace: list[tuple[float, MixedProfile]] = []
     try:
-        trace = homotopy_trace(
-            game, phi, cfg.homotopy_lambda_max, min(cfg.homotopy_steps, 160), cfg
-        )
+        trace = homotopy_trace(game, phi, HOMOTOPY_LAMBDA_MAX, cfg.homotopy_steps, cfg)
     except HomotopyBreakdown as breakdown:
         trace = breakdown.trace
         diagnostics["homotopy_breakdown_lambda"] = breakdown.last_lambda
@@ -716,15 +738,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     candidate_supports = set()
     if trace:
         candidate_supports = _candidate_supports([p.distributions for _, p in trace], cfg.support_cap)
-    for sups in sorted(candidate_supports):
-        dists = _solve_support(evaluator, sups, rng, scale)
-        if dists is None:
-            continue
-        profile = MixedProfile(tuple(dists))
-        if verify_nash_phi(game, phi, profile, support_tol=cfg.support_tol):
-            found.append((dists, 0.0))
-            homotopy_candidates += 1
-    diagnostics["homotopy_candidates"] = homotopy_candidates
+    diagnostics["homotopy_candidates"] = sum(accept(sups) for sups in sorted(candidate_supports))
 
     # Stage 2: support enumeration.
     examined = 0
@@ -740,12 +754,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
                 truncated = True
                 break
             examined += 1
-            dists = _solve_support(evaluator, sups, rng, scale)
-            if dists is None:
-                continue
-            profile = MixedProfile(tuple(dists))
-            if verify_nash_phi(game, phi, profile, support_tol=cfg.support_tol):
-                found.append((dists, 0.0))
+            accept(sups)
     diagnostics["enumeration_examined"] = examined
     diagnostics["enumeration_truncated"] = truncated or skipped_by_cap > 0
     diagnostics["enumeration_skipped_by_cap"] = skipped_by_cap
@@ -753,14 +762,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
 
     kept = _dedup(found)
     profiles = [MixedProfile(tuple(d)) for d, _ in kept]
-    residuals = []
-    for prof in profiles:
-        gaps = []
-        for i in range(game.num_players):
-            vals = evaluator.values(i, list(prof.distributions), boundary_pure=False)
-            played = prof.distributions[i] > cfg.support_tol
-            gaps.append(float(vals.max() - vals[played].min()) if played.any() else 0.0)
-        residuals.append(max(gaps))
+    residuals = [gap for _, gap in kept]
     return SolveResult(profiles, residuals, diagnostics)
 
 
@@ -771,9 +773,6 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
 
 def verify_fosd_nash(game: Game, p: MixedProfile, support_tol: float = 1e-7) -> list[dict]:
     """Violations of 'never play a strictly dominated lottery'; empty means member."""
-    from .games import action_lottery
-    from .lotteries import DominanceVerdict, fosd_compare
-
     if not p.matches(game):
         raise ValueError("profile does not match the game")
     violations = []
@@ -800,9 +799,6 @@ def verify_fosd_nash(game: Game, p: MixedProfile, support_tol: float = 1e-7) -> 
 
 def verify_fosd_qre(game: Game, p: MixedProfile, tol: float = 1e-7) -> list[dict]:
     """Violations of interiority or of weak-dominance-respecting probabilities."""
-    from .games import action_lottery
-    from .lotteries import weakly_dominates
-
     if not p.matches(game):
         raise ValueError("profile does not match the game")
     violations = []
@@ -835,7 +831,15 @@ def verify_fosd_qre(game: Game, p: MixedProfile, tol: float = 1e-7) -> list[dict
 # solution concepts
 # ---------------------------------------------------------------------------
 
-CONCEPT_KINDS = ("nash", "nash-phi", "lqre", "fosd-nash", "fosd-qre")
+# Each kind's family decides how it is solved and how membership is checked.
+CONCEPT_FAMILIES = {
+    "nash": "best-response",
+    "nash-phi": "best-response",
+    "lqre": "logit",
+    "fosd-nash": "ordinal",
+    "fosd-qre": "ordinal",
+}
+CONCEPT_KINDS = tuple(CONCEPT_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -882,42 +886,40 @@ class ConceptSpec:
     def fosd_qre(cls) -> "ConceptSpec":
         return cls("fosd-qre")
 
+    @property
+    def family(self) -> str:
+        """The kind's family: logit, best-response or ordinal (check-only)."""
+        return CONCEPT_FAMILIES[self.kind]
+
     def label(self) -> str:
-        if self.kind == "lqre":
+        if self.family == "logit":
             return f"lqre(lambda={self.lam:g}, phi={self.phi.describe()})"
-        if self.kind in ("nash", "nash-phi"):
+        if self.family == "best-response":
             return f"nash(phi={self.phi.describe()})"
         return self.kind
-
-    @property
-    def solvable(self) -> bool:
-        return self.kind in ("nash", "nash-phi", "lqre")
 
     # -- behavior ----------------------------------------------------------
 
     def solve(self, game: Game) -> SolveResult:
-        if self.kind == "lqre":
+        if self.family == "logit":
             return solve_lqre(game, self.phi, self.lam, self.solver)
-        if self.kind in ("nash", "nash-phi"):
+        if self.family == "best-response":
             return solve_nash_phi(game, self.phi, self.solver)
         raise ValueError(f"{self.kind} is check-only and cannot be solved for")
 
     def membership_report(self, game: Game, p: MixedProfile, tol: float = 1e-8) -> dict:
         report: dict = {"concept": self.label(), "tolerance": tol}
-        if self.kind == "lqre":
+        if self.family == "logit":
             residual = verify_lqre(game, self.phi, self.lam, p)
             report["residual"] = residual
             report["member"] = residual <= tol
-        elif self.kind in ("nash", "nash-phi"):
+        elif self.family == "best-response":
             report["member"] = verify_nash_phi(
                 game, self.phi, p, tol=tol, support_tol=self.solver.support_tol
             )
-        elif self.kind == "fosd-nash":
-            violations = verify_fosd_nash(game, p, support_tol=self.solver.support_tol)
-            report["violations"] = violations
-            report["member"] = not violations
         else:
-            violations = verify_fosd_qre(game, p, tol=self.solver.support_tol)
+            verify = verify_fosd_nash if self.kind == "fosd-nash" else verify_fosd_qre
+            violations = verify(game, p, self.solver.support_tol)
             report["violations"] = violations
             report["member"] = not violations
         return report

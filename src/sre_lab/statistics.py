@@ -110,10 +110,6 @@ def k_a(x: Lottery, a: float) -> float:
     return min(max(val, x.min()), x.max())
 
 
-def _atom_key(a: float) -> float:
-    return float(a)
-
-
 @dataclass(frozen=True)
 class MAStatistic:
     """Finite-atom mixture of normalized-CGF kernels.
@@ -137,9 +133,9 @@ class MAStatistic:
                 raise ValueError("atom location must not be NaN")
             if w <= 0:
                 raise ValueError("atom weights must be positive")
-            if _atom_key(a) in seen:
+            if a in seen:
                 raise ValueError(f"duplicate atom location {a!r}")
-            seen.add(_atom_key(a))
+            seen.add(a)
             cleaned.append((a, w))
             total += w
         if abs(total - 1.0) > ATOM_WEIGHT_SUM_TOL:

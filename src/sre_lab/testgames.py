@@ -242,7 +242,7 @@ def elicit_qre(spec: ConceptSpec, x: Sequence[float]) -> float:
     lottery, and the game has a single logit fixed point, reached from the
     uniform start in one Newton step.
     """
-    if spec.kind != "lqre":
+    if spec.family != "logit":
         raise ValueError("elicit_qre needs an lqre concept")
     if spec.lam <= 0:
         raise ValueError("lambda must be positive to elicit anything")
@@ -260,7 +260,7 @@ def elicit_qre(spec: ConceptSpec, x: Sequence[float]) -> float:
     f_lo = gap(lo)
     f_hi = gap(hi)
     if f_lo < -1e-9 or f_hi > 1e-9:
-        raise ValueError("bisection bracket failure: keep probability is not monotone in r")
+        raise ValueError("bracket failure: g(r) has the wrong sign at an end of [min x, max x]")
     if f_lo <= 0.0:
         return lo
     if f_hi >= 0.0:
@@ -302,19 +302,14 @@ def elicit_fosd(
     carry that caveat.  Estimates are listed by decreasing epsilon and the
     extrapolated value is the last (smallest-epsilon) one.
     """
-    if spec.kind not in ("nash", "nash-phi"):
+    if spec.family != "best-response":
         raise ValueError("elicit_fosd needs a best-response concept")
     if spec.phi.has_extreme_atoms:
         raise ValueError("statistics with atoms at -inf/+inf need not admit equilibria")
     xs = np.asarray(x, dtype=float)
     if xs.size > MAX_ELICIT_CARD_VALUES:
         raise ValueError(f"elicitation caps card vectors at {MAX_ELICIT_CARD_VALUES} values")
-    cfg = replace(
-        spec.solver,
-        multistarts=2,
-        homotopy_steps=24,
-        max_enum_supports=64,
-    )
+    cfg = replace(spec.solver, homotopy_steps=24, max_enum_supports=64)
     pad = 1.0 + float(np.max(np.abs(xs)))
     probes = 0
 

@@ -5,7 +5,7 @@ import pytest
 
 from sre_lab import cli
 from sre_lab.games import Game, MixedProfile
-from sre_lab.testgames import make_matching_pennies
+from sre_lab.testgames import make_matching_pennies, make_test_game_gx
 
 
 @pytest.fixture
@@ -20,6 +20,13 @@ def uniform_profile_file(tmp_path):
     path = tmp_path / "uniform.json"
     profile = MixedProfile.uniform(make_matching_pennies())
     path.write_text(json.dumps(profile.to_json()))
+    return str(path)
+
+
+@pytest.fixture
+def coin_file(tmp_path):
+    path = tmp_path / "coin.json"
+    path.write_text(json.dumps({"atoms": [{"x": 0.0, "p": 0.5}, {"x": 1.0, "p": 0.5}]}))
     return str(path)
 
 
@@ -157,17 +164,13 @@ class TestAxioms:
 
 
 class TestElicit:
-    def test_qre_mode(self, capsys, tmp_path):
-        lottery = tmp_path / "coin.json"
-        lottery.write_text(json.dumps({"atoms": [{"x": 0.0, "p": 0.5}, {"x": 1.0, "p": 0.5}]}))
-        code, out = run(capsys, ["elicit", "--lottery", str(lottery), "--concept", "lqre", "--lambda", "1"])
+    def test_qre_mode(self, capsys, coin_file):
+        code, out = run(capsys, ["elicit", "--lottery", coin_file, "--concept", "lqre", "--lambda", "1"])
         assert code == 0
         assert json.loads(out)["r_star"] == pytest.approx(0.5, abs=1e-8)
 
-    def test_mode_concept_mismatch(self, capsys, tmp_path):
-        lottery = tmp_path / "coin.json"
-        lottery.write_text(json.dumps({"atoms": [{"x": 0.0, "p": 0.5}, {"x": 1.0, "p": 0.5}]}))
-        assert cli.main(["elicit", "--lottery", str(lottery), "--concept", "nash", "--mode", "qre"]) == 1
+    def test_mode_concept_mismatch(self, capsys, coin_file):
+        assert cli.main(["elicit", "--lottery", coin_file, "--concept", "nash", "--mode", "qre"]) == 1
 
 
 class TestDemos:
@@ -195,3 +198,45 @@ class TestSolverFailureExit:
         monkeypatch.setattr(cli, "SolverError", solvers.SolverError)
         monkeypatch.setattr(solvers.ConceptSpec, "solve", lambda self, game: boom())
         assert cli.main(["solve", "--game", mp_file, "--concept", "lqre"]) == 3
+
+
+class TestInvalidValues:
+    """Values the parser accepts but the library rejects exit 1 with an error line, not a traceback."""
+
+    def assert_usage_error(self, capsys, argv):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "--game", "{game}"],
+            ["verify", "--game", "{game}", "--profile", "{profile}"],
+            ["axioms", "--suite", "bracketing", "--corpus-size", "1"],
+            ["elicit", "--lottery", "{lottery}"],
+        ],
+        ids=["solve", "verify", "axioms", "elicit"],
+    )
+    def test_negative_lambda(self, capsys, mp_file, uniform_profile_file, coin_file, command):
+        files = {"game": mp_file, "profile": uniform_profile_file, "lottery": coin_file}
+        argv = [arg.format(**files) for arg in command] + ["--concept", "lqre", "--lambda", "-1"]
+        self.assert_usage_error(capsys, argv)
+
+    def test_qre_elicitation_at_lambda_zero(self, capsys, coin_file):
+        self.assert_usage_error(capsys, ["elicit", "--lottery", coin_file, "--concept", "lqre", "--lambda", "0"])
+
+    def test_fosd_elicitation_of_a_four_outcome_lottery(self, capsys, tmp_path):
+        lottery = tmp_path / "four.json"
+        lottery.write_text(json.dumps({"atoms": [{"x": float(x), "p": 0.25} for x in range(4)]}))
+        self.assert_usage_error(capsys, ["elicit", "--lottery", str(lottery), "--concept", "nash", "--mode", "fosd"])
+
+    def test_fosd_elicitation_under_an_extreme_atom(self, capsys, coin_file, tmp_path):
+        stat = tmp_path / "phi.json"
+        stat.write_text(json.dumps({"atoms": [{"a": "-inf", "w": 0.5}, {"a": 0.0, "w": 0.5}]}))
+        argv = ["elicit", "--lottery", coin_file, "--concept", "nash", "--statistic", str(stat), "--mode", "fosd"]
+        self.assert_usage_error(capsys, argv)
+
+    def test_compose_of_different_player_counts(self, capsys, mp_file, tmp_path):
+        three = tmp_path / "three.json"
+        three.write_text(json.dumps(make_test_game_gx(1.0, n_players=3).to_json()))
+        self.assert_usage_error(capsys, ["compose", "--game", mp_file, "--game2", str(three), "-o", str(tmp_path / "c.json")])

@@ -17,8 +17,10 @@ from sre_lab.games import (
 )
 from sre_lab.statistics import EXPECTATION, TAYLOR_CUTOFF, MAStatistic, evaluate
 from sre_lab.solvers import (
+    CONCEPT_KINDS,
     ConceptSpec,
     PhiEvaluator,
+    SolveResult,
     SolverConfig,
     SolverError,
     homotopy_trace,
@@ -39,6 +41,8 @@ from sre_lab.solvers import (
     _support_system,
 )
 from sre_lab.testgames import (
+    elicit_fosd,
+    elicit_qre,
     make_card_game,
     make_matching_pennies,
     make_no_extremal_eq_game,
@@ -619,6 +623,44 @@ class TestVerifyNashPhi:
         p = MixedProfile((np.array([1.0, 0.0]), np.array([1.0, 0.0])))
         assert not verify_nash_phi(g, MAStatistic.single(100.0), p)
 
+    def test_matches_the_slow_reference(self):
+        rng = np.random.default_rng(31)
+        games = [random_game(rng, players=(2, 2), actions=(2, 3)) for _ in range(3)]
+        games += [random_game(rng, players=(3, 3), actions=(2, 2)) for _ in range(2)]
+        checked = {True: 0, False: 0}
+        for g in games:
+            bound = 1e-12 * (1.0 + float(np.max(np.abs(g.payoffs))))
+            spread = max(float(np.max(np.ptp(t, axis=1))) for t in PhiEvaluator(g, EXPECTATION).tables)
+            taylor = 0.5 * TAYLOR_CUTOFF / spread
+            for phi in (EXTREME_MIX, MAStatistic(((-math.inf, 0.25), (taylor, 0.5), (math.inf, 0.25))), K_PAIR):
+                res = solve_nash_phi(g, phi, FAST)
+                for p, residual in zip(res.profiles, res.residuals):
+                    assert abs(residual - _reference_shortfall(g, phi, p)) <= bound
+                profiles = list(res.profiles)
+                for p in res.profiles + [MixedProfile.uniform(g)] * 3:
+                    dists = []
+                    for d in p.distributions:
+                        d = 0.9 * d + 0.1 * rng.dirichlet(np.ones(d.size))
+                        d[rng.random(d.size) < 0.4] = 0.0
+                        if not d.any():
+                            d[rng.integers(d.size)] = 1.0
+                        dists.append(d / d.sum())
+                    profiles.append(MixedProfile(tuple(dists)))
+                for p in profiles:
+                    verdict = verify_nash_phi(g, phi, p, tol=1e-9)
+                    assert verdict == (_reference_shortfall(g, phi, p) <= 1e-9)
+                    checked[verdict] += 1
+        assert min(checked.values()) >= 5
+
+
+def _reference_shortfall(game, phi, p, support_tol=1e-7):
+    """The largest shortfall of a played action below its player's best value, by evaluate(phi, action_lottery(...))."""
+    shortfall = 0.0
+    for i in range(game.num_players):
+        values = np.array([evaluate(phi, action_lottery(game, i, a, p)) for a in range(game.action_counts[i])])
+        shortfall = max(shortfall, float(values.max() - values[p.distributions[i] > support_tol].min()))
+    return shortfall
+
 
 class TestOrdinalChecks:
     def test_pennies_equilibrium_is_fosd_nash(self):
@@ -689,6 +731,26 @@ class TestConceptSpec:
         assert ConceptSpec.fosd_qre().membership_report(g, uniform)["member"]
         pure = MixedProfile.pure(g, [0, 0])
         assert not ConceptSpec.fosd_qre().membership_report(g, pure)["member"]
+
+    @pytest.mark.parametrize("kind", CONCEPT_KINDS)
+    def test_every_kind_by_its_family(self, kind):
+        g = make_matching_pennies()
+        spec = ConceptSpec(kind, solver=FAST)
+        assert spec.family in ("logit", "best-response", "ordinal")
+        if spec.family == "ordinal":
+            with pytest.raises(ValueError):
+                spec.solve(g)
+        else:
+            assert isinstance(spec.solve(g), SolveResult)
+        report = spec.membership_report(g, MixedProfile.uniform(g))
+        assert isinstance(report["member"], bool)
+        assert report["concept"] == spec.label()
+        if spec.family != "logit":
+            with pytest.raises(ValueError, match="elicit_qre"):
+                elicit_qre(spec, [0.0, 1.0])
+        if spec.family != "best-response":
+            with pytest.raises(ValueError, match="elicit_fosd"):
+                elicit_fosd(spec, [0.0, 1.0])
 
     def test_solver_failure_is_distinct(self):
         # An unattainable tolerance forces the explicit failure verdict.
