@@ -78,7 +78,9 @@ def _concept(args) -> ConceptSpec:
     if kind == "fosd-nash-check-only":
         # Solve under best response to the expectation, then report the
         # ordinal no-dominated-action check on every solution found.
-        kind, phi = "nash", MAStatistic.expectation()
+        if getattr(args, "statistic", None):
+            raise UsageError("--statistic does not apply to fosd-nash-check-only, which solves under the expectation")
+        kind = "nash"
     if kind == "nash" and not phi.is_expectation:
         kind = "nash-phi"
     try:

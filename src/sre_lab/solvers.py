@@ -31,6 +31,8 @@ from .lotteries import DominanceVerdict, fosd_compare, weakly_dominates
 from .statistics import MAStatistic, normalized_cgf
 
 DEDUP_TOL = 1e-6
+# How far a played action may fall below its player's best value in a best response.
+GAP_TOL = 1e-9
 # The damped iteration's first step size, before stalls shrink it.
 DAMPING = 0.5
 # The largest lambda of the continuation that proposes best-response candidates.
@@ -59,7 +61,8 @@ class SolverConfig:
     support_tol: float = 1e-7
     seed: int = 0
     # Enumeration limits: supports larger than support_cap in total size are
-    # skipped, and at most max_enum_supports support profiles are examined.
+    # skipped, and at most max_enum_supports support profiles are examined;
+    # profiles dismissed by dominance before solving count as examined.
     support_cap: int = 12
     max_enum_supports: int = 4096
 
@@ -518,7 +521,7 @@ def verify_nash_phi(
     game: Game,
     phi: MAStatistic,
     p: MixedProfile,
-    tol: float = 1e-9,
+    tol: float = GAP_TOL,
     support_tol: float = 1e-7,
 ) -> bool:
     """True when every action played above support_tol is within tol of the best value."""
@@ -545,6 +548,21 @@ def _best_response_gap(
             return None
         gap = max(gap, float(best - worst))
     return gap
+
+
+def _dominated_actions(evaluator: PhiEvaluator, i: int, opponent_supports: Sequence[Sequence[int]]) -> frozenset:
+    """Player i's actions beaten by more than GAP_TOL against every opponent profile in the supports.
+
+    The beating action may be any of player i's actions.  opponent_supports
+    lists the other players' supports in player order.
+    """
+    counts = evaluator.game.action_counts
+    k = counts[i]
+    grid = evaluator.tables[i].reshape(k, *(c for j, c in enumerate(counts) if j != i))
+    reached = grid[np.ix_(range(k), *opponent_supports)].reshape(k, -1)
+    # margin[a, b]: the least amount by which b's payoff exceeds a's on the reached profiles.
+    margin = (reached[None, :, :] - reached[:, None, :]).min(axis=2)
+    return frozenset(np.flatnonzero(margin.max(axis=1) > GAP_TOL).tolist())
 
 
 def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
@@ -707,6 +725,16 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     enumeration with within-support indifference solving.  An empty result is
     a legitimate outcome (equilibria can fail to exist when the statistic
     weights the extremes) and is reported, not raised.
+
+    A support profile S is dismissed unsolved when some player i has an
+    action a in S_i and an action b (in S_i or not) whose payoff exceeds a's
+    by more than GAP_TOL against every opponent profile in the product of
+    the S_j, j != i.  Every MAStatistic is monotone and translation-invariant,
+    so against any opponent mix that reaches exactly that product, b's value
+    is at least a's plus that margin.  A solved profile keeps every support
+    weight above 1e-9, so it reaches exactly that product, and the gap test
+    would reject it.  Dismissed Stage-2 profiles count as examined and are
+    reported as enumeration_pruned.
     """
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
@@ -714,6 +742,17 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     rng = np.random.default_rng(cfg.seed + 1)
     found: list[tuple[list[np.ndarray], float]] = []
     diagnostics: dict = {}
+    dominated: dict = {}  # (player, opponent supports) -> that player's dominated actions
+
+    def dismissed(sups) -> bool:
+        """True when some support action is strictly dominated against the opponents' supports."""
+        for i, sup in enumerate(sups):
+            key = (i, sups[:i] + sups[i + 1 :])
+            if key not in dominated:
+                dominated[key] = _dominated_actions(evaluator, i, key[1])
+            if not dominated[key].isdisjoint(sup):
+                return True
+        return False
 
     def accept(sups) -> bool:
         """Solve one support profile and keep the solution, with its gap, if it is a best response."""
@@ -721,7 +760,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
         if dists is None:
             return False
         # The gap is taken on the profile as returned, so it is that profile's residual.
-        gap = _best_response_gap(evaluator, MixedProfile(tuple(dists)).distributions, 1e-9, cfg.support_tol)
+        gap = _best_response_gap(evaluator, MixedProfile(tuple(dists)).distributions, GAP_TOL, cfg.support_tol)
         if gap is not None:
             found.append((dists, gap))
         return gap is not None
@@ -738,10 +777,13 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     candidate_supports = set()
     if trace:
         candidate_supports = _candidate_supports([p.distributions for _, p in trace], cfg.support_cap)
-    diagnostics["homotopy_candidates"] = sum(accept(sups) for sups in sorted(candidate_supports))
+    diagnostics["homotopy_candidates"] = sum(
+        accept(sups) for sups in sorted(candidate_supports) if not dismissed(sups)
+    )
 
     # Stage 2: support enumeration.
     examined = 0
+    pruned = 0
     skipped_by_cap = 0
     truncated = False
     if cfg.max_enum_supports > 0:
@@ -754,8 +796,12 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
                 truncated = True
                 break
             examined += 1
-            accept(sups)
+            if dismissed(sups):
+                pruned += 1
+            else:
+                accept(sups)
     diagnostics["enumeration_examined"] = examined
+    diagnostics["enumeration_pruned"] = pruned
     diagnostics["enumeration_truncated"] = truncated or skipped_by_cap > 0
     diagnostics["enumeration_skipped_by_cap"] = skipped_by_cap
     diagnostics["support_cap"] = cfg.support_cap

@@ -55,6 +55,8 @@ class TestSolve:
         assert code == 0
         payload = json.loads(out)
         assert payload["fosd_nash"] == [[]]
+        # Of the 9 support profiles, only full support has no action beaten against every opponent action.
+        assert payload["diagnostics"]["enumeration_pruned"] == 8
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code = cli.main(["solve", "--game", str(tmp_path / "nope.json"), "--concept", "nash"])
@@ -240,3 +242,10 @@ class TestInvalidValues:
         three = tmp_path / "three.json"
         three.write_text(json.dumps(make_test_game_gx(1.0, n_players=3).to_json()))
         self.assert_usage_error(capsys, ["compose", "--game", mp_file, "--game2", str(three), "-o", str(tmp_path / "c.json")])
+
+    def test_statistic_with_the_fosd_check_only_concept(self, capsys, mp_file, tmp_path):
+        # The concept solves under the expectation, so a statistic would be dropped unread.
+        stat = tmp_path / "phi.json"
+        stat.write_text(json.dumps({"atoms": [{"a": "-inf", "w": 0.5}, {"a": "inf", "w": 0.5}]}))
+        argv = ["solve", "--game", mp_file, "--concept", "fosd-nash-check-only", "--statistic", str(stat), "--json"]
+        self.assert_usage_error(capsys, argv)

@@ -15,9 +15,12 @@ from sre_lab.games import (
     product_profile,
     strategic_shift,
 )
+from sre_lab import solvers
 from sre_lab.statistics import EXPECTATION, TAYLOR_CUTOFF, MAStatistic, evaluate
 from sre_lab.solvers import (
     CONCEPT_KINDS,
+    DEDUP_TOL,
+    GAP_TOL,
     ConceptSpec,
     PhiEvaluator,
     SolveResult,
@@ -33,7 +36,9 @@ from sre_lab.solvers import (
     verify_nash_phi,
 )
 from sre_lab.solvers import (
+    _best_response_gap,
     _dists_from_theta,
+    _dominated_actions,
     _logit_system,
     _newton,
     _solve_support,
@@ -596,6 +601,95 @@ class TestSolveNashPhi:
         d = solve_nash_phi(g, EXPECTATION, cfg).diagnostics
         assert d["enumeration_examined"] == 196
         assert d["enumeration_skipped_by_cap"] == 268_402_493
+
+
+def _dismissed(evaluator, sups):
+    return any(
+        not _dominated_actions(evaluator, i, sups[:i] + sups[i + 1 :]).isdisjoint(sup) for i, sup in enumerate(sups)
+    )
+
+
+def _pruning_games():
+    rng = np.random.default_rng(5)
+    return [random_game(rng, players=(p, p), actions=(2, 3)) for p in (2, 3) * 10]
+
+
+class TestDominancePruning:
+    def test_dominated_only_against_one_opponent_action(self):
+        # Player 0: action 1 loses to action 0 against opponent action 0 only, and
+        # action 2 ties action 1 there, so over both it is only weakly dominated.
+        # Player 1: action 1 beats action 0 by 1, 1 and 5e-10, within GAP_TOL.
+        u0 = np.array([[3.0, 0.0], [2.0, 2.0], [2.0, 1.0]])
+        u1 = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 5e-10]])
+        evaluator = PhiEvaluator(Game((3, 2), np.stack([u0, u1], axis=-1)), EXPECTATION)
+        assert _dominated_actions(evaluator, 0, ((0,),)) == {1, 2}
+        assert _dominated_actions(evaluator, 0, ((1,),)) == {0, 2}
+        assert _dominated_actions(evaluator, 0, ((0, 1),)) == set()
+        assert _dominated_actions(evaluator, 1, ((0, 1),)) == {0}
+        assert _dominated_actions(evaluator, 1, ((2,),)) == set()
+        assert _dominated_actions(evaluator, 1, ((1, 2),)) == set()
+
+    @pytest.mark.parametrize("index", [0, 1, 3, 17])
+    def test_matches_a_loop_over_opponent_profiles(self, index):
+        game = _pruning_games()[index]
+        evaluator = PhiEvaluator(game, EXPECTATION)
+        for sups in _support_profiles(game.action_counts):
+            for i in range(game.num_players):
+                opponents = sups[:i] + sups[i + 1 :]
+                expected = set()
+                for a, b in itertools.permutations(range(game.action_counts[i]), 2):
+                    margins = [
+                        game.payoffs[(*s[:i], b, *s[i:], i)] - game.payoffs[(*s[:i], a, *s[i:], i)]
+                        for s in itertools.product(*opponents)
+                    ]
+                    if min(margins) > GAP_TOL:
+                        expected.add(a)
+                assert _dominated_actions(evaluator, i, opponents) == expected
+
+    @pytest.mark.parametrize("phi", [EXPECTATION, MMM_THIRDS, K_PAIR], ids=["mean", "mmm", "k_pair"])
+    def test_dismissed_profiles_have_no_best_response(self, phi):
+        # Solve every dismissed profile anyway: no root may pass the gap test,
+        # and the slow reference must reject each root too.
+        roots = 0
+        for game in _pruning_games()[:6]:
+            evaluator = PhiEvaluator(game, phi)
+            scale = 1.0 + float(np.max(np.abs(game.payoffs)))
+            rng = np.random.default_rng(1)
+            for sups in _support_profiles(game.action_counts):
+                if not _dismissed(evaluator, sups):
+                    continue
+                dists = _solve_support(evaluator, sups, rng, scale)
+                if dists is None:
+                    continue
+                roots += 1
+                p = MixedProfile(tuple(dists))
+                assert _best_response_gap(evaluator, p.distributions, GAP_TOL, 1e-7) is None, sups
+                assert _reference_shortfall(game, phi, p) > GAP_TOL, sups
+        assert roots > 10
+
+    @pytest.mark.parametrize(
+        "index, phi",
+        [(i, phi) for i in (0, 2, 3, 5) for phi in (EXPECTATION, MMM_THIRDS, K_PAIR)] + [(19, K_PAIR)],
+        ids=[f"{i}-{name}" for i in (0, 2, 3, 5) for name in ("mean", "mmm", "k_pair")] + ["19-k_pair"],
+    )
+    def test_pruned_enumeration_keeps_every_solution(self, monkeypatch, index, phi):
+        game = _pruning_games()[index]
+        cfg = SolverConfig(multistarts=2, max_iters=20_000, homotopy_steps=40)
+        pruned = solve_nash_phi(game, phi, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_dominated_actions", lambda *args: frozenset())
+            unpruned = solve_nash_phi(game, phi, cfg)
+        assert unpruned.diagnostics["enumeration_pruned"] == 0
+        assert pruned.diagnostics["enumeration_pruned"] > 0
+        for key in ("enumeration_examined", "enumeration_truncated", "enumeration_skipped_by_cap"):
+            assert pruned.diagnostics[key] == unpruned.diagnostics[key]
+        for p in unpruned.profiles:
+            assert min(p.sup_distance(q) for q in pruned.profiles) <= DEDUP_TOL
+        # Pruned profiles draw no random starts, so later support solves start
+        # elsewhere and can find a solution the unpruned run missed.
+        for p in pruned.profiles:
+            if min((p.sup_distance(q) for q in unpruned.profiles), default=math.inf) > DEDUP_TOL:
+                assert _reference_shortfall(game, phi, p) <= GAP_TOL
 
 
 class TestVerifyNashPhi:
