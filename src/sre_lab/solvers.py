@@ -33,8 +33,23 @@ from .statistics import MAStatistic, normalized_cgf
 DEDUP_TOL = 1e-6
 # How far a played action may fall below its player's best value in a best response.
 GAP_TOL = 1e-9
-# The damped iteration's first step size, before stalls shrink it.
+# The damped warm-up's step size, and the number of damped steps a start takes
+# once Newton from it fails, before Newton is retried from the best iterate.
 DAMPING = 0.5
+WARM_UP = 16
+# A start's homotopy path is corrected to CORRECTOR_TOL and handed to Newton on
+# p - T(p) where it ends, if that is at t >= END_GAME.
+CORRECTOR_TOL = 1e-4
+END_GAME = 0.9
+# _continue's step control: the first step length and its bounds, the
+# corrector's Newton steps, and the first-step contraction and tangent turn
+# (radians) at which the step length is kept.
+INITIAL_STEP = 0.1
+MIN_STEP = 1e-8
+MAX_STEP = 1.0
+MAX_CORRECTOR_STEPS = 3
+NOMINAL_CONTRACTION = 0.1
+NOMINAL_TURN = 0.3
 # The largest lambda of the continuation that proposes best-response candidates.
 HOMOTOPY_LAMBDA_MAX = 200.0
 
@@ -55,6 +70,8 @@ class SolverConfig:
     """Knobs for the fixed-point and enumeration machinery."""
 
     tol_fixed_point: float = 1e-10
+    # The continuation steps, accepted or rejected, one start's homotopy path
+    # may take in solve_lqre and in each point of homotopy_trace.
     max_iters: int = 100_000
     multistarts: int = 16
     homotopy_steps: int = 160
@@ -355,66 +372,206 @@ def _newton_polish(
     return _dists_from_theta(theta, [range(k) for k in counts], counts), res, steps
 
 
+def _continue(
+    system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
+    y0: np.ndarray,
+    t_end: float,
+    max_steps: int,
+    tol: float,
+    visit: Optional[Callable[[np.ndarray], bool]] = None,
+) -> tuple[np.ndarray, bool, int]:
+    """Pseudo-arclength continuation of the zero set of H: R^(n+1) -> R^n from y0 up to t = t_end.
+
+    y's last coordinate is the parameter t, and t_end lies above y0's.
+    system(y) returns H(y) and a function giving its n x (n+1) Jacobian, as
+    for _newton; y0 is a zero of H.
+    Each step, after Allgower & Georg, Introduction to Numerical Continuation
+    Methods (SIAM, 2003), ch. 6:
+    - predictor: a step of length h along the unit tangent, the null vector of
+      the Jacobian (see _tangent), oriented as at y0, where t increases;
+    - corrector: _newton on H = 0 bordered by the hyperplane through the
+      predicted point normal to the tangent, to tol in the sup norm;
+    - step length: h shrinks or grows with the contraction of the corrector's
+      first step and the turn of the tangent.  A step is rejected and retried
+      at h / 2 when its corrector fails, contracts too slowly or turns too
+      far, or when the tangent turns by a right angle or more: the corrector
+      then landed on another stretch of path, or on this one the wrong way.
+    The step that crosses t_end is corrected with t held at t_end instead.
+    At every accepted point, visit(y), when given, may end the path by
+    returning True.  Returns (last accepted point, ended, accepted steps):
+    ended is True when the path reached t_end or visit ended it, and False
+    when max_steps predictor-corrector steps, accepted or rejected, ran out or
+    h fell below MIN_STEP.  The path may turn back in t at a fold.
+    """
+    y = np.asarray(y0, dtype=float)
+    _, jacobian = system(y)
+    tangent = _tangent(jacobian())
+    orientation = 1.0 if tangent[-1] >= 0 else -1.0
+    tangent = orientation * tangent
+    h = INITIAL_STEP
+    accepted = 0
+    for _ in range(max_steps):
+        if h < MIN_STEP:
+            break
+        pred = y + h * tangent
+        crossing = pred[-1] >= t_end
+        if crossing:
+            # Land on t = t_end: start from where the predictor line meets it.
+            pred = y + ((t_end - y[-1]) / tangent[-1]) * tangent
+            border = np.zeros_like(y)
+            border[-1] = 1.0
+        else:
+            border = tangent
+        z, ok, kappa, jac_z = _bordered_newton(system, pred, border, tol)
+        if not ok:
+            h *= 0.5
+            continue
+        new_tangent = orientation * _tangent(jac_z)
+        cos_turn = float(np.clip(tangent @ new_tangent, -1.0, 1.0))
+        factor = max(math.sqrt(kappa / NOMINAL_CONTRACTION), math.acos(cos_turn) / NOMINAL_TURN)
+        if cos_turn <= 0 or (factor > 2.0 and not crossing):
+            h *= 0.5
+            continue
+        y, tangent = z, new_tangent
+        accepted += 1
+        stop = visit is not None and visit(y)
+        if stop or crossing:
+            return y, True, accepted
+        h = min(h / max(factor, 0.5), MAX_STEP)
+    return y, False, accepted
+
+
+def _tangent(jac: np.ndarray) -> np.ndarray:
+    """The unit null vector t of an n x (n+1) Jacobian, signed so that det([jac; t]) > 0.
+
+    It comes from a complete QR factorisation of the transpose.  The sign of
+    that determinant is the same all along a regular path, folds included,
+    so it keeps the path's orientation from step to step.
+    """
+    q, _ = np.linalg.qr(jac.T, mode="complete")
+    tangent = q[:, -1]
+    return -tangent if np.linalg.det(np.vstack([jac, tangent])) < 0 else tangent
+
+
+def _bordered_newton(system, pred: np.ndarray, border: np.ndarray, tol: float):
+    """_newton from pred on H(z) = 0 and border . (z - pred) = 0.
+
+    Returns (z, converged, contraction, H's Jacobian at z).  The contraction
+    is the sup-norm residual after the first Newton step over the residual at
+    pred (0 when pred already meets tol).
+    """
+    trail = []  # the residual at each point where _newton takes a step
+    last = {}  # the point evaluated last, which is z when _newton converges
+
+    def bordered(z: np.ndarray):
+        f, jacobian = system(z)
+        g = np.append(f, border @ (z - pred))
+        last["z"], last["jacobian"] = z, jacobian
+
+        def jac() -> np.ndarray:
+            trail.append(float(np.max(np.abs(g))))
+            return np.vstack([jacobian(), border])
+
+        return g, jac
+
+    z, g, _, _ = _newton(bordered, pred, tol, MAX_CORRECTOR_STEPS)
+    res = float(np.max(np.abs(g)))
+    if not res <= tol:
+        return z, False, math.inf, None
+    contraction = (trail[1] if len(trail) > 1 else res) / trail[0] if trail else 0.0
+    jacobian = last["jacobian"] if last["z"] is z else system(z)[1]
+    return z, True, contraction, jacobian()
+
+
+def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, theta0: np.ndarray):
+    """The fixed-point homotopy on the full-support chart, with its exact Jacobian.
+
+    H(theta, t) = (1 - t)(theta - theta0) + t f(theta), where f(theta) =
+    theta - T(theta) is _logit_system's residual.  Its Jacobian is
+    [(1 - t)I + tJ | f - (theta - theta0)], J being f's.
+    """
+    logit = _logit_system(evaluator, lam)
+
+    def system(y: np.ndarray):
+        theta, t = y[:-1], y[-1]
+        f, jacobian = logit(theta)
+        shift = theta - theta0
+
+        def jac() -> np.ndarray:
+            block = t * jacobian()
+            block[np.diag_indices_from(block)] += 1.0 - t
+            return np.column_stack([block, f - shift])
+
+        return (1.0 - t) * shift + t * f, jac
+
+    return system
+
+
 def _solve_fixed_point(
     evaluator: PhiEvaluator,
     lam: float,
     start: list[np.ndarray],
     cfg: SolverConfig,
-    first_polish: int = 16,
-) -> tuple[Optional[list[np.ndarray]], float, int, int]:
-    """Newton from the start, then damped iteration with stall-adaptive damping.
+) -> tuple[Optional[list[np.ndarray]], float, int, int, int]:
+    """A fixed point of the logit response reached from one start.
 
-    Returns (dists or None, residual, damped iterations, Newton steps).
-    Newton first makes each start a root-finding attempt: unstable fixed
-    points trap the damped map in limit cycles but are reachable for a
-    Newton step from a nearby start.  Fixed damping alone can orbit cycling
-    fixed points once the response becomes stiff, so the step size shrinks
-    on stall.  Newton is retried from the best iterate after first_polish
-    damped iterations and again each time their count doubles, since a few
-    damped steps often carry a start into Newton's basin; it finishes from
-    the best iterate when the budget runs out.
+    Returns (dists or None, residual, damped iterations, Newton steps,
+    continuation steps).  Each stage runs only when the one before fails:
+    1. Newton from the start (12 steps): unstable fixed points trap damped
+       iteration in limit cycles but are reachable for Newton from nearby.
+    2. WARM_UP damped steps at DAMPING, then Newton from the best iterate:
+       a few damped steps carry most starts into Newton's basin.
+    3. The start's fixed-point homotopy path (Chow, Mallet-Paret & Yorke,
+       Math. Comp. 32, 1978): the zeros of H(theta, t) = (1 - t)(theta -
+       theta0) + t(theta - T(theta)) through (theta0, 0), theta0 being the
+       start's free coordinates, followed by _continue towards t = 1 in at
+       most cfg.max_iters steps.  At a zero, p is a convex mix of the start
+       and T(p), both interior, so the path stays inside the simplex product,
+       and for almost every start it reaches t = 1.  Newton on p - T(p)
+       finishes from where the path ends, if that is at t >= END_GAME: the
+       corrector stops at CORRECTOR_TOL, and near weights of ~1e-8 the
+       chart's clipping could stall it short of t = 1.
     """
+    tol = cfg.tol_fixed_point
     p = [d.copy() for d in start]
-    polished, pres, steps = _newton_polish(evaluator, lam, p, cfg.tol_fixed_point, max_steps=12)
-    if pres <= cfg.tol_fixed_point:
-        return polished, pres, 0, steps
+    polished, pres, steps = _newton_polish(evaluator, lam, p, tol, max_steps=12)
+    if pres <= tol:
+        return polished, pres, 0, steps, 0
     p = polished if pres < math.inf else p
-    alpha = DAMPING
-    best = p
-    best_res = math.inf
-    stall = 0
-    iters = 0
-    next_polish = min(cfg.max_iters, first_polish)
-    while iters < cfg.max_iters:
+    best, best_res = p, math.inf
+    for iters in range(1, WARM_UP + 1):
         t = _response(evaluator, lam, p)
         res = _sup_residual(p, t)
-        iters += 1
-        if res < best_res * 0.95:
-            stall = 0
-        else:
-            stall += 1
         if res < best_res:
             best, best_res = p, res
-        if res <= cfg.tol_fixed_point:
-            return p, res, iters, steps
-        if stall >= 60:
-            alpha = max(alpha * 0.5, 1e-3)
-            stall = 0
-        p = [(1 - alpha) * a + alpha * b for a, b in zip(p, t)]
-        if iters >= next_polish:
-            polished, pres, taken = _newton_polish(evaluator, lam, best, cfg.tol_fixed_point)
-            steps += taken
-            if pres <= cfg.tol_fixed_point:
-                return polished, pres, iters, steps
-            if pres < best_res:
-                best, best_res = polished, pres
-                p = [d.copy() for d in polished]
-            next_polish = min(cfg.max_iters, next_polish * 2)
-    polished, res, taken = _newton_polish(evaluator, lam, best, cfg.tol_fixed_point)
+        if res <= tol:
+            return p, res, iters, steps, 0
+        p = [(1 - DAMPING) * a + DAMPING * b for a, b in zip(p, t)]
+    polished, pres, taken = _newton_polish(evaluator, lam, best, tol)
     steps += taken
-    if res <= cfg.tol_fixed_point:
-        return polished, res, iters, steps
-    return None, best_res, iters, steps
+    if pres <= tol:
+        return polished, pres, WARM_UP, steps, 0
+    best_res = min(best_res, pres)
+
+    # The path cannot come back to t = 0, where H's only zero is the start, so
+    # reaching t < 0 means the corrector jumped to another path: give up.
+    theta0 = np.concatenate([d[:-1] for d in start])
+    y, _, accepted = _continue(
+        _fixed_point_homotopy(evaluator, lam, theta0),
+        np.append(theta0, 0.0),
+        1.0,
+        cfg.max_iters,
+        CORRECTOR_TOL,
+        visit=lambda y: y[-1] < 0.0,
+    )
+    if y[-1] >= END_GAME:
+        counts = evaluator.game.action_counts
+        end = _dists_from_theta(y[:-1], [range(k) for k in counts], counts)
+        polished, pres, taken = _newton_polish(evaluator, lam, end, tol)
+        steps += taken
+        if pres <= tol:
+            return polished, pres, WARM_UP, steps, accepted
+    return None, best_res, WARM_UP, steps, accepted
 
 
 def _interior_starts(game: Game, cfg: SolverConfig) -> list[list[np.ndarray]]:
@@ -445,8 +602,12 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     """All logit fixed points found from multiple starts.
 
     The uniform start and cfg.multistarts Dirichlet starts drawn from
-    cfg.seed each run Newton, then damped iteration with early and
-    repeated Newton retries (see _solve_fixed_point).
+    cfg.seed each run Newton, then WARM_UP damped steps and a Newton retry,
+    then follow their fixed-point homotopy path (see _solve_fixed_point).
+    diagnostics: iterations, the damped steps (at most WARM_UP per start);
+    newton_steps, the Newton steps on p - T(p); continuation_steps, the
+    accepted predictor-corrector steps of the homotopy paths; starts and
+    starts_converged.
 
     At least one fixed point exists for every game and lambda >= 0; if no
     start converges a SolverError is raised rather than returning an empty
@@ -459,17 +620,18 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     starts = _interior_starts(game, cfg)
     outcomes = [_solve_fixed_point(evaluator, lam, start, cfg) for start in starts]
 
-    found = [(dists, res) for dists, res, _, _ in outcomes if dists is not None]
+    found = [(dists, res) for dists, res, *_ in outcomes if dists is not None]
     if not found:
         raise SolverError(
-            f"no start converged within {cfg.max_iters} iterations (lambda={lam})"
+            f"no start converged within {cfg.max_iters} continuation steps (lambda={lam})"
         )
     kept = _dedup(found)
     profiles = [MixedProfile(tuple(d)) for d, _ in kept]
     residuals = [res for _, res in kept]
     diagnostics = {
-        "iterations": sum(iters for _, _, iters, _ in outcomes),
-        "newton_steps": sum(steps for _, _, _, steps in outcomes),
+        "iterations": sum(outcome[2] for outcome in outcomes),
+        "newton_steps": sum(outcome[3] for outcome in outcomes),
+        "continuation_steps": sum(outcome[4] for outcome in outcomes),
         "starts": len(starts),
         "starts_converged": len(found),
     }
@@ -491,8 +653,12 @@ def homotopy_trace(
 ) -> list[tuple[float, MixedProfile]]:
     """Warm-started continuation of logit fixed points along increasing lambda.
 
-    Raises HomotopyBreakdown (carrying the partial trace and last good
-    lambda) if some step cannot be re-converged.
+    Each grid point is solved from the previous point's fixed point by
+    _solve_fixed_point, as one start of solve_lqre is.  Past a fold of the
+    branch no fixed point is near; the damped warm-up or the start's
+    homotopy path then reaches one on another branch, and the trace jumps
+    there.  Raises HomotopyBreakdown (carrying the partial trace and last
+    good lambda) if some point cannot be converged.
     """
     if lambda_max <= 0 or steps < 2:
         raise ValueError("need lambda_max > 0 and steps >= 2")
@@ -501,7 +667,7 @@ def homotopy_trace(
     trace: list[tuple[float, MixedProfile]] = []
     current = [np.full(k, 1.0 / k) for k in game.action_counts]
     for lam in homotopy_lambda_grid(lambda_max, steps):
-        dists, _, _, _ = _solve_fixed_point(evaluator, lam, current, cfg, first_polish=80)
+        dists, *_ = _solve_fixed_point(evaluator, lam, current, cfg)
         if dists is None:
             last = trace[-1][0] if trace else 0.0
             raise HomotopyBreakdown(

@@ -37,6 +37,7 @@ from sre_lab.solvers import (
 )
 from sre_lab.solvers import (
     _best_response_gap,
+    _continue,
     _dists_from_theta,
     _dominated_actions,
     _logit_system,
@@ -206,7 +207,13 @@ class TestSolveLqre:
         # the fixed point, and each random start needs one Newton step on an
         # affine residual.  No damped iteration runs.
         d = solve_lqre(make_vmp(), EXPECTATION, 0.0, SolverConfig(multistarts=2)).diagnostics
-        assert d == {"iterations": 0, "newton_steps": 2, "starts": 3, "starts_converged": 3}
+        assert d == {
+            "iterations": 0,
+            "newton_steps": 2,
+            "continuation_steps": 0,
+            "starts": 3,
+            "starts_converged": 3,
+        }
 
 
     def test_newton_retried_after_few_damped_iterations(self):
@@ -222,6 +229,64 @@ class TestSolveLqre:
         assert res.profiles
         for p in res.profiles:
             assert verify_lqre(g, K_PAIR, 5.0, p) <= 1e-8
+
+    @pytest.mark.parametrize("index, counts", [(112, (2, 2, 4)), (48, (4, 2, 2))])
+    def test_stuck_corpus_starts_finish_on_their_homotopy_path(self, index, counts):
+        # Criterion 03's corpus at lambda = 5 under the expectation (ops 338
+        # and 146 of the benchmark).  Damped iteration orbits there: one start
+        # of game 112 runs 20,000 iterations without converging, and two of
+        # game 48 about 8,200 each before they converge.
+        rng = np.random.default_rng(777)
+        games = [random_game(rng) for _ in range(index + 1)]
+        g = games[index]
+        assert g.action_counts == counts
+        res = solve_lqre(g, EXPECTATION, 5.0, SolverConfig(multistarts=2, max_iters=20_000))
+        d = res.diagnostics
+        assert d["starts_converged"] == d["starts"]
+        assert d["iterations"] <= 16 * d["starts"]
+        for p in res.profiles:
+            assert verify_lqre(g, EXPECTATION, 5.0, p) <= 1e-8
+
+
+class TestContinue:
+    """_continue on x^3 - 3x - (4t - 2) = 0: from (-2, 0) the zero set rises to
+    a fold at (-1, 1), falls to a fold at (1, 0) and reaches t = 2 at the root
+    of x^3 - 3x - 6, so no step in t alone can follow it."""
+
+    @staticmethod
+    def cubic(y):
+        x, t = y
+        return np.array([x**3 - 3 * x - (4 * t - 2)]), lambda: np.array([[3 * x**2 - 3, -4.0]])
+
+    def test_passes_both_folds_to_t_end(self):
+        points = []
+        y, ended, steps = _continue(self.cubic, np.array([-2.0, 0.0]), 2.0, 1000, 1e-12, points.append)
+        assert ended and steps == len(points)
+        x_end = np.roots([1.0, 0.0, -3.0, -6.0])
+        x_end = float(x_end[np.isreal(x_end)].real[0])
+        assert y[1] == pytest.approx(2.0, abs=1e-12) and y[0] == pytest.approx(x_end, abs=1e-9)
+        xs = np.array([p[0] for p in points])
+        ts = np.array([p[1] for p in points])
+        # t rises to near 1 at the first fold, then falls to near 0 at the second.
+        assert ts[xs < 0].max() > 0.95
+        assert ts[(xs > 0) & (xs < 2)].min() < 0.05
+        for p in points:
+            assert abs(self.cubic(p)[0][0]) <= 1e-12
+
+    def test_tangent_keeps_its_orientation_through_the_folds(self):
+        points = []
+        _continue(self.cubic, np.array([-2.0, 0.0]), 2.0, 1000, 1e-12, points.append)
+        xs = [p[0] for p in points]
+        assert len(xs) > 3 and all(b > a for a, b in zip([-2.0] + xs, xs))
+
+    def test_visit_ends_the_path(self):
+        y, ended, steps = _continue(self.cubic, np.array([-2.0, 0.0]), 2.0, 1000, 1e-12, lambda y: y[0] > 0)
+        assert ended and y[0] > 0 and y[1] < 1
+
+    def test_exhausted_step_budget_is_returned_as_data(self):
+        y, ended, steps = _continue(self.cubic, np.array([-2.0, 0.0]), 2.0, 3, 1e-12)
+        assert not ended and steps <= 3 and y[1] < 2.0
+        assert abs(self.cubic(y)[0][0]) <= 1e-12
 
 
 class TestBracketingResiduals:
