@@ -13,6 +13,7 @@ opponents are judged by the payoffs they can actually reach.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .games import (
     opponent_weights,
 )
 from .lotteries import DominanceVerdict, fosd_compare, weakly_dominates
-from .statistics import MAStatistic, normalized_cgf
+from .statistics import MAStatistic, cgf_finish, cgf_grids, normalized_cgf
 
 DEDUP_TOL = 1e-6
 # How far a played action may fall below its player's best value in a best response.
@@ -117,7 +118,16 @@ class SolveResult:
 
 
 class PhiEvaluator:
-    """Per-(game, statistic) cache for evaluating action values quickly."""
+    """Per-(game, statistic) grids for evaluating action values quickly.
+
+    When it is built, each finite atom of the statistic is folded into fixed
+    grids over player i's actions x each opponent's actions
+    (statistics.cgf_grids): the payoff table at a = 0, exp(a(T - shift))
+    with the pure shift outside the Taylor band, and the raw moments of
+    T - lo inside it.  A player's grids are stacked by rows, so one
+    contraction with the opponents' mixes serves every atom; the -inf/+inf
+    atoms need none.
+    """
 
     def __init__(self, game: Game, phi: MAStatistic):
         self.game = game
@@ -130,6 +140,23 @@ class PhiEvaluator:
         self.w_min = phi.weight_at(-math.inf)
         self.w_max = phi.weight_at(math.inf)
         self.kernel_atoms = [(a, w) for a, w in phi.atoms if math.isfinite(a)]
+        counts = game.action_counts
+        self.others = [[j for j in range(self.n) if j != i] for i in range(self.n)]
+        # Player i's table shaped (actions of i, *actions of each opponent).
+        self.shapes = [(counts[i], *(counts[j] for j in self.others[i])) for i in range(self.n)]
+        # Per player: the grids stacked by rows, shaped (grid rows, *opponent
+        # actions), and each finite atom's (a, weight, its grids' places in the stack).
+        self.grids, self.plans = [], []
+        for i, table in enumerate(self.tables):
+            parts, plan = [], []
+            for a, w in self.kernel_atoms:
+                grids = cgf_grids(table, a, self.pure_min[i], self.pure_max[i], self.spread[i])
+                plan.append((a, w, slice(len(parts), len(parts) + len(grids))))
+                parts.extend(grids)
+            # A lone grid is used as it is (the payoff table at a = 0 is not copied).
+            stacked = parts[0] if len(parts) == 1 else np.concatenate(parts or [table[:0]])
+            self.grids.append(stacked.reshape(-1, *self.shapes[i][1:]))
+            self.plans.append(plan)
 
     def values(self, i: int, dists: Sequence[np.ndarray], boundary_pure: bool, grad: bool = False):
         """Action values for player i against the given opponent mixes.
@@ -137,55 +164,83 @@ class PhiEvaluator:
         boundary_pure=True evaluates the -inf/+inf atoms as pure-strategy
         min/max over all opponent profiles (the continuous logit functional);
         False restricts them to the support actually reached, i.e. the raw
-        statistic of the realized lottery.  grad=True returns (values,
-        slopes), slopes being the derivative with respect to the joint
-        opponent weights (see normalized_cgf); the -inf/+inf atoms add
-        nothing to it in either mode, as the reached support is constant
+        statistic of the realized lottery.  The grids are contracted with the
+        opponents' mixes one opponent at a time, and each atom's rows are
+        finished by statistics.cgf_finish.  An atom whose terms underflowed
+        on some row at the pure shift (cgf_finish returns None) is evaluated
+        by normalized_cgf instead, which re-shifts to the reached support.
+
+        grad=True returns (values, blocks), blocks[j] being the derivative
+        with respect to opponent j's own mix, (actions of i) x (actions of
+        j), exact along every direction that keeps j's mix on the simplex.
+        The grids, weighted by cgf_finish's coefficients, are contracted
+        with every opponent's mix but j's.  The -inf/+inf atoms add nothing
+        to the blocks in either mode, as the reached support is constant
         wherever the weights stay positive.
         """
-        table = self.tables[i]
-        joint = opponent_weights(dists, i)
+        shape = self.shapes[i]
+        k = shape[0]
+        mixes = [dists[j] for j in self.others[i]]
         lo, hi = self.pure_min[i], self.pure_max[i]
-        out = np.zeros(table.shape[0])
-        slopes = np.zeros(table.shape) if grad else None
+        terms = []
         if self.w_min or self.w_max:
             ext_lo, ext_hi = lo, hi
-            if not boundary_pure:
-                reached = table[:, joint > 0]
+            if not boundary_pure and not all((d > 0).all() for d in mixes):
+                reached = self.tables[i][:, opponent_weights(dists, i) > 0]
                 ext_lo, ext_hi = reached.min(axis=1), reached.max(axis=1)
             if self.w_min:
-                out += self.w_min * ext_lo
+                terms.append(self.w_min * ext_lo)
             if self.w_max:
-                out += self.w_max * ext_hi
-        for a, w in self.kernel_atoms:
+                terms.append(self.w_max * ext_hi)
+        sums = self.grids[i]
+        for mix in reversed(mixes):
+            sums = sums @ mix
+        sums = sums.reshape(-1, k)  # one row per grid
+        coefs, slopes = [], []
+        for a, w, grids in self.plans[i]:
+            finished = cgf_finish(sums[grids], a, lo, hi, self.spread[i], grad)
+            if finished is None:  # some row's terms underflowed
+                joint = opponent_weights(dists, i)
+                finished = normalized_cgf(self.tables[i], joint, a, lo, hi, self.spread[i], grad)
+                if grad:
+                    slopes.append(w * finished[1].reshape(shape))
+                    finished = finished[0], np.zeros((grids.stop - grids.start, k))
             if grad:
-                value, slope = normalized_cgf(table, joint, a, lo, hi, self.spread[i], grad=True)
-                slopes += w * slope
+                value, coef = finished
+                coefs.append(w * coef)
             else:
-                value = normalized_cgf(table, joint, a, lo, hi, self.spread[i])
-            out += w * value
-        return (out, slopes) if grad else out
+                value = finished
+            terms.append(w * value)
+        out = sum(terms[1:], terms[0])
+        if not grad:
+            return out
+        if not coefs:
+            return out, {j: np.zeros((k, d.size)) for j, d in zip(self.others[i], mixes)}
+        coef = coefs[0] if len(coefs) == 1 else np.concatenate(coefs)
+        weighted = coef.reshape(-1, *(1 for _ in mixes)) * self.grids[i]
+        if len(coef) > 1:
+            weighted = weighted.reshape(len(coef), *shape).sum(axis=0)
+        weighted = sum(slopes, weighted)
+        return out, dict(zip(self.others[i], _partials(weighted, mixes)))
 
-    def mix_slopes(self, i: int, dists: Sequence[np.ndarray], slopes: np.ndarray) -> dict[int, np.ndarray]:
-        """Player i's value derivatives with respect to each opponent j's own mix.
 
-        slopes is values(..., grad=True)'s derivative with respect to the
-        joint opponent weights; block j contracts it with every other
-        opponent's mix, so it has shape (actions of i) x (actions of j).
-        """
-        others = [j for j in range(self.n) if j != i]
-        if len(others) == 1:
-            return {others[0]: slopes}
-        grid = slopes.reshape((slopes.shape[0], *(dists[j].size for j in others)))
-        blocks = {}
-        for keep, j in enumerate(others):
-            block = grid
-            # Contract from the last axis down, so the axes still to go keep their places.
-            for pos in reversed(range(len(others))):
-                if pos != keep:
-                    block = np.tensordot(block, dists[others[pos]], axes=([pos + 1], [0]))
-            blocks[j] = block
-        return blocks
+def _partials(grid: np.ndarray, mixes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """A (rows, n_1, ..., n_m) grid contracted with every mix but one.
+
+    Entry l keeps mixes[l]'s axis, (rows, n_l).  The axes after l go first,
+    by matmul on the last axis; then the axes before l, from l - 1 down, as
+    a vector times an array contracts the array's second-to-last axis.
+    """
+    suffix = [grid]  # suffix[t]: the last t axes contracted
+    for mix in reversed(mixes[1:]):
+        suffix.append(suffix[-1] @ mix)
+    partials = []
+    for keep in range(len(mixes)):
+        partial = suffix[len(mixes) - 1 - keep]
+        for mix in reversed(mixes[:keep]):
+            partial = mix @ partial
+        partials.append(partial)
+    return partials
 
 
 def _logit(values: np.ndarray, lam: float) -> np.ndarray:
@@ -238,19 +293,26 @@ def _dists_from_theta(
     Each player takes len(support) - 1 coordinates as the weights of all but
     the last support action; the last gets one minus their sum.  Negative
     weights are cut to zero and the vector is renormalized (the weights sum
-    to one before the cut, so the total is never below one).
+    to one before the cut, so the total is never below one).  Each support
+    lists its actions in increasing order, so a full one is range(k).
     """
     dists = []
     pos = 0
     for sup, k in zip(supports, counts):
-        idx = list(sup)
-        head = theta[pos : pos + len(idx) - 1]
-        pos += len(idx) - 1
-        vec = np.zeros(k)
-        vec[idx[:-1]] = head
-        vec[idx[-1]] = 1.0 - head.sum()
-        np.maximum(vec, 0.0, out=vec)
-        vec /= vec.sum()
+        head = theta[pos : pos + len(sup) - 1]
+        pos += len(sup) - 1
+        if len(sup) == k:  # the full support: no unplayed actions to leave at zero
+            vec = np.empty(k)
+            vec[:-1] = head
+            vec[-1] = 1.0 - head.sum()
+        else:
+            idx = list(sup)
+            vec = np.zeros(k)
+            vec[idx[:-1]] = head
+            vec[idx[-1]] = 1.0 - head.sum()
+        if vec.min() < 0.0:
+            np.maximum(vec, 0.0, out=vec)
+            vec /= vec.sum()
         dists.append(vec)
     return dists
 
@@ -278,10 +340,12 @@ def _newton(
     starts.  Returns (theta, f(theta), flat, steps taken); flat is True when
     the Jacobian is identically zero, i.e. the residual does not react to
     theta at all.  The stop test and step acceptance use the sup norm of f.
-    Steps are least-squares solves capped at 0.5 in the sup norm, and a step
-    is taken only if it lowers the residual, halving it up to eight times:
-    far from a root a full step can overshoot into the chart's clipped
-    region.
+    Steps solve the linearisation: exactly when the Jacobian is square and
+    nonsingular, and in the least-squares sense when it is not square or a
+    square solve finds it singular.  They are capped at 0.5 in the sup
+    norm, and a step is taken only if it lowers the residual, halving it up
+    to eight times: far from a root a full step can overshoot into the
+    chart's clipped region.
     """
     f, jacobian = system(theta)
     res = float(np.max(np.abs(f), initial=0.0))
@@ -293,7 +357,7 @@ def _newton(
         if not jac.any():
             return theta, f, True, steps
         try:
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+            step = _linear_step(jac, -f)
         except np.linalg.LinAlgError:
             break
         norm = float(np.max(np.abs(step)))
@@ -315,15 +379,51 @@ def _newton(
     return theta, f, False, steps
 
 
+def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of jac @ step = rhs; least squares when jac is not square or is singular."""
+    if jac.shape[0] == jac.shape[1]:
+        try:
+            return np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(jac, rhs, rcond=None)[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _full_chart(counts: tuple[int, ...]):
+    """The full-support chart of a game with these action counts, as arrays.
+
+    Returns (starts, free, owner, chart, identity): where each player's mix
+    starts in the concatenated profile p (and its length), the places of the
+    free coordinates in p, the player of each place in p, chart, whose
+    column t is the change of p as free coordinate t rises (see
+    _chart_columns), and the identity on the free coordinates.  Cached per
+    shape, so the arrays are shared, and read-only.
+    """
+    starts = tuple(itertools.accumulate(counts, initial=0))
+    free = np.array([q for i, k in enumerate(counts) for q in range(starts[i], starts[i] + k - 1)], dtype=int)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    last = np.array(starts[1:]) - 1  # each player's eliminated coordinate
+    chart = np.zeros((starts[-1], free.size))
+    chart[free, np.arange(free.size)] = 1.0
+    chart[last[owner[free]], np.arange(free.size)] = -1.0
+    arrays = (free, owner, chart, np.eye(free.size))
+    for array in arrays:
+        array.flags.writeable = False
+    return (starts, *arrays)
+
+
 def _logit_system(evaluator: PhiEvaluator, lam: float):
     """p - T(p) on the free coordinates of the full-support chart, with its exact Jacobian.
 
     Player i's response s = logit(lam v_i) moves with opponent j's mix by
-    lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.
+    lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.  The
+    Jacobian is I - dT/dp taken to the chart: its free rows, times the
+    chart's columns.
     """
     counts = evaluator.game.action_counts
     supports = [range(k) for k in counts]
-    offsets = list(itertools.accumulate((k - 1 for k in counts), initial=0))
+    starts, free, owner, chart, identity = _full_chart(tuple(counts))
 
     def system(theta: np.ndarray):
         dists = _dists_from_theta(theta, supports, counts)
@@ -332,13 +432,14 @@ def _logit_system(evaluator: PhiEvaluator, lam: float):
         f = np.concatenate([(d - s)[:-1] for d, s in zip(dists, resp)])
 
         def jacobian() -> np.ndarray:
-            jac = np.eye(theta.size)  # inside the chart, the free coordinates of p are theta
-            for i, ((_, slopes), s) in enumerate(zip(parts, resp)):
-                rows = slice(offsets[i], offsets[i + 1])
-                for j, block in evaluator.mix_slopes(i, dists, slopes).items():
-                    ds = lam * s[:-1, None] * (block[:-1] - s @ block)
-                    jac[rows, offsets[j] : offsets[j + 1]] -= _chart_columns(ds)
-            return jac
+            dv = np.zeros((starts[-1], starts[-1]))  # dv_i/dd_j in row block i, column block j
+            for i, (_, blocks) in enumerate(parts):
+                for j, block in blocks.items():
+                    dv[starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
+            s = np.concatenate(resp)[:, None]
+            weighted = s * dv
+            mean = np.add.reduceat(weighted, starts[:-1], axis=0)  # s_i @ dv_i, one row per player
+            return identity - (lam * (weighted - s * mean[owner]))[free] @ chart
 
         return f, jacobian
 
@@ -749,9 +850,9 @@ def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
 
         def jacobian() -> np.ndarray:
             jac = np.zeros((offsets[-1], offsets[-1]))
-            for i, (_, slopes) in parts.items():
+            for i, (_, blocks) in parts.items():
                 sup_i = list(supports[i])
-                for j, block in evaluator.mix_slopes(i, dists, slopes).items():
+                for j, block in blocks.items():
                     if len(supports[j]) > 1:
                         diff = block[sup_i[:-1]] - block[sup_i[-1]]
                         jac[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = _chart_columns(

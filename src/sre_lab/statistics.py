@@ -30,6 +30,104 @@ TAYLOR_CUTOFF = 1e-4
 
 ATOM_WEIGHT_SUM_TOL = 1e-12
 
+# The smallest normal float.  A log-sum-exp total below it has lost digits to
+# underflow, and 1 / (a total) may overflow.
+MIN_TOTAL = float(np.finfo(float).tiny)
+
+
+def _branch(a: float, spread: float) -> str:
+    """Which formula the normalized CGF takes at parameter a on rows of the given spread."""
+    if math.isinf(a):
+        return "extreme"
+    if a == 0.0 or spread == 0.0:  # a constant row is its own mean, whatever a is
+        return "mean"
+    return "taylor" if abs(a) * spread < TAYLOR_CUTOFF else "exp"
+
+
+def cgf_grids(table: np.ndarray, a: float, lo: np.ndarray, hi: np.ndarray, spread: float) -> list[np.ndarray]:
+    """Stage one of the normalized CGF: the grids whose weighted row sums it is finished from.
+
+    table is an (actions x opponent profiles) table; lo, hi and spread are as
+    for normalized_cgf.  The grids depend on the table alone, not on the
+    weights, so a caller evaluating many weight vectors builds them once:
+    - a = 0, or every row constant (spread = 0): the table itself;
+    - a = -inf / +inf: none;
+    - |a| * spread < TAYLOR_CUTOFF: the raw moments (T - lo)^1, ^2, ^3;
+    - otherwise: exp(a(T - shift)), shifted by hi (a > 0) or lo (a < 0).  The
+      exponent is capped at 0: after a re-shift to the support's extremes,
+      columns outside the support can lie beyond the shift, where exp would
+      overflow and inf * 0 turn a total into NaN; their weight is zero, so
+      the cap leaves the values alone.
+    """
+    branch = _branch(a, spread)
+    if branch == "mean":
+        return [table]
+    if branch == "extreme":
+        return []
+    if branch == "taylor":
+        x = table - lo[:, None]
+        x2 = x * x
+        return [x, x2, x2 * x]
+    shift = hi if a > 0 else lo
+    return [np.exp(np.minimum(a * (table - shift[:, None]), 0.0))]
+
+
+def cgf_finish(
+    sums: np.ndarray,
+    a: float,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    spread: float,
+    grad: bool = False,
+    min_total: float = MIN_TOTAL,
+):
+    """Stage two of the normalized CGF: each row's value from its grids' weighted sums.
+
+    sums is a (grids x rows) array: row g is grid g of cgf_grids, made with
+    the same a, lo, hi and spread, times weights that sum to one.  Returns
+    the values, or with grad (values, coefs), where coefs[g] holds each
+    row's coefficient on grid g in the derivative: the value of row r moves
+    with weights[c] by sum_g coefs[g, r] * grid_g[r, c] along every
+    direction inside the simplex.
+    - Mean: the row sums, with coefficient one.
+    - a = -inf / +inf: lo / hi, which do not move with the weights.
+    - Taylor band: the cumulant expansion E + a Var/2 + a^2 kappa3/6 from the
+      raw moments, clamped to [lo, hi]; the coefficients are zero where the
+      clamp holds.
+    - Otherwise: shift + log(total) / a, with coefficient 1 / (a total).
+      Returns None when the terms of some row underflowed, so that its total
+      is below min_total; the caller then re-shifts to the extremes of the
+      support itself.
+    """
+    branch = _branch(a, spread)
+    if branch == "mean":
+        return (sums[0], np.ones(sums.shape)) if grad else sums[0]
+    if branch == "extreme":
+        value = hi if a > 0 else lo
+        return (value, np.zeros((0, len(lo)))) if grad else value
+    if branch == "taylor":
+        m1, m2, m3 = sums
+        square = m1 * m1
+        var = m2 - square
+        kappa3 = m3 - m1 * (3.0 * m2 - 2.0 * square)
+        raw = lo + m1 + (a / 2.0) * var + (a * a / 6.0) * kappa3
+        value = np.minimum(np.maximum(raw, lo), hi)
+        if not grad:
+            return value
+        # d raw / d w_c for X = T - lo, from d m_k / d w_c = X_c^k.
+        coefs = np.empty(sums.shape)
+        coefs[0] = 1.0 - a * m1 + (a * a) * (square - m2 / 2.0)
+        coefs[1] = a / 2.0 - (a * a / 2.0) * m1
+        coefs[2] = a * a / 6.0
+        coefs[:, (raw < lo) | (raw > hi)] = 0.0
+        return value, coefs
+    total = sums[0]
+    if total.min() < min_total:
+        return None
+    shift = hi if a > 0 else lo
+    value = shift + np.log(total) / a
+    return (value, (1.0 / a) / sums) if grad else value
+
 
 def normalized_cgf(
     table: np.ndarray,
@@ -46,55 +144,41 @@ def normalized_cgf(
     zero weights are allowed.  lo and hi hold each row's minimum and maximum
     over a set of columns that contains the support, and spread is
     max(hi - lo), passed in so that a caller evaluating many weight vectors
-    on one table computes it once.  a = 0 returns the means and a = -inf /
-    +inf return lo / hi.  Finite nonzero a uses the cumulant expansion
+    on one table computes it once.  a = 0 returns the means, and so does
+    every a when spread = 0 (each row is constant); a = -inf / +inf return
+    lo / hi.  Finite nonzero a uses the cumulant expansion
     E + a Var/2 + a^2 kappa3/6, clamped to [lo, hi], when
     |a| * spread < TAYLOR_CUTOFF.  Otherwise it uses a log-sum-exp shifted
     by hi (a > 0) or lo (a < 0), which stays inside the support up to
-    rounding; when every term of some row underflows, the shifts move to
-    the extremes of the support itself.
+    rounding; when the terms of some row underflow (its total falls below
+    MIN_TOTAL), the shifts move to the extremes of the support itself.
+    It runs the two stages, cgf_grids and cgf_finish, on one weight vector;
+    PhiEvaluator builds the grids once and finishes them for many.
 
     grad=True returns (values, slopes) instead, where slopes[r, c] is the
-    derivative of row r's value with respect to weights[c] at weights that
-    sum to one, made from the same intermediates as the values: the table
-    itself at a = 0, zero at -inf / +inf (lo and hi do not move with the
-    weights), the derivative of the clamped expansion (zero where the clamp
-    holds), and the tilted weights exp(a(T - shift)) / (a E[exp(a(T - shift))]).
+    derivative of row r's value with respect to weights[c] along the
+    simplex (up to a constant per row, which no direction inside it sees),
+    made from the same intermediates as the values: the table itself at
+    a = 0, zero at -inf / +inf (lo and hi do not move with the weights), a
+    cubic in T - lo in the Taylor band (zero where the clamp holds), and the
+    tilted weights exp(a(T - shift)) / (a E[exp(a(T - shift))]).
     """
-    if a == 0.0:
-        value = table @ weights
-        return (value, table) if grad else value
-    if math.isinf(a):
-        value = hi if a > 0 else lo
-        return (value, np.zeros(table.shape)) if grad else value
-    if abs(a) * spread < TAYLOR_CUTOFF:
-        m1 = table @ weights
-        centered = table - m1[:, None]
-        squared = centered * centered
-        cubed = squared * centered
-        var = squared @ weights
-        kappa3 = cubed @ weights
-        raw = m1 + a * var / 2.0 + a * a * kappa3 / 6.0
-        value = np.minimum(np.maximum(raw, lo), hi)
-        if not grad:
-            return value
-        # On the simplex, dVar/dw_c = (T_c - E)^2 and dkappa3/dw_c = (T_c - E)^3 - 3 T_c Var.
-        slopes = table + a * squared / 2.0 + a * a * (cubed - 3.0 * table * var[:, None]) / 6.0
-        slopes[(raw < lo) | (raw > hi)] = 0.0
-        return value, slopes
-    shift = hi if a > 0 else lo
-    tilted = np.exp(a * (table - shift[:, None]))
-    total = tilted @ weights
-    if (total <= 0).any():
+    grids = cgf_grids(table, a, lo, hi, spread)
+    finished = cgf_finish(np.array([grid @ weights for grid in grids]), a, lo, hi, spread, grad)
+    if finished is None:
         reached = table[:, weights > 0]
-        shift = reached.max(axis=1) if a > 0 else reached.min(axis=1)
-        # Columns outside the support can lie beyond the new shift, where exp
-        # overflows and inf * 0 would turn the total into NaN; their weight is
-        # zero, so capping the exponent at 0 leaves the values alone.
-        tilted = np.exp(np.minimum(a * (table - shift[:, None]), 0.0))
-        total = tilted @ weights
-    value = shift + np.log(total) / a
-    return (value, tilted / (a * total)[:, None]) if grad else value
+        lo, hi = reached.min(axis=1), reached.max(axis=1)
+        grids = cgf_grids(table, a, lo, hi, spread)
+        # Each total now holds the term exp(0) times a positive weight.
+        sums = np.array([grid @ weights for grid in grids])
+        finished = cgf_finish(sums, a, lo, hi, spread, grad, min_total=0.0)
+    if not grad:
+        return finished
+    value, coefs = finished
+    slopes = np.zeros(table.shape)
+    for coef, grid in zip(coefs, grids):
+        slopes += coef[:, None] * grid
+    return value, slopes
 
 
 def k_a(x: Lottery, a: float) -> float:

@@ -395,6 +395,16 @@ class TestNewton:
         assert np.max(np.abs(f)) <= 1e-12 and not flat and steps >= 1
         np.testing.assert_allclose(theta, np.linalg.solve(a, b), rtol=0, atol=1e-11)
 
+    def test_singular_square_system_takes_a_least_squares_step(self):
+        # f = [t0 + t1 - 1, 2 (t0 + t1 - 1)]: a square solve finds [[1, 1], [2, 2]]
+        # singular, but the system is consistent, so the least-squares step reaches it.
+        jac = np.array([[1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(jac, np.ones(2))
+        theta, f, flat, steps = _newton(lambda t: (jac @ t - np.array([1.0, 2.0]), lambda: jac), np.zeros(2), 1e-12, 24)
+        assert np.max(np.abs(f)) <= 1e-12 and not flat and steps >= 1
+        assert theta.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_constant_residual_is_flat_after_one_jacobian(self):
         calls = []
 
@@ -513,6 +523,9 @@ JACOBIAN_GAMES = [
     _random_two_player_game(21, (3, 4)),
     Game((2, 3, 2), np.random.default_rng(22).uniform(-2.0, 2.0, size=(2, 3, 2, 3))),
     Game((3, 2, 2, 2), np.random.default_rng(23).uniform(-2.0, 2.0, size=(3, 2, 2, 2, 4))),
+    # Three opponents of distinct sizes for every player, so that contracting
+    # them in the wrong order cannot go unseen.
+    Game((2, 3, 4, 2), np.random.default_rng(24).uniform(-2.0, 2.0, size=(2, 3, 4, 2, 4))),
 ]
 
 
@@ -571,6 +584,57 @@ class TestExactJacobians:
         taylor = _jacobian_statistics(game)[3]
         jacs = [_logit_system(PhiEvaluator(game, phi), 3.0)(theta)[1]() for phi in (EXPECTATION, taylor)]
         assert np.max(np.abs(jacs[0] - jacs[1])) > 1e-6
+
+
+class TestValueBlocks:
+    """values(grad=True)'s blocks against central differences of values in each opponent's own mix."""
+
+    @pytest.mark.parametrize("game", [JACOBIAN_GAMES[0], JACOBIAN_GAMES[1], JACOBIAN_GAMES[3]], ids=["2p", "3p", "4p"])
+    @pytest.mark.parametrize("boundary_pure", [True, False])
+    def test_blocks_match_central_differences(self, game, boundary_pure, monkeypatch):
+        spread = min(PhiEvaluator(game, EXPECTATION).spread)
+        taylor = 0.9 * TAYLOR_CUTOFF / max(PhiEvaluator(game, EXPECTATION).spread)
+        steep = 1e4 / spread  # a * spread > 800 for every player
+        statistics = [
+            EXPECTATION,
+            MMM_THIRDS,
+            K_PAIR,
+            MAStatistic(((-taylor, 0.5), (0.0, 0.5))),
+            MAStatistic(((-steep, 0.5), (steep, 0.5))),
+        ]
+        fallbacks = []
+        inner = solvers.normalized_cgf
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args[3])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "normalized_cgf", counted)
+        rng = np.random.default_rng(6)
+        dists = [rng.dirichlet(np.ones(k)) for k in game.action_counts]
+        dists[-1][0] = 0.0  # a zero-weight action: the steep atoms' terms underflow on some rows
+        dists[-1] /= dists[-1].sum()
+        h = 1e-7
+        for phi in statistics:
+            evaluator = PhiEvaluator(game, phi)
+            for i in range(game.num_players):
+                _, blocks = evaluator.values(i, dists, boundary_pure, grad=True)
+                assert sorted(blocks) == [j for j in range(game.num_players) if j != i]
+                for j, block in blocks.items():
+                    assert block.shape == (game.action_counts[i], game.action_counts[j])
+                    for _ in range(2):
+                        # A direction inside the face of j's simplex that its mix lies on.
+                        step = rng.normal(size=dists[j].size) * (dists[j] > 0)
+                        step -= (dists[j] > 0) * step.sum() / (dists[j] > 0).sum()
+                        moved = [d.copy() for d in dists]
+                        moved[j] = dists[j] + h * step
+                        up = evaluator.values(i, moved, boundary_pure)
+                        moved[j] = dists[j] - h * step
+                        down = evaluator.values(i, moved, boundary_pure)
+                        np.testing.assert_allclose(
+                            block @ step, (up - down) / (2 * h), rtol=0, atol=1e-8, err_msg=f"{phi.describe()} {i} {j}"
+                        )
+        assert fallbacks, "no steep atom's terms underflowed"
 
 
 class TestSupportSolve:
