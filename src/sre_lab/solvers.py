@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +30,7 @@ from .games import (
     opponent_weights,
 )
 from .lotteries import DominanceVerdict, fosd_compare, weakly_dominates
-from .statistics import MAStatistic, cgf_finish, cgf_grids, normalized_cgf
+from .statistics import MAStatistic, cgf_branches, cgf_finish, cgf_grids, normalized_cgf
 
 DEDUP_TOL = 1e-6
 # How far a played action may fall below its player's best value in a best response.
@@ -118,15 +119,22 @@ class SolveResult:
 
 
 class PhiEvaluator:
-    """Per-(game, statistic) grids for evaluating action values quickly.
+    """Per-(game, statistic) evaluation plan for computing action values quickly.
 
-    When it is built, each finite atom of the statistic is folded into fixed
-    grids over player i's actions x each opponent's actions
-    (statistics.cgf_grids): the payoff table at a = 0, exp(a(T - shift))
-    with the pure shift outside the Taylor band, and the raw moments of
-    T - lo inside it.  A player's grids are stacked by rows, so one
-    contraction with the opponents' mixes serves every atom; the -inf/+inf
-    atoms need none.
+    When it is built, each player's finite atoms are grouped by the branch
+    of the normalized CGF they take on that player's table
+    (statistics.cgf_branches), and each group is folded into fixed grids
+    over player i's actions x each opponent's actions
+    (statistics.cgf_grids): the mean branch's table times its total weight,
+    the raw moments of T - lo shared by the Taylor band, and exp(a(T -
+    shift)) with the pure shift for each exponential tilt.  A player's grids
+    are stacked by rows, the mean branch's first, so one contraction with
+    the opponents' mixes serves every atom.  What does not move with the
+    mixes is kept too: the -inf/+inf term at the pure extremes and, for a
+    player whose value is linear in one opponent's mix (two players, every
+    finite atom in the mean branch), the derivative blocks themselves.
+    calls and jacobians count values calls and the logit Jacobians built on
+    them, for diagnostics.
     """
 
     def __init__(self, game: Game, phi: MAStatistic):
@@ -144,19 +152,50 @@ class PhiEvaluator:
         self.others = [[j for j in range(self.n) if j != i] for i in range(self.n)]
         # Player i's table shaped (actions of i, *actions of each opponent).
         self.shapes = [(counts[i], *(counts[j] for j in self.others[i])) for i in range(self.n)]
-        # Per player: the grids stacked by rows, shaped (grid rows, *opponent
-        # actions), and each finite atom's (a, weight, its grids' places in the stack).
-        self.grids, self.plans = [], []
+        self.calls = 0
+        self.jacobians = 0
+        # Per player: the -inf/+inf term at the pure extremes (None without
+        # such atoms); the grids stacked by rows, shaped (grid rows, *opponent
+        # actions); whether the first grid is the mean branch's weighted
+        # table; each other branch's (locations, weights, its grids' places in
+        # the stack); and the derivative blocks when they are constant, else None.
+        self.pure_extremes, self.grids, self.linear, self.finishes, self.constant_blocks = [], [], [], [], []
         for i, table in enumerate(self.tables):
-            parts, plan = [], []
-            for a, w in self.kernel_atoms:
-                grids = cgf_grids(table, a, self.pure_min[i], self.pure_max[i], self.spread[i])
-                plan.append((a, w, slice(len(parts), len(parts) + len(grids))))
-                parts.extend(grids)
-            # A lone grid is used as it is (the payoff table at a = 0 is not copied).
-            stacked = parts[0] if len(parts) == 1 else np.concatenate(parts or [table[:0]])
+            lo, hi, spread = self.pure_min[i], self.pure_max[i], self.spread[i]
+            branches = cgf_branches(self.kernel_atoms, spread)
+            parts = [cgf_grids(table, *branches["mean"], lo, hi, spread)] if "mean" in branches else []
+            linear = bool(parts)
+            finishes = []
+            for name in ("taylor", "exp"):
+                if name in branches:
+                    a, w = branches[name]
+                    start = sum(map(len, parts))
+                    parts.append(cgf_grids(table, a, w, lo, hi, spread))
+                    finishes.append((a, w, slice(start, start + len(parts[-1]))))
+            # A lone stack is used as it is (the payoff table at a = 0 is not copied).
+            stacked = parts[0] if len(parts) == 1 else np.concatenate(parts or [table[:0, None]])
             self.grids.append(stacked.reshape(-1, *self.shapes[i][1:]))
-            self.plans.append(plan)
+            self.pure_extremes.append(self._extremes(lo, hi))
+            self.linear.append(linear)
+            self.finishes.append(finishes)
+            constant = None
+            if not finishes and (self.n == 2 or not linear):
+                k = counts[i]
+                constant = {
+                    j: self.grids[i][:k].reshape(k, counts[j]) if linear else np.zeros((k, counts[j]))
+                    for j in self.others[i]
+                }
+                for block in constant.values():
+                    block.flags.writeable = False
+            self.constant_blocks.append(constant)
+
+    def _extremes(self, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+        """The -inf/+inf atoms' term with these row minima and maxima; None without such atoms."""
+        if self.w_min and self.w_max:
+            return self.w_min * lo + self.w_max * hi
+        if self.w_min or self.w_max:
+            return self.w_min * lo if self.w_min else self.w_max * hi
+        return None
 
     def values(self, i: int, dists: Sequence[np.ndarray], boundary_pure: bool, grad: bool = False):
         """Action values for player i against the given opponent mixes.
@@ -165,63 +204,100 @@ class PhiEvaluator:
         min/max over all opponent profiles (the continuous logit functional);
         False restricts them to the support actually reached, i.e. the raw
         statistic of the realized lottery.  The grids are contracted with the
-        opponents' mixes one opponent at a time, and each atom's rows are
-        finished by statistics.cgf_finish.  An atom whose terms underflowed
+        opponents' mixes one opponent at a time; the mean branch's rows are
+        its weighted value, and each other branch is finished once, its atoms
+        stacked, by statistics.cgf_finish.  A branch whose terms underflowed
         on some row at the pure shift (cgf_finish returns None) is evaluated
-        by normalized_cgf instead, which re-shifts to the reached support.
+        atom by atom by normalized_cgf instead, which re-shifts to the
+        reached support.
 
         grad=True returns (values, blocks), blocks[j] being the derivative
         with respect to opponent j's own mix, (actions of i) x (actions of
         j), exact along every direction that keeps j's mix on the simplex.
-        The grids, weighted by cgf_finish's coefficients, are contracted
-        with every opponent's mix but j's.  The -inf/+inf atoms add nothing
-        to the blocks in either mode, as the reached support is constant
-        wherever the weights stay positive.
+        blocks is a mapping built on first access: the grids, weighted by
+        cgf_finish's coefficients, contracted with every opponent's mix but
+        j's.  When the blocks do not move with the mixes, it is the plan's
+        own read-only mapping.  The -inf/+inf atoms add nothing to the blocks
+        in either mode, as the reached support is constant wherever the
+        weights stay positive.
         """
+        self.calls += 1
         shape = self.shapes[i]
         k = shape[0]
         mixes = [dists[j] for j in self.others[i]]
-        lo, hi = self.pure_min[i], self.pure_max[i]
-        terms = []
-        if self.w_min or self.w_max:
-            ext_lo, ext_hi = lo, hi
-            if not boundary_pure and not all((d > 0).all() for d in mixes):
-                reached = self.tables[i][:, opponent_weights(dists, i) > 0]
-                ext_lo, ext_hi = reached.min(axis=1), reached.max(axis=1)
-            if self.w_min:
-                terms.append(self.w_min * ext_lo)
-            if self.w_max:
-                terms.append(self.w_max * ext_hi)
+        lo, hi, spread = self.pure_min[i], self.pure_max[i], self.spread[i]
+        out = self.pure_extremes[i]
+        if out is not None and not boundary_pure and not all((d > 0).all() for d in mixes):
+            reached = self.tables[i][:, opponent_weights(dists, i) > 0]
+            out = self._extremes(reached.min(axis=1), reached.max(axis=1))
         sums = self.grids[i]
         for mix in reversed(mixes):
             sums = sums @ mix
         sums = sums.reshape(-1, k)  # one row per grid
+        if self.linear[i]:
+            out = sums[0] if out is None else out + sums[0]
         coefs, slopes = [], []
-        for a, w, grids in self.plans[i]:
-            finished = cgf_finish(sums[grids], a, lo, hi, self.spread[i], grad)
+        for a, w, rows in self.finishes[i]:
+            finished = cgf_finish(sums[rows], a, w, lo, hi, spread, grad)
             if finished is None:  # some row's terms underflowed
                 joint = opponent_weights(dists, i)
-                finished = normalized_cgf(self.tables[i], joint, a, lo, hi, self.spread[i], grad)
+                parts = [normalized_cgf(self.tables[i], joint, at, lo, hi, spread, grad) for at in a.tolist()]
                 if grad:
-                    slopes.append(w * finished[1].reshape(shape))
-                    finished = finished[0], np.zeros((grids.stop - grids.start, k))
-            if grad:
+                    slopes.extend(wt * slope.reshape(shape) for wt, (_, slope) in zip(w.tolist(), parts))
+                    parts = [value for value, _ in parts]
+                    coefs.append(np.zeros((rows.stop - rows.start, k)))
+                value = w @ np.array(parts)
+            elif grad:
                 value, coef = finished
-                coefs.append(w * coef)
+                coefs.append(coef)
             else:
                 value = finished
-            terms.append(w * value)
-        out = sum(terms[1:], terms[0])
+            out = value if out is None else out + value
         if not grad:
             return out
-        if not coefs:
-            return out, {j: np.zeros((k, d.size)) for j, d in zip(self.others[i], mixes)}
-        coef = coefs[0] if len(coefs) == 1 else np.concatenate(coefs)
-        weighted = coef.reshape(-1, *(1 for _ in mixes)) * self.grids[i]
-        if len(coef) > 1:
-            weighted = weighted.reshape(len(coef), *shape).sum(axis=0)
-        weighted = sum(slopes, weighted)
-        return out, dict(zip(self.others[i], _partials(weighted, mixes)))
+        if self.constant_blocks[i] is not None:
+            return out, self.constant_blocks[i]
+
+        def build() -> list[np.ndarray]:
+            weighted = self.grids[i][:k].reshape(shape) if self.linear[i] else None
+            if coefs:
+                coef = coefs[0] if len(coefs) == 1 else np.concatenate(coefs)
+                curved = self.grids[i][k:] if self.linear[i] else self.grids[i]
+                tilted = coef.reshape(-1, *(1 for _ in mixes)) * curved
+                if len(coef) > 1:
+                    tilted = tilted.reshape(len(coef), *shape).sum(axis=0)
+                weighted = tilted if weighted is None else tilted + weighted
+            return _partials(sum(slopes, weighted), mixes)
+
+        return out, _Blocks(self.others[i], build)
+
+
+class _Blocks(Mapping):
+    """Player i's derivative blocks, keyed by opponent, built on first access, all at once."""
+
+    __slots__ = ("_keys", "_build", "_blocks")
+
+    def __init__(self, keys: Sequence[int], build: Callable[[], list[np.ndarray]]):
+        self._keys = keys
+        self._build = build
+        self._blocks: Optional[dict] = None
+
+    def _built(self) -> dict:
+        if self._blocks is None:
+            self._blocks = dict(zip(self._keys, self._build()))
+        return self._blocks
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self._built()[j]
+
+    def items(self):
+        return self._built().items()
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 def _partials(grid: np.ndarray, mixes: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -282,7 +358,7 @@ def _flatten(dists: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _sup_residual(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
-    return max(float(np.max(np.abs(x - y))) for x, y in zip(a, b))
+    return max(float(abs(x - y).max()) for x, y in zip(a, b))
 
 
 def _dists_from_theta(
@@ -360,7 +436,7 @@ def _newton(
             step = _linear_step(jac, -f)
         except np.linalg.LinAlgError:
             break
-        norm = float(np.max(np.abs(step)))
+        norm = float(abs(step).max())
         if not math.isfinite(norm) or norm == 0.0:
             break
         if norm > 0.5:
@@ -368,7 +444,7 @@ def _newton(
         for _ in range(8):
             cand = theta + step
             f_cand, jacobian_cand = system(cand)
-            res_cand = float(np.max(np.abs(f_cand)))
+            res_cand = float(abs(f_cand).max())
             if res_cand < res:
                 theta, f, jacobian, res = cand, f_cand, jacobian_cand, res_cand
                 steps += 1
@@ -416,30 +492,55 @@ def _full_chart(counts: tuple[int, ...]):
 def _logit_system(evaluator: PhiEvaluator, lam: float):
     """p - T(p) on the free coordinates of the full-support chart, with its exact Jacobian.
 
-    Player i's response s = logit(lam v_i) moves with opponent j's mix by
+    The profile is evaluated once: the chart is filled into one vector p, as
+    _dists_from_theta fills each player's mix, and one logit runs over the
+    concatenated values (each player's max by np.maximum.reduceat; each
+    total by its own sum, which rounds as _logit's does).  Player i's
+    response s = logit(lam v_i) moves with opponent j's mix by
     lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.  The
     Jacobian is I - dT/dp taken to the chart: its free rows, times the
-    chart's columns.
+    chart's columns.  The rows of dv/dp whose blocks are constant are
+    filled once and copied.
     """
     counts = evaluator.game.action_counts
-    supports = [range(k) for k in counts]
     starts, free, owner, chart, identity = _full_chart(tuple(counts))
+    bounds = list(zip(starts[:-1], starts[1:]))
+    heads = starts[:-1]
+    moving = [i for i, blocks in enumerate(evaluator.constant_blocks) if blocks is None]
+    fixed = np.zeros((starts[-1], starts[-1]))  # dv_i/dd_j in row block i, column block j
+    for i, blocks in enumerate(evaluator.constant_blocks):
+        for j, block in (blocks or {}).items():
+            fixed[starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
 
     def system(theta: np.ndarray):
-        dists = _dists_from_theta(theta, supports, counts)
+        p = np.empty(starts[-1])
+        p[free] = theta
+        for a, b in bounds:
+            p[b - 1] = 1.0 - p[a : b - 1].sum()
+        if p.min() < 0.0:
+            for a, b in bounds:
+                vec = p[a:b]
+                if vec.min() < 0.0:
+                    np.maximum(vec, 0.0, out=vec)
+                    vec /= vec.sum()
+        dists = [p[a:b] for a, b in bounds]
         parts = [evaluator.values(i, dists, boundary_pure=True, grad=True) for i in range(evaluator.n)]
-        resp = [_logit(v, lam) for v, _ in parts]
-        f = np.concatenate([(d - s)[:-1] for d, s in zip(dists, resp)])
+        z = lam * np.concatenate([v for v, _ in parts])
+        z -= np.maximum.reduceat(z, heads)[owner]
+        e = np.exp(z)
+        s = e / np.array([e[a:b].sum() for a, b in bounds])[owner]
+        f = (p - s)[free]
 
         def jacobian() -> np.ndarray:
-            dv = np.zeros((starts[-1], starts[-1]))  # dv_i/dd_j in row block i, column block j
-            for i, (_, blocks) in enumerate(parts):
-                for j, block in blocks.items():
+            evaluator.jacobians += 1
+            dv = fixed.copy() if moving else fixed
+            for i in moving:
+                for j, block in parts[i][1].items():
                     dv[starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
-            s = np.concatenate(resp)[:, None]
-            weighted = s * dv
-            mean = np.add.reduceat(weighted, starts[:-1], axis=0)  # s_i @ dv_i, one row per player
-            return identity - (lam * (weighted - s * mean[owner]))[free] @ chart
+            sc = s[:, None]
+            weighted = sc * dv
+            mean = np.add.reduceat(weighted, heads, axis=0)  # s_i @ dv_i, one row per player
+            return identity - (lam * (weighted - sc * mean[owner]))[free] @ chart
 
         return f, jacobian
 
@@ -570,13 +671,13 @@ def _bordered_newton(system, pred: np.ndarray, border: np.ndarray, tol: float):
         last["z"], last["jacobian"] = z, jacobian
 
         def jac() -> np.ndarray:
-            trail.append(float(np.max(np.abs(g))))
+            trail.append(float(abs(g).max()))
             return np.vstack([jacobian(), border])
 
         return g, jac
 
     z, g, _, _ = _newton(bordered, pred, tol, MAX_CORRECTOR_STEPS)
-    res = float(np.max(np.abs(g)))
+    res = float(abs(g).max())
     if not res <= tol:
         return z, False, math.inf, None
     contraction = (trail[1] if len(trail) > 1 else res) / trail[0] if trail else 0.0
@@ -708,7 +809,9 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     diagnostics: iterations, the damped steps (at most WARM_UP per start);
     newton_steps, the Newton steps on p - T(p); continuation_steps, the
     accepted predictor-corrector steps of the homotopy paths; starts and
-    starts_converged.
+    starts_converged; evaluator_calls, the PhiEvaluator.values calls (one
+    per player per evaluation of the profile); and jacobians, the Jacobians
+    of p - T(p) built, by Newton and by the homotopy paths alike.
 
     At least one fixed point exists for every game and lambda >= 0; if no
     start converges a SolverError is raised rather than returning an empty
@@ -735,6 +838,8 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
         "continuation_steps": sum(outcome[4] for outcome in outcomes),
         "starts": len(starts),
         "starts_converged": len(found),
+        "evaluator_calls": evaluator.calls,
+        "jacobians": evaluator.jacobians,
     }
     return SolveResult(profiles, residuals, diagnostics)
 
@@ -901,7 +1006,7 @@ def _newton_support_roots(system, starts: list[np.ndarray], tol: float):
         theta, f, flat, _ = _newton(system, theta, tol, 24)
         if flat:
             return  # values do not react to this support's mixing
-        if np.max(np.abs(f)) <= tol:
+        if abs(f).max() <= tol:
             yield theta
 
 

@@ -44,89 +44,118 @@ def _branch(a: float, spread: float) -> str:
     return "taylor" if abs(a) * spread < TAYLOR_CUTOFF else "exp"
 
 
-def cgf_grids(table: np.ndarray, a: float, lo: np.ndarray, hi: np.ndarray, spread: float) -> list[np.ndarray]:
+def cgf_branches(atoms, spread: float) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The finite atoms grouped by the branch their normalized CGF takes on rows of this spread.
+
+    Returns {branch: (locations, weights)} for "mean", "taylor" and "exp",
+    with only the branches that have atoms; atoms at -inf / +inf are left
+    out.  Each group is what cgf_grids and cgf_finish take as one.
+    """
+    groups: dict[str, tuple[list, list]] = {}
+    for a, w in atoms:
+        branch = _branch(a, spread)
+        if branch != "extreme":
+            locations, weights = groups.setdefault(branch, ([], []))
+            locations.append(a)
+            weights.append(w)
+    return {branch: (np.array(a), np.array(w)) for branch, (a, w) in groups.items()}
+
+
+def cgf_grids(
+    table: np.ndarray, a: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray, spread: float
+) -> np.ndarray:
     """Stage one of the normalized CGF: the grids whose weighted row sums it is finished from.
 
     table is an (actions x opponent profiles) table; lo, hi and spread are as
-    for normalized_cgf.  The grids depend on the table alone, not on the
-    weights, so a caller evaluating many weight vectors builds them once:
-    - a = 0, or every row constant (spread = 0): the table itself;
+    for normalized_cgf.  a and w hold the locations and weights of atoms that
+    all take one branch (see cgf_branches).  Returns the grids stacked,
+    (grids x actions x opponent profiles).  They depend on the table alone,
+    not on the weights of the columns, so a caller evaluating many weight
+    vectors builds them once:
+    - a = 0, or every row constant (spread = 0): the table times the atoms'
+      total weight, whose row sums are their weighted value;
     - a = -inf / +inf: none;
-    - |a| * spread < TAYLOR_CUTOFF: the raw moments (T - lo)^1, ^2, ^3;
-    - otherwise: exp(a(T - shift)), shifted by hi (a > 0) or lo (a < 0).  The
-      exponent is capped at 0: after a re-shift to the support's extremes,
-      columns outside the support can lie beyond the shift, where exp would
-      overflow and inf * 0 turn a total into NaN; their weight is zero, so
-      the cap leaves the values alone.
+    - |a| * spread < TAYLOR_CUTOFF: the raw moments (T - lo)^1, ^2, ^3, shared
+      by every atom of the band;
+    - otherwise: exp(a(T - shift)) for each atom, shifted by hi (a > 0) or lo
+      (a < 0).  The exponent is capped at 0: after a re-shift to the
+      support's extremes, columns outside the support can lie beyond the
+      shift, where exp would overflow and inf * 0 turn a total into NaN;
+      their weight is zero, so the cap leaves the values alone.
     """
-    branch = _branch(a, spread)
+    branch = _branch(a[0], spread)
     if branch == "mean":
-        return [table]
+        total = float(w.sum())
+        return (table if total == 1.0 else total * table)[None]
     if branch == "extreme":
-        return []
+        return table[:0, None]
     if branch == "taylor":
         x = table - lo[:, None]
         x2 = x * x
-        return [x, x2, x2 * x]
-    shift = hi if a > 0 else lo
-    return [np.exp(np.minimum(a * (table - shift[:, None]), 0.0))]
+        return np.stack([x, x2, x2 * x])
+    shift = np.where(a[:, None] > 0, hi, lo)
+    return np.exp(np.minimum(a[:, None, None] * (table - shift[:, :, None]), 0.0))
 
 
 def cgf_finish(
     sums: np.ndarray,
-    a: float,
+    a: np.ndarray,
+    w: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     spread: float,
     grad: bool = False,
     min_total: float = MIN_TOTAL,
 ):
-    """Stage two of the normalized CGF: each row's value from its grids' weighted sums.
+    """Stage two of the normalized CGF: a branch's weighted value from its grids' weighted sums.
 
     sums is a (grids x rows) array: row g is grid g of cgf_grids, made with
-    the same a, lo, hi and spread, times weights that sum to one.  Returns
-    the values, or with grad (values, coefs), where coefs[g] holds each
-    row's coefficient on grid g in the derivative: the value of row r moves
-    with weights[c] by sum_g coefs[g, r] * grid_g[r, c] along every
-    direction inside the simplex.
-    - Mean: the row sums, with coefficient one.
+    the same a, w, lo, hi and spread, times weights that sum to one.
+    Returns sum_t w[t] k_{a[t]} for each row, or with grad (values, coefs),
+    where coefs[g] holds each row's coefficient on grid g in the derivative:
+    the value of row r moves with weights[c] by sum_g coefs[g, r] *
+    grid_g[r, c] along every direction inside the simplex.  The atoms of
+    the branch are finished together, on rows stacked by atom.
+    - Mean: the row sums (the grid carries the weight), with coefficient one.
     - a = -inf / +inf: lo / hi, which do not move with the weights.
     - Taylor band: the cumulant expansion E + a Var/2 + a^2 kappa3/6 from the
       raw moments, clamped to [lo, hi]; the coefficients are zero where the
       clamp holds.
-    - Otherwise: shift + log(total) / a, with coefficient 1 / (a total).
-      Returns None when the terms of some row underflowed, so that its total
-      is below min_total; the caller then re-shifts to the extremes of the
-      support itself.
+    - Otherwise: shift + log(total) / a, with coefficient w / (a total).
+      Returns None when the terms of some row of some atom underflowed, so
+      that its total is below min_total; the caller then re-shifts to the
+      extremes of the support itself.
     """
-    branch = _branch(a, spread)
+    branch = _branch(a[0], spread)
     if branch == "mean":
         return (sums[0], np.ones(sums.shape)) if grad else sums[0]
     if branch == "extreme":
-        value = hi if a > 0 else lo
+        value = sum(wt * (hi if at > 0 else lo) for at, wt in zip(a.tolist(), w.tolist()))
         return (value, np.zeros((0, len(lo)))) if grad else value
+    col = a[:, None]
     if branch == "taylor":
         m1, m2, m3 = sums
         square = m1 * m1
         var = m2 - square
         kappa3 = m3 - m1 * (3.0 * m2 - 2.0 * square)
-        raw = lo + m1 + (a / 2.0) * var + (a * a / 6.0) * kappa3
-        value = np.minimum(np.maximum(raw, lo), hi)
+        raw = lo + m1 + (col / 2.0) * var + (col * col / 6.0) * kappa3
+        value = w @ np.minimum(np.maximum(raw, lo), hi)
         if not grad:
             return value
         # d raw / d w_c for X = T - lo, from d m_k / d w_c = X_c^k.
-        coefs = np.empty(sums.shape)
-        coefs[0] = 1.0 - a * m1 + (a * a) * (square - m2 / 2.0)
-        coefs[1] = a / 2.0 - (a * a / 2.0) * m1
-        coefs[2] = a * a / 6.0
+        coefs = np.empty((3, *raw.shape))
+        coefs[0] = 1.0 - col * m1 + (col * col) * (square - m2 / 2.0)
+        coefs[1] = col / 2.0 - (col * col / 2.0) * m1
+        coefs[2] = col * col / 6.0
         coefs[:, (raw < lo) | (raw > hi)] = 0.0
-        return value, coefs
-    total = sums[0]
-    if total.min() < min_total:
+        return value, w @ coefs
+    if sums.min() < min_total:
         return None
-    shift = hi if a > 0 else lo
-    value = shift + np.log(total) / a
-    return (value, (1.0 / a) / sums) if grad else value
+    value = w @ (np.where(col > 0, hi, lo) + np.log(sums) / col)
+    return (value, (w / a)[:, None] / sums) if grad else value
+
+
+_ONE = np.ones(1)
 
 
 def normalized_cgf(
@@ -152,8 +181,9 @@ def normalized_cgf(
     by hi (a > 0) or lo (a < 0), which stays inside the support up to
     rounding; when the terms of some row underflow (its total falls below
     MIN_TOTAL), the shifts move to the extremes of the support itself.
-    It runs the two stages, cgf_grids and cgf_finish, on one weight vector;
-    PhiEvaluator builds the grids once and finishes them for many.
+    It runs the two stages, cgf_grids and cgf_finish, on one atom of weight
+    one and one weight vector; PhiEvaluator builds the grids of each branch
+    once and finishes them for many.
 
     grad=True returns (values, slopes) instead, where slopes[r, c] is the
     derivative of row r's value with respect to weights[c] along the
@@ -163,15 +193,15 @@ def normalized_cgf(
     cubic in T - lo in the Taylor band (zero where the clamp holds), and the
     tilted weights exp(a(T - shift)) / (a E[exp(a(T - shift))]).
     """
-    grids = cgf_grids(table, a, lo, hi, spread)
-    finished = cgf_finish(np.array([grid @ weights for grid in grids]), a, lo, hi, spread, grad)
+    atom = np.array([a], dtype=float)
+    grids = cgf_grids(table, atom, _ONE, lo, hi, spread)
+    finished = cgf_finish(grids @ weights, atom, _ONE, lo, hi, spread, grad)
     if finished is None:
         reached = table[:, weights > 0]
         lo, hi = reached.min(axis=1), reached.max(axis=1)
-        grids = cgf_grids(table, a, lo, hi, spread)
+        grids = cgf_grids(table, atom, _ONE, lo, hi, spread)
         # Each total now holds the term exp(0) times a positive weight.
-        sums = np.array([grid @ weights for grid in grids])
-        finished = cgf_finish(sums, a, lo, hi, spread, grad, min_total=0.0)
+        finished = cgf_finish(grids @ weights, atom, _ONE, lo, hi, spread, grad, min_total=0.0)
     if not grad:
         return finished
     value, coefs = finished

@@ -16,7 +16,7 @@ from sre_lab.games import (
     strategic_shift,
 )
 from sre_lab import solvers
-from sre_lab.statistics import EXPECTATION, TAYLOR_CUTOFF, MAStatistic, evaluate
+from sre_lab.statistics import EXPECTATION, TAYLOR_CUTOFF, MAStatistic, evaluate, k_a
 from sre_lab.solvers import (
     CONCEPT_KINDS,
     DEDUP_TOL,
@@ -40,6 +40,7 @@ from sre_lab.solvers import (
     _continue,
     _dists_from_theta,
     _dominated_actions,
+    _logit,
     _logit_system,
     _newton,
     _solve_support,
@@ -205,7 +206,9 @@ class TestSolveLqre:
     def test_iterations_count_damped_steps_apart_from_newton_steps(self):
         # At lambda = 0 the response is uniform: the uniform start is already
         # the fixed point, and each random start needs one Newton step on an
-        # affine residual.  No damped iteration runs.
+        # affine residual.  No damped iteration runs.  Each start evaluates
+        # both players' values once, and each random start once more after
+        # its one Jacobian: 2 + 2 * 4 values calls.
         d = solve_lqre(make_vmp(), EXPECTATION, 0.0, SolverConfig(multistarts=2)).diagnostics
         assert d == {
             "iterations": 0,
@@ -213,7 +216,45 @@ class TestSolveLqre:
             "continuation_steps": 0,
             "starts": 3,
             "starts_converged": 3,
+            "evaluator_calls": 10,
+            "jacobians": 2,
         }
+
+    def test_evaluator_calls_and_jacobians_match_counters(self, monkeypatch):
+        # Criterion 03's corpus game 112 at lambda = 5: its starts run every
+        # stage, Newton, the damped warm-up and the homotopy path.
+        rng = np.random.default_rng(777)
+        game = [random_game(rng) for _ in range(113)][112]
+        calls, jacobians = [], []
+        values = PhiEvaluator.values
+
+        def counted_values(self, *args, **kwargs):
+            calls.append(args[0])
+            return values(self, *args, **kwargs)
+
+        logit_system = solvers._logit_system
+
+        def counted_system(evaluator, lam):
+            system = logit_system(evaluator, lam)
+
+            def counted(theta):
+                f, jacobian = system(theta)
+
+                def taken():
+                    jacobians.append(theta)
+                    return jacobian()
+
+                return f, taken
+
+            return counted
+
+        monkeypatch.setattr(PhiEvaluator, "values", counted_values)
+        monkeypatch.setattr(solvers, "_logit_system", counted_system)
+        d = solve_lqre(game, EXPECTATION, 5.0, SolverConfig(multistarts=2, max_iters=20_000)).diagnostics
+        assert d["iterations"] > 0 and d["continuation_steps"] > 0
+        assert d["evaluator_calls"] == len(calls)
+        assert d["jacobians"] == len(jacobians)
+        assert 0 < d["jacobians"] < d["evaluator_calls"]
 
 
     def test_newton_retried_after_few_damped_iterations(self):
@@ -635,6 +676,191 @@ class TestValueBlocks:
                             block @ step, (up - down) / (2 * h), rtol=0, atol=1e-8, err_msg=f"{phi.describe()} {i} {j}"
                         )
         assert fallbacks, "no steep atom's terms underflowed"
+
+
+def _reference_values(game, phi, i, dists, boundary_pure):
+    """Player i's action values from evaluate(phi, action_lottery(...)).
+
+    With boundary_pure, the -inf/+inf atoms take the pure extremes instead:
+    the minimum and maximum of the action's lottery against uniform opponents.
+    """
+    p = MixedProfile(tuple(dists))
+    out = []
+    for a in range(game.action_counts[i]):
+        lottery = action_lottery(game, i, a, p)
+        if not boundary_pure:
+            out.append(evaluate(phi, lottery))
+            continue
+        pure = action_lottery(game, i, a, MixedProfile.uniform(game))
+        extremes = {-math.inf: pure.min(), math.inf: pure.max()}
+        out.append(sum(w * (extremes[loc] if math.isinf(loc) else k_a(lottery, loc)) for loc, w in phi.atoms))
+    return np.array(out)
+
+
+def _assert_blocks_match_central_differences(evaluator, dists, boundary_pure, rng, h=1e-7):
+    """TestValueBlocks' check: each block times a direction inside the face of j's mix."""
+    game = evaluator.game
+    for i in range(game.num_players):
+        _, blocks = evaluator.values(i, dists, boundary_pure, grad=True)
+        for j, block in blocks.items():
+            for _ in range(2):
+                step = rng.normal(size=dists[j].size) * (dists[j] > 0)
+                step -= (dists[j] > 0) * step.sum() / (dists[j] > 0).sum()
+                moved = [d.copy() for d in dists]
+                moved[j] = dists[j] + h * step
+                up = evaluator.values(i, moved, boundary_pure)
+                moved[j] = dists[j] - h * step
+                down = evaluator.values(i, moved, boundary_pure)
+                np.testing.assert_allclose(
+                    block @ step,
+                    (up - down) / (2 * h),
+                    rtol=0,
+                    atol=1e-8,
+                    err_msg=f"{evaluator.phi.describe()} {i} {j}",
+                )
+
+
+class TestGroupedPlan:
+    """PhiEvaluator's per-branch plan against the slow reference, atom kinds mixed in one statistic."""
+
+    @staticmethod
+    def _dists(game, seed):
+        rng = np.random.default_rng(seed)
+        dists = [rng.dirichlet(np.ones(k)) for k in game.action_counts]
+        dists[-1][0] = 0.0  # an opponent with a zero-weight action
+        dists[-1] /= dists[-1].sum()
+        return dists
+
+    @pytest.mark.parametrize("game", [JACOBIAN_GAMES[0], JACOBIAN_GAMES[1], JACOBIAN_GAMES[3]], ids=["2p", "3p", "4p"])
+    @pytest.mark.parametrize("boundary_pure", [True, False])
+    def test_every_branch_in_one_statistic(self, game, boundary_pure):
+        taylor = 0.9 * TAYLOR_CUTOFF / max(PhiEvaluator(game, EXPECTATION).spread)
+        phi = MAStatistic(
+            ((-math.inf, 0.1), (-1.5, 0.2), (taylor, 0.15), (0.0, 0.2), (1.5, 0.2), (math.inf, 0.15))
+        )
+        evaluator = PhiEvaluator(game, phi)
+        assert all(len(finishes) == 2 for finishes in evaluator.finishes)  # the Taylor band and the tilts
+        assert all(evaluator.linear)
+        dists = self._dists(game, 7)
+        scale = 1.0 + float(np.max(np.abs(game.payoffs)))
+        for i in range(game.num_players):
+            np.testing.assert_allclose(
+                evaluator.values(i, dists, boundary_pure),
+                _reference_values(game, phi, i, dists, boundary_pure),
+                rtol=0,
+                atol=1e-9 * scale,
+            )
+        _assert_blocks_match_central_differences(evaluator, dists, boundary_pure, np.random.default_rng(8))
+
+    @pytest.mark.parametrize("game", [JACOBIAN_GAMES[0], JACOBIAN_GAMES[1], JACOBIAN_GAMES[3]], ids=["2p", "3p", "4p"])
+    @pytest.mark.parametrize("boundary_pure", [True, False])
+    def test_one_tilt_of_a_group_underflows(self, game, boundary_pure, monkeypatch):
+        steep = 1e4 / min(PhiEvaluator(game, EXPECTATION).spread)  # a * spread > 800 for every player
+        fallbacks = []
+        inner = solvers.normalized_cgf
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args[3])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "normalized_cgf", counted)
+        dists = self._dists(game, 9)
+        mild, steep_only = MAStatistic.single(-1.0), MAStatistic.single(steep)
+        both = MAStatistic(((-1.0, 0.5), (steep, 0.5)))
+        for phi in (mild, steep_only):
+            fallbacks.clear()
+            evaluator = PhiEvaluator(game, phi)
+            for i in range(game.num_players):
+                evaluator.values(i, dists, boundary_pure, grad=True)
+            assert bool(fallbacks) == (phi is steep_only)  # only the steep tilt underflows
+        evaluator = PhiEvaluator(game, both)
+        assert all(len(finishes) == 1 for finishes in evaluator.finishes)  # one group of two tilts
+        scale = 1.0 + float(np.max(np.abs(game.payoffs)))
+        fallbacks.clear()
+        for i in range(game.num_players):
+            np.testing.assert_allclose(
+                evaluator.values(i, dists, boundary_pure),
+                _reference_values(game, both, i, dists, boundary_pure),
+                rtol=0,
+                atol=1e-9 * scale,
+            )
+        assert fallbacks
+        _assert_blocks_match_central_differences(evaluator, dists, boundary_pure, np.random.default_rng(10))
+
+
+class TestLogitSystem:
+    @staticmethod
+    def _games():
+        rng = np.random.default_rng(777)
+        corpus = [random_game(rng) for _ in range(113)]
+        assert corpus[112].action_counts == (2, 2, 4)
+        return [make_card_game(0.4, [0, 1, 2], 0.1), make_card_game(0.4, [0, 1], 0.1), corpus[112]]
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["cards-12x3", "cards-4x2", "corpus-3p"])
+    def test_residual_is_bit_identical_to_per_player_logits(self, index):
+        game = self._games()[index]
+        counts = game.action_counts
+        supports = [range(k) for k in counts]
+        rng = np.random.default_rng(index)
+        thetas = [np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in counts]) for _ in range(4)]
+        cut = thetas[0].copy()
+        cut[0] = 1.3  # player 0's last weight falls below zero and is cut
+        thetas.append(cut)
+        assert min(d.min() for d in _dists_from_theta(cut, supports, counts)) == 0.0
+        for phi in (EXPECTATION, MMM_THIRDS, K_PAIR):
+            evaluator = PhiEvaluator(game, phi)
+            for lam in (0.5, 5.0, 200.0):
+                system = _logit_system(evaluator, lam)
+                for theta in thetas:
+                    dists = _dists_from_theta(theta, supports, counts)
+                    expected = np.concatenate(
+                        [(d - _logit(evaluator.values(i, dists, True), lam))[:-1] for i, d in enumerate(dists)]
+                    )
+                    np.testing.assert_array_equal(system(theta)[0], expected)
+
+    def test_blocks_are_built_once_per_jacobian_taken(self, monkeypatch):
+        # Newton from this start at lambda = 20 rejects trial points on its
+        # way to the root; those pay for values only.
+        game = JACOBIAN_GAMES[1]
+        built = []
+        inner = solvers._partials
+
+        def counted(grid, mixes):
+            built.append(len(mixes))
+            return inner(grid, mixes)
+
+        monkeypatch.setattr(solvers, "_partials", counted)
+        logit = _logit_system(PhiEvaluator(game, K_PAIR), 20.0)
+        evaluations, jacobians = [], []
+
+        def system(theta):
+            evaluations.append(theta)
+            f, jacobian = logit(theta)
+
+            def taken():
+                jacobians.append(theta)
+                return jacobian()
+
+            return f, taken
+
+        rng = np.random.default_rng(0)
+        theta = np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in game.action_counts])
+        _, f, _, steps = _newton(system, theta, 1e-12, 40)
+        assert abs(f).max() <= 1e-12
+        assert len(evaluations) > 1 + steps  # some trial point was rejected
+        assert len(built) == game.num_players * len(jacobians)
+
+    def test_constant_blocks_are_shared_and_read_only(self):
+        game = JACOBIAN_GAMES[0]
+        for phi in (EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))):
+            evaluator = PhiEvaluator(game, phi)
+            dists = [np.full(k, 1.0 / k) for k in game.action_counts]
+            for i in range(2):
+                _, blocks = evaluator.values(i, dists, True, grad=True)
+                assert blocks is evaluator.constant_blocks[i]
+                assert not any(block.flags.writeable for block in blocks.values())
+        assert all(blocks is None for blocks in PhiEvaluator(game, K_PAIR).constant_blocks)
+        assert all(blocks is None for blocks in PhiEvaluator(JACOBIAN_GAMES[1], MMM_THIRDS).constant_blocks)
 
 
 class TestSupportSolve:
