@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -133,8 +134,8 @@ class PhiEvaluator:
     mixes is kept too: the -inf/+inf term at the pure extremes and, for a
     player whose value is linear in one opponent's mix (two players, every
     finite atom in the mean branch), the derivative blocks themselves.
-    calls and jacobians count values calls and the logit Jacobians built on
-    them, for diagnostics.
+    Both are read-only, as values hands them out as they are.  calls counts
+    values calls, for diagnostics.
     """
 
     def __init__(self, game: Game, phi: MAStatistic):
@@ -153,7 +154,6 @@ class PhiEvaluator:
         # Player i's table shaped (actions of i, *actions of each opponent).
         self.shapes = [(counts[i], *(counts[j] for j in self.others[i])) for i in range(self.n)]
         self.calls = 0
-        self.jacobians = 0
         # Per player: the -inf/+inf term at the pure extremes (None without
         # such atoms); the grids stacked by rows, shaped (grid rows, *opponent
         # actions); whether the first grid is the mean branch's weighted
@@ -173,9 +173,12 @@ class PhiEvaluator:
                     parts.append(cgf_grids(table, a, w, lo, hi, spread))
                     finishes.append((a, w, slice(start, start + len(parts[-1]))))
             # A lone stack is used as it is (the payoff table at a = 0 is not copied).
-            stacked = parts[0] if len(parts) == 1 else np.concatenate(parts or [table[:0, None]])
+            stacked = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty((0, *table.shape))])
             self.grids.append(stacked.reshape(-1, *self.shapes[i][1:]))
-            self.pure_extremes.append(self._extremes(lo, hi))
+            extremes = self._extremes(lo, hi)
+            if extremes is not None:
+                extremes.flags.writeable = False
+            self.pure_extremes.append(extremes)
             self.linear.append(linear)
             self.finishes.append(finishes)
             constant = None
@@ -319,17 +322,25 @@ def _partials(grid: np.ndarray, mixes: Sequence[np.ndarray]) -> list[np.ndarray]
     return partials
 
 
-def _logit(values: np.ndarray, lam: float) -> np.ndarray:
-    z = lam * values
-    z = z - z.max()
+def _logit(values: Sequence[np.ndarray], lam: float, starts: Sequence[int], owner: np.ndarray) -> np.ndarray:
+    """Each player's logit response to its action values, concatenated.
+
+    starts and owner are _full_chart's.  One softmax runs over the
+    concatenated values: each player's max by np.maximum.reduceat, each
+    player's total by its own sum (np.add.reduceat rounds differently on
+    slices of three or more).
+    """
+    z = lam * np.concatenate(values)
+    z -= np.maximum.reduceat(z, starts[:-1])[owner]
     e = np.exp(z)
-    return e / e.sum()
+    return e / np.array([e[a:b].sum() for a, b in zip(starts[:-1], starts[1:])])[owner]
 
 
 def _response(evaluator: PhiEvaluator, lam: float, dists: Sequence[np.ndarray]) -> list[np.ndarray]:
-    return [
-        _logit(evaluator.values(i, dists, boundary_pure=True), lam) for i in range(evaluator.n)
-    ]
+    starts, _, owner, _, _ = _full_chart(tuple(evaluator.game.action_counts))
+    values = [evaluator.values(i, dists, boundary_pure=True) for i in range(evaluator.n)]
+    s = _logit(values, lam, starts, owner)
+    return [s[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 def logit_response(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) -> MixedProfile:
@@ -362,7 +373,10 @@ def _sup_residual(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
 
 
 def _dists_from_theta(
-    theta: np.ndarray, supports: Sequence[Sequence[int]], counts: Sequence[int]
+    theta: np.ndarray,
+    supports: Sequence[Sequence[int]],
+    counts: Sequence[int],
+    out: Optional[np.ndarray] = None,
 ) -> list[np.ndarray]:
     """The simplex chart: one mixed strategy per player from free coordinates.
 
@@ -370,26 +384,32 @@ def _dists_from_theta(
     the last support action; the last gets one minus their sum.  Negative
     weights are cut to zero and the vector is renormalized (the weights sum
     to one before the cut, so the total is never below one).  Each support
-    lists its actions in increasing order, so a full one is range(k).
+    lists its actions in increasing order, so a full one is range(k).  The
+    mixes are filled in place as consecutive views of one vector, the
+    concatenated profile: out when it is given, else a new one.
     """
+    profile = np.empty(sum(counts)) if out is None else out
     dists = []
-    pos = 0
+    pos = end = 0
     for sup, k in zip(supports, counts):
+        vec = profile[end : end + k]
+        end += k
         head = theta[pos : pos + len(sup) - 1]
         pos += len(sup) - 1
         if len(sup) == k:  # the full support: no unplayed actions to leave at zero
-            vec = np.empty(k)
             vec[:-1] = head
             vec[-1] = 1.0 - head.sum()
         else:
             idx = list(sup)
-            vec = np.zeros(k)
+            vec.fill(0.0)
             vec[idx[:-1]] = head
             vec[idx[-1]] = 1.0 - head.sum()
-        if vec.min() < 0.0:
-            np.maximum(vec, 0.0, out=vec)
-            vec /= vec.sum()
         dists.append(vec)
+    if profile.min() < 0.0:
+        for vec in dists:
+            if vec.min() < 0.0:
+                np.maximum(vec, 0.0, out=vec)
+                vec /= vec.sum()
     return dists
 
 
@@ -489,22 +509,21 @@ def _full_chart(counts: tuple[int, ...]):
     return (starts, *arrays)
 
 
-def _logit_system(evaluator: PhiEvaluator, lam: float):
+def _logit_system(evaluator: PhiEvaluator, lam: float, tally: Optional[Counter] = None):
     """p - T(p) on the free coordinates of the full-support chart, with its exact Jacobian.
 
-    The profile is evaluated once: the chart is filled into one vector p, as
-    _dists_from_theta fills each player's mix, and one logit runs over the
-    concatenated values (each player's max by np.maximum.reduceat; each
-    total by its own sum, which rounds as _logit's does).  Player i's
+    The profile is evaluated once: _dists_from_theta fills the chart into
+    one vector p, and _logit runs over the concatenated values.  Player i's
     response s = logit(lam v_i) moves with opponent j's mix by
     lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.  The
     Jacobian is I - dT/dp taken to the chart: its free rows, times the
     chart's columns.  The rows of dv/dp whose blocks are constant are
-    filled once and copied.
+    filled once and copied.  tally["jacobians"], when tally is given,
+    counts the Jacobians built.
     """
     counts = evaluator.game.action_counts
     starts, free, owner, chart, identity = _full_chart(tuple(counts))
-    bounds = list(zip(starts[:-1], starts[1:]))
+    full = [range(k) for k in counts]
     heads = starts[:-1]
     moving = [i for i, blocks in enumerate(evaluator.constant_blocks) if blocks is None]
     fixed = np.zeros((starts[-1], starts[-1]))  # dv_i/dd_j in row block i, column block j
@@ -514,25 +533,14 @@ def _logit_system(evaluator: PhiEvaluator, lam: float):
 
     def system(theta: np.ndarray):
         p = np.empty(starts[-1])
-        p[free] = theta
-        for a, b in bounds:
-            p[b - 1] = 1.0 - p[a : b - 1].sum()
-        if p.min() < 0.0:
-            for a, b in bounds:
-                vec = p[a:b]
-                if vec.min() < 0.0:
-                    np.maximum(vec, 0.0, out=vec)
-                    vec /= vec.sum()
-        dists = [p[a:b] for a, b in bounds]
+        dists = _dists_from_theta(theta, full, counts, out=p)
         parts = [evaluator.values(i, dists, boundary_pure=True, grad=True) for i in range(evaluator.n)]
-        z = lam * np.concatenate([v for v, _ in parts])
-        z -= np.maximum.reduceat(z, heads)[owner]
-        e = np.exp(z)
-        s = e / np.array([e[a:b].sum() for a, b in bounds])[owner]
+        s = _logit([v for v, _ in parts], lam, starts, owner)
         f = (p - s)[free]
 
         def jacobian() -> np.ndarray:
-            evaluator.jacobians += 1
+            if tally is not None:
+                tally["jacobians"] += 1
             dv = fixed.copy() if moving else fixed
             for i in moving:
                 for j, block in parts[i][1].items():
@@ -552,20 +560,22 @@ def _newton_polish(
     lam: float,
     dists: list[np.ndarray],
     tol: float,
+    tally: Counter,
     max_steps: int = 40,
 ) -> tuple[list[np.ndarray], float, int]:
     """Newton iteration on p - T(p) = 0; works at unstable fixed points too.
 
     Each player's last coordinate is eliminated (it equals one minus the
     rest), which removes the normalization null space from the
-    least-squares step.  Returns (dists, sup-norm residual, Newton steps).
+    least-squares step.  Returns (dists, sup-norm residual, Newton steps);
+    the Jacobians built are counted in tally (see _logit_system).
     """
     counts = evaluator.game.action_counts
     # Both p and T(p) sum to one, so the eliminated coordinate's residual is
     # minus the block sum of the free ones: drive the free residual below
     # tol / max block size, and read the sup-norm residual off it.
     theta = np.concatenate([d[:-1] for d in dists])
-    theta, f, _, steps = _newton(_logit_system(evaluator, lam), theta, tol / max(counts), max_steps)
+    theta, f, _, steps = _newton(_logit_system(evaluator, lam, tally), theta, tol / max(counts), max_steps)
     res = float(np.max(np.abs(f), initial=0.0))
     pos = 0
     for k in counts:
@@ -685,14 +695,15 @@ def _bordered_newton(system, pred: np.ndarray, border: np.ndarray, tol: float):
     return z, True, contraction, jacobian()
 
 
-def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, theta0: np.ndarray):
+def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, theta0: np.ndarray, tally: Counter):
     """The fixed-point homotopy on the full-support chart, with its exact Jacobian.
 
     H(theta, t) = (1 - t)(theta - theta0) + t f(theta), where f(theta) =
-    theta - T(theta) is _logit_system's residual.  Its Jacobian is
-    [(1 - t)I + tJ | f - (theta - theta0)], J being f's.
+    theta - T(theta) is _logit_system's residual, whose Jacobians are
+    counted in tally.  Its Jacobian is [(1 - t)I + tJ | f - (theta -
+    theta0)], J being f's.
     """
-    logit = _logit_system(evaluator, lam)
+    logit = _logit_system(evaluator, lam, tally)
 
     def system(y: np.ndarray):
         theta, t = y[:-1], y[-1]
@@ -714,11 +725,13 @@ def _solve_fixed_point(
     lam: float,
     start: list[np.ndarray],
     cfg: SolverConfig,
+    tally: Counter,
 ) -> tuple[Optional[list[np.ndarray]], float, int, int, int]:
     """A fixed point of the logit response reached from one start.
 
     Returns (dists or None, residual, damped iterations, Newton steps,
-    continuation steps).  Each stage runs only when the one before fails:
+    continuation steps); the Jacobians of p - T(p) built are counted in
+    tally["jacobians"].  Each stage runs only when the one before fails:
     1. Newton from the start (12 steps): unstable fixed points trap damped
        iteration in limit cycles but are reachable for Newton from nearby.
     2. WARM_UP damped steps at DAMPING, then Newton from the best iterate:
@@ -736,7 +749,7 @@ def _solve_fixed_point(
     """
     tol = cfg.tol_fixed_point
     p = [d.copy() for d in start]
-    polished, pres, steps = _newton_polish(evaluator, lam, p, tol, max_steps=12)
+    polished, pres, steps = _newton_polish(evaluator, lam, p, tol, tally, max_steps=12)
     if pres <= tol:
         return polished, pres, 0, steps, 0
     p = polished if pres < math.inf else p
@@ -749,7 +762,7 @@ def _solve_fixed_point(
         if res <= tol:
             return p, res, iters, steps, 0
         p = [(1 - DAMPING) * a + DAMPING * b for a, b in zip(p, t)]
-    polished, pres, taken = _newton_polish(evaluator, lam, best, tol)
+    polished, pres, taken = _newton_polish(evaluator, lam, best, tol, tally)
     steps += taken
     if pres <= tol:
         return polished, pres, WARM_UP, steps, 0
@@ -759,7 +772,7 @@ def _solve_fixed_point(
     # reaching t < 0 means the corrector jumped to another path: give up.
     theta0 = np.concatenate([d[:-1] for d in start])
     y, _, accepted = _continue(
-        _fixed_point_homotopy(evaluator, lam, theta0),
+        _fixed_point_homotopy(evaluator, lam, theta0, tally),
         np.append(theta0, 0.0),
         1.0,
         cfg.max_iters,
@@ -769,7 +782,7 @@ def _solve_fixed_point(
     if y[-1] >= END_GAME:
         counts = evaluator.game.action_counts
         end = _dists_from_theta(y[:-1], [range(k) for k in counts], counts)
-        polished, pres, taken = _newton_polish(evaluator, lam, end, tol)
+        polished, pres, taken = _newton_polish(evaluator, lam, end, tol, tally)
         steps += taken
         if pres <= tol:
             return polished, pres, WARM_UP, steps, accepted
@@ -822,7 +835,8 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
     starts = _interior_starts(game, cfg)
-    outcomes = [_solve_fixed_point(evaluator, lam, start, cfg) for start in starts]
+    tally = Counter()
+    outcomes = [_solve_fixed_point(evaluator, lam, start, cfg, tally) for start in starts]
 
     found = [(dists, res) for dists, res, *_ in outcomes if dists is not None]
     if not found:
@@ -839,7 +853,7 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
         "starts": len(starts),
         "starts_converged": len(found),
         "evaluator_calls": evaluator.calls,
-        "jacobians": evaluator.jacobians,
+        "jacobians": tally["jacobians"],
     }
     return SolveResult(profiles, residuals, diagnostics)
 
@@ -873,7 +887,7 @@ def homotopy_trace(
     trace: list[tuple[float, MixedProfile]] = []
     current = [np.full(k, 1.0 / k) for k in game.action_counts]
     for lam in homotopy_lambda_grid(lambda_max, steps):
-        dists, *_ = _solve_fixed_point(evaluator, lam, current, cfg)
+        dists, *_ = _solve_fixed_point(evaluator, lam, current, cfg, Counter())
         if dists is None:
             last = trace[-1][0] if trace else 0.0
             raise HomotopyBreakdown(

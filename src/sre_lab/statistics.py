@@ -88,7 +88,7 @@ def cgf_grids(
         total = float(w.sum())
         return (table if total == 1.0 else total * table)[None]
     if branch == "extreme":
-        return table[:0, None]
+        return np.empty((0, *table.shape))
     if branch == "taylor":
         x = table - lo[:, None]
         x2 = x * x
@@ -117,7 +117,8 @@ def cgf_finish(
     grid_g[r, c] along every direction inside the simplex.  The atoms of
     the branch are finished together, on rows stacked by atom.
     - Mean: the row sums (the grid carries the weight), with coefficient one.
-    - a = -inf / +inf: lo / hi, which do not move with the weights.
+    - a = -inf / +inf, one atom of weight one (normalized_cgf's case): lo / hi,
+      which do not move with the weights.
     - Taylor band: the cumulant expansion E + a Var/2 + a^2 kappa3/6 from the
       raw moments, clamped to [lo, hi]; the coefficients are zero where the
       clamp holds.
@@ -130,7 +131,7 @@ def cgf_finish(
     if branch == "mean":
         return (sums[0], np.ones(sums.shape)) if grad else sums[0]
     if branch == "extreme":
-        value = sum(wt * (hi if at > 0 else lo) for at, wt in zip(a.tolist(), w.tolist()))
+        value = hi if a[0] > 0 else lo
         return (value, np.zeros((0, len(lo)))) if grad else value
     col = a[:, None]
     if branch == "taylor":

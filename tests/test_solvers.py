@@ -40,9 +40,9 @@ from sre_lab.solvers import (
     _continue,
     _dists_from_theta,
     _dominated_actions,
-    _logit,
     _logit_system,
     _newton,
+    _response,
     _solve_support,
     _support_profiles,
     _support_system,
@@ -234,8 +234,8 @@ class TestSolveLqre:
 
         logit_system = solvers._logit_system
 
-        def counted_system(evaluator, lam):
-            system = logit_system(evaluator, lam)
+        def counted_system(evaluator, lam, tally=None):
+            system = logit_system(evaluator, lam, tally)
 
             def counted(theta):
                 f, jacobian = system(theta)
@@ -788,6 +788,30 @@ class TestGroupedPlan:
         _assert_blocks_match_central_differences(evaluator, dists, boundary_pure, np.random.default_rng(10))
 
 
+def _reference_chart(theta, supports, counts):
+    """The simplex chart filled one player at a time, each mix its own array."""
+    dists, pos = [], 0
+    for sup, k in zip(supports, counts):
+        head = theta[pos : pos + len(sup) - 1]
+        pos += len(sup) - 1
+        vec = np.zeros(k)
+        vec[list(sup)[:-1]] = head
+        vec[list(sup)[-1]] = 1.0 - head.sum()
+        if vec.min() < 0.0:
+            np.maximum(vec, 0.0, out=vec)
+            vec /= vec.sum()
+        dists.append(vec)
+    return dists
+
+
+def _reference_logit(values, lam):
+    """One player's logit response, on its own array."""
+    z = lam * values
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
 class TestLogitSystem:
     @staticmethod
     def _games():
@@ -798,6 +822,8 @@ class TestLogitSystem:
 
     @pytest.mark.parametrize("index", [0, 1, 2], ids=["cards-12x3", "cards-4x2", "corpus-3p"])
     def test_residual_is_bit_identical_to_per_player_logits(self, index):
+        # The profile-at-once chart and logit against the same steps taken
+        # one player at a time, each on its own array.
         game = self._games()[index]
         counts = game.action_counts
         supports = [range(k) for k in counts]
@@ -806,17 +832,30 @@ class TestLogitSystem:
         cut = thetas[0].copy()
         cut[0] = 1.3  # player 0's last weight falls below zero and is cut
         thetas.append(cut)
-        assert min(d.min() for d in _dists_from_theta(cut, supports, counts)) == 0.0
+        assert min(d.min() for d in _reference_chart(cut, supports, counts)) == 0.0
         for phi in (EXPECTATION, MMM_THIRDS, K_PAIR):
             evaluator = PhiEvaluator(game, phi)
             for lam in (0.5, 5.0, 200.0):
                 system = _logit_system(evaluator, lam)
                 for theta in thetas:
-                    dists = _dists_from_theta(theta, supports, counts)
-                    expected = np.concatenate(
-                        [(d - _logit(evaluator.values(i, dists, True), lam))[:-1] for i, d in enumerate(dists)]
-                    )
+                    dists = _reference_chart(theta, supports, counts)
+                    for got, want in zip(_dists_from_theta(theta, supports, counts), dists):
+                        np.testing.assert_array_equal(got, want)
+                    responses = [_reference_logit(evaluator.values(i, dists, True), lam) for i in range(len(dists))]
+                    for got, want in zip(_response(evaluator, lam, dists), responses):
+                        np.testing.assert_array_equal(got, want)
+                    expected = np.concatenate([(d - s)[:-1] for d, s in zip(dists, responses)])
                     np.testing.assert_array_equal(system(theta)[0], expected)
+
+    def test_partial_supports_fill_as_one_player_at_a_time(self):
+        game = self._games()[2]
+        counts = game.action_counts
+        supports = [(1,), (0, 1), (0, 2, 3)]
+        rng = np.random.default_rng(3)
+        for theta in (np.array([0.25, 0.5, 0.125]), np.array([1.5, 0.7, 0.6]), rng.random(3)):
+            got = _dists_from_theta(theta, supports, counts)
+            for vec, want in zip(got, _reference_chart(theta, supports, counts)):
+                np.testing.assert_array_equal(vec, want)
 
     def test_blocks_are_built_once_per_jacobian_taken(self, monkeypatch):
         # Newton from this start at lambda = 20 rejects trial points on its
@@ -852,13 +891,18 @@ class TestLogitSystem:
 
     def test_constant_blocks_are_shared_and_read_only(self):
         game = JACOBIAN_GAMES[0]
-        for phi in (EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))):
+        extremes_only = MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))
+        for phi in (EXPECTATION, MMM_THIRDS, extremes_only):
             evaluator = PhiEvaluator(game, phi)
             dists = [np.full(k, 1.0 / k) for k in game.action_counts]
             for i in range(2):
-                _, blocks = evaluator.values(i, dists, True, grad=True)
+                values, blocks = evaluator.values(i, dists, True, grad=True)
                 assert blocks is evaluator.constant_blocks[i]
                 assert not any(block.flags.writeable for block in blocks.values())
+                if evaluator.pure_extremes[i] is not None:
+                    assert not evaluator.pure_extremes[i].flags.writeable
+                if phi is extremes_only:  # the values are the plan's own -inf/+inf term
+                    assert values is evaluator.pure_extremes[i]
         assert all(blocks is None for blocks in PhiEvaluator(game, K_PAIR).constant_blocks)
         assert all(blocks is None for blocks in PhiEvaluator(JACOBIAN_GAMES[1], MMM_THIRDS).constant_blocks)
 
