@@ -19,11 +19,12 @@ from .games import (
     Game,
     MixedProfile,
     PlayerPermutation,
-    action_lottery,
+    action_payoff_matrix,
     blend_games,
     blow_up,
     compose,
     expected_payoffs,
+    opponent_weights,
     permute_players,
     permute_profile,
     product_profile,
@@ -31,7 +32,7 @@ from .games import (
     scale_game,
     strategic_shift,
 )
-from .lotteries import DominanceVerdict, fosd_compare
+from .lotteries import DominanceVerdict, fosd_table
 from .solvers import ConceptSpec
 
 
@@ -64,6 +65,10 @@ def _describe(game: Game) -> str:
     return f"{game.num_players}p:{'x'.join(str(k) for k in game.action_counts)}"
 
 
+def _pair_violation(game: Game, i: int, a: int, b: int, magnitude: float) -> dict:
+    return {"game": _describe(game), "player": i, "pair": [a, b], "magnitude": float(magnitude)}
+
+
 # ---------------------------------------------------------------------------
 # monotonicity and interiority of a concrete profile
 # ---------------------------------------------------------------------------
@@ -74,25 +79,13 @@ def check_distribution_monotonicity(game: Game, p: MixedProfile, tol: float = 1e
     violations = []
     instances = 0
     strict_pairs = 0
-    for i in range(game.num_players):
-        lots = [action_lottery(game, i, a, p) for a in range(game.action_counts[i])]
-        dist = p.distributions[i]
-        for a in range(game.action_counts[i]):
-            for b in range(game.action_counts[i]):
-                if a == b:
-                    continue
-                instances += 1
-                if fosd_compare(lots[a], lots[b]) is DominanceVerdict.STRICT_FOSD:
-                    strict_pairs += 1
-                    if dist[a] < dist[b] - tol:
-                        violations.append(
-                            {
-                                "game": _describe(game),
-                                "player": i,
-                                "pair": [a, b],
-                                "magnitude": float(dist[b] - dist[a]),
-                            }
-                        )
+    for i, dist in enumerate(p.distributions):
+        verdict, _ = fosd_table(action_payoff_matrix(game, i), opponent_weights(p.distributions, i))
+        strict = verdict == DominanceVerdict.STRICT_FOSD
+        instances += dist.size * (dist.size - 1)
+        strict_pairs += int(strict.sum())
+        for a, b in np.argwhere(strict & (dist[:, None] < dist - tol)).tolist():
+            violations.append(_pair_violation(game, i, a, b, dist[b] - dist[a]))
     return AxiomReport(
         "distribution-monotonicity",
         instances,
@@ -106,23 +99,11 @@ def check_expectation_monotonicity(game: Game, p: MixedProfile, tol: float = 1e-
     """Higher expected payoff may not come with strictly lower probability."""
     violations = []
     instances = 0
-    for i in range(game.num_players):
+    for i, dist in enumerate(p.distributions):
         means = expected_payoffs(game, i, p)
-        dist = p.distributions[i]
-        for a in range(game.action_counts[i]):
-            for b in range(game.action_counts[i]):
-                if a == b:
-                    continue
-                instances += 1
-                if means[a] > means[b] + tol and dist[a] < dist[b] - tol:
-                    violations.append(
-                        {
-                            "game": _describe(game),
-                            "player": i,
-                            "pair": [a, b],
-                            "magnitude": float(dist[b] - dist[a]),
-                        }
-                    )
+        instances += dist.size * (dist.size - 1)
+        for a, b in np.argwhere((means[:, None] > means + tol) & (dist[:, None] < dist - tol)).tolist():
+            violations.append(_pair_violation(game, i, a, b, dist[b] - dist[a]))
     return AxiomReport("expectation-monotonicity", instances, violations)
 
 
@@ -145,28 +126,16 @@ def check_neutrality(
         raise ValueError("mode must be 'expectation' or 'distribution'")
     violations = []
     instances = 0
-    for i in range(game.num_players):
-        dist = p.distributions[i]
+    for i, dist in enumerate(p.distributions):
         if mode == "expectation":
             means = expected_payoffs(game, i, p)
+            equal = np.abs(means[:, None] - means) <= tol
         else:
-            lots = [action_lottery(game, i, a, p) for a in range(game.action_counts[i])]
-        for a in range(game.action_counts[i]):
-            for b in range(a + 1, game.action_counts[i]):
-                instances += 1
-                if mode == "expectation":
-                    equal = abs(means[a] - means[b]) <= tol
-                else:
-                    equal = fosd_compare(lots[a], lots[b]) is DominanceVerdict.EQUAL
-                if equal and abs(dist[a] - dist[b]) > tol:
-                    violations.append(
-                        {
-                            "game": _describe(game),
-                            "player": i,
-                            "pair": [a, b],
-                            "magnitude": float(abs(dist[a] - dist[b])),
-                        }
-                    )
+            verdict, _ = fosd_table(action_payoff_matrix(game, i), opponent_weights(p.distributions, i))
+            equal = verdict == DominanceVerdict.EQUAL
+        instances += dist.size * (dist.size - 1) // 2
+        for a, b in np.argwhere(np.triu(equal & (np.abs(dist[:, None] - dist) > tol), 1)).tolist():
+            violations.append(_pair_violation(game, i, a, b, abs(dist[a] - dist[b])))
     return AxiomReport(f"{mode}-neutrality", instances, violations)
 
 
@@ -175,7 +144,7 @@ def check_rationality(game: Game, p: MixedProfile, tol: float = 1e-7) -> AxiomRe
     violations = []
     dominant_found = 0
     for i in range(game.num_players):
-        table = np.moveaxis(game.player_payoffs(i), i, 0).reshape(game.action_counts[i], -1)
+        table = action_payoff_matrix(game, i)
         for a in range(game.action_counts[i]):
             others = [b for b in range(game.action_counts[i]) if b != a]
             if not others:

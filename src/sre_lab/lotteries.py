@@ -165,30 +165,66 @@ class DominanceVerdict(Enum):
     INCOMPARABLE = "incomparable"
 
 
+def fosd_table(outcomes: np.ndarray, weights: np.ndarray, tol: float = CDF_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Compare every ordered pair of rows of an outcome table by CDF.
+
+    Row a is the lottery that pays outcomes[a, c] with probability
+    weights[c], or weights[a, c] when each row has its own weights; columns
+    of weight 0 are left out.  Returns (verdict, weak), both k x k:
+    verdict[a, b] is fosd_compare(row a, row b) and weak[a, b] is
+    weakly_dominates(row a, row b).  Each CDF is read as Lottery.cdf reads
+    it, at every outcome of positive weight, and F_a - F_b is formed one
+    row a at a time.  Outcomes are not merged: a Lottery moves outcomes
+    within MERGE_TOL of each other onto the lowest, so a row and the
+    Lottery built from it can differ only at such near ties.
+    """
+    outcomes = np.asarray(outcomes, dtype=float)
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), outcomes.shape)
+    grid = np.unique(outcomes[weights > 0]) + MERGE_TOL
+    rows = np.arange(len(outcomes))[:, None]
+    order = np.argsort(outcomes, axis=1, kind="stable")
+    cum = np.zeros((len(outcomes), outcomes.shape[1] + 1))
+    np.cumsum(weights[rows, order], axis=1, out=cum[:, 1:])
+    # cdfs[a, j]: the weight of row a's outcomes below grid[j], one sorted row at a time.
+    cdfs = cum[rows, [np.searchsorted(x, grid) for x in outcomes[rows, order]]]
+    # hi[a, b] = max F_a - F_b; the min is -hi[b, a], as x - y = -(y - x) exactly.
+    hi = np.empty((len(cdfs), len(cdfs)))
+    for cdf, row in zip(cdfs, hi):
+        np.max(cdf - cdfs, axis=1, out=row)
+    lo = -hi.T
+    strict = max(CDF_STRICT_TOL, 10 * tol)
+    below, above = hi <= tol, lo >= -tol
+    # Later assignments win, so a pair gets the first that holds of: equal, strict, weak only, incomparable.
+    verdict = np.full(hi.shape, DominanceVerdict.INCOMPARABLE, dtype=object)
+    verdict[above] = DominanceVerdict.WEAK_ONLY
+    verdict[above & (hi > strict)] = DominanceVerdict.STRICT_FOSD_REVERSED
+    verdict[below] = DominanceVerdict.WEAK_ONLY
+    verdict[below & (lo < -strict)] = DominanceVerdict.STRICT_FOSD
+    verdict[below & above] = DominanceVerdict.EQUAL
+    return verdict, below
+
+
+def _two_rows(left: Lottery, right: Lottery) -> tuple[np.ndarray, np.ndarray]:
+    """left and right as the rows of one outcome table, each weighting only its own atoms."""
+    outcomes = np.concatenate([left.outcomes, right.outcomes])
+    weights = np.zeros((2, outcomes.size))
+    weights[0, : len(left)] = left.weights
+    weights[1, len(left) :] = right.weights
+    return np.stack([outcomes, outcomes]), weights
+
+
 def fosd_compare(left: Lottery, right: Lottery, tol: float = CDF_TOL) -> DominanceVerdict:
     """Compare CDFs on the merged outcome grid.
 
     Dominance is lower-CDF: left dominates when F_left <= F_right everywhere
     and is strictly below somewhere.
     """
-    grid = np.union1d(left.outcomes, right.outcomes)
-    diff = left.cdf(grid) - right.cdf(grid)
-    d_max = float(diff.max())
-    d_min = float(diff.min())
-    strict = max(CDF_STRICT_TOL, 10 * tol)
-    if d_max <= tol and d_min >= -tol:
-        return DominanceVerdict.EQUAL
-    if d_max <= tol:
-        return DominanceVerdict.STRICT_FOSD if d_min < -strict else DominanceVerdict.WEAK_ONLY
-    if d_min >= -tol:
-        return DominanceVerdict.STRICT_FOSD_REVERSED if d_max > strict else DominanceVerdict.WEAK_ONLY
-    return DominanceVerdict.INCOMPARABLE
+    return fosd_table(*_two_rows(left, right), tol)[0][0, 1]
 
 
 def weakly_dominates(left: Lottery, right: Lottery, tol: float = CDF_TOL) -> bool:
     """True when F_left <= F_right + tol everywhere (left >= right in FOSD)."""
-    grid = np.union1d(left.outcomes, right.outcomes)
-    return bool(np.max(left.cdf(grid) - right.cdf(grid)) <= tol)
+    return bool(fosd_table(*_two_rows(left, right), tol)[1][0, 1])
 
 
 def convolve(x: Lottery, y: Lottery) -> Lottery:

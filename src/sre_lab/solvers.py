@@ -26,11 +26,10 @@ import numpy as np
 from .games import (
     Game,
     MixedProfile,
-    action_lottery,
     action_payoff_matrix,
     opponent_weights,
 )
-from .lotteries import DominanceVerdict, fosd_compare, weakly_dominates
+from .lotteries import DominanceVerdict, fosd_table
 from .statistics import MAStatistic, cgf_branches, cgf_finish, cgf_grids, normalized_cgf
 
 DEDUP_TOL = 1e-6
@@ -93,6 +92,8 @@ class SolverConfig:
             raise ValueError("homotopy grid is too small")
         if self.support_tol <= 0:
             raise ValueError("support_tol must be positive")
+        if self.max_enum_supports < 0:
+            raise ValueError("max_enum_supports must be nonnegative")
 
 
 @dataclass
@@ -362,10 +363,6 @@ def verify_lqre(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) -> fl
 # ---------------------------------------------------------------------------
 # fixed-point iteration
 # ---------------------------------------------------------------------------
-
-
-def _flatten(dists: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate(dists)
 
 
 def _sup_residual(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
@@ -800,7 +797,7 @@ def _interior_starts(game: Game, cfg: SolverConfig) -> list[list[np.ndarray]]:
 def _dedup(
     found: list[tuple[list[np.ndarray], float]], tol: float = DEDUP_TOL
 ) -> list[tuple[list[np.ndarray], float]]:
-    keyed = sorted(found, key=lambda item: tuple(np.round(_flatten(item[0]), 9)))
+    keyed = sorted(found, key=lambda item: tuple(np.round(np.concatenate(item[0]), 9)))
     kept: list[tuple[list[np.ndarray], float]] = []
     for dists, res in keyed:
         dup = False
@@ -1172,20 +1169,19 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     pruned = 0
     skipped_by_cap = 0
     truncated = False
-    if cfg.max_enum_supports > 0:
-        for sups in _support_profiles(game.action_counts):
-            if sum(len(s) for s in sups) > cfg.support_cap:
-                # Profiles come by increasing total size: every later one is over the cap too.
-                skipped_by_cap = math.prod(2**k - 1 for k in game.action_counts) - examined
-                break
-            if examined >= cfg.max_enum_supports:
-                truncated = True
-                break
-            examined += 1
-            if dismissed(sups):
-                pruned += 1
-            else:
-                accept(sups)
+    for sups in _support_profiles(game.action_counts):
+        if sum(len(s) for s in sups) > cfg.support_cap:
+            # Profiles come by increasing total size: every later one is over the cap too.
+            skipped_by_cap = math.prod(2**k - 1 for k in game.action_counts) - examined
+            break
+        if examined >= cfg.max_enum_supports:
+            truncated = True
+            break
+        examined += 1
+        if dismissed(sups):
+            pruned += 1
+        else:
+            accept(sups)
     diagnostics["enumeration_examined"] = examined
     diagnostics["enumeration_pruned"] = pruned
     diagnostics["enumeration_truncated"] = truncated or skipped_by_cap > 0
@@ -1208,24 +1204,19 @@ def verify_fosd_nash(game: Game, p: MixedProfile, support_tol: float = 1e-7) -> 
     if not p.matches(game):
         raise ValueError("profile does not match the game")
     violations = []
-    for i in range(game.num_players):
-        lotteries = [action_lottery(game, i, a, p) for a in range(game.action_counts[i])]
-        for a in range(game.action_counts[i]):
-            if p.distributions[i][a] <= support_tol:
-                continue
-            for b in range(game.action_counts[i]):
-                if b == a:
-                    continue
-                if fosd_compare(lotteries[b], lotteries[a]) is DominanceVerdict.STRICT_FOSD:
-                    violations.append(
-                        {
-                            "kind": "dominated_action_played",
-                            "player": i,
-                            "action": a,
-                            "dominated_by": b,
-                            "probability": float(p.distributions[i][a]),
-                        }
-                    )
+    for i, dist in enumerate(p.distributions):
+        verdict, _ = fosd_table(action_payoff_matrix(game, i), opponent_weights(p.distributions, i))
+        for a, b in np.argwhere(verdict.T == DominanceVerdict.STRICT_FOSD).tolist():
+            if dist[a] > support_tol:
+                violations.append(
+                    {
+                        "kind": "dominated_action_played",
+                        "player": i,
+                        "action": a,
+                        "dominated_by": b,
+                        "probability": float(dist[a]),
+                    }
+                )
     return violations
 
 
@@ -1234,28 +1225,15 @@ def verify_fosd_qre(game: Game, p: MixedProfile, tol: float = 1e-7) -> list[dict
     if not p.matches(game):
         raise ValueError("profile does not match the game")
     violations = []
-    for i in range(game.num_players):
-        dist = p.distributions[i]
-        for a in range(game.action_counts[i]):
-            if dist[a] <= tol:
+    for i, dist in enumerate(p.distributions):
+        for a in np.flatnonzero(dist <= tol).tolist():
+            violations.append({"kind": "interiority", "player": i, "action": a, "probability": float(dist[a])})
+        _, weak = fosd_table(action_payoff_matrix(game, i), opponent_weights(p.distributions, i))
+        for a, b in np.argwhere(weak & (dist[:, None] < dist - tol)).tolist():
+            if a != b:
                 violations.append(
-                    {"kind": "interiority", "player": i, "action": a, "probability": float(dist[a])}
+                    {"kind": "monotonicity", "player": i, "action": a, "below": b, "gap": float(dist[b] - dist[a])}
                 )
-        lotteries = [action_lottery(game, i, a, p) for a in range(game.action_counts[i])]
-        for a in range(game.action_counts[i]):
-            for b in range(game.action_counts[i]):
-                if a == b:
-                    continue
-                if weakly_dominates(lotteries[a], lotteries[b]) and dist[a] < dist[b] - tol:
-                    violations.append(
-                        {
-                            "kind": "monotonicity",
-                            "player": i,
-                            "action": a,
-                            "below": b,
-                            "gap": float(dist[b] - dist[a]),
-                        }
-                    )
     return violations
 
 

@@ -1,4 +1,7 @@
+import json
+
 import numpy as np
+import pytest
 
 from sre_lab.axioms import (
     AxiomReport,
@@ -14,12 +17,13 @@ from sre_lab.axioms import (
     check_scale_invariance,
     check_strategic_invariance,
 )
-from sre_lab.games import MixedProfile, PlayerPermutation, game_from_payoff_lists
-from sre_lab.lotteries import Lottery
+from sre_lab.games import Game, MixedProfile, PlayerPermutation, action_lottery, game_from_payoff_lists
+from sre_lab.lotteries import DominanceVerdict, Lottery, fosd_compare, weakly_dominates
 from sre_lab.statistics import EXPECTATION, MAStatistic, evaluate
-from sre_lab.solvers import ConceptSpec, SolverConfig, solve_lqre
+from sre_lab.solvers import ConceptSpec, SolverConfig, solve_lqre, solve_nash_phi, verify_fosd_nash, verify_fosd_qre
 from sre_lab.testgames import (
     incomparable_mp_profile,
+    make_card_game,
     make_incomparable_mp,
     make_iia_game,
     make_matching_pennies,
@@ -116,6 +120,103 @@ class TestInteriorityAndNeutrality:
         g = make_sure_thing_game(0.0, [0.0, 1.0])
         p = MixedProfile((np.array([0.5, 0.5]), np.array([0.3, 0.7])))
         assert not check_neutrality(g, p, mode="expectation").passed
+
+
+def _reference_reports(g, p):
+    """What the four ordinal checks report, from one fosd_compare and one weakly_dominates
+    per ordered pair of action_lottery's lotteries."""
+    name = f"{g.num_players}p:{'x'.join(map(str, g.action_counts))}"
+    nash, qre, mono, neutral = [], [], [], []
+    strict_pairs = 0
+    for i, dist in enumerate(p.distributions):
+        lots = [action_lottery(g, i, a, p) for a in range(g.action_counts[i])]
+        pairs = [(a, b) for a in range(len(lots)) for b in range(len(lots)) if a != b]
+        verdict = {(a, b): fosd_compare(lots[a], lots[b]) for a, b in pairs}
+        strict = {pair for pair in pairs if verdict[pair] is DominanceVerdict.STRICT_FOSD}
+        strict_pairs += len(strict)
+        for a, b in pairs:
+            if (b, a) in strict and dist[a] > 1e-7:
+                violation = {"kind": "dominated_action_played", "player": i, "action": a, "dominated_by": b}
+                nash.append({**violation, "probability": float(dist[a])})
+        qre += [
+            {"kind": "interiority", "player": i, "action": a, "probability": float(dist[a])}
+            for a in range(len(lots))
+            if dist[a] <= 1e-7
+        ]
+        for a, b in pairs:
+            gap = float(dist[b] - dist[a])
+            if weakly_dominates(lots[a], lots[b]) and dist[a] < dist[b] - 1e-7:
+                qre.append({"kind": "monotonicity", "player": i, "action": a, "below": b, "gap": gap})
+            if (a, b) in strict and dist[a] < dist[b] - 1e-9:
+                mono.append({"game": name, "player": i, "pair": [a, b], "magnitude": gap})
+            if a < b and verdict[a, b] is DominanceVerdict.EQUAL and abs(dist[a] - dist[b]) > 1e-9:
+                neutral.append({"game": name, "player": i, "pair": [a, b], "magnitude": float(abs(dist[a] - dist[b]))})
+    n_pairs = sum(k * (k - 1) for k in g.action_counts)
+    return {
+        "fosd_nash": nash,
+        "fosd_qre": qre,
+        "monotonicity": {"instances": n_pairs, "vacuous": strict_pairs == 0, "violations": mono},
+        "neutrality": {"instances": n_pairs // 2, "violations": neutral},
+    }
+
+
+def _random_mix(rng, k, kind):
+    """A random mix; kind 1 zeroes some weights and kind 2 sets them to 1e-16."""
+    w = rng.dirichlet(np.ones(k))
+    if kind:
+        hit = rng.random(k) < 0.4
+        hit[rng.integers(k)] = False
+        w[hit] = 0.0 if kind == 1 else 1e-16
+    return w / w.sum()
+
+
+def _differential_cases():
+    rng = np.random.default_rng(12)
+    cases = []
+    for n in range(40):
+        counts = tuple(int(k) for k in rng.integers(2, 6, size=int(rng.integers(2, 4))))
+        payoffs = rng.normal(size=counts + (len(counts),))
+        if n % 2:
+            payoffs = np.round(2 * payoffs)
+        g = Game(counts, payoffs)
+        cases += [(g, MixedProfile(tuple(_random_mix(rng, k, kind) for k in counts))) for kind in range(3)]
+        cases.append((g, MixedProfile.uniform(g)))
+    cfg = SolverConfig(multistarts=2, max_iters=20_000)
+    for x, eps in (([0.0, 1.0], 0.1), ([0.0, 1.0], 0.01), ([0.0, 1.0, 2.0], 0.1), ([0.0, 1.0, 2.0], 0.01)):
+        g = make_card_game(0.4, x, eps)
+        cases += [(g, p) for p in solve_nash_phi(g, EXPECTATION, cfg).profiles] + [(g, MixedProfile.uniform(g))]
+    return cases
+
+
+class TestOrdinalChecksMatchSlowReference:
+    """The ordinal checks read one CDF comparison per player; the reference compares
+    action_lottery pairs one at a time with fosd_compare and weakly_dominates."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(g, p, _reference_reports(g, p)) for g, p in _differential_cases()]
+
+    def test_cases_exercise_every_check(self, cases):
+        assert len(cases) > 200
+        for key in ("fosd_nash", "fosd_qre"):
+            assert sum(bool(ref[key]) for _, _, ref in cases) > 100
+        for key in ("monotonicity", "neutrality"):
+            assert sum(bool(ref[key]["violations"]) for _, _, ref in cases) > 5
+
+    def test_fosd_nash_and_fosd_qre(self, cases):
+        for g, p, ref in cases:
+            assert json.dumps(verify_fosd_nash(g, p)) == json.dumps(ref["fosd_nash"])
+            assert json.dumps(verify_fosd_qre(g, p)) == json.dumps(ref["fosd_qre"])
+
+    def test_distribution_monotonicity_and_neutrality(self, cases):
+        for g, p, ref in cases:
+            report = check_distribution_monotonicity(g, p)
+            mono = ref["monotonicity"]
+            assert (report.instances_checked, report.vacuous) == (mono["instances"], mono["vacuous"])
+            assert json.dumps(report.violations) == json.dumps(mono["violations"])
+            report = check_neutrality(g, p, mode="distribution")
+            assert report.instances_checked == ref["neutrality"]["instances"]
+            assert json.dumps(report.violations) == json.dumps(ref["neutrality"]["violations"])
 
 
 class TestBracketing:

@@ -8,6 +8,7 @@ from sre_lab.lotteries import (
     convolve,
     dominates_in_large_numbers,
     fosd_compare,
+    fosd_table,
     grid_lower,
     grid_upper,
     iid_sum,
@@ -175,6 +176,40 @@ class TestDominance:
                 DominanceVerdict.STRICT_FOSD,
                 DominanceVerdict.WEAK_ONLY,
             )
+
+
+class TestFosdTable:
+    @pytest.mark.parametrize(
+        "gap, forward, backward",
+        [
+            (5e-11, DominanceVerdict.EQUAL, DominanceVerdict.EQUAL),
+            (5e-10, DominanceVerdict.WEAK_ONLY, DominanceVerdict.WEAK_ONLY),
+            (2e-9, DominanceVerdict.STRICT_FOSD, DominanceVerdict.STRICT_FOSD_REVERSED),
+        ],
+    )
+    def test_verdict_thresholds(self, gap, forward, backward):
+        # y moves `gap` of mass from 0 up to 1, so F_y sits `gap` below F_x on [0, 1).
+        x = Lottery.from_pairs([(0.0, 0.5), (1.0, 0.5)])
+        y = Lottery.from_pairs([(0.0, 0.5 - gap), (1.0, 0.5 + gap)])
+        assert fosd_compare(y, x) is forward
+        assert fosd_compare(x, y) is backward
+        assert weakly_dominates(y, x)
+        assert weakly_dominates(x, y) is (gap < 1e-10)
+        assert fosd_compare(y, x, tol=1e-8) is DominanceVerdict.EQUAL
+
+    def test_rows_match_pairwise_lotteries(self):
+        rng = np.random.default_rng(3)
+        table = rng.integers(-2, 3, size=(5, 7)).astype(float)
+        weights = rng.dirichlet(np.ones(7))
+        weights[[1, 4]] = 0.0
+        weights /= weights.sum()
+        verdict, weak = fosd_table(table, weights)
+        keep = weights > 0
+        lots = [Lottery(row[keep], weights[keep]) for row in table]
+        for a, b in np.ndindex(5, 5):
+            assert verdict[a, b] is fosd_compare(lots[a], lots[b])
+            assert weak[a, b] == weakly_dominates(lots[a], lots[b])
+        assert len(set(verdict.ravel())) >= 3
 
 
 class TestGridApproximations:

@@ -1001,6 +1001,18 @@ class TestSolveNashPhi:
         assert d["enumeration_examined"] == 196
         assert d["enumeration_skipped_by_cap"] == 268_402_493
 
+    def test_zero_enumeration_limit_reports_truncation(self):
+        # Stage 1 alone finds 18 profiles here; with no support examined that is not a complete search.
+        game = make_card_game(0.4, [0, 1, 2], 0.1)
+        res = solve_nash_phi(game, EXPECTATION, SolverConfig(max_enum_supports=0))
+        assert res.profiles
+        assert res.diagnostics["enumeration_examined"] == 0
+        assert res.diagnostics["enumeration_truncated"] is True
+
+    def test_negative_enumeration_limit_rejected(self):
+        with pytest.raises(ValueError, match="max_enum_supports"):
+            SolverConfig(max_enum_supports=-1)
+
 
 def _dismissed(evaluator, sups):
     return any(
