@@ -27,29 +27,47 @@ WEIGHT_SUM_TOL = 1e-12
 CDF_TOL = 1e-10
 # Gap beyond which a CDF difference counts as a strict dominance margin.
 CDF_STRICT_TOL = 10 * CDF_TOL
+# The most CDF differences fosd_table forms at once.
+FOSD_BLOCK = 1 << 20
 
 
 def _canonical(outcomes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort, merge near-equal outcomes, drop dust, renormalize."""
-    order = np.argsort(outcomes, kind="stable")
-    xs, ws = outcomes[order], weights[order]
-    out_x: list[float] = []
-    out_w: list[float] = []
-    for x, w in zip(xs, ws):
-        if out_x and x - out_x[-1] <= MERGE_TOL:
-            out_w[-1] += w
-        else:
-            out_x.append(float(x))
-            out_w.append(float(w))
-    xs = np.array(out_x)
-    ws = np.array(out_w)
-    keep = ws >= WEIGHT_FLOOR
-    if not keep.all():
-        xs, ws = xs[keep], ws[keep]
-    if xs.size == 0:
+    """Each row of an outcome table in the canonical form of a Lottery.
+
+    outcomes and weights are (rows, atoms); atoms of weight 0 are left out.
+    Each row is sorted, and every outcome within MERGE_TOL of the lowest
+    outcome of its group is merged onto it: a group starts at a row's
+    lowest outcome and at each outcome more than MERGE_TOL above the start
+    of the group before.  Groups lighter than WEIGHT_FLOOR are dropped as
+    dust, and each row is renormalized.  Returns (sorted outcomes, weights)
+    of the input's shape: a group's weight sits on its lowest outcome, every
+    other atom has weight 0, and left-out atoms take the row's largest
+    outcome, so they start no group.
+    """
+    present = weights > 0
+    xs = np.where(present, outcomes, np.where(present, outcomes, -np.inf).max(axis=1, keepdims=True))
+    rows = np.arange(len(xs))[:, None]
+    order = np.argsort(xs, axis=1, kind="stable")
+    xs, ws = xs[rows, order], weights[rows, order]
+    gaps = xs[:, 1:] - xs[:, :-1]
+    starts = np.ones(xs.shape, dtype=bool)
+    starts[:, 1:] = gaps > MERGE_TOL
+    # Between two such gaps the first outcome starts the only group, unless
+    # the smaller gaps add up to more than MERGE_TOL: walk the rows where they can.
+    for r in np.flatnonzero(np.where(starts[:, 1:], 0.0, gaps).sum(axis=1) > MERGE_TOL).tolist():
+        low = xs[r, 0]
+        for c in range(1, xs.shape[1]):
+            starts[r, c] = xs[r, c] - low > MERGE_TOL
+            if starts[r, c]:
+                low = xs[r, c]
+    first = np.flatnonzero(starts)
+    merged = np.zeros(ws.shape)
+    merged.flat[first] = np.add.reduceat(ws.ravel(), first)
+    merged[merged < WEIGHT_FLOOR] = 0.0
+    total = merged.sum(axis=1, keepdims=True)
+    if not total.all():
         raise ValueError("lottery has no atoms left after filtering")
-    ws = ws / ws.sum()
-    return xs, ws
+    return xs, merged / total
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +75,9 @@ class Lottery:
     """A finitely supported probability distribution over the reals.
 
     Atoms are kept sorted with strictly increasing outcomes; constructing a
-    Lottery merges outcomes closer than ``MERGE_TOL`` and renormalizes after
-    dropping weights below ``WEIGHT_FLOOR``.
+    Lottery leaves out atoms of weight 0, merges each outcome within
+    ``MERGE_TOL`` of the lowest outcome of its group onto it, and
+    renormalizes after dropping weights below ``WEIGHT_FLOOR``.
     """
 
     outcomes: np.ndarray
@@ -77,7 +96,9 @@ class Lottery:
             raise ValueError("weights must be nonnegative")
         if abs(ws.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {ws.sum()!r}, expected 1")
-        xs, ws = _canonical(xs, ws)
+        xs, ws = _canonical(xs[None], ws[None])
+        keep = ws[0] > 0
+        xs, ws = xs[0, keep], ws[0, keep]
         xs.setflags(write=False)
         ws.setflags(write=False)
         object.__setattr__(self, "outcomes", xs)
@@ -172,25 +193,36 @@ def fosd_table(outcomes: np.ndarray, weights: np.ndarray, tol: float = CDF_TOL) 
     weights[c], or weights[a, c] when each row has its own weights; columns
     of weight 0 are left out.  Returns (verdict, weak), both k x k:
     verdict[a, b] is fosd_compare(row a, row b) and weak[a, b] is
-    weakly_dominates(row a, row b).  Each CDF is read as Lottery.cdf reads
-    it, at every outcome of positive weight, and F_a - F_b is formed one
-    row a at a time.  Outcomes are not merged: a Lottery moves outcomes
-    within MERGE_TOL of each other onto the lowest, so a row and the
-    Lottery built from it can differ only at such near ties.
+    weakly_dominates(row a, row b).  Each row is first put in a Lottery's
+    canonical form, near ties merged, by the same code as Lottery itself.
+    Each CDF is then read as Lottery.cdf reads it, at every outcome of
+    positive weight, and F_a - F_b is compared over the outcomes of rows a
+    and b only, as fosd_compare compares it: an outcome of a third row
+    within 2 * MERGE_TOL of theirs can fall where neither row's outcomes
+    read.  The differences are formed for a block of rows a at a time, at
+    most FOSD_BLOCK numbers at once.
     """
     outcomes = np.asarray(outcomes, dtype=float)
-    weights = np.broadcast_to(np.asarray(weights, dtype=float), outcomes.shape)
-    grid = np.unique(outcomes[weights > 0]) + MERGE_TOL
-    rows = np.arange(len(outcomes))[:, None]
-    order = np.argsort(outcomes, axis=1, kind="stable")
-    cum = np.zeros((len(outcomes), outcomes.shape[1] + 1))
-    np.cumsum(weights[rows, order], axis=1, out=cum[:, 1:])
-    # cdfs[a, j]: the weight of row a's outcomes below grid[j], one sorted row at a time.
-    cdfs = cum[rows, [np.searchsorted(x, grid) for x in outcomes[rows, order]]]
+    xs, ws = _canonical(outcomes, np.broadcast_to(np.asarray(weights, dtype=float), outcomes.shape))
+    held = ws > 0
+    values = np.unique(xs[held])
+    grid = values + MERGE_TOL
+    # own[a, j]: grid[j] reads an outcome of row a.
+    own = np.zeros((len(xs), len(grid)), dtype=bool)
+    own[np.nonzero(held)[0], np.searchsorted(values, xs[held])] = True
+    rows = np.arange(len(xs))[:, None]
+    cum = np.zeros((len(xs), xs.shape[1] + 1))
+    np.cumsum(ws, axis=1, out=cum[:, 1:])
+    # cdfs[a, j]: the weight of row a's outcomes below grid[j].
+    cdfs = cum[rows, [np.searchsorted(x, grid) for x in xs]]
     # hi[a, b] = max F_a - F_b; the min is -hi[b, a], as x - y = -(y - x) exactly.
     hi = np.empty((len(cdfs), len(cdfs)))
-    for cdf, row in zip(cdfs, hi):
-        np.max(cdf - cdfs, axis=1, out=row)
+    step = max(1, FOSD_BLOCK // cdfs.size)
+    for a in range(0, len(cdfs), step):
+        block = slice(a, a + step)
+        np.max(
+            cdfs[block, None] - cdfs, axis=2, out=hi[block], where=own[block, None] | own, initial=-np.inf
+        )
     lo = -hi.T
     strict = max(CDF_STRICT_TOL, 10 * tol)
     below, above = hi <= tol, lo >= -tol

@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -94,6 +93,8 @@ class SolverConfig:
             raise ValueError("support_tol must be positive")
         if self.max_enum_supports < 0:
             raise ValueError("max_enum_supports must be nonnegative")
+        if self.support_cap < 1:
+            raise ValueError("support_cap must be at least 1")
 
 
 @dataclass
@@ -134,7 +135,8 @@ class PhiEvaluator:
     the opponents' mixes serves every atom.  What does not move with the
     mixes is kept too: the -inf/+inf term at the pure extremes and, for a
     player whose value is linear in one opponent's mix (two players, every
-    finite atom in the mean branch), the derivative blocks themselves.
+    finite atom in the mean branch), the derivative blocks themselves, in
+    self.others order.
     Both are read-only, as values hands them out as they are.  calls counts
     values calls, for diagnostics.
     """
@@ -185,11 +187,11 @@ class PhiEvaluator:
             constant = None
             if not finishes and (self.n == 2 or not linear):
                 k = counts[i]
-                constant = {
-                    j: self.grids[i][:k].reshape(k, counts[j]) if linear else np.zeros((k, counts[j]))
+                constant = tuple(
+                    self.grids[i][:k].reshape(k, counts[j]) if linear else np.zeros((k, counts[j]))
                     for j in self.others[i]
-                }
-                for block in constant.values():
+                )
+                for block in constant:
                     block.flags.writeable = False
             self.constant_blocks.append(constant)
 
@@ -215,15 +217,16 @@ class PhiEvaluator:
         atom by atom by normalized_cgf instead, which re-shifts to the
         reached support.
 
-        grad=True returns (values, blocks), blocks[j] being the derivative
-        with respect to opponent j's own mix, (actions of i) x (actions of
-        j), exact along every direction that keeps j's mix on the simplex.
-        blocks is a mapping built on first access: the grids, weighted by
-        cgf_finish's coefficients, contracted with every opponent's mix but
-        j's.  When the blocks do not move with the mixes, it is the plan's
-        own read-only mapping.  The -inf/+inf atoms add nothing to the blocks
-        in either mode, as the reached support is constant wherever the
-        weights stay positive.
+        grad=True returns (values, blocks).  blocks() builds player i's
+        derivative blocks, one per opponent j in self.others[i] order: the
+        derivative with respect to j's own mix, (actions of i) x (actions
+        of j), exact along every direction that keeps j's mix on the
+        simplex.  Each is the grids, weighted by cgf_finish's coefficients,
+        contracted with every opponent's mix but j's, so a caller that never
+        calls blocks pays for the values only.  When the blocks do not move
+        with the mixes, blocks() returns the plan's own read-only tuple.  The
+        -inf/+inf atoms add nothing to the blocks in either mode, as the
+        reached support is constant wherever the weights stay positive.
         """
         self.calls += 1
         shape = self.shapes[i]
@@ -259,8 +262,9 @@ class PhiEvaluator:
             out = value if out is None else out + value
         if not grad:
             return out
-        if self.constant_blocks[i] is not None:
-            return out, self.constant_blocks[i]
+        constant = self.constant_blocks[i]
+        if constant is not None:
+            return out, lambda: constant
 
         def build() -> list[np.ndarray]:
             weighted = self.grids[i][:k].reshape(shape) if self.linear[i] else None
@@ -273,35 +277,7 @@ class PhiEvaluator:
                 weighted = tilted if weighted is None else tilted + weighted
             return _partials(sum(slopes, weighted), mixes)
 
-        return out, _Blocks(self.others[i], build)
-
-
-class _Blocks(Mapping):
-    """Player i's derivative blocks, keyed by opponent, built on first access, all at once."""
-
-    __slots__ = ("_keys", "_build", "_blocks")
-
-    def __init__(self, keys: Sequence[int], build: Callable[[], list[np.ndarray]]):
-        self._keys = keys
-        self._build = build
-        self._blocks: Optional[dict] = None
-
-    def _built(self) -> dict:
-        if self._blocks is None:
-            self._blocks = dict(zip(self._keys, self._build()))
-        return self._blocks
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self._built()[j]
-
-    def items(self):
-        return self._built().items()
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
+        return out, build
 
 
 def _partials(grid: np.ndarray, mixes: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -438,7 +414,12 @@ def _newton(
     square solve finds it singular.  They are capped at 0.5 in the sup
     norm, and a step is taken only if it lowers the residual, halving it up
     to eight times: far from a root a full step can overshoot into the
-    chart's clipped region.
+    chart's clipped region.  Both pay on criterion 03's 600 logit solves
+    (two Dirichlet starts each): with the full step kept only when it
+    lowers the residual, they find 613 fixed points instead of 620, and the
+    starts that reach their homotopy paths take 882 continuation steps
+    instead of 325; with every full step kept, 614 and 435, and 11,065
+    Newton steps on p - T(p) instead of 6,698.
     """
     f, jacobian = system(theta)
     res = float(np.max(np.abs(f), initial=0.0))
@@ -525,7 +506,7 @@ def _logit_system(evaluator: PhiEvaluator, lam: float, tally: Optional[Counter] 
     moving = [i for i, blocks in enumerate(evaluator.constant_blocks) if blocks is None]
     fixed = np.zeros((starts[-1], starts[-1]))  # dv_i/dd_j in row block i, column block j
     for i, blocks in enumerate(evaluator.constant_blocks):
-        for j, block in (blocks or {}).items():
+        for j, block in zip(evaluator.others[i], blocks or ()):
             fixed[starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
 
     def system(theta: np.ndarray):
@@ -540,7 +521,7 @@ def _logit_system(evaluator: PhiEvaluator, lam: float, tally: Optional[Counter] 
                 tally["jacobians"] += 1
             dv = fixed.copy() if moving else fixed
             for i in moving:
-                for j, block in parts[i][1].items():
+                for j, block in zip(evaluator.others[i], parts[i][1]()):
                     dv[starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
             sc = s[:, None]
             weighted = sc * dv
@@ -559,13 +540,14 @@ def _newton_polish(
     tol: float,
     tally: Counter,
     max_steps: int = 40,
-) -> tuple[list[np.ndarray], float, int]:
+) -> tuple[list[np.ndarray], float]:
     """Newton iteration on p - T(p) = 0; works at unstable fixed points too.
 
     Each player's last coordinate is eliminated (it equals one minus the
     rest), which removes the normalization null space from the
-    least-squares step.  Returns (dists, sup-norm residual, Newton steps);
-    the Jacobians built are counted in tally (see _logit_system).
+    least-squares step.  Returns (dists, sup-norm residual); the Newton
+    steps taken are counted in tally["newton_steps"] and the Jacobians
+    built in tally["jacobians"] (see _logit_system).
     """
     counts = evaluator.game.action_counts
     # Both p and T(p) sum to one, so the eliminated coordinate's residual is
@@ -573,12 +555,13 @@ def _newton_polish(
     # tol / max block size, and read the sup-norm residual off it.
     theta = np.concatenate([d[:-1] for d in dists])
     theta, f, _, steps = _newton(_logit_system(evaluator, lam, tally), theta, tol / max(counts), max_steps)
+    tally["newton_steps"] += steps
     res = float(np.max(np.abs(f), initial=0.0))
     pos = 0
     for k in counts:
         res = max(res, abs(float(f[pos : pos + k - 1].sum())))
         pos += k - 1
-    return _dists_from_theta(theta, [range(k) for k in counts], counts), res, steps
+    return _dists_from_theta(theta, [range(k) for k in counts], counts), res
 
 
 def _continue(
@@ -723,12 +706,14 @@ def _solve_fixed_point(
     start: list[np.ndarray],
     cfg: SolverConfig,
     tally: Counter,
-) -> tuple[Optional[list[np.ndarray]], float, int, int, int]:
+) -> tuple[Optional[list[np.ndarray]], float]:
     """A fixed point of the logit response reached from one start.
 
-    Returns (dists or None, residual, damped iterations, Newton steps,
-    continuation steps); the Jacobians of p - T(p) built are counted in
-    tally["jacobians"].  Each stage runs only when the one before fails:
+    Returns (dists or None, residual).  The work is counted in tally: the
+    damped steps in "iterations", the Newton steps on p - T(p) in
+    "newton_steps", the path's accepted steps in "continuation_steps" and
+    the Jacobians of p - T(p) built in "jacobians".  Each stage runs only
+    when the one before fails:
     1. Newton from the start (12 steps): unstable fixed points trap damped
        iteration in limit cycles but are reachable for Newton from nearby.
     2. WARM_UP damped steps at DAMPING, then Newton from the best iterate:
@@ -746,23 +731,23 @@ def _solve_fixed_point(
     """
     tol = cfg.tol_fixed_point
     p = [d.copy() for d in start]
-    polished, pres, steps = _newton_polish(evaluator, lam, p, tol, tally, max_steps=12)
+    polished, pres = _newton_polish(evaluator, lam, p, tol, tally, max_steps=12)
     if pres <= tol:
-        return polished, pres, 0, steps, 0
+        return polished, pres
     p = polished if pres < math.inf else p
     best, best_res = p, math.inf
-    for iters in range(1, WARM_UP + 1):
+    for _ in range(WARM_UP):
+        tally["iterations"] += 1
         t = _response(evaluator, lam, p)
         res = _sup_residual(p, t)
         if res < best_res:
             best, best_res = p, res
         if res <= tol:
-            return p, res, iters, steps, 0
+            return p, res
         p = [(1 - DAMPING) * a + DAMPING * b for a, b in zip(p, t)]
-    polished, pres, taken = _newton_polish(evaluator, lam, best, tol, tally)
-    steps += taken
+    polished, pres = _newton_polish(evaluator, lam, best, tol, tally)
     if pres <= tol:
-        return polished, pres, WARM_UP, steps, 0
+        return polished, pres
     best_res = min(best_res, pres)
 
     # The path cannot come back to t = 0, where H's only zero is the start, so
@@ -776,14 +761,14 @@ def _solve_fixed_point(
         CORRECTOR_TOL,
         visit=lambda y: y[-1] < 0.0,
     )
+    tally["continuation_steps"] += accepted
     if y[-1] >= END_GAME:
         counts = evaluator.game.action_counts
         end = _dists_from_theta(y[:-1], [range(k) for k in counts], counts)
-        polished, pres, taken = _newton_polish(evaluator, lam, end, tol, tally)
-        steps += taken
+        polished, pres = _newton_polish(evaluator, lam, end, tol, tally)
         if pres <= tol:
-            return polished, pres, WARM_UP, steps, accepted
-    return None, best_res, WARM_UP, steps, accepted
+            return polished, pres
+    return None, best_res
 
 
 def _interior_starts(game: Game, cfg: SolverConfig) -> list[list[np.ndarray]]:
@@ -835,7 +820,7 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     tally = Counter()
     outcomes = [_solve_fixed_point(evaluator, lam, start, cfg, tally) for start in starts]
 
-    found = [(dists, res) for dists, res, *_ in outcomes if dists is not None]
+    found = [(dists, res) for dists, res in outcomes if dists is not None]
     if not found:
         raise SolverError(
             f"no start converged within {cfg.max_iters} continuation steps (lambda={lam})"
@@ -844,9 +829,9 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     profiles = [MixedProfile(tuple(d)) for d, _ in kept]
     residuals = [res for _, res in kept]
     diagnostics = {
-        "iterations": sum(outcome[2] for outcome in outcomes),
-        "newton_steps": sum(outcome[3] for outcome in outcomes),
-        "continuation_steps": sum(outcome[4] for outcome in outcomes),
+        "iterations": tally["iterations"],
+        "newton_steps": tally["newton_steps"],
+        "continuation_steps": tally["continuation_steps"],
         "starts": len(starts),
         "starts_converged": len(found),
         "evaluator_calls": evaluator.calls,
@@ -881,10 +866,11 @@ def homotopy_trace(
         raise ValueError("need lambda_max > 0 and steps >= 2")
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
+    tally = Counter()  # the trace reports no counts
     trace: list[tuple[float, MixedProfile]] = []
     current = [np.full(k, 1.0 / k) for k in game.action_counts]
     for lam in homotopy_lambda_grid(lambda_max, steps):
-        dists, *_ = _solve_fixed_point(evaluator, lam, current, cfg, Counter())
+        dists, _ = _solve_fixed_point(evaluator, lam, current, cfg, tally)
         if dists is None:
             last = trace[-1][0] if trace else 0.0
             raise HomotopyBreakdown(
@@ -968,7 +954,7 @@ def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
             jac = np.zeros((offsets[-1], offsets[-1]))
             for i, (_, blocks) in parts.items():
                 sup_i = list(supports[i])
-                for j, block in blocks.items():
+                for j, block in zip(evaluator.others[i], blocks()):
                     if len(supports[j]) > 1:
                         diff = block[sup_i[:-1]] - block[sup_i[-1]]
                         jac[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = _chart_columns(

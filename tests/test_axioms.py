@@ -170,6 +170,18 @@ def _random_mix(rng, k, kind):
     return w / w.sum()
 
 
+def _near_tie_cases():
+    """1,000 profiles of games with integer payoffs in [-2, 2] plus N(0, 1e-11) noise."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for _ in range(1000):
+        counts = tuple(int(k) for k in rng.integers(2, 6, size=int(rng.integers(2, 4))))
+        shape = counts + (len(counts),)
+        g = Game(counts, rng.integers(-2, 3, size=shape) + rng.normal(scale=1e-11, size=shape))
+        cases.append((g, MixedProfile(tuple(rng.dirichlet(np.ones(k)) for k in counts))))
+    return cases
+
+
 def _differential_cases():
     rng = np.random.default_rng(12)
     cases = []
@@ -217,6 +229,15 @@ class TestOrdinalChecksMatchSlowReference:
             report = check_neutrality(g, p, mode="distribution")
             assert report.instances_checked == ref["neutrality"]["instances"]
             assert json.dumps(report.violations) == json.dumps(ref["neutrality"]["violations"])
+
+    def test_near_ties(self):
+        # Outcomes within MERGE_TOL of each other, merged by a Lottery, and
+        # within 2 * MERGE_TOL across three rows, where a pair's own outcomes
+        # read the CDFs at fewer points than the whole table's.
+        cases = [(g, p, _reference_reports(g, p)) for g, p in _near_tie_cases()]
+        assert sum(bool(ref["fosd_nash"]) for _, _, ref in cases) > 500
+        self.test_fosd_nash_and_fosd_qre(cases)
+        self.test_distribution_monotonicity_and_neutrality(cases)
 
 
 class TestBracketing:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sre_lab import lotteries
 from sre_lab.lotteries import (
+    MERGE_TOL,
+    WEIGHT_FLOOR,
     DominanceVerdict,
     Lottery,
     convolve,
@@ -38,6 +41,23 @@ def lottery_strategy(max_atoms=4, lo=-5.0, hi=5.0):
     ).map(build)
 
 
+def _sequential_merge(outcomes, weights):
+    """A Lottery's atoms, one outcome at a time: zero weights left out, each outcome
+    within MERGE_TOL of its group's lowest merged onto it, dust dropped, renormalized."""
+    keep = weights > 0
+    order = np.argsort(outcomes[keep], kind="stable")
+    xs, ws = [], []
+    for x, w in zip(outcomes[keep][order], weights[keep][order]):
+        if xs and x - xs[-1] <= MERGE_TOL:
+            ws[-1] += w
+        else:
+            xs.append(x)
+            ws.append(w)
+    xs, ws = np.array(xs), np.array(ws)
+    keep = ws >= WEIGHT_FLOOR
+    return xs[keep], ws[keep] / ws[keep].sum()
+
+
 class TestConstruction:
     def test_from_vector_two_point(self):
         x = Lottery.from_vector([0.0, 1.0])
@@ -70,6 +90,22 @@ class TestConstruction:
         x = Lottery(np.array([0.0, 1e-13, 1.0]), np.array([0.25, 0.25, 0.5]))
         assert len(x) == 2
         np.testing.assert_allclose(x.weights, [0.5, 0.5])
+
+    def test_merges_onto_each_group_lowest_outcome(self):
+        # A run of gaps below MERGE_TOL that spans more than MERGE_TOL holds two groups.
+        chain = Lottery(np.array([5.0, 0.0, 0.6e-12, 1.2e-12, 1.8e-12, 3.0]), np.full(6, 1 / 6))
+        np.testing.assert_array_equal(chain.outcomes, [0.0, 1.2e-12, 3.0, 5.0])
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            outcomes = rng.integers(-2, 3, size=12) + rng.normal(scale=1e-12, size=12)
+            weights = rng.dirichlet(np.ones(12))
+            weights[rng.random(12) < 0.3] = 0.0
+            weights[rng.integers(12)] += 0.1
+            weights /= weights.sum()
+            x = Lottery(outcomes, weights)
+            xs, ws = _sequential_merge(outcomes, weights)
+            np.testing.assert_array_equal(x.outcomes, xs)
+            np.testing.assert_allclose(x.weights, ws, rtol=0, atol=1e-15)
 
     def test_json_round_trip(self):
         x = Lottery.from_pairs([(0.5, 0.25), (-1.25, 0.75)])
@@ -197,18 +233,20 @@ class TestFosdTable:
         assert weakly_dominates(x, y) is (gap < 1e-10)
         assert fosd_compare(y, x, tol=1e-8) is DominanceVerdict.EQUAL
 
-    def test_rows_match_pairwise_lotteries(self):
+    def test_rows_match_pairwise_lotteries(self, monkeypatch):
         rng = np.random.default_rng(3)
         table = rng.integers(-2, 3, size=(5, 7)).astype(float)
         weights = rng.dirichlet(np.ones(7))
         weights[[1, 4]] = 0.0
         weights /= weights.sum()
-        verdict, weak = fosd_table(table, weights)
         keep = weights > 0
         lots = [Lottery(row[keep], weights[keep]) for row in table]
-        for a, b in np.ndindex(5, 5):
-            assert verdict[a, b] is fosd_compare(lots[a], lots[b])
-            assert weak[a, b] == weakly_dominates(lots[a], lots[b])
+        for block in (lotteries.FOSD_BLOCK, 1):  # every row a at once, then one at a time
+            monkeypatch.setattr(lotteries, "FOSD_BLOCK", block)
+            verdict, weak = fosd_table(table, weights)
+            for a, b in np.ndindex(5, 5):
+                assert verdict[a, b] is fosd_compare(lots[a], lots[b])
+                assert weak[a, b] == weakly_dominates(lots[a], lots[b])
         assert len(set(verdict.ravel())) >= 3
 
 

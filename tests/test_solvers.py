@@ -225,7 +225,7 @@ class TestSolveLqre:
         # stage, Newton, the damped warm-up and the homotopy path.
         rng = np.random.default_rng(777)
         game = [random_game(rng) for _ in range(113)][112]
-        calls, jacobians = [], []
+        calls, jacobians, responses, newton_steps, continuation_steps = [], [], [], [], []
         values = PhiEvaluator.values
 
         def counted_values(self, *args, **kwargs):
@@ -246,12 +246,37 @@ class TestSolveLqre:
 
                 return f, taken
 
+            logit_systems.add(counted)
             return counted
+
+        logit_systems = set()
+        response, newton, continuation = solvers._response, solvers._newton, solvers._continue
+
+        def counted_response(*args):
+            responses.append(args[1])  # one damped step each
+            return response(*args)
+
+        def counted_newton(system, *args):
+            out = newton(system, *args)
+            if system in logit_systems:  # Newton on p - T(p), not a corrector
+                newton_steps.append(out[3])
+            return out
+
+        def counted_continuation(*args, **kwargs):
+            out = continuation(*args, **kwargs)
+            continuation_steps.append(out[2])
+            return out
 
         monkeypatch.setattr(PhiEvaluator, "values", counted_values)
         monkeypatch.setattr(solvers, "_logit_system", counted_system)
+        monkeypatch.setattr(solvers, "_response", counted_response)
+        monkeypatch.setattr(solvers, "_newton", counted_newton)
+        monkeypatch.setattr(solvers, "_continue", counted_continuation)
         d = solve_lqre(game, EXPECTATION, 5.0, SolverConfig(multistarts=2, max_iters=20_000)).diagnostics
-        assert d["iterations"] > 0 and d["continuation_steps"] > 0
+        assert d["iterations"] > 0 and d["newton_steps"] > 0 and d["continuation_steps"] > 0
+        assert d["iterations"] == len(responses)
+        assert d["newton_steps"] == sum(newton_steps)
+        assert d["continuation_steps"] == sum(continuation_steps)
         assert d["evaluator_calls"] == len(calls)
         assert d["jacobians"] == len(jacobians)
         assert 0 < d["jacobians"] < d["evaluator_calls"]
@@ -660,8 +685,9 @@ class TestValueBlocks:
             evaluator = PhiEvaluator(game, phi)
             for i in range(game.num_players):
                 _, blocks = evaluator.values(i, dists, boundary_pure, grad=True)
-                assert sorted(blocks) == [j for j in range(game.num_players) if j != i]
-                for j, block in blocks.items():
+                blocks = blocks()
+                assert len(blocks) == game.num_players - 1
+                for j, block in zip(evaluator.others[i], blocks):
                     assert block.shape == (game.action_counts[i], game.action_counts[j])
                     for _ in range(2):
                         # A direction inside the face of j's simplex that its mix lies on.
@@ -702,7 +728,7 @@ def _assert_blocks_match_central_differences(evaluator, dists, boundary_pure, rn
     game = evaluator.game
     for i in range(game.num_players):
         _, blocks = evaluator.values(i, dists, boundary_pure, grad=True)
-        for j, block in blocks.items():
+        for j, block in zip(evaluator.others[i], blocks()):
             for _ in range(2):
                 step = rng.normal(size=dists[j].size) * (dists[j] > 0)
                 step -= (dists[j] > 0) * step.sum() / (dists[j] > 0).sum()
@@ -897,8 +923,8 @@ class TestLogitSystem:
             dists = [np.full(k, 1.0 / k) for k in game.action_counts]
             for i in range(2):
                 values, blocks = evaluator.values(i, dists, True, grad=True)
-                assert blocks is evaluator.constant_blocks[i]
-                assert not any(block.flags.writeable for block in blocks.values())
+                assert blocks() is evaluator.constant_blocks[i]
+                assert not any(block.flags.writeable for block in blocks())
                 if evaluator.pure_extremes[i] is not None:
                     assert not evaluator.pure_extremes[i].flags.writeable
                 if phi is extremes_only:  # the values are the plan's own -inf/+inf term
@@ -1012,6 +1038,12 @@ class TestSolveNashPhi:
     def test_negative_enumeration_limit_rejected(self):
         with pytest.raises(ValueError, match="max_enum_supports"):
             SolverConfig(max_enum_supports=-1)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_support_cap_below_one_rejected(self, cap):
+        # No support profile has a total size below 1, so such a cap would examine nothing.
+        with pytest.raises(ValueError, match="support_cap"):
+            SolverConfig(support_cap=cap)
 
 
 def _dismissed(evaluator, sups):
