@@ -223,40 +223,65 @@ def fosd_table(outcomes: np.ndarray, weights: np.ndarray, tol: float = CDF_TOL) 
         np.max(
             cdfs[block, None] - cdfs, axis=2, out=hi[block], where=own[block, None] | own, initial=-np.inf
         )
+    return _verdicts(hi, tol)
+
+
+def _verdicts(hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """fosd_table's verdict and weak-dominance matrices from hi[a, b] = max F_a - F_b.
+
+    The min of F_a - F_b is -hi[b, a].
+    """
     lo = -hi.T
     strict = max(CDF_STRICT_TOL, 10 * tol)
     below, above = hi <= tol, lo >= -tol
-    # Later assignments win, so a pair gets the first that holds of: equal, strict, weak only, incomparable.
-    verdict = np.full(hi.shape, DominanceVerdict.INCOMPARABLE, dtype=object)
-    verdict[above] = DominanceVerdict.WEAK_ONLY
-    verdict[above & (hi > strict)] = DominanceVerdict.STRICT_FOSD_REVERSED
-    verdict[below] = DominanceVerdict.WEAK_ONLY
-    verdict[below & (lo < -strict)] = DominanceVerdict.STRICT_FOSD
-    verdict[below & above] = DominanceVerdict.EQUAL
-    return verdict, below
+    # A gap beyond the strict threshold on the dominated side; it cannot occur when both hold.
+    margin = (below & (lo < -strict)) | (above & (hi > strict))
+    return _VERDICTS[4 * margin + 2 * below + above], below
 
 
-def _two_rows(left: Lottery, right: Lottery) -> tuple[np.ndarray, np.ndarray]:
-    """left and right as the rows of one outcome table, each weighting only its own atoms."""
-    outcomes = np.concatenate([left.outcomes, right.outcomes])
-    weights = np.zeros((2, outcomes.size))
-    weights[0, : len(left)] = left.weights
-    weights[1, len(left) :] = right.weights
-    return np.stack([outcomes, outcomes]), weights
+# The verdict of a pair by 4 * margin + 2 * below + above (see _verdicts): equal
+# when both F_a <= F_b + tol and F_a >= F_b - tol hold, strict when one of them
+# holds with a margin, weak only when one holds without, incomparable when neither.
+_VERDICTS = np.array(
+    [
+        DominanceVerdict.INCOMPARABLE,
+        DominanceVerdict.WEAK_ONLY,
+        DominanceVerdict.WEAK_ONLY,
+        DominanceVerdict.EQUAL,
+        DominanceVerdict.INCOMPARABLE,  # a margin without either: cannot occur
+        DominanceVerdict.STRICT_FOSD_REVERSED,
+        DominanceVerdict.STRICT_FOSD,
+        DominanceVerdict.EQUAL,  # a margin with both: cannot occur
+    ],
+    dtype=object,
+)
+
+
+def _pair_gaps(left: Lottery, right: Lottery) -> np.ndarray:
+    """fosd_table's hi for the two-row table of left and right, read off the lotteries themselves.
+
+    A Lottery's atoms are already in the canonical form fosd_table puts each
+    row in, so the CDFs are read by Lottery.cdf at every outcome of either,
+    the only outcomes that pair's comparison reads.
+    """
+    grid = np.concatenate([left.outcomes, right.outcomes])
+    gap = left.cdf(grid) - right.cdf(grid)
+    return np.array([[0.0, gap.max()], [-gap.min(), 0.0]])
 
 
 def fosd_compare(left: Lottery, right: Lottery, tol: float = CDF_TOL) -> DominanceVerdict:
     """Compare CDFs on the merged outcome grid.
 
     Dominance is lower-CDF: left dominates when F_left <= F_right everywhere
-    and is strictly below somewhere.
+    and is strictly below somewhere.  This is fosd_table's verdict on the
+    two lotteries as rows.
     """
-    return fosd_table(*_two_rows(left, right), tol)[0][0, 1]
+    return _verdicts(_pair_gaps(left, right), tol)[0][0, 1]
 
 
 def weakly_dominates(left: Lottery, right: Lottery, tol: float = CDF_TOL) -> bool:
     """True when F_left <= F_right + tol everywhere (left >= right in FOSD)."""
-    return bool(fosd_table(*_two_rows(left, right), tol)[1][0, 1])
+    return bool(_verdicts(_pair_gaps(left, right), tol)[1][0, 1])
 
 
 def convolve(x: Lottery, y: Lottery) -> Lottery:

@@ -136,9 +136,10 @@ class PhiEvaluator:
     mixes is kept too: the -inf/+inf term at the pure extremes and, for a
     player whose value is linear in one opponent's mix (two players, every
     finite atom in the mean branch), the derivative blocks themselves, in
-    self.others order.
-    Both are read-only, as values hands them out as they are.  calls counts
-    values calls, for diagnostics.
+    self.others order, also laid out once over the concatenated profile
+    (constant_dv), where each logit Jacobian starts from them.
+    All are read-only, as values hands them out as they are.  calls counts
+    values calls, one per profile, for diagnostics.
     """
 
     def __init__(self, game: Game, phi: MAStatistic):
@@ -157,6 +158,8 @@ class PhiEvaluator:
         # Player i's table shaped (actions of i, *actions of each opponent).
         self.shapes = [(counts[i], *(counts[j] for j in self.others[i])) for i in range(self.n)]
         self.calls = 0
+        # (player, stack size) -> the player's row minima and maxima repeated for a stack, built once.
+        self.stacked_bounds: dict = {}
         # Per player: the -inf/+inf term at the pure extremes (None without
         # such atoms); the grids stacked by rows, shaped (grid rows, *opponent
         # actions); whether the first grid is the mean branch's weighted
@@ -194,6 +197,14 @@ class PhiEvaluator:
                 for block in constant:
                     block.flags.writeable = False
             self.constant_blocks.append(constant)
+        # The constant blocks laid out as dv/dp on the concatenated profile, player i's
+        # derivatives in row block i and column block j, zero where the blocks move.
+        starts = list(itertools.accumulate(counts, initial=0))
+        self.constant_dv = np.zeros((starts[-1], starts[-1]))
+        for i, blocks in enumerate(self.constant_blocks):
+            for j, block in zip(self.others[i], blocks or ()):
+                self.constant_dv[starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
+        self.constant_dv.flags.writeable = False
 
     def _extremes(self, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
         """The -inf/+inf atoms' term with these row minima and maxima; None without such atoms."""
@@ -206,78 +217,162 @@ class PhiEvaluator:
     def values(self, i: int, dists: Sequence[np.ndarray], boundary_pure: bool, grad: bool = False):
         """Action values for player i against the given opponent mixes.
 
+        Each mix is one vector, or a stack of them with a leading batch axis,
+        (B x actions), one row per profile; the values then come as (B x
+        actions), and calls counts B.  A stack is evaluated with
+        boundary_pure=True, the logit response's mode.
+
         boundary_pure=True evaluates the -inf/+inf atoms as pure-strategy
         min/max over all opponent profiles (the continuous logit functional);
         False restricts them to the support actually reached, i.e. the raw
         statistic of the realized lottery.  The grids are contracted with the
-        opponents' mixes one opponent at a time; the mean branch's rows are
-        its weighted value, and each other branch is finished once, its atoms
-        stacked, by statistics.cgf_finish.  A branch whose terms underflowed
-        on some row at the pure shift (cgf_finish returns None) is evaluated
-        atom by atom by normalized_cgf instead, which re-shifts to the
-        reached support.
+        opponents' mixes one opponent at a time, for a stack the last opponent
+        by one matmul over all its profiles and each other by a product summed
+        per profile; the mean branch's rows are its weighted value, and each
+        other branch is finished once, its atoms and the stack's profiles
+        stacked, by statistics.cgf_finish.  Where a branch's terms underflowed
+        on some row at the pure shift (cgf_finish returns None), each profile
+        of the stack is finished on its own, and a profile whose terms
+        underflowed is evaluated atom by atom by normalized_cgf instead, which
+        re-shifts to the reached support.
 
-        grad=True returns (values, blocks).  blocks() builds player i's
-        derivative blocks, one per opponent j in self.others[i] order: the
-        derivative with respect to j's own mix, (actions of i) x (actions
-        of j), exact along every direction that keeps j's mix on the
-        simplex.  Each is the grids, weighted by cgf_finish's coefficients,
-        contracted with every opponent's mix but j's, so a caller that never
-        calls blocks pays for the values only.  When the blocks do not move
-        with the mixes, blocks() returns the plan's own read-only tuple.  The
-        -inf/+inf atoms add nothing to the blocks in either mode, as the
-        reached support is constant wherever the weights stay positive.
+        grad=True returns (values, blocks).  blocks(rows=None) builds player
+        i's derivative blocks for the given rows of the stack (all of them by
+        default), one per opponent j in self.others[i] order: the derivative
+        with respect to j's own mix, (actions of i) x (actions of j), with the
+        batch axis in front for a stack, exact along every direction that
+        keeps j's mix on the simplex.  Each is the grids, weighted by
+        cgf_finish's coefficients, contracted with every opponent's mix but
+        j's, so a caller that never calls blocks pays for the values only.
+        When the blocks do not move with the mixes, blocks() returns the
+        plan's own read-only tuple, without a batch axis.  The -inf/+inf
+        atoms add nothing to the blocks in either mode, as the reached
+        support is constant wherever the weights stay positive.
         """
-        self.calls += 1
         shape = self.shapes[i]
         k = shape[0]
         mixes = [dists[j] for j in self.others[i]]
-        lo, hi, spread = self.pure_min[i], self.pure_max[i], self.spread[i]
+        stack = dists[i].ndim > 1
+        self.calls += len(dists[i]) if stack else 1
         out = self.pure_extremes[i]
         if out is not None and not boundary_pure and not all((d > 0).all() for d in mixes):
             reached = self.tables[i][:, opponent_weights(dists, i) > 0]
             out = self._extremes(reached.min(axis=1), reached.max(axis=1))
         sums = self.grids[i]
-        for mix in reversed(mixes):
-            sums = sums @ mix
-        sums = sums.reshape(-1, k)  # one row per grid
+        if stack:  # the profiles along a last axis: one matmul for the last opponent, then one product each
+            count = len(dists[i])
+            out = None if out is None else out[:, None]
+            if mixes:
+                sums = sums.reshape(-1, shape[-1]) @ mixes[-1].T
+            else:
+                sums = np.repeat(sums.reshape(-1, 1), count, axis=1)
+            for mix in reversed(mixes[:-1]):
+                sums = (sums.reshape(-1, mix.shape[-1], count) * mix.T).sum(axis=1)
+            sums = sums.reshape(-1, k, count)  # (grid rows x actions x profiles)
+        else:
+            for mix in reversed(mixes):
+                sums = sums @ mix
+            sums = sums.reshape(-1, k)  # one row per grid
         if self.linear[i]:
             out = sums[0] if out is None else out + sums[0]
         coefs, slopes = [], []
         for a, w, rows in self.finishes[i]:
-            finished = cgf_finish(sums[rows], a, w, lo, hi, spread, grad)
-            if finished is None:  # some row's terms underflowed
-                joint = opponent_weights(dists, i)
-                parts = [normalized_cgf(self.tables[i], joint, at, lo, hi, spread, grad) for at in a.tolist()]
-                if grad:
-                    slopes.extend(wt * slope.reshape(shape) for wt, (_, slope) in zip(w.tolist(), parts))
-                    parts = [value for value, _ in parts]
-                    coefs.append(np.zeros((rows.stop - rows.start, k)))
-                value = w @ np.array(parts)
+            part = sums[rows]
+            if stack:
+                finished = self._finish_stack(i, part, a, w, grad)
+            else:
+                finished = cgf_finish(part, a, w, self.pure_min[i], self.pure_max[i], self.spread[i], grad)
+            if finished is None:  # some row's terms underflowed: finish each profile on its own
+                value, coef, slope = self._finish_each(i, dists, part, a, w, grad)
+                slopes.append(slope)
             elif grad:
                 value, coef = finished
-                coefs.append(coef)
             else:
                 value = finished
+            if grad:
+                coefs.append(coef)
             out = value if out is None else out + value
+        if stack:
+            out = (out if out.shape[1] == count else np.repeat(out, count, axis=1)).T
         if not grad:
             return out
         constant = self.constant_blocks[i]
         if constant is not None:
-            return out, lambda: constant
+            return out, lambda rows=None: constant
 
-        def build() -> list[np.ndarray]:
+        def build(rows=None) -> list[np.ndarray]:
+            grads, picked_mixes = slopes, mixes
+            if rows is not None:
+                grads, picked_mixes = [x[rows] for x in slopes], [mix[rows] for mix in mixes]
             weighted = self.grids[i][:k].reshape(shape) if self.linear[i] else None
             if coefs:
                 coef = coefs[0] if len(coefs) == 1 else np.concatenate(coefs)
                 curved = self.grids[i][k:] if self.linear[i] else self.grids[i]
-                tilted = coef.reshape(-1, *(1 for _ in mixes)) * curved
-                if len(coef) > 1:
-                    tilted = tilted.reshape(len(coef), *shape).sum(axis=0)
+                if stack:  # each profile's coefficients on the grids: (profiles x grid rows x actions)
+                    coef = (coef if rows is None else coef[:, :, rows]).transpose(2, 0, 1)
+                    tilted = coef.reshape(len(coef), -1, *(1 for _ in mixes)) * curved
+                    if coef.shape[1] > 1:
+                        tilted = tilted.reshape(*coef.shape, *shape[1:]).sum(axis=1)
+                else:
+                    tilted = coef.reshape(-1, *(1 for _ in mixes)) * curved
+                    if len(coef) > 1:
+                        tilted = tilted.reshape(len(coef), *shape).sum(axis=0)
                 weighted = tilted if weighted is None else tilted + weighted
-            return _partials(sum(slopes, weighted), mixes)
+            return _partials(sum(grads, weighted), picked_mixes)
 
         return out, build
+
+    def _finish_stack(self, i: int, part: np.ndarray, a: np.ndarray, w: np.ndarray, grad: bool):
+        """cgf_finish on a stack's contracted grids, (grids x actions x B), as actions * B rows.
+
+        Each row's minimum and maximum is repeated for the B profiles;
+        returns cgf_finish's result shaped back, values (actions x B) and
+        coefficients (grids x actions x B), or None as it does.
+        """
+        r, k, count = part.shape
+        bounds = self.stacked_bounds.get((i, count))
+        if bounds is None:
+            bounds = (np.repeat(self.pure_min[i], count), np.repeat(self.pure_max[i], count))
+            self.stacked_bounds[i, count] = bounds
+        finished = cgf_finish(part.reshape(r, -1), a, w, *bounds, self.spread[i], grad)
+        if finished is None:
+            return None
+        if not grad:
+            return finished.reshape(k, count)
+        value, coef = finished
+        return value.reshape(k, count), coef.reshape(r, k, count)
+
+    def _finish_each(self, i: int, dists, part: np.ndarray, a: np.ndarray, w: np.ndarray, grad: bool):
+        """One branch finished for each profile on its own: (values, coefficients, slopes).
+
+        part is the branch's contracted grids for one profile, (grids x
+        actions), or a stack, (grids x actions x B); the values and
+        coefficients come in its layout, the slopes (B x actions x opponent
+        actions) for a stack.  A profile whose terms underflowed is
+        evaluated atom by atom by normalized_cgf, re-shifted to its reached
+        support; its coefficients are zero and its derivative comes as
+        slopes on the payoff grid.
+        """
+        lo, hi, spread = self.pure_min[i], self.pure_max[i], self.spread[i]
+        shape = self.shapes[i]
+        stack = part.ndim > 2
+        value, coef = np.empty(part.shape[1:]), np.zeros(part.shape)
+        slope = np.zeros((part.shape[-1], *shape) if stack else shape)
+        for b in range(part.shape[-1]) if stack else [Ellipsis]:
+            at_b = (Ellipsis, b) if stack else Ellipsis
+            one = cgf_finish(part[at_b], a, w, lo, hi, spread, grad)
+            if one is None:  # re-shift to the reached support, atom by atom
+                joint = opponent_weights([d[b] for d in dists], i)
+                parts = [normalized_cgf(self.tables[i], joint, at, lo, hi, spread, grad) for at in a.tolist()]
+                if grad:
+                    slope[b] = sum(wt * s.reshape(shape) for wt, (_, s) in zip(w.tolist(), parts))
+                    parts = [v for v, _ in parts]
+                value[at_b] = w @ np.array(parts)
+            elif grad:
+                value[at_b], coef[at_b] = one
+            else:
+                value[at_b] = one
+        return value, coef, slope
 
 
 def _partials(grid: np.ndarray, mixes: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -285,16 +380,26 @@ def _partials(grid: np.ndarray, mixes: Sequence[np.ndarray]) -> list[np.ndarray]
 
     Entry l keeps mixes[l]'s axis, (rows, n_l).  The axes after l go first,
     by matmul on the last axis; then the axes before l, from l - 1 down, as
-    a vector times an array contracts the array's second-to-last axis.
+    a vector times an array contracts the array's second-to-last axis.  The
+    mixes may be stacks, (B x n_l), and the grid may carry the same batch
+    axis in front; the entries then do too.
     """
-    suffix = [grid]  # suffix[t]: the last t axes contracted
-    for mix in reversed(mixes[1:]):
-        suffix.append(suffix[-1] @ mix)
+    m = len(mixes)
+    stack = m > 0 and mixes[0].ndim > 1
+    suffix = [grid]  # suffix[t]: the last t axes contracted, m + 1 - t axes left after any batch axis
+    for t, mix in enumerate(reversed(mixes[1:])):
+        if stack:  # each row's mix against its own row of the grid: (B, 1, ..., n, 1)
+            suffix.append((suffix[-1] @ mix.reshape(len(mix), *(1,) * (m - 1 - t), -1, 1))[..., 0])
+        else:
+            suffix.append(suffix[-1] @ mix)
     partials = []
-    for keep in range(len(mixes)):
-        partial = suffix[len(mixes) - 1 - keep]
-        for mix in reversed(mixes[:keep]):
-            partial = mix @ partial
+    for keep in range(m):
+        partial = suffix[m - 1 - keep]
+        for l in reversed(range(keep)):  # partial's axes: rows, n_1, ..., n_l, n_keep
+            if stack:  # (B, 1, ..., 1, n_l)
+                partial = (mixes[l].reshape(len(mixes[l]), *(1,) * (l + 2), -1) @ partial)[..., 0, :]
+            else:
+                partial = mixes[l] @ partial
         partials.append(partial)
     return partials
 
@@ -305,16 +410,20 @@ def _logit(values: Sequence[np.ndarray], lam: float, starts: Sequence[int], owne
     starts and owner are _full_chart's.  One softmax runs over the
     concatenated values: each player's max by np.maximum.reduceat, each
     player's total by its own sum (np.add.reduceat rounds differently on
-    slices of three or more).
+    slices of three or more).  Stacked values, (B x actions) each, give a
+    stack of responses; they are worked on transposed, one column per
+    profile, so that both take the same indexing.
     """
-    z = lam * np.concatenate(values)
+    stack = values[0].ndim > 1
+    z = lam * (np.concatenate(values, axis=1).T if stack else np.concatenate(values))
     z -= np.maximum.reduceat(z, starts[:-1])[owner]
     e = np.exp(z)
-    return e / np.array([e[a:b].sum() for a, b in zip(starts[:-1], starts[1:])])[owner]
+    s = e / np.array([e[a:b].sum(axis=0) for a, b in zip(starts[:-1], starts[1:])])[owner]
+    return s.T if stack else s
 
 
 def _response(evaluator: PhiEvaluator, lam: float, dists: Sequence[np.ndarray]) -> list[np.ndarray]:
-    starts, _, owner, _, _ = _full_chart(tuple(evaluator.game.action_counts))
+    starts, _, owner, *_ = _full_chart(tuple(evaluator.game.action_counts))
     values = [evaluator.values(i, dists, boundary_pure=True) for i in range(evaluator.n)]
     s = _logit(values, lam, starts, owner)
     return [s[a:b] for a, b in zip(starts[:-1], starts[1:])]
@@ -397,18 +506,33 @@ def _chart_columns(cols: np.ndarray) -> np.ndarray:
 
 
 def _newton(
-    system: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
+    system: Callable[[np.ndarray], tuple[np.ndarray, Callable]],
     theta: np.ndarray,
     tol: float,
     max_steps: int,
-) -> tuple[np.ndarray, np.ndarray, bool, int]:
-    """Backtracking Newton on f(theta) = 0 with an exact Jacobian.
+):
+    """Backtracking Newton on f(theta) = 0 with an exact Jacobian, from one start or a stack of them.
 
-    system(theta) returns f(theta) and a function that gives the Jacobian at
-    theta from what evaluating f computed; it is called only where a step
-    starts.  Returns (theta, f(theta), flat, steps taken); flat is True when
-    the Jacobian is identically zero, i.e. the residual does not react to
-    theta at all.  The stop test and step acceptance use the sup norm of f.
+    theta is one start, (n,), or a stack of starts, (B x n) or a list of
+    (n,), run in lockstep.  system(theta) at one point returns f(theta) and
+    a function that gives the Jacobian at theta from what evaluating f
+    computed.  A system given a stack must also take a stack of points,
+    (b x n), and return f at each, (b x m), and a function jacobian(rows)
+    that gives the Jacobians of the given rows of that stack, (len(rows) x
+    m x n), or of all of them for rows=None; a lone point is always
+    evaluated as one point, as the unstacked kernels cost less.  A
+    Jacobian is built only where a step starts.  Every row keeps its own
+    step, halvings and stop, so it follows the trajectory it follows alone;
+    a row leaves the stack when it converges, stalls or uses up its
+    max_steps rounds.  Each pass evaluates the trial points of every row
+    still stepping by one system call, builds the Jacobians of the rows
+    that start a step there by one jacobian call and solves them by one
+    _linear_step.  The rows are kept as lists of points, so a row that
+    moves is rebound, never written in place.
+    Returns (theta, f(theta), flat, steps taken): for a stack, four lists
+    with one entry per start.  flat is True when the Jacobian is
+    identically zero, i.e. the residual does not react to theta at all.
+    The stop test and step acceptance use the sup norm of f.
     Steps solve the linearisation: exactly when the Jacobian is square and
     nonsingular, and in the least-squares sense when it is not square or a
     square solve finds it singular.  They are capped at 0.5 in the sup
@@ -421,58 +545,104 @@ def _newton(
     instead of 325; with every full step kept, 614 and 435, and 11,065
     Newton steps on p - T(p) instead of 6,698.
     """
-    f, jacobian = system(theta)
-    res = float(np.max(np.abs(f), initial=0.0))
-    steps = 0
-    for _ in range(max_steps):
-        if res <= tol:
-            break
-        jac = jacobian()
-        if not jac.any():
-            return theta, f, True, steps
-        try:
-            step = _linear_step(jac, -f)
-        except np.linalg.LinAlgError:
-            break
-        norm = float(abs(step).max())
-        if not math.isfinite(norm) or norm == 0.0:
-            break
-        if norm > 0.5:
-            step = step * (0.5 / norm)
-        for _ in range(8):
-            cand = theta + step
-            f_cand, jacobian_cand = system(cand)
-            res_cand = float(abs(f_cand).max())
-            if res_cand < res:
-                theta, f, jacobian, res = cand, f_cand, jacobian_cand, res_cand
-                steps += 1
-                break
-            step = 0.5 * step
+    single = isinstance(theta, np.ndarray) and theta.ndim == 1
+    points = [theta] if single else list(theta)  # each row's accepted point, replaced as it moves
+    count = len(points)
+    steps, flat, rounds, halvings = [0] * count, [False] * count, [0] * count, [0] * count
+    res, f, step = [math.inf] * count, [None] * count, [None] * count  # each row's f and step there
+    # Each pass evaluates the trial points of the rows in `pending`, the starts at first.
+    pending, cand, first = list(range(count)), points, True
+    while pending:
+        if len(pending) == 1:  # a lone point: the unstacked kernels cost less
+            f_one, jacobian = system(cand[0])
+            f_cand, res_cand = [f_one], [float(np.abs(f_one).max(initial=0.0))]
+            jacobians = lambda places, jacobian=jacobian: jacobian()[None]
         else:
-            break  # no halving lowered the residual
-    return theta, f, False, steps
+            f_stack, jacobian = system(np.array(cand))
+            f_cand, res_cand = list(f_stack), np.abs(f_stack).max(axis=1, initial=0.0).tolist()
+            jacobians = lambda places, jacobian=jacobian, size=len(cand): jacobian(
+                None if len(places) == size else np.array(places)
+            )
+        starting, following = [], []  # places in the stack that start a step; rows that halve theirs
+        for q, r in enumerate(pending):
+            if first or res_cand[q] < res[r]:
+                points[r], f[r], res[r] = cand[q], f_cand[q], res_cand[q]
+                steps[r] += not first
+                # A new point starts a step unless it has converged or its rounds are used up.
+                if not res[r] <= tol and rounds[r] < max_steps:
+                    starting.append(q)
+            else:
+                halvings[r] += 1
+                if halvings[r] < 8:  # else no halving lowered this row's residual
+                    step[r] = 0.5 * step[r]
+                    following.append(r)
+        first = False
+        if starting:
+            rows = [pending[q] for q in starting]
+            jac = jacobians(starting)
+            for r in rows:
+                rounds[r] += 1
+            rhs = f[rows[0]][None] if len(rows) == 1 else np.array([f[r] for r in rows])
+            try:
+                new = _linear_step(jac, -rhs)
+            except np.linalg.LinAlgError:
+                rows = []  # these rows stop
+            for q, norm in enumerate(np.abs(new).max(axis=1).tolist() if rows else ()):
+                if not 0.0 < norm < math.inf:  # NaN fails the test too
+                    # A zero Jacobian, which no square solve takes, gets a zero least-squares step.
+                    flat[rows[q]] = not jac[q].any()
+                    continue
+                step[rows[q]] = new[q] * (0.5 / norm) if norm > 0.5 else new[q]
+                halvings[rows[q]] = 0
+                following.append(rows[q])
+        pending = sorted(following) if len(following) > 1 else following
+        cand = [points[r] + step[r] for r in pending]
+    if single:
+        return points[0], f[0], flat[0], steps[0]
+    return points, f, flat, steps
 
 
 def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The solution of jac @ step = rhs; least squares when jac is not square or is singular."""
-    if jac.shape[0] == jac.shape[1]:
+    """The solution of jac @ step = rhs for each row of a stack, jac (b x m x n) and rhs (b x m).
+
+    The stack takes one solve when every jac is square and nonsingular.
+    Otherwise each row is solved alone, in the least-squares sense when its
+    jac is not square or is singular; a row whose least squares fails gets
+    a step of NaN.
+    """
+    square = jac.shape[-1] == jac.shape[-2]
+    if square:
         try:
-            return np.linalg.solve(jac, rhs)
+            if len(jac) == 1:  # one row costs less unstacked
+                return np.linalg.solve(jac[0], rhs[0])[None]
+            return np.linalg.solve(jac, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
+            pass  # some row is singular
+    step = np.empty(rhs.shape[:-1] + jac.shape[-1:])
+    for r, (a, b) in enumerate(zip(jac, rhs)):
+        try:
+            step[r] = np.linalg.solve(a, b)
+            continue
+        except np.linalg.LinAlgError:  # singular, or not square
             pass
-    return np.linalg.lstsq(jac, rhs, rcond=None)[0]
+        try:
+            step[r] = np.linalg.lstsq(a, b, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            step[r] = np.nan
+    return step
 
 
 @functools.lru_cache(maxsize=64)
 def _full_chart(counts: tuple[int, ...]):
     """The full-support chart of a game with these action counts, as arrays.
 
-    Returns (starts, free, owner, chart, identity): where each player's mix
-    starts in the concatenated profile p (and its length), the places of the
-    free coordinates in p, the player of each place in p, chart, whose
-    column t is the change of p as free coordinate t rises (see
-    _chart_columns), and the identity on the free coordinates.  Cached per
-    shape, so the arrays are shared, and read-only.
+    Returns (starts, free, owner, chart, identity, corner): where each
+    player's mix starts in the concatenated profile p (and its length), the
+    places of the free coordinates in p, the player of each place in p,
+    chart, whose column t is the change of p as free coordinate t rises (see
+    _chart_columns), the identity on the free coordinates, and p where every
+    free coordinate is 0 (so p = chart @ theta + corner inside the
+    simplex).  Cached per shape, so the arrays are shared, and read-only.
     """
     starts = tuple(itertools.accumulate(counts, initial=0))
     free = np.array([q for i, k in enumerate(counts) for q in range(starts[i], starts[i] + k - 1)], dtype=int)
@@ -481,7 +651,9 @@ def _full_chart(counts: tuple[int, ...]):
     chart = np.zeros((starts[-1], free.size))
     chart[free, np.arange(free.size)] = 1.0
     chart[last[owner[free]], np.arange(free.size)] = -1.0
-    arrays = (free, owner, chart, np.eye(free.size))
+    corner = np.zeros(starts[-1])
+    corner[last] = 1.0
+    arrays = (free, owner, chart, np.eye(free.size), corner)
     for array in arrays:
         array.flags.writeable = False
     return (starts, *arrays)
@@ -495,38 +667,56 @@ def _logit_system(evaluator: PhiEvaluator, lam: float, tally: Optional[Counter] 
     response s = logit(lam v_i) moves with opponent j's mix by
     lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.  The
     Jacobian is I - dT/dp taken to the chart: its free rows, times the
-    chart's columns.  The rows of dv/dp whose blocks are constant are
-    filled once and copied.  tally["jacobians"], when tally is given,
-    counts the Jacobians built.
+    chart's columns.  The rows of dv/dp whose blocks are constant come
+    from the evaluator's constant_dv.  tally["jacobians"], when tally is
+    given, counts the Jacobians built.
+    The system takes one point, theta, or a stack of them, (B x free), as
+    _newton does.  A stack fills its chart by one product with the chart's
+    columns (a row with a weight to cut is filled by _dists_from_theta), is
+    evaluated by one values call per player and one softmax, and its
+    jacobian(rows=None) builds the Jacobians of the given rows (all by
+    default) together, (rows x free x free), counting one per row.
     """
     counts = evaluator.game.action_counts
-    starts, free, owner, chart, identity = _full_chart(tuple(counts))
+    starts, free, owner, chart, identity, corner = _full_chart(tuple(counts))
     full = [range(k) for k in counts]
     heads = starts[:-1]
     moving = [i for i, blocks in enumerate(evaluator.constant_blocks) if blocks is None]
-    fixed = np.zeros((starts[-1], starts[-1]))  # dv_i/dd_j in row block i, column block j
-    for i, blocks in enumerate(evaluator.constant_blocks):
-        for j, block in zip(evaluator.others[i], blocks or ()):
-            fixed[starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
+    fixed = evaluator.constant_dv  # dv_i/dd_j in row block i, column block j
 
     def system(theta: np.ndarray):
-        p = np.empty(starts[-1])
-        dists = _dists_from_theta(theta, full, counts, out=p)
+        stack = theta.ndim > 1
+        if stack:  # the chart for every row at once; a row with a weight to cut is filled on its own
+            p = theta @ chart.T + corner
+            for r in np.flatnonzero(p.min(axis=1) < 0.0).tolist():
+                _dists_from_theta(theta[r], full, counts, out=p[r])
+            dists = [p[:, a:b] for a, b in zip(starts[:-1], starts[1:])]
+        else:
+            p = np.empty(starts[-1])
+            dists = _dists_from_theta(theta, full, counts, out=p)
         parts = [evaluator.values(i, dists, boundary_pure=True, grad=True) for i in range(evaluator.n)]
         s = _logit([v for v, _ in parts], lam, starts, owner)
-        f = (p - s)[free]
+        f = (p - s)[:, free] if stack else (p - s)[free]
 
-        def jacobian() -> np.ndarray:
+        def jacobian(rows=None) -> np.ndarray:
+            # A stack is worked on with its rows on the middle axis, (N x rows x N),
+            # so that it takes the same indexing as one profile's (N x N).
+            if stack:
+                sc = (s if rows is None else s[rows]).T[:, :, None]
+                dv = fixed[:, None].repeat(sc.shape[1], axis=1) if moving else fixed[:, None]
+                blocks = dv.swapaxes(0, 1)  # (rows x N x N), where the blocks come stacked
+            else:
+                sc = s[:, None]
+                dv = blocks = fixed.copy() if moving else fixed
             if tally is not None:
-                tally["jacobians"] += 1
-            dv = fixed.copy() if moving else fixed
+                tally["jacobians"] += sc.shape[1] if stack else 1
             for i in moving:
-                for j, block in zip(evaluator.others[i], parts[i][1]()):
-                    dv[starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
-            sc = s[:, None]
+                for j, block in zip(evaluator.others[i], parts[i][1](rows)):
+                    blocks[..., starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
             weighted = sc * dv
             mean = np.add.reduceat(weighted, heads, axis=0)  # s_i @ dv_i, one row per player
-            return identity - (lam * (weighted - sc * mean[owner]))[free] @ chart
+            jac = (lam * (weighted - sc * mean[owner]))[free] @ chart
+            return identity - (jac.swapaxes(0, 1) if stack else jac)
 
         return f, jacobian
 
@@ -536,32 +726,36 @@ def _logit_system(evaluator: PhiEvaluator, lam: float, tally: Optional[Counter] 
 def _newton_polish(
     evaluator: PhiEvaluator,
     lam: float,
-    dists: list[np.ndarray],
+    profiles: Sequence[Sequence[np.ndarray]],
     tol: float,
     tally: Counter,
     max_steps: int = 40,
-) -> tuple[list[np.ndarray], float]:
-    """Newton iteration on p - T(p) = 0; works at unstable fixed points too.
+) -> list[tuple[list[np.ndarray], float]]:
+    """Newton iteration on p - T(p) = 0 from some profiles in lockstep; works at unstable fixed points too.
 
     Each player's last coordinate is eliminated (it equals one minus the
     rest), which removes the normalization null space from the
-    least-squares step.  Returns (dists, sup-norm residual); the Newton
-    steps taken are counted in tally["newton_steps"] and the Jacobians
-    built in tally["jacobians"] (see _logit_system).
+    least-squares step.  The profiles run as one stack through _newton.
+    Returns (dists, sup-norm residual) for each profile; the Newton steps
+    taken are counted in tally["newton_steps"] and the Jacobians built in
+    tally["jacobians"] (see _logit_system).
     """
     counts = evaluator.game.action_counts
     # Both p and T(p) sum to one, so the eliminated coordinate's residual is
     # minus the block sum of the free ones: drive the free residual below
     # tol / max block size, and read the sup-norm residual off it.
-    theta = np.concatenate([d[:-1] for d in dists])
-    theta, f, _, steps = _newton(_logit_system(evaluator, lam, tally), theta, tol / max(counts), max_steps)
-    tally["newton_steps"] += steps
-    res = float(np.max(np.abs(f), initial=0.0))
-    pos = 0
-    for k in counts:
-        res = max(res, abs(float(f[pos : pos + k - 1].sum())))
-        pos += k - 1
-    return _dists_from_theta(theta, [range(k) for k in counts], counts), res
+    thetas = [np.concatenate([d[:-1] for d in dists]) for dists in profiles]
+    thetas, f, _, steps = _newton(_logit_system(evaluator, lam, tally), thetas, tol / max(counts), max_steps)
+    tally["newton_steps"] += sum(steps)
+    ends = list(itertools.accumulate(k - 1 for k in counts))
+    full = [range(k) for k in counts]
+    out = []
+    for row, f_row in zip(thetas, f):
+        res = float(np.abs(f_row).max(initial=0.0))
+        for a, b in zip([0, *ends], ends):
+            res = max(res, abs(float(f_row[a:b].sum())))
+        out.append((_dists_from_theta(row, full, counts), res))
+    return out
 
 
 def _continue(
@@ -657,12 +851,12 @@ def _bordered_newton(system, pred: np.ndarray, border: np.ndarray, tol: float):
 
     def bordered(z: np.ndarray):
         f, jacobian = system(z)
-        g = np.append(f, border @ (z - pred))
+        g = np.concatenate((f, [border @ (z - pred)]))
         last["z"], last["jacobian"] = z, jacobian
 
         def jac() -> np.ndarray:
             trail.append(float(abs(g).max()))
-            return np.vstack([jacobian(), border])
+            return np.concatenate((jacobian(), border[None]))
 
         return g, jac
 
@@ -692,7 +886,7 @@ def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, theta0: np.ndarra
 
         def jac() -> np.ndarray:
             block = t * jacobian()
-            block[np.diag_indices_from(block)] += 1.0 - t
+            block.flat[:: len(block) + 1] += 1.0 - t  # the diagonal
             return np.column_stack([block, f - shift])
 
         return (1.0 - t) * shift + t * f, jac
@@ -703,38 +897,57 @@ def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, theta0: np.ndarra
 def _solve_fixed_point(
     evaluator: PhiEvaluator,
     lam: float,
+    starts: Sequence[list[np.ndarray]],
+    cfg: SolverConfig,
+    tally: Counter,
+) -> list[tuple[Optional[list[np.ndarray]], float]]:
+    """Fixed points of the logit response reached from each of some starts.
+
+    Returns (dists or None, residual) for each start.  The work is counted
+    in tally: the damped steps in "iterations", the Newton steps on
+    p - T(p) in "newton_steps", the path's accepted steps in
+    "continuation_steps" and the Jacobians of p - T(p) built in
+    "jacobians".  Each stage runs only for the starts that the one before
+    leaves unconverged:
+    1. Newton from the start (12 steps), every start in lockstep: one
+       _newton_polish on the stack of starts, so each round of it evaluates
+       all the starts still stepping by one values call per player.  Unstable
+       fixed points trap damped iteration in limit cycles but are reachable
+       for Newton from nearby.
+    2. WARM_UP damped steps at DAMPING, then Newton from the best iterate,
+       one start at a time: a few damped steps carry most starts into
+       Newton's basin.
+    3. The start's fixed-point homotopy path (Chow, Mallet-Paret & Yorke,
+       Math. Comp. 32, 1978), one start at a time: the zeros of
+       H(theta, t) = (1 - t)(theta - theta0) + t(theta - T(theta)) through
+       (theta0, 0), theta0 being the start's free coordinates, followed by
+       _continue towards t = 1 in at most cfg.max_iters steps.  At a zero, p
+       is a convex mix of the start and T(p), both interior, so the path
+       stays inside the simplex product, and for almost every start it
+       reaches t = 1.  Newton on p - T(p) finishes from where the path ends,
+       if that is at t >= END_GAME: the corrector stops at CORRECTOR_TOL,
+       and near weights of ~1e-8 the chart's clipping could stall it short
+       of t = 1.
+    Each start's outcome is the one it reaches when solved alone.
+    """
+    tol = cfg.tol_fixed_point
+    first = _newton_polish(evaluator, lam, starts, tol, tally, max_steps=12)
+    return [
+        (p, pres) if pres <= tol else _finish_start(evaluator, lam, start, p if pres < math.inf else start, cfg, tally)
+        for start, (p, pres) in zip(starts, first)
+    ]
+
+
+def _finish_start(
+    evaluator: PhiEvaluator,
+    lam: float,
     start: list[np.ndarray],
+    p: list[np.ndarray],
     cfg: SolverConfig,
     tally: Counter,
 ) -> tuple[Optional[list[np.ndarray]], float]:
-    """A fixed point of the logit response reached from one start.
-
-    Returns (dists or None, residual).  The work is counted in tally: the
-    damped steps in "iterations", the Newton steps on p - T(p) in
-    "newton_steps", the path's accepted steps in "continuation_steps" and
-    the Jacobians of p - T(p) built in "jacobians".  Each stage runs only
-    when the one before fails:
-    1. Newton from the start (12 steps): unstable fixed points trap damped
-       iteration in limit cycles but are reachable for Newton from nearby.
-    2. WARM_UP damped steps at DAMPING, then Newton from the best iterate:
-       a few damped steps carry most starts into Newton's basin.
-    3. The start's fixed-point homotopy path (Chow, Mallet-Paret & Yorke,
-       Math. Comp. 32, 1978): the zeros of H(theta, t) = (1 - t)(theta -
-       theta0) + t(theta - T(theta)) through (theta0, 0), theta0 being the
-       start's free coordinates, followed by _continue towards t = 1 in at
-       most cfg.max_iters steps.  At a zero, p is a convex mix of the start
-       and T(p), both interior, so the path stays inside the simplex product,
-       and for almost every start it reaches t = 1.  Newton on p - T(p)
-       finishes from where the path ends, if that is at t >= END_GAME: the
-       corrector stops at CORRECTOR_TOL, and near weights of ~1e-8 the
-       chart's clipping could stall it short of t = 1.
-    """
+    """Stages 2 and 3 of _solve_fixed_point for one start that Newton from it left at p."""
     tol = cfg.tol_fixed_point
-    p = [d.copy() for d in start]
-    polished, pres = _newton_polish(evaluator, lam, p, tol, tally, max_steps=12)
-    if pres <= tol:
-        return polished, pres
-    p = polished if pres < math.inf else p
     best, best_res = p, math.inf
     for _ in range(WARM_UP):
         tally["iterations"] += 1
@@ -745,7 +958,7 @@ def _solve_fixed_point(
         if res <= tol:
             return p, res
         p = [(1 - DAMPING) * a + DAMPING * b for a, b in zip(p, t)]
-    polished, pres = _newton_polish(evaluator, lam, best, tol, tally)
+    [(polished, pres)] = _newton_polish(evaluator, lam, [best], tol, tally)
     if pres <= tol:
         return polished, pres
     best_res = min(best_res, pres)
@@ -765,17 +978,18 @@ def _solve_fixed_point(
     if y[-1] >= END_GAME:
         counts = evaluator.game.action_counts
         end = _dists_from_theta(y[:-1], [range(k) for k in counts], counts)
-        polished, pres = _newton_polish(evaluator, lam, end, tol, tally)
+        [(polished, pres)] = _newton_polish(evaluator, lam, [end], tol, tally)
         if pres <= tol:
             return polished, pres
     return None, best_res
 
 
 def _interior_starts(game: Game, cfg: SolverConfig) -> list[list[np.ndarray]]:
-    rng = np.random.default_rng(cfg.seed)
+    """The uniform start and cfg.multistarts Dirichlet starts drawn from cfg.seed."""
     starts = [[np.full(k, 1.0 / k) for k in game.action_counts]]
-    for _ in range(cfg.multistarts):
-        starts.append([rng.dirichlet(np.ones(k)) for k in game.action_counts])
+    if cfg.multistarts:  # a lone start draws nothing, so it builds no generator
+        rng = np.random.default_rng(cfg.seed)
+        starts.extend([rng.dirichlet(np.ones(k)) for k in game.action_counts] for _ in range(cfg.multistarts))
     return starts
 
 
@@ -801,12 +1015,19 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     The uniform start and cfg.multistarts Dirichlet starts drawn from
     cfg.seed each run Newton, then WARM_UP damped steps and a Newton retry,
     then follow their fixed-point homotopy path (see _solve_fixed_point).
+    The first stage, Newton from the starts, runs them all in lockstep as
+    one stack: each round evaluates every start still stepping by one
+    PhiEvaluator.values call per player and solves their steps by one
+    stacked np.linalg.solve, while each start keeps its own step, halvings
+    and stop, so it reaches the point it reaches alone.  The later stages
+    run one start at a time.
     diagnostics: iterations, the damped steps (at most WARM_UP per start);
     newton_steps, the Newton steps on p - T(p); continuation_steps, the
     accepted predictor-corrector steps of the homotopy paths; starts and
     starts_converged; evaluator_calls, the PhiEvaluator.values calls (one
-    per player per evaluation of the profile); and jacobians, the Jacobians
-    of p - T(p) built, by Newton and by the homotopy paths alike.
+    per player per evaluation of the profile, a stacked call counting one
+    per profile in it); and jacobians, the Jacobians of p - T(p) built, by
+    Newton and by the homotopy paths alike, one per start each time.
 
     At least one fixed point exists for every game and lambda >= 0; if no
     start converges a SolverError is raised rather than returning an empty
@@ -818,7 +1039,7 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     evaluator = PhiEvaluator(game, phi)
     starts = _interior_starts(game, cfg)
     tally = Counter()
-    outcomes = [_solve_fixed_point(evaluator, lam, start, cfg, tally) for start in starts]
+    outcomes = _solve_fixed_point(evaluator, lam, starts, cfg, tally)
 
     found = [(dists, res) for dists, res in outcomes if dists is not None]
     if not found:
@@ -870,7 +1091,7 @@ def homotopy_trace(
     trace: list[tuple[float, MixedProfile]] = []
     current = [np.full(k, 1.0 / k) for k in game.action_counts]
     for lam in homotopy_lambda_grid(lambda_max, steps):
-        dists, _ = _solve_fixed_point(evaluator, lam, current, cfg, tally)
+        [(dists, _)] = _solve_fixed_point(evaluator, lam, [current], cfg, tally)
         if dists is None:
             last = trace[-1][0] if trace else 0.0
             raise HomotopyBreakdown(

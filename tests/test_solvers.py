@@ -223,14 +223,16 @@ class TestSolveLqre:
     def test_evaluator_calls_and_jacobians_match_counters(self, monkeypatch):
         # Criterion 03's corpus game 112 at lambda = 5: its starts run every
         # stage, Newton, the damped warm-up and the homotopy path.
+        # The starts' first Newton stage runs them as one stack, so a values
+        # call and a Jacobian call count one per row of the stack they serve.
         rng = np.random.default_rng(777)
         game = [random_game(rng) for _ in range(113)][112]
         calls, jacobians, responses, newton_steps, continuation_steps = [], [], [], [], []
         values = PhiEvaluator.values
 
-        def counted_values(self, *args, **kwargs):
-            calls.append(args[0])
-            return values(self, *args, **kwargs)
+        def counted_values(self, i, dists, *args, **kwargs):
+            calls.extend([i] * (len(dists[i]) if dists[i].ndim > 1 else 1))
+            return values(self, i, dists, *args, **kwargs)
 
         logit_system = solvers._logit_system
 
@@ -240,9 +242,10 @@ class TestSolveLqre:
             def counted(theta):
                 f, jacobian = system(theta)
 
-                def taken():
-                    jacobians.append(theta)
-                    return jacobian()
+                def taken(rows=None):
+                    stack = theta if rows is None else theta[rows]
+                    jacobians.extend(stack if stack.ndim > 1 else [stack])
+                    return jacobian(rows)
 
                 return f, taken
 
@@ -259,7 +262,7 @@ class TestSolveLqre:
         def counted_newton(system, *args):
             out = newton(system, *args)
             if system in logit_systems:  # Newton on p - T(p), not a corrector
-                newton_steps.append(out[3])
+                newton_steps.append(int(np.sum(out[3])))
             return out
 
         def counted_continuation(*args, **kwargs):
@@ -931,6 +934,109 @@ class TestLogitSystem:
                     assert values is evaluator.pure_extremes[i]
         assert all(blocks is None for blocks in PhiEvaluator(game, K_PAIR).constant_blocks)
         assert all(blocks is None for blocks in PhiEvaluator(JACOBIAN_GAMES[1], MMM_THIRDS).constant_blocks)
+
+
+class TestLockstepStarts:
+    """_newton on a stack of starts against each start run alone.
+
+    Every row keeps its own step, halvings and stop, so each start must reach
+    the point it reaches alone, within 1e-12, in the same number of steps.
+    """
+
+    @staticmethod
+    def _assert_rows_run_as_alone(system, thetas, tol, max_steps=12):
+        calls = []
+
+        def counted(theta):
+            calls.append(theta.shape)
+            return system(theta)
+
+        theta, f, flat, steps = _newton(counted, np.array(thetas), tol, max_steps)
+        stacked = len(calls)
+        calls.clear()
+        for row, start in enumerate(thetas):
+            alone, f_alone, flat_alone, steps_alone = _newton(counted, start, tol, max_steps)
+            np.testing.assert_allclose(theta[row], alone, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f[row], f_alone, rtol=0, atol=1e-12)
+            assert (steps[row], flat[row]) == (steps_alone, flat_alone)
+        assert stacked < len(calls)  # the rows were evaluated together
+        return steps, f
+
+    @staticmethod
+    def _starts(game, count, seed):
+        rng = np.random.default_rng(seed)
+        starts = [np.concatenate([np.full(k - 1, 1.0 / k) for k in game.action_counts])]
+        starts += [np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in game.action_counts]) for _ in range(count)]
+        return starts
+
+    @pytest.mark.parametrize("index", [1, 112, 0], ids=["2p-4x2", "3p-2x2x4", "3p-3x3x3"])
+    def test_corpus_games(self, index):
+        # Criterion 03's corpus games.  At lambda = 0 the residual is affine, so a
+        # Dirichlet start converges on its first step unless the 0.5 cap cuts it;
+        # at lambda = 5 some starts stall within the twelve steps and stop on
+        # their own.
+        rng = np.random.default_rng(777)
+        game = [random_game(rng) for _ in range(index + 1)][index]
+        assert len(game.action_counts) == (2 if index == 1 else 3)
+        tol = 1e-10 / max(game.action_counts)
+        for phi in (EXPECTATION, MMM_THIRDS, K_PAIR):
+            evaluator = PhiEvaluator(game, phi)
+            for lam in (0.0, 1.0, 5.0):
+                system = _logit_system(evaluator, lam)
+                steps, f = self._assert_rows_run_as_alone(system, self._starts(game, 4, index), tol)
+                if lam == 0.0:  # the uniform start is the fixed point
+                    assert steps[0] == 0 and 1 in steps[1:]
+
+    def test_a_singular_row_alone_takes_least_squares(self, monkeypatch):
+        # The unit circle cut by x = y: the Jacobian [[2x, 2y], [1, -1]] is
+        # singular on x = -y, where the first start lies, so the stack's one
+        # solve fails and that row alone takes least-squares steps.
+        def system(theta):
+            x, y = theta[..., 0], theta[..., 1]
+
+            def jacobian(rows=None):
+                xs, ys = (x, y) if rows is None else (x[rows], y[rows])
+                ones = np.ones_like(xs)
+                return np.stack([np.stack([2 * xs, 2 * ys], -1), np.stack([ones, -ones], -1)], -2)
+
+            return np.stack([x * x + y * y - 1.0, x - y], axis=-1), jacobian
+
+        lstsq_rows = []
+        lstsq = np.linalg.lstsq
+
+        def counted(a, b, rcond=None):
+            lstsq_rows.append(float(a[0, 0] + a[0, 1]))  # 2(x + y): zero on the singular line
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        starts = [np.array([0.5, -0.5]), np.array([0.9, 0.4]), np.array([-0.6, -0.9])]
+        _, f = self._assert_rows_run_as_alone(system, starts, 1e-12, max_steps=24)
+        assert lstsq_rows and all(row == 0.0 for row in lstsq_rows)
+        assert max(np.abs(f[1:]).max(axis=1)) <= 1e-12  # the regular rows reach their roots
+
+    def test_a_row_whose_terms_underflow(self, monkeypatch):
+        # At a = -966 the tilted terms of JACOBIAN_GAMES[1] underflow for a
+        # start that leaves an opponent action unplayed, and only that row is
+        # finished atom by atom by normalized_cgf.
+        fallbacks = []
+        inner = solvers.normalized_cgf
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args[2])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "normalized_cgf", counted)
+        game = JACOBIAN_GAMES[1]
+        evaluator = PhiEvaluator(game, MAStatistic.single(-966.0))
+        starts = self._starts(game, 3, 0)
+        unplayed = starts[1].copy()
+        unplayed[1:3] = [1.0, 0.0]  # player 1 plays its first action only
+        starts.append(unplayed)
+        for lam in (0.5, 5.0):
+            fallbacks.clear()
+            _, f = self._assert_rows_run_as_alone(_logit_system(evaluator, lam), starts, 1e-12)
+            assert fallbacks
+            assert max(np.abs(f).max(axis=1)) <= 1e-12
 
 
 class TestSupportSolve:
