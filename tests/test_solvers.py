@@ -512,6 +512,24 @@ class TestNewton:
         np.testing.assert_array_equal(theta, [0.0])
         assert calls == ["f", "jacobian"] + ["f"] * 8  # the residual, its Jacobian and eight halvings
 
+    def test_each_step_gets_its_own_eight_halvings(self):
+        # |f| is 1 at t = 0, 0.5 at 1/8, 0 at 1/8 + 1/512 and 10 elsewhere, and the stated
+        # Jacobian is -1.  The step from 0 is capped at 0.5; 0.5 and 0.25 are rejected and
+        # 1/8 is taken after two halvings.  The step of 0.5 from 1/8 is rejected at full
+        # length and at each of seven halvings; the root lies one halving past the limit.
+        residual = {0.0: 1.0, 0.125: 0.5, 0.125 + 0.5 / 256: 0.0}
+        points, jacobians = [], []
+
+        def system(theta):
+            points.append(float(theta[0]))
+            return np.array([residual.get(points[-1], 10.0)]), lambda: jacobians.append(1) or -np.ones((1, 1))
+
+        theta, f, flat, steps = _newton(system, np.zeros(1), 1e-12, 24)
+        assert points == [0.0, 0.5, 0.25, 0.125] + [0.125 + 0.5 / 2**m for m in range(8)]
+        assert len(jacobians) == 2 and steps == 1 and not flat
+        np.testing.assert_array_equal(theta, [0.125])
+        np.testing.assert_array_equal(f, [0.5])
+
 
 class TestSupportProfiles:
     @pytest.mark.parametrize(
@@ -1138,8 +1156,38 @@ class TestSolveNashPhi:
         game = make_card_game(0.4, [0, 1, 2], 0.1)
         res = solve_nash_phi(game, EXPECTATION, SolverConfig(max_enum_supports=0))
         assert res.profiles
+        assert res.diagnostics["homotopy_skipped"] is False
         assert res.diagnostics["enumeration_examined"] == 0
         assert res.diagnostics["enumeration_truncated"] is True
+
+    def test_skipping_the_trace_keeps_every_solution_set(self, monkeypatch):
+        # Criterion 02's corpus, its 50 pairs drawn in order from one generator, matching
+        # pennies and criterion 05's two 4x2 card games: every one is enumerated completely,
+        # so the default run skips the trace.  Forcing the trace must find the same set.
+        cfg = SolverConfig(multistarts=2, max_iters=20_000)
+        rng = np.random.default_rng(20240)
+        games = [random_game(rng, players=(2, 2), actions=(2, 3)) for _ in range(100)]
+        games += [make_matching_pennies(), make_card_game(0.4, [0, 1], 0.1), make_card_game(0.4, [0, 1], 0.01)]
+        traces = []  # one entry per homotopy_trace call
+        trace = solvers.homotopy_trace
+        monkeypatch.setattr(solvers, "homotopy_trace", lambda *args: traces.append(1) or trace(*args))
+        defaults = [solve_nash_phi(game, EXPECTATION, cfg) for game in games]
+        assert len(traces) == 0
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_enumeration_complete", lambda *args: False)
+            forced = [solve_nash_phi(game, EXPECTATION, cfg) for game in games]
+        assert len(traces) == len(games)
+        assert sum(res.diagnostics["homotopy_candidates"] for res in forced) > 0
+        for index, (default, traced) in enumerate(zip(defaults, forced)):
+            d = default.diagnostics
+            assert d["homotopy_skipped"] is True and d["homotopy_candidates"] == 0, index
+            assert d["enumeration_truncated"] is False and traced.diagnostics["homotopy_skipped"] is False, index
+            assert len(default.profiles) == len(traced.profiles), index
+            for p in default.profiles:
+                assert min(p.sup_distance(q) for q in traced.profiles) <= 1e-6, index
+        cards = make_card_game(0.4, [0, 1, 2], 0.1)
+        assert solve_nash_phi(cards, EXPECTATION, cfg).diagnostics["homotopy_skipped"] is False
+        assert len(traces) == len(games) + 1
 
     def test_negative_enumeration_limit_rejected(self):
         with pytest.raises(ValueError, match="max_enum_supports"):
