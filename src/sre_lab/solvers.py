@@ -747,23 +747,15 @@ def _newton_polish(
     thetas = [np.concatenate([d[:-1] for d in dists]) for dists in profiles]
     thetas, f, _, steps = _newton(_logit_system(evaluator, lam, tally), thetas, tol / max(counts), max_steps)
     tally["newton_steps"] += sum(steps)
-    full = [range(k) for k in counts]
-    return [
-        (_dists_from_theta(row, full, counts), _fixed_point_residual(row_f, counts)) for row, row_f in zip(thetas, f)
-    ]
-
-
-def _fixed_point_residual(f: np.ndarray, counts: Sequence[int]) -> float:
-    """The sup-norm residual of p - T(p) from its free coordinates' residual f.
-
-    Both p and T(p) sum to one, so each player's eliminated coordinate has
-    minus the sum of that player's free residuals.
-    """
-    res = float(np.abs(f).max(initial=0.0))
     ends = list(itertools.accumulate(k - 1 for k in counts))
-    for a, b in zip([0, *ends], ends):
-        res = max(res, abs(float(f[a:b].sum())))
-    return res
+    full = [range(k) for k in counts]
+    out = []
+    for row, f_row in zip(thetas, f):
+        res = float(np.abs(f_row).max(initial=0.0))
+        for a, b in zip([0, *ends], ends):
+            res = max(res, abs(float(f_row[a:b].sum())))
+        out.append((_dists_from_theta(row, full, counts), res))
+    return out
 
 
 def _continue(
@@ -1084,40 +1076,23 @@ def homotopy_trace(
 ) -> list[tuple[float, MixedProfile]]:
     """Warm-started continuation of logit fixed points along increasing lambda.
 
-    Each grid point is solved from the previous point's fixed point as one
-    start of solve_lqre is (see _solve_fixed_point): Newton on p - T(p)
-    from it (12 steps), then _finish_start where Newton leaves it
-    unconverged.  Past a fold of the branch no fixed point is near; the
-    damped warm-up or the start's homotopy path then reaches one on another
-    branch, and the trace jumps there.  Raises HomotopyBreakdown (carrying
-    the partial trace and last good lambda) if some point cannot be
-    converged.
-
-    solve_nash_phi runs the trace for candidate supports only when its
-    enumeration is not complete by construction: when the players' action
-    counts sum to more than cfg.support_cap, or the count of support
-    profiles, the product of 2^k - 1 over the action counts k, is over
-    cfg.max_enum_supports.
+    Each grid point is solved from the previous point's fixed point by
+    _solve_fixed_point, as one start of solve_lqre is.  Past a fold of the
+    branch no fixed point is near; the damped warm-up or the start's
+    homotopy path then reaches one on another branch, and the trace jumps
+    there.  Raises HomotopyBreakdown (carrying the partial trace and last
+    good lambda) if some point cannot be converged.  solve_nash_phi skips
+    the trace where _skip_trace holds.
     """
     if lambda_max <= 0 or steps < 2:
         raise ValueError("need lambda_max > 0 and steps >= 2")
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
-    counts = game.action_counts
-    full = [range(k) for k in counts]
-    tol = cfg.tol_fixed_point
     tally = Counter()  # the trace reports no counts
     trace: list[tuple[float, MixedProfile]] = []
-    current = [np.full(k, 1.0 / k) for k in counts]
+    current = [np.full(k, 1.0 / k) for k in game.action_counts]
     for lam in homotopy_lambda_grid(lambda_max, steps):
-        # Stage 1 of _solve_fixed_point for one start; see _newton_polish for the tolerance.
-        theta, f, _, _ = _newton(
-            _logit_system(evaluator, lam, tally), np.concatenate([d[:-1] for d in current]), tol / max(counts), 12
-        )
-        res = _fixed_point_residual(f, counts)
-        dists = _dists_from_theta(theta, full, counts)
-        if not res <= tol:
-            dists, _ = _finish_start(evaluator, lam, current, dists if res < math.inf else current, cfg, tally)
+        [(dists, _)] = _solve_fixed_point(evaluator, lam, [current], cfg, tally)
         if dists is None:
             last = trace[-1][0] if trace else 0.0
             raise HomotopyBreakdown(
@@ -1232,7 +1207,7 @@ def _solve_support(
             np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
         )
     system = _support_system(evaluator, supports)
-    if evaluator.n == 2 and all(a == 0.0 for a, _ in evaluator.kernel_atoms):
+    if _linear_supports(evaluator):
         roots = _linear_support_roots(system, starts, tol)
     else:
         roots = _newton_support_roots(system, starts, tol)
@@ -1242,6 +1217,11 @@ def _solve_support(
         if all(vec[list(sup)].min() > 1e-9 for sup, vec in zip(supports, dists)):
             return dists
     return None
+
+
+def _linear_supports(evaluator: PhiEvaluator) -> bool:
+    """True when _solve_support uses _linear_support_roots: two players, every finite atom at 0."""
+    return evaluator.n == 2 and all(a == 0.0 for a, _ in evaluator.kernel_atoms)
 
 
 def _newton_support_roots(system, starts: list[np.ndarray], tol: float):
@@ -1305,13 +1285,14 @@ def _support_profile_count(counts: Sequence[int]) -> int:
     return math.prod(2**k - 1 for k in counts)
 
 
-def _enumeration_complete(counts: Sequence[int], cfg: SolverConfig) -> bool:
-    """True when Stage 2 of solve_nash_phi examines every support profile of a game with these counts.
-
-    That holds when no profile is over cfg.support_cap (the largest plays
-    every action) and there are at most cfg.max_enum_supports of them.
-    """
-    return sum(counts) <= cfg.support_cap and _support_profile_count(counts) <= cfg.max_enum_supports
+def _skip_trace(evaluator: PhiEvaluator, cfg: SolverConfig) -> bool:
+    """True when solve_nash_phi skips Stage 1; its docstring gives the rule."""
+    counts = evaluator.game.action_counts
+    return (
+        _linear_supports(evaluator)
+        and sum(counts) <= cfg.support_cap
+        and _support_profile_count(counts) <= cfg.max_enum_supports
+    )
 
 
 def _candidate_supports(points: Sequence[Sequence[np.ndarray]], support_cap: int) -> set:
@@ -1356,16 +1337,15 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     a legitimate outcome (equilibria can fail to exist when the statistic
     weights the extremes) and is reported, not raised.
 
-    Stage 1 is skipped when the enumeration is complete by construction:
-    when the players' action counts sum to at most cfg.support_cap and the
-    count of support profiles, the product of 2^k - 1 over the action
-    counts k, is at most cfg.max_enum_supports.  Stage 2 then solves
-    every profile Stage 1 could propose.  Skipping it moves the random
-    stream of the support solves, so a support whose root depends on its
-    Dirichlet starts (Newton, for three or more players or a finite atom
-    off 0; or a degenerate support whose root from the uniform start has a
-    zero weight) can come out with another root, or none, than when the
-    trace runs.
+    Stage 1 is skipped when Stage 2 examines every support profile and
+    solves each by the linear path (two players, every finite atom at 0):
+    the players' action counts sum to at most cfg.support_cap, the count
+    of support profiles, the product of 2^k - 1 over the action counts k,
+    is at most cfg.max_enum_supports, and _linear_supports holds.  Stage 2
+    then solves every profile Stage 1 could propose, as Stage 1 would.  A
+    Newton-solved support's root depends on its Dirichlet starts, and
+    Stage 1 solves its candidates from other draws than Stage 2, so there
+    the trace always runs.
 
     A support profile S is dismissed unsolved when some player i has an
     action a in S_i and an action b (in S_i or not) whose payoff exceeds a's
@@ -1378,12 +1358,13 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     reported as enumeration_pruned.
 
     diagnostics: homotopy_skipped, whether Stage 1 was skipped, which the
-    game's action counts and cfg settle alone; homotopy_candidates, the
-    Stage-1 candidates accepted (0 when skipped); homotopy_breakdown_lambda,
-    present only when the trace broke down, its last good lambda;
-    enumeration_examined, enumeration_pruned, enumeration_truncated (some
-    profile was left unexamined, so the result need not hold every
-    equilibrium), enumeration_skipped_by_cap and support_cap.
+    game's action counts, the statistic and cfg settle alone;
+    homotopy_candidates, the Stage-1 candidates accepted (0 when skipped);
+    homotopy_breakdown_lambda, present only when the trace broke down, its
+    last good lambda; enumeration_examined, enumeration_pruned,
+    enumeration_truncated (some profile was left unexamined, so the result
+    need not hold every equilibrium), enumeration_skipped_by_cap and
+    support_cap.
     """
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
@@ -1415,7 +1396,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
         return gap is not None
 
     # Stage 1: limit candidates along the logit continuation.
-    skipped = _enumeration_complete(game.action_counts, cfg)
+    skipped = _skip_trace(evaluator, cfg)
     trace: list[tuple[float, MixedProfile]] = []
     if not skipped:
         try:

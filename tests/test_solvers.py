@@ -1161,22 +1161,24 @@ class TestSolveNashPhi:
         assert res.diagnostics["enumeration_truncated"] is True
 
     def test_skipping_the_trace_keeps_every_solution_set(self, monkeypatch):
-        # Criterion 02's corpus, its 50 pairs drawn in order from one generator, matching
-        # pennies and criterion 05's two 4x2 card games: every one is enumerated completely,
-        # so the default run skips the trace.  Forcing the trace must find the same set.
+        # Two-player games whose every finite atom is at 0, enumerated completely, so the
+        # default run skips the trace: the first games of criterion 02's corpus, matching
+        # pennies and criterion 05's two 4x2 card games under the expectation, and a corpus
+        # game under MMM_THIRDS.  Forcing the trace must find the same set.
         cfg = SolverConfig(multistarts=2, max_iters=20_000)
         rng = np.random.default_rng(20240)
-        games = [random_game(rng, players=(2, 2), actions=(2, 3)) for _ in range(100)]
-        games += [make_matching_pennies(), make_card_game(0.4, [0, 1], 0.1), make_card_game(0.4, [0, 1], 0.01)]
+        corpus = [random_game(rng, players=(2, 2), actions=(2, 3)) for _ in range(8)]
+        games = corpus + [make_matching_pennies(), make_card_game(0.4, [0, 1], 0.1), make_card_game(0.4, [0, 1], 0.01)]
+        cases = [(game, EXPECTATION) for game in games] + [(corpus[0], MMM_THIRDS)]
         traces = []  # one entry per homotopy_trace call
         trace = solvers.homotopy_trace
         monkeypatch.setattr(solvers, "homotopy_trace", lambda *args: traces.append(1) or trace(*args))
-        defaults = [solve_nash_phi(game, EXPECTATION, cfg) for game in games]
+        defaults = [solve_nash_phi(game, phi, cfg) for game, phi in cases]
         assert len(traces) == 0
         with monkeypatch.context() as m:
-            m.setattr(solvers, "_enumeration_complete", lambda *args: False)
-            forced = [solve_nash_phi(game, EXPECTATION, cfg) for game in games]
-        assert len(traces) == len(games)
+            m.setattr(solvers, "_skip_trace", lambda *args: False)
+            forced = [solve_nash_phi(game, phi, cfg) for game, phi in cases]
+        assert len(traces) == len(cases)
         assert sum(res.diagnostics["homotopy_candidates"] for res in forced) > 0
         for index, (default, traced) in enumerate(zip(defaults, forced)):
             d = default.diagnostics
@@ -1185,9 +1187,16 @@ class TestSolveNashPhi:
             assert len(default.profiles) == len(traced.profiles), index
             for p in default.profiles:
                 assert min(p.sup_distance(q) for q in traced.profiles) <= 1e-6, index
+        # The trace runs where support systems are solved by Newton, whose roots depend on
+        # the Dirichlet starts (three players; K_PAIR's atoms off 0), even when the
+        # enumeration is complete, and where the enumeration is not (a 12x3 card game).
+        newton = [(random_game(rng, players=(3, 3), actions=(2, 2)), EXPECTATION), (corpus[1], K_PAIR)]
+        for game, phi in newton:
+            d = solve_nash_phi(game, phi, cfg).diagnostics
+            assert d["homotopy_skipped"] is False and d["enumeration_truncated"] is False
         cards = make_card_game(0.4, [0, 1, 2], 0.1)
         assert solve_nash_phi(cards, EXPECTATION, cfg).diagnostics["homotopy_skipped"] is False
-        assert len(traces) == len(games) + 1
+        assert len(traces) == len(cases) + len(newton) + 1
 
     def test_negative_enumeration_limit_rejected(self):
         with pytest.raises(ValueError, match="max_enum_supports"):
