@@ -18,7 +18,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -502,7 +502,7 @@ def _chart_columns(cols: np.ndarray) -> np.ndarray:
     free weight t raises that action's weight and lowers the last support
     action's by as much.
     """
-    return cols[:, :-1] - cols[:, -1:]
+    return cols[..., :-1] - cols[..., -1:]
 
 
 def _newton(
@@ -1195,36 +1195,126 @@ def _solve_support(
     rng: np.random.Generator,
     scale: float,
 ) -> Optional[list[np.ndarray]]:
-    """Find within-support indifference: zeros of the value differences."""
+    """Find within-support indifference for one support profile: _solve_supports on a batch of one.
+
+    On the linear path that is a stack of one, solved half by half, the
+    half with more equations than unknowns first; its starts are the next
+    draws of rng's stream, as they would be within a longer list.
+    """
+    return _solve_supports(evaluator, [supports], rng, scale)[0]
+
+
+def _solve_supports(
+    evaluator: PhiEvaluator,
+    profiles: Sequence[Sequence[Sequence[int]]],
+    rng: np.random.Generator,
+    scale: float,
+) -> list[Optional[list[np.ndarray]]]:
+    """Find within-support indifference, zeros of the value differences, for each support profile.
+
+    Returns one entry per profile: its mixes, or None.  A profile with free
+    weights is solved from the three starts of _support_starts, and its
+    solution is the root of the first start whose every support weight is
+    above 1e-9; a weight at zero is a boundary case that a smaller support
+    covers.  A profile of single actions is returned as it is.  On the
+    linear path (_linear_supports) the profiles of one shape are solved as
+    a stack by _linear_roots, half by half, the half with more equations
+    than unknowns first; elsewhere each profile is solved on its own by
+    Newton from its starts.
+    """
     counts = evaluator.game.action_counts
-    dim = sum(len(s) - 1 for s in supports)
-    if dim == 0:
-        return _dists_from_theta(np.zeros(0), supports, counts)
     tol = 1e-10 * scale
-    starts = [np.concatenate([np.full(len(s) - 1, 1.0 / len(s)) for s in supports if len(s) > 1])]
-    for _ in range(2):
-        starts.append(
-            np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
-        )
-    system = _support_system(evaluator, supports)
-    if _linear_supports(evaluator):
-        roots = _linear_support_roots(system, starts, tol)
-    else:
-        roots = _newton_support_roots(system, starts, tol)
-    for theta in roots:
-        dists = _dists_from_theta(theta, supports, counts)
-        # A support weight at zero is a boundary case; a smaller support covers it.
-        if all(vec[list(sup)].min() > 1e-9 for sup, vec in zip(supports, dists)):
-            return dists
-    return None
+    linear = _linear_supports(evaluator)
+    out: list = [None] * len(profiles)
+    for shape, (rows, free) in _support_starts(profiles, len(counts), rng).items():
+        if max(shape) == 1:
+            for r in rows:
+                out[r] = _dists_from_theta(np.zeros(0), profiles[r], counts)
+        elif linear:
+            for q, theta in _linear_roots(evaluator, [profiles[r] for r in rows], free, tol):
+                out[rows[q]] = _dists_from_theta(theta, profiles[rows[q]], counts)
+        else:
+            for r, starts in zip(rows, np.concatenate(free, axis=2)):
+                sups = profiles[r]
+                for theta in _newton_support_roots(_support_system(evaluator, sups), starts, tol):
+                    dists = _dists_from_theta(theta, sups, counts)
+                    if all(vec[list(sup)].min() > 1e-9 for sup, vec in zip(sups, dists)):
+                        out[r] = dists
+                        break
+    return out
+
+
+def _support_starts(profiles: Sequence[Sequence[Sequence[int]]], players: int, rng: np.random.Generator) -> dict:
+    """The support profiles grouped by shape, each with its three starts.
+
+    Returns {shape: (rows, free)}: a shape is the tuple of support sizes,
+    rows lists the places of its profiles in profiles, and free holds, per
+    player, the free weights (all but the last support action's) at each
+    start, (len(rows) x 3 x size - 1).  The starts are the uniform mix on
+    each support, then two Dirichlet draws.  The draws take rng's stream in
+    the profiles' order (a profile's first start, then its second; each
+    start's supports of two or more actions in player order), exactly as
+    successive rng.dirichlet(np.ones(k)) calls would: all come from one
+    rng.standard_exponential call, each support's segment scaled by one
+    over its left-to-right sum, which is how dirichlet draws unit weights.
+    So a profile's starts do not depend on how a list is cut into calls.
+    """
+    sizes = np.array([[len(s) for s in sups] for sups in profiles], dtype=int).reshape(len(profiles), players)
+    width = np.where(sizes > 1, sizes, 0).sum(axis=1)  # one start's draws
+    begin = np.cumsum(2 * width) - 2 * width  # where each profile's draws begin in the stream
+    draws = rng.standard_exponential(int(width.sum()) * 2)
+    shapes: dict = {}
+    for r, shape in enumerate(map(tuple, sizes.tolist())):
+        shapes.setdefault(shape, []).append(r)
+    out = {}
+    for shape, rows in shapes.items():
+        count, w = len(rows), int(width[rows[0]])
+        drawn = draws[begin[rows, None] + np.arange(2 * w)].reshape(count, 2, w)
+        free, pos = [], 0
+        for size in shape:
+            k = size if size > 1 else 0  # a support of one action draws nothing
+            draw = drawn[..., pos : pos + k]
+            pos += k
+            draw = draw * (1.0 / np.cumsum(draw, axis=2)[..., -1:])
+            free.append(np.concatenate([np.full((count, 1, size - 1), 1.0 / size), draw[..., :-1]], axis=1))
+        out[shape] = (rows, free)
+    return out
+
+
+def _linear_roots(
+    evaluator: PhiEvaluator, stack: Sequence[Sequence[Sequence[int]]], free: list[np.ndarray], tol: float
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Interior roots of a stack of two-player support profiles of one shape on the linear path.
+
+    free holds each player's free weights at each start, as _support_starts
+    gives them.  Player i's value differences depend on the opponent's
+    weights alone, so the system splits into two halves, each solved for
+    the whole stack by _linear_half.  The half with more equations than
+    unknowns (the player with the larger support) goes first, and only the
+    profiles where it is consistent go on to the other half.  Yields (place
+    in the stack, free weights) for each profile consistent in both halves
+    that has a start whose root keeps every support weight above 1e-9: the
+    first such start's root.
+    """
+    kept, free = np.arange(len(stack)), list(free)
+    actions = [np.array([sups[i] for sups in stack]) for i in range(2)]
+    for i in (0, 1) if len(stack[0][0]) >= len(stack[0][1]) else (1, 0):
+        free[1 - i], consistent = _linear_half(evaluator, i, actions[i], actions[1 - i], free[1 - i], tol)
+        kept, actions, free = kept[consistent], [a[consistent] for a in actions], [x[consistent] for x in free]
+    interior = np.ones((len(kept), 3), dtype=bool)
+    for x in free:
+        interior &= (x > 1e-9).all(axis=2) & (1.0 - x.sum(axis=2) > 1e-9)
+    for q in np.flatnonzero(interior.any(axis=1)).tolist():
+        t = int(interior[q].argmax())
+        yield int(kept[q]), np.concatenate([x[q, t] for x in free])
 
 
 def _linear_supports(evaluator: PhiEvaluator) -> bool:
-    """True when _solve_support uses _linear_support_roots: two players, every finite atom at 0."""
+    """True when _solve_supports uses _linear_roots: two players, every finite atom at 0."""
     return evaluator.n == 2 and all(a == 0.0 for a, _ in evaluator.kernel_atoms)
 
 
-def _newton_support_roots(system, starts: list[np.ndarray], tol: float):
+def _newton_support_roots(system, starts: Sequence[np.ndarray], tol: float):
     """Newton on the value differences from each start, yielding every point within tol."""
     for theta in starts:
         theta, f, flat, _ = _newton(system, theta, tol, 24)
@@ -1234,28 +1324,37 @@ def _newton_support_roots(system, starts: list[np.ndarray], tol: float):
             yield theta
 
 
-def _linear_support_roots(system, starts: list[np.ndarray], tol: float) -> Sequence[np.ndarray]:
-    """Exact roots of the value differences of a two-player game whose finite atoms sit at 0.
+def _linear_half(
+    evaluator: PhiEvaluator, i: int, own: np.ndarray, opponent: np.ndarray, free: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Player i's value differences on a stack of two-player supports, solved for the opponent's weights.
 
-    Player i's value differences depend on the opponent's mix alone: through
-    the mean, linearly, and through the -inf/+inf atoms only by the reached
-    support, which is constant inside it.  So the residual is affine in theta
-    on the support's interior, and one least-squares solve from each start
-    gives the point Newton reaches along its interior path.  Returns one root
-    per start, or none: the least-squares gap is the same from every start,
-    so an inconsistent system has no root from any of them.
+    own and opponent hold the supports, (B x |S_i|) and (B x |S_j|) action
+    indices; free holds the opponent's free weights at each start, (B x
+    starts x |S_j| - 1).  Every finite atom sits at 0, so on the interior of
+    the supports v_i[S_i[:-1]] - v_i[S_i[-1]] is affine in those weights:
+    the mean's part is read off player i's constant derivative block, and
+    the -inf/+inf atoms' part is the extremes of player i's payoffs over
+    S_i x S_j, which values(boundary_pure=False) gives at an interior point.
+    One min-norm least-squares step from each start (np.linalg.pinv on the
+    stack) gives the point Newton reaches along its interior path.  Returns
+    the roots, shaped as free, and for each profile whether the half is
+    consistent: the least-squares gap, the same from every start, within
+    tol at the first start's root.
     """
-    # The uniform start is interior, so the reached support is the whole support.
-    theta0 = starts[0]
-    f0, jacobian = system(theta0)
-    jac = jacobian()
-    const = f0 - jac @ theta0
-    thetas = np.stack(starts, axis=1)
-    step, *_ = np.linalg.lstsq(jac, -(jac @ thetas + const[:, None]), rcond=None)
-    thetas = thetas + step
-    if np.max(np.abs(jac @ thetas[:, 0] + const)) > tol:
-        return []
-    return thetas.T
+    rows, cols = own[:, :, None], opponent[:, None, :]
+    block = evaluator.constant_blocks[i][0][rows, cols]
+    diff = block[:, :-1] - block[:, -1:]
+    jac = _chart_columns(diff)
+    const = diff[..., -1]  # the differences where the opponent plays its last support action
+    if evaluator.pure_extremes[i] is not None:
+        reached = evaluator.tables[i][rows, cols]
+        extremes = evaluator._extremes(reached.min(axis=2), reached.max(axis=2))
+        const = const + (extremes[:, :-1] - extremes[:, -1:])
+    thetas = free.transpose(0, 2, 1)  # one column per start
+    roots = thetas - np.linalg.pinv(jac) @ (jac @ thetas + const[..., None])
+    gap = np.abs(jac @ roots[..., :1] + const[..., None]).max(axis=(1, 2), initial=0.0)
+    return roots.transpose(0, 2, 1), gap <= tol
 
 
 def _support_profiles(counts: Sequence[int]):
@@ -1337,6 +1436,15 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     a legitimate outcome (equilibria can fail to exist when the statistic
     weights the extremes) and is reported, not raised.
 
+    Each stage first lists the support profiles that are not dismissed
+    (Stage 1 in sorted order, Stage 2 in enumeration order), then hands the
+    list to _solve_supports at once, and keeps the best responses in list
+    order.  The starts are drawn for the list in the order in which one
+    solve per profile would draw them.  On the linear path (_linear_supports)
+    the profiles are solved in stacks of one shape, (|S_0|, |S_1|), half by
+    half, the half with more equations than unknowns first; on the Newton
+    path (three or more players, or a finite atom off 0) one by one.
+
     Stage 1 is skipped when Stage 2 examines every support profile and
     solves each by the linear path (two players, every finite atom at 0):
     the players' action counts sum to at most cfg.support_cap, the count
@@ -1361,7 +1469,8 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     game's action counts, the statistic and cfg settle alone;
     homotopy_candidates, the Stage-1 candidates accepted (0 when skipped);
     homotopy_breakdown_lambda, present only when the trace broke down, its
-    last good lambda; enumeration_examined, enumeration_pruned,
+    last good lambda; supports_solved, the profiles handed to the support
+    solver in both stages; enumeration_examined, enumeration_pruned,
     enumeration_truncated (some profile was left unexamined, so the result
     need not hold every equilibrium), enumeration_skipped_by_cap and
     support_cap.
@@ -1384,16 +1493,21 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
                 return True
         return False
 
-    def accept(sups) -> bool:
-        """Solve one support profile and keep the solution, with its gap, if it is a best response."""
-        dists = _solve_support(evaluator, sups, rng, scale)
-        if dists is None:
-            return False
-        # The gap is taken on the profile as returned, so it is that profile's residual.
-        gap = _best_response_gap(evaluator, MixedProfile(tuple(dists)).distributions, GAP_TOL, cfg.support_tol)
-        if gap is not None:
-            found.append((dists, gap))
-        return gap is not None
+    def accept(profiles: list) -> int:
+        """Solve the support profiles and keep each solution, with its gap, that is a best response.
+
+        Returns how many were kept.
+        """
+        kept = 0
+        for dists in _solve_supports(evaluator, profiles, rng, scale):
+            if dists is None:
+                continue
+            # The gap is taken on the profile as returned, so it is that profile's residual.
+            gap = _best_response_gap(evaluator, MixedProfile(tuple(dists)).distributions, GAP_TOL, cfg.support_tol)
+            if gap is not None:
+                found.append((dists, gap))
+                kept += 1
+        return kept
 
     # Stage 1: limit candidates along the logit continuation.
     skipped = _skip_trace(evaluator, cfg)
@@ -1410,15 +1524,15 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     if trace:
         candidate_supports = _candidate_supports([p.distributions for _, p in trace], cfg.support_cap)
     diagnostics["homotopy_skipped"] = skipped
-    diagnostics["homotopy_candidates"] = sum(
-        accept(sups) for sups in sorted(candidate_supports) if not dismissed(sups)
-    )
+    candidates = [sups for sups in sorted(candidate_supports) if not dismissed(sups)]
+    diagnostics["homotopy_candidates"] = accept(candidates)
 
     # Stage 2: support enumeration.
     examined = 0
     pruned = 0
     skipped_by_cap = 0
     truncated = False
+    survivors = []
     for sups in _support_profiles(game.action_counts):
         if sum(len(s) for s in sups) > cfg.support_cap:
             # Profiles come by increasing total size: every later one is over the cap too.
@@ -1431,7 +1545,9 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
         if dismissed(sups):
             pruned += 1
         else:
-            accept(sups)
+            survivors.append(sups)
+    accept(survivors)
+    diagnostics["supports_solved"] = len(candidates) + len(survivors)
     diagnostics["enumeration_examined"] = examined
     diagnostics["enumeration_pruned"] = pruned
     diagnostics["enumeration_truncated"] = truncated or skipped_by_cap > 0

@@ -44,7 +44,9 @@ from sre_lab.solvers import (
     _newton,
     _response,
     _solve_support,
+    _solve_supports,
     _support_profiles,
+    _support_starts,
     _support_system,
 )
 from sre_lab.testgames import (
@@ -1100,6 +1102,63 @@ class TestSupportSolve:
             np.testing.assert_allclose(dists[1][[0, 1]], [0.5, 0.5], rtol=0, atol=1e-12)
 
 
+    @pytest.mark.parametrize(
+        "phi",
+        [EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))],
+        ids=["mean", "mmm", "extremes"],
+    )
+    def test_one_stack_matches_one_solve_per_profile(self, phi):
+        # Every support profile of the three games above, and the first 4,096 of a 12x3
+        # card game, solved as one list: stacks of every shape, half by half.
+        games = [
+            _random_two_player_game(11, (3, 4)),
+            _random_two_player_game(12, (4, 4)),
+            make_card_game(0.4, [0, 1], 0.1),
+            make_card_game(0.4, [0, 1, 2], 0.1),
+        ]
+        solved = 0
+        for game in games:
+            evaluator = PhiEvaluator(game, phi)
+            scale = 1.0 + float(np.max(np.abs(game.payoffs)))
+            profiles = list(itertools.islice(_support_profiles(game.action_counts), 4096))
+            stacked_rng, alone_rng = np.random.default_rng(7), np.random.default_rng(7)
+            stacked = _solve_supports(evaluator, profiles, stacked_rng, scale)
+            assert len(stacked) == len(profiles)
+            for sups, dists in zip(profiles, stacked):
+                alone = _solve_support(evaluator, sups, alone_rng, scale)
+                assert (dists is None) == (alone is None), sups
+                if dists is not None:
+                    solved += sum(len(s) for s in sups) > 2
+                    for a, b in zip(dists, alone):
+                        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            assert stacked_rng.bit_generator.state == alone_rng.bit_generator.state
+        assert solved > 0
+
+    def test_starts_draw_as_successive_dirichlet_calls(self):
+        # Supports of 1 to 12 actions, in an order that interleaves the shapes.
+        shapes = list(itertools.product(range(1, 13), (1, 2, 7, 12)))
+        order = np.random.default_rng(0).permutation(len(shapes))
+        profiles = [tuple(tuple(range(k)) for k in shapes[t]) for t in order.tolist()]
+        drawn, reference = np.random.default_rng(9), np.random.default_rng(9)
+        grouped = _support_starts(profiles, 2, drawn)
+        expected = []  # per profile: per start, per player, the free weights
+        for sups in profiles:
+            uniform = [np.full(len(s) - 1, 1.0 / len(s)) for s in sups]
+            draws = [
+                [reference.dirichlet(np.ones(len(s)))[:-1] if len(s) > 1 else np.empty(0) for s in sups]
+                for _ in range(2)
+            ]
+            expected.append([uniform] + draws)
+        assert drawn.bit_generator.state == reference.bit_generator.state
+        assert sorted(r for rows, _ in grouped.values() for r in rows) == list(range(len(profiles)))
+        for shape, (rows, free) in grouped.items():
+            for q, r in enumerate(rows):
+                assert tuple(map(len, profiles[r])) == shape
+                for t in range(3):
+                    for i in range(2):
+                        assert np.array_equal(free[i][q, t], expected[r][t][i]), (shape, t, i)
+
+
 class TestSolveNashPhi:
     def test_pennies_unique_uniform(self):
         res = solve_nash_phi(make_matching_pennies(), EXPECTATION, FAST)
@@ -1197,6 +1256,29 @@ class TestSolveNashPhi:
         cards = make_card_game(0.4, [0, 1, 2], 0.1)
         assert solve_nash_phi(cards, EXPECTATION, cfg).diagnostics["homotopy_skipped"] is False
         assert len(traces) == len(cases) + len(newton) + 1
+
+    def test_supports_solved_counts_the_profiles_handed_to_the_solver(self, monkeypatch):
+        # The trace's candidates and the enumeration's survivors each go to the solver as
+        # one list, on the linear path (mean, MMM) and on the Newton path (K_PAIR, 3 players).
+        handed = []
+        inner = solvers._solve_supports
+        monkeypatch.setattr(
+            solvers, "_solve_supports", lambda ev, profiles, *rest: handed.append(len(profiles)) or inner(ev, profiles, *rest)
+        )
+        rng = np.random.default_rng(20240)
+        cases = [
+            (make_card_game(0.4, [0, 1, 2], 0.1), EXPECTATION),
+            (make_card_game(0.4, [0, 1], 0.1), EXPECTATION),
+            (random_game(rng, players=(2, 2), actions=(2, 3)), MMM_THIRDS),
+            (random_game(rng, players=(2, 2), actions=(2, 3)), K_PAIR),
+            (random_game(rng, players=(3, 3), actions=(2, 2)), EXPECTATION),
+        ]
+        for game, phi in cases:
+            handed.clear()
+            d = solve_nash_phi(game, phi, FAST).diagnostics
+            assert len(handed) == 2
+            assert d["supports_solved"] == sum(handed) > 0
+            assert d["supports_solved"] >= d["enumeration_examined"] - d["enumeration_pruned"]
 
     def test_negative_enumeration_limit_rejected(self):
         with pytest.raises(ValueError, match="max_enum_supports"):
