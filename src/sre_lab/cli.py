@@ -70,7 +70,6 @@ def _load_json(path: str, loader, what: str):
 
 
 def _concept(args) -> ConceptSpec:
-    solver = SolverConfig(seed=getattr(args, "seed", 0) or 0)
     phi = MAStatistic.expectation()
     if getattr(args, "statistic", None):
         phi = _load_json(args.statistic, MAStatistic.from_json, "statistic")
@@ -84,6 +83,7 @@ def _concept(args) -> ConceptSpec:
     if kind == "nash" and not phi.is_expectation:
         kind = "nash-phi"
     try:
+        solver = SolverConfig(seed=getattr(args, "seed", 0) or 0)
         return ConceptSpec(kind, phi, args.lam if args.lam is not None else 1.0, solver)
     except ValueError as err:
         raise UsageError(str(err))
@@ -261,6 +261,8 @@ def _suite_reports(spec: ConceptSpec, suite: str, corpus_size: int, seed: int) -
 
 def _cmd_axioms(args) -> int:
     spec = _concept(args)
+    if args.corpus_size < 0:
+        raise UsageError("--corpus-size must be nonnegative")
     reports = _suite_reports(spec, args.suite, args.corpus_size, args.seed or 0)
     payload = {
         "concept": spec.label(),

@@ -95,6 +95,8 @@ class SolverConfig:
             raise ValueError("max_enum_supports must be nonnegative")
         if self.support_cap < 1:
             raise ValueError("support_cap must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -1081,8 +1083,8 @@ def homotopy_trace(
     branch no fixed point is near; the damped warm-up or the start's
     homotopy path then reaches one on another branch, and the trace jumps
     there.  Raises HomotopyBreakdown (carrying the partial trace and last
-    good lambda) if some point cannot be converged.  solve_nash_phi skips
-    the trace where _skip_trace holds.
+    good lambda) if some point cannot be converged.  solve_nash_phi's
+    docstring says when it skips the trace.
     """
     if lambda_max <= 0 or steps < 2:
         raise ValueError("need lambda_max > 0 and steps >= 2")
@@ -1189,21 +1191,6 @@ def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
     return system
 
 
-def _solve_support(
-    evaluator: PhiEvaluator,
-    supports: Sequence[Sequence[int]],
-    rng: np.random.Generator,
-    scale: float,
-) -> Optional[list[np.ndarray]]:
-    """Find within-support indifference for one support profile: _solve_supports on a batch of one.
-
-    On the linear path that is a stack of one, solved half by half, the
-    half with more equations than unknowns first; its starts are the next
-    draws of rng's stream, as they would be within a longer list.
-    """
-    return _solve_supports(evaluator, [supports], rng, scale)[0]
-
-
 def _solve_supports(
     evaluator: PhiEvaluator,
     profiles: Sequence[Sequence[Sequence[int]]],
@@ -1236,7 +1223,13 @@ def _solve_supports(
         else:
             for r, starts in zip(rows, np.concatenate(free, axis=2)):
                 sups = profiles[r]
-                for theta in _newton_support_roots(_support_system(evaluator, sups), starts, tol):
+                system = _support_system(evaluator, sups)
+                for theta in starts:
+                    theta, f, flat, _ = _newton(system, theta, tol, 24)
+                    if flat:
+                        break  # values do not react to this support's mixing
+                    if abs(f).max() > tol:
+                        continue
                     dists = _dists_from_theta(theta, sups, counts)
                     if all(vec[list(sup)].min() > 1e-9 for sup, vec in zip(sups, dists)):
                         out[r] = dists
@@ -1314,16 +1307,6 @@ def _linear_supports(evaluator: PhiEvaluator) -> bool:
     return evaluator.n == 2 and all(a == 0.0 for a, _ in evaluator.kernel_atoms)
 
 
-def _newton_support_roots(system, starts: Sequence[np.ndarray], tol: float):
-    """Newton on the value differences from each start, yielding every point within tol."""
-    for theta in starts:
-        theta, f, flat, _ = _newton(system, theta, tol, 24)
-        if flat:
-            return  # values do not react to this support's mixing
-        if abs(f).max() <= tol:
-            yield theta
-
-
 def _linear_half(
     evaluator: PhiEvaluator, i: int, own: np.ndarray, opponent: np.ndarray, free: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -1357,8 +1340,8 @@ def _linear_half(
     return roots.transpose(0, 2, 1), gap <= tol
 
 
-def _support_profiles(counts: Sequence[int]):
-    """Every support profile, by increasing total size.
+def _support_profiles(counts: Sequence[int], cap: int):
+    """Every support profile of total size at most cap, by increasing total size.
 
     Profiles of one total size come in the order of itertools.product over
     each player's supports listed by (size, combination).  They are made
@@ -1375,7 +1358,7 @@ def _support_profiles(counts: Sequence[int]):
                 for tail in with_total(rest, total - size):
                     yield (head, *tail)
 
-    for total in range(len(counts), sum(counts) + 1):
+    for total in range(len(counts), min(sum(counts), cap) + 1):
         yield from with_total(tuple(counts), total)
 
 
@@ -1384,14 +1367,9 @@ def _support_profile_count(counts: Sequence[int]) -> int:
     return math.prod(2**k - 1 for k in counts)
 
 
-def _skip_trace(evaluator: PhiEvaluator, cfg: SolverConfig) -> bool:
+def _skip_trace(evaluator: PhiEvaluator, complete: bool) -> bool:
     """True when solve_nash_phi skips Stage 1; its docstring gives the rule."""
-    counts = evaluator.game.action_counts
-    return (
-        _linear_supports(evaluator)
-        and sum(counts) <= cfg.support_cap
-        and _support_profile_count(counts) <= cfg.max_enum_supports
-    )
+    return complete and _linear_supports(evaluator)
 
 
 def _candidate_supports(points: Sequence[Sequence[np.ndarray]], support_cap: int) -> set:
@@ -1436,24 +1414,23 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     a legitimate outcome (equilibria can fail to exist when the statistic
     weights the extremes) and is reported, not raised.
 
-    Each stage first lists the support profiles that are not dismissed
-    (Stage 1 in sorted order, Stage 2 in enumeration order), then hands the
-    list to _solve_supports at once, and keeps the best responses in list
-    order.  The starts are drawn for the list in the order in which one
-    solve per profile would draw them.  On the linear path (_linear_supports)
-    the profiles are solved in stacks of one shape, (|S_0|, |S_1|), half by
+    Stage 2's profiles are listed first: those of total size at most
+    cfg.support_cap, by increasing total size, at most cfg.max_enum_supports
+    of them.  Stage 1 (homotopy_trace, then _candidate_supports on every
+    point of the trace) is skipped when the enumeration was complete and
+    every support is solved by the linear path.  Stage 2 then solves every
+    profile Stage 1 could propose, as Stage 1 would.  A Newton-solved
+    support's root depends on its Dirichlet starts, and Stage 1's
+    candidates take other draws than Stage 2's profiles, so there the trace
+    always runs.
+
+    The profiles that are not dismissed, Stage 1's in sorted order and then
+    Stage 2's in enumeration order, go to _solve_supports as one list, and
+    the solutions that are best responses are kept in list order.  On the
+    linear path (_linear_supports: two players, every finite atom at 0) the
+    profiles are solved in stacks of one shape, (|S_0|, |S_1|), half by
     half, the half with more equations than unknowns first; on the Newton
     path (three or more players, or a finite atom off 0) one by one.
-
-    Stage 1 is skipped when Stage 2 examines every support profile and
-    solves each by the linear path (two players, every finite atom at 0):
-    the players' action counts sum to at most cfg.support_cap, the count
-    of support profiles, the product of 2^k - 1 over the action counts k,
-    is at most cfg.max_enum_supports, and _linear_supports holds.  Stage 2
-    then solves every profile Stage 1 could propose, as Stage 1 would.  A
-    Newton-solved support's root depends on its Dirichlet starts, and
-    Stage 1 solves its candidates from other draws than Stage 2, so there
-    the trace always runs.
 
     A support profile S is dismissed unsolved when some player i has an
     action a in S_i and an action b (in S_i or not) whose payoff exceeds a's
@@ -1476,11 +1453,10 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     support_cap.
     """
     cfg = cfg or SolverConfig()
+    counts = game.action_counts
     evaluator = PhiEvaluator(game, phi)
     scale = 1.0 + float(np.max(np.abs(game.payoffs)))
     rng = np.random.default_rng(cfg.seed + 1)
-    found: list[tuple[list[np.ndarray], float]] = []
-    diagnostics: dict = {}
     dominated: dict = {}  # (player, opponent supports) -> that player's dominated actions
 
     def dismissed(sups) -> bool:
@@ -1493,64 +1469,46 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
                 return True
         return False
 
-    def accept(profiles: list) -> int:
-        """Solve the support profiles and keep each solution, with its gap, that is a best response.
-
-        Returns how many were kept.
-        """
-        kept = 0
-        for dists in _solve_supports(evaluator, profiles, rng, scale):
-            if dists is None:
-                continue
-            # The gap is taken on the profile as returned, so it is that profile's residual.
-            gap = _best_response_gap(evaluator, MixedProfile(tuple(dists)).distributions, GAP_TOL, cfg.support_tol)
-            if gap is not None:
-                found.append((dists, gap))
-                kept += 1
-        return kept
+    # Stage 2's listing; one profile past the limit shows that the limit cut it short.
+    examined = list(itertools.islice(_support_profiles(counts, cfg.support_cap), cfg.max_enum_supports + 1))
+    truncated = len(examined) > cfg.max_enum_supports
+    del examined[cfg.max_enum_supports :]
+    skipped_by_cap = 0 if truncated else _support_profile_count(counts) - len(examined)
+    complete = not truncated and skipped_by_cap == 0
+    survivors = [sups for sups in examined if not dismissed(sups)]
 
     # Stage 1: limit candidates along the logit continuation.
-    skipped = _skip_trace(evaluator, cfg)
-    trace: list[tuple[float, MixedProfile]] = []
+    skipped = _skip_trace(evaluator, complete)
+    diagnostics: dict = {}
+    candidates = []
     if not skipped:
         try:
             trace = homotopy_trace(game, phi, HOMOTOPY_LAMBDA_MAX, cfg.homotopy_steps, cfg)
         except HomotopyBreakdown as breakdown:
             trace = breakdown.trace
             diagnostics["homotopy_breakdown_lambda"] = breakdown.last_lambda
-    # Every point of the trace proposes supports, not only its end: where
-    # the continuation passes near a best-response point is not known ahead.
-    candidate_supports = set()
-    if trace:
-        candidate_supports = _candidate_supports([p.distributions for _, p in trace], cfg.support_cap)
-    diagnostics["homotopy_skipped"] = skipped
-    candidates = [sups for sups in sorted(candidate_supports) if not dismissed(sups)]
-    diagnostics["homotopy_candidates"] = accept(candidates)
+        # Every point of the trace proposes supports, not only its end: where
+        # the continuation passes near a best-response point is not known ahead.
+        if trace:
+            proposed = _candidate_supports([p.distributions for _, p in trace], cfg.support_cap)
+            candidates = [sups for sups in sorted(proposed) if not dismissed(sups)]
 
-    # Stage 2: support enumeration.
-    examined = 0
-    pruned = 0
-    skipped_by_cap = 0
-    truncated = False
-    survivors = []
-    for sups in _support_profiles(game.action_counts):
-        if sum(len(s) for s in sups) > cfg.support_cap:
-            # Profiles come by increasing total size: every later one is over the cap too.
-            skipped_by_cap = _support_profile_count(game.action_counts) - examined
-            break
-        if examined >= cfg.max_enum_supports:
-            truncated = True
-            break
-        examined += 1
-        if dismissed(sups):
-            pruned += 1
-        else:
-            survivors.append(sups)
-    accept(survivors)
+    found: list[tuple[list[np.ndarray], float]] = []
+    accepted = 0  # of the candidates
+    for r, dists in enumerate(_solve_supports(evaluator, candidates + survivors, rng, scale)):
+        if dists is None:
+            continue
+        # The gap is taken on the profile as returned, so it is that profile's residual.
+        gap = _best_response_gap(evaluator, MixedProfile(tuple(dists)).distributions, GAP_TOL, cfg.support_tol)
+        if gap is not None:
+            found.append((dists, gap))
+            accepted += r < len(candidates)
+    diagnostics["homotopy_skipped"] = skipped
+    diagnostics["homotopy_candidates"] = accepted
     diagnostics["supports_solved"] = len(candidates) + len(survivors)
-    diagnostics["enumeration_examined"] = examined
-    diagnostics["enumeration_pruned"] = pruned
-    diagnostics["enumeration_truncated"] = truncated or skipped_by_cap > 0
+    diagnostics["enumeration_examined"] = len(examined)
+    diagnostics["enumeration_pruned"] = len(examined) - len(survivors)
+    diagnostics["enumeration_truncated"] = not complete
     diagnostics["enumeration_skipped_by_cap"] = skipped_by_cap
     diagnostics["support_cap"] = cfg.support_cap
 

@@ -224,6 +224,13 @@ class TestInvalidValues:
         argv = [arg.format(**files) for arg in command] + ["--concept", "lqre", "--lambda", "-1"]
         self.assert_usage_error(capsys, argv)
 
+    @pytest.mark.parametrize("concept", ["lqre", "nash"])
+    def test_negative_seed(self, capsys, mp_file, concept):
+        self.assert_usage_error(capsys, ["solve", "--game", mp_file, "--concept", concept, "--seed", "-1"])
+
+    def test_negative_corpus_size(self, capsys):
+        self.assert_usage_error(capsys, ["axioms", "--suite", "bracketing", "--concept", "lqre", "--corpus-size", "-3"])
+
     def test_qre_elicitation_at_lambda_zero(self, capsys, coin_file):
         self.assert_usage_error(capsys, ["elicit", "--lottery", coin_file, "--concept", "lqre", "--lambda", "0"])
 

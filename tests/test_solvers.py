@@ -43,7 +43,6 @@ from sre_lab.solvers import (
     _logit_system,
     _newton,
     _response,
-    _solve_support,
     _solve_supports,
     _support_profiles,
     _support_starts,
@@ -545,16 +544,19 @@ class TestSupportProfiles:
         expected = sorted(
             itertools.product(*per_player), key=lambda sups: sum(len(s) for s in sups)
         )
-        assert list(_support_profiles(counts)) == expected
+        assert list(_support_profiles(counts, sum(counts))) == expected
+        for cap in range(1, sum(counts)):
+            within = [sups for sups in expected if sum(len(s) for s in sups) <= cap]
+            assert list(_support_profiles(counts, cap)) == within, cap
 
     def test_large_game_yields_without_listing_every_profile(self):
         # Listing all (2^30 - 1)^2 profiles first would never finish.
-        first = list(itertools.islice(_support_profiles((30, 30)), 5))
+        first = list(itertools.islice(_support_profiles((30, 30), 60), 5))
         assert first == [((0,), (j,)) for j in range(5)]
 
 
 def _newton_support(evaluator, supports, rng, scale):
-    """The Newton path of _solve_support, from the same three starts.
+    """The Newton path of _solve_supports on one profile, from the same three starts.
 
     Returns (dists or None, smallest support weight of Newton's accepted point).
     """
@@ -1073,10 +1075,10 @@ class TestSupportSolve:
         accepted = 0
         for phi in (EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))):
             evaluator = PhiEvaluator(game, phi)
-            for sups in _support_profiles(game.action_counts):
+            for sups in _support_profiles(game.action_counts, sum(game.action_counts)):
                 if sum(len(s) for s in sups) == 2:
                     continue  # no free weights: both paths return the pure profile
-                exact = _solve_support(evaluator, sups, np.random.default_rng(5), scale)
+                exact = _solve_supports(evaluator, [sups], np.random.default_rng(5), scale)[0]
                 newton, low = _newton_support(evaluator, sups, np.random.default_rng(5), scale)
                 if newton is None:
                     assert exact is None, (phi, sups)
@@ -1095,8 +1097,8 @@ class TestSupportSolve:
         scale = 1.0 + float(np.max(np.abs(game.payoffs)))
         for seed in range(40):
             for sups in (((7, 10), (0, 2)), ((8, 9), (0, 1)), ((8, 9), (0, 2))):
-                assert _solve_support(evaluator, sups, np.random.default_rng(seed), scale) is None
-            dists = _solve_support(evaluator, ((7, 10), (0, 1)), np.random.default_rng(seed), scale)
+                assert _solve_supports(evaluator, [sups], np.random.default_rng(seed), scale)[0] is None
+            dists = _solve_supports(evaluator, [((7, 10), (0, 1))], np.random.default_rng(seed), scale)[0]
             assert dists is not None
             np.testing.assert_allclose(dists[0][[7, 10]], [0.5, 0.5], rtol=0, atol=1e-12)
             np.testing.assert_allclose(dists[1][[0, 1]], [0.5, 0.5], rtol=0, atol=1e-12)
@@ -1120,12 +1122,12 @@ class TestSupportSolve:
         for game in games:
             evaluator = PhiEvaluator(game, phi)
             scale = 1.0 + float(np.max(np.abs(game.payoffs)))
-            profiles = list(itertools.islice(_support_profiles(game.action_counts), 4096))
+            profiles = list(itertools.islice(_support_profiles(game.action_counts, sum(game.action_counts)), 4096))
             stacked_rng, alone_rng = np.random.default_rng(7), np.random.default_rng(7)
             stacked = _solve_supports(evaluator, profiles, stacked_rng, scale)
             assert len(stacked) == len(profiles)
             for sups, dists in zip(profiles, stacked):
-                alone = _solve_support(evaluator, sups, alone_rng, scale)
+                alone = _solve_supports(evaluator, [sups], alone_rng, scale)[0]
                 assert (dists is None) == (alone is None), sups
                 if dists is not None:
                     solved += sum(len(s) for s in sups) > 2
@@ -1219,6 +1221,26 @@ class TestSolveNashPhi:
         assert res.diagnostics["enumeration_examined"] == 0
         assert res.diagnostics["enumeration_truncated"] is True
 
+    @pytest.mark.parametrize(
+        "limits, expected",
+        [
+            ({"support_cap": 5}, (44, 36, True, 1, False)),
+            ({"support_cap": 6}, (45, 36, False, 0, True)),
+            ({"max_enum_supports": 44}, (44, 36, True, 0, False)),
+            ({"max_enum_supports": 45}, (45, 36, False, 0, True)),
+            ({"support_cap": 5, "max_enum_supports": 43}, (43, 35, True, 0, False)),
+        ],
+        ids=["cap-5", "cap-6", "limit-44", "limit-45", "cap-5-limit-43"],
+    )
+    def test_enumeration_limits_at_their_edges(self, limits, expected):
+        # A 4x2 card game has 15 * 3 = 45 support profiles over 6 actions; only the full
+        # profile is over a cap of 5.  The trace is skipped just when all 45 are examined.
+        cfg = SolverConfig(multistarts=2, max_iters=20_000, **limits)
+        d = solve_nash_phi(make_card_game(0.4, [0, 1], 0.1), EXPECTATION, cfg).diagnostics
+        keys = ("enumeration_examined", "enumeration_pruned", "enumeration_truncated")
+        keys += ("enumeration_skipped_by_cap", "homotopy_skipped")
+        assert tuple(d[k] for k in keys) == expected
+
     def test_skipping_the_trace_keeps_every_solution_set(self, monkeypatch):
         # Two-player games whose every finite atom is at 0, enumerated completely, so the
         # default run skips the trace: the first games of criterion 02's corpus, matching
@@ -1258,7 +1280,7 @@ class TestSolveNashPhi:
         assert len(traces) == len(cases) + len(newton) + 1
 
     def test_supports_solved_counts_the_profiles_handed_to_the_solver(self, monkeypatch):
-        # The trace's candidates and the enumeration's survivors each go to the solver as
+        # The trace's candidates and the enumeration's survivors go to the solver together as
         # one list, on the linear path (mean, MMM) and on the Newton path (K_PAIR, 3 players).
         handed = []
         inner = solvers._solve_supports
@@ -1276,9 +1298,13 @@ class TestSolveNashPhi:
         for game, phi in cases:
             handed.clear()
             d = solve_nash_phi(game, phi, FAST).diagnostics
-            assert len(handed) == 2
+            assert len(handed) == 1
             assert d["supports_solved"] == sum(handed) > 0
             assert d["supports_solved"] >= d["enumeration_examined"] - d["enumeration_pruned"]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=-1)
 
     def test_negative_enumeration_limit_rejected(self):
         with pytest.raises(ValueError, match="max_enum_supports"):
@@ -1321,7 +1347,7 @@ class TestDominancePruning:
     def test_matches_a_loop_over_opponent_profiles(self, index):
         game = _pruning_games()[index]
         evaluator = PhiEvaluator(game, EXPECTATION)
-        for sups in _support_profiles(game.action_counts):
+        for sups in _support_profiles(game.action_counts, sum(game.action_counts)):
             for i in range(game.num_players):
                 opponents = sups[:i] + sups[i + 1 :]
                 expected = set()
@@ -1343,10 +1369,10 @@ class TestDominancePruning:
             evaluator = PhiEvaluator(game, phi)
             scale = 1.0 + float(np.max(np.abs(game.payoffs)))
             rng = np.random.default_rng(1)
-            for sups in _support_profiles(game.action_counts):
+            for sups in _support_profiles(game.action_counts, sum(game.action_counts)):
                 if not _dismissed(evaluator, sups):
                     continue
-                dists = _solve_support(evaluator, sups, rng, scale)
+                dists = _solve_supports(evaluator, [sups], rng, scale)[0]
                 if dists is None:
                     continue
                 roots += 1
