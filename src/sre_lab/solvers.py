@@ -53,6 +53,8 @@ NOMINAL_CONTRACTION = 0.1
 NOMINAL_TURN = 0.3
 # The largest lambda of the continuation that proposes best-response candidates.
 HOMOTOPY_LAMBDA_MAX = 200.0
+# The most payoff differences _dominated_actions holds at once.
+_MARGIN_CHUNK = 1 << 20
 
 
 class SolverError(RuntimeError):
@@ -433,8 +435,8 @@ def _response(evaluator: PhiEvaluator, lam: float, dists: Sequence[np.ndarray]) 
 
 def logit_response(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) -> MixedProfile:
     """One application of the logit better-response operator (totally mixed output)."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lambda must be finite and nonnegative")
     if not p.matches(game):
         raise ValueError("profile does not match the game")
     evaluator = PhiEvaluator(game, phi)
@@ -1035,8 +1037,8 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     start converges a SolverError is raised rather than returning an empty
     result.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lambda must be finite and nonnegative")
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
     starts = _interior_starts(game, cfg)
@@ -1086,8 +1088,8 @@ def homotopy_trace(
     good lambda) if some point cannot be converged.  solve_nash_phi's
     docstring says when it skips the trace.
     """
-    if lambda_max <= 0 or steps < 2:
-        raise ValueError("need lambda_max > 0 and steps >= 2")
+    if not 0 < lambda_max < math.inf or steps < 2:
+        raise ValueError("need a finite lambda_max > 0 and steps >= 2")
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
     tally = Counter()  # the trace reports no counts
@@ -1143,19 +1145,90 @@ def _best_response_gap(
     return gap
 
 
-def _dominated_actions(evaluator: PhiEvaluator, i: int, opponent_supports: Sequence[Sequence[int]]) -> frozenset:
-    """Player i's actions beaten by more than GAP_TOL against every opponent profile in the supports.
+def _dominated_actions(evaluator: PhiEvaluator, i: int, opponents: Sequence[np.ndarray]) -> np.ndarray:
+    """Player i's actions beaten by more than GAP_TOL against every opponent profile, for a stack of supports.
 
-    The beating action may be any of player i's actions.  opponent_supports
-    lists the other players' supports in player order.
+    opponents holds the other players' supports in player order, each as a
+    stack of bool masks (G x actions), row g of each making up entry g of the
+    stack.  Returns (G x actions of i) bool.  The beating action may be any
+    of player i's actions.  Each entry gathers only the payoff columns its
+    supports reach, each support's actions repeated cyclically up to the
+    stack's widest support of that player, which leaves every minimum as it
+    is, so one min-reduction serves the whole stack; it is taken in chunks
+    of at most _MARGIN_CHUNK payoff differences.
+    """
+    table = evaluator.tables[i]  # (own actions) x (opponent profiles, flattened in player order)
+    k = len(table)
+    stack = len(opponents[0]) if opponents else 1
+    flat = np.zeros((stack, 1), dtype=np.intp)  # each entry's reached columns
+    for m in opponents:
+        size = m.sum(axis=1)
+        acts, first = np.nonzero(m)[1], np.cumsum(size) - size
+        padded = acts[first[:, None] + np.arange(size.max(initial=1)) % size[:, None]]
+        grown = flat[:, :, None] * m.shape[1] + padded[:, None, :]
+        flat = grown.reshape(stack, grown.shape[1] * grown.shape[2])
+    out = np.empty((stack, k), dtype=bool)
+    step = max(1, _MARGIN_CHUNK // (k * k * flat.shape[1]))
+    for lo in range(0, stack, step):
+        reached = np.take(table, flat[lo : lo + step].T, axis=1)
+        # margin[b, a, g]: the least amount by which b's payoff exceeds a's on entry g's reached profiles.
+        margin = (reached[:, None] - reached[None]).min(axis=2)
+        out[lo : lo + step] = (margin.max(axis=0) > GAP_TOL).T
+    return out
+
+
+def _dismissed(evaluator: PhiEvaluator, ids: np.ndarray, subsets: Sequence[Sequence[tuple]]) -> np.ndarray:
+    """For each support profile, whether some player's support holds an action _dominated_actions finds.
+
+    ids (profiles x players) indexes each player's support in subsets[i].
+    For each player the profiles are grouped by the opponents' supports,
+    keyed by one integer, and the dominated actions of every group are found
+    by one _dominated_actions call over the stack of groups.
     """
     counts = evaluator.game.action_counts
-    k = counts[i]
-    grid = evaluator.tables[i].reshape(k, *(c for j, c in enumerate(counts) if j != i))
-    reached = grid[np.ix_(range(k), *opponent_supports)].reshape(k, -1)
-    # margin[a, b]: the least amount by which b's payoff exceeds a's on the reached profiles.
-    margin = (reached[None, :, :] - reached[:, None, :]).min(axis=2)
-    return frozenset(np.flatnonzero(margin.max(axis=1) > GAP_TOL).tolist())
+    masks = [_subset_masks(subs, k) for subs, k in zip(subsets, counts)]
+    out = np.zeros(len(ids), dtype=bool)
+    for i in range(evaluator.n):
+        # group[r]: profile r's row in stack, the groups' opponent supports as masks, one stack per opponent.
+        group, stack = np.zeros(len(ids), dtype=np.intp), []
+        for j in evaluator.others[i]:
+            if not stack:  # one group per listed support of the first opponent
+                group, stack = ids[:, j], [masks[j]]
+                continue
+            width = len(subsets[j])
+            keys, group = np.unique(group * width + ids[:, j], return_inverse=True)
+            stack = [m[keys // width] for m in stack] + [masks[j][keys % width]]
+        dominated = _words(_dominated_actions(evaluator, i, stack))
+        out |= (dominated[group] & _words(masks[i])[ids[:, i]]).any(axis=1)
+    return out
+
+
+def _words(masks: np.ndarray) -> np.ndarray:
+    """Bool rows packed into 64-bit words, (rows x ceil(columns / 64)): two rows meet where some word's AND is not 0."""
+    packed = np.packbits(masks, axis=1)
+    words = np.zeros((len(masks), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
+def _subset_masks(subsets: Sequence[tuple], k: int) -> np.ndarray:
+    """The subsets of range(k) as bool rows, (len(subsets) x k)."""
+    sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=len(subsets))
+    actions = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp, count=int(sizes.sum()))
+    masks = np.zeros((len(subsets), k), dtype=bool)
+    masks[np.repeat(np.arange(len(subsets)), sizes), actions] = True
+    return masks
+
+
+def _indexed(profiles: Sequence[Sequence[tuple]], players: int) -> tuple[np.ndarray, list[list[tuple]]]:
+    """Support profiles as _dismissed takes them: (ids, subsets), each player's distinct supports listed once."""
+    ids = np.zeros((len(profiles), players), dtype=np.intp)
+    subsets = []
+    for i in range(players):
+        index: dict = {}
+        ids[:, i] = [index.setdefault(sups[i], len(index)) for sups in profiles]
+        subsets.append(list(index))
+    return ids, subsets
 
 
 def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
@@ -1340,26 +1413,77 @@ def _linear_half(
     return roots.transpose(0, 2, 1), gap <= tol
 
 
-def _support_profiles(counts: Sequence[int], cap: int):
-    """Every support profile of total size at most cap, by increasing total size.
+def _support_listing(counts: Sequence[int], cap: int, limit: int) -> tuple[np.ndarray, list[list[tuple]]]:
+    """The first limit support profiles of total size at most cap, in Stage 2's order, as index arrays.
 
-    Profiles of one total size come in the order of itertools.product over
-    each player's supports listed by (size, combination).  They are made
-    lazily, so a large game can start enumerating without listing them all.
+    The order: by increasing total size; within a total, lexicographic over
+    the players' subset indices, where each player's subsets are listed by
+    (size, combination), as itertools.product over those lists would give
+    them.  Returns (ids, subsets): subsets[i] holds the supports of player i
+    that the listing made, as action tuples in the order they were made, and
+    ids (profiles x players) indexes each profile's supports there.
+
+    The profiles of one total and one size s of player p's support are each
+    of p's first size-s subsets followed by every profile of the later
+    players with the rest of the total, so each such block is a repeat of
+    those heads and a tile of the rest's listing.  Only as many heads and
+    rest profiles are made as the limit needs, so the work and memory are
+    O(limit) profiles, however many profiles the game has.
     """
+    n = len(counts)
+    subsets: list[list[tuple]] = [[] for _ in counts]
+    made: dict = {}  # (player, size) -> ids of the player's first subsets of that size, in combination order
 
-    def with_total(players: Sequence[int], total: int):
-        if not players:
-            yield ()
-            return
-        k, rest = players[0], players[1:]
-        for size in range(max(1, total - sum(rest)), min(k, total - len(rest)) + 1):
-            for head in itertools.combinations(range(k), size):
-                for tail in with_total(rest, total - size):
-                    yield (head, *tail)
+    def heads(p: int, size: int, h: int) -> np.ndarray:
+        have = made.get((p, size), np.zeros(0, dtype=np.intp))
+        if len(have) < h:
+            new = list(itertools.islice(itertools.combinations(range(counts[p]), size), len(have), h))
+            have = np.concatenate([have, np.arange(len(subsets[p]), len(subsets[p]) + len(new))])
+            subsets[p].extend(new)
+            made[p, size] = have
+        return have[:h]
 
-    for total in range(len(counts), min(sum(counts), cap) + 1):
-        yield from with_total(tuple(counts), total)
+    @functools.cache
+    def count(p: int, total: int) -> int:
+        """The number of profiles of players p and later with this total size."""
+        if p == n:
+            return int(total == 0)
+        return sum(math.comb(counts[p], s) * count(p + 1, total - s) for s in range(1, min(counts[p], total) + 1))
+
+    def listing(p: int, total: int, need: int) -> np.ndarray:
+        """The first need profiles of players p and later with this total size, (rows x players - p)."""
+        if p == n - 1:
+            return heads(p, total, need)[:, None]
+        blocks = []
+        for size in range(1, min(counts[p], total) + 1):
+            rest = count(p + 1, total - size)
+            if not rest:
+                continue
+            h = min(math.comb(counts[p], size), -(-need // rest))
+            tail = listing(p + 1, total - size, min(need, rest))  # all of it whenever h > 1
+            block = np.empty((h, len(tail), n - p), dtype=np.intp)
+            block[:, :, 0] = heads(p, size, h)[:, None]
+            block[:, :, 1:] = tail
+            block = block.reshape(-1, n - p)[:need]
+            blocks.append(block)
+            need -= len(block)
+            if not need:
+                break
+        return np.concatenate(blocks)
+
+    parts, need = [], limit
+    for total in range(n, min(sum(counts), cap) + 1):
+        if not need:
+            break
+        parts.append(listing(0, total, need))
+        need -= len(parts[-1])
+    ids = np.concatenate(parts) if parts else np.zeros((0, n), dtype=np.intp)
+    return ids, subsets
+
+
+def _profiles_at(ids: np.ndarray, subsets: Sequence[Sequence[tuple]]) -> list[tuple]:
+    """The support profiles that rows of ids index, as tuples of action tuples."""
+    return list(zip(*([subs[t] for t in col] for subs, col in zip(subsets, ids.T.tolist()))))
 
 
 def _support_profile_count(counts: Sequence[int]) -> int:
@@ -1415,8 +1539,11 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     weights the extremes) and is reported, not raised.
 
     Stage 2's profiles are listed first: those of total size at most
-    cfg.support_cap, by increasing total size, at most cfg.max_enum_supports
-    of them.  Stage 1 (homotopy_trace, then _candidate_supports on every
+    cfg.support_cap, at most cfg.max_enum_supports of them, by increasing
+    total size and, within a total, lexicographically over the players'
+    subset indices, each player's subsets ordered by (size, combination).
+    _support_listing makes them in array blocks, no more than the limit
+    needs.  Stage 1 (homotopy_trace, then _candidate_supports on every
     point of the trace) is skipped when the enumeration was complete and
     every support is solved by the linear path.  Stage 2 then solves every
     profile Stage 1 could propose, as Stage 1 would.  A Newton-solved
@@ -1440,7 +1567,11 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     is at least a's plus that margin.  A solved profile keeps every support
     weight above 1e-9, so it reaches exactly that product, and the gap test
     would reject it.  Dismissed Stage-2 profiles count as examined and are
-    reported as enumeration_pruned.
+    reported as enumeration_pruned.  Each stage's profiles are dismissed
+    together (_dismissed): for each player, the profiles are grouped by the
+    opponents' supports, and the margins of all groups are one
+    min-reduction over the payoffs each group's supports reach
+    (_dominated_actions).
 
     diagnostics: homotopy_skipped, whether Stage 1 was skipped, which the
     game's action counts, the statistic and cfg settle alone;
@@ -1457,25 +1588,14 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     evaluator = PhiEvaluator(game, phi)
     scale = 1.0 + float(np.max(np.abs(game.payoffs)))
     rng = np.random.default_rng(cfg.seed + 1)
-    dominated: dict = {}  # (player, opponent supports) -> that player's dominated actions
-
-    def dismissed(sups) -> bool:
-        """True when some support action is strictly dominated against the opponents' supports."""
-        for i, sup in enumerate(sups):
-            key = (i, sups[:i] + sups[i + 1 :])
-            if key not in dominated:
-                dominated[key] = _dominated_actions(evaluator, i, key[1])
-            if not dominated[key].isdisjoint(sup):
-                return True
-        return False
 
     # Stage 2's listing; one profile past the limit shows that the limit cut it short.
-    examined = list(itertools.islice(_support_profiles(counts, cfg.support_cap), cfg.max_enum_supports + 1))
-    truncated = len(examined) > cfg.max_enum_supports
-    del examined[cfg.max_enum_supports :]
-    skipped_by_cap = 0 if truncated else _support_profile_count(counts) - len(examined)
+    ids, subsets = _support_listing(counts, cfg.support_cap, cfg.max_enum_supports + 1)
+    truncated = len(ids) > cfg.max_enum_supports
+    ids = ids[: cfg.max_enum_supports]
+    skipped_by_cap = 0 if truncated else _support_profile_count(counts) - len(ids)
     complete = not truncated and skipped_by_cap == 0
-    survivors = [sups for sups in examined if not dismissed(sups)]
+    survivors = _profiles_at(ids[~_dismissed(evaluator, ids, subsets)], subsets)
 
     # Stage 1: limit candidates along the logit continuation.
     skipped = _skip_trace(evaluator, complete)
@@ -1490,8 +1610,9 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
         # Every point of the trace proposes supports, not only its end: where
         # the continuation passes near a best-response point is not known ahead.
         if trace:
-            proposed = _candidate_supports([p.distributions for _, p in trace], cfg.support_cap)
-            candidates = [sups for sups in sorted(proposed) if not dismissed(sups)]
+            proposed = sorted(_candidate_supports([p.distributions for _, p in trace], cfg.support_cap))
+            kept = ~_dismissed(evaluator, *_indexed(proposed, len(counts)))
+            candidates = [sups for sups, keep in zip(proposed, kept.tolist()) if keep]
 
     found: list[tuple[list[np.ndarray], float]] = []
     accepted = 0  # of the candidates
@@ -1506,8 +1627,8 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     diagnostics["homotopy_skipped"] = skipped
     diagnostics["homotopy_candidates"] = accepted
     diagnostics["supports_solved"] = len(candidates) + len(survivors)
-    diagnostics["enumeration_examined"] = len(examined)
-    diagnostics["enumeration_pruned"] = len(examined) - len(survivors)
+    diagnostics["enumeration_examined"] = len(ids)
+    diagnostics["enumeration_pruned"] = len(ids) - len(survivors)
     diagnostics["enumeration_truncated"] = not complete
     diagnostics["enumeration_skipped_by_cap"] = skipped_by_cap
     diagnostics["support_cap"] = cfg.support_cap
@@ -1588,8 +1709,8 @@ class ConceptSpec:
     def __post_init__(self):
         if self.kind not in CONCEPT_KINDS:
             raise ValueError(f"unknown concept kind {self.kind!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be finite and nonnegative")
         if self.kind == "nash" and not self.phi.is_expectation:
             raise ValueError("plain nash responds to the expectation; use nash-phi")
 

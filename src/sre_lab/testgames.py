@@ -244,8 +244,8 @@ def elicit_qre(spec: ConceptSpec, x: Sequence[float]) -> float:
     """
     if spec.family != "logit":
         raise ValueError("elicit_qre needs an lqre concept")
-    if spec.lam <= 0:
-        raise ValueError("lambda must be positive to elicit anything")
+    if not 0 < spec.lam < math.inf:
+        raise ValueError("lambda must be finite and positive to elicit anything")
     xs = np.asarray(x, dtype=float)
     cfg = replace(spec.solver, multistarts=0)
 

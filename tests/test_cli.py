@@ -224,6 +224,10 @@ class TestInvalidValues:
         argv = [arg.format(**files) for arg in command] + ["--concept", "lqre", "--lambda", "-1"]
         self.assert_usage_error(capsys, argv)
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda(self, capsys, mp_file, lam):
+        self.assert_usage_error(capsys, ["solve", "--game", mp_file, "--concept", "lqre", "--lambda", lam])
+
     @pytest.mark.parametrize("concept", ["lqre", "nash"])
     def test_negative_seed(self, capsys, mp_file, concept):
         self.assert_usage_error(capsys, ["solve", "--game", mp_file, "--concept", concept, "--seed", "-1"])

@@ -38,13 +38,17 @@ from sre_lab.solvers import (
 from sre_lab.solvers import (
     _best_response_gap,
     _continue,
+    _dismissed,
     _dists_from_theta,
     _dominated_actions,
+    _indexed,
     _logit_system,
     _newton,
+    _profiles_at,
     _response,
     _solve_supports,
-    _support_profiles,
+    _subset_masks,
+    _support_listing,
     _support_starts,
     _support_system,
 )
@@ -136,6 +140,22 @@ class TestLogitResponse:
         g = make_matching_pennies()
         with pytest.raises(ValueError):
             logit_response(g, EXPECTATION, -1.0, MixedProfile.uniform(g))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        g = make_matching_pennies()
+        with pytest.raises(ValueError, match="lambda must be"):
+            logit_response(g, EXPECTATION, lam, MixedProfile.uniform(g))
+        with pytest.raises(ValueError, match="lambda must be"):
+            solve_lqre(g, EXPECTATION, lam, FAST)
+        with pytest.raises(ValueError, match="lambda must be"):
+            ConceptSpec.lqre(lam)
+        with pytest.raises(ValueError, match="lambda_max"):
+            homotopy_trace(g, EXPECTATION, lam, 10, FAST)
+        spec = ConceptSpec.lqre(1.0)
+        object.__setattr__(spec, "lam", lam)  # past ConceptSpec's own check
+        with pytest.raises(ValueError, match="lambda must be"):
+            elicit_qre(spec, [0.0, 1.0])
 
 
 class TestVerifyLqre:
@@ -532,6 +552,27 @@ class TestNewton:
         np.testing.assert_array_equal(f, [0.5])
 
 
+def _support_profiles(counts, cap):
+    """Every support profile of total size at most cap, in Stage 2's order, one at a time (the reference)."""
+
+    def with_total(players, total):
+        if not players:
+            yield ()
+            return
+        k, rest = players[0], players[1:]
+        for size in range(max(1, total - sum(rest)), min(k, total - len(rest)) + 1):
+            for head in itertools.combinations(range(k), size):
+                for tail in with_total(rest, total - size):
+                    yield (head, *tail)
+
+    for total in range(len(counts), min(sum(counts), cap) + 1):
+        yield from with_total(tuple(counts), total)
+
+
+def _listed(counts, cap, limit):
+    return _profiles_at(*_support_listing(counts, cap, limit))
+
+
 class TestSupportProfiles:
     @pytest.mark.parametrize(
         "counts", [(12, 3), (4, 2), (4, 3, 2), (3, 3, 3), (2, 2, 2, 2), (1, 5), (6, 1, 4)]
@@ -545,14 +586,17 @@ class TestSupportProfiles:
             itertools.product(*per_player), key=lambda sups: sum(len(s) for s in sups)
         )
         assert list(_support_profiles(counts, sum(counts))) == expected
+        assert _listed(counts, sum(counts), len(expected) + 1) == expected
         for cap in range(1, sum(counts)):
             within = [sups for sups in expected if sum(len(s) for s in sups) <= cap]
             assert list(_support_profiles(counts, cap)) == within, cap
+            assert _listed(counts, cap, len(expected)) == within, cap
 
     def test_large_game_yields_without_listing_every_profile(self):
         # Listing all (2^30 - 1)^2 profiles first would never finish.
-        first = list(itertools.islice(_support_profiles((30, 30), 60), 5))
-        assert first == [((0,), (j,)) for j in range(5)]
+        assert _listed((30, 30), 60, 5) == [((0,), (j,)) for j in range(5)]
+        ids, subsets = _support_listing((30, 30), 60, 5)
+        assert [len(s) for s in subsets] == [1, 5]
 
 
 def _newton_support(evaluator, supports, rng, scale):
@@ -1204,6 +1248,19 @@ class TestSolveNashPhi:
         for p in default.profiles:
             assert min(p.sup_distance(q) for q in complete.profiles) <= 1e-9
 
+    @pytest.mark.parametrize("eps, default_count", [(0.1, 19), (0.01, 18)])
+    def test_complete_enumeration_contains_the_default_solutions(self, eps, default_count):
+        game = make_card_game(0.4, [0, 1, 2], eps)
+        complete = solve_nash_phi(game, EXPECTATION, SolverConfig(support_cap=15, max_enum_supports=30_000))
+        d = complete.diagnostics
+        assert d["enumeration_truncated"] is False and d["homotopy_skipped"] is True
+        assert (d["enumeration_examined"], d["enumeration_pruned"], d["supports_solved"]) == (28_665, 24_846, 3_819)
+        assert len(complete.profiles) == 21
+        default = solve_nash_phi(game, EXPECTATION)
+        assert len(default.profiles) == default_count
+        for p in default.profiles:
+            assert min(p.sup_distance(q) for q in complete.profiles) <= DEDUP_TOL
+
     def test_support_cap_on_a_game_too_large_to_walk(self):
         # Walking the (2^14 - 1)^2 - 196 skipped profiles one by one would take minutes.
         g = _random_two_player_game(0, (14, 14))
@@ -1317,10 +1374,52 @@ class TestSolveNashPhi:
             SolverConfig(support_cap=cap)
 
 
-def _dismissed(evaluator, sups):
+def _reference_dominated(evaluator, i, opponent_supports):
+    """Player i's actions beaten by more than GAP_TOL against every opponent profile in the supports, alone."""
+    counts = evaluator.game.action_counts
+    k = counts[i]
+    grid = evaluator.tables[i].reshape(k, *(c for j, c in enumerate(counts) if j != i))
+    reached = grid[np.ix_(range(k), *opponent_supports)].reshape(k, -1)
+    margin = (reached[None, :, :] - reached[:, None, :]).min(axis=2)
+    return frozenset(np.flatnonzero(margin.max(axis=1) > GAP_TOL).tolist())
+
+
+def _reference_dismissed(evaluator, sups):
     return any(
-        not _dominated_actions(evaluator, i, sups[:i] + sups[i + 1 :]).isdisjoint(sup) for i, sup in enumerate(sups)
+        not _reference_dominated(evaluator, i, sups[:i] + sups[i + 1 :]).isdisjoint(sup) for i, sup in enumerate(sups)
     )
+
+
+def _reference_walk(evaluator, cap, limit):
+    """(examined, truncated, survivors in order) of the per-profile walk the listing and _dismissed replace."""
+    examined = list(itertools.islice(_support_profiles(evaluator.game.action_counts, cap), limit + 1))
+    truncated = len(examined) > limit
+    del examined[limit:]
+    return len(examined), truncated, [sups for sups in examined if not _reference_dismissed(evaluator, sups)]
+
+
+def _walk(evaluator, cap, limit):
+    """The same triple from _support_listing and one _dismissed call."""
+    ids, subsets = _support_listing(evaluator.game.action_counts, cap, limit + 1)
+    truncated = len(ids) > limit
+    ids = ids[:limit]
+    return len(ids), truncated, _profiles_at(ids[~_dismissed(evaluator, ids, subsets)], subsets)
+
+
+def _dominated(evaluator, i, opponent_supports):
+    """_dominated_actions on a stack of one entry, as a set."""
+    counts = [k for j, k in enumerate(evaluator.game.action_counts) if j != i]
+    masks = [_subset_masks([sup], k) for sup, k in zip(opponent_supports, counts)]
+    return set(np.flatnonzero(_dominated_actions(evaluator, i, masks)[0]).tolist())
+
+
+def _kernel_games():
+    rng = np.random.default_rng(23)
+    games = _pruning_games()
+    for counts in ((4, 3, 2), (2, 2, 2, 2), (6, 1, 4), (12, 3)):
+        # Payoffs on a grid of halves, so that actions tie and margins sit at 0.
+        games.append(Game(counts, np.round(rng.uniform(-2.0, 2.0, size=counts + (len(counts),)) * 2) / 2))
+    return games
 
 
 def _pruning_games():
@@ -1336,20 +1435,25 @@ class TestDominancePruning:
         u0 = np.array([[3.0, 0.0], [2.0, 2.0], [2.0, 1.0]])
         u1 = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 5e-10]])
         evaluator = PhiEvaluator(Game((3, 2), np.stack([u0, u1], axis=-1)), EXPECTATION)
-        assert _dominated_actions(evaluator, 0, ((0,),)) == {1, 2}
-        assert _dominated_actions(evaluator, 0, ((1,),)) == {0, 2}
-        assert _dominated_actions(evaluator, 0, ((0, 1),)) == set()
-        assert _dominated_actions(evaluator, 1, ((0, 1),)) == {0}
-        assert _dominated_actions(evaluator, 1, ((2,),)) == set()
-        assert _dominated_actions(evaluator, 1, ((1, 2),)) == set()
+        assert _dominated(evaluator, 0, ((0,),)) == {1, 2}
+        assert _dominated(evaluator, 0, ((1,),)) == {0, 2}
+        assert _dominated(evaluator, 0, ((0, 1),)) == set()
+        assert _dominated(evaluator, 1, ((0, 1),)) == {0}
+        assert _dominated(evaluator, 1, ((2,),)) == set()
+        assert _dominated(evaluator, 1, ((1, 2),)) == set()
 
     @pytest.mark.parametrize("index", [0, 1, 3, 17])
     def test_matches_a_loop_over_opponent_profiles(self, index):
         game = _pruning_games()[index]
         evaluator = PhiEvaluator(game, EXPECTATION)
-        for sups in _support_profiles(game.action_counts, sum(game.action_counts)):
-            for i in range(game.num_players):
-                opponents = sups[:i] + sups[i + 1 :]
+        counts = game.action_counts
+        for i in range(game.num_players):
+            # Every opponent support profile, alone and all of them as one stack.
+            others = counts[:i] + counts[i + 1 :]
+            stack = list(_support_profiles(others, sum(others)))
+            masks = [_subset_masks([opponents[j] for opponents in stack], k) for j, k in enumerate(others)]
+            stacked = _dominated_actions(evaluator, i, masks)
+            for opponents, row in zip(stack, stacked):
                 expected = set()
                 for a, b in itertools.permutations(range(game.action_counts[i]), 2):
                     margins = [
@@ -1358,7 +1462,8 @@ class TestDominancePruning:
                     ]
                     if min(margins) > GAP_TOL:
                         expected.add(a)
-                assert _dominated_actions(evaluator, i, opponents) == expected
+                assert _dominated(evaluator, i, opponents) == expected
+                assert set(np.flatnonzero(row).tolist()) == expected
 
     @pytest.mark.parametrize("phi", [EXPECTATION, MMM_THIRDS, K_PAIR], ids=["mean", "mmm", "k_pair"])
     def test_dismissed_profiles_have_no_best_response(self, phi):
@@ -1370,7 +1475,7 @@ class TestDominancePruning:
             scale = 1.0 + float(np.max(np.abs(game.payoffs)))
             rng = np.random.default_rng(1)
             for sups in _support_profiles(game.action_counts, sum(game.action_counts)):
-                if not _dismissed(evaluator, sups):
+                if not _reference_dismissed(evaluator, sups):
                     continue
                 dists = _solve_supports(evaluator, [sups], rng, scale)[0]
                 if dists is None:
@@ -1380,6 +1485,48 @@ class TestDominancePruning:
                 assert _best_response_gap(evaluator, p.distributions, GAP_TOL, 1e-7) is None, sups
                 assert _reference_shortfall(game, phi, p) > GAP_TOL, sups
         assert roots > 10
+
+    @pytest.mark.parametrize("index", range(len(_kernel_games())))
+    def test_listing_and_dismissal_match_the_walk(self, index):
+        # Every cap, and limits at 0, 1, around the number of profiles within
+        # the cap, and in the middle of its largest total.
+        game = _kernel_games()[index]
+        counts = game.action_counts
+        evaluator = PhiEvaluator(game, EXPECTATION)
+        everything = list(_support_profiles(counts, sum(counts)))
+        flags = [_reference_dismissed(evaluator, sups) for sups in everything]
+        totals = [sum(map(len, sups)) for sups in everything]
+        for cap in range(1, sum(counts) + 1):
+            within = sum(t <= cap for t in totals)
+            below_top = sum(t < min(cap, totals[-1]) for t in totals)
+            middle = below_top + max(1, (within - below_top) // 2)
+            for limit in {0, 1, max(within - 1, 0), within, within + 1, middle}:
+                examined = min(limit, within)
+                survivors = [sups for sups, flag in zip(everything[:examined], flags) if not flag]
+                assert _walk(evaluator, cap, limit) == (examined, limit < within, survivors), (cap, limit)
+        # Stage 1's candidates come in sorted order, not the listing's.
+        ordered = sorted(everything)
+        expected = [_reference_dismissed(evaluator, sups) for sups in ordered]
+        assert _dismissed(evaluator, *_indexed(ordered, len(counts))).tolist() == expected
+
+    def test_margins_in_chunks_match_one_chunk(self, monkeypatch):
+        game = make_card_game(0.4, [0, 1, 2], 0.1)
+        evaluator = PhiEvaluator(game, EXPECTATION)
+        ids, subsets = _support_listing(game.action_counts, 15, 30_000)
+        whole = _dismissed(evaluator, ids, subsets)
+        monkeypatch.setattr(solvers, "_MARGIN_CHUNK", 50)  # one to five entries per chunk
+        assert (_dismissed(evaluator, ids, subsets) == whole).all()
+        assert len(whole) - whole.sum() == 3_819
+
+    def test_three_players_of_ten_actions_at_the_default_limits(self):
+        # (2^10 - 1)^3 profiles: listing them all would not finish; the first 4,096 come at once.
+        cfg = SolverConfig()
+        game = random_game(np.random.default_rng(4), players=(3, 3), actions=(10, 10))
+        assert game.action_counts == (10, 10, 10)
+        evaluator = PhiEvaluator(game, EXPECTATION)
+        walked = _walk(evaluator, cfg.support_cap, cfg.max_enum_supports)
+        assert walked[:2] == (4096, True)
+        assert walked == _reference_walk(evaluator, cfg.support_cap, cfg.max_enum_supports)
 
     @pytest.mark.parametrize(
         "index, phi",
@@ -1391,7 +1538,11 @@ class TestDominancePruning:
         cfg = SolverConfig(multistarts=2, max_iters=20_000, homotopy_steps=40)
         pruned = solve_nash_phi(game, phi, cfg)
         with monkeypatch.context() as m:
-            m.setattr(solvers, "_dominated_actions", lambda *args: frozenset())
+            m.setattr(
+                solvers,
+                "_dominated_actions",
+                lambda ev, i, opponents: np.zeros((len(opponents[0]), ev.game.action_counts[i]), dtype=bool),
+            )
             unpruned = solve_nash_phi(game, phi, cfg)
         assert unpruned.diagnostics["enumeration_pruned"] == 0
         assert pruned.diagnostics["enumeration_pruned"] > 0
