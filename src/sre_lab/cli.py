@@ -162,7 +162,7 @@ def _cmd_solve(args) -> int:
     else:
         print(f"concept: {payload['concept']}")
         if not result.profiles:
-            print("no equilibria found under the enumeration cap")
+            print("no equilibria found under the enumeration limit")
         for prof, res in zip(result.profiles, result.residuals):
             print(f"  residual {res:.3g}  {prof}")
         if "fosd_nash" in payload:
@@ -173,6 +173,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 <= args.tol < math.inf:  # NaN fails the test too
+        raise UsageError("--tol must be finite and nonnegative")
     game = _load_json(args.game, Game.from_json, "game")
     profile = _load_json(args.profile, MixedProfile.from_json, "profile")
     if not profile.matches(game):

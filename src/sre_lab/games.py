@@ -127,7 +127,7 @@ class MixedProfile:
             if np.any(arr < 0):
                 raise ValueError("probabilities must be nonnegative")
             total = arr.sum()
-            if abs(total - 1.0) > PROFILE_SUM_TOL:
+            if not abs(total - 1.0) <= PROFILE_SUM_TOL:  # NaN fails the test too
                 raise ValueError(f"probabilities sum to {total!r}, expected 1")
             arr = arr / total
             arr.setflags(write=False)

@@ -94,7 +94,7 @@ class Lottery:
             raise ValueError("outcomes must be finite")
         if np.any(ws < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(ws.sum() - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(ws.sum() - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails the test too
             raise ValueError(f"weights sum to {ws.sum()!r}, expected 1")
         xs, ws = _canonical(xs[None], ws[None])
         keep = ws[0] > 0

@@ -253,7 +253,7 @@ class MAStatistic:
             seen.add(a)
             cleaned.append((a, w))
             total += w
-        if abs(total - 1.0) > ATOM_WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= ATOM_WEIGHT_SUM_TOL:  # NaN fails the test too
             raise ValueError(f"atom weights sum to {total!r}, expected 1")
         object.__setattr__(self, "atoms", tuple(sorted(cleaned)))
 

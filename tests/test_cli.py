@@ -232,6 +232,29 @@ class TestInvalidValues:
     def test_negative_seed(self, capsys, mp_file, concept):
         self.assert_usage_error(capsys, ["solve", "--game", mp_file, "--concept", concept, "--seed", "-1"])
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tol(self, capsys, mp_file, tmp_path, tol):
+        # A NaN tolerance would pass the pure profile ((1, 0), (1, 0)), which is no equilibrium.
+        profile = tmp_path / "pure.json"
+        profile.write_text(json.dumps({"distributions": [[1.0, 0.0], [1.0, 0.0]]}))
+        argv = ["verify", "--game", mp_file, "--profile", str(profile), "--concept", "nash", "--tol", tol]
+        self.assert_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "kind, body, command",
+        [
+            ("profile", {"distributions": [[float("nan"), 0.5], [0.5, 0.5]]}, ["verify", "--concept", "nash"]),
+            ("statistic", {"atoms": [{"a": 0.0, "w": float("nan")}]}, ["solve", "--concept", "nash-phi"]),
+            ("lottery", {"atoms": [{"x": 0.0, "p": float("nan")}, {"x": 1.0, "p": 0.5}]}, ["elicit", "--concept", "lqre"]),
+        ],
+        ids=["profile", "statistic", "lottery"],
+    )
+    def test_nan_weight(self, capsys, mp_file, tmp_path, kind, body, command):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(body))  # written as the bare token NaN, which json reads back
+        argv = command + ["--" + kind, str(path)] + ([] if kind == "lottery" else ["--game", mp_file])
+        self.assert_usage_error(capsys, argv)
+
     def test_negative_corpus_size(self, capsys):
         self.assert_usage_error(capsys, ["axioms", "--suite", "bracketing", "--concept", "lqre", "--corpus-size", "-3"])
 

@@ -73,6 +73,10 @@ class TestMixedProfile:
         with pytest.raises(ValueError):
             MixedProfile((np.array([-0.1, 1.1]),))
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="sum"):
+            MixedProfile((np.array([np.nan, 0.5]), np.array([0.5, 0.5])))
+
     def test_uniform_and_pure(self):
         g = make_matching_pennies()
         u = MixedProfile.uniform(g)

@@ -86,6 +86,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Lottery(np.array([0.0, 1.0]), np.array([-0.2, 1.2]))
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="sum"):
+            Lottery(np.array([0.0, 1.0]), np.array([np.nan, 0.5]))
+
     def test_near_equal_outcomes_merge(self):
         x = Lottery(np.array([0.0, 1e-13, 1.0]), np.array([0.25, 0.25, 0.5]))
         assert len(x) == 2

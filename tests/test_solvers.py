@@ -552,8 +552,8 @@ class TestNewton:
         np.testing.assert_array_equal(f, [0.5])
 
 
-def _support_profiles(counts, cap):
-    """Every support profile of total size at most cap, in Stage 2's order, one at a time (the reference)."""
+def _support_profiles(counts):
+    """Every support profile, in Stage 2's order, one at a time (the reference)."""
 
     def with_total(players, total):
         if not players:
@@ -565,12 +565,23 @@ def _support_profiles(counts, cap):
                 for tail in with_total(rest, total - size):
                     yield (head, *tail)
 
-    for total in range(len(counts), min(sum(counts), cap) + 1):
+    for total in range(len(counts), sum(counts) + 1):
         yield from with_total(tuple(counts), total)
 
 
-def _listed(counts, cap, limit):
-    return _profiles_at(*_support_listing(counts, cap, limit))
+def _listed(counts, limit):
+    return _profiles_at(*_support_listing(counts, limit))
+
+
+def _edge_limits(totals):
+    """Limits at 0, 1, around the end of each total size, in the middle of each, and past the last profile."""
+    limits = {0, 1}
+    start = 0
+    for total in sorted(set(totals)):
+        end = start + totals.count(total)
+        limits |= {max(end - 1, 0), end, end + 1, start + max(1, (end - start) // 2)}
+        start = end
+    return sorted(limits)
 
 
 class TestSupportProfiles:
@@ -585,17 +596,14 @@ class TestSupportProfiles:
         expected = sorted(
             itertools.product(*per_player), key=lambda sups: sum(len(s) for s in sups)
         )
-        assert list(_support_profiles(counts, sum(counts))) == expected
-        assert _listed(counts, sum(counts), len(expected) + 1) == expected
-        for cap in range(1, sum(counts)):
-            within = [sups for sups in expected if sum(len(s) for s in sups) <= cap]
-            assert list(_support_profiles(counts, cap)) == within, cap
-            assert _listed(counts, cap, len(expected)) == within, cap
+        assert list(_support_profiles(counts)) == expected
+        for limit in _edge_limits([sum(len(s) for s in sups) for sups in expected]):
+            assert _listed(counts, limit) == expected[:limit], limit
 
     def test_large_game_yields_without_listing_every_profile(self):
         # Listing all (2^30 - 1)^2 profiles first would never finish.
-        assert _listed((30, 30), 60, 5) == [((0,), (j,)) for j in range(5)]
-        ids, subsets = _support_listing((30, 30), 60, 5)
+        assert _listed((30, 30), 5) == [((0,), (j,)) for j in range(5)]
+        ids, subsets = _support_listing((30, 30), 5)
         assert [len(s) for s in subsets] == [1, 5]
 
 
@@ -1119,7 +1127,7 @@ class TestSupportSolve:
         accepted = 0
         for phi in (EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))):
             evaluator = PhiEvaluator(game, phi)
-            for sups in _support_profiles(game.action_counts, sum(game.action_counts)):
+            for sups in _support_profiles(game.action_counts):
                 if sum(len(s) for s in sups) == 2:
                     continue  # no free weights: both paths return the pure profile
                 exact = _solve_supports(evaluator, [sups], np.random.default_rng(5), scale)[0]
@@ -1166,7 +1174,7 @@ class TestSupportSolve:
         for game in games:
             evaluator = PhiEvaluator(game, phi)
             scale = 1.0 + float(np.max(np.abs(game.payoffs)))
-            profiles = list(itertools.islice(_support_profiles(game.action_counts, sum(game.action_counts)), 4096))
+            profiles = list(itertools.islice(_support_profiles(game.action_counts), 4096))
             stacked_rng, alone_rng = np.random.default_rng(7), np.random.default_rng(7)
             stacked = _solve_supports(evaluator, profiles, stacked_rng, scale)
             assert len(stacked) == len(profiles)
@@ -1227,19 +1235,28 @@ class TestSolveNashPhi:
         assert len(res.profiles) == 1
         assert res.profiles[0].distributions[0][0] == pytest.approx(1.0)
 
-    def test_support_cap_counts_skipped_profiles_without_walking_them(self):
-        # (2^10 - 1)^2 profiles, of which the 100 pure ones fit under the cap.
+    def test_limit_at_the_pure_profiles_lists_them_without_walking_the_rest(self):
+        # (2^10 - 1)^2 profiles, of which the 100 pure ones come first.
         g = _random_two_player_game(0, (10, 10))
-        d = solve_nash_phi(g, EXPECTATION, SolverConfig(support_cap=2)).diagnostics
+        d = solve_nash_phi(g, EXPECTATION, SolverConfig(max_enum_supports=100)).diagnostics
         assert d["enumeration_examined"] == 100
-        assert d["enumeration_skipped_by_cap"] == 1_046_429
         assert d["enumeration_truncated"] is True
+
+    def test_limit_past_a_one_action_player_completes_the_enumeration(self):
+        # A (12, 1) game has 4,095 profiles, up to total size 13; the default limit
+        # examines every one, so on the linear path the trace is skipped.
+        g = _random_two_player_game(0, (12, 1))
+        res = solve_nash_phi(g, EXPECTATION)
+        d = res.diagnostics
+        assert d["enumeration_examined"] == 4_095
+        assert d["enumeration_truncated"] is False and d["homotopy_skipped"] is True
+        assert len(res.profiles) == 1
 
     def test_default_limits_find_only_complete_enumeration_solutions(self):
         # The 12x3 card game's enumeration is truncated at the default limits;
         # every profile returned must still be one the complete enumeration finds.
         game = make_card_game(0.4, [0, 1, 2], 0.1)
-        complete = solve_nash_phi(game, EXPECTATION, SolverConfig(support_cap=15, max_enum_supports=30_000))
+        complete = solve_nash_phi(game, EXPECTATION, SolverConfig(max_enum_supports=30_000))
         assert complete.diagnostics["enumeration_truncated"] is False
         default = solve_nash_phi(game, EXPECTATION, SolverConfig(multistarts=2, max_iters=20_000))
         assert default.diagnostics["enumeration_truncated"] is True
@@ -1251,7 +1268,7 @@ class TestSolveNashPhi:
     @pytest.mark.parametrize("eps, default_count", [(0.1, 19), (0.01, 18)])
     def test_complete_enumeration_contains_the_default_solutions(self, eps, default_count):
         game = make_card_game(0.4, [0, 1, 2], eps)
-        complete = solve_nash_phi(game, EXPECTATION, SolverConfig(support_cap=15, max_enum_supports=30_000))
+        complete = solve_nash_phi(game, EXPECTATION, SolverConfig(max_enum_supports=30_000))
         d = complete.diagnostics
         assert d["enumeration_truncated"] is False and d["homotopy_skipped"] is True
         assert (d["enumeration_examined"], d["enumeration_pruned"], d["supports_solved"]) == (28_665, 24_846, 3_819)
@@ -1261,13 +1278,13 @@ class TestSolveNashPhi:
         for p in default.profiles:
             assert min(p.sup_distance(q) for q in complete.profiles) <= DEDUP_TOL
 
-    def test_support_cap_on_a_game_too_large_to_walk(self):
-        # Walking the (2^14 - 1)^2 - 196 skipped profiles one by one would take minutes.
+    def test_limit_on_a_game_too_large_to_walk(self):
+        # Walking the (2^14 - 1)^2 profiles one by one would take minutes.
         g = _random_two_player_game(0, (14, 14))
-        cfg = SolverConfig(support_cap=2, homotopy_steps=2)
+        cfg = SolverConfig(max_enum_supports=196, homotopy_steps=2)
         d = solve_nash_phi(g, EXPECTATION, cfg).diagnostics
         assert d["enumeration_examined"] == 196
-        assert d["enumeration_skipped_by_cap"] == 268_402_493
+        assert d["enumeration_truncated"] is True
 
     def test_zero_enumeration_limit_reports_truncation(self):
         # Stage 1 alone finds 18 profiles here; with no support examined that is not a complete search.
@@ -1279,23 +1296,14 @@ class TestSolveNashPhi:
         assert res.diagnostics["enumeration_truncated"] is True
 
     @pytest.mark.parametrize(
-        "limits, expected",
-        [
-            ({"support_cap": 5}, (44, 36, True, 1, False)),
-            ({"support_cap": 6}, (45, 36, False, 0, True)),
-            ({"max_enum_supports": 44}, (44, 36, True, 0, False)),
-            ({"max_enum_supports": 45}, (45, 36, False, 0, True)),
-            ({"support_cap": 5, "max_enum_supports": 43}, (43, 35, True, 0, False)),
-        ],
-        ids=["cap-5", "cap-6", "limit-44", "limit-45", "cap-5-limit-43"],
+        "limit, expected", [(44, (44, 36, True, False)), (45, (45, 36, False, True))], ids=["limit-44", "limit-45"]
     )
-    def test_enumeration_limits_at_their_edges(self, limits, expected):
-        # A 4x2 card game has 15 * 3 = 45 support profiles over 6 actions; only the full
-        # profile is over a cap of 5.  The trace is skipped just when all 45 are examined.
-        cfg = SolverConfig(multistarts=2, max_iters=20_000, **limits)
+    def test_enumeration_limits_at_their_edges(self, limit, expected):
+        # A 4x2 card game has 15 * 3 = 45 support profiles over 6 actions.  The trace
+        # is skipped just when all 45 are examined.
+        cfg = SolverConfig(multistarts=2, max_iters=20_000, max_enum_supports=limit)
         d = solve_nash_phi(make_card_game(0.4, [0, 1], 0.1), EXPECTATION, cfg).diagnostics
-        keys = ("enumeration_examined", "enumeration_pruned", "enumeration_truncated")
-        keys += ("enumeration_skipped_by_cap", "homotopy_skipped")
+        keys = ("enumeration_examined", "enumeration_pruned", "enumeration_truncated", "homotopy_skipped")
         assert tuple(d[k] for k in keys) == expected
 
     def test_skipping_the_trace_keeps_every_solution_set(self, monkeypatch):
@@ -1367,12 +1375,6 @@ class TestSolveNashPhi:
         with pytest.raises(ValueError, match="max_enum_supports"):
             SolverConfig(max_enum_supports=-1)
 
-    @pytest.mark.parametrize("cap", [0, -3])
-    def test_support_cap_below_one_rejected(self, cap):
-        # No support profile has a total size below 1, so such a cap would examine nothing.
-        with pytest.raises(ValueError, match="support_cap"):
-            SolverConfig(support_cap=cap)
-
 
 def _reference_dominated(evaluator, i, opponent_supports):
     """Player i's actions beaten by more than GAP_TOL against every opponent profile in the supports, alone."""
@@ -1390,17 +1392,17 @@ def _reference_dismissed(evaluator, sups):
     )
 
 
-def _reference_walk(evaluator, cap, limit):
+def _reference_walk(evaluator, limit):
     """(examined, truncated, survivors in order) of the per-profile walk the listing and _dismissed replace."""
-    examined = list(itertools.islice(_support_profiles(evaluator.game.action_counts, cap), limit + 1))
+    examined = list(itertools.islice(_support_profiles(evaluator.game.action_counts), limit + 1))
     truncated = len(examined) > limit
     del examined[limit:]
     return len(examined), truncated, [sups for sups in examined if not _reference_dismissed(evaluator, sups)]
 
 
-def _walk(evaluator, cap, limit):
+def _walk(evaluator, limit):
     """The same triple from _support_listing and one _dismissed call."""
-    ids, subsets = _support_listing(evaluator.game.action_counts, cap, limit + 1)
+    ids, subsets = _support_listing(evaluator.game.action_counts, limit + 1)
     truncated = len(ids) > limit
     ids = ids[:limit]
     return len(ids), truncated, _profiles_at(ids[~_dismissed(evaluator, ids, subsets)], subsets)
@@ -1450,7 +1452,7 @@ class TestDominancePruning:
         for i in range(game.num_players):
             # Every opponent support profile, alone and all of them as one stack.
             others = counts[:i] + counts[i + 1 :]
-            stack = list(_support_profiles(others, sum(others)))
+            stack = list(_support_profiles(others))
             masks = [_subset_masks([opponents[j] for opponents in stack], k) for j, k in enumerate(others)]
             stacked = _dominated_actions(evaluator, i, masks)
             for opponents, row in zip(stack, stacked):
@@ -1474,7 +1476,7 @@ class TestDominancePruning:
             evaluator = PhiEvaluator(game, phi)
             scale = 1.0 + float(np.max(np.abs(game.payoffs)))
             rng = np.random.default_rng(1)
-            for sups in _support_profiles(game.action_counts, sum(game.action_counts)):
+            for sups in _support_profiles(game.action_counts):
                 if not _reference_dismissed(evaluator, sups):
                     continue
                 dists = _solve_supports(evaluator, [sups], rng, scale)[0]
@@ -1488,22 +1490,15 @@ class TestDominancePruning:
 
     @pytest.mark.parametrize("index", range(len(_kernel_games())))
     def test_listing_and_dismissal_match_the_walk(self, index):
-        # Every cap, and limits at 0, 1, around the number of profiles within
-        # the cap, and in the middle of its largest total.
         game = _kernel_games()[index]
         counts = game.action_counts
         evaluator = PhiEvaluator(game, EXPECTATION)
-        everything = list(_support_profiles(counts, sum(counts)))
+        everything = list(_support_profiles(counts))
         flags = [_reference_dismissed(evaluator, sups) for sups in everything]
-        totals = [sum(map(len, sups)) for sups in everything]
-        for cap in range(1, sum(counts) + 1):
-            within = sum(t <= cap for t in totals)
-            below_top = sum(t < min(cap, totals[-1]) for t in totals)
-            middle = below_top + max(1, (within - below_top) // 2)
-            for limit in {0, 1, max(within - 1, 0), within, within + 1, middle}:
-                examined = min(limit, within)
-                survivors = [sups for sups, flag in zip(everything[:examined], flags) if not flag]
-                assert _walk(evaluator, cap, limit) == (examined, limit < within, survivors), (cap, limit)
+        for limit in _edge_limits([sum(map(len, sups)) for sups in everything]):
+            examined = min(limit, len(everything))
+            survivors = [sups for sups, flag in zip(everything[:examined], flags) if not flag]
+            assert _walk(evaluator, limit) == (examined, limit < len(everything), survivors), limit
         # Stage 1's candidates come in sorted order, not the listing's.
         ordered = sorted(everything)
         expected = [_reference_dismissed(evaluator, sups) for sups in ordered]
@@ -1512,7 +1507,7 @@ class TestDominancePruning:
     def test_margins_in_chunks_match_one_chunk(self, monkeypatch):
         game = make_card_game(0.4, [0, 1, 2], 0.1)
         evaluator = PhiEvaluator(game, EXPECTATION)
-        ids, subsets = _support_listing(game.action_counts, 15, 30_000)
+        ids, subsets = _support_listing(game.action_counts, 30_000)
         whole = _dismissed(evaluator, ids, subsets)
         monkeypatch.setattr(solvers, "_MARGIN_CHUNK", 50)  # one to five entries per chunk
         assert (_dismissed(evaluator, ids, subsets) == whole).all()
@@ -1524,9 +1519,9 @@ class TestDominancePruning:
         game = random_game(np.random.default_rng(4), players=(3, 3), actions=(10, 10))
         assert game.action_counts == (10, 10, 10)
         evaluator = PhiEvaluator(game, EXPECTATION)
-        walked = _walk(evaluator, cfg.support_cap, cfg.max_enum_supports)
+        walked = _walk(evaluator, cfg.max_enum_supports)
         assert walked[:2] == (4096, True)
-        assert walked == _reference_walk(evaluator, cfg.support_cap, cfg.max_enum_supports)
+        assert walked == _reference_walk(evaluator, cfg.max_enum_supports)
 
     @pytest.mark.parametrize(
         "index, phi",
@@ -1546,7 +1541,7 @@ class TestDominancePruning:
             unpruned = solve_nash_phi(game, phi, cfg)
         assert unpruned.diagnostics["enumeration_pruned"] == 0
         assert pruned.diagnostics["enumeration_pruned"] > 0
-        for key in ("enumeration_examined", "enumeration_truncated", "enumeration_skipped_by_cap"):
+        for key in ("enumeration_examined", "enumeration_truncated"):
             assert pruned.diagnostics[key] == unpruned.diagnostics[key]
         for p in unpruned.profiles:
             assert min(p.sup_distance(q) for q in pruned.profiles) <= DEDUP_TOL

@@ -147,6 +147,10 @@ class TestStatisticType:
         with pytest.raises(ValueError):
             MAStatistic(((0.0, 1.2), (1.0, -0.2)))
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="sum"):
+            MAStatistic(((0.0, math.nan),))
+
     def test_min_max_mean_drops_zero_weights(self):
         phi = MAStatistic.min_max_mean(0.5, 0.0, 0.5)
         assert len(phi.atoms) == 2
