@@ -3,9 +3,9 @@
 The card and sure-thing families put one player in front of a choice between
 a (nearly) sure amount r and a lottery generated endogenously by another
 player's mixing; the threshold r at which that player turns indifferent
-recovers the statistic a solution concept responds to.  Logit play gives a
-smooth, strictly decreasing indifference gap in r, found by a bracketed
-Illinois secant; best-response play gives only a yes/no verdict, found by
+recovers the statistic a solution concept responds to.  Logit play gives
+log-odds that are linear in r, read off play and stepped to their root inside
+a bracket; best-response play gives only a yes/no verdict, found by
 bisection.
 """
 
@@ -24,7 +24,8 @@ from .solvers import ConceptSpec, solve_lqre, solve_nash_phi
 
 MAX_CARD_VALUES = 5
 MAX_ELICIT_CARD_VALUES = 3
-# Only a guarantee that elicit_qre's root-finder ends; it stops on its bracket width first.
+# Only a guarantee that elicit_qre's root-finder ends; it stops on its log-odds or its
+# bracket width first.
 ELICIT_MAX_PROBES = 100
 
 
@@ -201,6 +202,14 @@ def random_shifts(rng: np.random.Generator, game: Game, scale: float = 1.0) -> l
 # ---------------------------------------------------------------------------
 
 
+def _outcomes(x: Sequence[float]) -> np.ndarray:
+    """The card or lottery values x as a float array, refused when empty."""
+    xs = np.asarray(x, dtype=float)
+    if xs.size == 0:
+        raise ValueError("x must hold at least one value")
+    return xs
+
+
 @dataclass
 class ElicitationResult:
     """Per-epsilon thresholds and their limit estimate."""
@@ -224,67 +233,71 @@ class ElicitationResult:
 def elicit_qre(spec: ConceptSpec, x: Sequence[float]) -> float:
     """Recover the statistic value of the uniform lottery over x from logit play.
 
-    In the sure-thing game the two choices are mixed 50/50 exactly when r
-    matches the statistic of the lottery, so the threshold is the root of
-    g(r) = p_1(b_x) - 1/2 on [min x, max x].  g is smooth and strictly
-    decreasing there.  A statistic equal to min x or max x (the minimum or
-    the maximum, say) puts the root on an end of the bracket, which is then
-    returned as it stands.  Otherwise the root is found by the Illinois
-    modified regula falsi (Dowell & Jarratt, BIT 11, 1971): a secant step
-    inside the bracket, with the retained end's value halved whenever the
-    same end is kept twice running, and a midpoint wherever the secant point
-    does not lie strictly inside.  It stops at an exact zero, or once the
-    bracket is narrower than 1e-12 max(1, |lo|, |hi|), and returns the
-    bracket's midpoint.
+    Under logit play player 1's log-odds between its two choices are lambda
+    times their value difference (McKelvey & Palfrey, GEB 10, 1995), so at
+    the fixed point of the sure-thing game
+    h(r) = (log p_1(b_x) - log p_1(b_r)) / lambda = phi(X) - r,
+    and the threshold is the root of h on [min x, max x].  The two ends are
+    probed first; g(r) = p_1(b_x) - 1/2 must not have the wrong sign there,
+    and a statistic equal to min x or max x (the minimum or the maximum,
+    say) puts the root on an end of the bracket, which is then returned as
+    it stands.  Otherwise each probe steps r to r + h(r) when that point is
+    finite and lies strictly inside the bracket, and to the bracket's
+    midpoint when it does not; a choice probability of 0 is saturated play,
+    with h = +-inf.  It stops once |h(r)| <= 1e-12 max(1, |r|) and returns
+    r + h(r), or once the bracket is narrower than 1e-12 max(1, |lo|, |hi|)
+    and returns its midpoint.  As h is linear in r, one step from an end
+    whose play is not saturated lands on the root to rounding, and the next
+    probe confirms it.
 
     Each probe solves from the uniform start alone.  Player 2 earns zero
     whatever happens, so it mixes uniformly; player 1 then answers a fixed
     lottery, and the game has a single logit fixed point, reached from the
-    uniform start in one Newton step.
+    uniform start in one Newton step.  The estimate is read from play at
+    that fixed point alone, never from the statistic or the action values.
     """
     if spec.family != "logit":
         raise ValueError("elicit_qre needs an lqre concept")
     if not 0 < spec.lam < math.inf:
         raise ValueError("lambda must be finite and positive to elicit anything")
-    xs = np.asarray(x, dtype=float)
+    xs = _outcomes(x)
     cfg = replace(spec.solver, multistarts=0)
 
-    def gap(r: float) -> float:
+    def probe(r: float) -> tuple[float, float]:
+        """g(r) and h(r) from player 1's play at the logit fixed point."""
         game = make_sure_thing_game(r, xs)
-        result = solve_lqre(game, spec.phi, spec.lam, cfg)
-        return float(result.profiles[0].distributions[0][1]) - 0.5
+        p_r, p_x = solve_lqre(game, spec.phi, spec.lam, cfg).profiles[0].distributions[0]
+        g = float(p_x) - 0.5
+        if p_r == 0.0:
+            return g, math.inf
+        if p_x == 0.0:
+            return g, -math.inf
+        return g, (math.log(p_x) - math.log(p_r)) / spec.lam
 
     lo, hi = float(xs.min()), float(xs.max())
     if hi - lo <= 0:
         return lo
-    f_lo = gap(lo)
-    f_hi = gap(hi)
-    if f_lo < -1e-9 or f_hi > 1e-9:
+    g_lo, h_lo = probe(lo)
+    g_hi, h_hi = probe(hi)
+    if g_lo < -1e-9 or g_hi > 1e-9:
         raise ValueError("bracket failure: g(r) has the wrong sign at an end of [min x, max x]")
-    if f_lo <= 0.0:
+    if g_lo <= 0.0:
         return lo
-    if f_hi >= 0.0:
+    if g_hi >= 0.0:
         return hi
-    moved = 0  # the end the last probe replaced: +1 for lo, -1 for hi
+    r, h = (lo, h_lo) if abs(h_lo) <= abs(h_hi) else (hi, h_hi)
     for _ in range(ELICIT_MAX_PROBES):
+        if abs(h) <= 1e-12 * max(1.0, abs(r)):
+            return r + h
         if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
             break
-        r = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if not lo < r < hi:
-            r = 0.5 * (lo + hi)
-        f = gap(r)
-        if f == 0.0:
-            return r
-        if f > 0.0:
-            lo, f_lo = r, f
-            if moved == 1:
-                f_hi *= 0.5
-            moved = 1
+        step = r + h
+        r = step if lo < step < hi else 0.5 * (lo + hi)
+        _, h = probe(r)
+        if h > 0.0:
+            lo = r
         else:
-            hi, f_hi = r, f
-            if moved == -1:
-                f_lo *= 0.5
-            moved = -1
+            hi = r
     return 0.5 * (lo + hi)
 
 
@@ -306,7 +319,7 @@ def elicit_fosd(
         raise ValueError("elicit_fosd needs a best-response concept")
     if spec.phi.has_extreme_atoms:
         raise ValueError("statistics with atoms at -inf/+inf need not admit equilibria")
-    xs = np.asarray(x, dtype=float)
+    xs = _outcomes(x)
     if xs.size > MAX_ELICIT_CARD_VALUES:
         raise ValueError(f"elicitation caps card vectors at {MAX_ELICIT_CARD_VALUES} values")
     cfg = replace(spec.solver, homotopy_steps=24, max_enum_supports=64)

@@ -214,14 +214,34 @@ class TestElicitQre:
 
     def test_criterion_06_triples_take_few_solves(self, solve_calls):
         # Criterion 06's logit cases, drawn as it draws them.  Each probe is
-        # one single-start solve, and a value takes about six of them.
+        # one single-start solve, and a value takes about three of them.
         rng = np.random.default_rng(4242)
         for trial in range(20):
             phi = _random_statistic(rng)
             x = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 5)))
             spec = ConceptSpec.lqre((0.5, 1.0, 5.0)[trial % 3], phi, FAST)
-            assert abs(elicit_qre(spec, x) - evaluate(phi, Lottery.from_vector(x))) <= 1e-9
-        assert len(solve_calls) <= 200
+            assert abs(elicit_qre(spec, x) - evaluate(phi, Lottery.from_vector(x))) <= 1e-12
+        assert len(solve_calls) <= 80
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lam, phi, x",
+        [
+            (1000.0, EXPECTATION, [0.0, 10.0]),
+            (200.0, MAStatistic(((-1.0, 0.5), (1.0, 0.5))), [-50.0, 50.0]),
+            (50.0, EXPECTATION, [0.0, 1.0, 30.0]),
+        ],
+    )
+    def test_saturated_play_is_bisected(self, lam, phi, x):
+        # A choice probability underflows to 0 at an end of the bracket, so
+        # its log-odds are infinite and the search bisects past them.
+        spec = ConceptSpec.lqre(lam, phi, FAST)
+        assert abs(elicit_qre(spec, x) - evaluate(phi, Lottery.from_vector(x))) <= 1e-12
+
+    def test_rejects_empty_vector(self, solve_calls):
+        with pytest.raises(ValueError, match="at least one value"):
+            elicit_qre(ConceptSpec.lqre(1.0), [])
+        assert solve_calls == []
 
     @pytest.mark.parametrize("end, pick", [(-math.inf, min), (math.inf, max)])
     def test_extreme_statistic_returns_bracket_end(self, solve_calls, end, pick):
@@ -259,3 +279,8 @@ class TestElicitFosd:
     def test_rejects_long_vectors(self):
         with pytest.raises(ValueError):
             elicit_fosd(ConceptSpec.nash(), [0.0, 1.0, 2.0, 3.0])
+
+    def test_rejects_empty_vector(self, monkeypatch):
+        monkeypatch.setattr(testgames, "solve_nash_phi", None)  # no probe may run
+        with pytest.raises(ValueError, match="at least one value"):
+            elicit_fosd(ConceptSpec.nash(), [])
