@@ -59,7 +59,11 @@ HOMOTOPY_LAMBDA_MAX = 200.0
 # longer, in Newton solves of 13-15-action supports.
 _CANDIDATE_CAP = 12
 # The most payoff differences _dominated_actions holds at once.
-_MARGIN_CHUNK = 1 << 20
+_MARGIN_CHUNK = 1 << 16
+# Stage 2 lists at most this many times max_enum_supports support profiles.
+# The whole 12x3 card game, 28,665 profiles of which 3,819 survive dismissal,
+# fits under the default limit's 32,768.
+_LISTING_FACTOR = 8
 
 
 class SolverError(RuntimeError):
@@ -85,9 +89,9 @@ class SolverConfig:
     homotopy_steps: int = 160
     support_tol: float = 1e-7
     seed: int = 0
-    # Enumeration limit: at most max_enum_supports support profiles are
-    # examined, smallest total size first; profiles dismissed by dominance
-    # before solving count as examined.
+    # Enumeration limit: at most max_enum_supports support profiles that
+    # survive dismissal by dominance are solved, smallest total size first.
+    # The listing they are drawn from stops at a fixed multiple of the limit.
     max_enum_supports: int = 4096
 
     def __post_init__(self):
@@ -1155,24 +1159,27 @@ def _dominated_actions(evaluator: PhiEvaluator, i: int, opponents: Sequence[np.n
     stack.  Returns (G x actions of i) bool.  The beating action may be any
     of player i's actions.  Each entry gathers only the payoff columns its
     supports reach, each support's actions repeated cyclically up to the
-    stack's widest support of that player, which leaves every minimum as it
-    is, so one min-reduction serves the whole stack; it is taken in chunks
-    of at most _MARGIN_CHUNK payoff differences.
+    chunk's widest support of that player, which leaves every minimum as it
+    is, so one min-reduction serves a whole chunk of the stack.  A chunk
+    holds at most _MARGIN_CHUNK payoff differences, and its gathered
+    columns are made with it, so the scratch memory is bounded however
+    large the stack.
     """
     table = evaluator.tables[i]  # (own actions) x (opponent profiles, flattened in player order)
     k = len(table)
     stack = len(opponents[0]) if opponents else 1
-    flat = np.zeros((stack, 1), dtype=np.intp)  # each entry's reached columns
-    for m in opponents:
-        size = m.sum(axis=1)
-        acts, first = np.nonzero(m)[1], np.cumsum(size) - size
-        padded = acts[first[:, None] + np.arange(size.max(initial=1)) % size[:, None]]
-        grown = flat[:, :, None] * m.shape[1] + padded[:, None, :]
-        flat = grown.reshape(stack, grown.shape[1] * grown.shape[2])
+    widest = math.prod(int(m.sum(axis=1).max(initial=1)) for m in opponents)
+    step = max(1, _MARGIN_CHUNK // (k * k * widest))
     out = np.empty((stack, k), dtype=bool)
-    step = max(1, _MARGIN_CHUNK // (k * k * flat.shape[1]))
     for lo in range(0, stack, step):
-        reached = np.take(table, flat[lo : lo + step].T, axis=1)
+        flat = np.zeros((min(step, stack - lo), 1), dtype=np.intp)  # each entry's reached columns
+        for masks in opponents:
+            m = masks[lo : lo + step]
+            size = m.sum(axis=1)
+            acts, first = np.nonzero(m)[1], np.cumsum(size) - size
+            padded = acts[first[:, None] + np.arange(size.max(initial=1)) % size[:, None]]
+            flat = (flat[:, :, None] * m.shape[1] + padded[:, None, :]).reshape(len(m), -1)
+        reached = np.take(table, flat.T, axis=1)
         # margin[b, a, g]: the least amount by which b's payoff exceeds a's on entry g's reached profiles.
         margin = (reached[:, None] - reached[None]).min(axis=2)
         out[lo : lo + step] = (margin.max(axis=0) > GAP_TOL).T
@@ -1316,10 +1323,11 @@ def _support_starts(profiles: Sequence[Sequence[Sequence[int]]], players: int, r
     """The support profiles grouped by shape, each with its three starts.
 
     Returns {shape: (rows, free)}: a shape is the tuple of support sizes,
-    rows lists the places of its profiles in profiles, and free holds, per
-    player, the free weights (all but the last support action's) at each
-    start, (len(rows) x 3 x size - 1).  The starts are the uniform mix on
-    each support, then two Dirichlet draws.  The draws take rng's stream in
+    rows lists the places of its profiles in profiles, in increasing order
+    (one stable argsort of a code of the shapes groups them), and free
+    holds, per player, the free weights (all but the last support action's)
+    at each start, (len(rows) x 3 x size - 1).  The starts are the uniform
+    mix on each support, then two Dirichlet draws.  The draws take rng's stream in
     the profiles' order (a profile's first start, then its second; each
     start's supports of two or more actions in player order), exactly as
     successive rng.dirichlet(np.ones(k)) calls would: all come from one
@@ -1327,16 +1335,18 @@ def _support_starts(profiles: Sequence[Sequence[Sequence[int]]], players: int, r
     over its left-to-right sum, which is how dirichlet draws unit weights.
     So a profile's starts do not depend on how a list is cut into calls.
     """
-    sizes = np.array([[len(s) for s in sups] for sups in profiles], dtype=int).reshape(len(profiles), players)
+    if not profiles:
+        return {}
+    sizes = np.fromiter(map(len, itertools.chain.from_iterable(profiles)), dtype=np.intp, count=len(profiles) * players)
+    sizes = sizes.reshape(len(profiles), players)
     width = np.where(sizes > 1, sizes, 0).sum(axis=1)  # one start's draws
     begin = np.cumsum(2 * width) - 2 * width  # where each profile's draws begin in the stream
     draws = rng.standard_exponential(int(width.sum()) * 2)
-    shapes: dict = {}
-    for r, shape in enumerate(map(tuple, sizes.tolist())):
-        shapes.setdefault(shape, []).append(r)
+    code = sizes @ (sizes.max(initial=0) + 1) ** np.arange(players)
+    order = np.argsort(code, kind="stable")
     out = {}
-    for shape, rows in shapes.items():
-        count, w = len(rows), int(width[rows[0]])
+    for rows in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
+        shape, count, w = tuple(sizes[rows[0]].tolist()), len(rows), int(width[rows[0]])
         drawn = draws[begin[rows, None] + np.arange(2 * w)].reshape(count, 2, w)
         free, pos = [], 0
         for size in shape:
@@ -1345,7 +1355,7 @@ def _support_starts(profiles: Sequence[Sequence[Sequence[int]]], players: int, r
             pos += k
             draw = draw * (1.0 / np.cumsum(draw, axis=2)[..., -1:])
             free.append(np.concatenate([np.full((count, 1, size - 1), 1.0 / size), draw[..., :-1]], axis=1))
-        out[shape] = (rows, free)
+        out[shape] = (rows.tolist(), free)
     return out
 
 
@@ -1365,7 +1375,10 @@ def _linear_roots(
     first such start's root.
     """
     kept, free = np.arange(len(stack)), list(free)
-    actions = [np.array([sups[i] for sups in stack]) for i in range(2)]
+    actions = [
+        np.fromiter(itertools.chain.from_iterable(sups[i] for sups in stack), np.intp).reshape(len(stack), -1)
+        for i in range(2)
+    ]
     for i in (0, 1) if len(stack[0][0]) >= len(stack[0][1]) else (1, 0):
         free[1 - i], consistent = _linear_half(evaluator, i, actions[i], actions[1 - i], free[1 - i], tol)
         kept, actions, free = kept[consistent], [a[consistent] for a in actions], [x[consistent] for x in free]
@@ -1398,7 +1411,9 @@ def _linear_half(
     stack) gives the point Newton reaches along its interior path.  Returns
     the roots, shaped as free, and for each profile whether the half is
     consistent: the least-squares gap, the same from every start, within
-    tol at the first start's root.
+    tol at the first start's root.  The pinv is taken only on the profiles
+    that pass _may_be_consistent; the others keep their starts as roots and
+    are not consistent.
     """
     rows, cols = own[:, :, None], opponent[:, None, :]
     block = evaluator.constant_blocks[i][0][rows, cols]
@@ -1409,10 +1424,32 @@ def _linear_half(
         reached = evaluator.tables[i][rows, cols]
         extremes = evaluator._extremes(reached.min(axis=2), reached.max(axis=2))
         const = const + (extremes[:, :-1] - extremes[:, -1:])
-    thetas = free.transpose(0, 2, 1)  # one column per start
-    roots = thetas - np.linalg.pinv(jac) @ (jac @ thetas + const[..., None])
-    gap = np.abs(jac @ roots[..., :1] + const[..., None]).max(axis=(1, 2), initial=0.0)
-    return roots.transpose(0, 2, 1), gap <= tol
+    roots, consistent = free.copy(), _may_be_consistent(jac, const, tol)
+    jac, const = jac[consistent], const[consistent, :, None]
+    thetas = free[consistent].transpose(0, 2, 1)  # one column per start
+    thetas = thetas - np.linalg.pinv(jac) @ (jac @ thetas + const)
+    roots[consistent] = thetas.transpose(0, 2, 1)
+    consistent[consistent] = np.abs(jac @ thetas[..., :1] + const).max(axis=(1, 2), initial=0.0) <= tol
+    return roots, consistent
+
+
+def _may_be_consistent(jac: np.ndarray, const: np.ndarray, tol: float) -> np.ndarray:
+    """False for the rows of a stack of systems jac @ theta + const = 0 that no theta solves within tol.
+
+    A conservative test for _linear_half: on an overdetermined stack (more
+    equations, m, than unknowns) it takes the residual of const off the
+    columns of Q from a QR of jac.  range(Q) holds range(jac), so that
+    residual's 2-norm is at most the least-squares one, which is at most
+    sqrt(m) times its largest entry; so a row whose least-squares gap is
+    within tol passes, with a factor of 2 to spare for rounding.  Elsewhere
+    every row passes.
+    """
+    m, n = jac.shape[1:]
+    if m <= n:
+        return np.ones(len(jac), dtype=bool)
+    q = np.linalg.qr(jac)[0]
+    residual = const - (q @ (q.transpose(0, 2, 1) @ const[..., None]))[..., 0]
+    return np.sqrt((residual * residual).sum(axis=1)) <= 2.0 * math.sqrt(m) * tol
 
 
 def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, list[list[tuple]]]:
@@ -1483,6 +1520,18 @@ def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, lis
     return ids, subsets
 
 
+def _enumeration(evaluator: PhiEvaluator, limit: int) -> tuple[list[tuple], int, bool]:
+    """Stage 2 of solve_nash_phi before solving: (survivors, examined, complete), as its docstring defines them."""
+    listed = _LISTING_FACTOR * limit
+    # One profile past the listing's end shows that the game holds more.
+    ids, subsets = _support_listing(evaluator.game.action_counts, listed + 1)
+    complete = len(ids) <= listed
+    ids = ids[:listed]
+    alive = np.flatnonzero(~_dismissed(evaluator, ids, subsets))
+    examined = len(ids) if len(alive) <= limit else int(alive[limit])
+    return _profiles_at(ids[alive[:limit]], subsets), examined, complete and len(alive) <= limit
+
+
 def _profiles_at(ids: np.ndarray, subsets: Sequence[Sequence[tuple]]) -> list[tuple]:
     """The support profiles that rows of ids index, as tuples of action tuples."""
     return list(zip(*([subs[t] for t in col] for subs, col in zip(subsets, ids.T.tolist()))))
@@ -1535,16 +1584,21 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     a legitimate outcome (equilibria can fail to exist when the statistic
     weights the extremes) and is reported, not raised.
 
-    Stage 2's profiles are listed first: at most cfg.max_enum_supports of
-    them, by increasing total size and, within a total, lexicographically
-    over the players' subset indices, each player's subsets ordered by
-    (size, combination).  The enumeration is complete when the listing
-    holds every profile of the game.
-    _support_listing makes them in array blocks, no more than the limit
-    needs.  Stage 1 (homotopy_trace, then _candidate_supports on every
-    point of the trace) is skipped when the enumeration was complete and
-    every support is solved by the linear path.  Stage 2 then solves every
-    profile Stage 1 could propose, as Stage 1 would.  A Newton-solved
+    Stage 2's profiles are listed first, by increasing total size and,
+    within a total, lexicographically over the players' subset indices,
+    each player's subsets ordered by (size, combination); _support_listing
+    makes them in array blocks, at most _LISTING_FACTOR times
+    cfg.max_enum_supports of them.  The listed profiles are dismissed or
+    kept (below), and the first cfg.max_enum_supports survivors are solved.
+    The enumeration is complete when the listing holds every profile of the
+    game and no more than cfg.max_enum_supports of them survive: then every
+    profile is dismissed or solved.  Whether it is depends on the payoffs,
+    through dismissal, and not only on the game's action counts.
+
+    Stage 1 (homotopy_trace, then _candidate_supports on every point of the
+    trace) is skipped when the enumeration was complete and every support
+    is solved by the linear path.  Stage 2 then solves every profile Stage
+    1 could propose, as Stage 1 would.  A Newton-solved
     support's root depends on its Dirichlet starts, and Stage 1's
     candidates take other draws than Stage 2's profiles, so there the trace
     always runs.
@@ -1572,13 +1626,15 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     (_dominated_actions).
 
     diagnostics: homotopy_skipped, whether Stage 1 was skipped, which the
-    game's action counts, the statistic and cfg settle alone;
+    statistic, the game's payoffs (through dismissal) and cfg settle;
     homotopy_candidates, the Stage-1 candidates accepted (0 when skipped);
     homotopy_breakdown_lambda, present only when the trace broke down, its
     last good lambda; supports_solved, the profiles handed to the support
-    solver in both stages; enumeration_examined, enumeration_pruned,
-    enumeration_truncated (some profile was left unexamined, so the result
-    need not hold every equilibrium).
+    solver in both stages; enumeration_examined, the listed profiles before
+    the first survivor left unsolved (all of them when none is);
+    enumeration_pruned, those of them dismissed; enumeration_truncated, the
+    enumeration was not complete, so the result need not hold every
+    equilibrium.
     """
     cfg = cfg or SolverConfig()
     counts = game.action_counts
@@ -1586,11 +1642,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     scale = 1.0 + float(np.max(np.abs(game.payoffs)))
     rng = np.random.default_rng(cfg.seed + 1)
 
-    # Stage 2's listing; one profile past the limit shows that the limit cut it short.
-    ids, subsets = _support_listing(counts, cfg.max_enum_supports + 1)
-    complete = len(ids) <= cfg.max_enum_supports
-    ids = ids[: cfg.max_enum_supports]
-    survivors = _profiles_at(ids[~_dismissed(evaluator, ids, subsets)], subsets)
+    survivors, examined, complete = _enumeration(evaluator, cfg.max_enum_supports)
 
     # Stage 1: limit candidates along the logit continuation.
     skipped = _skip_trace(evaluator, complete)
@@ -1622,8 +1674,8 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     diagnostics["homotopy_skipped"] = skipped
     diagnostics["homotopy_candidates"] = accepted
     diagnostics["supports_solved"] = len(candidates) + len(survivors)
-    diagnostics["enumeration_examined"] = len(ids)
-    diagnostics["enumeration_pruned"] = len(ids) - len(survivors)
+    diagnostics["enumeration_examined"] = examined
+    diagnostics["enumeration_pruned"] = examined - len(survivors)
     diagnostics["enumeration_truncated"] = not complete
 
     kept = _dedup(found)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1155,6 +1157,52 @@ class TestSupportSolve:
             np.testing.assert_allclose(dists[0][[7, 10]], [0.5, 0.5], rtol=0, atol=1e-12)
             np.testing.assert_allclose(dists[1][[0, 1]], [0.5, 0.5], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("phi", [EXPECTATION, MMM_THIRDS], ids=["mean", "mmm"])
+    def test_consistency_pretest_changes_no_verdict_and_no_root(self, monkeypatch, phi):
+        # Both halves of every support profile of the four 12x3 card games and of 40
+        # random two-player games, solved by _linear_half with and without the QR
+        # pretest: the same consistency verdicts, and the same roots where consistent.
+        rng = np.random.default_rng(20240)
+        games = [make_card_game(r, [0, 1, 2], eps) for r in (0.4, 0.95) for eps in (0.1, 0.01)]
+        games += [random_game(rng, players=(2, 2), actions=(2, 5)) for _ in range(40)]
+        pretest, tally = solvers._may_be_consistent, Counter()
+
+        def counted(jac, const, tol):
+            passed = pretest(jac, const, tol)
+            tally["rejected"] += int((~passed).sum())
+            return passed
+
+        monkeypatch.setattr(solvers, "_may_be_consistent", counted)
+        for game in games:
+            evaluator = PhiEvaluator(game, phi)
+            tol = 1e-10 * (1.0 + float(np.max(np.abs(game.payoffs))))
+            profiles = list(_support_profiles(game.action_counts))
+            for rows, free in _support_starts(profiles, 2, np.random.default_rng(3)).values():
+                actions = [np.array([profiles[r][i] for r in rows]) for i in range(2)]
+                for i in (0, 1):
+                    args = (evaluator, i, actions[i], actions[1 - i], free[1 - i], tol)
+                    roots, consistent = solvers._linear_half(*args)
+                    with monkeypatch.context() as m:
+                        m.setattr(solvers, "_may_be_consistent", lambda jac, *_: np.ones(len(jac), dtype=bool))
+                        all_roots, all_consistent = solvers._linear_half(*args)
+                    assert np.array_equal(consistent, all_consistent)
+                    np.testing.assert_array_equal(roots[consistent], all_roots[consistent])
+                    tally["consistent"] += int(consistent.sum())
+        assert tally["rejected"] > 0 and tally["consistent"] > 0
+
+    def test_consistency_pretest_passes_a_gap_spread_over_every_equation(self):
+        # A least-squares residual r orthogonal to the columns of jac, each of its m
+        # entries 0.9 tol in size: the gap is within tol, and r's 2-norm is sqrt(m) times
+        # that, the most the pretest allows for.
+        rng = np.random.default_rng(8)
+        tol, (stack, m, n) = 1e-10, (200, 7, 3)
+        r = 0.9 * tol * rng.choice([-1.0, 1.0], size=(stack, m))
+        g = rng.normal(size=(stack, m, n))
+        jac = g - r[:, :, None] * (np.einsum("bm,bmn->bn", r, g) / (r * r).sum(axis=1)[:, None])[:, None, :]
+        const = np.einsum("bmn,bn->bm", jac, rng.normal(size=(stack, n))) + r
+        gap = np.abs(jac @ (-np.linalg.pinv(jac) @ const[..., None]) + const[..., None]).max(axis=(1, 2))
+        assert (gap <= tol).all()
+        assert solvers._may_be_consistent(jac, const, tol).all()
 
     @pytest.mark.parametrize(
         "phi",
@@ -1236,10 +1284,12 @@ class TestSolveNashPhi:
         assert res.profiles[0].distributions[0][0] == pytest.approx(1.0)
 
     def test_limit_at_the_pure_profiles_lists_them_without_walking_the_rest(self):
-        # (2^10 - 1)^2 profiles, of which the 100 pure ones come first.
+        # (2^10 - 1)^2 profiles, of which the 100 pure ones come first; the listing stops
+        # at 8 times the limit, so 800 are examined, and all but one of them are dismissed.
         g = _random_two_player_game(0, (10, 10))
         d = solve_nash_phi(g, EXPECTATION, SolverConfig(max_enum_supports=100)).diagnostics
-        assert d["enumeration_examined"] == 100
+        assert d["enumeration_examined"] == 800 <= 8 * 100
+        assert d["enumeration_pruned"] == 799
         assert d["enumeration_truncated"] is True
 
     def test_limit_past_a_one_action_player_completes_the_enumeration(self):
@@ -1253,19 +1303,37 @@ class TestSolveNashPhi:
         assert len(res.profiles) == 1
 
     def test_default_limits_find_only_complete_enumeration_solutions(self):
-        # The 12x3 card game's enumeration is truncated at the default limits;
-        # every profile returned must still be one the complete enumeration finds.
+        # 3,819 of the 12x3 card game's 28,665 profiles survive dismissal, under the
+        # default limit: the default enumeration is complete, skips the trace and finds
+        # exactly the set of the enumeration at a limit of 30,000.
         game = make_card_game(0.4, [0, 1, 2], 0.1)
         complete = solve_nash_phi(game, EXPECTATION, SolverConfig(max_enum_supports=30_000))
         assert complete.diagnostics["enumeration_truncated"] is False
         default = solve_nash_phi(game, EXPECTATION, SolverConfig(multistarts=2, max_iters=20_000))
-        assert default.diagnostics["enumeration_truncated"] is True
+        assert default.diagnostics["enumeration_truncated"] is False
+        assert default.diagnostics["homotopy_skipped"] is True
         assert "homotopy_breakdown_lambda" not in default.diagnostics
-        assert len(default.profiles) > 8
+        assert len(default.profiles) == len(complete.profiles) == 21
         for p in default.profiles:
             assert min(p.sup_distance(q) for q in complete.profiles) <= 1e-9
+        for q in complete.profiles:
+            assert min(q.sup_distance(p) for p in default.profiles) <= 1e-9
 
-    @pytest.mark.parametrize("eps, default_count", [(0.1, 19), (0.01, 18)])
+    def test_default_solve_of_a_12x3_card_game_keeps_its_scratch_memory_small(self):
+        # The complete enumeration lists 28,665 profiles; the margins of their dismissal
+        # are taken in bounded chunks.  Traced peak: about 2.9 MB, and 7.6 MB with chunks
+        # of 1 << 20 payoff differences.
+        game = make_card_game(0.4, [0, 1, 2], 0.1)
+        tracemalloc.start()
+        try:
+            res = solve_nash_phi(game, EXPECTATION)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics["enumeration_truncated"] is False
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("eps, default_count", [(0.1, 21), (0.01, 21)])
     def test_complete_enumeration_contains_the_default_solutions(self, eps, default_count):
         game = make_card_game(0.4, [0, 1, 2], eps)
         complete = solve_nash_phi(game, EXPECTATION, SolverConfig(max_enum_supports=30_000))
@@ -1279,11 +1347,12 @@ class TestSolveNashPhi:
             assert min(p.sup_distance(q) for q in complete.profiles) <= DEDUP_TOL
 
     def test_limit_on_a_game_too_large_to_walk(self):
-        # Walking the (2^14 - 1)^2 profiles one by one would take minutes.
+        # Walking the (2^14 - 1)^2 profiles one by one would take minutes; the listing
+        # stops at 8 times the limit.
         g = _random_two_player_game(0, (14, 14))
         cfg = SolverConfig(max_enum_supports=196, homotopy_steps=2)
         d = solve_nash_phi(g, EXPECTATION, cfg).diagnostics
-        assert d["enumeration_examined"] == 196
+        assert d["enumeration_examined"] == 1_568 <= 8 * 196
         assert d["enumeration_truncated"] is True
 
     def test_zero_enumeration_limit_reports_truncation(self):
@@ -1296,25 +1365,44 @@ class TestSolveNashPhi:
         assert res.diagnostics["enumeration_truncated"] is True
 
     @pytest.mark.parametrize(
-        "limit, expected", [(44, (44, 36, True, False)), (45, (45, 36, False, True))], ids=["limit-44", "limit-45"]
+        "limit, expected", [(8, (44, 36, True, False)), (9, (45, 36, False, True))], ids=["limit-8", "limit-9"]
     )
     def test_enumeration_limits_at_their_edges(self, limit, expected):
-        # A 4x2 card game has 15 * 3 = 45 support profiles over 6 actions.  The trace
-        # is skipped just when all 45 are examined.
+        # A 4x2 card game has 15 * 3 = 45 support profiles over 6 actions, and 9 survive
+        # dismissal, the last of them the last profile.  Both limits list all 45, and the
+        # trace is skipped just when all 9 survivors are solved.  At limit 8 the examined
+        # profiles are those before the ninth survivor.
         cfg = SolverConfig(multistarts=2, max_iters=20_000, max_enum_supports=limit)
         d = solve_nash_phi(make_card_game(0.4, [0, 1], 0.1), EXPECTATION, cfg).diagnostics
         keys = ("enumeration_examined", "enumeration_pruned", "enumeration_truncated", "homotopy_skipped")
         assert tuple(d[k] for k in keys) == expected
 
+    @pytest.mark.parametrize(
+        "limit, expected", [(5, (40, 39, True, False)), (6, (45, 44, False, True))], ids=["limit-5", "limit-6"]
+    )
+    def test_listing_stops_at_a_fixed_multiple_of_the_limit(self, limit, expected):
+        # Each player of this 4x2 game has a strictly dominant action, so of its 45 profiles
+        # only the pure profile of the two survives dismissal, and the enumeration is cut
+        # short only by the listing's end at 8 times the limit: 40 profiles, then all 45.
+        payoffs = np.stack(np.meshgrid(np.arange(4.0), np.arange(2.0), indexing="ij"), axis=-1)
+        cfg = SolverConfig(multistarts=2, max_iters=20_000, max_enum_supports=limit)
+        res = solve_nash_phi(Game((4, 2), payoffs), EXPECTATION, cfg)
+        keys = ("enumeration_examined", "enumeration_pruned", "enumeration_truncated", "homotopy_skipped")
+        assert tuple(res.diagnostics[k] for k in keys) == expected
+        assert len(res.profiles) == 1
+        np.testing.assert_array_equal(res.profiles[0].distributions[0], [0, 0, 0, 1])
+        np.testing.assert_array_equal(res.profiles[0].distributions[1], [0, 1])
+
     def test_skipping_the_trace_keeps_every_solution_set(self, monkeypatch):
         # Two-player games whose every finite atom is at 0, enumerated completely, so the
         # default run skips the trace: the first games of criterion 02's corpus, matching
-        # pennies and criterion 05's two 4x2 card games under the expectation, and a corpus
+        # pennies and criterion 05's four card games under the expectation, and a corpus
         # game under MMM_THIRDS.  Forcing the trace must find the same set.
         cfg = SolverConfig(multistarts=2, max_iters=20_000)
         rng = np.random.default_rng(20240)
         corpus = [random_game(rng, players=(2, 2), actions=(2, 3)) for _ in range(8)]
-        games = corpus + [make_matching_pennies(), make_card_game(0.4, [0, 1], 0.1), make_card_game(0.4, [0, 1], 0.01)]
+        cards = [make_card_game(0.4, x, eps) for x in ([0, 1], [0, 1, 2]) for eps in (0.1, 0.01)]
+        games = corpus + [make_matching_pennies()] + cards
         cases = [(game, EXPECTATION) for game in games] + [(corpus[0], MMM_THIRDS)]
         traces = []  # one entry per homotopy_trace call
         trace = solvers.homotopy_trace
@@ -1335,13 +1423,15 @@ class TestSolveNashPhi:
                 assert min(p.sup_distance(q) for q in traced.profiles) <= 1e-6, index
         # The trace runs where support systems are solved by Newton, whose roots depend on
         # the Dirichlet starts (three players; K_PAIR's atoms off 0), even when the
-        # enumeration is complete, and where the enumeration is not (a 12x3 card game).
+        # enumeration is complete, and where the enumeration is not (a 12x3 card game
+        # under a limit below its 3,819 survivors).
         newton = [(random_game(rng, players=(3, 3), actions=(2, 2)), EXPECTATION), (corpus[1], K_PAIR)]
         for game, phi in newton:
             d = solve_nash_phi(game, phi, cfg).diagnostics
             assert d["homotopy_skipped"] is False and d["enumeration_truncated"] is False
-        cards = make_card_game(0.4, [0, 1, 2], 0.1)
-        assert solve_nash_phi(cards, EXPECTATION, cfg).diagnostics["homotopy_skipped"] is False
+        low = SolverConfig(multistarts=2, max_iters=20_000, max_enum_supports=256)
+        d = solve_nash_phi(cards[2], EXPECTATION, low).diagnostics
+        assert d["homotopy_skipped"] is False and d["enumeration_truncated"] is True
         assert len(traces) == len(cases) + len(newton) + 1
 
     def test_supports_solved_counts_the_profiles_handed_to_the_solver(self, monkeypatch):
