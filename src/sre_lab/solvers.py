@@ -1003,19 +1003,16 @@ def _interior_starts(game: Game, cfg: SolverConfig) -> list[list[np.ndarray]]:
     return starts
 
 
-def _dedup(
-    found: list[tuple[list[np.ndarray], float]], tol: float = DEDUP_TOL
-) -> list[tuple[list[np.ndarray], float]]:
-    keyed = sorted(found, key=lambda item: tuple(np.round(np.concatenate(item[0]), 9)))
-    kept: list[tuple[list[np.ndarray], float]] = []
-    for dists, res in keyed:
-        dup = False
-        for other, other_res in kept:
-            if _sup_residual(dists, other) <= tol:
-                dup = True
-                break
-        if not dup:
-            kept.append((dists, res))
+def _dedup(points: Sequence[Sequence[np.ndarray]], tol: float = DEDUP_TOL) -> list[int]:
+    """The places of the points kept, in the order of their concatenation rounded to 9 decimals.
+
+    A point is kept unless it is within tol of one kept before it.
+    """
+    order = sorted(range(len(points)), key=lambda r: tuple(np.round(np.concatenate(points[r]), 9)))
+    kept: list[int] = []
+    for r in order:
+        if all(_sup_residual(points[r], points[q]) > tol for q in kept):
+            kept.append(r)
     return kept
 
 
@@ -1056,9 +1053,9 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
         raise SolverError(
             f"no start converged within {cfg.max_iters} continuation steps (lambda={lam})"
         )
-    kept = _dedup(found)
-    profiles = [MixedProfile(tuple(d)) for d, _ in kept]
-    residuals = [res for _, res in kept]
+    kept = _dedup([dists for dists, _ in found])
+    profiles = [MixedProfile(tuple(found[r][0])) for r in kept]
+    residuals = [found[r][1] for r in kept]
     diagnostics = {
         "iterations": tally["iterations"],
         "newton_steps": tally["newton_steps"],
@@ -1281,113 +1278,81 @@ def _solve_supports(
 ) -> list[Optional[list[np.ndarray]]]:
     """Find within-support indifference, zeros of the value differences, for each support profile.
 
-    Returns one entry per profile: its mixes, or None.  A profile with free
-    weights is solved from the three starts of _support_starts, and its
-    solution is the root of the first start whose every support weight is
-    above 1e-9; a weight at zero is a boundary case that a smaller support
-    covers.  A profile of single actions is returned as it is.  On the
-    linear path (_linear_supports) the profiles of one shape are solved as
-    a stack by _linear_roots, half by half, the half with more equations
-    than unknowns first; elsewhere each profile is solved on its own by
-    Newton from its starts.
+    Returns one entry per profile: its mixes, or None.  A solution keeps
+    every support weight above 1e-9; a weight at zero is a boundary case
+    that a smaller support covers.  On the linear path (_linear_supports)
+    the profiles are grouped by shape, (|S_0|, |S_1|), by one stable
+    argsort of a code of the shapes, and each group is solved as a stack by
+    _linear_roots, whose root is the projection of the uniform mix onto each
+    half's solutions; that path draws nothing from rng.  Elsewhere each
+    profile is solved on its own by Newton from three starts, the uniform
+    mix on each support and then two Dirichlet draws, and its solution is
+    the root of the first start that keeps every support weight above 1e-9.
+    The draws are successive rng.dirichlet(np.ones(k)) calls in list order:
+    a profile's first start, then its second, each start's supports of k >=
+    2 actions in player order.  A profile of single actions draws nothing
+    and is returned as it is.
     """
     counts = evaluator.game.action_counts
     tol = 1e-10 * scale
-    linear = _linear_supports(evaluator)
     out: list = [None] * len(profiles)
-    for shape, (rows, free) in _support_starts(profiles, len(counts), rng).items():
-        if max(shape) == 1:
-            for r in rows:
-                out[r] = _dists_from_theta(np.zeros(0), profiles[r], counts)
-        elif linear:
-            for q, theta in _linear_roots(evaluator, [profiles[r] for r in rows], free, tol):
+    if _linear_supports(evaluator) and profiles:
+        sizes = np.fromiter(map(len, itertools.chain.from_iterable(profiles)), dtype=np.intp, count=2 * len(profiles))
+        code = sizes[0::2] * (sizes.max() + 1) + sizes[1::2]
+        order = np.argsort(code, kind="stable")
+        for rows in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
+            for q, theta in _linear_roots(evaluator, [profiles[r] for r in rows.tolist()], tol):
                 out[rows[q]] = _dists_from_theta(theta, profiles[rows[q]], counts)
-        else:
-            for r, starts in zip(rows, np.concatenate(free, axis=2)):
-                sups = profiles[r]
-                system = _support_system(evaluator, sups)
-                for theta in starts:
-                    theta, f, flat, _ = _newton(system, theta, tol, 24)
-                    if flat:
-                        break  # values do not react to this support's mixing
-                    if abs(f).max() > tol:
-                        continue
-                    dists = _dists_from_theta(theta, sups, counts)
-                    if all(vec[list(sup)].min() > 1e-9 for sup, vec in zip(sups, dists)):
-                        out[r] = dists
-                        break
-    return out
-
-
-def _support_starts(profiles: Sequence[Sequence[Sequence[int]]], players: int, rng: np.random.Generator) -> dict:
-    """The support profiles grouped by shape, each with its three starts.
-
-    Returns {shape: (rows, free)}: a shape is the tuple of support sizes,
-    rows lists the places of its profiles in profiles, in increasing order
-    (one stable argsort of a code of the shapes groups them), and free
-    holds, per player, the free weights (all but the last support action's)
-    at each start, (len(rows) x 3 x size - 1).  The starts are the uniform
-    mix on each support, then two Dirichlet draws.  The draws take rng's stream in
-    the profiles' order (a profile's first start, then its second; each
-    start's supports of two or more actions in player order), exactly as
-    successive rng.dirichlet(np.ones(k)) calls would: all come from one
-    rng.standard_exponential call, each support's segment scaled by one
-    over its left-to-right sum, which is how dirichlet draws unit weights.
-    So a profile's starts do not depend on how a list is cut into calls.
-    """
-    if not profiles:
-        return {}
-    sizes = np.fromiter(map(len, itertools.chain.from_iterable(profiles)), dtype=np.intp, count=len(profiles) * players)
-    sizes = sizes.reshape(len(profiles), players)
-    width = np.where(sizes > 1, sizes, 0).sum(axis=1)  # one start's draws
-    begin = np.cumsum(2 * width) - 2 * width  # where each profile's draws begin in the stream
-    draws = rng.standard_exponential(int(width.sum()) * 2)
-    code = sizes @ (sizes.max(initial=0) + 1) ** np.arange(players)
-    order = np.argsort(code, kind="stable")
-    out = {}
-    for rows in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
-        shape, count, w = tuple(sizes[rows[0]].tolist()), len(rows), int(width[rows[0]])
-        drawn = draws[begin[rows, None] + np.arange(2 * w)].reshape(count, 2, w)
-        free, pos = [], 0
-        for size in shape:
-            k = size if size > 1 else 0  # a support of one action draws nothing
-            draw = drawn[..., pos : pos + k]
-            pos += k
-            draw = draw * (1.0 / np.cumsum(draw, axis=2)[..., -1:])
-            free.append(np.concatenate([np.full((count, 1, size - 1), 1.0 / size), draw[..., :-1]], axis=1))
-        out[shape] = (rows.tolist(), free)
+        return out
+    for r, sups in enumerate(profiles):
+        movers = [len(s) for s in sups if len(s) > 1]
+        if not movers:
+            out[r] = _dists_from_theta(np.zeros(0), sups, counts)
+            continue
+        system = _support_system(evaluator, sups)
+        starts = [np.concatenate([np.full(k - 1, 1.0 / k) for k in movers])]
+        starts += [np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in movers]) for _ in range(2)]
+        for theta in starts:
+            theta, f, flat, _ = _newton(system, theta, tol, 24)
+            if flat:
+                break  # values do not react to this support's mixing
+            if abs(f).max() > tol:
+                continue
+            dists = _dists_from_theta(theta, sups, counts)
+            if all(vec[list(sup)].min() > 1e-9 for sup, vec in zip(sups, dists)):
+                out[r] = dists
+                break
     return out
 
 
 def _linear_roots(
-    evaluator: PhiEvaluator, stack: Sequence[Sequence[Sequence[int]]], free: list[np.ndarray], tol: float
+    evaluator: PhiEvaluator, stack: Sequence[Sequence[Sequence[int]]], tol: float
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Interior roots of a stack of two-player support profiles of one shape on the linear path.
 
-    free holds each player's free weights at each start, as _support_starts
-    gives them.  Player i's value differences depend on the opponent's
-    weights alone, so the system splits into two halves, each solved for
-    the whole stack by _linear_half.  The half with more equations than
-    unknowns (the player with the larger support) goes first, and only the
-    profiles where it is consistent go on to the other half.  Yields (place
-    in the stack, free weights) for each profile consistent in both halves
-    that has a start whose root keeps every support weight above 1e-9: the
-    first such start's root.
+    Player i's value differences depend on the opponent's weights alone, so
+    the system splits into two halves, each solved for the whole stack by
+    _linear_half as the projection of the uniform mix onto its solutions;
+    no start is drawn.  The half with more equations than unknowns (the
+    player with the larger support) goes first, and only the profiles where
+    it is consistent go on to the other half.  Yields (place in the stack,
+    free weights) for each profile consistent in both halves whose every
+    support weight is above 1e-9.
     """
-    kept, free = np.arange(len(stack)), list(free)
     actions = [
         np.fromiter(itertools.chain.from_iterable(sups[i] for sups in stack), np.intp).reshape(len(stack), -1)
         for i in range(2)
     ]
-    for i in (0, 1) if len(stack[0][0]) >= len(stack[0][1]) else (1, 0):
-        free[1 - i], consistent = _linear_half(evaluator, i, actions[i], actions[1 - i], free[1 - i], tol)
-        kept, actions, free = kept[consistent], [a[consistent] for a in actions], [x[consistent] for x in free]
-    interior = np.ones((len(kept), 3), dtype=bool)
-    for x in free:
-        interior &= (x > 1e-9).all(axis=2) & (1.0 - x.sum(axis=2) > 1e-9)
-    for q in np.flatnonzero(interior.any(axis=1)).tolist():
-        t = int(interior[q].argmax())
-        yield int(kept[q]), np.concatenate([x[q, t] for x in free])
+    i = 0 if actions[0].shape[1] >= actions[1].shape[1] else 1
+    first, consistent = _linear_half(evaluator, i, actions[i], actions[1 - i], tol)
+    kept = np.flatnonzero(consistent)
+    second, consistent = _linear_half(evaluator, 1 - i, actions[1 - i][kept], actions[i][kept], tol)
+    mixes = [None, None]
+    mixes[1 - i], mixes[i] = first[kept[consistent]], second[consistent]
+    interior = (mixes[0] > 1e-9).all(axis=1) & (mixes[1] > 1e-9).all(axis=1)
+    kept = kept[consistent]
+    for q in np.flatnonzero(interior).tolist():
+        yield int(kept[q]), np.concatenate([mix[q, :-1] for mix in mixes])
 
 
 def _linear_supports(evaluator: PhiEvaluator) -> bool:
@@ -1396,40 +1361,46 @@ def _linear_supports(evaluator: PhiEvaluator) -> bool:
 
 
 def _linear_half(
-    evaluator: PhiEvaluator, i: int, own: np.ndarray, opponent: np.ndarray, free: np.ndarray, tol: float
+    evaluator: PhiEvaluator, i: int, own: np.ndarray, opponent: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Player i's value differences on a stack of two-player supports, solved for the opponent's weights.
+    """Player i's indifference on a stack of two-player supports, solved for the opponent's mix.
 
     own and opponent hold the supports, (B x |S_i|) and (B x |S_j|) action
-    indices; free holds the opponent's free weights at each start, (B x
-    starts x |S_j| - 1).  Every finite atom sits at 0, so on the interior of
-    the supports v_i[S_i[:-1]] - v_i[S_i[-1]] is affine in those weights:
-    the mean's part is read off player i's constant derivative block, and
-    the -inf/+inf atoms' part is the extremes of player i's payoffs over
-    S_i x S_j, which values(boundary_pure=False) gives at an interior point.
-    One min-norm least-squares step from each start (np.linalg.pinv on the
-    stack) gives the point Newton reaches along its interior path.  Returns
-    the roots, shaped as free, and for each profile whether the half is
-    consistent: the least-squares gap, the same from every start, within
-    tol at the first start's root.  The pinv is taken only on the profiles
-    that pass _may_be_consistent; the others keep their starts as roots and
-    are not consistent.
+    indices.  Every finite atom sits at 0, so on the interior of the
+    supports v_i[S_i[:-1]] - v_i[S_i[-1]] is affine in the opponent's mix s
+    on S_j: the mean's part is read off player i's constant derivative
+    block, and the -inf/+inf atoms' part is the extremes of player i's
+    payoffs over S_i x S_j, which values(boundary_pure=False) gives at an
+    interior point.  Those differences at zero and one row for the weights'
+    sum at one make the system A s = c.  The sum row is weighted like player
+    i's payoffs, by max |u_i| (1 when every payoff is 0), so that tol means
+    the same on it as on the differences and A's rows keep one scale
+    whatever the payoffs' scale.  The root is the projection of the uniform mix u onto the solutions, u -
+    A^+ (A u - c) by one np.linalg.pinv on the stack, so it does not depend
+    on how either support orders its actions.  Returns the roots, (B x
+    |S_j|), and for each profile whether the half is consistent: A s within
+    tol of c at the root.  The pinv is taken only on the profiles that pass
+    _may_be_consistent; the others keep u and are not consistent.
     """
     rows, cols = own[:, :, None], opponent[:, None, :]
     block = evaluator.constant_blocks[i][0][rows, cols]
-    diff = block[:, :-1] - block[:, -1:]
-    jac = _chart_columns(diff)
-    const = diff[..., -1]  # the differences where the opponent plays its last support action
+    weight = float(np.abs(evaluator.tables[i]).max()) or 1.0
+    jac = np.empty(block.shape)
+    jac[:, :-1] = block[:, :-1] - block[:, -1:]
+    jac[:, -1] = weight
+    rhs = np.zeros(block.shape[:2])
+    rhs[:, -1] = weight
     if evaluator.pure_extremes[i] is not None:
         reached = evaluator.tables[i][rows, cols]
         extremes = evaluator._extremes(reached.min(axis=2), reached.max(axis=2))
-        const = const + (extremes[:, :-1] - extremes[:, -1:])
-    roots, consistent = free.copy(), _may_be_consistent(jac, const, tol)
-    jac, const = jac[consistent], const[consistent, :, None]
-    thetas = free[consistent].transpose(0, 2, 1)  # one column per start
-    thetas = thetas - np.linalg.pinv(jac) @ (jac @ thetas + const)
-    roots[consistent] = thetas.transpose(0, 2, 1)
-    consistent[consistent] = np.abs(jac @ thetas[..., :1] + const).max(axis=(1, 2), initial=0.0) <= tol
+        rhs[:, :-1] = extremes[:, -1:] - extremes[:, :-1]
+    roots = np.full(opponent.shape, 1.0 / opponent.shape[1])
+    consistent = _may_be_consistent(jac, -rhs, tol)
+    jac, rhs = jac[consistent], rhs[consistent, :, None]
+    mix = roots[consistent, :, None]
+    mix = mix - np.linalg.pinv(jac) @ (jac @ mix - rhs)
+    roots[consistent] = mix[..., 0]
+    consistent[consistent] = np.abs(jac @ mix - rhs).max(axis=(1, 2), initial=0.0) <= tol
     return roots, consistent
 
 
@@ -1608,8 +1579,12 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     the solutions that are best responses are kept in list order.  On the
     linear path (_linear_supports: two players, every finite atom at 0) the
     profiles are solved in stacks of one shape, (|S_0|, |S_1|), half by
-    half, the half with more equations than unknowns first; on the Newton
-    path (three or more players, or a finite atom off 0) one by one.
+    half, the half with more equations than unknowns first, and each root
+    is the projection of the uniform mix onto the half's solutions: it
+    draws nothing, so cfg.seed does not matter there, and relabeling a
+    player's actions relabels the roots.  On the Newton path (three or more
+    players, or a finite atom off 0) the profiles are solved one by one
+    from starts drawn from cfg.seed.
 
     A support profile S is dismissed unsolved when some player i has an
     action a in S_i and an action b (in S_i or not) whose payoff exceeds a's
@@ -1661,15 +1636,16 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
             kept = ~_dismissed(evaluator, *_indexed(proposed, len(counts)))
             candidates = [sups for sups, keep in zip(proposed, kept.tolist()) if keep]
 
-    found: list[tuple[list[np.ndarray], float]] = []
+    found: list[tuple[MixedProfile, float]] = []
     accepted = 0  # of the candidates
     for r, dists in enumerate(_solve_supports(evaluator, candidates + survivors, rng, scale)):
         if dists is None:
             continue
         # The gap is taken on the profile as returned, so it is that profile's residual.
-        gap = _best_response_gap(evaluator, MixedProfile(tuple(dists)).distributions, GAP_TOL, cfg.support_tol)
+        profile = MixedProfile(tuple(dists))
+        gap = _best_response_gap(evaluator, profile.distributions, GAP_TOL, cfg.support_tol)
         if gap is not None:
-            found.append((dists, gap))
+            found.append((profile, gap))
             accepted += r < len(candidates)
     diagnostics["homotopy_skipped"] = skipped
     diagnostics["homotopy_candidates"] = accepted
@@ -1678,10 +1654,8 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     diagnostics["enumeration_pruned"] = examined - len(survivors)
     diagnostics["enumeration_truncated"] = not complete
 
-    kept = _dedup(found)
-    profiles = [MixedProfile(tuple(d)) for d, _ in kept]
-    residuals = [gap for _, gap in kept]
-    return SolveResult(profiles, residuals, diagnostics)
+    kept = [found[r] for r in _dedup([p.distributions for p, _ in found])]
+    return SolveResult([p for p, _ in kept], [gap for _, gap in kept], diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,41 @@ class TestAxioms:
         code, out = run(capsys, ["axioms", "--suite", "bnb", "--concept", "nash", "--json"])
         assert code == 0
 
+    @pytest.mark.parametrize("concept, code", [("nash", 0), ("lqre", 2)])
+    def test_all_suites_report_every_axiom(self, capsys, concept, code):
+        # Logit play fails consequentialism by design, so the lqre run exits 2.
+        got, out = run(capsys, ["axioms", "--suite", "all", "--concept", concept, "--corpus-size", "1", "--json"])
+        assert got == code
+        payload = json.loads(out)
+        assert payload["suite"] == "all" and payload["passed"] is (code == 0)
+        suites = {
+            "bracketing": {"bracketing"},
+            "monotonicity": {"distribution-monotonicity", "expectation-monotonicity"},
+            "anonymity": {"anonymity"},
+            "scale": {"scale-invariance"},
+            "strategic": {"strategic-invariance"},
+            "bnb": {"consistency", "consequentialism", "rationality"},
+        }
+        names = {r["axiom"] for r in payload["reports"]}
+        for suite, axioms in suites.items():
+            assert axioms <= names, suite
+        assert {r["axiom"] for r in payload["reports"] if not r["passed"]} == (set() if code == 0 else {"consequentialism"})
+
 
 class TestElicit:
     def test_qre_mode(self, capsys, coin_file):
         code, out = run(capsys, ["elicit", "--lottery", coin_file, "--concept", "lqre", "--lambda", "1"])
         assert code == 0
         assert json.loads(out)["r_star"] == pytest.approx(0.5, abs=1e-8)
+
+    def test_fosd_mode(self, capsys, coin_file):
+        code, out = run(capsys, ["elicit", "--lottery", coin_file, "--concept", "nash", "--mode", "fosd"])
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"estimates", "extrapolated", "converged", "iterations", "notes", "mode", "concept"}
+        assert payload["mode"] == "fosd" and payload["notes"] == ""
+        assert len(payload["estimates"]) == 3
+        assert payload["extrapolated"] == payload["estimates"][-1][1] == pytest.approx(0.5, abs=1e-3)
 
     def test_mode_concept_mismatch(self, capsys, coin_file):
         assert cli.main(["elicit", "--lottery", coin_file, "--concept", "nash", "--mode", "qre"]) == 1

@@ -51,7 +51,6 @@ from sre_lab.solvers import (
     _solve_supports,
     _subset_masks,
     _support_listing,
-    _support_starts,
     _support_system,
 )
 from sre_lab.testgames import (
@@ -1176,11 +1175,13 @@ class TestSupportSolve:
         for game in games:
             evaluator = PhiEvaluator(game, phi)
             tol = 1e-10 * (1.0 + float(np.max(np.abs(game.payoffs))))
-            profiles = list(_support_profiles(game.action_counts))
-            for rows, free in _support_starts(profiles, 2, np.random.default_rng(3)).values():
-                actions = [np.array([profiles[r][i] for r in rows]) for i in range(2)]
+            stacks: dict = {}  # the support profiles grouped by shape
+            for sups in _support_profiles(game.action_counts):
+                stacks.setdefault(tuple(map(len, sups)), []).append(sups)
+            for stack in stacks.values():
+                actions = [np.array([sups[i] for sups in stack]) for i in range(2)]
                 for i in (0, 1):
-                    args = (evaluator, i, actions[i], actions[1 - i], free[1 - i], tol)
+                    args = (evaluator, i, actions[i], actions[1 - i], tol)
                     roots, consistent = solvers._linear_half(*args)
                     with monkeypatch.context() as m:
                         m.setattr(solvers, "_may_be_consistent", lambda jac, *_: np.ones(len(jac), dtype=bool))
@@ -1236,29 +1237,52 @@ class TestSupportSolve:
             assert stacked_rng.bit_generator.state == alone_rng.bit_generator.state
         assert solved > 0
 
-    def test_starts_draw_as_successive_dirichlet_calls(self):
-        # Supports of 1 to 12 actions, in an order that interleaves the shapes.
-        shapes = list(itertools.product(range(1, 13), (1, 2, 7, 12)))
-        order = np.random.default_rng(0).permutation(len(shapes))
-        profiles = [tuple(tuple(range(k)) for k in shapes[t]) for t in order.tolist()]
+    @pytest.mark.parametrize(
+        "game, phi, every",
+        [
+            (_random_two_player_game(13, (4, 3)), K_PAIR, True),
+            (Game((2, 3, 2), np.random.default_rng(14).uniform(-2.0, 2.0, size=(2, 3, 2, 3))), EXPECTATION, True),
+            (make_card_game(0.4, [0, 1, 2], 0.1), K_PAIR, False),
+        ],
+        ids=["k-pair", "three-players", "k-pair-12x3"],
+    )
+    def test_newton_path_draws_as_successive_dirichlet_calls(self, game, phi, every):
+        # Every support profile, or one of each shape with supports of 1 to 12 actions, in
+        # an order that interleaves the shapes, solved as one list and by the reference one
+        # profile at a time from a second generator of the same seed: the same solutions,
+        # bit for bit, and the same generator state after.
+        evaluator = PhiEvaluator(game, phi)
+        scale = 1.0 + float(np.max(np.abs(game.payoffs)))
+        if every:
+            profiles = list(_support_profiles(game.action_counts))
+        else:
+            shapes = itertools.product(*(range(1, k + 1) for k in game.action_counts))
+            profiles = [tuple(tuple(range(size)) for size in shape) for shape in shapes]
+        profiles = [profiles[t] for t in np.random.default_rng(0).permutation(len(profiles)).tolist()]
         drawn, reference = np.random.default_rng(9), np.random.default_rng(9)
-        grouped = _support_starts(profiles, 2, drawn)
-        expected = []  # per profile: per start, per player, the free weights
-        for sups in profiles:
-            uniform = [np.full(len(s) - 1, 1.0 / len(s)) for s in sups]
-            draws = [
-                [reference.dirichlet(np.ones(len(s)))[:-1] if len(s) > 1 else np.empty(0) for s in sups]
-                for _ in range(2)
-            ]
-            expected.append([uniform] + draws)
+        solved = _solve_supports(evaluator, profiles, drawn, scale)
+        roots = 0
+        for sups, dists in zip(profiles, solved):
+            if max(map(len, sups)) == 1:  # a pure profile draws nothing and is returned as it is
+                expected = _dists_from_theta(np.zeros(0), sups, game.action_counts)
+            else:
+                expected = _newton_support(evaluator, sups, reference, scale)[0]
+            assert (dists is None) == (expected is None), sups
+            if dists is not None:
+                roots += 1
+                assert all(np.array_equal(a, b) for a, b in zip(dists, expected)), sups
         assert drawn.bit_generator.state == reference.bit_generator.state
-        assert sorted(r for rows, _ in grouped.values() for r in rows) == list(range(len(profiles)))
-        for shape, (rows, free) in grouped.items():
-            for q, r in enumerate(rows):
-                assert tuple(map(len, profiles[r])) == shape
-                for t in range(3):
-                    for i in range(2):
-                        assert np.array_equal(free[i][q, t], expected[r][t][i]), (shape, t, i)
+        assert roots > len([sups for sups in profiles if max(map(len, sups)) == 1])
+
+    def test_linear_path_draws_nothing(self):
+        game = make_card_game(0.4, [0, 1, 2], 0.1)
+        profiles = list(itertools.islice(_support_profiles(game.action_counts), 1024))
+        for phi in (EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))):
+            rng = np.random.default_rng(9)
+            state = rng.bit_generator.state
+            solved = _solve_supports(PhiEvaluator(game, phi), profiles, rng, 1.0 + float(np.max(np.abs(game.payoffs))))
+            assert rng.bit_generator.state == state
+            assert any(dists is not None and max(map(len, sups)) > 1 for sups, dists in zip(profiles, solved))
 
 
 class TestSolveNashPhi:
@@ -1434,6 +1458,26 @@ class TestSolveNashPhi:
         assert d["homotopy_skipped"] is False and d["enumeration_truncated"] is True
         assert len(traces) == len(cases) + len(newton) + 1
 
+    def test_trace_breakdown_keeps_the_points_before_it(self, monkeypatch):
+        # Under K_PAIR the 4x2 card game's supports are solved by Newton, so the trace runs.
+        # A breakdown after its first k points gives the solve whose trace is those k
+        # points, and reports the last good lambda.
+        game = make_card_game(0.4, [0, 1], 0.1)
+        full = homotopy_trace(game, K_PAIR, solvers.HOMOTOPY_LAMBDA_MAX, FAST.homotopy_steps, FAST)
+        k = 120
+        last = full[k - 1][0]
+
+        def broken(*args):
+            raise solvers.HomotopyBreakdown(f"stalled past lambda={last:g}", full[:k], last)
+
+        monkeypatch.setattr(solvers, "homotopy_trace", broken)
+        res = solve_nash_phi(game, K_PAIR, FAST)
+        monkeypatch.setattr(solvers, "homotopy_trace", lambda *args: full[:k])
+        short = solve_nash_phi(game, K_PAIR, FAST)
+        assert res.diagnostics.pop("homotopy_breakdown_lambda") == last
+        assert res.diagnostics["homotopy_skipped"] is False and res.diagnostics["homotopy_candidates"] > 0
+        assert res.to_json() == short.to_json()
+
     def test_supports_solved_counts_the_profiles_handed_to_the_solver(self, monkeypatch):
         # The trace's candidates and the enumeration's survivors go to the solver together as
         # one list, on the linear path (mean, MMM) and on the Newton path (K_PAIR, 3 players).
@@ -1464,6 +1508,73 @@ class TestSolveNashPhi:
     def test_negative_enumeration_limit_rejected(self):
         with pytest.raises(ValueError, match="max_enum_supports"):
             SolverConfig(max_enum_supports=-1)
+
+
+def _label_free_games():
+    """The four 12x3 card games and ten random two-player games, all enumerated completely by default."""
+    rng = np.random.default_rng(2718)
+    cards = [make_card_game(r, [0, 1, 2], eps) for r in (0.4, 0.95) for eps in (0.1, 0.01)]
+    return cards + [random_game(rng, players=(2, 2), actions=(3, 6)) for _ in range(10)]
+
+
+def _solution_arrays(res):
+    return [np.concatenate(p.distributions) for p in res.profiles]
+
+
+def _same_set(found, expected, tol):
+    """Whether two lists of concatenated profiles hold the same points within tol, as many of each."""
+    if len(found) != len(expected):
+        return False
+    return all(min(np.abs(x - y).max() for y in expected) <= tol for x in found) and all(
+        min(np.abs(x - y).max() for y in found) <= tol for x in expected
+    )
+
+
+class TestLabelFree:
+    @pytest.mark.parametrize("phi", [EXPECTATION, MMM_THIRDS], ids=["mean", "mmm"])
+    def test_relabeling_actions_relabels_the_solutions(self, phi):
+        # Solve, rename both players' actions by random permutations, solve again and map
+        # the solutions back: the same set.  On the linear path each root is the projection
+        # of the uniform mix onto its support's solutions, which no ordering of the
+        # support's actions changes.
+        rng = np.random.default_rng(161)
+        for index, game in enumerate(_label_free_games()):
+            base = solve_nash_phi(game, phi)
+            assert base.diagnostics["enumeration_truncated"] is False, index
+            for _ in range(3):
+                perms = [rng.permutation(k) for k in game.action_counts]
+                relabeled = Game(game.action_counts, game.payoffs[np.ix_(*perms)])
+                back = []
+                for p in solve_nash_phi(relabeled, phi).profiles:
+                    mixes = [np.empty(k) for k in game.action_counts]
+                    for mix, perm, dist in zip(mixes, perms, p.distributions):
+                        mix[perm] = dist  # new action a is old action perm[a]
+                    back.append(np.concatenate(mixes))
+                assert _same_set(back, _solution_arrays(base), 1e-9), (index, perms)
+
+    @pytest.mark.parametrize("phi", [EXPECTATION, MMM_THIRDS], ids=["mean", "mmm"])
+    def test_scaling_the_payoffs_keeps_the_solutions(self, phi):
+        # The weights' sum row of each half is weighted like the player's payoffs, so the
+        # linear path's tolerance and conditioning are the same at every payoff scale:
+        # every support profile gets the same root, or none, from 1e-6 to 1e6 times the
+        # payoffs.  Whole solves are compared up to 1e3 only: GAP_TOL is absolute, and at
+        # 1e6 the best-response gap of a root is a few units in the last place of its
+        # values, which decide it either way (two of these games at the parent too).
+        for index, game in enumerate(_label_free_games()):
+            profiles = _profiles_at(*_support_listing(game.action_counts, 10**6))
+
+            def solved(g):
+                return _solve_supports(PhiEvaluator(g, phi), profiles, None, 1.0 + float(np.max(np.abs(g.payoffs))))
+
+            base, base_set = solved(game), _solution_arrays(solve_nash_phi(game, phi))
+            for alpha in (1e-6, 1e-3, 1e3, 1e6):
+                scaled = Game(game.action_counts, alpha * game.payoffs)
+                for sups, want, got in zip(profiles, base, solved(scaled)):
+                    assert (want is None) == (got is None), (index, alpha, sups)
+                    if want is not None:
+                        assert max(np.abs(a - b).max() for a, b in zip(want, got)) <= 1e-9, (index, alpha, sups)
+                if alpha < 1e6:
+                    assert _same_set(_solution_arrays(solve_nash_phi(scaled, phi)), base_set, 1e-9), (index, alpha)
 
 
 def _reference_dominated(evaluator, i, opponent_supports):
