@@ -189,6 +189,8 @@ def _cmd_verify(args) -> int:
 
 def _named_reparam(path: str):
     spec = _load_json(path, lambda raw: raw, "reparameterization")
+    if not isinstance(spec, dict):
+        raise UsageError(f"invalid reparameterization in {path}: expected a JSON object")
     kind = spec.get("kind")
     if kind == "identity":
         return (lambda v: v), (lambda v: v)
@@ -196,8 +198,8 @@ def _named_reparam(path: str):
         return (lambda v: np.exp(v)), (lambda v: np.log(v))
     if kind == "power":
         k = spec.get("exponent", 3)
-        if k <= 0 or int(k) % 2 == 0:
-            raise UsageError("power reparameterization needs a positive odd exponent")
+        if isinstance(k, bool) or not isinstance(k, int) or k <= 0 or k % 2 == 0:
+            raise UsageError("power reparameterization needs a positive odd integer exponent")
         return (lambda v: np.power(v, k)), (lambda v: np.sign(v) * np.abs(v) ** (1.0 / k))
     raise UsageError(f"unknown reparameterization kind {kind!r}")
 

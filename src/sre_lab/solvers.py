@@ -34,6 +34,11 @@ from .statistics import MAStatistic, cgf_branches, cgf_finish, cgf_grids, normal
 DEDUP_TOL = 1e-6
 # How far a played action may fall below its player's best value in a best response.
 GAP_TOL = 1e-9
+# The weight above which the membership checks count an action as played.
+SUPPORT_TOL = 1e-7
+# The weight every support action of a solved support profile keeps above; a
+# weight at or below it is a boundary case that a smaller support covers.
+INTERIOR_TOL = 1e-9
 # The damped warm-up's step size, and the number of damped steps a start takes
 # once Newton from it fails, before Newton is retried from the best iterate.
 DAMPING = 0.5
@@ -87,7 +92,7 @@ class SolverConfig:
     max_iters: int = 100_000
     multistarts: int = 16
     homotopy_steps: int = 160
-    support_tol: float = 1e-7
+    support_tol: float = SUPPORT_TOL
     seed: int = 0
     # Enumeration limit: at most max_enum_supports support profiles that
     # survive dismissal by dominance are solved, smallest total size first.
@@ -1008,10 +1013,10 @@ def _dedup(points: Sequence[Sequence[np.ndarray]], tol: float = DEDUP_TOL) -> li
 
     A point is kept unless it is within tol of one kept before it.
     """
-    order = sorted(range(len(points)), key=lambda r: tuple(np.round(np.concatenate(points[r]), 9)))
+    flat = np.array([np.concatenate(p) for p in points])
     kept: list[int] = []
-    for r in order:
-        if all(_sup_residual(points[r], points[q]) > tol for q in kept):
+    for r in np.lexsort(np.round(flat, 9).T[::-1]).tolist() if points else []:
+        if not kept or (np.abs(flat[kept] - flat[r]).max(axis=1) > tol).all():
             kept.append(r)
     return kept
 
@@ -1120,7 +1125,7 @@ def verify_nash_phi(
     phi: MAStatistic,
     p: MixedProfile,
     tol: float = GAP_TOL,
-    support_tol: float = 1e-7,
+    support_tol: float = SUPPORT_TOL,
 ) -> bool:
     """True when every action played above support_tol is within tol of the best value."""
     if not p.matches(game):
@@ -1183,25 +1188,25 @@ def _dominated_actions(evaluator: PhiEvaluator, i: int, opponents: Sequence[np.n
     return out
 
 
-def _dismissed(evaluator: PhiEvaluator, ids: np.ndarray, subsets: Sequence[Sequence[tuple]]) -> np.ndarray:
-    """For each support profile, whether some player's support holds an action _dominated_actions finds.
+def _dismissed(evaluator: PhiEvaluator, ids: np.ndarray, masks: Sequence[np.ndarray]) -> np.ndarray:
+    """For each support profile of a stack, whether some player's support holds an action _dominated_actions finds.
 
-    ids (profiles x players) indexes each player's support in subsets[i].
-    For each player the profiles are grouped by the opponents' supports,
-    keyed by one integer, and the dominated actions of every group are found
-    by one _dominated_actions call over the stack of groups.
+    A stack of support profiles is (ids, masks): masks[i] holds supports of
+    player i as bool rows, (supports x actions of i), and ids (profiles x
+    players) indexes each profile's supports there.  For each player the
+    profiles are grouped by the opponents' supports, keyed by one integer, and
+    the dominated actions of every group are found by one _dominated_actions
+    call over the stack of groups.
     """
-    counts = evaluator.game.action_counts
-    masks = [_subset_masks(subs, k) for subs, k in zip(subsets, counts)]
     out = np.zeros(len(ids), dtype=bool)
     for i in range(evaluator.n):
         # group[r]: profile r's row in stack, the groups' opponent supports as masks, one stack per opponent.
         group, stack = np.zeros(len(ids), dtype=np.intp), []
         for j in evaluator.others[i]:
-            if not stack:  # one group per listed support of the first opponent
+            if not stack:  # one group per support of the first opponent
                 group, stack = ids[:, j], [masks[j]]
                 continue
-            width = len(subsets[j])
+            width = len(masks[j])
             keys, group = np.unique(group * width + ids[:, j], return_inverse=True)
             stack = [m[keys // width] for m in stack] + [masks[j][keys % width]]
         dominated = _words(_dominated_actions(evaluator, i, stack))
@@ -1217,24 +1222,17 @@ def _words(masks: np.ndarray) -> np.ndarray:
     return words.view(np.uint64)
 
 
-def _subset_masks(subsets: Sequence[tuple], k: int) -> np.ndarray:
-    """The subsets of range(k) as bool rows, (len(subsets) x k)."""
-    sizes = np.fromiter(map(len, subsets), dtype=np.intp, count=len(subsets))
-    actions = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp, count=int(sizes.sum()))
-    masks = np.zeros((len(subsets), k), dtype=bool)
-    masks[np.repeat(np.arange(len(subsets)), sizes), actions] = True
-    return masks
-
-
-def _indexed(profiles: Sequence[Sequence[tuple]], players: int) -> tuple[np.ndarray, list[list[tuple]]]:
-    """Support profiles as _dismissed takes them: (ids, subsets), each player's distinct supports listed once."""
-    ids = np.zeros((len(profiles), players), dtype=np.intp)
-    subsets = []
-    for i in range(players):
+def _indexed(profiles: Sequence[Sequence[tuple]], counts: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Support profiles, tuples of action tuples, as a stack (ids, masks) (see _dismissed), each support once."""
+    ids = np.zeros((len(profiles), len(counts)), dtype=np.intp)
+    masks = []
+    for i, k in enumerate(counts):
         index: dict = {}
         ids[:, i] = [index.setdefault(sups[i], len(index)) for sups in profiles]
-        subsets.append(list(index))
-    return ids, subsets
+        masks.append(np.zeros((len(index), k), dtype=bool))
+        for row, sup in zip(masks[-1], index):
+            row[list(sup)] = True
+    return ids, masks
 
 
 def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
@@ -1272,39 +1270,44 @@ def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
 
 def _solve_supports(
     evaluator: PhiEvaluator,
-    profiles: Sequence[Sequence[Sequence[int]]],
+    ids: np.ndarray,
+    masks: Sequence[np.ndarray],
     rng: np.random.Generator,
     scale: float,
 ) -> list[Optional[list[np.ndarray]]]:
-    """Find within-support indifference, zeros of the value differences, for each support profile.
+    """Find within-support indifference, zeros of the value differences, for each profile of a stack.
 
-    Returns one entry per profile: its mixes, or None.  A solution keeps
-    every support weight above 1e-9; a weight at zero is a boundary case
+    The stack is (ids, masks), as _dismissed takes it.  Returns one entry
+    per profile, in stack order: its mixes, or None.  A solution keeps every
+    support weight above INTERIOR_TOL; a weight at zero is a boundary case
     that a smaller support covers.  On the linear path (_linear_supports)
-    the profiles are grouped by shape, (|S_0|, |S_1|), by one stable
-    argsort of a code of the shapes, and each group is solved as a stack by
-    _linear_roots, whose root is the projection of the uniform mix onto each
-    half's solutions; that path draws nothing from rng.  Elsewhere each
-    profile is solved on its own by Newton from three starts, the uniform
-    mix on each support and then two Dirichlet draws, and its solution is
-    the root of the first start that keeps every support weight above 1e-9.
-    The draws are successive rng.dirichlet(np.ones(k)) calls in list order:
-    a profile's first start, then its second, each start's supports of k >=
-    2 actions in player order.  A profile of single actions draws nothing
-    and is returned as it is.
+    the profiles are grouped by shape, (|S_0|, |S_1|), by one stable argsort
+    of a code of the shapes, and each group, its supports read off the masks
+    as action arrays, is solved as a stack by _linear_roots, whose root is
+    the projection of the uniform mix onto each half's solutions; that path
+    draws nothing from rng.  Elsewhere each profile, its supports read off
+    the masks as action lists, is solved on its own by Newton from three
+    starts, the uniform mix on each support and then two Dirichlet draws,
+    and its solution is the root of the first start that keeps every
+    support weight above INTERIOR_TOL.  The draws are successive
+    rng.dirichlet(np.ones(k)) calls in stack order: a profile's first
+    start, then its second, each start's supports of k >= 2 actions in
+    player order.  A profile of single actions draws nothing and is
+    returned as it is.
     """
     counts = evaluator.game.action_counts
     tol = 1e-10 * scale
-    out: list = [None] * len(profiles)
-    if _linear_supports(evaluator) and profiles:
-        sizes = np.fromiter(map(len, itertools.chain.from_iterable(profiles)), dtype=np.intp, count=2 * len(profiles))
-        code = sizes[0::2] * (sizes.max() + 1) + sizes[1::2]
+    out: list = [None] * len(ids)
+    if _linear_supports(evaluator) and len(ids):
+        code = masks[0].sum(axis=1)[ids[:, 0]] * (counts[1] + 1) + masks[1].sum(axis=1)[ids[:, 1]]
         order = np.argsort(code, kind="stable")
         for rows in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
-            for q, theta in _linear_roots(evaluator, [profiles[r] for r in rows.tolist()], tol):
-                out[rows[q]] = _dists_from_theta(theta, profiles[rows[q]], counts)
+            actions = [np.nonzero(m[col])[1].reshape(len(rows), -1) for m, col in zip(masks, ids[rows].T)]
+            for q, theta in _linear_roots(evaluator, actions, tol):
+                out[rows[q]] = _dists_from_theta(theta, [sup[q] for sup in actions], counts)
         return out
-    for r, sups in enumerate(profiles):
+    for r, row in enumerate(ids.tolist()):
+        sups = [np.flatnonzero(m[t]).tolist() for m, t in zip(masks, row)]
         movers = [len(s) for s in sups if len(s) > 1]
         if not movers:
             out[r] = _dists_from_theta(np.zeros(0), sups, counts)
@@ -1319,17 +1322,18 @@ def _solve_supports(
             if abs(f).max() > tol:
                 continue
             dists = _dists_from_theta(theta, sups, counts)
-            if all(vec[list(sup)].min() > 1e-9 for sup, vec in zip(sups, dists)):
+            if all(vec[sup].min() > INTERIOR_TOL for sup, vec in zip(sups, dists)):
                 out[r] = dists
                 break
     return out
 
 
 def _linear_roots(
-    evaluator: PhiEvaluator, stack: Sequence[Sequence[Sequence[int]]], tol: float
+    evaluator: PhiEvaluator, actions: Sequence[np.ndarray], tol: float
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Interior roots of a stack of two-player support profiles of one shape on the linear path.
 
+    actions[i] holds player i's supports, (B x |S_i|) action indices.
     Player i's value differences depend on the opponent's weights alone, so
     the system splits into two halves, each solved for the whole stack by
     _linear_half as the projection of the uniform mix onto its solutions;
@@ -1337,19 +1341,15 @@ def _linear_roots(
     player with the larger support) goes first, and only the profiles where
     it is consistent go on to the other half.  Yields (place in the stack,
     free weights) for each profile consistent in both halves whose every
-    support weight is above 1e-9.
+    support weight is above INTERIOR_TOL.
     """
-    actions = [
-        np.fromiter(itertools.chain.from_iterable(sups[i] for sups in stack), np.intp).reshape(len(stack), -1)
-        for i in range(2)
-    ]
     i = 0 if actions[0].shape[1] >= actions[1].shape[1] else 1
     first, consistent = _linear_half(evaluator, i, actions[i], actions[1 - i], tol)
     kept = np.flatnonzero(consistent)
     second, consistent = _linear_half(evaluator, 1 - i, actions[1 - i][kept], actions[i][kept], tol)
     mixes = [None, None]
     mixes[1 - i], mixes[i] = first[kept[consistent]], second[consistent]
-    interior = (mixes[0] > 1e-9).all(axis=1) & (mixes[1] > 1e-9).all(axis=1)
+    interior = (mixes[0] > INTERIOR_TOL).all(axis=1) & (mixes[1] > INTERIOR_TOL).all(axis=1)
     kept = kept[consistent]
     for q in np.flatnonzero(interior).tolist():
         yield int(kept[q]), np.concatenate([mix[q, :-1] for mix in mixes])
@@ -1423,15 +1423,14 @@ def _may_be_consistent(jac: np.ndarray, const: np.ndarray, tol: float) -> np.nda
     return np.sqrt((residual * residual).sum(axis=1)) <= 2.0 * math.sqrt(m) * tol
 
 
-def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, list[list[tuple]]]:
-    """The first limit support profiles, in Stage 2's order, as index arrays.
+def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The first limit support profiles, in Stage 2's order, as a stack (ids, masks) (see _dismissed).
 
     The order: by increasing total size; within a total, lexicographic over
     the players' subset indices, where each player's subsets are listed by
     (size, combination), as itertools.product over those lists would give
-    them.  Returns (ids, subsets): subsets[i] holds the supports of player i
-    that the listing made, as action tuples in the order they were made, and
-    ids (profiles x players) indexes each profile's supports there.
+    them.  masks[i] holds the supports of player i that the listing made,
+    as bool rows in the order they were made.
 
     The profiles of one total and one size s of player p's support are each
     of p's first size-s subsets followed by every profile of the later
@@ -1441,15 +1440,17 @@ def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, lis
     O(limit) profiles, however many profiles the game has.
     """
     n = len(counts)
-    subsets: list[list[tuple]] = [[] for _ in counts]
+    masks = [np.zeros((0, k), dtype=bool) for k in counts]
     made: dict = {}  # (player, size) -> ids of the player's first subsets of that size, in combination order
 
     def heads(p: int, size: int, h: int) -> np.ndarray:
         have = made.get((p, size), np.zeros(0, dtype=np.intp))
         if len(have) < h:
-            new = list(itertools.islice(itertools.combinations(range(counts[p]), size), len(have), h))
-            have = np.concatenate([have, np.arange(len(subsets[p]), len(subsets[p]) + len(new))])
-            subsets[p].extend(new)
+            new = np.array(list(itertools.islice(itertools.combinations(range(counts[p]), size), len(have), h)))
+            have = np.concatenate([have, np.arange(len(masks[p]), len(masks[p]) + len(new))])
+            block = np.zeros((len(new), counts[p]), dtype=bool)
+            np.put_along_axis(block, new, True, axis=1)
+            masks[p] = np.concatenate([masks[p], block])
             made[p, size] = have
         return have[:h]
 
@@ -1488,24 +1489,19 @@ def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, lis
         parts.append(listing(0, total, need))
         need -= len(parts[-1])
     ids = np.concatenate(parts) if parts else np.zeros((0, n), dtype=np.intp)
-    return ids, subsets
+    return ids, masks
 
 
-def _enumeration(evaluator: PhiEvaluator, limit: int) -> tuple[list[tuple], int, bool]:
-    """Stage 2 of solve_nash_phi before solving: (survivors, examined, complete), as its docstring defines them."""
+def _enumeration(evaluator: PhiEvaluator, limit: int) -> tuple[np.ndarray, list[np.ndarray], int, bool]:
+    """Stage 2 of solve_nash_phi before solving: the survivors' stack, examined and complete, as defined there."""
     listed = _LISTING_FACTOR * limit
     # One profile past the listing's end shows that the game holds more.
-    ids, subsets = _support_listing(evaluator.game.action_counts, listed + 1)
+    ids, masks = _support_listing(evaluator.game.action_counts, listed + 1)
     complete = len(ids) <= listed
     ids = ids[:listed]
-    alive = np.flatnonzero(~_dismissed(evaluator, ids, subsets))
+    alive = np.flatnonzero(~_dismissed(evaluator, ids, masks))
     examined = len(ids) if len(alive) <= limit else int(alive[limit])
-    return _profiles_at(ids[alive[:limit]], subsets), examined, complete and len(alive) <= limit
-
-
-def _profiles_at(ids: np.ndarray, subsets: Sequence[Sequence[tuple]]) -> list[tuple]:
-    """The support profiles that rows of ids index, as tuples of action tuples."""
-    return list(zip(*([subs[t] for t in col] for subs, col in zip(subsets, ids.T.tolist()))))
+    return ids[alive[:limit]], masks, examined, complete and len(alive) <= limit
 
 
 def _skip_trace(evaluator: PhiEvaluator, complete: bool) -> bool:
@@ -1575,8 +1571,9 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     always runs.
 
     The profiles that are not dismissed, Stage 1's in sorted order and then
-    Stage 2's in enumeration order, go to _solve_supports as one list, and
-    the solutions that are best responses are kept in list order.  On the
+    Stage 2's in enumeration order, go to _solve_supports as one stack
+    (ids, masks), each player's supports as bool rows (see _dismissed), and
+    the solutions that are best responses are kept in stack order.  On the
     linear path (_linear_supports: two players, every finite atom at 0) the
     profiles are solved in stacks of one shape, (|S_0|, |S_1|), half by
     half, the half with more equations than unknowns first, and each root
@@ -1592,7 +1589,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     the S_j, j != i.  Every MAStatistic is monotone and translation-invariant,
     so against any opponent mix that reaches exactly that product, b's value
     is at least a's plus that margin.  A solved profile keeps every support
-    weight above 1e-9, so it reaches exactly that product, and the gap test
+    weight above INTERIOR_TOL, so it reaches exactly that product, and the gap test
     would reject it.  Dismissed Stage-2 profiles count as examined and are
     reported as enumeration_pruned.  Each stage's profiles are dismissed
     together (_dismissed): for each player, the profiles are grouped by the
@@ -1617,12 +1614,12 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     scale = 1.0 + float(np.max(np.abs(game.payoffs)))
     rng = np.random.default_rng(cfg.seed + 1)
 
-    survivors, examined, complete = _enumeration(evaluator, cfg.max_enum_supports)
+    survivors, survivor_masks, examined, complete = _enumeration(evaluator, cfg.max_enum_supports)
 
     # Stage 1: limit candidates along the logit continuation.
     skipped = _skip_trace(evaluator, complete)
     diagnostics: dict = {}
-    candidates = []
+    candidates, candidate_masks = _indexed([], counts)
     if not skipped:
         try:
             trace = homotopy_trace(game, phi, HOMOTOPY_LAMBDA_MAX, cfg.homotopy_steps, cfg)
@@ -1633,12 +1630,15 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
         # the continuation passes near a best-response point is not known ahead.
         if trace:
             proposed = sorted(_candidate_supports([p.distributions for _, p in trace]))
-            kept = ~_dismissed(evaluator, *_indexed(proposed, len(counts)))
-            candidates = [sups for sups, keep in zip(proposed, kept.tolist()) if keep]
+            candidates, candidate_masks = _indexed(proposed, counts)
+            candidates = candidates[~_dismissed(evaluator, candidates, candidate_masks)]
 
+    # One stack, the candidates in front of the survivors: each player's supports of both in one table.
+    ids = np.concatenate([candidates, survivors + [len(m) for m in candidate_masks]])
+    masks = [np.concatenate(pair) for pair in zip(candidate_masks, survivor_masks)]
     found: list[tuple[MixedProfile, float]] = []
     accepted = 0  # of the candidates
-    for r, dists in enumerate(_solve_supports(evaluator, candidates + survivors, rng, scale)):
+    for r, dists in enumerate(_solve_supports(evaluator, ids, masks, rng, scale)):
         if dists is None:
             continue
         # The gap is taken on the profile as returned, so it is that profile's residual.
@@ -1649,7 +1649,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
             accepted += r < len(candidates)
     diagnostics["homotopy_skipped"] = skipped
     diagnostics["homotopy_candidates"] = accepted
-    diagnostics["supports_solved"] = len(candidates) + len(survivors)
+    diagnostics["supports_solved"] = len(ids)
     diagnostics["enumeration_examined"] = examined
     diagnostics["enumeration_pruned"] = examined - len(survivors)
     diagnostics["enumeration_truncated"] = not complete
@@ -1663,7 +1663,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
 # ---------------------------------------------------------------------------
 
 
-def verify_fosd_nash(game: Game, p: MixedProfile, support_tol: float = 1e-7) -> list[dict]:
+def verify_fosd_nash(game: Game, p: MixedProfile, support_tol: float = SUPPORT_TOL) -> list[dict]:
     """Violations of 'never play a strictly dominated lottery'; empty means member."""
     if not p.matches(game):
         raise ValueError("profile does not match the game")
@@ -1684,7 +1684,7 @@ def verify_fosd_nash(game: Game, p: MixedProfile, support_tol: float = 1e-7) -> 
     return violations
 
 
-def verify_fosd_qre(game: Game, p: MixedProfile, tol: float = 1e-7) -> list[dict]:
+def verify_fosd_qre(game: Game, p: MixedProfile, tol: float = SUPPORT_TOL) -> list[dict]:
     """Violations of interiority or of weak-dominance-respecting probabilities."""
     if not p.matches(game):
         raise ValueError("profile does not match the game")

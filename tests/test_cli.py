@@ -133,6 +133,26 @@ class TestCompose:
         assert code == 0
         assert Game.load(str(out_path)).action_counts == (4, 4)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"kind": "power", "exponent": "3"}',
+            '{"kind": "power", "exponent": 1e400}',
+            '["power"]',
+            '{"kind": "power", "exponent": true}',
+        ],
+        ids=["string-exponent", "infinite-exponent", "not-an-object", "bool-exponent"],
+    )
+    def test_malformed_reparam_is_usage_error(self, capsys, mp_file, tmp_path, body):
+        reparam = tmp_path / "phi.json"
+        reparam.write_text(body)
+        out_path = tmp_path / "combo.json"
+        code = cli.main(
+            ["compose", "--game", mp_file, "--game2", mp_file, "--phi-reparam", str(reparam), "-o", str(out_path)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestAxioms:
     def test_bracketing_suite_passes(self, capsys):

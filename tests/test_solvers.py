@@ -46,10 +46,8 @@ from sre_lab.solvers import (
     _indexed,
     _logit_system,
     _newton,
-    _profiles_at,
     _response,
     _solve_supports,
-    _subset_masks,
     _support_listing,
     _support_system,
 )
@@ -570,8 +568,19 @@ def _support_profiles(counts):
         yield from with_total(tuple(counts), total)
 
 
+def _decoded(ids, masks):
+    """A stack of support profiles (ids, masks) as a list of tuples of action tuples."""
+    supports = [[tuple(np.flatnonzero(mask).tolist()) for mask in m] for m in masks]
+    return [tuple(sups[t] for sups, t in zip(supports, row)) for row in ids.tolist()]
+
+
 def _listed(counts, limit):
-    return _profiles_at(*_support_listing(counts, limit))
+    return _decoded(*_support_listing(counts, limit))
+
+
+def _solve(evaluator, profiles, rng, scale):
+    """_solve_supports on support profiles given as tuples of action tuples."""
+    return _solve_supports(evaluator, *_indexed(profiles, evaluator.game.action_counts), rng, scale)
 
 
 def _edge_limits(totals):
@@ -604,8 +613,8 @@ class TestSupportProfiles:
     def test_large_game_yields_without_listing_every_profile(self):
         # Listing all (2^30 - 1)^2 profiles first would never finish.
         assert _listed((30, 30), 5) == [((0,), (j,)) for j in range(5)]
-        ids, subsets = _support_listing((30, 30), 5)
-        assert [len(s) for s in subsets] == [1, 5]
+        ids, masks = _support_listing((30, 30), 5)
+        assert [len(m) for m in masks] == [1, 5]
 
 
 def _newton_support(evaluator, supports, rng, scale):
@@ -1131,7 +1140,7 @@ class TestSupportSolve:
             for sups in _support_profiles(game.action_counts):
                 if sum(len(s) for s in sups) == 2:
                     continue  # no free weights: both paths return the pure profile
-                exact = _solve_supports(evaluator, [sups], np.random.default_rng(5), scale)[0]
+                exact = _solve(evaluator, [sups], np.random.default_rng(5), scale)[0]
                 newton, low = _newton_support(evaluator, sups, np.random.default_rng(5), scale)
                 if newton is None:
                     assert exact is None, (phi, sups)
@@ -1150,8 +1159,8 @@ class TestSupportSolve:
         scale = 1.0 + float(np.max(np.abs(game.payoffs)))
         for seed in range(40):
             for sups in (((7, 10), (0, 2)), ((8, 9), (0, 1)), ((8, 9), (0, 2))):
-                assert _solve_supports(evaluator, [sups], np.random.default_rng(seed), scale)[0] is None
-            dists = _solve_supports(evaluator, [((7, 10), (0, 1))], np.random.default_rng(seed), scale)[0]
+                assert _solve(evaluator, [sups], np.random.default_rng(seed), scale)[0] is None
+            dists = _solve(evaluator, [((7, 10), (0, 1))], np.random.default_rng(seed), scale)[0]
             assert dists is not None
             np.testing.assert_allclose(dists[0][[7, 10]], [0.5, 0.5], rtol=0, atol=1e-12)
             np.testing.assert_allclose(dists[1][[0, 1]], [0.5, 0.5], rtol=0, atol=1e-12)
@@ -1225,10 +1234,10 @@ class TestSupportSolve:
             scale = 1.0 + float(np.max(np.abs(game.payoffs)))
             profiles = list(itertools.islice(_support_profiles(game.action_counts), 4096))
             stacked_rng, alone_rng = np.random.default_rng(7), np.random.default_rng(7)
-            stacked = _solve_supports(evaluator, profiles, stacked_rng, scale)
+            stacked = _solve(evaluator, profiles, stacked_rng, scale)
             assert len(stacked) == len(profiles)
             for sups, dists in zip(profiles, stacked):
-                alone = _solve_supports(evaluator, [sups], alone_rng, scale)[0]
+                alone = _solve(evaluator, [sups], alone_rng, scale)[0]
                 assert (dists is None) == (alone is None), sups
                 if dists is not None:
                     solved += sum(len(s) for s in sups) > 2
@@ -1260,7 +1269,7 @@ class TestSupportSolve:
             profiles = [tuple(tuple(range(size)) for size in shape) for shape in shapes]
         profiles = [profiles[t] for t in np.random.default_rng(0).permutation(len(profiles)).tolist()]
         drawn, reference = np.random.default_rng(9), np.random.default_rng(9)
-        solved = _solve_supports(evaluator, profiles, drawn, scale)
+        solved = _solve(evaluator, profiles, drawn, scale)
         roots = 0
         for sups, dists in zip(profiles, solved):
             if max(map(len, sups)) == 1:  # a pure profile draws nothing and is returned as it is
@@ -1280,7 +1289,7 @@ class TestSupportSolve:
         for phi in (EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))):
             rng = np.random.default_rng(9)
             state = rng.bit_generator.state
-            solved = _solve_supports(PhiEvaluator(game, phi), profiles, rng, 1.0 + float(np.max(np.abs(game.payoffs))))
+            solved = _solve(PhiEvaluator(game, phi), profiles, rng, 1.0 + float(np.max(np.abs(game.payoffs))))
             assert rng.bit_generator.state == state
             assert any(dists is not None and max(map(len, sups)) > 1 for sups, dists in zip(profiles, solved))
 
@@ -1484,7 +1493,7 @@ class TestSolveNashPhi:
         handed = []
         inner = solvers._solve_supports
         monkeypatch.setattr(
-            solvers, "_solve_supports", lambda ev, profiles, *rest: handed.append(len(profiles)) or inner(ev, profiles, *rest)
+            solvers, "_solve_supports", lambda ev, ids, *rest: handed.append(len(ids)) or inner(ev, ids, *rest)
         )
         rng = np.random.default_rng(20240)
         cases = [
@@ -1561,10 +1570,11 @@ class TestLabelFree:
         # 1e6 the best-response gap of a root is a few units in the last place of its
         # values, which decide it either way (two of these games at the parent too).
         for index, game in enumerate(_label_free_games()):
-            profiles = _profiles_at(*_support_listing(game.action_counts, 10**6))
+            stack = _support_listing(game.action_counts, 10**6)
+            profiles = _decoded(*stack)
 
             def solved(g):
-                return _solve_supports(PhiEvaluator(g, phi), profiles, None, 1.0 + float(np.max(np.abs(g.payoffs))))
+                return _solve_supports(PhiEvaluator(g, phi), *stack, None, 1.0 + float(np.max(np.abs(g.payoffs))))
 
             base, base_set = solved(game), _solution_arrays(solve_nash_phi(game, phi))
             for alpha in (1e-6, 1e-3, 1e3, 1e6):
@@ -1603,16 +1613,16 @@ def _reference_walk(evaluator, limit):
 
 def _walk(evaluator, limit):
     """The same triple from _support_listing and one _dismissed call."""
-    ids, subsets = _support_listing(evaluator.game.action_counts, limit + 1)
+    ids, masks = _support_listing(evaluator.game.action_counts, limit + 1)
     truncated = len(ids) > limit
     ids = ids[:limit]
-    return len(ids), truncated, _profiles_at(ids[~_dismissed(evaluator, ids, subsets)], subsets)
+    return len(ids), truncated, _decoded(ids[~_dismissed(evaluator, ids, masks)], masks)
 
 
 def _dominated(evaluator, i, opponent_supports):
     """_dominated_actions on a stack of one entry, as a set."""
     counts = [k for j, k in enumerate(evaluator.game.action_counts) if j != i]
-    masks = [_subset_masks([sup], k) for sup, k in zip(opponent_supports, counts)]
+    masks = _indexed([tuple(opponent_supports)], counts)[1]  # one row each: the profile's supports
     return set(np.flatnonzero(_dominated_actions(evaluator, i, masks)[0]).tolist())
 
 
@@ -1654,8 +1664,8 @@ class TestDominancePruning:
             # Every opponent support profile, alone and all of them as one stack.
             others = counts[:i] + counts[i + 1 :]
             stack = list(_support_profiles(others))
-            masks = [_subset_masks([opponents[j] for opponents in stack], k) for j, k in enumerate(others)]
-            stacked = _dominated_actions(evaluator, i, masks)
+            ids, masks = _indexed(stack, others)
+            stacked = _dominated_actions(evaluator, i, [m[col] for m, col in zip(masks, ids.T)])
             for opponents, row in zip(stack, stacked):
                 expected = set()
                 for a, b in itertools.permutations(range(game.action_counts[i]), 2):
@@ -1680,7 +1690,7 @@ class TestDominancePruning:
             for sups in _support_profiles(game.action_counts):
                 if not _reference_dismissed(evaluator, sups):
                     continue
-                dists = _solve_supports(evaluator, [sups], rng, scale)[0]
+                dists = _solve(evaluator, [sups], rng, scale)[0]
                 if dists is None:
                     continue
                 roots += 1
@@ -1703,16 +1713,44 @@ class TestDominancePruning:
         # Stage 1's candidates come in sorted order, not the listing's.
         ordered = sorted(everything)
         expected = [_reference_dismissed(evaluator, sups) for sups in ordered]
-        assert _dismissed(evaluator, *_indexed(ordered, len(counts))).tolist() == expected
+        assert _dismissed(evaluator, *_indexed(ordered, counts)).tolist() == expected
 
     def test_margins_in_chunks_match_one_chunk(self, monkeypatch):
         game = make_card_game(0.4, [0, 1, 2], 0.1)
         evaluator = PhiEvaluator(game, EXPECTATION)
-        ids, subsets = _support_listing(game.action_counts, 30_000)
-        whole = _dismissed(evaluator, ids, subsets)
+        ids, masks = _support_listing(game.action_counts, 30_000)
+        whole = _dismissed(evaluator, ids, masks)
         monkeypatch.setattr(solvers, "_MARGIN_CHUNK", 50)  # one to five entries per chunk
-        assert (_dismissed(evaluator, ids, subsets) == whole).all()
+        assert (_dismissed(evaluator, ids, masks) == whole).all()
         assert len(whole) - whole.sum() == 3_819
+
+    @pytest.mark.parametrize(
+        "game, phi, limit",
+        [(make_card_game(0.4, [0, 1], 0.1), K_PAIR, 4096), (make_card_game(0.4, [0, 1, 2], 0.1), EXPECTATION, 256)],
+        ids=["k-pair-4x2", "mean-12x3-256"],
+    )
+    def test_solver_gets_one_stack_in_order(self, monkeypatch, game, phi, limit):
+        # The Newton path draws its starts in stack order, so solve_nash_phi must hand the
+        # solver one stack: the trace's candidates that survive dismissal, in sorted order,
+        # then the first limit survivors of the enumeration's listing, in listing order.
+        proposed, handed = [], []
+        propose, solve = solvers._candidate_supports, solvers._solve_supports
+        monkeypatch.setattr(
+            solvers, "_candidate_supports", lambda points: proposed.append(propose(points)) or proposed[-1]
+        )
+        monkeypatch.setattr(
+            solvers,
+            "_solve_supports",
+            lambda ev, ids, masks, *rest: handed.append(_decoded(ids, masks)) or solve(ev, ids, masks, *rest),
+        )
+        cfg = SolverConfig(multistarts=4, max_iters=20_000, max_enum_supports=limit)
+        res = solve_nash_phi(game, phi, cfg)
+        evaluator = PhiEvaluator(game, phi)
+        [candidates] = proposed
+        kept = [sups for sups in sorted(candidates) if not _reference_dismissed(evaluator, sups)]
+        assert res.diagnostics["homotopy_skipped"] is False and kept
+        survivors = _reference_walk(evaluator, solvers._LISTING_FACTOR * limit)[2][:limit]
+        assert handed == [kept + survivors]
 
     def test_three_players_of_ten_actions_at_the_default_limits(self):
         # (2^10 - 1)^3 profiles: listing them all would not finish; the first 4,096 come at once.
