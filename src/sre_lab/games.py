@@ -261,7 +261,10 @@ def compose_generalized(
     hi = max(g.payoffs.max(), h.payoffs.max())
     span = max(hi - lo, 1.0)
     probe = np.linspace(lo - 0.01 * span, hi + 0.01 * span, 257)
-    vals = np.asarray(phi(probe), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(phi(probe), dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError("phi is not finite on the payoff range")
     if not np.all(np.diff(vals) > 0):
         raise ValueError("phi is not strictly increasing on the payoff range")
 

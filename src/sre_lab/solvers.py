@@ -100,12 +100,13 @@ class SolverConfig:
     max_enum_supports: int = 4096
 
     def __post_init__(self):
-        if self.tol_fixed_point <= 0 or self.max_iters <= 0 or self.multistarts < 0:
-            raise ValueError("tolerances and iteration budgets must be positive")
+        # Written so that NaN fails too.
+        if not 0 < self.tol_fixed_point < math.inf or self.max_iters <= 0 or self.multistarts < 0:
+            raise ValueError("tolerances must be positive and finite, and iteration budgets positive")
         if self.homotopy_steps < 2:
             raise ValueError("homotopy grid is too small")
-        if self.support_tol <= 0:
-            raise ValueError("support_tol must be positive")
+        if not 0 < self.support_tol < math.inf:
+            raise ValueError("support_tol must be positive and finite")
         if self.max_enum_supports < 0:
             raise ValueError("max_enum_supports must be nonnegative")
         if self.seed < 0:
@@ -1130,6 +1131,8 @@ def verify_nash_phi(
     """True when every action played above support_tol is within tol of the best value."""
     if not p.matches(game):
         raise ValueError("profile does not match the game")
+    if not (0 <= tol < math.inf and 0 < support_tol < math.inf):
+        raise ValueError("tol must be nonnegative and finite, and support_tol positive and finite")
     return _best_response_gap(PhiEvaluator(game, phi), p.distributions, tol, support_tol) is not None
 
 
@@ -1272,7 +1275,7 @@ def _solve_supports(
     evaluator: PhiEvaluator,
     ids: np.ndarray,
     masks: Sequence[np.ndarray],
-    rng: np.random.Generator,
+    seed: int,
     scale: float,
 ) -> list[Optional[list[np.ndarray]]]:
     """Find within-support indifference, zeros of the value differences, for each profile of a stack.
@@ -1285,15 +1288,12 @@ def _solve_supports(
     of a code of the shapes, and each group, its supports read off the masks
     as action arrays, is solved as a stack by _linear_roots, whose root is
     the projection of the uniform mix onto each half's solutions; that path
-    draws nothing from rng.  Elsewhere each profile, its supports read off
-    the masks as action lists, is solved on its own by Newton from three
-    starts, the uniform mix on each support and then two Dirichlet draws,
-    and its solution is the root of the first start that keeps every
-    support weight above INTERIOR_TOL.  The draws are successive
-    rng.dirichlet(np.ones(k)) calls in stack order: a profile's first
-    start, then its second, each start's supports of k >= 2 actions in
-    player order.  A profile of single actions draws nothing and is
-    returned as it is.
+    draws nothing.  Elsewhere each profile, its supports read off the masks
+    as action lists, is solved on its own by Newton from _newton_starts:
+    the uniform mix on each support, then, when that start is not flat and
+    gives no root with every weight above INTERIOR_TOL, two Dirichlet draws
+    from seed and the profile's supports alone, so that no root depends on
+    the stack.  A profile of single actions is returned as it is.
     """
     counts = evaluator.game.action_counts
     tol = 1e-10 * scale
@@ -1308,14 +1308,11 @@ def _solve_supports(
         return out
     for r, row in enumerate(ids.tolist()):
         sups = [np.flatnonzero(m[t]).tolist() for m, t in zip(masks, row)]
-        movers = [len(s) for s in sups if len(s) > 1]
-        if not movers:
+        if max(map(len, sups)) == 1:
             out[r] = _dists_from_theta(np.zeros(0), sups, counts)
             continue
         system = _support_system(evaluator, sups)
-        starts = [np.concatenate([np.full(k - 1, 1.0 / k) for k in movers])]
-        starts += [np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in movers]) for _ in range(2)]
-        for theta in starts:
+        for theta in _newton_starts(sups, seed):
             theta, f, flat, _ = _newton(system, theta, tol, 24)
             if flat:
                 break  # values do not react to this support's mixing
@@ -1326,6 +1323,15 @@ def _solve_supports(
                 out[r] = dists
                 break
     return out
+
+
+def _newton_starts(sups: Sequence[Sequence[int]], seed: int) -> Iterator[np.ndarray]:
+    """Free weights of the uniform mix, then of two Dirichlet draws from a generator of seed and the supports alone."""
+    movers = [len(s) for s in sups if len(s) > 1]
+    yield np.concatenate([np.full(k - 1, 1.0 / k) for k in movers])
+    rng = np.random.default_rng([seed, *(sum(1 << a for a in s) for s in sups)])
+    for _ in range(2):
+        yield np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in movers])
 
 
 def _linear_roots(
@@ -1504,11 +1510,6 @@ def _enumeration(evaluator: PhiEvaluator, limit: int) -> tuple[np.ndarray, list[
     return ids[alive[:limit]], masks, examined, complete and len(alive) <= limit
 
 
-def _skip_trace(evaluator: PhiEvaluator, complete: bool) -> bool:
-    """True when solve_nash_phi skips Stage 1; its docstring gives the rule."""
-    return complete and _linear_supports(evaluator)
-
-
 def _candidate_supports(points: Sequence[Sequence[np.ndarray]]) -> set:
     """Support profiles suggested by the points of a logit trace.
 
@@ -1563,12 +1564,10 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     through dismissal, and not only on the game's action counts.
 
     Stage 1 (homotopy_trace, then _candidate_supports on every point of the
-    trace) is skipped when the enumeration was complete and every support
-    is solved by the linear path.  Stage 2 then solves every profile Stage
-    1 could propose, as Stage 1 would.  A Newton-solved
-    support's root depends on its Dirichlet starts, and Stage 1's
-    candidates take other draws than Stage 2's profiles, so there the trace
-    always runs.
+    trace) is skipped when the enumeration was complete.  Stage 2 then
+    solves every profile Stage 1 could propose, as Stage 1 would: a
+    profile's root depends on the profile, cfg.seed and the statistic, not
+    on which stage hands it to _solve_supports.
 
     The profiles that are not dismissed, Stage 1's in sorted order and then
     Stage 2's in enumeration order, go to _solve_supports as one stack
@@ -1580,8 +1579,10 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     is the projection of the uniform mix onto the half's solutions: it
     draws nothing, so cfg.seed does not matter there, and relabeling a
     player's actions relabels the roots.  On the Newton path (three or more
-    players, or a finite atom off 0) the profiles are solved one by one
-    from starts drawn from cfg.seed.
+    players, or a finite atom off 0) the profiles are solved one by one,
+    each from the uniform mix and, if needed, two starts drawn from cfg.seed
+    and its supports; Newton's chart and those draws follow the action
+    order, so there a relabeling can move a root on a continuum of roots.
 
     A support profile S is dismissed unsolved when some player i has an
     action a in S_i and an action b (in S_i or not) whose payoff exceeds a's
@@ -1597,8 +1598,8 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     min-reduction over the payoffs each group's supports reach
     (_dominated_actions).
 
-    diagnostics: homotopy_skipped, whether Stage 1 was skipped, which the
-    statistic, the game's payoffs (through dismissal) and cfg settle;
+    diagnostics: homotopy_skipped, whether Stage 1 was skipped, always the
+    negation of enumeration_truncated;
     homotopy_candidates, the Stage-1 candidates accepted (0 when skipped);
     homotopy_breakdown_lambda, present only when the trace broke down, its
     last good lambda; supports_solved, the profiles handed to the support
@@ -1612,15 +1613,13 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     counts = game.action_counts
     evaluator = PhiEvaluator(game, phi)
     scale = 1.0 + float(np.max(np.abs(game.payoffs)))
-    rng = np.random.default_rng(cfg.seed + 1)
 
     survivors, survivor_masks, examined, complete = _enumeration(evaluator, cfg.max_enum_supports)
 
-    # Stage 1: limit candidates along the logit continuation.
-    skipped = _skip_trace(evaluator, complete)
+    # Stage 1, when Stage 2 is not complete: limit candidates along the logit continuation.
     diagnostics: dict = {}
     candidates, candidate_masks = _indexed([], counts)
-    if not skipped:
+    if not complete:
         try:
             trace = homotopy_trace(game, phi, HOMOTOPY_LAMBDA_MAX, cfg.homotopy_steps, cfg)
         except HomotopyBreakdown as breakdown:
@@ -1638,7 +1637,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     masks = [np.concatenate(pair) for pair in zip(candidate_masks, survivor_masks)]
     found: list[tuple[MixedProfile, float]] = []
     accepted = 0  # of the candidates
-    for r, dists in enumerate(_solve_supports(evaluator, ids, masks, rng, scale)):
+    for r, dists in enumerate(_solve_supports(evaluator, ids, masks, cfg.seed, scale)):
         if dists is None:
             continue
         # The gap is taken on the profile as returned, so it is that profile's residual.
@@ -1647,7 +1646,7 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
         if gap is not None:
             found.append((profile, gap))
             accepted += r < len(candidates)
-    diagnostics["homotopy_skipped"] = skipped
+    diagnostics["homotopy_skipped"] = complete
     diagnostics["homotopy_candidates"] = accepted
     diagnostics["supports_solved"] = len(ids)
     diagnostics["enumeration_examined"] = examined

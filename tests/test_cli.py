@@ -140,8 +140,17 @@ class TestCompose:
             '{"kind": "power", "exponent": 1e400}',
             '["power"]',
             '{"kind": "power", "exponent": true}',
+            '{"kind": "power", "exponent": 1001}',
+            '{"kind": "power", "exponent": 10000000000000000000000000000000000000001}',
         ],
-        ids=["string-exponent", "infinite-exponent", "not-an-object", "bool-exponent"],
+        ids=[
+            "string-exponent",
+            "infinite-exponent",
+            "not-an-object",
+            "bool-exponent",
+            "underflowing-exponent",
+            "overflowing-exponent",
+        ],
     )
     def test_malformed_reparam_is_usage_error(self, capsys, mp_file, tmp_path, body):
         reparam = tmp_path / "phi.json"

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ class TestComposeGeneralized:
         g = make_matching_pennies()
         with pytest.raises(ValueError):
             compose_generalized(g, g, lambda v: np.asarray(v) ** 2)
+
+    def test_phi_that_overflows_on_the_payoffs_rejected(self):
+        # v ** (10^40 + 1) overflows on matching pennies' payoff range: a ValueError that
+        # names that, and no RuntimeWarning on the way.
+        g = make_matching_pennies()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="phi is not finite on the payoff range"):
+                compose_generalized(g, g, lambda v: np.power(v, 10**40 + 1))
 
 
 class TestProductProfile:

@@ -578,9 +578,9 @@ def _listed(counts, limit):
     return _decoded(*_support_listing(counts, limit))
 
 
-def _solve(evaluator, profiles, rng, scale):
+def _solve(evaluator, profiles, seed, scale):
     """_solve_supports on support profiles given as tuples of action tuples."""
-    return _solve_supports(evaluator, *_indexed(profiles, evaluator.game.action_counts), rng, scale)
+    return _solve_supports(evaluator, *_indexed(profiles, evaluator.game.action_counts), seed, scale)
 
 
 def _edge_limits(totals):
@@ -617,15 +617,18 @@ class TestSupportProfiles:
         assert [len(m) for m in masks] == [1, 5]
 
 
-def _newton_support(evaluator, supports, rng, scale):
+def _newton_support(evaluator, supports, seed, scale):
     """The Newton path of _solve_supports on one profile, from the same three starts.
 
-    Returns (dists or None, smallest support weight of Newton's accepted point).
+    The uniform mix, then two Dirichlet draws from a generator seeded by
+    seed and each player's support as a bitmask.  Returns (dists or None,
+    smallest support weight of Newton's accepted point).
     """
     counts = evaluator.game.action_counts
     system = _support_system(evaluator, supports)
     tol = 1e-10 * scale
     starts = [np.concatenate([np.full(len(s) - 1, 1.0 / len(s)) for s in supports if len(s) > 1])]
+    rng = np.random.default_rng([seed, *(sum(2**a for a in s) for s in supports)])
     for _ in range(2):
         starts.append(
             np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
@@ -641,6 +644,13 @@ def _newton_support(evaluator, supports, rng, scale):
         if low > 1e-9:
             return dists, low
     return None, None
+
+
+def _drawn_root_game():
+    """A 4x4 game where, under K_PAIR and seed 3, only a Dirichlet start reaches the root of ((0, 1), (0, 1))."""
+    rng = np.random.default_rng(31337)
+    game = [random_game(rng, players=(2, 2), actions=(2, 4)) for _ in range(37)][-1]
+    return Game(game.action_counts, game.payoffs[np.ix_([1, 3, 0, 2], [2, 3, 0, 1])])
 
 
 def _random_two_player_game(seed, counts):
@@ -1140,8 +1150,8 @@ class TestSupportSolve:
             for sups in _support_profiles(game.action_counts):
                 if sum(len(s) for s in sups) == 2:
                     continue  # no free weights: both paths return the pure profile
-                exact = _solve(evaluator, [sups], np.random.default_rng(5), scale)[0]
-                newton, low = _newton_support(evaluator, sups, np.random.default_rng(5), scale)
+                exact = _solve(evaluator, [sups], 5, scale)[0]
+                newton, low = _newton_support(evaluator, sups, 5, scale)
                 if newton is None:
                     assert exact is None, (phi, sups)
                 elif exact is None:
@@ -1159,8 +1169,8 @@ class TestSupportSolve:
         scale = 1.0 + float(np.max(np.abs(game.payoffs)))
         for seed in range(40):
             for sups in (((7, 10), (0, 2)), ((8, 9), (0, 1)), ((8, 9), (0, 2))):
-                assert _solve(evaluator, [sups], np.random.default_rng(seed), scale)[0] is None
-            dists = _solve(evaluator, [((7, 10), (0, 1))], np.random.default_rng(seed), scale)[0]
+                assert _solve(evaluator, [sups], seed, scale)[0] is None
+            dists = _solve(evaluator, [((7, 10), (0, 1))], seed, scale)[0]
             assert dists is not None
             np.testing.assert_allclose(dists[0][[7, 10]], [0.5, 0.5], rtol=0, atol=1e-12)
             np.testing.assert_allclose(dists[1][[0, 1]], [0.5, 0.5], rtol=0, atol=1e-12)
@@ -1233,17 +1243,15 @@ class TestSupportSolve:
             evaluator = PhiEvaluator(game, phi)
             scale = 1.0 + float(np.max(np.abs(game.payoffs)))
             profiles = list(itertools.islice(_support_profiles(game.action_counts), 4096))
-            stacked_rng, alone_rng = np.random.default_rng(7), np.random.default_rng(7)
-            stacked = _solve(evaluator, profiles, stacked_rng, scale)
+            stacked = _solve(evaluator, profiles, 7, scale)
             assert len(stacked) == len(profiles)
             for sups, dists in zip(profiles, stacked):
-                alone = _solve(evaluator, [sups], alone_rng, scale)[0]
+                alone = _solve(evaluator, [sups], 7, scale)[0]
                 assert (dists is None) == (alone is None), sups
                 if dists is not None:
                     solved += sum(len(s) for s in sups) > 2
                     for a, b in zip(dists, alone):
                         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-            assert stacked_rng.bit_generator.state == alone_rng.bit_generator.state
         assert solved > 0
 
     @pytest.mark.parametrize(
@@ -1252,14 +1260,15 @@ class TestSupportSolve:
             (_random_two_player_game(13, (4, 3)), K_PAIR, True),
             (Game((2, 3, 2), np.random.default_rng(14).uniform(-2.0, 2.0, size=(2, 3, 2, 3))), EXPECTATION, True),
             (make_card_game(0.4, [0, 1, 2], 0.1), K_PAIR, False),
+            (_drawn_root_game(), K_PAIR, False),
         ],
-        ids=["k-pair", "three-players", "k-pair-12x3"],
+        ids=["k-pair", "three-players", "k-pair-12x3", "k-pair-drawn"],
     )
-    def test_newton_path_draws_as_successive_dirichlet_calls(self, game, phi, every):
+    def test_newton_roots_do_not_depend_on_the_stack(self, game, phi, every):
         # Every support profile, or one of each shape with supports of 1 to 12 actions, in
-        # an order that interleaves the shapes, solved as one list and by the reference one
-        # profile at a time from a second generator of the same seed: the same solutions,
-        # bit for bit, and the same generator state after.
+        # an order that interleaves the shapes, solved as one stack, as the reverse stack
+        # and one profile at a time: the same solutions, bit for bit, and those of the
+        # reference from the same seed.  In the last game one root comes from a draw.
         evaluator = PhiEvaluator(game, phi)
         scale = 1.0 + float(np.max(np.abs(game.payoffs)))
         if every:
@@ -1268,29 +1277,33 @@ class TestSupportSolve:
             shapes = itertools.product(*(range(1, k + 1) for k in game.action_counts))
             profiles = [tuple(tuple(range(size)) for size in shape) for shape in shapes]
         profiles = [profiles[t] for t in np.random.default_rng(0).permutation(len(profiles)).tolist()]
-        drawn, reference = np.random.default_rng(9), np.random.default_rng(9)
-        solved = _solve(evaluator, profiles, drawn, scale)
+        solved = _solve(evaluator, profiles, 3, scale)
+        reverse = _solve(evaluator, profiles[::-1], 3, scale)[::-1]
         roots = 0
-        for sups, dists in zip(profiles, solved):
+        for sups, dists, back in zip(profiles, solved, reverse):
             if max(map(len, sups)) == 1:  # a pure profile draws nothing and is returned as it is
                 expected = _dists_from_theta(np.zeros(0), sups, game.action_counts)
             else:
-                expected = _newton_support(evaluator, sups, reference, scale)[0]
-            assert (dists is None) == (expected is None), sups
-            if dists is not None:
-                roots += 1
-                assert all(np.array_equal(a, b) for a, b in zip(dists, expected)), sups
-        assert drawn.bit_generator.state == reference.bit_generator.state
+                expected = _newton_support(evaluator, sups, 3, scale)[0]
+            for other in (back, _solve(evaluator, [sups], 3, scale)[0], expected):
+                assert (dists is None) == (other is None), sups
+                if dists is not None:
+                    assert all(np.array_equal(a, b) for a, b in zip(dists, other)), sups
+            roots += dists is not None
         assert roots > len([sups for sups in profiles if max(map(len, sups)) == 1])
 
-    def test_linear_path_draws_nothing(self):
+    def test_linear_path_roots_do_not_change_with_the_seed(self):
         game = make_card_game(0.4, [0, 1, 2], 0.1)
         profiles = list(itertools.islice(_support_profiles(game.action_counts), 1024))
+        scale = 1.0 + float(np.max(np.abs(game.payoffs)))
         for phi in (EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))):
-            rng = np.random.default_rng(9)
-            state = rng.bit_generator.state
-            solved = _solve(PhiEvaluator(game, phi), profiles, rng, 1.0 + float(np.max(np.abs(game.payoffs))))
-            assert rng.bit_generator.state == state
+            evaluator = PhiEvaluator(game, phi)
+            solved = _solve(evaluator, profiles, 0, scale)
+            for seed in (9, 2**40):
+                for sups, dists, other in zip(profiles, solved, _solve(evaluator, profiles, seed, scale)):
+                    assert (dists is None) == (other is None), sups
+                    if dists is not None:
+                        assert all(np.array_equal(a, b) for a, b in zip(dists, other)), sups
             assert any(dists is not None and max(map(len, sups)) > 1 for sups, dists in zip(profiles, solved))
 
 
@@ -1427,23 +1440,28 @@ class TestSolveNashPhi:
         np.testing.assert_array_equal(res.profiles[0].distributions[1], [0, 1])
 
     def test_skipping_the_trace_keeps_every_solution_set(self, monkeypatch):
-        # Two-player games whose every finite atom is at 0, enumerated completely, so the
-        # default run skips the trace: the first games of criterion 02's corpus, matching
-        # pennies and criterion 05's four card games under the expectation, and a corpus
-        # game under MMM_THIRDS.  Forcing the trace must find the same set.
+        # Games enumerated completely, so the default run skips the trace: the first games
+        # of criterion 02's corpus, matching pennies and criterion 05's four card games
+        # under the expectation, and a corpus game under MMM_THIRDS, all on the linear
+        # path; and on the Newton path a three-player game, a corpus game under K_PAIR and
+        # the 4x2 card game under K_PAIR.  Forcing the trace, by reporting the enumeration
+        # as truncated, must find the same set.
         cfg = SolverConfig(multistarts=2, max_iters=20_000)
         rng = np.random.default_rng(20240)
         corpus = [random_game(rng, players=(2, 2), actions=(2, 3)) for _ in range(8)]
         cards = [make_card_game(0.4, x, eps) for x in ([0, 1], [0, 1, 2]) for eps in (0.1, 0.01)]
         games = corpus + [make_matching_pennies()] + cards
         cases = [(game, EXPECTATION) for game in games] + [(corpus[0], MMM_THIRDS)]
+        cases += [(random_game(rng, players=(3, 3), actions=(2, 2)), EXPECTATION), (corpus[1], K_PAIR)]
+        cases += [(cards[0], K_PAIR)]
         traces = []  # one entry per homotopy_trace call
         trace = solvers.homotopy_trace
         monkeypatch.setattr(solvers, "homotopy_trace", lambda *args: traces.append(1) or trace(*args))
         defaults = [solve_nash_phi(game, phi, cfg) for game, phi in cases]
         assert len(traces) == 0
+        enumeration = solvers._enumeration
         with monkeypatch.context() as m:
-            m.setattr(solvers, "_skip_trace", lambda *args: False)
+            m.setattr(solvers, "_enumeration", lambda *args: (*enumeration(*args)[:3], False))
             forced = [solve_nash_phi(game, phi, cfg) for game, phi in cases]
         assert len(traces) == len(cases)
         assert sum(res.diagnostics["homotopy_candidates"] for res in forced) > 0
@@ -1454,25 +1472,20 @@ class TestSolveNashPhi:
             assert len(default.profiles) == len(traced.profiles), index
             for p in default.profiles:
                 assert min(p.sup_distance(q) for q in traced.profiles) <= 1e-6, index
-        # The trace runs where support systems are solved by Newton, whose roots depend on
-        # the Dirichlet starts (three players; K_PAIR's atoms off 0), even when the
-        # enumeration is complete, and where the enumeration is not (a 12x3 card game
-        # under a limit below its 3,819 survivors).
-        newton = [(random_game(rng, players=(3, 3), actions=(2, 2)), EXPECTATION), (corpus[1], K_PAIR)]
-        for game, phi in newton:
-            d = solve_nash_phi(game, phi, cfg).diagnostics
-            assert d["homotopy_skipped"] is False and d["enumeration_truncated"] is False
+        # The trace runs where the enumeration is not complete (a 12x3 card game under a
+        # limit below its 3,819 survivors).
         low = SolverConfig(multistarts=2, max_iters=20_000, max_enum_supports=256)
         d = solve_nash_phi(cards[2], EXPECTATION, low).diagnostics
         assert d["homotopy_skipped"] is False and d["enumeration_truncated"] is True
-        assert len(traces) == len(cases) + len(newton) + 1
+        assert len(traces) == len(cases) + 1
 
     def test_trace_breakdown_keeps_the_points_before_it(self, monkeypatch):
-        # Under K_PAIR the 4x2 card game's supports are solved by Newton, so the trace runs.
-        # A breakdown after its first k points gives the solve whose trace is those k
-        # points, and reports the last good lambda.
+        # The 4x2 card game under K_PAIR, with a limit of 8, below its 9 survivors of dismissal,
+        # so the trace runs.  A breakdown after its first k points gives the solve whose
+        # trace is those k points, and reports the last good lambda.
         game = make_card_game(0.4, [0, 1], 0.1)
-        full = homotopy_trace(game, K_PAIR, solvers.HOMOTOPY_LAMBDA_MAX, FAST.homotopy_steps, FAST)
+        cfg = SolverConfig(multistarts=4, max_iters=20_000, max_enum_supports=8)
+        full = homotopy_trace(game, K_PAIR, solvers.HOMOTOPY_LAMBDA_MAX, cfg.homotopy_steps, cfg)
         k = 120
         last = full[k - 1][0]
 
@@ -1480,9 +1493,9 @@ class TestSolveNashPhi:
             raise solvers.HomotopyBreakdown(f"stalled past lambda={last:g}", full[:k], last)
 
         monkeypatch.setattr(solvers, "homotopy_trace", broken)
-        res = solve_nash_phi(game, K_PAIR, FAST)
+        res = solve_nash_phi(game, K_PAIR, cfg)
         monkeypatch.setattr(solvers, "homotopy_trace", lambda *args: full[:k])
-        short = solve_nash_phi(game, K_PAIR, FAST)
+        short = solve_nash_phi(game, K_PAIR, cfg)
         assert res.diagnostics.pop("homotopy_breakdown_lambda") == last
         assert res.diagnostics["homotopy_skipped"] is False and res.diagnostics["homotopy_candidates"] > 0
         assert res.to_json() == short.to_json()
@@ -1517,6 +1530,12 @@ class TestSolveNashPhi:
     def test_negative_enumeration_limit_rejected(self):
         with pytest.raises(ValueError, match="max_enum_supports"):
             SolverConfig(max_enum_supports=-1)
+
+    @pytest.mark.parametrize("field", ["tol_fixed_point", "support_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_tolerance_outside_zero_to_infinity_rejected(self, field, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(**{field: value})
 
 
 def _label_free_games():
@@ -1574,7 +1593,7 @@ class TestLabelFree:
             profiles = _decoded(*stack)
 
             def solved(g):
-                return _solve_supports(PhiEvaluator(g, phi), *stack, None, 1.0 + float(np.max(np.abs(g.payoffs))))
+                return _solve_supports(PhiEvaluator(g, phi), *stack, 0, 1.0 + float(np.max(np.abs(g.payoffs))))
 
             base, base_set = solved(game), _solution_arrays(solve_nash_phi(game, phi))
             for alpha in (1e-6, 1e-3, 1e3, 1e6):
@@ -1686,11 +1705,10 @@ class TestDominancePruning:
         for game in _pruning_games()[:6]:
             evaluator = PhiEvaluator(game, phi)
             scale = 1.0 + float(np.max(np.abs(game.payoffs)))
-            rng = np.random.default_rng(1)
             for sups in _support_profiles(game.action_counts):
                 if not _reference_dismissed(evaluator, sups):
                     continue
-                dists = _solve(evaluator, [sups], rng, scale)[0]
+                dists = _solve(evaluator, [sups], 1, scale)[0]
                 if dists is None:
                     continue
                 roots += 1
@@ -1726,13 +1744,16 @@ class TestDominancePruning:
 
     @pytest.mark.parametrize(
         "game, phi, limit",
-        [(make_card_game(0.4, [0, 1], 0.1), K_PAIR, 4096), (make_card_game(0.4, [0, 1, 2], 0.1), EXPECTATION, 256)],
+        [
+            (make_card_game(0.4, [0, 1], 0.1), K_PAIR, 8),
+            (make_card_game(0.4, [0, 1, 2], 0.1), EXPECTATION, 256),
+        ],
         ids=["k-pair-4x2", "mean-12x3-256"],
     )
     def test_solver_gets_one_stack_in_order(self, monkeypatch, game, phi, limit):
-        # The Newton path draws its starts in stack order, so solve_nash_phi must hand the
-        # solver one stack: the trace's candidates that survive dismissal, in sorted order,
-        # then the first limit survivors of the enumeration's listing, in listing order.
+        # Under a limit that truncates the enumeration, solve_nash_phi hands the solver one
+        # stack: the trace's candidates that survive dismissal, in sorted order, then the
+        # first limit survivors of the enumeration's listing, in listing order.
         proposed, handed = [], []
         propose, solve = solvers._candidate_supports, solvers._solve_supports
         monkeypatch.setattr(
@@ -1807,6 +1828,27 @@ class TestVerifyNashPhi:
     def test_pure_profile_fails(self):
         g = make_matching_pennies()
         assert not verify_nash_phi(g, EXPECTATION, MixedProfile.pure(g, [0, 0]))
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"tol": -1e-9},
+            {"support_tol": math.nan},
+            {"support_tol": math.inf},
+            {"support_tol": 0.0},
+        ],
+        ids=["tol-nan", "tol-inf", "tol-negative", "support-tol-nan", "support-tol-inf", "support-tol-zero"],
+    )
+    def test_tolerance_outside_its_range_rejected(self, tolerances):
+        # Player 0 plays the sure 0 against a sure 1: no best response, at the default
+        # tolerances.  A NaN comparison is False, so a NaN tolerance would pass it.
+        g = make_test_game_gx(1.0)
+        p = MixedProfile((np.array([0.0, 1.0]), np.array([1.0])))
+        assert not verify_nash_phi(g, EXPECTATION, p)
+        with pytest.raises(ValueError, match="finite"):
+            verify_nash_phi(g, EXPECTATION, p, **tolerances)
 
     def test_unreached_payoff_far_above_the_reached_one(self):
         # Action 0 reaches 0 and action 1 reaches 1, so playing action 0 is no
