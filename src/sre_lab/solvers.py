@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -100,6 +101,11 @@ class SolverConfig:
     max_enum_supports: int = 4096
 
     def __post_init__(self):
+        for name in ("max_iters", "multistarts", "homotopy_steps", "max_enum_supports", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         # Written so that NaN fails too.
         if not 0 < self.tol_fixed_point < math.inf or self.max_iters <= 0 or self.multistarts < 0:
             raise ValueError("tolerances must be positive and finite, and iteration budgets positive")
@@ -439,10 +445,11 @@ def _logit(values: Sequence[np.ndarray], lam: float, starts: Sequence[int], owne
 
 
 def _response(evaluator: PhiEvaluator, lam: float, dists: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each player's logit response to one profile, or to a stack of them, (B x actions) each."""
     starts, _, owner, *_ = _full_chart(tuple(evaluator.game.action_counts))
     values = [evaluator.values(i, dists, boundary_pure=True) for i in range(evaluator.n)]
     s = _logit(values, lam, starts, owner)
-    return [s[a:b] for a, b in zip(starts[:-1], starts[1:])]
+    return [s[..., a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
 def logit_response(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) -> MixedProfile:
@@ -464,10 +471,6 @@ def verify_lqre(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) -> fl
 # ---------------------------------------------------------------------------
 # fixed-point iteration
 # ---------------------------------------------------------------------------
-
-
-def _sup_residual(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
-    return max(float(abs(x - y).max()) for x, y in zip(a, b))
 
 
 def _dists_from_theta(
@@ -930,9 +933,10 @@ def _solve_fixed_point(
        all the starts still stepping by one values call per player.  Unstable
        fixed points trap damped iteration in limit cycles but are reachable
        for Newton from nearby.
-    2. WARM_UP damped steps at DAMPING, then Newton from the best iterate,
-       one start at a time: a few damped steps carry most starts into
-       Newton's basin.
+    2. WARM_UP damped steps at DAMPING from where Newton left each start,
+       then Newton from each start's best iterate, the starts in lockstep
+       again: one _warm_up and one _newton_polish on the stack of starts
+       left.  A few damped steps carry most starts into Newton's basin.
     3. The start's fixed-point homotopy path (Chow, Mallet-Paret & Yorke,
        Math. Comp. 32, 1978), one start at a time: the zeros of
        H(theta, t) = (1 - t)(theta - theta0) + t(theta - T(theta)) through
@@ -947,38 +951,78 @@ def _solve_fixed_point(
     Each start's outcome is the one it reaches when solved alone.
     """
     tol = cfg.tol_fixed_point
-    first = _newton_polish(evaluator, lam, starts, tol, tally, max_steps=12)
-    return [
-        (p, pres) if pres <= tol else _finish_start(evaluator, lam, start, p if pres < math.inf else start, cfg, tally)
-        for start, (p, pres) in zip(starts, first)
-    ]
+    outcomes = _newton_polish(evaluator, lam, starts, tol, tally, max_steps=12)
+    left = [r for r, (_, res) in enumerate(outcomes) if not res <= tol]
+    if not left:
+        return outcomes
+    froms = [outcomes[r][0] if outcomes[r][1] < math.inf else starts[r] for r in left]
+    for r, outcome in zip(left, _warm_up(evaluator, lam, froms, tol, tally)):
+        outcomes[r] = outcome
+    left = [r for r in left if not outcomes[r][1] <= tol]
+    for r, (p, pres) in zip(left, _newton_polish(evaluator, lam, [outcomes[r][0] for r in left], tol, tally)):
+        if pres <= tol:
+            outcomes[r] = p, pres
+        else:
+            outcomes[r] = _finish_start(evaluator, lam, starts[r], min(outcomes[r][1], pres), cfg, tally)
+    return outcomes
+
+
+def _warm_up(
+    evaluator: PhiEvaluator,
+    lam: float,
+    profiles: Sequence[Sequence[np.ndarray]],
+    tol: float,
+    tally: Counter,
+) -> list[tuple[list[np.ndarray], float]]:
+    """WARM_UP damped steps at DAMPING from some profiles in lockstep.
+
+    Each step evaluates the logit response of every profile still stepping
+    by one _response, so by one values call per player and one softmax; a
+    lone profile is evaluated unstacked, as the unstacked kernels cost less.
+    A profile stops at its first iterate within tol of its response.
+    Returns each profile's best iterate, the one of least sup-norm residual
+    |p - T(p)|, with that residual; the steps taken are counted in
+    tally["iterations"].
+    """
+    starts = _full_chart(tuple(evaluator.game.action_counts))[0]
+    places = list(zip(starts[:-1], starts[1:]))
+    points = [np.concatenate(p) for p in profiles]  # each row's iterate, concatenated
+    best, best_res = list(points), [math.inf] * len(points)
+    live = list(range(len(points)))
+    for _ in range(WARM_UP):
+        if not live:
+            break
+        tally["iterations"] += len(live)
+        p = np.array([points[r] for r in live])
+        stack = p if len(live) > 1 else p[0]
+        t = np.concatenate(_response(evaluator, lam, [stack[..., a:b] for a, b in places]), axis=-1)
+        res = np.abs(p - t).max(axis=1).tolist()
+        damped = (1 - DAMPING) * p + DAMPING * t
+        stepping = []
+        for q, r in enumerate(live):
+            if res[q] < best_res[r]:
+                best[r], best_res[r] = p[q], res[q]
+            if not res[q] <= tol:
+                points[r] = damped[q]
+                stepping.append(r)
+        live = stepping
+    return [([x[a:b] for a, b in places], res) for x, res in zip(best, best_res)]
 
 
 def _finish_start(
     evaluator: PhiEvaluator,
     lam: float,
     start: list[np.ndarray],
-    p: list[np.ndarray],
+    res: float,
     cfg: SolverConfig,
     tally: Counter,
 ) -> tuple[Optional[list[np.ndarray]], float]:
-    """Stages 2 and 3 of _solve_fixed_point for one start that Newton from it left at p."""
-    tol = cfg.tol_fixed_point
-    best, best_res = p, math.inf
-    for _ in range(WARM_UP):
-        tally["iterations"] += 1
-        t = _response(evaluator, lam, p)
-        res = _sup_residual(p, t)
-        if res < best_res:
-            best, best_res = p, res
-        if res <= tol:
-            return p, res
-        p = [(1 - DAMPING) * a + DAMPING * b for a, b in zip(p, t)]
-    [(polished, pres)] = _newton_polish(evaluator, lam, [best], tol, tally)
-    if pres <= tol:
-        return polished, pres
-    best_res = min(best_res, pres)
+    """Stage 3 of _solve_fixed_point for one start, whose least residual so far is res.
 
+    Returns (dists, residual) when the path and Newton from its end reach a
+    fixed point, else (None, res).
+    """
+    tol = cfg.tol_fixed_point
     # The path cannot come back to t = 0, where H's only zero is the start, so
     # reaching t < 0 means the corrector jumped to another path: give up.
     theta0 = np.concatenate([d[:-1] for d in start])
@@ -997,7 +1041,7 @@ def _finish_start(
         [(polished, pres)] = _newton_polish(evaluator, lam, [end], tol, tally)
         if pres <= tol:
             return polished, pres
-    return None, best_res
+    return None, res
 
 
 def _interior_starts(game: Game, cfg: SolverConfig) -> list[list[np.ndarray]]:
@@ -1032,8 +1076,10 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     one stack: each round evaluates every start still stepping by one
     PhiEvaluator.values call per player and solves their steps by one
     stacked np.linalg.solve, while each start keeps its own step, halvings
-    and stop, so it reaches the point it reaches alone.  The later stages
-    run one start at a time.
+    and stop, so it reaches the point it reaches alone.  The warm-up and
+    the Newton retry run the starts left in lockstep in the same way, each
+    damped step evaluating every start still stepping by one values call
+    per player.  Only the homotopy paths run one start at a time.
     diagnostics: iterations, the damped steps (at most WARM_UP per start);
     newton_steps, the Newton steps on p - T(p); continuation_steps, the
     accepted predictor-corrector steps of the homotopy paths; starts and
@@ -1666,6 +1712,8 @@ def verify_fosd_nash(game: Game, p: MixedProfile, support_tol: float = SUPPORT_T
     """Violations of 'never play a strictly dominated lottery'; empty means member."""
     if not p.matches(game):
         raise ValueError("profile does not match the game")
+    if not 0 < support_tol < math.inf:  # NaN fails the test too
+        raise ValueError("support_tol must be positive and finite")
     violations = []
     for i, dist in enumerate(p.distributions):
         verdict, _ = fosd_table(action_payoff_matrix(game, i), opponent_weights(p.distributions, i))
@@ -1687,6 +1735,8 @@ def verify_fosd_qre(game: Game, p: MixedProfile, tol: float = SUPPORT_TOL) -> li
     """Violations of interiority or of weak-dominance-respecting probabilities."""
     if not p.matches(game):
         raise ValueError("profile does not match the game")
+    if not 0 < tol < math.inf:  # NaN fails the test too
+        raise ValueError("tol must be positive and finite")
     violations = []
     for i, dist in enumerate(p.distributions):
         for a in np.flatnonzero(dist <= tol).tolist():

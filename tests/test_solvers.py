@@ -243,8 +243,9 @@ class TestSolveLqre:
     def test_evaluator_calls_and_jacobians_match_counters(self, monkeypatch):
         # Criterion 03's corpus game 112 at lambda = 5: its starts run every
         # stage, Newton, the damped warm-up and the homotopy path.
-        # The starts' first Newton stage runs them as one stack, so a values
-        # call and a Jacobian call count one per row of the stack they serve.
+        # The first Newton stage, the warm-up and the Newton retry each run the
+        # starts as one stack, so a values call, a response and a Jacobian call
+        # count one per row of the stack they serve.
         rng = np.random.default_rng(777)
         game = [random_game(rng) for _ in range(113)][112]
         calls, jacobians, responses, newton_steps, continuation_steps = [], [], [], [], []
@@ -275,9 +276,10 @@ class TestSolveLqre:
         logit_systems = set()
         response, newton, continuation = solvers._response, solvers._newton, solvers._continue
 
-        def counted_response(*args):
-            responses.append(args[1])  # one damped step each
-            return response(*args)
+        def counted_response(evaluator, lam, dists):
+            # One damped step per profile, a stacked call counting one per row.
+            responses.extend([lam] * (len(dists[0]) if dists[0].ndim > 1 else 1))
+            return response(evaluator, lam, dists)
 
         def counted_newton(system, *args):
             out = newton(system, *args)
@@ -1081,6 +1083,51 @@ class TestLockstepStarts:
                 if lam == 0.0:  # the uniform start is the fixed point
                     assert steps[0] == 0 and 1 in steps[1:]
 
+    @pytest.mark.parametrize(
+        "index, phi, counts, paths",
+        [
+            (2, MAStatistic(((-math.inf, 0.3), (2.0, 0.7))), (3, 2), 0),
+            (4, EXPECTATION, (2, 4, 2), 2),
+            (79, K_PAIR, (4, 3), 1),
+        ],
+        ids=["op8", "op14", "op239"],
+    )
+    def test_warm_up_and_retry_give_each_start_its_outcome_alone(self, monkeypatch, index, phi, counts, paths):
+        # Criterion 03's corpus ops 8, 14 and 239 at lambda = 5, with two
+        # Dirichlet starts: all three starts leave the first Newton stage
+        # unconverged and take the damped warm-up and the Newton retry as one
+        # stack; two of them go on to their homotopy paths on op 14, one on op 239.
+        polished, finished = [], []
+        polish, finish = solvers._newton_polish, solvers._finish_start
+
+        def counted_polish(evaluator, lam, profiles, tol, tally, max_steps=40):
+            polished.append((len(profiles), max_steps))
+            return polish(evaluator, lam, profiles, tol, tally, max_steps)
+
+        def counted_finish(*args):
+            finished.append(args[2])
+            return finish(*args)
+
+        monkeypatch.setattr(solvers, "_newton_polish", counted_polish)
+        monkeypatch.setattr(solvers, "_finish_start", counted_finish)
+        rng = np.random.default_rng(777)
+        game = [random_game(rng) for _ in range(index + 1)][index]
+        assert game.action_counts == counts
+        cfg = SolverConfig(multistarts=2, max_iters=20_000)
+        starts = solvers._interior_starts(game, cfg)
+        together = Counter()
+        outcomes = solvers._solve_fixed_point(PhiEvaluator(game, phi), 5.0, starts, cfg, together)
+        assert polished[:2] == [(3, 12), (3, 40)] and len(finished) == paths
+        assert together["iterations"] == 3 * solvers.WARM_UP
+        alone = Counter()
+        for start, (dists, res) in zip(starts, outcomes):
+            [(dists_alone, res_alone)] = solvers._solve_fixed_point(PhiEvaluator(game, phi), 5.0, [start], cfg, alone)
+            assert res <= cfg.tol_fixed_point and res_alone <= cfg.tol_fixed_point
+            assert abs(res - res_alone) <= 1e-12
+            for got, want in zip(dists, dists_alone):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert together == alone
+
     def test_a_singular_row_alone_takes_least_squares(self, monkeypatch):
         # The unit circle cut by x = y: the Jacobian [[2x, 2y], [1, -1]] is
         # singular on x = -y, where the first start lies, so the stack's one
@@ -1537,6 +1584,13 @@ class TestSolveNashPhi:
         with pytest.raises(ValueError, match="positive and finite"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["max_iters", "multistarts", "homotopy_steps", "max_enum_supports", "seed"])
+    @pytest.mark.parametrize("value", [math.nan, 2.5, 4.0], ids=["nan", "fraction", "integral-float"])
+    def test_integer_field_given_a_non_integer_rejected(self, field, value):
+        # A NaN compares False, so the range checks alone would let it through.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: value})
+
 
 def _label_free_games():
     """The four 12x3 card games and ten random two-player games, all enumerated completely by default."""
@@ -1907,6 +1961,20 @@ class TestOrdinalChecks:
         p = MixedProfile((np.array([0.4, 0.6]), np.array([1.0])))
         violations = verify_fosd_nash(g, p)
         assert violations and violations[0]["action"] == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-9], ids=["nan", "inf", "zero", "negative"])
+    def test_tolerance_outside_zero_to_infinity_rejected(self, value):
+        # Player 0 plays its dominated action 1.  A NaN comparison is False, and
+        # an infinite support tolerance counts no action as played: either would
+        # report no violation.
+        g = make_test_game_gx(1.0)
+        p = MixedProfile((np.array([0.0, 1.0]), np.array([1.0])))
+        assert [v["kind"] for v in verify_fosd_nash(g, p)] == ["dominated_action_played"]
+        assert [v["kind"] for v in verify_fosd_qre(g, p)] == ["interiority", "monotonicity"]
+        with pytest.raises(ValueError, match="support_tol must be positive and finite"):
+            verify_fosd_nash(g, p, support_tol=value)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_fosd_qre(g, p, tol=value)
 
     def test_interiority_violation(self):
         g = make_matching_pennies()
