@@ -29,6 +29,7 @@ from .games import (
     action_payoff_matrix,
     opponent_weights,
 )
+from . import symmetry
 from .lotteries import DominanceVerdict, fosd_table
 from .statistics import MAStatistic, cgf_branches, cgf_finish, cgf_grids, normalized_cgf
 
@@ -1624,11 +1625,19 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     half, the half with more equations than unknowns first, and each root
     is the projection of the uniform mix onto the half's solutions: it
     draws nothing, so cfg.seed does not matter there, and relabeling a
-    player's actions relabels the roots.  On the Newton path (three or more
-    players, or a finite atom off 0) the profiles are solved one by one,
-    each from the uniform mix and, if needed, two starts drawn from cfg.seed
-    and its supports; Newton's chart and those draws follow the action
-    order, so there a relabeling can move a root on a continuum of roots.
+    player's actions relabels the roots.  So there an automorphism of the
+    game, action permutations (s_0, s_1) with u(s_0 a, s_1 b) = u(a, b)
+    (symmetry.automorphisms), maps each profile's root to its image's:
+    when the stack holds more than one profile, only the first profile of
+    each orbit (symmetry.orbits) is solved, and the others take its root
+    mapped to them, the image x' of a mix x being x'[s(a)] = x[a].  Each
+    profile then goes through the gap test in stack order as before, so the
+    result is the unreduced solve's up to rounding.  On the Newton path
+    (three or more players, or a finite atom off 0) the profiles are solved
+    one by one, each from the uniform mix and, if needed, two starts drawn
+    from cfg.seed and its supports; Newton's chart and those draws follow
+    the action order, so there a relabeling can move a root on a continuum
+    of roots.
 
     A support profile S is dismissed unsolved when some player i has an
     action a in S_i and an action b (in S_i or not) whose payoff exceeds a's
@@ -1649,11 +1658,13 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     homotopy_candidates, the Stage-1 candidates accepted (0 when skipped);
     homotopy_breakdown_lambda, present only when the trace broke down, its
     last good lambda; supports_solved, the profiles handed to the support
-    solver in both stages; enumeration_examined, the listed profiles before
-    the first survivor left unsolved (all of them when none is);
-    enumeration_pruned, those of them dismissed; enumeration_truncated, the
-    enumeration was not complete, so the result need not hold every
-    equilibrium.
+    solver in both stages, one per orbit on the linear path; automorphisms,
+    the number of automorphisms whose orbits were used, 1 when none were
+    (on the Newton path, or a stack of one profile); enumeration_examined,
+    the listed profiles before the first survivor left unsolved (all of
+    them when none is); enumeration_pruned, those of them dismissed;
+    enumeration_truncated, the enumeration was not complete, so the result
+    need not hold every equilibrium.
     """
     cfg = cfg or SolverConfig()
     counts = game.action_counts
@@ -1681,11 +1692,21 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     # One stack, the candidates in front of the survivors: each player's supports of both in one table.
     ids = np.concatenate([candidates, survivors + [len(m) for m in candidate_masks]])
     masks = [np.concatenate(pair) for pair in zip(candidate_masks, survivor_masks)]
+    # One profile per orbit is solved, and its root mapped to the rest of its orbit.
+    group = symmetry.automorphisms(game) if len(ids) > 1 and _linear_supports(evaluator) else []
+    lead, move = symmetry.orbits(group, ids, masks)
+    reps = np.flatnonzero(lead == np.arange(len(ids)))
+    roots = dict(zip(reps.tolist(), _solve_supports(evaluator, ids[reps], masks, cfg.seed, scale)))
+    inverses = [[np.argsort(perm) for perm in g] for g in group]
     found: list[tuple[MixedProfile, float]] = []
     accepted = 0  # of the candidates
-    for r, dists in enumerate(_solve_supports(evaluator, ids, masks, cfg.seed, scale)):
+    moves = move.tolist()
+    for r, (rep, g) in enumerate(zip(lead.tolist(), moves)):
+        dists, h = roots[rep], moves[rep]
         if dists is None:
             continue
+        if g != h:  # the image x' of a mix x under a permutation s: x'[s(a)] = x[a]
+            dists = [d[inverse[perm]] for d, inverse, perm in zip(dists, inverses[h], group[g])]
         # The gap is taken on the profile as returned, so it is that profile's residual.
         profile = MixedProfile(tuple(dists))
         gap = _best_response_gap(evaluator, profile.distributions, GAP_TOL, cfg.support_tol)
@@ -1694,7 +1715,8 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
             accepted += r < len(candidates)
     diagnostics["homotopy_skipped"] = complete
     diagnostics["homotopy_candidates"] = accepted
-    diagnostics["supports_solved"] = len(ids)
+    diagnostics["supports_solved"] = len(reps)
+    diagnostics["automorphisms"] = max(len(group), 1)
     diagnostics["enumeration_examined"] = examined
     diagnostics["enumeration_pruned"] = examined - len(survivors)
     diagnostics["enumeration_truncated"] = not complete
@@ -1831,7 +1853,9 @@ class ConceptSpec:
         raise ValueError(f"{self.kind} is check-only and cannot be solved for")
 
     def membership_report(self, game: Game, p: MixedProfile, tol: float = 1e-8) -> dict:
-        report: dict = {"concept": self.label(), "tolerance": tol}
+        """Whether p is a member, with the tolerance applied: tol, or for the ordinal kinds solver.support_tol."""
+        applied = self.solver.support_tol if self.family == "ordinal" else tol
+        report: dict = {"concept": self.label(), "tolerance": applied}
         if self.family == "logit":
             residual = verify_lqre(game, self.phi, self.lam, p)
             report["residual"] = residual
@@ -1842,7 +1866,7 @@ class ConceptSpec:
             )
         else:
             verify = verify_fosd_nash if self.kind == "fosd-nash" else verify_fosd_qre
-            violations = verify(game, p, self.solver.support_tol)
+            violations = verify(game, p, applied)
             report["violations"] = violations
             report["member"] = not violations
         return report

@@ -11,13 +11,14 @@ from sre_lab.games import (
     MixedProfile,
     PlayerPermutation,
     action_lottery,
+    blow_up,
     compose,
     permute_players,
     permute_profile,
     product_profile,
     strategic_shift,
 )
-from sre_lab import solvers
+from sre_lab import solvers, symmetry
 from sre_lab.statistics import EXPECTATION, TAYLOR_CUTOFF, MAStatistic, evaluate, k_a
 from sre_lab.solvers import (
     CONCEPT_KINDS,
@@ -1432,7 +1433,9 @@ class TestSolveNashPhi:
         complete = solve_nash_phi(game, EXPECTATION, SolverConfig(max_enum_supports=30_000))
         d = complete.diagnostics
         assert d["enumeration_truncated"] is False and d["homotopy_skipped"] is True
-        assert (d["enumeration_examined"], d["enumeration_pruned"], d["supports_solved"]) == (28_665, 24_846, 3_819)
+        assert (d["enumeration_examined"], d["enumeration_pruned"]) == (28_665, 24_846)
+        # The 3,819 survivors fall into 671 orbits of the game's 6 automorphisms; one profile of each is solved.
+        assert (d["automorphisms"], d["supports_solved"]) == (6, 671)
         assert len(complete.profiles) == 21
         default = solve_nash_phi(game, EXPECTATION)
         assert len(default.profiles) == default_count
@@ -1568,7 +1571,9 @@ class TestSolveNashPhi:
             d = solve_nash_phi(game, phi, FAST).diagnostics
             assert len(handed) == 1
             assert d["supports_solved"] == sum(handed) > 0
-            assert d["supports_solved"] >= d["enumeration_examined"] - d["enumeration_pruned"]
+            # On the linear path one profile per orbit is solved, and an orbit holds at most
+            # one survivor per automorphism.
+            assert d["supports_solved"] * d["automorphisms"] >= d["enumeration_examined"] - d["enumeration_pruned"]
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -1660,6 +1665,133 @@ class TestLabelFree:
                     assert _same_set(_solution_arrays(solve_nash_phi(scaled, phi)), base_set, 1e-9), (index, alpha)
 
 
+def _circulant_game(seed, n):
+    """An n x n game with u_i(a, b) = c_i[(a - b) mod n] for random c_i: shifting both actions is a symmetry."""
+    c = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(n, 2))
+    a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return Game((n, n), c[(a - b) % n])
+
+
+def _valid_column_permutations(game):
+    """How many permutations t of player 1's actions some s completes to u(s a, t b) = u(a, b), by sorted rows."""
+    rows = sorted(map(tuple, game.payoffs.reshape(game.action_counts[0], -1).tolist()))
+    return sum(
+        sorted(map(tuple, game.payoffs[:, list(t)].reshape(game.action_counts[0], -1).tolist())) == rows
+        for t in itertools.permutations(range(game.action_counts[1]))
+    )
+
+
+def _is_automorphism(game, perms):
+    return np.array_equal(game.payoffs[np.ix_(*perms)], game.payoffs)
+
+
+_WIDE_BLOW_UP = blow_up(make_card_game(0.4, [0, 1], 0.1), [[a % 4 for a in range(66)], [0, 1]])
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize(
+        "game, order",
+        [
+            (make_card_game(0.4, [0, 1, 2], 0.1), 6),
+            (make_card_game(0.4, [0, 1, 2], 0.01), 6),
+            (make_card_game(0.4, [0, 1], 0.1), 2),
+            (make_card_game(0.4, [0, 1], 0.01), 2),
+            (Game((3, 12), make_card_game(0.4, [0, 1, 2], 0.1).payoffs.transpose(1, 0, 2)), 6),
+            (blow_up(make_card_game(0.4, [0, 1], 0.1), [[0, 0, 1, 1, 2, 3, 3, 2], [0, 1]]), 2),
+            (blow_up(make_card_game(0.4, [0, 1], 0.1), [[0, 1, 1, 2, 3, 3], [0, 1]]), 1),
+            (blow_up(make_card_game(0.4, [0, 1, 2], 0.1), [list(range(12)) * 2, [0, 1, 2, 2]]), 4),
+            (_WIDE_BLOW_UP, 2),
+            (_circulant_game(1, 5), 5),
+        ],
+        ids=[
+            "cards-12x3",
+            "cards-12x3-eps",
+            "cards-4x2",
+            "cards-4x2-eps",
+            "transposed",
+            "blow-up",
+            "blow-up-uneven",
+            "blow-up-both",
+            "blow-up-66",
+            "circulant",
+        ],
+    )
+    def test_group_order_and_each_pair_is_an_automorphism(self, game, order):
+        group = symmetry.automorphisms(game)
+        assert len(group) == order
+        assert all(_is_automorphism(game, g) for g in group)
+        assert [p.tolist() for p in group[0]] == [list(range(k)) for k in game.action_counts]
+        if game.action_counts[1] <= game.action_counts[0]:
+            assert len({tuple(g[1].tolist()) for g in group}) == order == _valid_column_permutations(game)
+
+    def test_random_games_have_only_the_identity(self):
+        rng = np.random.default_rng(777)
+        for _ in range(40):
+            game = random_game(rng, players=(2, 2), actions=(2, 6))
+            [identity] = symmetry.automorphisms(game)
+            assert [p.tolist() for p in identity] == [list(range(k)) for k in game.action_counts]
+
+    def test_more_than_six_actions_give_the_identity_alone(self):
+        # Every permutation of the constant game's actions is an automorphism; 7! are not tried.
+        game = Game((7, 8), np.zeros((7, 8, 2)))
+        [identity] = symmetry.automorphisms(game)
+        assert [p.tolist() for p in identity] == [list(range(7)), list(range(8))]
+        assert len(symmetry.automorphisms(Game((6, 8), np.zeros((6, 8, 2))))) == 720
+
+
+def _identity_only(game):
+    return [tuple(np.arange(k) for k in game.action_counts)]
+
+
+class TestOrbitSolve:
+    """solve_nash_phi with one profile solved per orbit against the same solve with the identity alone."""
+
+    @staticmethod
+    def _check(monkeypatch, game, phi, cfg, order):
+        reduced = solve_nash_phi(game, phi, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(symmetry, "automorphisms", _identity_only)
+            full = solve_nash_phi(game, phi, cfg)
+        d, e = reduced.diagnostics, full.diagnostics
+        assert d["automorphisms"] == order and e["automorphisms"] == 1
+        assert d["supports_solved"] < e["supports_solved"]
+        for key in ("enumeration_examined", "enumeration_pruned", "enumeration_truncated", "homotopy_candidates"):
+            assert d[key] == e[key], key
+        assert len(reduced.profiles) == len(full.profiles) > 0
+        for p, q in zip(reduced.profiles, full.profiles):
+            assert p.sup_distance(q) <= 1e-12
+        if not d["enumeration_truncated"]:  # every profile was listed, so the solutions are closed under the group
+            points = np.array(_solution_arrays(reduced))
+            for g in symmetry.automorphisms(game):
+                for p in reduced.profiles:
+                    mixes = [np.empty(len(x)) for x in p.distributions]
+                    for mix, perm, x in zip(mixes, g, p.distributions):
+                        mix[perm] = x
+                    assert np.abs(points - np.concatenate(mixes)).max(axis=1).min() <= 1e-9
+        return d
+
+    @pytest.mark.parametrize("phi", [EXPECTATION, MMM_THIRDS], ids=["mean", "mmm"])
+    @pytest.mark.parametrize(
+        "x, eps, order", [([0, 1, 2], 0.1, 6), ([0, 1, 2], 0.01, 6), ([0, 1], 0.1, 2), ([0, 1], 0.01, 2)]
+    )
+    def test_card_games(self, monkeypatch, phi, x, eps, order):
+        d = self._check(monkeypatch, make_card_game(0.4, x, eps), phi, FAST, order)
+        if len(x) == 3:
+            assert (d["enumeration_examined"], d["enumeration_pruned"], d["supports_solved"]) == (28_665, 24_846, 671)
+
+    @pytest.mark.parametrize("phi", [EXPECTATION, MMM_THIRDS], ids=["mean", "mmm"])
+    @pytest.mark.parametrize("seed, n", [(1, 3), (2, 4), (3, 5)])
+    def test_random_games_with_a_symmetry(self, monkeypatch, phi, seed, n):
+        self._check(monkeypatch, _circulant_game(seed, n), phi, FAST, n)
+
+    def test_more_than_64_actions(self, monkeypatch):
+        # Orbit keys of 66 + 2 actions take two 52-bit chunks.  The listing stops short of
+        # the whole game, so the trace's candidates join the stack.
+        cfg = SolverConfig(multistarts=2, max_iters=20_000, homotopy_steps=8, max_enum_supports=1024)
+        d = self._check(monkeypatch, _WIDE_BLOW_UP, EXPECTATION, cfg, 2)
+        assert d["enumeration_truncated"] is True
+
+
 def _reference_dominated(evaluator, i, opponent_supports):
     """Player i's actions beaten by more than GAP_TOL against every opponent profile in the supports, alone."""
     counts = evaluator.game.action_counts
@@ -1682,6 +1814,17 @@ def _reference_walk(evaluator, limit):
     truncated = len(examined) > limit
     del examined[limit:]
     return len(examined), truncated, [sups for sups in examined if not _reference_dismissed(evaluator, sups)]
+
+
+def _first_of_orbits(profiles, group):
+    """The profiles, tuples of action tuples, whose images under group no earlier profile's images are, in order."""
+    seen, out = set(), []
+    for sups in profiles:
+        orbit = frozenset(tuple(tuple(sorted(perm[list(sup)].tolist())) for perm, sup in zip(g, sups)) for g in group)
+        if orbit not in seen:
+            seen.add(orbit)
+            out.append(sups)
+    return out
 
 
 def _walk(evaluator, limit):
@@ -1807,7 +1950,8 @@ class TestDominancePruning:
     def test_solver_gets_one_stack_in_order(self, monkeypatch, game, phi, limit):
         # Under a limit that truncates the enumeration, solve_nash_phi hands the solver one
         # stack: the trace's candidates that survive dismissal, in sorted order, then the
-        # first limit survivors of the enumeration's listing, in listing order.
+        # first limit survivors of the enumeration's listing, in listing order; on the linear
+        # path only the first profile of each orbit of the game's automorphisms.
         proposed, handed = [], []
         propose, solve = solvers._candidate_supports, solvers._solve_supports
         monkeypatch.setattr(
@@ -1825,7 +1969,8 @@ class TestDominancePruning:
         kept = [sups for sups in sorted(candidates) if not _reference_dismissed(evaluator, sups)]
         assert res.diagnostics["homotopy_skipped"] is False and kept
         survivors = _reference_walk(evaluator, solvers._LISTING_FACTOR * limit)[2][:limit]
-        assert handed == [kept + survivors]
+        stack = kept + survivors
+        assert handed == [_first_of_orbits(stack, symmetry.automorphisms(game)) if phi is EXPECTATION else stack]
 
     def test_three_players_of_ten_actions_at_the_default_limits(self):
         # (2^10 - 1)^3 profiles: listing them all would not finish; the first 4,096 come at once.
@@ -2034,6 +2179,17 @@ class TestConceptSpec:
         assert ConceptSpec.fosd_qre().membership_report(g, uniform)["member"]
         pure = MixedProfile.pure(g, [0, 0])
         assert not ConceptSpec.fosd_qre().membership_report(g, pure)["member"]
+
+    @pytest.mark.parametrize("tol", [0.5, 1e-8])
+    def test_ordinal_reports_name_the_tolerance_they_apply(self, tol):
+        # The ordinal checks count an action as played above solver.support_tol, whatever
+        # tol is; the report names that tolerance, and its verdict stays the default one.
+        g = make_test_game_gx(1.0)
+        p = MixedProfile((np.array([0.6, 0.4]), np.array([1.0])))
+        report = ConceptSpec.fosd_nash().membership_report(g, p, tol=tol)
+        assert report["tolerance"] == solvers.SUPPORT_TOL
+        assert not report["member"]
+        assert [(v["kind"], v["action"]) for v in report["violations"]] == [("dominated_action_played", 1)]
 
     @pytest.mark.parametrize("kind", CONCEPT_KINDS)
     def test_every_kind_by_its_family(self, kind):
