@@ -11,6 +11,7 @@ pure function, so games and profiles can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -215,30 +216,34 @@ class PlayerPermutation:
 # ---------------------------------------------------------------------------
 
 
-def compose(g: Game, h: Game) -> Game:
-    """Simultaneous play of two unrelated games: payoffs add.
+def _compose(g: Game, h: Game, combine: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Game:
+    """Simultaneous play of g and h, with payoffs combine(u, v) over paired actions.
 
     Player i's composite actions pair an action from each component; the
-    composite index is a_i * |B_i| + b_i, which makes composition associative
-    at the tensor level under the canonical index bijection.
+    composite index is a_i * |B_i| + b_i.  u and v are the components'
+    payoff tensors with axes placed to broadcast against each other.
     """
     if g.num_players != h.num_players:
         raise ValueError("games must have the same number of players")
     n = g.num_players
-    ga = g.payoffs.reshape(
-        tuple(v for k in g.action_counts for v in (k, 1)) + (n,)
-    )
-    ha = h.payoffs.reshape(
-        tuple(v for k in h.action_counts for v in (1, k)) + (n,)
-    )
-    combined = ga + ha
+    u = g.payoffs.reshape(tuple(d for k in g.action_counts for d in (k, 1)) + (n,))
+    v = h.payoffs.reshape(tuple(d for k in h.action_counts for d in (1, k)) + (n,))
     counts = tuple(a * b for a, b in zip(g.action_counts, h.action_counts))
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = tuple(
             tuple(f"{la}+{lb}" for la in g.labels[i] for lb in h.labels[i]) for i in range(n)
         )
-    return Game(counts, combined.reshape(counts + (n,)), labels)
+    return Game(counts, np.asarray(combine(u, v), dtype=float).reshape(counts + (n,)), labels)
+
+
+def compose(g: Game, h: Game) -> Game:
+    """Simultaneous play of two unrelated games: payoffs add.
+
+    The composite index a_i * |B_i| + b_i makes composition associative at
+    the tensor level under the canonical index bijection.
+    """
+    return _compose(g, h, np.add)
 
 
 def compose_generalized(
@@ -248,15 +253,13 @@ def compose_generalized(
     phi_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     bracket: Optional[tuple[float, float]] = None,
 ) -> Game:
-    """Compose with payoffs combined as phi^{-1}(phi(u) + phi(v)).
+    """``compose`` with payoffs combined as phi^{-1}(phi(u) + phi(v)).
 
     phi must be strictly increasing and continuous over the payoff range.  If
     no inverse is supplied, it is computed by bisection on ``bracket`` (the
-    bracket is expanded automatically when omitted).  With phi = identity
-    this reduces to ``compose`` up to roundoff of the inverse.
+    bracket is expanded automatically when omitted).  With phi and its
+    inverse the identity this is ``compose``, payoffs and labels alike.
     """
-    if g.num_players != h.num_players:
-        raise ValueError("games must have the same number of players")
     lo = min(g.payoffs.min(), h.payoffs.min())
     hi = max(g.payoffs.max(), h.payoffs.max())
     span = max(hi - lo, 1.0)
@@ -267,38 +270,29 @@ def compose_generalized(
         raise ValueError("phi is not finite on the payoff range")
     if not np.all(np.diff(vals) > 0):
         raise ValueError("phi is not strictly increasing on the payoff range")
-
-    plain = compose(g, h)
-    ga = phi(g.payoffs.reshape(tuple(v for k in g.action_counts for v in (k, 1)) + (g.num_players,)))
-    ha = phi(h.payoffs.reshape(tuple(v for k in h.action_counts for v in (1, k)) + (h.num_players,)))
-    target = np.asarray(ga + ha, dtype=float).reshape(plain.payoffs.shape)
-
-    if phi_inverse is not None:
-        combined = np.asarray(phi_inverse(target), dtype=float)
-    else:
-        combined = _bisect_inverse(phi, target, bracket, lo, hi)
-    return Game(plain.action_counts, combined, plain.labels)
+    if phi_inverse is None:
+        phi_inverse = functools.partial(_bisect_inverse, phi, bracket=bracket, lo=lo, hi=hi)
+    return _compose(g, h, lambda u, v: phi_inverse(np.asarray(phi(u) + phi(v), dtype=float)))
 
 
 def _bisect_inverse(phi, target: np.ndarray, bracket, lo: float, hi: float) -> np.ndarray:
     if bracket is None:
-        width = max(hi - lo, 1.0)
-        b_lo, b_hi = lo - width, hi + width
-        for _ in range(200):
-            if phi(np.array([b_lo]))[0] <= target.min():
-                break
-            b_lo -= width
-            width *= 2
-        else:
-            raise ValueError("could not bracket phi inverse from below")
-        width = max(hi - lo, 1.0)
-        for _ in range(200):
-            if phi(np.array([b_hi]))[0] >= target.max():
-                break
-            b_hi += width
-            width *= 2
-        else:
-            raise ValueError("could not bracket phi inverse from above")
+        ends = []
+        for side, end, step, covers in (
+            ("below", lo, -1.0, lambda y: y <= target.min()),
+            ("above", hi, 1.0, lambda y: y >= target.max()),
+        ):
+            width = max(hi - lo, 1.0)
+            end += step * width
+            for _ in range(200):
+                if covers(phi(np.array([end]))[0]):
+                    break
+                end += step * width
+                width *= 2
+            else:
+                raise ValueError(f"could not bracket phi inverse from {side}")
+            ends.append(end)
+        b_lo, b_hi = ends
     else:
         b_lo, b_hi = bracket
         probe = phi(np.array([b_lo, b_hi], dtype=float))

@@ -1144,6 +1144,10 @@ def homotopy_trace(
     good lambda) if some point cannot be converged.  solve_nash_phi's
     docstring says when it skips the trace.
     """
+    try:
+        operator.index(steps)
+    except TypeError:
+        raise ValueError("steps must be an integer") from None
     if not 0 < lambda_max < math.inf or steps < 2:
         raise ValueError("need a finite lambda_max > 0 and steps >= 2")
     cfg = cfg or SolverConfig()
@@ -1499,7 +1503,8 @@ def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, lis
     def heads(p: int, size: int, h: int) -> np.ndarray:
         have = made.get((p, size), np.zeros(0, dtype=np.intp))
         if len(have) < h:
-            new = np.array(list(itertools.islice(itertools.combinations(range(counts[p]), size), len(have), h)))
+            combos = itertools.islice(itertools.combinations(range(counts[p]), size), len(have), h)
+            new = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp).reshape(-1, size)
             have = np.concatenate([have, np.arange(len(masks[p]), len(masks[p]) + len(new))])
             block = np.zeros((len(new), counts[p]), dtype=bool)
             np.put_along_axis(block, new, True, axis=1)
@@ -1854,6 +1859,8 @@ class ConceptSpec:
 
     def membership_report(self, game: Game, p: MixedProfile, tol: float = 1e-8) -> dict:
         """Whether p is a member, with the tolerance applied: tol, or for the ordinal kinds solver.support_tol."""
+        if not 0 <= tol < math.inf:  # NaN fails the test too
+            raise ValueError("tol must be nonnegative and finite")
         applied = self.solver.support_tol if self.family == "ordinal" else tol
         report: dict = {"concept": self.label(), "tolerance": applied}
         if self.family == "logit":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -319,6 +320,15 @@ def elicit_fosd(
         raise ValueError("elicit_fosd needs a best-response concept")
     if spec.phi.has_extreme_atoms:
         raise ValueError("statistics with atoms at -inf/+inf need not admit equilibria")
+    try:
+        positive = operator.index(bisection_iters) > 0
+    except TypeError:
+        positive = False
+    if not positive:
+        raise ValueError("bisection_iters must be a positive integer")
+    # Written so that NaN fails too.
+    if len(eps_schedule) == 0 or not all(0 < eps < math.inf for eps in eps_schedule):
+        raise ValueError("eps_schedule must list at least one positive, finite epsilon")
     xs = _outcomes(x)
     if xs.size > MAX_ELICIT_CARD_VALUES:
         raise ValueError(f"elicitation caps card vectors at {MAX_ELICIT_CARD_VALUES} values")

@@ -132,6 +132,29 @@ class TestComposeGeneralized:
         combo = compose_generalized(g, h, lambda v: v, lambda v: v)
         assert np.array_equal(combo.payoffs, compose(g, h).payoffs)
 
+    def test_identity_is_compose_on_labelled_three_player_games(self):
+        rng = np.random.default_rng(3)
+        g = Game((2, 1, 3), rng.normal(size=(2, 1, 3, 3)), (("a", "b"), ("c",), ("d", "e", "f")))
+        h = Game((1, 2, 2), rng.normal(size=(1, 2, 2, 3)), (("p",), ("q", "r"), ("s", "t")))
+        combo, plain = compose_generalized(g, h, lambda v: v, lambda v: v), compose(g, h)
+        assert combo.action_counts == plain.action_counts == (2, 2, 6)
+        assert np.array_equal(combo.payoffs, plain.payoffs)
+        assert combo.labels == plain.labels and combo.labels[2][:2] == ("d+s", "d+t")
+
+    @pytest.mark.parametrize(
+        "payoffs, phi, bracket, message",
+        [
+            # arctan stays below pi/2, and arctan(2) + arctan(2) exceeds it.
+            ([1.0, 2.0], np.arctan, None, "could not bracket phi inverse from above"),
+            ([-1.0, -2.0], np.arctan, None, "could not bracket phi inverse from below"),
+            ([1.0, 2.0], np.exp, (0.0, 1.0), "supplied bracket does not cover"),
+        ],
+    )
+    def test_bracket_search_failures(self, payoffs, phi, bracket, message):
+        g = Game((2,), np.array(payoffs)[:, None])
+        with pytest.raises(ValueError, match=message):
+            compose_generalized(g, g, phi, bracket=bracket)
+
     def test_exponential_reparameterization(self):
         g = Game((2,), np.array([[0.0], [1.0]]))
         h = Game((2,), np.array([[0.0], [2.0]]))

@@ -464,6 +464,14 @@ class TestHomotopy:
         trace = homotopy_trace(make_card_game(0.4, cards, eps), EXPECTATION, 200.0, 160, cfg)
         assert len(trace) == 160 and trace[-1][0] == pytest.approx(200.0)
 
+    @pytest.mark.parametrize(
+        "lambda_max, steps, message",
+        [(10.0, 2.5, "steps must be an integer"), (10.0, 1, "steps >= 2"), (0.0, 10, "lambda_max")],
+    )
+    def test_bad_grid_rejected(self, lambda_max, steps, message):
+        with pytest.raises(ValueError, match=message):
+            homotopy_trace(make_matching_pennies(), EXPECTATION, lambda_max, steps, FAST)
+
     def test_breakdown_reports_last_good_lambda(self):
         from sre_lab.solvers import HomotopyBreakdown
 
@@ -2179,6 +2187,13 @@ class TestConceptSpec:
         assert ConceptSpec.fosd_qre().membership_report(g, uniform)["member"]
         pure = MixedProfile.pure(g, [0, 0])
         assert not ConceptSpec.fosd_qre().membership_report(g, pure)["member"]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("kind", CONCEPT_KINDS)
+    def test_membership_report_rejects_a_bad_tol(self, kind, tol):
+        g = make_matching_pennies()
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            ConceptSpec(kind, solver=FAST).membership_report(g, MixedProfile.uniform(g), tol=tol)
 
     @pytest.mark.parametrize("tol", [0.5, 1e-8])
     def test_ordinal_reports_name_the_tolerance_they_apply(self, tol):

@@ -280,6 +280,26 @@ class TestElicitFosd:
         with pytest.raises(ValueError):
             elicit_fosd(ConceptSpec.nash(), [0.0, 1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # With no bisection step each bracket's midpoint would come back as converged.
+            ({"bisection_iters": 0}, "bisection_iters"),
+            ({"bisection_iters": -3}, "bisection_iters"),
+            ({"bisection_iters": 2.5}, "bisection_iters"),
+            ({"eps_schedule": ()}, "eps_schedule"),
+            ({"eps_schedule": (1e-1, 0.0)}, "eps_schedule"),
+            ({"eps_schedule": (-1e-2,)}, "eps_schedule"),
+            ({"eps_schedule": (math.nan,)}, "eps_schedule"),
+            ({"eps_schedule": (math.inf, 1e-2)}, "eps_schedule"),
+        ],
+        ids=["iters=0", "iters=-3", "iters=2.5", "eps=()", "eps=0", "eps<0", "eps=nan", "eps=inf"],
+    )
+    def test_rejects_bad_schedules(self, monkeypatch, kwargs, message):
+        monkeypatch.setattr(testgames, "solve_nash_phi", None)  # no probe may run
+        with pytest.raises(ValueError, match=message):
+            elicit_fosd(ConceptSpec.nash_phi(MAStatistic.single(1.0)), [0.0, 1.0], **kwargs)
+
     def test_rejects_empty_vector(self, monkeypatch):
         monkeypatch.setattr(testgames, "solve_nash_phi", None)  # no probe may run
         with pytest.raises(ValueError, match="at least one value"):
