@@ -283,11 +283,16 @@ def _bisect_inverse(phi, target: np.ndarray, bracket, lo: float, hi: float) -> n
             ("above", hi, 1.0, lambda y: y >= target.max()),
         ):
             width = max(hi - lo, 1.0)
-            end += step * width
+            defined, end = end, end + step * width  # phi is defined on the payoff range
             for _ in range(200):
-                if covers(phi(np.array([end]))[0]):
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    y = phi(np.array([end]))[0]
+                if np.isnan(y):  # outside phi's domain: back halfway to where it was defined
+                    end = 0.5 * (defined + end)
+                    continue
+                if covers(y):
                     break
-                end += step * width
+                defined, end = end, end + step * width
                 width *= 2
             else:
                 raise ValueError(f"could not bracket phi inverse from {side}")

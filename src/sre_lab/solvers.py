@@ -1396,13 +1396,16 @@ def _linear_roots(
     _linear_half as the projection of the uniform mix onto its solutions;
     no start is drawn.  The half with more equations than unknowns (the
     player with the larger support) goes first, and only the profiles where
-    it is consistent go on to the other half.  Yields (place in the stack,
-    free weights) for each profile consistent in both halves whose every
-    support weight is above INTERIOR_TOL.
+    it is consistent go on to the other half, which is not solved when none
+    is.  Yields (place in the stack, free weights) for each profile
+    consistent in both halves whose every support weight is above
+    INTERIOR_TOL.
     """
     i = 0 if actions[0].shape[1] >= actions[1].shape[1] else 1
     first, consistent = _linear_half(evaluator, i, actions[i], actions[1 - i], tol)
     kept = np.flatnonzero(consistent)
+    if not len(kept):
+        return
     second, consistent = _linear_half(evaluator, 1 - i, actions[1 - i][kept], actions[i][kept], tol)
     mixes = [None, None]
     mixes[1 - i], mixes[i] = first[kept[consistent]], second[consistent]
@@ -1480,7 +1483,7 @@ def _may_be_consistent(jac: np.ndarray, const: np.ndarray, tol: float) -> np.nda
     return np.sqrt((residual * residual).sum(axis=1)) <= 2.0 * math.sqrt(m) * tol
 
 
-def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The first limit support profiles, in Stage 2's order, as a stack (ids, masks) (see _dismissed).
 
     The order: by increasing total size; within a total, lexicographic over
@@ -1494,8 +1497,16 @@ def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, lis
     players with the rest of the total, so each such block is a repeat of
     those heads and a tile of the rest's listing.  Only as many heads and
     rest profiles are made as the limit needs, so the work and memory are
-    O(limit) profiles, however many profiles the game has.
+    O(limit) profiles, however many profiles the game has.  The listing
+    depends on the action counts and the limit alone, so it is cached per
+    (shape, limit), as _full_chart is: the arrays are shared, and read-only.
     """
+    return _listing(tuple(counts), limit)
+
+
+@functools.lru_cache(maxsize=16)
+def _listing(counts: tuple[int, ...], limit: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """_support_listing for a tuple of counts."""
     n = len(counts)
     masks = [np.zeros((0, k), dtype=bool) for k in counts]
     made: dict = {}  # (player, size) -> ids of the player's first subsets of that size, in combination order
@@ -1547,10 +1558,12 @@ def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, lis
         parts.append(listing(0, total, need))
         need -= len(parts[-1])
     ids = np.concatenate(parts) if parts else np.zeros((0, n), dtype=np.intp)
-    return ids, masks
+    for array in (ids, *masks):
+        array.flags.writeable = False
+    return ids, tuple(masks)
 
 
-def _enumeration(evaluator: PhiEvaluator, limit: int) -> tuple[np.ndarray, list[np.ndarray], int, bool]:
+def _enumeration(evaluator: PhiEvaluator, limit: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], int, bool]:
     """Stage 2 of solve_nash_phi before solving: the survivors' stack, examined and complete, as defined there."""
     listed = _LISTING_FACTOR * limit
     # One profile past the listing's end shows that the game holds more.
@@ -1635,14 +1648,18 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     (symmetry.automorphisms), maps each profile's root to its image's:
     when the stack holds more than one profile, only the first profile of
     each orbit (symmetry.orbits) is solved, and the others take its root
-    mapped to them, the image x' of a mix x being x'[s(a)] = x[a].  Each
-    profile then goes through the gap test in stack order as before, so the
-    result is the unreduced solve's up to rounding.  On the Newton path
-    (three or more players, or a finite atom off 0) the profiles are solved
-    one by one, each from the uniform mix and, if needed, two starts drawn
-    from cfg.seed and its supports; Newton's chart and those draws follow
-    the action order, so there a relabeling can move a root on a continuum
-    of roots.
+    mapped to them, the image x' of a mix x being x'[s(a)] = x[a].  The gap
+    test is also taken once per orbit, on the representative's profile, and
+    each image keeps that gap as its residual: under an automorphism the
+    image's action s(a) meets the lottery that a meets in the representative,
+    so each player's values are permuted with the actions, and the image's gap
+    is the representative's up to rounding.  The accepted profiles are kept
+    in stack order, so the result is the unreduced solve's up to rounding.
+    On the Newton path (three or more players, or a finite atom off 0) the
+    profiles are solved one by one, each from the uniform mix and, if
+    needed, two starts drawn from cfg.seed and its supports; Newton's chart
+    and those draws follow the action order, so there a relabeling can move
+    a root on a continuum of roots.
 
     A support profile S is dismissed unsolved when some player i has an
     action a in S_i and an action b (in S_i or not) whose payoff exceeds a's
@@ -1701,25 +1718,28 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     group = symmetry.automorphisms(game) if len(ids) > 1 and _linear_supports(evaluator) else []
     lead, move = symmetry.orbits(group, ids, masks)
     reps = np.flatnonzero(lead == np.arange(len(ids)))
-    roots = dict(zip(reps.tolist(), _solve_supports(evaluator, ids[reps], masks, cfg.seed, scale)))
+    # The gap is taken once per orbit, on the representative's profile: an automorphism
+    # permutes each player's values as it permutes the actions, so the images share it.
+    roots: dict = {}  # representative -> (its root, its profile, its gap), for the accepted ones
+    for rep, dists in zip(reps.tolist(), _solve_supports(evaluator, ids[reps], masks, cfg.seed, scale)):
+        if dists is not None:
+            profile = MixedProfile(tuple(dists))
+            gap = _best_response_gap(evaluator, profile.distributions, GAP_TOL, cfg.support_tol)
+            if gap is not None:
+                roots[rep] = (dists, profile, gap)
+    accepted = np.zeros(len(ids), dtype=bool)
+    accepted[list(roots)] = True
     inverses = [[np.argsort(perm) for perm in g] for g in group]
     found: list[tuple[MixedProfile, float]] = []
-    accepted = 0  # of the candidates
-    moves = move.tolist()
-    for r, (rep, g) in enumerate(zip(lead.tolist(), moves)):
-        dists, h = roots[rep], moves[rep]
-        if dists is None:
-            continue
+    for r in np.flatnonzero(accepted[lead]).tolist():
+        rep = int(lead[r])
+        dists, profile, gap = roots[rep]
+        g, h = int(move[r]), int(move[rep])
         if g != h:  # the image x' of a mix x under a permutation s: x'[s(a)] = x[a]
-            dists = [d[inverse[perm]] for d, inverse, perm in zip(dists, inverses[h], group[g])]
-        # The gap is taken on the profile as returned, so it is that profile's residual.
-        profile = MixedProfile(tuple(dists))
-        gap = _best_response_gap(evaluator, profile.distributions, GAP_TOL, cfg.support_tol)
-        if gap is not None:
-            found.append((profile, gap))
-            accepted += r < len(candidates)
+            profile = MixedProfile(tuple(d[inverse[perm]] for d, inverse, perm in zip(dists, inverses[h], group[g])))
+        found.append((profile, gap))
     diagnostics["homotopy_skipped"] = complete
-    diagnostics["homotopy_candidates"] = accepted
+    diagnostics["homotopy_candidates"] = int(np.count_nonzero(accepted[lead[: len(candidates)]]))
     diagnostics["supports_solved"] = len(reps)
     diagnostics["automorphisms"] = max(len(group), 1)
     diagnostics["enumeration_examined"] = examined

@@ -168,6 +168,15 @@ class TestComposeGeneralized:
         combo = compose_generalized(g, h, np.exp)
         assert combo.player_payoffs(0).ravel()[3] == pytest.approx(2.3132616875182226, abs=1e-9)
 
+    def test_bisected_inverse_of_log_stays_in_its_domain(self):
+        # The inverse's lower end, 0.25, is less than the bracket's first step below the
+        # payoffs, so the search meets log's domain and steps back into it, silently.
+        g = Game((2,), np.array([[0.5], [0.6]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            combo = compose_generalized(g, g, np.log)
+        np.testing.assert_allclose(combo.payoffs, compose_generalized(g, g, np.log, np.exp).payoffs, rtol=0, atol=1e-12)
+
     def test_cubic_associativity(self):
         rng = np.random.default_rng(2)
         cube = lambda v: np.power(v, 3)

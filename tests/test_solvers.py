@@ -627,6 +627,15 @@ class TestSupportProfiles:
         ids, masks = _support_listing((30, 30), 5)
         assert [len(m) for m in masks] == [1, 5]
 
+    def test_listing_is_cached_per_shape_and_read_only(self):
+        ids, masks = _support_listing([4, 3], 50)
+        same = _support_listing((4, 3), 50)
+        assert same[0] is ids and all(a is b for a, b in zip(same[1], masks))
+        assert _support_listing((4, 3), 49)[0] is not ids
+        for array in (ids, *masks):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
 
 def _newton_support(evaluator, supports, seed, scale):
     """The Newton path of _solve_supports on one profile, from the same three starts.
@@ -1219,6 +1228,24 @@ class TestSupportSolve:
                         np.testing.assert_allclose(a, b, rtol=0, atol=1e-7)
         assert accepted > 0
 
+    def test_second_half_skipped_when_the_first_leaves_no_profile(self, monkeypatch):
+        # In matching pennies player 0 is never indifferent against a pure action of
+        # player 1, so the (2, 1) stack ends after its first half; the full support goes on.
+        evaluator, half, calls = PhiEvaluator(make_matching_pennies(), EXPECTATION), solvers._linear_half, []
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return half(*args)
+
+        monkeypatch.setattr(solvers, "_linear_half", counted)
+        pure_opponent = [np.array([[0, 1], [0, 1]]), np.array([[0], [1]])]
+        assert list(solvers._linear_roots(evaluator, pure_opponent, 1e-10)) == []
+        assert calls == [2]
+        calls.clear()
+        roots = list(solvers._linear_roots(evaluator, [np.array([[0, 1]]), np.array([[0, 1]])], 1e-10))
+        assert calls == [1, 1] and len(roots) == 1
+        np.testing.assert_allclose(roots[0][1], [0.5, 0.5], rtol=0, atol=1e-15)
+
     def test_zero_weight_solutions_are_rejected(self):
         game = make_card_game(0.4, [0, 1, 2], 0.01)
         evaluator = PhiEvaluator(game, EXPECTATION)
@@ -1768,6 +1795,8 @@ class TestOrbitSolve:
         assert len(reduced.profiles) == len(full.profiles) > 0
         for p, q in zip(reduced.profiles, full.profiles):
             assert p.sup_distance(q) <= 1e-12
+        # An image keeps its representative's gap, which is its own up to rounding.
+        np.testing.assert_allclose(reduced.residuals, full.residuals, rtol=0, atol=1e-15)
         if not d["enumeration_truncated"]:  # every profile was listed, so the solutions are closed under the group
             points = np.array(_solution_arrays(reduced))
             for g in symmetry.automorphisms(game):
