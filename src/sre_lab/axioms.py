@@ -227,6 +227,8 @@ def check_scale_invariance(
     tol: float = 1e-8,
 ) -> AxiomReport:
     """Uniform solutions must stay solutions when all payoffs shrink by alpha."""
+    if len(alphas) == 0:
+        raise ValueError("alphas must not be empty")
     for alpha in alphas:
         if not 0 < alpha < 1:
             raise ValueError("alphas must lie in (0, 1)")
@@ -269,6 +271,8 @@ def check_consistency(
     """Common solutions of two games must solve every convex payoff blend."""
     if game_u.action_counts != game_v.action_counts:
         raise ValueError("consistency needs games on the same action sets")
+    if len(alphas) == 0:
+        raise ValueError("alphas must not be empty")
     sols_u = spec.solve(game_u).profiles
     sols_v = spec.solve(game_v).profiles
     common = []

@@ -602,12 +602,8 @@ def _newton(
             jac = jacobians(starting)
             for r in rows:
                 rounds[r] += 1
-            rhs = f[rows[0]][None] if len(rows) == 1 else np.array([f[r] for r in rows])
-            try:
-                new = _linear_step(jac, -rhs)
-            except np.linalg.LinAlgError:
-                rows = []  # these rows stop
-            for q, norm in enumerate(np.abs(new).max(axis=1).tolist() if rows else ()):
+            new = _linear_step(jac, -np.array([f[r] for r in rows]))
+            for q, norm in enumerate(np.abs(new).max(axis=1).tolist()):
                 if not 0.0 < norm < math.inf:  # NaN fails the test too
                     # A zero Jacobian, which no square solve takes, gets a zero least-squares step.
                     flat[rows[q]] = not jac[q].any()
@@ -615,7 +611,7 @@ def _newton(
                 step[rows[q]] = new[q] * (0.5 / norm) if norm > 0.5 else new[q]
                 halvings[rows[q]] = 0
                 following.append(rows[q])
-        pending = sorted(following) if len(following) > 1 else following
+        pending = sorted(following)
         cand = [points[r] + step[r] for r in pending]
     if single:
         return points[0], f[0], flat[0], steps[0]
@@ -625,16 +621,14 @@ def _newton(
 def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The solution of jac @ step = rhs for each row of a stack, jac (b x m x n) and rhs (b x m).
 
-    The stack takes one solve when every jac is square and nonsingular.
-    Otherwise each row is solved alone, in the least-squares sense when its
-    jac is not square or is singular; a row whose least squares fails gets
-    a step of NaN.
+    A stack of two or more rows takes one solve when every jac is square
+    and nonsingular.  Otherwise, and always for a lone row, each row is
+    solved alone, so it is factorised once: by LU, in the least-squares
+    sense when its jac is not square or is singular, and as NaN when least
+    squares fails too.
     """
-    square = jac.shape[-1] == jac.shape[-2]
-    if square:
+    if len(jac) > 1 and jac.shape[-1] == jac.shape[-2]:
         try:
-            if len(jac) == 1:  # one row costs less unstacked
-                return np.linalg.solve(jac[0], rhs[0])[None]
             return np.linalg.solve(jac, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
             pass  # some row is singular
@@ -1122,8 +1116,11 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
 
 
 def homotopy_lambda_grid(lambda_max: float, steps: int) -> np.ndarray:
-    """Zero followed by a geometric ramp spanning four decades up to lambda_max."""
-    positive = np.geomspace(lambda_max / 1e4, lambda_max, steps - 1)
+    """Zero followed by a geometric ramp spanning four decades up to lambda_max.
+
+    A ramp of one point is lambda_max alone, so every grid ends at lambda_max.
+    """
+    positive = np.geomspace(lambda_max / 1e4, lambda_max, steps - 1) if steps > 2 else [lambda_max]
     return np.concatenate([[0.0], positive])
 
 

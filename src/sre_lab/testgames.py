@@ -314,7 +314,11 @@ def elicit_fosd(
     found solution still plays a keep-the-card action; the found solution
     set is a lower-bound stand-in for the full solution set, so estimates
     carry that caveat.  Estimates are listed by decreasing epsilon and the
-    extrapolated value is the last (smallest-epsilon) one.
+    extrapolated value is the last (smallest-epsilon) one.  Each probe
+    solves under the caller's solver config with max_enum_supports and
+    homotopy_steps replaced by 64 and 24, so the support enumeration of a
+    12x3 card game (three card values) is truncated and the logit trace
+    runs, on a grid of 24 points.
     """
     if spec.family != "best-response":
         raise ValueError("elicit_fosd needs a best-response concept")

@@ -298,6 +298,11 @@ class TestScaleInvariance:
         report = check_scale_invariance(LQRE_MEAN, make_test_game_gx(1.0))
         assert report.vacuous and report.passed
 
+    def test_rejects_empty_alphas(self, monkeypatch):
+        monkeypatch.setattr(ConceptSpec, "solve", None)  # nothing may be solved
+        with pytest.raises(ValueError, match="alphas"):
+            check_scale_invariance(NASH_MEAN, make_matching_pennies(), alphas=())
+
 
 class TestStrategicInvariance:
     def test_zero_shift(self):
@@ -330,6 +335,16 @@ class TestBrandlBrandtChecks:
     def test_consistency_shared_uniform_solution(self):
         report = check_consistency(NASH_MEAN, make_matching_pennies(), make_matching_pennies(2.0))
         assert report.passed and not report.vacuous
+
+    def test_consistency_vacuous_without_common_solutions(self):
+        # Pennies' only equilibrium is uniform; the variant's is ((1/2, 1/2), (1/4, 3/4)).
+        report = check_consistency(NASH_MEAN, make_matching_pennies(), make_vmp())
+        assert report.vacuous and report.passed and report.instances_checked == 0
+
+    def test_consistency_rejects_empty_alphas(self, monkeypatch):
+        monkeypatch.setattr(ConceptSpec, "solve", None)  # nothing may be solved
+        with pytest.raises(ValueError, match="alphas"):
+            check_consistency(NASH_MEAN, make_matching_pennies(), make_matching_pennies(2.0), alphas=())
 
     def test_consequentialism_identity_blowup(self):
         g = make_matching_pennies()

@@ -29,6 +29,7 @@ from sre_lab.solvers import (
     SolveResult,
     SolverConfig,
     SolverError,
+    homotopy_lambda_grid,
     homotopy_trace,
     logit_response,
     solve_lqre,
@@ -45,6 +46,7 @@ from sre_lab.solvers import (
     _dists_from_theta,
     _dominated_actions,
     _indexed,
+    _linear_step,
     _logit_system,
     _newton,
     _response,
@@ -472,6 +474,11 @@ class TestHomotopy:
         with pytest.raises(ValueError, match=message):
             homotopy_trace(make_matching_pennies(), EXPECTATION, lambda_max, steps, FAST)
 
+    @pytest.mark.parametrize("steps", [2, 3, 160])
+    def test_grid_ends_at_lambda_max(self, steps):
+        grid = homotopy_lambda_grid(200.0, steps)
+        assert len(grid) == steps and grid[0] == 0.0 and grid[-1] == 200.0
+
     def test_breakdown_reports_last_good_lambda(self):
         from sre_lab.solvers import HomotopyBreakdown
 
@@ -560,6 +567,36 @@ class TestNewton:
         assert len(jacobians) == 2 and steps == 1 and not flat
         np.testing.assert_array_equal(theta, [0.125])
         np.testing.assert_array_equal(f, [0.5])
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """One entry per np.linalg.solve call, failing or not."""
+    calls = []
+    inner = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+class TestLinearStep:
+    def test_lone_singular_row_is_factorised_once(self, lu_calls):
+        jac = np.array([[[1.0, 1.0], [2.0, 2.0]]])
+        rhs = np.array([[1.0, 2.0]])
+        step = _linear_step(jac, rhs)
+        assert len(lu_calls) == 1
+        np.testing.assert_array_equal(step, np.linalg.lstsq(jac[0], rhs[0], rcond=None)[0][None])
+
+    def test_lone_nonsingular_row_takes_the_lu_step(self, lu_calls):
+        jac = np.array([[[3.0, 1.0], [1.0, 2.0]]])
+        rhs = np.array([[0.2, -0.1]])
+        step = _linear_step(jac, rhs)
+        assert len(lu_calls) == 1
+        np.testing.assert_array_equal(step, np.linalg.solve(jac[0], rhs[0])[None])
 
 
 def _support_profiles(counts):

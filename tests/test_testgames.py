@@ -6,7 +6,7 @@ import pytest
 from sre_lab import testgames
 from sre_lab.lotteries import Lottery
 from sre_lab.statistics import EXPECTATION, MAStatistic, evaluate
-from sre_lab.solvers import ConceptSpec, SolverConfig, solve_lqre
+from sre_lab.solvers import ConceptSpec, SolveResult, SolverConfig, solve_lqre
 from sre_lab.testgames import (
     ElicitationResult,
     card_keep_actions,
@@ -251,6 +251,10 @@ class TestElicitQre:
         assert elicit_qre(spec, x) == pick(x)
         assert len(solve_calls) == 2
 
+    def test_constant_vector_needs_no_solve(self, solve_calls):
+        assert elicit_qre(ConceptSpec.lqre(1.0, solver=FAST), [0.3, 0.3]) == 0.3
+        assert solve_calls == []
+
     def test_indifference_at_returned_threshold(self):
         phi = MAStatistic(((-2.0, 0.4), (1.0, 0.6)))
         spec = ConceptSpec.lqre(1.0, phi, FAST)
@@ -270,6 +274,34 @@ class TestElicitFosd:
         assert result.estimates[0][1] == pytest.approx(0.45, abs=2e-3)
         assert result.estimates[1][1] == pytest.approx(0.495, abs=2e-3)
         assert result.estimates[0][1] <= result.estimates[1][1] + 1e-6
+
+    @staticmethod
+    def _empty_from_probe(monkeypatch, failing):
+        """Let solve_nash_phi find nothing from probe number `failing` (counted from 1) on."""
+        inner, probes = testgames.solve_nash_phi, []
+
+        def solve(*args):
+            probes.append(args)
+            return inner(*args) if len(probes) < failing else SolveResult([], [], {})
+
+        monkeypatch.setattr(testgames, "solve_nash_phi", solve)
+
+    def test_inconclusive_end_probe_gives_no_estimate(self, monkeypatch):
+        self._empty_from_probe(monkeypatch, 1)
+        result = elicit_fosd(ConceptSpec.nash(solver=FAST), [0.0, 1.0], eps_schedule=(1e-1, 1e-2))
+        assert result.estimates == [] and math.isnan(result.extrapolated)
+        assert not result.converged and result.iterations == 2
+        assert result.notes == "inconclusive probe at eps=0.1"
+
+    def test_inconclusive_bisection_probe_keeps_earlier_estimates(self, monkeypatch):
+        # Two end probes and three bisection probes at eps = 0.1, then two end probes at
+        # eps = 0.01; its first bisection probe finds nothing.
+        self._empty_from_probe(monkeypatch, 8)
+        result = elicit_fosd(ConceptSpec.nash(solver=FAST), [0.0, 1.0], eps_schedule=(1e-1, 1e-2), bisection_iters=3)
+        assert [eps for eps, _ in result.estimates] == [0.1]
+        assert result.extrapolated == result.estimates[0][1]
+        assert not result.converged and result.iterations == 8
+        assert result.notes == "inconclusive probe at eps=0.01"
 
     def test_rejects_extreme_atoms(self):
         phi = MAStatistic.min_max_mean(0.2, 0.6, 0.2)
