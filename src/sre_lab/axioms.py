@@ -273,6 +273,8 @@ def check_consistency(
         raise ValueError("consistency needs games on the same action sets")
     if len(alphas) == 0:
         raise ValueError("alphas must not be empty")
+    if not all(0 <= alpha <= 1 for alpha in alphas):  # written so that NaN fails too
+        raise ValueError("alphas must lie in [0, 1]")
     sols_u = spec.solve(game_u).profiles
     sols_v = spec.solve(game_v).profiles
     common = []
@@ -293,7 +295,7 @@ def check_consistency(
     return AxiomReport("consistency", len(alphas) * len(common), violations)
 
 
-def _lifts(q: MixedProfile, maps: Sequence[Sequence[int]], blown: Game) -> list[MixedProfile]:
+def _lifts(q: MixedProfile, maps: Sequence[Sequence[int]]) -> list[MixedProfile]:
     """Two canonical lifts of a base-game profile onto a blow-up.
 
     The definition quantifies over every split of duplicated mass, which is
@@ -320,7 +322,7 @@ def check_consequentialism(
     """Duplicating actions must only split probabilities, in both directions."""
     blown = blow_up(base, maps)
     pushed = [push_profile(p, maps, base) for p in spec.solve(blown).profiles]
-    lifted = [lift for q in spec.solve(base).profiles for lift in _lifts(q, maps, blown)]
+    lifted = [lift for q in spec.solve(base).profiles for lift in _lifts(q, maps)]
     violations = _non_members(spec, base, pushed, tol, game=_describe(blown), direction="push")
     violations += _non_members(spec, blown, lifted, tol, game=_describe(blown), direction="lift")
     return AxiomReport("consequentialism", len(pushed) + len(lifted), violations)

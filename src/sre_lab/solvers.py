@@ -1684,8 +1684,17 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     them when none is); enumeration_pruned, those of them dismissed;
     enumeration_truncated, the enumeration was not complete, so the result
     need not hold every equilibrium.
+
+    The game is solved with each player's payoffs centred at their midrange,
+    u_i - (max u_i + min u_i) / 2: every MAStatistic is translation-invariant,
+    so that leaves the equilibrium set as it is, and Newton's stop, which grows
+    with max |u|, then does not grow with a constant added to a player's
+    payoffs.  Everything below, the trace and the automorphisms included, sees
+    the centred game.
     """
     cfg = cfg or SolverConfig()
+    flat = game.payoffs.reshape(-1, game.num_players)
+    game = Game(game.action_counts, game.payoffs - (flat.max(axis=0) + flat.min(axis=0)) / 2, game.labels)
     counts = game.action_counts
     evaluator = PhiEvaluator(game, phi)
     scale = 1.0 + float(np.max(np.abs(game.payoffs)))

@@ -40,15 +40,20 @@ def make_matching_pennies(stake: float = 1.0) -> Game:
     return Game((2, 2), np.stack([u1, -u1], axis=-1), (("h", "t"), ("h", "t")))
 
 
-def make_test_game_gx(x: float, n_players: int = 2) -> Game:
-    """Player 1 picks between a sure payoff of x and 0; everyone else is a dummy."""
+def _one_chooser(u1: np.ndarray, u2: np.ndarray, labels1, labels2, n_players: int) -> Game:
+    """Player 1's (k x m) payoffs u1 and player 2's u2, plus one-action dummies labelled "c" who earn zero."""
     if n_players < 2:
         raise ValueError("need at least two players")
-    counts = (2,) + (1,) * (n_players - 1)
+    counts = u1.shape + (1,) * (n_players - 2)
     tensor = np.zeros(counts + (n_players,))
-    tensor[(0,) + (0,) * (n_players - 1) + (0,)] = x
-    labels = (("h", "l"),) + (("c",),) * (n_players - 1)
-    return Game(counts, tensor, labels)
+    tensor[..., 0] = u1.reshape(counts)
+    tensor[..., 1] = u2.reshape(counts)
+    return Game(counts, tensor, (tuple(labels1), tuple(labels2)) + (("c",),) * (n_players - 2))
+
+
+def make_test_game_gx(x: float, n_players: int = 2) -> Game:
+    """Player 1 picks between a sure payoff of x and 0; everyone else is a dummy."""
+    return _one_chooser(np.array([[x], [0.0]]), np.zeros((2, 1)), ("h", "l"), ("c",), n_players)
 
 
 def make_card_game(r: float, x: Sequence[float], epsilon: float, n_players: int = 2) -> Game:
@@ -67,27 +72,12 @@ def make_card_game(r: float, x: Sequence[float], epsilon: float, n_players: int 
         raise ValueError("epsilon must be positive")
     if np.ptp(xs) == 0:
         raise ValueError("card values must not be constant")
-    if n_players < 2:
-        raise ValueError("need at least two players")
     perms = list(itertools.permutations(range(m)))
-    n_actions = 2 * len(perms)
-    u1 = np.empty((n_actions, m))
-    u2 = np.empty((n_actions, m))
-    labels1 = []
-    for c, choice in enumerate(("a_x", "a_r")):
-        for k, perm in enumerate(perms):
-            row = c * len(perms) + k
-            drawn = xs[list(perm)]
-            u1[row] = drawn if c == 0 else r + epsilon * drawn
-            u2[row] = -drawn
-            labels1.append(f"{choice}|{''.join(str(j) for j in perm)}")
-    counts = (n_actions, m) + (1,) * (n_players - 2)
-    tensor = np.zeros(counts + (n_players,))
-    shape = (n_actions, m) + (1,) * (n_players - 2)
-    tensor[..., 0] = u1.reshape(shape)
-    tensor[..., 1] = u2.reshape(shape)
-    labels = (tuple(labels1), tuple(str(j) for j in range(m))) + (("c",),) * (n_players - 2)
-    return Game(counts, tensor, labels)
+    drawn = xs[np.array(perms)]  # one row per permutation: the card value at each position
+    u1 = np.concatenate([drawn, r + epsilon * drawn])
+    u2 = np.concatenate([-drawn, -drawn])
+    labels1 = [f"{choice}|{''.join(map(str, perm))}" for choice in ("a_x", "a_r") for perm in perms]
+    return _one_chooser(u1, u2, labels1, map(str, range(m)), n_players)
 
 
 def card_keep_actions(game: Game) -> np.ndarray:
@@ -102,30 +92,26 @@ def make_sure_thing_game(r: float, x: Sequence[float], n_players: int = 2) -> Ga
     m = xs.size
     if m < 1:
         raise ValueError("need at least one outcome")
-    if n_players < 2:
-        raise ValueError("need at least two players")
     u1 = np.vstack([np.full(m, float(r)), xs])
-    counts = (2, m) + (1,) * (n_players - 2)
-    tensor = np.zeros(counts + (n_players,))
-    tensor[..., 0] = u1.reshape((2, m) + (1,) * (n_players - 2))
-    labels = (("b_r", "b_x"), tuple(str(j) for j in range(m))) + (("c",),) * (n_players - 2)
-    return Game(counts, tensor, labels)
+    return _one_chooser(u1, np.zeros_like(u1), ("b_r", "b_x"), map(str, range(m)), n_players)
+
+
+def _pennies_variant(u1: np.ndarray) -> Game:
+    """A 2x2 game on actions (a, b) whose player 2 earns 1 for mismatching player 1 and 0 for matching."""
+    u2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return Game((2, 2), np.stack([u1, u2], axis=-1), (("a", "b"), ("a", "b")))
 
 
 def make_vmp() -> Game:
     """Matching-pennies variant whose row action is both max- and min-dominant."""
-    u1 = np.array([[2.0, 0.0], [-1.0, 1.0]])
-    u2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return Game((2, 2), np.stack([u1, u2], axis=-1), (("a", "b"), ("a", "b")))
+    return _pennies_variant(np.array([[2.0, 0.0], [-1.0, 1.0]]))
 
 
 def make_no_extremal_eq_game(epsilon: float) -> Game:
     """Matching-pennies variant that defeats best-response play under extreme-weighted statistics."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    u1 = np.array([[1.0 + 1.0 / epsilon, 0.0], [-1.0 / epsilon, 1.0]])
-    u2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return Game((2, 2), np.stack([u1, u2], axis=-1), (("a", "b"), ("a", "b")))
+    return _pennies_variant(np.array([[1.0 + 1.0 / epsilon, 0.0], [-1.0 / epsilon, 1.0]]))
 
 
 def make_incomparable_mp() -> Game:
@@ -134,9 +120,7 @@ def make_incomparable_mp() -> Game:
     At player 1 uniform and player 2 playing (1/3, 2/3) every pair of action
     lotteries crosses, so distribution-monotonicity holds vacuously.
     """
-    u1 = np.array([[1.5, 0.0], [0.0, 1.0]])
-    u2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return Game((2, 2), np.stack([u1, u2], axis=-1), (("a", "b"), ("a", "b")))
+    return _pennies_variant(np.array([[1.5, 0.0], [0.0, 1.0]]))
 
 
 def incomparable_mp_profile() -> MixedProfile:
@@ -400,67 +384,26 @@ def vector_from_lottery(x: Lottery, max_m: int = 360) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_FIXTURES = {
+    "mp": make_matching_pennies,
+    "vmp": make_vmp,
+    "incomparable_mp": make_incomparable_mp,
+    "iia": make_iia_game,
+    "g_x:1": lambda: make_test_game_gx(1.0),
+    "card:r=.6,x=0,1,eps=.1": lambda: make_card_game(0.6, [0.0, 1.0], 0.1),
+    "sure_thing:r=.5,x=0,1": lambda: make_sure_thing_game(0.5, [0.0, 1.0]),
+    "no_extremal:eps=.25": lambda: make_no_extremal_eq_game(0.25),
+    "allais": make_allais_lotteries,
+    "table2": make_table2_lotteries,
+}
+
+
 def fixture_ids() -> list[str]:
-    return [
-        "mp",
-        "vmp",
-        "incomparable_mp",
-        "iia",
-        "g_x:1",
-        "card:r=.6,x=0,1,eps=.1",
-        "sure_thing:r=.5,x=0,1",
-        "no_extremal:eps=.25",
-        "allais",
-        "table2",
-    ]
-
-
-def _parse_kv(body: str) -> dict[str, object]:
-    # "r=.6,x=0,1,eps=.1" -> {"r": .6, "x": [0.0, 1.0], "eps": .1}
-    out: dict[str, object] = {}
-    current: Optional[str] = None
-    for token in body.split(","):
-        if "=" in token:
-            key, val = token.split("=", 1)
-            current = key.strip()
-            out[current] = [val]
-        elif current is not None:
-            out[current].append(token)  # type: ignore[union-attr]
-        else:
-            raise ValueError(f"cannot parse fixture arguments {body!r}")
-    parsed: dict[str, object] = {}
-    for key, vals in out.items():
-        nums = [float(v) for v in vals]  # type: ignore[union-attr]
-        parsed[key] = nums if len(nums) > 1 else nums[0]
-    return parsed
+    return list(_FIXTURES)
 
 
 def fixture(fixture_id: str):
-    """Resolve a registry id to a Game or a dict of named Lotteries."""
-    name, _, body = fixture_id.partition(":")
-    if name == "mp":
-        return make_matching_pennies()
-    if name == "vmp":
-        return make_vmp()
-    if name == "incomparable_mp":
-        return make_incomparable_mp()
-    if name == "iia":
-        return make_iia_game()
-    if name == "allais":
-        return make_allais_lotteries()
-    if name == "table2":
-        return make_table2_lotteries()
-    if name == "g_x":
-        return make_test_game_gx(float(body))
-    if name == "no_extremal":
-        args = _parse_kv(body)
-        return make_no_extremal_eq_game(float(args["eps"]))  # type: ignore[arg-type]
-    if name == "card":
-        args = _parse_kv(body)
-        xs = args["x"] if isinstance(args["x"], list) else [args["x"]]
-        return make_card_game(float(args["r"]), xs, float(args["eps"]))  # type: ignore[arg-type]
-    if name == "sure_thing":
-        args = _parse_kv(body)
-        xs = args["x"] if isinstance(args["x"], list) else [args["x"]]
-        return make_sure_thing_game(float(args["r"]), xs)  # type: ignore[arg-type]
-    raise KeyError(f"unknown fixture {fixture_id!r}")
+    """Resolve one of the ids fixture_ids() lists to a Game or a dict of named Lotteries."""
+    if fixture_id not in _FIXTURES:
+        raise KeyError(f"unknown fixture {fixture_id!r}")
+    return _FIXTURES[fixture_id]()

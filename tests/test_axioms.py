@@ -249,6 +249,14 @@ class TestBracketing:
         report = check_bracketing(NASH_MEAN, make_matching_pennies(), make_matching_pennies())
         assert report.passed
 
+    def test_non_member_product_is_reported(self):
+        # At tol = 0 the product's rounding residual makes it a non-member.
+        report = check_bracketing(LQRE_MEAN, make_vmp(), make_vmp(), tol=0.0)
+        assert not report.passed and report.instances_checked == 1
+        [violation] = report.violations
+        assert violation["game"] == "2p:2x2 (x) 2p:2x2"
+        assert violation["residual"] > 0 and violation["magnitude"] == violation["residual"]
+
     def test_min_max_mean_pairs(self):
         rng = np.random.default_rng(1)
         phi = MAStatistic.min_max_mean(1 / 3, 1 / 3, 1 / 3)
@@ -345,6 +353,20 @@ class TestBrandlBrandtChecks:
         monkeypatch.setattr(ConceptSpec, "solve", None)  # nothing may be solved
         with pytest.raises(ValueError, match="alphas"):
             check_consistency(NASH_MEAN, make_matching_pennies(), make_matching_pennies(2.0), alphas=())
+
+    @pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan")])
+    def test_consistency_rejects_alphas_outside_the_unit_interval_unsolved(self, monkeypatch, alpha):
+        solves = []
+        inner = ConceptSpec.solve
+
+        def counted(spec, game):
+            solves.append(game)
+            return inner(spec, game)
+
+        monkeypatch.setattr(ConceptSpec, "solve", counted)
+        with pytest.raises(ValueError, match="alphas"):
+            check_consistency(NASH_MEAN, make_matching_pennies(), make_matching_pennies(2.0), alphas=(0.5, alpha))
+        assert solves == []
 
     def test_consequentialism_identity_blowup(self):
         g = make_matching_pennies()

@@ -182,6 +182,14 @@ class TestSolveLqre:
             assert len(res.profiles) == 1
             assert res.profiles[0].is_uniform(tol=1e-9)
 
+    def test_one_player_plays_the_softmax(self):
+        # No opponent: each start's stacked values have no mix to sum over.
+        u = np.array([1.0, 2.0, 0.5])
+        res = solve_lqre(Game((3,), u[:, None]), EXPECTATION, 2.0, FAST)
+        softmax = np.exp(2.0 * u) / np.exp(2.0 * u).sum()
+        assert len(res.profiles) == 1
+        np.testing.assert_allclose(res.profiles[0].distributions[0], softmax, atol=1e-12)
+
     def test_vmp_regression_fixture(self):
         res = solve_lqre(make_vmp(), EXPECTATION, 1.0, FAST)
         assert len(res.profiles) == 1
@@ -381,6 +389,16 @@ class TestContinue:
         y, ended, steps = _continue(self.cubic, np.array([-2.0, 0.0]), 2.0, 3, 1e-12)
         assert not ended and steps <= 3 and y[1] < 2.0
         assert abs(self.cubic(y)[0][0]) <= 1e-12
+
+    def test_step_below_the_minimum_is_returned_as_data(self):
+        # H = 1 has no zero, so every corrector fails and the step halves below MIN_STEP.
+        def unsolvable(y):
+            return np.array([1.0]), lambda: np.array([[1.0, 1.0]])
+
+        y0 = np.array([0.5, 0.0])
+        y, ended, steps = _continue(unsolvable, y0, 1.0, 1000, 1e-12)
+        assert not ended and steps == 0
+        np.testing.assert_array_equal(y, y0)
 
 
 class TestBracketingResiduals:
@@ -1735,6 +1753,36 @@ class TestLabelFree:
                         assert max(np.abs(a - b).max() for a, b in zip(want, got)) <= 1e-9, (index, alpha, sups)
                 if alpha < 1e6:
                     assert _same_set(_solution_arrays(solve_nash_phi(scaled, phi)), base_set, 1e-9), (index, alpha)
+
+
+def _shift_games(players):
+    """Small random games on which an uncentred solve lost equilibria to a constant shift."""
+    rng = np.random.default_rng(777)
+    drawn = [random_game(rng, players=(2, 2), actions=(3, 6)) for _ in range(12)]
+    if players == 2:
+        return [random_game(np.random.default_rng(0), players=(2, 2), actions=(3, 4)), drawn[4]]
+    return [random_game(rng, players=(3, 3), actions=(2, 3)) for _ in range(2)][1:]
+
+
+class TestTranslation:
+    @pytest.mark.parametrize("players", [2, 3])
+    @pytest.mark.parametrize("phi", [EXPECTATION, MMM_THIRDS, K_PAIR], ids=["mean", "mmm", "k_pair"])
+    def test_shifting_a_players_payoffs_keeps_the_solutions(self, phi, players):
+        # Every statistic is translation-invariant, so adding c (i + 1) to player i's payoffs
+        # leaves the equilibrium set as it is.  Without centring, Newton's stop grew with the
+        # constant and the absolute gap test then rejected roots: the 4x4 game under K_PAIR
+        # lost all 3 of its equilibria at c = 1e6.
+        found = 0
+        for index, game in enumerate(_shift_games(players)):
+            base = solve_nash_phi(game, phi)
+            assert base.diagnostics["enumeration_truncated"] is False, index
+            found += len(base.profiles)
+            for c in (1.0, -1e3, 1e3, 1e6):
+                shifted = Game(game.action_counts, game.payoffs + c * np.arange(1, players + 1))
+                res = solve_nash_phi(shifted, phi)
+                assert res.diagnostics["enumeration_truncated"] is False, (index, c)
+                assert _same_set(_solution_arrays(res), _solution_arrays(base), 1e-6), (index, c)
+        assert found > 0
 
 
 def _circulant_game(seed, n):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sre_lab import testgames
+from sre_lab.games import MixedProfile
 from sre_lab.lotteries import Lottery
 from sre_lab.statistics import EXPECTATION, MAStatistic, evaluate
 from sre_lab.solvers import ConceptSpec, SolveResult, SolverConfig, solve_lqre
@@ -153,8 +154,10 @@ class TestNamedFixtures:
         np.testing.assert_array_equal(g.payoffs, h.payoffs)
 
     def test_registry_unknown(self):
-        with pytest.raises(KeyError):
-            fixture("nonsense")
+        # Only the listed ids resolve; a parametrized id that is not listed is unknown.
+        for fid in ("nonsense", "g_x:2"):
+            with pytest.raises(KeyError):
+                fixture(fid)
 
 
 class TestRandomCorpus:
@@ -254,6 +257,22 @@ class TestElicitQre:
     def test_constant_vector_needs_no_solve(self, solve_calls):
         assert elicit_qre(ConceptSpec.lqre(1.0, solver=FAST), [0.3, 0.3]) == 0.3
         assert solve_calls == []
+
+    def test_log_odds_with_a_jump_end_on_the_bracket_width(self, monkeypatch):
+        # Log-odds of +1 below r = 0.3 and -1 from it on never meet the |h| stop: each step
+        # leaves the bracket, so the search bisects until the bracket is narrower than its
+        # stop and returns the bracket's midpoint.
+        probes = []
+
+        def jump(game, phi, lam, cfg):
+            r = game.payoffs[0, 0, 0]
+            probes.append(r)
+            p_x = 1.0 / (1.0 + math.exp(-lam if r < 0.3 else lam))
+            return SolveResult([MixedProfile((np.array([1.0 - p_x, p_x]), np.full(2, 0.5)))], [0.0], {})
+
+        monkeypatch.setattr(testgames, "solve_lqre", jump)
+        assert elicit_qre(ConceptSpec.lqre(1.0, solver=FAST), [0.0, 1.0]) == pytest.approx(0.3, abs=1e-12)
+        assert len(probes) < testgames.ELICIT_MAX_PROBES
 
     def test_indifference_at_returned_threshold(self):
         phi = MAStatistic(((-2.0, 0.4), (1.0, 0.6)))
