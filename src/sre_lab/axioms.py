@@ -10,6 +10,7 @@ verifier, since solutions are numeric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -69,6 +70,11 @@ def _pair_violation(game: Game, i: int, a: int, b: int, magnitude: float) -> dic
     return {"game": _describe(game), "player": i, "pair": [a, b], "magnitude": float(magnitude)}
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:  # NaN fails the test too
+        raise ValueError("tol must be nonnegative and finite")
+
+
 # ---------------------------------------------------------------------------
 # monotonicity and interiority of a concrete profile
 # ---------------------------------------------------------------------------
@@ -76,6 +82,7 @@ def _pair_violation(game: Game, i: int, a: int, b: int, magnitude: float) -> dic
 
 def check_distribution_monotonicity(game: Game, p: MixedProfile, tol: float = 1e-9) -> AxiomReport:
     """Strictly dominated lotteries may not be played more than their dominators."""
+    _check_tol(tol)
     violations = []
     instances = 0
     strict_pairs = 0
@@ -97,6 +104,7 @@ def check_distribution_monotonicity(game: Game, p: MixedProfile, tol: float = 1e
 
 def check_expectation_monotonicity(game: Game, p: MixedProfile, tol: float = 1e-9) -> AxiomReport:
     """Higher expected payoff may not come with strictly lower probability."""
+    _check_tol(tol)
     violations = []
     instances = 0
     for i, dist in enumerate(p.distributions):
@@ -108,6 +116,7 @@ def check_expectation_monotonicity(game: Game, p: MixedProfile, tol: float = 1e-
 
 
 def check_interiority(p: MixedProfile, tol: float = 1e-9) -> AxiomReport:
+    _check_tol(tol)
     violations = []
     for i, dist in enumerate(p.distributions):
         for a, prob in enumerate(dist):
@@ -124,6 +133,7 @@ def check_neutrality(
     """Actions with equal payoffs (in expectation or in distribution) get equal mass."""
     if mode not in ("expectation", "distribution"):
         raise ValueError("mode must be 'expectation' or 'distribution'")
+    _check_tol(tol)
     violations = []
     instances = 0
     for i, dist in enumerate(p.distributions):
@@ -141,6 +151,7 @@ def check_neutrality(
 
 def check_rationality(game: Game, p: MixedProfile, tol: float = 1e-7) -> AxiomReport:
     """Strictly dominant actions must receive positive probability."""
+    _check_tol(tol)
     violations = []
     dominant_found = 0
     for i in range(game.num_players):
@@ -182,7 +193,8 @@ def _non_members(
     for p in profiles:
         report = spec.membership_report(target, p, tol=tol)
         if not report["member"]:
-            violations.append({**where, "magnitude": float(report.get("residual") or 1.0)})
+            residual = report.get("residual")
+            violations.append({**where, "residual": residual, "magnitude": float(residual or 1.0)})
     return violations
 
 
@@ -190,23 +202,9 @@ def check_bracketing(spec: ConceptSpec, g: Game, h: Game, tol: float = 1e-8) -> 
     """Products of component solutions must solve the composite game."""
     sols_g = spec.solve(g)
     sols_h = spec.solve(h)
-    composite = compose(g, h)
-    violations = []
-    instances = 0
-    for p in sols_g.profiles:
-        for q in sols_h.profiles:
-            instances += 1
-            prod = product_profile(p, q)
-            report = spec.membership_report(composite, prod, tol=tol)
-            if not report["member"]:
-                violations.append(
-                    {
-                        "game": f"{_describe(g)} (x) {_describe(h)}",
-                        "residual": report.get("residual"),
-                        "magnitude": float(report.get("residual") or 1.0),
-                    }
-                )
-    return AxiomReport("bracketing", instances, violations, vacuous=instances == 0)
+    products = [product_profile(p, q) for p in sols_g.profiles for q in sols_h.profiles]
+    violations = _non_members(spec, compose(g, h), products, tol, game=f"{_describe(g)} (x) {_describe(h)}")
+    return AxiomReport("bracketing", len(products), violations, vacuous=not products)
 
 
 def check_anonymity(

@@ -549,10 +549,9 @@ def _newton(
     that start a step there by one jacobian call and solves them by one
     _linear_step.  The rows are kept as lists of points, so a row that
     moves is rebound, never written in place.
-    Returns (theta, f(theta), flat, steps taken): for a stack, four lists
-    with one entry per start.  flat is True when the Jacobian is
-    identically zero, i.e. the residual does not react to theta at all.
-    The stop test and step acceptance use the sup norm of f.
+    Returns (theta, f(theta), steps taken): for a stack, three lists with
+    one entry per start.  The stop test and step acceptance use the sup
+    norm of f.
     Steps solve the linearisation: exactly when the Jacobian is square and
     nonsingular, and in the least-squares sense when it is not square or a
     square solve finds it singular.  They are capped at 0.5 in the sup
@@ -568,7 +567,7 @@ def _newton(
     single = isinstance(theta, np.ndarray) and theta.ndim == 1
     points = [theta] if single else list(theta)  # each row's accepted point, replaced as it moves
     count = len(points)
-    steps, flat, rounds, halvings = [0] * count, [False] * count, [0] * count, [0] * count
+    steps, rounds, halvings = [0] * count, [0] * count, [0] * count
     res, f, step = [math.inf] * count, [None] * count, [None] * count  # each row's f and step there
     # Each pass evaluates the trial points of the rows in `pending`, the starts at first.
     pending, cand, first = list(range(count)), points, True
@@ -605,8 +604,6 @@ def _newton(
             new = _linear_step(jac, -np.array([f[r] for r in rows]))
             for q, norm in enumerate(np.abs(new).max(axis=1).tolist()):
                 if not 0.0 < norm < math.inf:  # NaN fails the test too
-                    # A zero Jacobian, which no square solve takes, gets a zero least-squares step.
-                    flat[rows[q]] = not jac[q].any()
                     continue
                 step[rows[q]] = new[q] * (0.5 / norm) if norm > 0.5 else new[q]
                 halvings[rows[q]] = 0
@@ -614,8 +611,8 @@ def _newton(
         pending = sorted(following)
         cand = [points[r] + step[r] for r in pending]
     if single:
-        return points[0], f[0], flat[0], steps[0]
-    return points, f, flat, steps
+        return points[0], f[0], steps[0]
+    return points, f, steps
 
 
 def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -759,7 +756,7 @@ def _newton_polish(
     # minus the block sum of the free ones: drive the free residual below
     # tol / max block size, and read the sup-norm residual off it.
     thetas = [np.concatenate([d[:-1] for d in dists]) for dists in profiles]
-    thetas, f, _, steps = _newton(_logit_system(evaluator, lam, tally), thetas, tol / max(counts), max_steps)
+    thetas, f, steps = _newton(_logit_system(evaluator, lam, tally), thetas, tol / max(counts), max_steps)
     tally["newton_steps"] += sum(steps)
     ends = list(itertools.accumulate(k - 1 for k in counts))
     full = [range(k) for k in counts]
@@ -874,7 +871,7 @@ def _bordered_newton(system, pred: np.ndarray, border: np.ndarray, tol: float):
 
         return g, jac
 
-    z, g, _, _ = _newton(bordered, pred, tol, MAX_CORRECTOR_STEPS)
+    z, g, _ = _newton(bordered, pred, tol, MAX_CORRECTOR_STEPS)
     res = float(abs(g).max())
     if not res <= tol:
         return z, False, math.inf, None
@@ -1338,10 +1335,11 @@ def _solve_supports(
     the projection of the uniform mix onto each half's solutions; that path
     draws nothing.  Elsewhere each profile, its supports read off the masks
     as action lists, is solved on its own by Newton from _newton_starts:
-    the uniform mix on each support, then, when that start is not flat and
-    gives no root with every weight above INTERIOR_TOL, two Dirichlet draws
-    from seed and the profile's supports alone, so that no root depends on
-    the stack.  A profile of single actions is returned as it is.
+    the uniform mix on each support, then, while no start has given a root
+    with every weight above INTERIOR_TOL, two Dirichlet draws from seed and
+    the profile's supports alone, so that no root depends on the stack; a
+    start with a zero Jacobian stops after one evaluation.  A profile of
+    single actions is returned as it is.
     """
     counts = evaluator.game.action_counts
     tol = 1e-10 * scale
@@ -1361,9 +1359,7 @@ def _solve_supports(
             continue
         system = _support_system(evaluator, sups)
         for theta in _newton_starts(sups, seed):
-            theta, f, flat, _ = _newton(system, theta, tol, 24)
-            if flat:
-                break  # values do not react to this support's mixing
+            theta, f, _ = _newton(system, theta, tol, 24)
             if abs(f).max() > tol:
                 continue
             dists = _dists_from_theta(theta, sups, counts)
@@ -1622,8 +1618,9 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     kept (below), and the first cfg.max_enum_supports survivors are solved.
     The enumeration is complete when the listing holds every profile of the
     game and no more than cfg.max_enum_supports of them survive: then every
-    profile is dismissed or solved.  Whether it is depends on the payoffs,
-    through dismissal, and not only on the game's action counts.
+    profile is dismissed or solved, exactly on the linear path and from up
+    to three starts on the Newton path (below).  Whether it is depends on
+    the payoffs, through dismissal, and not only on the game's action counts.
 
     Stage 1 (homotopy_trace, then _candidate_supports on every point of the
     trace) is skipped when the enumeration was complete.  Stage 2 then
@@ -1653,10 +1650,12 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     is the representative's up to rounding.  The accepted profiles are kept
     in stack order, so the result is the unreduced solve's up to rounding.
     On the Newton path (three or more players, or a finite atom off 0) the
-    profiles are solved one by one, each from the uniform mix and, if
-    needed, two starts drawn from cfg.seed and its supports; Newton's chart
-    and those draws follow the action order, so there a relabeling can move
-    a root on a continuum of roots.
+    profiles are solved one by one, each from the uniform mix and, until one
+    gives a root inside the support, two starts drawn from cfg.seed and its
+    supports.  Each gives at most one root, so an equilibrium can be missed:
+    of a 2x2x2 game's two totally mixed equilibria, a solve returns one.
+    Newton's chart and those draws follow the action order, so there a
+    relabeling can move a root on a continuum of roots.
 
     A support profile S is dismissed unsolved when some player i has an
     action a in S_i and an action b (in S_i or not) whose payoff exceeds a's

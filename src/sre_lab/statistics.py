@@ -219,6 +219,8 @@ def k_a(x: Lottery, a: float) -> float:
     maximum of the support.  This is ``normalized_cgf`` on a one-row table.
     The result always lies in [min(x), max(x)].
     """
+    if math.isnan(a):
+        raise ValueError("a must not be NaN")
     lo, hi = x.outcomes[:1], x.outcomes[-1:]
     val = float(normalized_cgf(x.outcomes[None, :], x.weights, a, lo, hi, x.max() - x.min())[0])
     # Clamp float noise at the edges of the support.

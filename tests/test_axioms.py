@@ -122,6 +122,33 @@ class TestInteriorityAndNeutrality:
         assert not check_neutrality(g, p, mode="expectation").passed
 
 
+def _gx_on_action_1():
+    return make_test_game_gx(1.0), MixedProfile((np.array([0.0, 1.0]), np.array([1.0])))
+
+
+def _uneven_ties():
+    return make_sure_thing_game(0.0, [0.0, 1.0]), MixedProfile((np.array([0.5, 0.5]), np.array([0.3, 0.7])))
+
+
+PROFILE_CHECKS = {
+    "interiority": (_gx_on_action_1, lambda g, p, **tol: check_interiority(p, **tol)),
+    "rationality": (_gx_on_action_1, check_rationality),
+    "distribution-monotonicity": (_gx_on_action_1, check_distribution_monotonicity),
+    "expectation-monotonicity": (_gx_on_action_1, check_expectation_monotonicity),
+    "neutrality": (_uneven_ties, check_neutrality),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+@pytest.mark.parametrize("name", sorted(PROFILE_CHECKS))
+def test_profile_checks_reject_a_tolerance_that_is_not_nonnegative_and_finite(name, tol):
+    case, check = PROFILE_CHECKS[name]
+    g, p = case()
+    assert not check(g, p).passed  # flagged at the default tolerance
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        check(g, p, tol=tol)
+
+
 def _reference_reports(g, p):
     """What the four ordinal checks report, from one fosd_compare and one weakly_dominates
     per ordered pair of action_lottery's lotteries."""

@@ -295,7 +295,7 @@ class TestSolveLqre:
         def counted_newton(system, *args):
             out = newton(system, *args)
             if system in logit_systems:  # Newton on p - T(p), not a corrector
-                newton_steps.append(int(np.sum(out[3])))
+                newton_steps.append(int(np.sum(out[2])))
             return out
 
         def counted_continuation(*args, **kwargs):
@@ -516,8 +516,8 @@ class TestNewton:
     def test_solves_linear_system(self):
         a = np.array([[3.0, 1.0], [1.0, 2.0]])
         b = np.array([0.2, -0.1])
-        theta, f, flat, steps = _newton(lambda t: (a @ t - b, lambda: a), np.zeros(2), 1e-12, 40)
-        assert np.max(np.abs(f)) <= 1e-12 and not flat and steps >= 1
+        theta, f, steps = _newton(lambda t: (a @ t - b, lambda: a), np.zeros(2), 1e-12, 40)
+        assert np.max(np.abs(f)) <= 1e-12 and steps >= 1
         np.testing.assert_allclose(theta, np.linalg.solve(a, b), rtol=0, atol=1e-11)
 
     def test_singular_square_system_takes_a_least_squares_step(self):
@@ -526,8 +526,8 @@ class TestNewton:
         jac = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(jac, np.ones(2))
-        theta, f, flat, steps = _newton(lambda t: (jac @ t - np.array([1.0, 2.0]), lambda: jac), np.zeros(2), 1e-12, 24)
-        assert np.max(np.abs(f)) <= 1e-12 and not flat and steps >= 1
+        theta, f, steps = _newton(lambda t: (jac @ t - np.array([1.0, 2.0]), lambda: jac), np.zeros(2), 1e-12, 24)
+        assert np.max(np.abs(f)) <= 1e-12 and steps >= 1
         assert theta.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_residual_is_flat_after_one_jacobian(self):
@@ -542,8 +542,8 @@ class TestNewton:
 
             return np.array([1.0, -2.0]), jacobian
 
-        theta, f, flat, steps = _newton(system, np.array([0.3, 0.4]), 1e-12, 24)
-        assert flat and steps == 0
+        theta, f, steps = _newton(system, np.array([0.3, 0.4]), 1e-12, 24)
+        assert steps == 0
         np.testing.assert_array_equal(f, [1.0, -2.0])
         assert calls == ["f", "jacobian"]
         np.testing.assert_array_equal(theta, [0.3, 0.4])
@@ -562,8 +562,8 @@ class TestNewton:
 
             return 1.0 + theta**2, jacobian
 
-        theta, f, flat, steps = _newton(system, np.zeros(1), 1e-12, 24)
-        assert not flat and steps == 0
+        theta, f, steps = _newton(system, np.zeros(1), 1e-12, 24)
+        assert steps == 0
         np.testing.assert_array_equal(f, [1.0])
         np.testing.assert_array_equal(theta, [0.0])
         assert calls == ["f", "jacobian"] + ["f"] * 8  # the residual, its Jacobian and eight halvings
@@ -580,9 +580,9 @@ class TestNewton:
             points.append(float(theta[0]))
             return np.array([residual.get(points[-1], 10.0)]), lambda: jacobians.append(1) or -np.ones((1, 1))
 
-        theta, f, flat, steps = _newton(system, np.zeros(1), 1e-12, 24)
+        theta, f, steps = _newton(system, np.zeros(1), 1e-12, 24)
         assert points == [0.0, 0.5, 0.25, 0.125] + [0.125 + 0.5 / 2**m for m in range(8)]
-        assert len(jacobians) == 2 and steps == 1 and not flat
+        assert len(jacobians) == 2 and steps == 1
         np.testing.assert_array_equal(theta, [0.125])
         np.testing.assert_array_equal(f, [0.5])
 
@@ -709,9 +709,7 @@ def _newton_support(evaluator, supports, seed, scale):
             np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
         )
     for theta in starts:
-        theta, f, flat, _ = _newton(system, theta, tol, 24)
-        if flat:
-            break
+        theta, f, _ = _newton(system, theta, tol, 24)
         if np.max(np.abs(f)) > tol:
             continue
         dists = _dists_from_theta(theta, supports, counts)
@@ -1082,7 +1080,7 @@ class TestLogitSystem:
 
         rng = np.random.default_rng(0)
         theta = np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in game.action_counts])
-        _, f, _, steps = _newton(system, theta, 1e-12, 40)
+        _, f, steps = _newton(system, theta, 1e-12, 40)
         assert abs(f).max() <= 1e-12
         assert len(evaluations) > 1 + steps  # some trial point was rejected
         assert len(built) == game.num_players * len(jacobians)
@@ -1120,14 +1118,14 @@ class TestLockstepStarts:
             calls.append(theta.shape)
             return system(theta)
 
-        theta, f, flat, steps = _newton(counted, np.array(thetas), tol, max_steps)
+        theta, f, steps = _newton(counted, np.array(thetas), tol, max_steps)
         stacked = len(calls)
         calls.clear()
         for row, start in enumerate(thetas):
-            alone, f_alone, flat_alone, steps_alone = _newton(counted, start, tol, max_steps)
+            alone, f_alone, steps_alone = _newton(counted, start, tol, max_steps)
             np.testing.assert_allclose(theta[row], alone, rtol=0, atol=1e-12)
             np.testing.assert_allclose(f[row], f_alone, rtol=0, atol=1e-12)
-            assert (steps[row], flat[row]) == (steps_alone, flat_alone)
+            assert steps[row] == steps_alone
         assert stacked < len(calls)  # the rows were evaluated together
         return steps, f
 
@@ -1466,6 +1464,28 @@ class TestSolveNashPhi:
         res = solve_nash_phi(make_test_game_gx(1.0), EXPECTATION, FAST)
         assert len(res.profiles) == 1
         assert res.profiles[0].distributions[0][0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_newton_path_tries_the_drawn_starts_where_the_uniform_jacobian_is_zero(self, seed):
+        # Player i earns 0 for action 1; for action 0, -0.32 when the other two match
+        # and 0.68 when they do not, so it is indifferent when q + r - 2qr = 0.32 in the
+        # others' weights on action 0.  The totally mixed equilibria have every player at
+        # (0.8, 0.2) or at (0.2, 0.8); at the uniform start every Jacobian entry is
+        # 1 - 2r = 0, so only a drawn start reaches one of them.
+        payoffs = np.zeros((2, 2, 2, 3))
+        for profile in itertools.product(range(2), repeat=3):
+            for i in range(3):
+                b, c = (profile[j] for j in range(3) if j != i)
+                payoffs[(*profile, i)] = 0.0 if profile[i] else (-0.32 if b == c else 0.68)
+        game = Game((2, 2, 2), payoffs)
+        res = solve_nash_phi(game, EXPECTATION, SolverConfig(seed=seed))
+        assert len(res.profiles) == 8 and res.diagnostics["enumeration_truncated"] is False
+        (mixed,) = [p for p in res.profiles if min(d.min() for d in p.distributions) > 0.0]
+        weight = mixed.distributions[0][0]
+        assert min(abs(weight - 0.8), abs(weight - 0.2)) <= 1e-9
+        for dist in mixed.distributions:
+            np.testing.assert_allclose(dist, [weight, 1.0 - weight], rtol=0, atol=1e-9)
+        assert verify_nash_phi(game, EXPECTATION, mixed)
 
     def test_limit_at_the_pure_profiles_lists_them_without_walking_the_rest(self):
         # (2^10 - 1)^2 profiles, of which the 100 pure ones come first; the listing stops

@@ -42,6 +42,10 @@ class TestKernel:
         assert k_a(COIN, math.inf) == 1.0
         assert k_a(COIN, -math.inf) == 0.0
 
+    def test_nan_location_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            k_a(Lottery.from_vector([0.0, 1.0, 3.0]), math.nan)
+
     def test_bounded_by_support(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
