@@ -20,12 +20,12 @@ from .games import (
     Game,
     MixedProfile,
     PlayerPermutation,
+    _fosd_by_player,
     action_payoff_matrix,
     blend_games,
     blow_up,
     compose,
     expected_payoffs,
-    opponent_weights,
     permute_players,
     permute_profile,
     product_profile,
@@ -33,7 +33,7 @@ from .games import (
     scale_game,
     strategic_shift,
 )
-from .lotteries import DominanceVerdict, fosd_table
+from .lotteries import DominanceVerdict
 from .solvers import ConceptSpec
 
 
@@ -86,8 +86,7 @@ def check_distribution_monotonicity(game: Game, p: MixedProfile, tol: float = 1e
     violations = []
     instances = 0
     strict_pairs = 0
-    for i, dist in enumerate(p.distributions):
-        verdict, _ = fosd_table(action_payoff_matrix(game, i), opponent_weights(p.distributions, i))
+    for i, (dist, (verdict, _)) in enumerate(zip(p.distributions, _fosd_by_player(game, p))):
         strict = verdict == DominanceVerdict.STRICT_FOSD
         instances += dist.size * (dist.size - 1)
         strict_pairs += int(strict.sum())
@@ -134,15 +133,14 @@ def check_neutrality(
     if mode not in ("expectation", "distribution"):
         raise ValueError("mode must be 'expectation' or 'distribution'")
     _check_tol(tol)
+    if mode == "expectation":
+        means = [expected_payoffs(game, i, p) for i in range(game.num_players)]
+        equals = [np.abs(m[:, None] - m) <= tol for m in means]
+    else:
+        equals = [verdict == DominanceVerdict.EQUAL for verdict, _ in _fosd_by_player(game, p)]
     violations = []
     instances = 0
-    for i, dist in enumerate(p.distributions):
-        if mode == "expectation":
-            means = expected_payoffs(game, i, p)
-            equal = np.abs(means[:, None] - means) <= tol
-        else:
-            verdict, _ = fosd_table(action_payoff_matrix(game, i), opponent_weights(p.distributions, i))
-            equal = verdict == DominanceVerdict.EQUAL
+    for i, (dist, equal) in enumerate(zip(p.distributions, equals)):
         instances += dist.size * (dist.size - 1) // 2
         for a, b in np.argwhere(np.triu(equal & (np.abs(dist[:, None] - dist) > tol), 1)).tolist():
             violations.append(_pair_violation(game, i, a, b, abs(dist[a] - dist[b])))

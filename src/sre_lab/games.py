@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lotteries import Lottery
+from .lotteries import CDF_TOL, Lottery, _fosd_blocks
 
 PROFILE_SUM_TOL = 1e-12
 
@@ -458,7 +458,8 @@ def opponent_weights(dists: Sequence[np.ndarray], i: int) -> np.ndarray:
 
 def action_payoff_matrix(g: Game, i: int) -> np.ndarray:
     """Player i's payoffs as a matrix (own action) x (flattened opponent profile)."""
-    return np.moveaxis(g.player_payoffs(i), i, 0).reshape(g.action_counts[i], -1)
+    axes = [i] + [j for j in range(g.num_players) if j != i]
+    return g.player_payoffs(i).transpose(axes).reshape(g.action_counts[i], -1)
 
 
 def action_lottery(g: Game, i: int, a: int, p: MixedProfile) -> Lottery:
@@ -473,6 +474,16 @@ def action_lottery(g: Game, i: int, a: int, p: MixedProfile) -> Lottery:
     weights = opponent_weights(p.distributions, i)
     keep = weights > 0
     return Lottery(outcomes[keep], weights[keep])
+
+
+def _fosd_by_player(g: Game, p: MixedProfile) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each player's (verdict, weak) of lotteries.fosd_table on their action lotteries against p's opponents.
+
+    Every player's rows go into one table, compared once; each row is
+    compared only with its own player's rows.
+    """
+    tables = [(action_payoff_matrix(g, i), opponent_weights(p.distributions, i)) for i in range(g.num_players)]
+    return _fosd_blocks(tables, CDF_TOL)
 
 
 def expected_payoffs(g: Game, i: int, p: MixedProfile) -> np.ndarray:

@@ -65,7 +65,7 @@ def _canonical(outcomes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     merged.flat[first] = np.add.reduceat(ws.ravel(), first)
     merged[merged < WEIGHT_FLOOR] = 0.0
     total = merged.sum(axis=1, keepdims=True)
-    if not total.all():
+    if not (total > 0).all():  # NaN fails the test too
         raise ValueError("lottery has no atoms left after filtering")
     return xs, merged / total
 
@@ -195,35 +195,61 @@ def fosd_table(outcomes: np.ndarray, weights: np.ndarray, tol: float = CDF_TOL) 
     verdict[a, b] is fosd_compare(row a, row b) and weak[a, b] is
     weakly_dominates(row a, row b).  Each row is first put in a Lottery's
     canonical form, near ties merged, by the same code as Lottery itself.
-    Each CDF is then read as Lottery.cdf reads it, at every outcome of
-    positive weight, and F_a - F_b is compared over the outcomes of rows a
-    and b only, as fosd_compare compares it: an outcome of a third row
-    within 2 * MERGE_TOL of theirs can fall where neither row's outcomes
-    read.  The differences are formed for a block of rows a at a time, at
-    most FOSD_BLOCK numbers at once.
+    All CDFs then come from one cumulative sum: each row's weights are
+    placed on the table's sorted distinct outcomes and summed along them.
+    A row holds each outcome at most once and adding 0 is exact, so each
+    sum is the row's own running sum of its weights.  The CDFs are read at
+    every outcome + MERGE_TOL, as Lottery.cdf reads them, and F_a - F_b is
+    compared over the outcomes of rows a and b only, as fosd_compare
+    compares it: an outcome of a third row within 2 * MERGE_TOL of theirs
+    can fall where neither row's outcomes read.  The differences are formed
+    for a block of rows a at a time, at most FOSD_BLOCK numbers at once.  A
+    table with no rows gives 0 x 0 results.
     """
-    outcomes = np.asarray(outcomes, dtype=float)
-    xs, ws = _canonical(outcomes, np.broadcast_to(np.asarray(weights, dtype=float), outcomes.shape))
+    return _fosd_blocks([(outcomes, weights)], tol)[0]
+
+
+def _fosd_blocks(tables: Sequence[tuple[np.ndarray, np.ndarray]], tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """fosd_table of each (outcomes, weights) table, all from one canonical form and one cumulative sum.
+
+    The tables are stacked into one, the narrower ones padded with columns
+    of weight 0, and each row is compared only with the rows of its own
+    table.  A pair reads only its own rows' outcomes, so another table's
+    outcomes change no verdict.  Padding can move a row's renormalized
+    weights by an ulp, as numpy's pairwise sum groups a row's terms by its
+    width; a Lottery of the row's held atoms differs from the table's row
+    by the same rounding.
+    """
+    sizes = [len(o) for o, _ in tables]
+    blocks = [slice(end - k, end) for end, k in zip(np.cumsum(sizes).tolist(), sizes)]
+    outcomes = np.zeros((sum(sizes), max(np.shape(o)[1] for o, _ in tables)))
+    weights = np.zeros(outcomes.shape)
+    for (o, w), rows in zip(tables, blocks):
+        outcomes[rows, : np.shape(o)[1]] = o
+        weights[rows, : np.shape(o)[1]] = w
+    xs, ws = _canonical(outcomes, weights)
     held = ws > 0
-    values = np.unique(xs[held])
-    grid = values + MERGE_TOL
-    # own[a, j]: grid[j] reads an outcome of row a.
-    own = np.zeros((len(xs), len(grid)), dtype=bool)
-    own[np.nonzero(held)[0], np.searchsorted(values, xs[held])] = True
-    rows = np.arange(len(xs))[:, None]
-    cum = np.zeros((len(xs), xs.shape[1] + 1))
-    np.cumsum(ws, axis=1, out=cum[:, 1:])
-    # cdfs[a, j]: the weight of row a's outcomes below grid[j].
-    cdfs = cum[rows, [np.searchsorted(x, grid) for x in xs]]
-    # hi[a, b] = max F_a - F_b; the min is -hi[b, a], as x - y = -(y - x) exactly.
-    hi = np.empty((len(cdfs), len(cdfs)))
-    step = max(1, FOSD_BLOCK // cdfs.size)
-    for a in range(0, len(cdfs), step):
-        block = slice(a, a + step)
-        np.max(
-            cdfs[block, None] - cdfs, axis=2, out=hi[block], where=own[block, None] | own, initial=-np.inf
-        )
-    return _verdicts(hi, tol)
+    atoms = xs[held]
+    values = np.unique(atoms)
+    # mass[a, 1 + j]: the weight row a holds at values[j]; column 0 is the 0 below every outcome.
+    mass = np.zeros((len(xs), len(values) + 1))
+    mass[np.nonzero(held)[0], np.searchsorted(values, atoms) + 1] = ws[held]
+    own = mass[:, 1:] > 0
+    # cdfs[a, j]: the weight of row a's outcomes below values[j] + MERGE_TOL.
+    cdfs = np.cumsum(mass, axis=1)[:, np.searchsorted(values, values + MERGE_TOL)]
+    # F_a - F_b at the outcomes of row a, then at those of row b: other points read -inf.
+    left = np.concatenate([np.where(own, cdfs, -np.inf), cdfs], axis=1)
+    right = np.concatenate([cdfs, np.where(own, cdfs, np.inf)], axis=1)
+    # hi[a, b] = max F_a - F_b for rows a and b of one table, 0 elsewhere; the min is
+    # -hi[b, a], as x - y = -(y - x) exactly.
+    hi = np.zeros((len(xs), len(xs)))
+    for rows, k in zip(blocks, sizes):
+        step = max(1, FOSD_BLOCK // max(1, k * left.shape[1]))
+        for a in range(rows.start, rows.stop, step):
+            block = slice(a, min(a + step, rows.stop))
+            np.max(left[block, None] - right[rows], axis=2, out=hi[block, rows])
+    verdict, weak = _verdicts(hi, tol)
+    return [(verdict[rows, rows], weak[rows, rows]) for rows in blocks]
 
 
 def _verdicts(hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -231,6 +257,8 @@ def _verdicts(hi: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
     The min of F_a - F_b is -hi[b, a].
     """
+    if not 0 <= tol < math.inf:  # NaN fails the test too
+        raise ValueError("tol must be nonnegative and finite")
     lo = -hi.T
     strict = max(CDF_STRICT_TOL, 10 * tol)
     below, above = hi <= tol, lo >= -tol

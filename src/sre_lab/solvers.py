@@ -26,11 +26,12 @@ import numpy as np
 from .games import (
     Game,
     MixedProfile,
+    _fosd_by_player,
     action_payoff_matrix,
     opponent_weights,
 )
 from . import symmetry
-from .lotteries import DominanceVerdict, fosd_table
+from .lotteries import DominanceVerdict
 from .statistics import MAStatistic, cgf_branches, cgf_finish, cgf_grids, normalized_cgf
 
 DEDUP_TOL = 1e-6
@@ -1767,8 +1768,7 @@ def verify_fosd_nash(game: Game, p: MixedProfile, support_tol: float = SUPPORT_T
     if not 0 < support_tol < math.inf:  # NaN fails the test too
         raise ValueError("support_tol must be positive and finite")
     violations = []
-    for i, dist in enumerate(p.distributions):
-        verdict, _ = fosd_table(action_payoff_matrix(game, i), opponent_weights(p.distributions, i))
+    for i, (dist, (verdict, _)) in enumerate(zip(p.distributions, _fosd_by_player(game, p))):
         for a, b in np.argwhere(verdict.T == DominanceVerdict.STRICT_FOSD).tolist():
             if dist[a] > support_tol:
                 violations.append(
@@ -1790,10 +1790,9 @@ def verify_fosd_qre(game: Game, p: MixedProfile, tol: float = SUPPORT_TOL) -> li
     if not 0 < tol < math.inf:  # NaN fails the test too
         raise ValueError("tol must be positive and finite")
     violations = []
-    for i, dist in enumerate(p.distributions):
+    for i, (dist, (_, weak)) in enumerate(zip(p.distributions, _fosd_by_player(game, p))):
         for a in np.flatnonzero(dist <= tol).tolist():
             violations.append({"kind": "interiority", "player": i, "action": a, "probability": float(dist[a])})
-        _, weak = fosd_table(action_payoff_matrix(game, i), opponent_weights(p.distributions, i))
         for a, b in np.argwhere(weak & (dist[:, None] < dist - tol)).tolist():
             if a != b:
                 violations.append(

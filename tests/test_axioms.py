@@ -228,7 +228,7 @@ def _differential_cases():
 
 
 class TestOrdinalChecksMatchSlowReference:
-    """The ordinal checks read one CDF comparison per player; the reference compares
+    """The ordinal checks read one CDF comparison per profile; the reference compares
     action_lottery pairs one at a time with fosd_compare and weakly_dominates."""
 
     @pytest.fixture(scope="class")

@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sre_lab import lotteries
 from sre_lab.games import (
     Game,
     MixedProfile,
     PlayerPermutation,
+    _fosd_by_player,
     action_lottery,
+    action_payoff_matrix,
     blow_up,
     blend_games,
     compose,
     compose_generalized,
     is_strategically_equivalent,
     marginal_profiles,
+    opponent_weights,
     permute_players,
     permute_profile,
     product_profile,
@@ -24,6 +28,7 @@ from sre_lab.games import (
     strategic_shift,
     two_player_game,
 )
+from sre_lab.lotteries import DominanceVerdict, fosd_table
 from sre_lab.testgames import make_card_game, make_matching_pennies, make_test_game_gx
 
 
@@ -409,3 +414,41 @@ class TestActionLottery:
             action_lottery(g, 2, 0, MixedProfile.uniform(g))
         with pytest.raises(ValueError):
             action_lottery(g, 0, 5, MixedProfile.uniform(g))
+
+
+class TestFosdByPlayer:
+    """One table for a whole profile gives each player the verdicts of their own fosd_table."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(32)
+        cases = []
+        for n in range(60):
+            counts = tuple(int(k) for k in rng.integers(2, 6, size=2 + n % 3))
+            if len(set(counts)) == 1:  # unequal counts, so the rows have different widths
+                counts = counts[:-1] + (counts[-1] % 5 + 2,)
+            shape = counts + (len(counts),)
+            payoffs = rng.integers(-2, 3, size=shape) + rng.normal(scale=1e-11, size=shape)
+            dists = []
+            for k in counts:
+                w = rng.dirichlet(np.ones(k))
+                w[rng.random(k) < 0.3] = 0.0  # opponents' zero-weight actions
+                w[rng.integers(k)] += 0.1
+                dists.append(w / w.sum())
+            cases.append((Game(counts, payoffs), MixedProfile(tuple(dists))))
+        return cases
+
+    @pytest.mark.parametrize("block", [lotteries.FOSD_BLOCK, 1])
+    def test_blocks_match_per_player_tables(self, monkeypatch, block):
+        monkeypatch.setattr(lotteries, "FOSD_BLOCK", block)
+        strict = 0
+        for g, p in self._cases():
+            blocks = _fosd_by_player(g, p)
+            assert len(blocks) == g.num_players
+            for i, (verdict, weak) in enumerate(blocks):
+                ref_verdict, ref_weak = fosd_table(action_payoff_matrix(g, i), opponent_weights(p.distributions, i))
+                assert verdict.shape == (g.action_counts[i],) * 2
+                assert np.array_equal(verdict, ref_verdict)
+                assert np.array_equal(weak, ref_weak)
+                strict += int(np.count_nonzero(verdict == DominanceVerdict.STRICT_FOSD))
+        assert strict > 100

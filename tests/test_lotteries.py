@@ -254,6 +254,26 @@ class TestFosdTable:
         assert len(set(verdict.ravel())) >= 3
 
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_tolerance_must_be_nonnegative_and_finite(self, tol):
+        x = Lottery.from_pairs([(0.0, 0.5), (1.0, 0.5)])
+        y = Lottery.degenerate(0.0)
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            fosd_compare(x, x, tol=tol)
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            weakly_dominates(x, y, tol=tol)
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            fosd_table(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.5, 0.5]), tol=tol)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="no atoms left"):
+            fosd_table(np.array([[0.0, 1.0], [1.0, 2.0]]), np.array([np.nan, 1.0]))
+
+    def test_no_rows(self):
+        verdict, weak = fosd_table(np.empty((0, 3)), np.full(3, 1 / 3))
+        assert verdict.shape == weak.shape == (0, 0)
+
+
 class TestGridApproximations:
     def test_dyadic_lottery_fixed(self):
         x = Lottery.from_vector([0.0, 1.0])
