@@ -75,6 +75,11 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be nonnegative and finite")
 
 
+def _check_profile(game: Game, p: MixedProfile) -> None:
+    if not p.matches(game):
+        raise ValueError("profile does not match the game")
+
+
 # ---------------------------------------------------------------------------
 # monotonicity and interiority of a concrete profile
 # ---------------------------------------------------------------------------
@@ -83,6 +88,7 @@ def _check_tol(tol: float) -> None:
 def check_distribution_monotonicity(game: Game, p: MixedProfile, tol: float = 1e-9) -> AxiomReport:
     """Strictly dominated lotteries may not be played more than their dominators."""
     _check_tol(tol)
+    _check_profile(game, p)
     violations = []
     instances = 0
     strict_pairs = 0
@@ -104,6 +110,7 @@ def check_distribution_monotonicity(game: Game, p: MixedProfile, tol: float = 1e
 def check_expectation_monotonicity(game: Game, p: MixedProfile, tol: float = 1e-9) -> AxiomReport:
     """Higher expected payoff may not come with strictly lower probability."""
     _check_tol(tol)
+    _check_profile(game, p)
     violations = []
     instances = 0
     for i, dist in enumerate(p.distributions):
@@ -133,6 +140,7 @@ def check_neutrality(
     if mode not in ("expectation", "distribution"):
         raise ValueError("mode must be 'expectation' or 'distribution'")
     _check_tol(tol)
+    _check_profile(game, p)
     if mode == "expectation":
         means = [expected_payoffs(game, i, p) for i in range(game.num_players)]
         equals = [np.abs(m[:, None] - m) <= tol for m in means]
@@ -150,6 +158,7 @@ def check_neutrality(
 def check_rationality(game: Game, p: MixedProfile, tol: float = 1e-7) -> AxiomReport:
     """Strictly dominant actions must receive positive probability."""
     _check_tol(tol)
+    _check_profile(game, p)
     violations = []
     dominant_found = 0
     for i in range(game.num_players):

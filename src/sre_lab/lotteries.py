@@ -45,6 +45,8 @@ def _canonical(outcomes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     outcome, so they start no group.
     """
     present = weights > 0
+    if not present.any(axis=1).all():  # a row with no atom to sort: its outcomes would all read -inf
+        raise ValueError("lottery has no atoms left after filtering")
     xs = np.where(present, outcomes, np.where(present, outcomes, -np.inf).max(axis=1, keepdims=True))
     rows = np.arange(len(xs))[:, None]
     order = np.argsort(xs, axis=1, kind="stable")

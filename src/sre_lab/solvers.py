@@ -72,6 +72,9 @@ _MARGIN_CHUNK = 1 << 16
 # The whole 12x3 card game, 28,665 profiles of which 3,819 survive dismissal,
 # fits under the default limit's 32,768.
 _LISTING_FACTOR = 8
+# The multipliers of a rejected Newton step's seven halvings, powers of two so
+# that each is exactly the step halved that many times.
+_HALVINGS = np.ldexp(1.0, -np.arange(1, 8))[:, None]
 
 
 class SolverError(RuntimeError):
@@ -557,23 +560,34 @@ def _newton(
     nonsingular, and in the least-squares sense when it is not square or a
     square solve finds it singular.  They are capped at 0.5 in the sup
     norm, and a step is taken only if it lowers the residual, halving it up
-    to eight times: far from a root a full step can overshoot into the
+    to seven times: far from a root a full step can overshoot into the
     chart's clipped region.  Both pay on criterion 03's 600 logit solves
     (two Dirichlet starts each): with the full step kept only when it
     lowers the residual, they find 613 fixed points instead of 620, and the
     starts that reach their homotopy paths take 882 continuation steps
     instead of 325; with every full step kept, 614 and 435, and 11,065
     Newton steps on p - T(p) instead of 6,698.
+    A stack's halvings are evaluated together: a row whose full step is
+    rejected has all seven of its halvings evaluated by the next pass's
+    system call, beside the other rows' trial points, and takes the first
+    that lowers its residual, the point that trying them one at a time
+    takes.  A stall then costs two calls instead of eight, and the halvings
+    past the one taken are evaluated for nothing.  One start, (n,), still
+    tries one halving at a time, as _solve_supports and _bordered_newton
+    pass: their systems take one point only.
     """
     single = isinstance(theta, np.ndarray) and theta.ndim == 1
     points = [theta] if single else list(theta)  # each row's accepted point, replaced as it moves
     count = len(points)
     steps, rounds, halvings = [0] * count, [0] * count, [0] * count
     res, f, step = [math.inf] * count, [None] * count, [None] * count  # each row's f and step there
-    # Each pass evaluates the trial points of the rows in `pending`, the starts at first.
-    pending, cand, first = list(range(count)), points, True
-    while pending:
-        if len(pending) == 1:  # a lone point: the unstacked kernels cost less
+    # Each pass evaluates the trial points of the rows in `pending`, the starts at first, and
+    # then the halvings of the rows in `halving`, seven points each.
+    pending, cand, first, halving = list(range(count)), points, True, []
+    while pending or halving:
+        if halving:
+            cand = cand + [x for r in halving for x in points[r] + _HALVINGS * step[r]]
+        if len(cand) == 1:  # a lone point: the unstacked kernels cost less
             f_one, jacobian = system(cand[0])
             f_cand, res_cand = [f_one], [float(np.abs(f_one).max(initial=0.0))]
             jacobians = lambda places, jacobian=jacobian: jacobian()[None]
@@ -583,22 +597,32 @@ def _newton(
             jacobians = lambda places, jacobian=jacobian, size=len(cand): jacobian(
                 None if len(places) == size else np.array(places)
             )
-        starting, following = [], []  # places in the stack that start a step; rows that halve theirs
-        for q, r in enumerate(pending):
+        tried = enumerate(pending)  # (place in the stack, row) of each trial point to accept or reject
+        if halving:  # each row offers its first halving that lowers its residual; with none, it stalls
+            tried, q = list(tried), len(pending)
+            for r in halving:
+                h = next((h for h in range(7) if res_cand[q + h] < res[r]), None)
+                if h is not None:
+                    tried.append((q + h, r))
+                q += 7
+        starting, rows, following, halving = [], [], [], []  # places and rows that start a step
+        for q, r in tried:
             if first or res_cand[q] < res[r]:
                 points[r], f[r], res[r] = cand[q], f_cand[q], res_cand[q]
                 steps[r] += not first
                 # A new point starts a step unless it has converged or its rounds are used up.
                 if not res[r] <= tol and rounds[r] < max_steps:
                     starting.append(q)
-            else:
+                    rows.append(r)
+            elif single:
                 halvings[r] += 1
                 if halvings[r] < 8:  # else no halving lowered this row's residual
                     step[r] = 0.5 * step[r]
                     following.append(r)
+            else:  # a full step, rejected: the next pass tries all its halvings
+                halving.append(r)
         first = False
         if starting:
-            rows = [pending[q] for q in starting]
             jac = jacobians(starting)
             for r in rows:
                 rounds[r] += 1
@@ -941,8 +965,16 @@ def _solve_fixed_point(
        if that is at t >= END_GAME: the corrector stops at CORRECTOR_TOL,
        and near weights of ~1e-8 the chart's clipping could stall it short
        of t = 1.
-    Each start's outcome is the one it reaches when solved alone.
+    Each start's outcome is the one it reaches when solved alone.  The
+    evaluator counts every profile evaluated, the halvings of a rejected
+    Newton step that _newton evaluates together included, past the one
+    taken too.
+    At lam = 0 the response ignores the payoffs, so the uniform profile is
+    the only fixed point (McKelvey & Palfrey, GEB 10, 1995): every start
+    gets it, with residual 0, and nothing is evaluated or counted.
     """
+    if lam == 0:
+        return [([np.full(k, 1.0 / k) for k in evaluator.game.action_counts], 0.0) for _ in starts]
     tol = cfg.tol_fixed_point
     outcomes = _newton_polish(evaluator, lam, starts, tol, tally, max_steps=12)
     left = [r for r, (_, res) in enumerate(outcomes) if not res <= tol]
@@ -1037,13 +1069,21 @@ def _finish_start(
     return None, res
 
 
-def _interior_starts(game: Game, cfg: SolverConfig) -> list[list[np.ndarray]]:
-    """The uniform start and cfg.multistarts Dirichlet starts drawn from cfg.seed."""
-    starts = [[np.full(k, 1.0 / k) for k in game.action_counts]]
-    if cfg.multistarts:  # a lone start draws nothing, so it builds no generator
-        rng = np.random.default_rng(cfg.seed)
-        starts.extend([rng.dirichlet(np.ones(k)) for k in game.action_counts] for _ in range(cfg.multistarts))
-    return starts
+@functools.lru_cache(maxsize=64)
+def _interior_starts(counts: tuple[int, ...], seed: int, multistarts: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The uniform start and multistarts Dirichlet starts drawn from seed.
+
+    Cached per (counts, seed, multistarts), so the arrays are shared, and
+    read-only.
+    """
+    starts = [tuple(np.full(k, 1.0 / k) for k in counts)]
+    if multistarts:  # a lone start draws nothing, so it builds no generator
+        rng = np.random.default_rng(seed)
+        starts.extend(tuple(rng.dirichlet(np.ones(k)) for k in counts) for _ in range(multistarts))
+    for start in starts:
+        for dist in start:
+            dist.flags.writeable = False
+    return tuple(starts)
 
 
 def _dedup(points: Sequence[Sequence[np.ndarray]], tol: float = DEDUP_TOL) -> list[int]:
@@ -1069,17 +1109,23 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     one stack: each round evaluates every start still stepping by one
     PhiEvaluator.values call per player and solves their steps by one
     stacked np.linalg.solve, while each start keeps its own step, halvings
-    and stop, so it reaches the point it reaches alone.  The warm-up and
-    the Newton retry run the starts left in lockstep in the same way, each
-    damped step evaluating every start still stepping by one values call
-    per player.  Only the homotopy paths run one start at a time.
+    and stop, so it reaches the point it reaches alone.  A start whose full
+    step is rejected has all seven halvings of it evaluated in the next
+    round, beside the other starts.  The warm-up and the Newton retry run
+    the starts left in lockstep in the same way, each damped step
+    evaluating every start still stepping by one values call per player.
+    Only the homotopy paths run one start at a time.  At lam = 0 the
+    uniform profile is the only fixed point: every start converges to it,
+    with residual 0, without an evaluation.
     diagnostics: iterations, the damped steps (at most WARM_UP per start);
     newton_steps, the Newton steps on p - T(p); continuation_steps, the
     accepted predictor-corrector steps of the homotopy paths; starts and
     starts_converged; evaluator_calls, the PhiEvaluator.values calls (one
-    per player per evaluation of the profile, a stacked call counting one
-    per profile in it); and jacobians, the Jacobians of p - T(p) built, by
-    Newton and by the homotopy paths alike, one per start each time.
+    per player per profile evaluated, a stacked call counting one per
+    profile in it, so the halvings of a rejected step that are evaluated
+    but not taken count too); and jacobians, the Jacobians of p - T(p)
+    built, by Newton and by the homotopy paths alike, one per start each
+    time.
 
     At least one fixed point exists for every game and lambda >= 0; if no
     start converges a SolverError is raised rather than returning an empty
@@ -1089,7 +1135,7 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
         raise ValueError("lambda must be finite and nonnegative")
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
-    starts = _interior_starts(game, cfg)
+    starts = _interior_starts(tuple(game.action_counts), cfg.seed, cfg.multistarts)
     tally = Counter()
     outcomes = _solve_fixed_point(evaluator, lam, starts, cfg, tally)
 
@@ -1132,7 +1178,8 @@ def homotopy_trace(
     """Warm-started continuation of logit fixed points along increasing lambda.
 
     Each grid point is solved from the previous point's fixed point by
-    _solve_fixed_point, as one start of solve_lqre is.  Past a fold of the
+    _solve_fixed_point, as one start of solve_lqre is; the first, lambda =
+    0, is the uniform profile, exactly.  Past a fold of the
     branch no fixed point is near; the damped warm-up or the start's
     homotopy path then reaches one on another branch, and the trace jumps
     there.  Raises HomotopyBreakdown (carrying the partial trace and last

@@ -149,6 +149,30 @@ def test_profile_checks_reject_a_tolerance_that_is_not_nonnegative_and_finite(na
         check(g, p, tol=tol)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_distribution_monotonicity,
+        check_expectation_monotonicity,
+        lambda g, p: check_neutrality(g, p, mode="expectation"),
+        lambda g, p: check_neutrality(g, p, mode="distribution"),
+        check_rationality,
+    ],
+    ids=[
+        "distribution-monotonicity",
+        "expectation-monotonicity",
+        "expectation-neutrality",
+        "distribution-neutrality",
+        "rationality",
+    ],
+)
+def test_profile_checks_reject_a_profile_that_does_not_match_the_game(check):
+    # Matching pennies with a first player of 3 actions.
+    p = MixedProfile((np.full(3, 1 / 3), np.array([0.5, 0.5])))
+    with pytest.raises(ValueError, match="profile does not match the game"):
+        check(make_matching_pennies(), p)
+
+
 def _reference_reports(g, p):
     """What the four ordinal checks report, from one fosd_compare and one weakly_dominates
     per ordered pair of action_lottery's lotteries."""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,6 +270,17 @@ class TestFosdTable:
     def test_nan_weight_rejected(self):
         with pytest.raises(ValueError, match="no atoms left"):
             fosd_table(np.array([[0.0, 1.0], [1.0, 2.0]]), np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize(
+        "outcomes, weights",
+        [(np.zeros((2, 2)), [0.0, 0.0]), (np.empty((2, 0)), np.empty(0))],
+        ids=["no-positive-weight", "no-columns"],
+    )
+    def test_rows_without_atoms_rejected_without_a_warning(self, outcomes, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lottery has no atoms left after filtering"):
+                fosd_table(outcomes, weights)
 
     def test_no_rows(self):
         verdict, weak = fosd_table(np.empty((0, 3)), np.full(3, 1 / 3))

@@ -190,6 +190,45 @@ class TestSolveLqre:
         assert len(res.profiles) == 1
         np.testing.assert_allclose(res.profiles[0].distributions[0], softmax, atol=1e-12)
 
+    @pytest.mark.parametrize("index", [1, 112], ids=["2p-4x2", "3p-2x2x4"])
+    @pytest.mark.parametrize(
+        "phi",
+        [EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.3), (2.0, 0.7))), K_PAIR],
+        ids=["mean", "mmm", "extreme", "kpair"],
+    )
+    def test_lambda_zero_is_uniform_without_evaluating(self, index, phi):
+        # At lambda = 0 the response ignores the payoffs: every start gets the
+        # uniform profile, exactly, and nothing is evaluated.
+        rng = np.random.default_rng(777)
+        game = [random_game(rng) for _ in range(index + 1)][index]
+        res = solve_lqre(game, phi, 0.0, FAST)
+        [profile] = res.profiles
+        for dist, k in zip(profile.distributions, game.action_counts):
+            assert dist.tolist() == np.full(k, 1.0 / k).tolist()
+        assert res.residuals == [0.0]
+        d = res.diagnostics
+        assert d["evaluator_calls"] == d["newton_steps"] == d["jacobians"] == 0
+        assert d["starts_converged"] == d["starts"] == FAST.multistarts + 1
+        lam, first = homotopy_trace(game, phi, 1.0, 3, FAST)[0]
+        assert lam == 0.0
+        assert [dist.tolist() for dist in first.distributions] == [dist.tolist() for dist in profile.distributions]
+
+    def test_interior_starts_are_drawn_once_and_read_only(self, monkeypatch):
+        counts, seed = (2, 4, 2), 3
+        want = np.random.default_rng(seed)
+        want = [[want.dirichlet(np.ones(k)) for k in counts] for _ in range(2)]
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: built.append(args) or default_rng(*args))
+        solvers._interior_starts.cache_clear()
+        starts = solvers._interior_starts(counts, seed, 2)
+        assert len(built) == 1 and len(starts) == 3
+        assert [d.tolist() for d in starts[0]] == [np.full(k, 1.0 / k).tolist() for k in counts]
+        for got, drawn in zip(starts[1:], want):
+            assert [d.tolist() for d in got] == [d.tolist() for d in drawn]
+        assert not any(d.flags.writeable for start in starts for d in start)
+        assert solvers._interior_starts(counts, seed, 2) is starts and len(built) == 1
+
     def test_vmp_regression_fixture(self):
         res = solve_lqre(make_vmp(), EXPECTATION, 1.0, FAST)
         assert len(res.profiles) == 1
@@ -235,20 +274,33 @@ class TestSolveLqre:
         assert res.diagnostics["starts_converged"] >= 1
 
     def test_iterations_count_damped_steps_apart_from_newton_steps(self):
-        # At lambda = 0 the response is uniform: the uniform start is already
-        # the fixed point, and each random start needs one Newton step on an
-        # affine residual.  No damped iteration runs.  Each start evaluates
-        # both players' values once, and each random start once more after
-        # its one Jacobian: 2 + 2 * 4 values calls.
+        # At lambda = 0 the response is uniform, so the uniform profile is the
+        # only fixed point: every start gets it without an evaluation.
         d = solve_lqre(make_vmp(), EXPECTATION, 0.0, SolverConfig(multistarts=2)).diagnostics
         assert d == {
             "iterations": 0,
-            "newton_steps": 2,
+            "newton_steps": 0,
             "continuation_steps": 0,
             "starts": 3,
             "starts_converged": 3,
-            "evaluator_calls": 10,
-            "jacobians": 2,
+            "evaluator_calls": 0,
+            "jacobians": 0,
+        }
+        # Criterion 03's corpus game 4 (2x4x2) under the mean at lambda = 5:
+        # all three starts take the damped warm-up, 16 steps each, and two go
+        # on to their homotopy paths.  evaluator_calls counts the speculative
+        # halvings of rejected Newton steps too.
+        rng = np.random.default_rng(777)
+        game = [random_game(rng) for _ in range(5)][4]
+        d = solve_lqre(game, EXPECTATION, 5.0, SolverConfig(multistarts=2, max_iters=20_000)).diagnostics
+        assert d == {
+            "iterations": 48,
+            "newton_steps": 35,
+            "continuation_steps": 20,
+            "starts": 3,
+            "starts_converged": 3,
+            "evaluator_calls": 816,
+            "jacobians": 108,
         }
 
     def test_evaluator_calls_and_jacobians_match_counters(self, monkeypatch):
@@ -1185,7 +1237,7 @@ class TestLockstepStarts:
         game = [random_game(rng) for _ in range(index + 1)][index]
         assert game.action_counts == counts
         cfg = SolverConfig(multistarts=2, max_iters=20_000)
-        starts = solvers._interior_starts(game, cfg)
+        starts = solvers._interior_starts(game.action_counts, cfg.seed, cfg.multistarts)
         together = Counter()
         outcomes = solvers._solve_fixed_point(PhiEvaluator(game, phi), 5.0, starts, cfg, together)
         assert polished[:2] == [(3, 12), (3, 40)] and len(finished) == paths
@@ -1198,6 +1250,52 @@ class TestLockstepStarts:
             for got, want in zip(dists, dists_alone):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert together == alone
+
+    @staticmethod
+    def _scaled_identity(scale):
+        # f(theta) = theta with the Jacobian scale * I: a wrong scale sends every
+        # full step too far (0 < scale < 1) or the wrong way (scale < 0).  Its
+        # arithmetic is exact, so a stack and a lone point evaluate alike.
+        def system(theta):
+            def jacobian(rows=None):
+                count = len(theta) if rows is None else len(rows)
+                return np.full((count, 1, 1), scale) if theta.ndim > 1 else np.full((1, 1), scale)
+
+            return theta.copy(), jacobian
+
+        return system
+
+    @staticmethod
+    def _counted(system, calls):
+        def counted(theta):
+            calls.append(theta.shape)
+            return system(theta)
+
+        return counted
+
+    def test_a_stalled_row_tries_its_halvings_in_one_call(self):
+        # Each full step of the wrong-way system doubles |theta|, and each of
+        # its seven halvings still raises it: the row at 0.5 stalls after
+        # 8 trial points, the full step in one call and the halvings in one more.
+        calls = []
+        theta, f, steps = _newton(
+            self._counted(self._scaled_identity(-1.0), calls), np.array([[0.0], [0.5]]), 1e-12, 12
+        )
+        assert calls == [(2, 1), (1,), (7, 1)]
+        assert [t.tolist() for t in theta] == [[0.0], [0.5]] and steps == [0, 0]
+
+    def test_a_row_takes_the_first_halving_that_lowers_its_residual(self):
+        # From 0.05 the overshooting system's full step lands on -0.45, and its
+        # first two halvings on -0.2 and -0.075, none below 0.05 in size; the
+        # third lands on -0.0125.  The stacked row takes the point it takes
+        # alone, where the four trial points cost four calls.
+        system = self._scaled_identity(0.1)
+        calls, alone_calls = [], []
+        theta, f, steps = _newton(self._counted(system, calls), np.array([[0.0], [0.05]]), 1e-12, 1)
+        alone, f_alone, steps_alone = _newton(self._counted(system, alone_calls), np.array([0.05]), 1e-12, 1)
+        assert calls == [(2, 1), (1,), (7, 1)] and len(alone_calls) == 5
+        assert theta[1].tolist() == alone.tolist() == [0.05 - 0.5 / 8]
+        assert f[1].tolist() == f_alone.tolist() and steps == [0, 1] and steps_alone == 1
 
     def test_a_singular_row_alone_takes_least_squares(self, monkeypatch):
         # The unit circle cut by x = y: the Jacobian [[2x, 2y], [1, -1]] is
