@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -375,6 +376,8 @@ def strategic_shift(g: Game, shifts: Sequence[np.ndarray]) -> Game:
 
 def is_strategically_equivalent(g: Game, h: Game, tol: float = 1e-9) -> bool:
     """True when all marginal utilities of switching own actions coincide within tol."""
+    if not 0 <= tol < math.inf:  # NaN fails the test too
+        raise ValueError("tol must be nonnegative and finite")
     if g.action_counts != h.action_counts:
         raise ValueError("games must share action sets")
     for i in range(g.num_players):

@@ -165,8 +165,11 @@ class PhiEvaluator:
     finite atom in the mean branch), the derivative blocks themselves, in
     self.others order, also laid out once over the concatenated profile
     (constant_dv), where each logit Jacobian starts from them.
-    All are read-only, as values hands them out as they are.  calls counts
-    values calls, one per profile, for diagnostics.
+    All are read-only, as values hands them out as they are.  counts, one
+    Counter, holds the work done with the plan, for diagnostics:
+    "evaluator_calls", the profiles that values evaluated, kept by values
+    itself, and "iterations", "newton_steps", "continuation_steps" and
+    "jacobians", kept by the logit solver's stages (see _solve_fixed_point).
     """
 
     def __init__(self, game: Game, phi: MAStatistic):
@@ -184,9 +187,7 @@ class PhiEvaluator:
         self.others = [[j for j in range(self.n) if j != i] for i in range(self.n)]
         # Player i's table shaped (actions of i, *actions of each opponent).
         self.shapes = [(counts[i], *(counts[j] for j in self.others[i])) for i in range(self.n)]
-        self.calls = 0
-        # (player, stack size) -> the player's row minima and maxima repeated for a stack, built once.
-        self.stacked_bounds: dict = {}
+        self.counts = Counter()
         # Per player: the -inf/+inf term at the pure extremes (None without
         # such atoms); the grids stacked by rows, shaped (grid rows, *opponent
         # actions); whether the first grid is the mean branch's weighted
@@ -246,8 +247,8 @@ class PhiEvaluator:
 
         Each mix is one vector, or a stack of them with a leading batch axis,
         (B x actions), one row per profile; the values then come as (B x
-        actions), and calls counts B.  A stack is evaluated with
-        boundary_pure=True, the logit response's mode.
+        actions), and counts["evaluator_calls"] counts B.  A stack is
+        evaluated with boundary_pure=True, the logit response's mode.
 
         boundary_pure=True evaluates the -inf/+inf atoms as pure-strategy
         min/max over all opponent profiles (the continuous logit functional);
@@ -257,11 +258,12 @@ class PhiEvaluator:
         by one matmul over all its profiles and each other by a product summed
         per profile; the mean branch's rows are its weighted value, and each
         other branch is finished once, its atoms and the stack's profiles
-        stacked, by statistics.cgf_finish.  Where a branch's terms underflowed
-        on some row at the pure shift (cgf_finish returns None), each profile
-        of the stack is finished on its own, and a profile whose terms
-        underflowed is evaluated atom by atom by normalized_cgf instead, which
-        re-shifts to the reached support.
+        stacked, by statistics.cgf_finish, which takes a stack's (grids x
+        actions x B) layout with each action's bounds as a column.  Where a
+        branch's terms underflowed on some row at the pure shift (cgf_finish
+        returns None), each profile of the stack is finished on its own, and
+        a profile whose terms underflowed is evaluated atom by atom by
+        normalized_cgf instead, which re-shifts to the reached support.
 
         grad=True returns (values, blocks).  blocks(rows=None) builds player
         i's derivative blocks for the given rows of the stack (all of them by
@@ -280,15 +282,17 @@ class PhiEvaluator:
         k = shape[0]
         mixes = [dists[j] for j in self.others[i]]
         stack = dists[i].ndim > 1
-        self.calls += len(dists[i]) if stack else 1
+        self.counts["evaluator_calls"] += len(dists[i]) if stack else 1
         out = self.pure_extremes[i]
         if out is not None and not boundary_pure and not all((d > 0).all() for d in mixes):
             reached = self.tables[i][:, opponent_weights(dists, i) > 0]
             out = self._extremes(reached.min(axis=1), reached.max(axis=1))
         sums = self.grids[i]
+        lo, hi = self.pure_min[i], self.pure_max[i]
         if stack:  # the profiles along a last axis: one matmul for the last opponent, then one product each
             count = len(dists[i])
             out = None if out is None else out[:, None]
+            lo, hi = lo[:, None], hi[:, None]
             if mixes:
                 sums = sums.reshape(-1, shape[-1]) @ mixes[-1].T
             else:
@@ -305,10 +309,7 @@ class PhiEvaluator:
         coefs, slopes = [], []
         for a, w, rows in self.finishes[i]:
             part = sums[rows]
-            if stack:
-                finished = self._finish_stack(i, part, a, w, grad)
-            else:
-                finished = cgf_finish(part, a, w, self.pure_min[i], self.pure_max[i], self.spread[i], grad)
+            finished = cgf_finish(part, a, w, lo, hi, self.spread[i], grad)
             if finished is None:  # some row's terms underflowed: finish each profile on its own
                 value, coef, slope = self._finish_each(i, dists, part, a, w, grad)
                 slopes.append(slope)
@@ -337,37 +338,13 @@ class PhiEvaluator:
                 curved = self.grids[i][k:] if self.linear[i] else self.grids[i]
                 if stack:  # each profile's coefficients on the grids: (profiles x grid rows x actions)
                     coef = (coef if rows is None else coef[:, :, rows]).transpose(2, 0, 1)
-                    tilted = coef.reshape(len(coef), -1, *(1 for _ in mixes)) * curved
-                    if coef.shape[1] > 1:
-                        tilted = tilted.reshape(*coef.shape, *shape[1:]).sum(axis=1)
-                else:
-                    tilted = coef.reshape(-1, *(1 for _ in mixes)) * curved
-                    if len(coef) > 1:
-                        tilted = tilted.reshape(len(coef), *shape).sum(axis=0)
+                tilted = coef.reshape(*coef.shape[:-2], -1, *(1 for _ in mixes)) * curved
+                if coef.shape[-2] > 1:  # several grid rows per action: sum them
+                    tilted = tilted.reshape(*coef.shape, *shape[1:]).sum(axis=-1 - len(shape))
                 weighted = tilted if weighted is None else tilted + weighted
             return _partials(sum(grads, weighted), picked_mixes)
 
         return out, build
-
-    def _finish_stack(self, i: int, part: np.ndarray, a: np.ndarray, w: np.ndarray, grad: bool):
-        """cgf_finish on a stack's contracted grids, (grids x actions x B), as actions * B rows.
-
-        Each row's minimum and maximum is repeated for the B profiles;
-        returns cgf_finish's result shaped back, values (actions x B) and
-        coefficients (grids x actions x B), or None as it does.
-        """
-        r, k, count = part.shape
-        bounds = self.stacked_bounds.get((i, count))
-        if bounds is None:
-            bounds = (np.repeat(self.pure_min[i], count), np.repeat(self.pure_max[i], count))
-            self.stacked_bounds[i, count] = bounds
-        finished = cgf_finish(part.reshape(r, -1), a, w, *bounds, self.spread[i], grad)
-        if finished is None:
-            return None
-        if not grad:
-            return finished.reshape(k, count)
-        value, coef = finished
-        return value.reshape(k, count), coef.reshape(r, k, count)
 
     def _finish_each(self, i: int, dists, part: np.ndarray, a: np.ndarray, w: np.ndarray, grad: bool):
         """One branch finished for each profile on its own: (values, coefficients, slopes).
@@ -493,30 +470,41 @@ def _dists_from_theta(
     lists its actions in increasing order, so a full one is range(k).  The
     mixes are filled in place as consecutive views of one vector, the
     concatenated profile: out when it is given, else a new one.
+    theta may be one point or a stack of them, (B x free), filled into a
+    (B x actions) profile, each mix then a (B x k) view.  A stack is filled
+    through its transpose, one column per point, by the same slices as one
+    point; a row with a weight to cut is filled again alone, so every row
+    equals its own fill, bit for bit.
     """
-    profile = np.empty(sum(counts)) if out is None else out
+    stack = theta.ndim > 1
+    out = np.empty((len(theta), sum(counts)) if stack else sum(counts)) if out is None else out
+    profile, coords = (out.T, theta.T) if stack else (out, theta)
     dists = []
     pos = end = 0
     for sup, k in zip(supports, counts):
         vec = profile[end : end + k]
         end += k
-        head = theta[pos : pos + len(sup) - 1]
+        head = coords[pos : pos + len(sup) - 1]
         pos += len(sup) - 1
         if len(sup) == k:  # the full support: no unplayed actions to leave at zero
             vec[:-1] = head
-            vec[-1] = 1.0 - head.sum()
+            vec[-1] = 1.0 - np.add.reduce(head)  # head.sum(axis=0), without the method's wrapper
         else:
             idx = list(sup)
             vec.fill(0.0)
             vec[idx[:-1]] = head
-            vec[idx[-1]] = 1.0 - head.sum()
+            vec[idx[-1]] = 1.0 - np.add.reduce(head)
         dists.append(vec)
-    if profile.min() < 0.0:
-        for vec in dists:
-            if vec.min() < 0.0:
-                np.maximum(vec, 0.0, out=vec)
-                vec /= vec.sum()
-    return dists
+    if out.min() < 0.0:
+        if stack:
+            for r in np.flatnonzero(out.min(axis=1) < 0.0).tolist():
+                _dists_from_theta(theta[r], supports, counts, out=out[r])
+        else:
+            for vec in dists:
+                if vec.min() < 0.0:
+                    np.maximum(vec, 0.0, out=vec)
+                    vec /= vec.sum()
+    return [vec.T for vec in dists] if stack else dists
 
 
 def _chart_columns(cols: np.ndarray) -> np.ndarray:
@@ -672,13 +660,12 @@ def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _full_chart(counts: tuple[int, ...]):
     """The full-support chart of a game with these action counts, as arrays.
 
-    Returns (starts, free, owner, chart, identity, corner): where each
-    player's mix starts in the concatenated profile p (and its length), the
-    places of the free coordinates in p, the player of each place in p,
-    chart, whose column t is the change of p as free coordinate t rises (see
-    _chart_columns), the identity on the free coordinates, and p where every
-    free coordinate is 0 (so p = chart @ theta + corner inside the
-    simplex).  Cached per shape, so the arrays are shared, and read-only.
+    Returns (starts, free, owner, chart, identity): where each player's mix
+    starts in the concatenated profile p (and its length), the places of the
+    free coordinates in p, the player of each place in p, chart, whose
+    column t is the change of p as free coordinate t rises (see
+    _chart_columns), and the identity on the free coordinates.  Cached per
+    shape, so the arrays are shared, and read-only.
     """
     starts = tuple(itertools.accumulate(counts, initial=0))
     free = np.array([q for i, k in enumerate(counts) for q in range(starts[i], starts[i] + k - 1)], dtype=int)
@@ -687,15 +674,13 @@ def _full_chart(counts: tuple[int, ...]):
     chart = np.zeros((starts[-1], free.size))
     chart[free, np.arange(free.size)] = 1.0
     chart[last[owner[free]], np.arange(free.size)] = -1.0
-    corner = np.zeros(starts[-1])
-    corner[last] = 1.0
-    arrays = (free, owner, chart, np.eye(free.size), corner)
+    arrays = (free, owner, chart, np.eye(free.size))
     for array in arrays:
         array.flags.writeable = False
     return (starts, *arrays)
 
 
-def _logit_system(evaluator: PhiEvaluator, lam: float, tally: Optional[Counter] = None):
+def _logit_system(evaluator: PhiEvaluator, lam: float):
     """p - T(p) on the free coordinates of the full-support chart, with its exact Jacobian.
 
     The profile is evaluated once: _dists_from_theta fills the chart into
@@ -704,17 +689,17 @@ def _logit_system(evaluator: PhiEvaluator, lam: float, tally: Optional[Counter] 
     lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.  The
     Jacobian is I - dT/dp taken to the chart: its free rows, times the
     chart's columns.  The rows of dv/dp whose blocks are constant come
-    from the evaluator's constant_dv.  tally["jacobians"], when tally is
-    given, counts the Jacobians built.
+    from the evaluator's constant_dv.  The evaluator's counts["jacobians"]
+    counts the Jacobians built.
     The system takes one point, theta, or a stack of them, (B x free), as
-    _newton does.  A stack fills its chart by one product with the chart's
-    columns (a row with a weight to cut is filled by _dists_from_theta), is
-    evaluated by one values call per player and one softmax, and its
-    jacobian(rows=None) builds the Jacobians of the given rows (all by
-    default) together, (rows x free x free), counting one per row.
+    _newton does.  A stack fills its chart by one _dists_from_theta into a
+    (B x actions) p, is evaluated by one values call per player and one
+    softmax, and its jacobian(rows=None) builds the Jacobians of the given
+    rows (all by default) together, (rows x free x free), counting one per
+    row.
     """
     counts = evaluator.game.action_counts
-    starts, free, owner, chart, identity, corner = _full_chart(tuple(counts))
+    starts, free, owner, chart, identity = _full_chart(tuple(counts))
     full = [range(k) for k in counts]
     heads = starts[:-1]
     moving = [i for i, blocks in enumerate(evaluator.constant_blocks) if blocks is None]
@@ -722,14 +707,8 @@ def _logit_system(evaluator: PhiEvaluator, lam: float, tally: Optional[Counter] 
 
     def system(theta: np.ndarray):
         stack = theta.ndim > 1
-        if stack:  # the chart for every row at once; a row with a weight to cut is filled on its own
-            p = theta @ chart.T + corner
-            for r in np.flatnonzero(p.min(axis=1) < 0.0).tolist():
-                _dists_from_theta(theta[r], full, counts, out=p[r])
-            dists = [p[:, a:b] for a, b in zip(starts[:-1], starts[1:])]
-        else:
-            p = np.empty(starts[-1])
-            dists = _dists_from_theta(theta, full, counts, out=p)
+        p = np.empty((len(theta), starts[-1]) if stack else starts[-1])
+        dists = _dists_from_theta(theta, full, counts, out=p)
         parts = [evaluator.values(i, dists, boundary_pure=True, grad=True) for i in range(evaluator.n)]
         s = _logit([v for v, _ in parts], lam, starts, owner)
         f = (p - s)[:, free] if stack else (p - s)[free]
@@ -744,8 +723,7 @@ def _logit_system(evaluator: PhiEvaluator, lam: float, tally: Optional[Counter] 
             else:
                 sc = s[:, None]
                 dv = blocks = fixed.copy() if moving else fixed
-            if tally is not None:
-                tally["jacobians"] += sc.shape[1] if stack else 1
+            evaluator.counts["jacobians"] += sc.shape[1] if stack else 1
             for i in moving:
                 for j, block in zip(evaluator.others[i], parts[i][1](rows)):
                     blocks[..., starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
@@ -764,7 +742,6 @@ def _newton_polish(
     lam: float,
     profiles: Sequence[Sequence[np.ndarray]],
     tol: float,
-    tally: Counter,
     max_steps: int = 40,
 ) -> list[tuple[list[np.ndarray], float]]:
     """Newton iteration on p - T(p) = 0 from some profiles in lockstep; works at unstable fixed points too.
@@ -773,16 +750,16 @@ def _newton_polish(
     rest), which removes the normalization null space from the
     least-squares step.  The profiles run as one stack through _newton.
     Returns (dists, sup-norm residual) for each profile; the Newton steps
-    taken are counted in tally["newton_steps"] and the Jacobians built in
-    tally["jacobians"] (see _logit_system).
+    taken are counted in the evaluator's counts["newton_steps"] and the
+    Jacobians built in its counts["jacobians"] (see _logit_system).
     """
     counts = evaluator.game.action_counts
     # Both p and T(p) sum to one, so the eliminated coordinate's residual is
     # minus the block sum of the free ones: drive the free residual below
     # tol / max block size, and read the sup-norm residual off it.
     thetas = [np.concatenate([d[:-1] for d in dists]) for dists in profiles]
-    thetas, f, steps = _newton(_logit_system(evaluator, lam, tally), thetas, tol / max(counts), max_steps)
-    tally["newton_steps"] += sum(steps)
+    thetas, f, steps = _newton(_logit_system(evaluator, lam), thetas, tol / max(counts), max_steps)
+    evaluator.counts["newton_steps"] += sum(steps)
     ends = list(itertools.accumulate(k - 1 for k in counts))
     full = [range(k) for k in counts]
     out = []
@@ -905,15 +882,15 @@ def _bordered_newton(system, pred: np.ndarray, border: np.ndarray, tol: float):
     return z, True, contraction, jacobian()
 
 
-def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, theta0: np.ndarray, tally: Counter):
+def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, theta0: np.ndarray):
     """The fixed-point homotopy on the full-support chart, with its exact Jacobian.
 
     H(theta, t) = (1 - t)(theta - theta0) + t f(theta), where f(theta) =
-    theta - T(theta) is _logit_system's residual, whose Jacobians are
-    counted in tally.  Its Jacobian is [(1 - t)I + tJ | f - (theta -
+    theta - T(theta) is _logit_system's residual, whose Jacobians the
+    evaluator counts.  Its Jacobian is [(1 - t)I + tJ | f - (theta -
     theta0)], J being f's.
     """
-    logit = _logit_system(evaluator, lam, tally)
+    logit = _logit_system(evaluator, lam)
 
     def system(y: np.ndarray):
         theta, t = y[:-1], y[-1]
@@ -935,16 +912,15 @@ def _solve_fixed_point(
     lam: float,
     starts: Sequence[list[np.ndarray]],
     cfg: SolverConfig,
-    tally: Counter,
 ) -> list[tuple[Optional[list[np.ndarray]], float]]:
     """Fixed points of the logit response reached from each of some starts.
 
     Returns (dists or None, residual) for each start.  The work is counted
-    in tally: the damped steps in "iterations", the Newton steps on
-    p - T(p) in "newton_steps", the path's accepted steps in
+    in the evaluator's counts: the damped steps in "iterations", the Newton
+    steps on p - T(p) in "newton_steps", the path's accepted steps in
     "continuation_steps" and the Jacobians of p - T(p) built in
-    "jacobians".  Each stage runs only for the starts that the one before
-    leaves unconverged:
+    "jacobians", beside the profiles evaluated in "evaluator_calls".  Each
+    stage runs only for the starts that the one before leaves unconverged:
     1. Newton from the start (12 steps), every start in lockstep: one
        _newton_polish on the stack of starts, so each round of it evaluates
        all the starts still stepping by one values call per player.  Unstable
@@ -968,7 +944,8 @@ def _solve_fixed_point(
     Each start's outcome is the one it reaches when solved alone.  The
     evaluator counts every profile evaluated, the halvings of a rejected
     Newton step that _newton evaluates together included, past the one
-    taken too.
+    taken too; its counts add up over calls, so a caller that solves on
+    one evaluator more than once reads the total.
     At lam = 0 the response ignores the payoffs, so the uniform profile is
     the only fixed point (McKelvey & Palfrey, GEB 10, 1995): every start
     gets it, with residual 0, and nothing is evaluated or counted.
@@ -976,19 +953,19 @@ def _solve_fixed_point(
     if lam == 0:
         return [([np.full(k, 1.0 / k) for k in evaluator.game.action_counts], 0.0) for _ in starts]
     tol = cfg.tol_fixed_point
-    outcomes = _newton_polish(evaluator, lam, starts, tol, tally, max_steps=12)
+    outcomes = _newton_polish(evaluator, lam, starts, tol, max_steps=12)
     left = [r for r, (_, res) in enumerate(outcomes) if not res <= tol]
     if not left:
         return outcomes
     froms = [outcomes[r][0] if outcomes[r][1] < math.inf else starts[r] for r in left]
-    for r, outcome in zip(left, _warm_up(evaluator, lam, froms, tol, tally)):
+    for r, outcome in zip(left, _warm_up(evaluator, lam, froms, tol)):
         outcomes[r] = outcome
     left = [r for r in left if not outcomes[r][1] <= tol]
-    for r, (p, pres) in zip(left, _newton_polish(evaluator, lam, [outcomes[r][0] for r in left], tol, tally)):
+    for r, (p, pres) in zip(left, _newton_polish(evaluator, lam, [outcomes[r][0] for r in left], tol)):
         if pres <= tol:
             outcomes[r] = p, pres
         else:
-            outcomes[r] = _finish_start(evaluator, lam, starts[r], min(outcomes[r][1], pres), cfg, tally)
+            outcomes[r] = _finish_start(evaluator, lam, starts[r], min(outcomes[r][1], pres), cfg)
     return outcomes
 
 
@@ -997,7 +974,6 @@ def _warm_up(
     lam: float,
     profiles: Sequence[Sequence[np.ndarray]],
     tol: float,
-    tally: Counter,
 ) -> list[tuple[list[np.ndarray], float]]:
     """WARM_UP damped steps at DAMPING from some profiles in lockstep.
 
@@ -1006,8 +982,8 @@ def _warm_up(
     lone profile is evaluated unstacked, as the unstacked kernels cost less.
     A profile stops at its first iterate within tol of its response.
     Returns each profile's best iterate, the one of least sup-norm residual
-    |p - T(p)|, with that residual; the steps taken are counted in
-    tally["iterations"].
+    |p - T(p)|, with that residual; the steps taken are counted in the
+    evaluator's counts["iterations"].
     """
     starts = _full_chart(tuple(evaluator.game.action_counts))[0]
     places = list(zip(starts[:-1], starts[1:]))
@@ -1017,7 +993,7 @@ def _warm_up(
     for _ in range(WARM_UP):
         if not live:
             break
-        tally["iterations"] += len(live)
+        evaluator.counts["iterations"] += len(live)
         p = np.array([points[r] for r in live])
         stack = p if len(live) > 1 else p[0]
         t = np.concatenate(_response(evaluator, lam, [stack[..., a:b] for a, b in places]), axis=-1)
@@ -1040,7 +1016,6 @@ def _finish_start(
     start: list[np.ndarray],
     res: float,
     cfg: SolverConfig,
-    tally: Counter,
 ) -> tuple[Optional[list[np.ndarray]], float]:
     """Stage 3 of _solve_fixed_point for one start, whose least residual so far is res.
 
@@ -1052,18 +1027,18 @@ def _finish_start(
     # reaching t < 0 means the corrector jumped to another path: give up.
     theta0 = np.concatenate([d[:-1] for d in start])
     y, _, accepted = _continue(
-        _fixed_point_homotopy(evaluator, lam, theta0, tally),
+        _fixed_point_homotopy(evaluator, lam, theta0),
         np.append(theta0, 0.0),
         1.0,
         cfg.max_iters,
         CORRECTOR_TOL,
         visit=lambda y: y[-1] < 0.0,
     )
-    tally["continuation_steps"] += accepted
+    evaluator.counts["continuation_steps"] += accepted
     if y[-1] >= END_GAME:
         counts = evaluator.game.action_counts
         end = _dists_from_theta(y[:-1], [range(k) for k in counts], counts)
-        [(polished, pres)] = _newton_polish(evaluator, lam, [end], tol, tally)
+        [(polished, pres)] = _newton_polish(evaluator, lam, [end], tol)
         if pres <= tol:
             return polished, pres
     return None, res
@@ -1125,7 +1100,8 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     profile in it, so the halvings of a rejected step that are evaluated
     but not taken count too); and jacobians, the Jacobians of p - T(p)
     built, by Newton and by the homotopy paths alike, one per start each
-    time.
+    time.  All but starts and starts_converged are read off the counts of
+    the solve's own PhiEvaluator.
 
     At least one fixed point exists for every game and lambda >= 0; if no
     start converges a SolverError is raised rather than returning an empty
@@ -1136,8 +1112,7 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
     starts = _interior_starts(tuple(game.action_counts), cfg.seed, cfg.multistarts)
-    tally = Counter()
-    outcomes = _solve_fixed_point(evaluator, lam, starts, cfg, tally)
+    outcomes = _solve_fixed_point(evaluator, lam, starts, cfg)
 
     found = [(dists, res) for dists, res in outcomes if dists is not None]
     if not found:
@@ -1148,13 +1123,13 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     profiles = [MixedProfile(tuple(found[r][0])) for r in kept]
     residuals = [found[r][1] for r in kept]
     diagnostics = {
-        "iterations": tally["iterations"],
-        "newton_steps": tally["newton_steps"],
-        "continuation_steps": tally["continuation_steps"],
+        "iterations": evaluator.counts["iterations"],
+        "newton_steps": evaluator.counts["newton_steps"],
+        "continuation_steps": evaluator.counts["continuation_steps"],
         "starts": len(starts),
         "starts_converged": len(found),
-        "evaluator_calls": evaluator.calls,
-        "jacobians": tally["jacobians"],
+        "evaluator_calls": evaluator.counts["evaluator_calls"],
+        "jacobians": evaluator.counts["jacobians"],
     }
     return SolveResult(profiles, residuals, diagnostics)
 
@@ -1184,7 +1159,9 @@ def homotopy_trace(
     homotopy path then reaches one on another branch, and the trace jumps
     there.  Raises HomotopyBreakdown (carrying the partial trace and last
     good lambda) if some point cannot be converged.  solve_nash_phi's
-    docstring says when it skips the trace.
+    docstring says when it skips the trace.  The trace reports no counts:
+    its evaluator keeps them, over every grid point, and is dropped with
+    them.
     """
     try:
         operator.index(steps)
@@ -1194,11 +1171,10 @@ def homotopy_trace(
         raise ValueError("need a finite lambda_max > 0 and steps >= 2")
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
-    tally = Counter()  # the trace reports no counts
     trace: list[tuple[float, MixedProfile]] = []
     current = [np.full(k, 1.0 / k) for k in game.action_counts]
     for lam in homotopy_lambda_grid(lambda_max, steps):
-        [(dists, _)] = _solve_fixed_point(evaluator, lam, [current], cfg, tally)
+        [(dists, _)] = _solve_fixed_point(evaluator, lam, [current], cfg)
         if dists is None:
             last = trace[-1][0] if trace else 0.0
             raise HomotopyBreakdown(

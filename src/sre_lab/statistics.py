@@ -116,6 +116,9 @@ def cgf_finish(
     the value of row r moves with weights[c] by sum_g coefs[g, r] *
     grid_g[r, c] along every direction inside the simplex.  The atoms of
     the branch are finished together, on rows stacked by atom.
+    A stack of B weight vectors comes as (grids x rows x B), with lo and hi
+    (rows x 1), broadcast over the stack; the values then come as (rows x
+    B) and the coefs as (grids x rows x B).
     - Mean: the row sums (the grid carries the weight), with coefficient one.
     - a = -inf / +inf, one atom of weight one (normalized_cgf's case): lo / hi,
       which do not move with the weights.
@@ -133,14 +136,15 @@ def cgf_finish(
     if branch == "extreme":
         value = hi if a[0] > 0 else lo
         return (value, np.zeros((0, len(lo)))) if grad else value
-    col = a[:, None]
+    stack = sums.ndim > 2
+    col = a[:, None, None] if stack else a[:, None]  # one row per atom, broadcast over the rest
     if branch == "taylor":
         m1, m2, m3 = sums
         square = m1 * m1
         var = m2 - square
         kappa3 = m3 - m1 * (3.0 * m2 - 2.0 * square)
         raw = lo + m1 + (col / 2.0) * var + (col * col / 6.0) * kappa3
-        value = w @ np.minimum(np.maximum(raw, lo), hi)
+        value = _atom_sum(w, np.minimum(np.maximum(raw, lo), hi), stack)
         if not grad:
             return value
         # d raw / d w_c for X = T - lo, from d m_k / d w_c = X_c^k.
@@ -149,11 +153,25 @@ def cgf_finish(
         coefs[1] = col / 2.0 - (col * col / 2.0) * m1
         coefs[2] = col * col / 6.0
         coefs[:, (raw < lo) | (raw > hi)] = 0.0
-        return value, w @ coefs
+        return value, _atom_sum(w, coefs, stack)
     if sums.min() < min_total:
         return None
-    value = w @ (np.where(col > 0, hi, lo) + np.log(sums) / col)
-    return (value, (w / a)[:, None] / sums) if grad else value
+    value = _atom_sum(w, np.where(col > 0, hi, lo) + np.log(sums) / col, stack)
+    if not grad:
+        return value
+    scale = (w / a)[:, None, None] if stack else (w / a)[:, None]
+    return value, scale / sums
+
+
+def _atom_sum(w: np.ndarray, terms: np.ndarray, stack: bool) -> np.ndarray:
+    """w @ terms: the terms summed over their atoms axis, weighted.
+
+    A stack's terms, (... x atoms x rows x B), are summed as (... x atoms x
+    rows * B), so that one matrix product finishes every row of the stack.
+    """
+    if not stack:
+        return w @ terms
+    return (w @ terms.reshape(*terms.shape[:-2], -1)).reshape(*terms.shape[:-3], *terms.shape[-2:])
 
 
 _ONE = np.ones(1)

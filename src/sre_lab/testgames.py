@@ -68,8 +68,8 @@ def make_card_game(r: float, x: Sequence[float], epsilon: float, n_players: int 
     m = xs.size
     if not 2 <= m <= MAX_CARD_VALUES:
         raise ValueError(f"need between 2 and {MAX_CARD_VALUES} card values")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # NaN fails the test too
+        raise ValueError("epsilon must be positive and finite")
     if np.ptp(xs) == 0:
         raise ValueError("card values must not be constant")
     perms = list(itertools.permutations(range(m)))

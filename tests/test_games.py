@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from sre_lab.games import (
     two_player_game,
 )
 from sre_lab.lotteries import DominanceVerdict, fosd_table
-from sre_lab.testgames import make_card_game, make_matching_pennies, make_test_game_gx
+from sre_lab.testgames import make_card_game, make_matching_pennies, make_test_game_gx, random_game
 
 
 def random_two_by_two(rng):
@@ -293,6 +294,16 @@ class TestStrategicTransforms:
     def test_self_equivalent(self):
         g = make_matching_pennies()
         assert is_strategically_equivalent(g, g)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_nonnegative_and_finite(self, tol):
+        # Unchecked, NaN and inf call two unrelated 3x3 games equivalent, and -1 calls a
+        # game inequivalent to itself.
+        g = random_game(np.random.default_rng(0), players=(2, 2), actions=(3, 3))
+        h = random_game(np.random.default_rng(1), players=(2, 2), actions=(3, 3))
+        for pair in ((g, h), (g, g)):
+            with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+                is_strategically_equivalent(*pair, tol=tol)
 
     def test_shift_shape_checked(self):
         with pytest.raises(ValueError):

@@ -320,8 +320,8 @@ class TestSolveLqre:
 
         logit_system = solvers._logit_system
 
-        def counted_system(evaluator, lam, tally=None):
-            system = logit_system(evaluator, lam, tally)
+        def counted_system(evaluator, lam):
+            system = logit_system(evaluator, lam)
 
             def counted(theta):
                 f, jacobian = system(theta)
@@ -368,6 +368,25 @@ class TestSolveLqre:
         assert d["evaluator_calls"] == len(calls)
         assert d["jacobians"] == len(jacobians)
         assert 0 < d["jacobians"] < d["evaluator_calls"]
+
+    def test_diagnostics_are_the_evaluators_counts(self, monkeypatch):
+        # Corpus game 112 at lambda = 5, whose starts run every stage: the solve reports
+        # the counts its evaluator kept, and the evaluator keeps no other count.
+        rng = np.random.default_rng(777)
+        game = [random_game(rng) for _ in range(113)][112]
+        evaluators = []
+
+        class Recorded(PhiEvaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                evaluators.append(self)
+
+        monkeypatch.setattr(solvers, "PhiEvaluator", Recorded)
+        d = solve_lqre(game, EXPECTATION, 5.0, SolverConfig(multistarts=2, max_iters=20_000)).diagnostics
+        [evaluator] = evaluators
+        keys = ("iterations", "newton_steps", "continuation_steps", "evaluator_calls", "jacobians")
+        assert set(evaluator.counts) == set(keys)
+        assert {key: d[key] for key in keys} == evaluator.counts
 
 
     def test_newton_retried_after_few_damped_iterations(self):
@@ -1105,6 +1124,31 @@ class TestLogitSystem:
             for vec, want in zip(got, _reference_chart(theta, supports, counts)):
                 np.testing.assert_array_equal(vec, want)
 
+    @pytest.mark.parametrize(
+        "supports",
+        [[range(5), range(3), range(4)], [(0, 2, 3, 4), (1,), (0, 1, 3)], [(1, 4), (0, 1, 2), (2,)]],
+        ids=["full", "partial", "short"],
+    )
+    def test_a_stack_fills_each_row_as_alone(self, supports):
+        # Rows drawn inside the simplex and around it, so that some leave a weight below zero
+        # to cut and some do not; the four- and five-action supports sum three and four free
+        # weights.
+        counts = (5, 3, 4)
+        free = sum(len(s) - 1 for s in supports)
+        rng = np.random.default_rng(6)
+        inside = [np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports]) for _ in range(6)]
+        thetas = np.concatenate([inside, rng.uniform(-0.3, 0.7, size=(6, free))])
+        stacked = _dists_from_theta(thetas, supports, counts)
+        assert [d.shape for d in stacked] == [(12, k) for k in counts]
+        cut = 0
+        for r, theta in enumerate(thetas):
+            heads = np.split(theta, np.cumsum([len(s) - 1 for s in supports])[:-1])
+            cut += any(h.min(initial=0.0) < 0.0 or h.sum() > 1.0 for h in heads)  # a weight below zero
+            alone = _dists_from_theta(theta, supports, counts)
+            for got, want in zip(stacked, alone):
+                np.testing.assert_array_equal(got[r], want)
+        assert 0 < cut < len(thetas)
+
     def test_blocks_are_built_once_per_jacobian_taken(self, monkeypatch):
         # Newton from this start at lambda = 20 rejects trial points on its
         # way to the root; those pay for values only.
@@ -1223,9 +1267,9 @@ class TestLockstepStarts:
         polished, finished = [], []
         polish, finish = solvers._newton_polish, solvers._finish_start
 
-        def counted_polish(evaluator, lam, profiles, tol, tally, max_steps=40):
+        def counted_polish(evaluator, lam, profiles, tol, max_steps=40):
             polished.append((len(profiles), max_steps))
-            return polish(evaluator, lam, profiles, tol, tally, max_steps)
+            return polish(evaluator, lam, profiles, tol, max_steps)
 
         def counted_finish(*args):
             finished.append(args[2])
@@ -1238,13 +1282,16 @@ class TestLockstepStarts:
         assert game.action_counts == counts
         cfg = SolverConfig(multistarts=2, max_iters=20_000)
         starts = solvers._interior_starts(game.action_counts, cfg.seed, cfg.multistarts)
-        together = Counter()
-        outcomes = solvers._solve_fixed_point(PhiEvaluator(game, phi), 5.0, starts, cfg, together)
+        evaluator = PhiEvaluator(game, phi)
+        outcomes = solvers._solve_fixed_point(evaluator, 5.0, starts, cfg)
+        together = evaluator.counts
         assert polished[:2] == [(3, 12), (3, 40)] and len(finished) == paths
         assert together["iterations"] == 3 * solvers.WARM_UP
         alone = Counter()
         for start, (dists, res) in zip(starts, outcomes):
-            [(dists_alone, res_alone)] = solvers._solve_fixed_point(PhiEvaluator(game, phi), 5.0, [start], cfg, alone)
+            evaluator = PhiEvaluator(game, phi)
+            [(dists_alone, res_alone)] = solvers._solve_fixed_point(evaluator, 5.0, [start], cfg)
+            alone.update(evaluator.counts)
             assert res <= cfg.tol_fixed_point and res_alone <= cfg.tol_fixed_point
             assert abs(res - res_alone) <= 1e-12
             for got, want in zip(dists, dists_alone):
@@ -1324,6 +1371,38 @@ class TestLockstepStarts:
         assert lstsq_rows and all(row == 0.0 for row in lstsq_rows)
         assert max(np.abs(f[1:]).max(axis=1)) <= 1e-12  # the regular rows reach their roots
 
+    def test_a_row_whose_jacobian_turns_nan_stops_where_it_is(self, monkeypatch):
+        # x^2 = 1 in each coordinate, whose Jacobian turns NaN left of x = -0.5, with its first
+        # column zero so that the LU solve finds it singular and least squares fails too.
+        # The first start's capped step lands at x = -0.7: it takes no step from there and
+        # leaves with that point, while the other rows reach their roots as alone.
+        def system(theta):
+            def jacobian(rows=None):
+                points = theta if rows is None else theta[rows]
+                jac = np.stack([np.diag(2.0 * x) for x in np.atleast_2d(points)])
+                jac[points.reshape(-1, 2)[:, 0] < -0.5] = [[0.0, np.nan], [0.0, np.nan]]
+                return jac if theta.ndim > 1 else jac[0]
+
+            return theta * theta - 1.0, jacobian
+
+        failures = []
+        lstsq = np.linalg.lstsq
+
+        def counted(a, b, rcond=None):
+            try:
+                return lstsq(a, b, rcond=rcond)
+            except np.linalg.LinAlgError:
+                failures.append(a.copy())
+                raise
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        starts = [np.array([-0.2, 0.9]), np.array([0.9, 0.4]), np.array([1.2, 1.1])]
+        steps, f = self._assert_rows_run_as_alone(system, starts, 1e-12)
+        assert failures and all(np.isnan(a[:, 1]).all() for a in failures)
+        theta, _, _ = _newton(system, starts[0], 1e-12, 12)
+        assert theta[0] == -0.7 and steps[0] == 1
+        assert max(np.abs(f[1:]).max(axis=1)) <= 1e-12
+
     def test_a_row_whose_terms_underflow(self, monkeypatch):
         # At a = -966 the tilted terms of JACOBIAN_GAMES[1] underflow for a
         # start that leaves an opponent action unplayed, and only that row is
@@ -1347,6 +1426,31 @@ class TestLockstepStarts:
             _, f = self._assert_rows_run_as_alone(_logit_system(evaluator, lam), starts, 1e-12)
             assert fallbacks
             assert max(np.abs(f).max(axis=1)) <= 1e-12
+
+    def test_a_response_whose_terms_underflow_for_one_profile(self, monkeypatch):
+        # The damped step's response, without derivatives: at a = -966 the stack's second
+        # profile, whose player 1 plays its first action only, is finished atom by atom,
+        # and the first, finished on its own, keeps its finish; each equals its own response.
+        fallbacks = []
+        inner = solvers.normalized_cgf
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "normalized_cgf", counted)
+        game = JACOBIAN_GAMES[1]
+        evaluator = PhiEvaluator(game, MAStatistic.single(-966.0))
+        rng = np.random.default_rng(0)
+        first = [rng.dirichlet(np.ones(k)) for k in game.action_counts]
+        second = [first[0], np.array([1.0, 0.0, 0.0]), first[2]]
+        stacked = _response(evaluator, 5.0, [np.stack(pair) for pair in zip(first, second)])
+        assert fallbacks and all(weights.min() == 0.0 for weights in fallbacks)
+        fallbacks.clear()
+        for r, profile in enumerate((first, second)):
+            for got, want in zip(stacked, _response(evaluator, 5.0, profile)):
+                np.testing.assert_array_equal(got[r], want)
+        assert fallbacks  # the second profile alone underflows too
 
 
 class TestSupportSolve:

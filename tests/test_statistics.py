@@ -9,6 +9,8 @@ from sre_lab.statistics import (
     TAYLOR_CUTOFF,
     MAStatistic,
     cara_certainty_equivalent,
+    cgf_finish,
+    cgf_grids,
     evaluate,
     is_positively_homogeneous,
     k_a,
@@ -136,6 +138,36 @@ class TestKernelSlopes:
         value, slopes = normalized_cgf(table, weights, 100.0, table.min(axis=1), table.max(axis=1), 10.0, grad=True)
         np.testing.assert_allclose(value, [0.0, 1.0], rtol=0, atol=1e-12)
         assert np.all(np.isfinite(slopes))
+
+
+class TestStackedFinish:
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize(
+        "a, w", [([0.0], [1.0]), ([2e-5, -1e-5], [0.4, 0.6]), ([-1.3, 0.7, 2.0], [0.2, 0.5, 0.3])],
+        ids=["mean", "taylor", "exp"],
+    )
+    def test_a_stack_finishes_as_its_rows_flattened(self, a, w, grad):
+        # A stack of weight vectors, (grids x rows x B) with (rows x 1) bounds, against the
+        # same sums flattened to rows * B rows, each row's bounds repeated for the stack.
+        rng = np.random.default_rng(8)
+        table = rng.uniform(-2.0, 2.0, size=(4, 6))
+        lo, hi = table.min(axis=1), table.max(axis=1)
+        a, w = np.array(a), np.array(w)
+        spread = float(np.max(hi - lo))
+        assert spread < 4.0  # so that |a| * spread < TAYLOR_CUTOFF for both Taylor atoms
+        grids = cgf_grids(table, a, w, lo, hi, spread)
+        count = 5
+        sums = grids @ rng.dirichlet(np.ones(6), size=count).T  # (grids x rows x B)
+        stacked = cgf_finish(sums, a, w, lo[:, None], hi[:, None], spread, grad)
+        flat = cgf_finish(
+            sums.reshape(len(sums), -1), a, w, np.repeat(lo, count), np.repeat(hi, count), spread, grad
+        )
+        if not grad:
+            stacked, flat = (stacked,), (flat,)
+        assert len(stacked) == len(flat)
+        for got, want in zip(stacked, flat):
+            assert got.shape == (*want.shape[:-1], 4, count)
+            np.testing.assert_array_equal(got, want.reshape(got.shape))
 
 
 class TestStatisticType:

@@ -89,6 +89,13 @@ class TestCardGames:
         with pytest.raises(ValueError):
             make_card_game(0.5, [1.0, 1.0], 0.1)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -0.1])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        # An infinite epsilon times the card value 0 was NaN, with a RuntimeWarning,
+        # before the game was rejected for its payoffs.
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            make_card_game(0.4, [0, 1], epsilon)
+
     def test_size_limits(self):
         with pytest.raises(ValueError):
             make_card_game(0.5, [0.0], 0.1)
