@@ -32,7 +32,7 @@ from .games import (
 )
 from . import symmetry
 from .lotteries import DominanceVerdict
-from .statistics import MAStatistic, cgf_branches, cgf_finish, cgf_grids, normalized_cgf
+from .statistics import MIN_TOTAL, MAStatistic, cgf_branches, cgf_grids, cgf_terms, normalized_cgf
 
 DEDUP_TOL = 1e-6
 # How far a played action may fall below its player's best value in a best response.
@@ -148,91 +148,289 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
+# The branches of the normalized CGF that have grids, in the order of the grid sums' rows.
+_BRANCHES = ("mean", "taylor", "exp")
+_ZERO = np.zeros(1)
+
+
+def _layout(grid: np.ndarray, others: Sequence[int], j: int) -> np.ndarray:
+    """A player's grids laid out for the pair (i, j): (profiles of the players other than i and j x (a, b, g)).
+
+    grid is (grids, actions of i, *actions of each opponent), the opponents
+    being others, in player order.  Column (a, b, g) is grid g at i's action
+    a against j's action b, and each row one profile of the players other
+    than i and j, flattened in player order, as the outer product of their
+    mixes is.
+    """
+    rest = [2 + t for t, l in enumerate(others) if l != j]
+    at_j = 2 + others.index(j)
+    return grid.transpose(*rest, 1, at_j, 0).reshape(-1, grid.shape[1] * grid.shape[at_j] * len(grid))
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where everything of a PhiEvaluator's plan goes, for one shape of game and of grids (see _plan_layout)."""
+
+    rows: int
+    sizes: dict
+    plan_from: np.ndarray
+    pair_rows: dict
+    coef_cols: np.ndarray
+    blocks_at: np.ndarray
+    group_starts: Optional[np.ndarray]
+    sum_cols: np.ndarray
+    sum_mixes: np.ndarray
+    sum_starts: np.ndarray
+    sum_plan_from: Optional[np.ndarray]
+    entries: dict
+    taylor_rows: np.ndarray
+    taylor_gather: np.ndarray
+    exp_owner: np.ndarray
+    complements: list
+
+
+@functools.lru_cache(maxsize=256)
+def _plan_layout(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, tuple], ...], ...]) -> _Layout:
+    """The index arrays of PhiEvaluator's plan for games of these action counts and branches.
+
+    branches lists, per player, each branch its atoms take, in _BRANCHES
+    order, with its atoms' (location, weight) pairs, none for the mean,
+    whose grid carries its atoms' total weight.  They fix everything but
+    the payoffs:
+    - the rows of the grid sums: place[i][g, a] is the row that player i's
+      grid g gives at action a, the mean rows of every player first, then
+      the Taylor band's moments, then the tilts; rows of them in all,
+      sizes[branch] of each branch;
+    - complements, the sets of n - 2 players whose mixes' outer products
+      make q, in the order q concatenates them;
+    - the plan: the pairs (i, j) in player order, each pair's block of
+      columns as _layout lays player i's grids out, in the rows of q that
+      hold the players other than i and j (pair_rows); plan_from, shaped
+      as the plan, picks each entry from the players' grids raveled and
+      concatenated, or the zero after them outside the blocks;
+    - coef_cols, the row of the grid sums each column of T goes with;
+      group_starts, where each (a, b)'s grid rows start (None when each is
+      one column); blocks_at, where each (a, b) of each pair goes in dv/dp,
+      raveled;
+    - the grid sums read off T: row r is T's columns sum_cols times p at
+      sum_mixes, summed from sum_starts[r], against player i's first
+      opponent; for two players the matrix sum_plan, (actions x rows),
+      does it, its entries picked by sum_plan_from as the plan's are, and
+      for one player sum_plan_from picks the sums themselves;
+    - entries[branch] = (places, atoms, weights, scatter): one entry per
+      atom and action, player by player and atom by atom, with its place in
+      the concatenated actions, its atom's location and weight, and a
+      matrix (entries x actions) that sums the entries, weighted, into
+      their actions.  A mean entry is a mean row, of weight one; a tilt
+      entry is a tilt row, whose player exp_owner holds; a Taylor entry
+      reads its action's three moment rows, taylor_rows (3 x entries), and
+      the 0/1 matrix taylor_gather takes its three coefficients, (3 *
+      entries), back to those rows.
+    Cached per (counts, branches), as _full_chart is per shape: the arrays
+    are shared, and read-only.
+    """
+    n = len(counts)
+    starts = list(itertools.accumulate(counts, initial=0))
+    size = starts[-1]
+    # Per player and branch: (branch, grid count, atoms), a mean grid standing for one atom of weight one.
+    grids = [
+        [(b, 3 if b == "taylor" else len(atoms) or 1, atoms or ((0.0, 1.0),)) for b, atoms in player]
+        for player in branches
+    ]
+    heights = [sum(g for _, g, _ in player) for player in grids]
+    place = [np.empty((h, k), dtype=np.intp) for h, k in zip(heights, counts)]
+    sizes, row = dict.fromkeys(_BRANCHES, 0), 0
+    for name in _BRANCHES:
+        for i, player in enumerate(grids):
+            first = 0
+            for b, g, _ in player:
+                if b == name:
+                    place[i][first : first + g] = np.arange(row, row + g * counts[i]).reshape(g, -1)
+                    row += g * counts[i]
+                    sizes[name] += g * counts[i]
+                first += g
+    # The plan, pair by pair, from an index grid in place of each player's grids.
+    others = [[j for j in range(n) if j != i] for i in range(n)]
+    offsets = list(itertools.accumulate((h * math.prod(counts) for h in heights), initial=0))
+    index = [
+        offsets[i] + np.arange(offsets[i + 1] - offsets[i]).reshape(h, counts[i], *(counts[j] for j in others[i]))
+        for i, h in enumerate(heights)
+    ]
+    complements = list(itertools.combinations(range(n), max(n - 2, 0)))
+    heights_q = [math.prod(counts[l] for l in rest) for rest in complements]
+    tops = dict(zip(complements, itertools.accumulate(heights_q, initial=0)))
+    pairs = [(i, j) for i in range(n) for j in others[i] if heights[i]]
+    ends = list(itertools.accumulate(heights[i] * counts[i] * counts[j] for i, j in pairs))
+    plan_shape = (sum(heights_q), ends[-1] if ends else 0)
+    empty = np.zeros(0, dtype=np.intp)
+    plan_at, plan_from, coef_cols, blocks_at, group_rows, reads = [empty], [empty], [empty], [empty], [empty], []
+    pair_rows = {}
+    for (i, j), end in zip(pairs, ends):
+        block = _layout(index[i], others[i], j)
+        top = tops[tuple(l for l in others[i] if l != j)]
+        pair_rows[i, j] = (top, top + len(block))
+        cols = end - block.shape[1] + np.arange(block.shape[1])
+        plan_at.append(((top + np.arange(len(block)))[:, None] * plan_shape[1] + cols).ravel())
+        plan_from.append(block.ravel())
+        k_i, k_j, h = counts[i], counts[j], heights[i]
+        coef_cols.append(np.broadcast_to(place[i].T[:, None, :], (k_i, k_j, h)).ravel())
+        blocks_at.append(((starts[i] + np.arange(k_i))[:, None] * size + starts[j] + np.arange(k_j)).ravel())
+        group_rows.append(np.full(k_i * k_j, h))
+        if j == others[i][0]:  # the pair whose T the grid sums are read off
+            mixes = starts[j] + np.arange(k_j)[:, None]
+            reads.append((place[i].T[:, None, :], cols.reshape(k_i, k_j, h), mixes))
+    # Each place of the plan picks a grid entry, or the zero after the last one.
+    placed = np.full(plan_shape, offsets[-1])
+    placed.ravel()[np.concatenate(plan_at)] = np.concatenate(plan_from)
+    group_rows = np.concatenate(group_rows)
+    rows = np.concatenate([empty, *(np.broadcast_to(r, c.shape).ravel() for r, c, _ in reads)])
+    order = np.argsort(rows, kind="stable")
+    sum_cols = np.concatenate([empty, *(c.ravel() for _, c, _ in reads)])[order]
+    sum_mixes = np.concatenate([empty, *(np.broadcast_to(m, c.shape).ravel() for _, c, m in reads)])[order]
+    sum_plan_from = None
+    if n == 2:  # each row's sums as a matrix product: p @ sum_plan
+        sum_plan_from = np.full((size, row), offsets[-1])
+        sum_plan_from[sum_mixes, rows[order]] = placed[0, sum_cols]
+    elif n == 1:  # no opponent: the sums are the grids themselves
+        sum_plan_from = np.arange(row)
+    # Each branch's entries: one per atom and action, player by player.
+    entries, taylor_rows, taylor_gather, exp_owner = {}, np.zeros((3, 0), dtype=np.intp), np.zeros((0, 0)), empty
+    for name in _BRANCHES:
+        places, tagged, moments = [empty], [np.zeros((0, 2))], []
+        for i, player in enumerate(grids):
+            first = 0
+            for b, g, atoms in player:
+                if b == name:
+                    places.append(np.tile(np.arange(starts[i], starts[i + 1]), len(atoms)))
+                    tagged.append(np.repeat(np.array(atoms), counts[i], axis=0))  # (location, weight) per entry
+                    moments.append(np.tile(place[i][first : first + 3], len(atoms)))
+                first += g
+        if len(tagged) > 1:
+            places = np.concatenate(places)
+            atoms, weights = np.concatenate(tagged).T.copy()
+            scatter = np.zeros((len(places), size))
+            scatter[np.arange(len(places)), places] = weights
+            entries[name] = (places, atoms, weights, scatter)
+            if name == "taylor":
+                taylor_rows = np.concatenate(moments, axis=1)
+                taylor_gather = np.zeros((taylor_rows.size, sizes[name]))
+                taylor_gather[np.arange(taylor_rows.size), taylor_rows.ravel() - sizes["mean"]] = 1.0
+            if name == "exp":
+                exp_owner = np.searchsorted(starts, places, side="right") - 1
+    layout = _Layout(
+        rows=row,
+        sizes=sizes,
+        plan_from=placed,
+        pair_rows=pair_rows,
+        coef_cols=np.concatenate(coef_cols),
+        blocks_at=np.concatenate(blocks_at),
+        group_starts=None if (group_rows == 1).all() else np.cumsum(group_rows) - group_rows,
+        sum_cols=sum_cols,
+        sum_mixes=sum_mixes,
+        sum_starts=np.searchsorted(rows[order], np.arange(row)),
+        sum_plan_from=sum_plan_from,
+        entries=entries,
+        taylor_rows=taylor_rows,
+        taylor_gather=taylor_gather,
+        exp_owner=exp_owner,
+        complements=complements,
+    )
+    shared = (layout.coef_cols, layout.blocks_at, layout.group_starts, layout.sum_starts, sum_plan_from)
+    for array in (placed, sum_cols, sum_mixes, taylor_rows, taylor_gather, exp_owner, *shared):
+        if array is not None:
+            array.flags.writeable = False
+    for entry in entries.values():
+        for array in entry:
+            array.flags.writeable = False
+    return layout
+
+
 class PhiEvaluator:
-    """Per-(game, statistic) evaluation plan for computing action values quickly.
+    """Per-(game, statistic) evaluation plan: every player's action values and their derivatives from one product.
 
     When it is built, each player's finite atoms are grouped by the branch
     of the normalized CGF they take on that player's table
-    (statistics.cgf_branches), and each group is folded into fixed grids
-    over player i's actions x each opponent's actions
-    (statistics.cgf_grids): the mean branch's table times its total weight,
-    the raw moments of T - lo shared by the Taylor band, and exp(a(T -
-    shift)) with the pure shift for each exponential tilt.  A player's grids
-    are stacked by rows, the mean branch's first, so one contraction with
-    the opponents' mixes serves every atom.  What does not move with the
-    mixes is kept too: the -inf/+inf term at the pure extremes and, for a
-    player whose value is linear in one opponent's mix (two players, every
-    finite atom in the mean branch), the derivative blocks themselves, in
-    self.others order, also laid out once over the concatenated profile
-    (constant_dv), where each logit Jacobian starts from them.
-    All are read-only, as values hands them out as they are.  counts, one
-    Counter, holds the work done with the plan, for diagnostics:
-    "evaluator_calls", the profiles that values evaluated, kept by values
-    itself, and "iterations", "newton_steps", "continuation_steps" and
-    "jacobians", kept by the logit solver's stages (see _solve_fixed_point).
+    (statistics.cgf_branches, kept per player in self.branches), and each
+    group is folded into fixed grids over player i's actions x each
+    opponent's actions (statistics.cgf_grids): the mean branch's table times
+    its total weight, the raw moments of T - lo shared by the Taylor band,
+    and exp(a(T - shift)) with the pure shift for each exponential tilt.
+    Player i's grids are stacked, (grids, actions of i, *actions of each
+    opponent in self.others[i] order).
+
+    The plan works on the concatenated profile p.  For each ordered pair (i,
+    j) of players it lays player i's grids out with the axes of the other
+    n - 2 players first (_layout), as a block of one matrix, self.plan,
+    filled by one gather from every player's grids (_plan_layout keeps
+    where each entry goes, per shape of game and statistic), so
+    that one product q @ plan gives T_ij, player i's grids contracted with
+    every mix but i's and j's, for every pair at once.  q is p itself for
+    three players, and the outer products of the other n - 2 mixes,
+    concatenated, for four or more; with two players T_ij is the grid
+    itself, and there is no product.  Player i's grid sums are T_ij times
+    p_j, summed, for its first opponent j.  The sums' rows are tagged with
+    their branch, atom, weight and bounds, the mean rows of every player
+    first, then the Taylor band's moments, then the tilts, so that each
+    branch of every player is finished in one vectorised step
+    (statistics.cgf_terms).  Each derivative block dv_i/dp_j is the
+    finish's coefficients times T_ij, summed over the grid rows.
+    What does not move with the mixes is kept read-only: pure_extremes, the
+    -inf/+inf term at the pure extremes, concatenated over the players'
+    actions (None without such atoms), and constant_dv, dv/dp on the
+    concatenated profile when it does not move with the mixes (one player;
+    two players with every finite atom in the mean branch; no finite atom),
+    else None.  counts, one Counter, holds the work done with the plan, for
+    diagnostics: "evaluator_calls", n per profile that values evaluated,
+    kept by values itself, and "iterations", "newton_steps",
+    "continuation_steps" and "jacobians", kept by the logit solver's stages
+    (see _solve_fixed_point).
     """
 
     def __init__(self, game: Game, phi: MAStatistic):
         self.game = game
         self.phi = phi
-        self.n = game.num_players
-        self.tables = [action_payoff_matrix(game, i) for i in range(self.n)]
+        self.n = n = game.num_players
+        counts = game.action_counts
+        self.tables = [action_payoff_matrix(game, i) for i in range(n)]
         self.pure_min = [t.min(axis=1) for t in self.tables]
         self.pure_max = [t.max(axis=1) for t in self.tables]
         self.spread = [float(np.max(hi - lo)) for lo, hi in zip(self.pure_min, self.pure_max)]
         self.w_min = phi.weight_at(-math.inf)
         self.w_max = phi.weight_at(math.inf)
         self.kernel_atoms = [(a, w) for a, w in phi.atoms if math.isfinite(a)]
-        counts = game.action_counts
-        self.others = [[j for j in range(self.n) if j != i] for i in range(self.n)]
+        self.others = [[j for j in range(n) if j != i] for i in range(n)]
         # Player i's table shaped (actions of i, *actions of each opponent).
-        self.shapes = [(counts[i], *(counts[j] for j in self.others[i])) for i in range(self.n)]
+        self.shapes = [(counts[i], *(counts[j] for j in self.others[i])) for i in range(n)]
+        self.starts = list(itertools.accumulate(counts, initial=0))
         self.counts = Counter()
-        # Per player: the -inf/+inf term at the pure extremes (None without
-        # such atoms); the grids stacked by rows, shaped (grid rows, *opponent
-        # actions); whether the first grid is the mean branch's weighted
-        # table; each other branch's (locations, weights, its grids' places in
-        # the stack); and the derivative blocks when they are constant, else None.
-        self.pure_extremes, self.grids, self.linear, self.finishes, self.constant_blocks = [], [], [], [], []
+        lo, hi = np.concatenate(self.pure_min), np.concatenate(self.pure_max)
+        self.pure_extremes = self._extremes(lo, hi)
+        if self.pure_extremes is not None:
+            self.pure_extremes.flags.writeable = False
+        # Every player's grids, raveled and concatenated, then a zero for the plan's empty places.
+        self.branches, grids, shape = [], [], []
         for i, table in enumerate(self.tables):
-            lo, hi, spread = self.pure_min[i], self.pure_max[i], self.spread[i]
-            branches = cgf_branches(self.kernel_atoms, spread)
-            parts = [cgf_grids(table, *branches["mean"], lo, hi, spread)] if "mean" in branches else []
-            linear = bool(parts)
-            finishes = []
-            for name in ("taylor", "exp"):
-                if name in branches:
-                    a, w = branches[name]
-                    start = sum(map(len, parts))
-                    parts.append(cgf_grids(table, a, w, lo, hi, spread))
-                    finishes.append((a, w, slice(start, start + len(parts[-1]))))
-            # A lone stack is used as it is (the payoff table at a = 0 is not copied).
-            stacked = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty((0, *table.shape))])
-            self.grids.append(stacked.reshape(-1, *self.shapes[i][1:]))
-            extremes = self._extremes(lo, hi)
-            if extremes is not None:
-                extremes.flags.writeable = False
-            self.pure_extremes.append(extremes)
-            self.linear.append(linear)
-            self.finishes.append(finishes)
-            constant = None
-            if not finishes and (self.n == 2 or not linear):
-                k = counts[i]
-                constant = tuple(
-                    self.grids[i][:k].reshape(k, counts[j]) if linear else np.zeros((k, counts[j]))
-                    for j in self.others[i]
-                )
-                for block in constant:
-                    block.flags.writeable = False
-            self.constant_blocks.append(constant)
-        # The constant blocks laid out as dv/dp on the concatenated profile, player i's
-        # derivatives in row block i and column block j, zero where the blocks move.
-        starts = list(itertools.accumulate(counts, initial=0))
-        self.constant_dv = np.zeros((starts[-1], starts[-1]))
-        for i, blocks in enumerate(self.constant_blocks):
-            for j, block in zip(self.others[i], blocks or ()):
-                self.constant_dv[starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
-        self.constant_dv.flags.writeable = False
+            grouped = cgf_branches(self.kernel_atoms, self.spread[i])
+            branches = {b: grouped[b] for b in _BRANCHES if b in grouped}
+            for b, (a, w) in branches.items():
+                grids.append(cgf_grids(table, a, w, self.pure_min[i], self.pure_max[i], self.spread[i]).ravel())
+            self.branches.append(branches)
+            # The mean grid carries its atoms' total weight: only its branch enters the shape.
+            atoms = {b: () if b == "mean" else tuple(zip(a.tolist(), w.tolist())) for b, (a, w) in branches.items()}
+            shape.append(tuple(atoms.items()))
+        self.layout = layout = _plan_layout(tuple(counts), tuple(shape))
+        flat = np.concatenate([*grids, _ZERO])
+        self.plan = flat[layout.plan_from]
+        self.sum_plan = None if layout.sum_plan_from is None else flat[layout.sum_plan_from]
+        # Each branch's entries tagged with (atoms, weights, lo, hi, scatter): see _plan_layout.
+        self.tags = {}
+        for name, (places, atoms, weights, scatter) in layout.entries.items():
+            bounds = (None, None) if name == "mean" else (lo[places], hi[places])
+            self.tags[name] = (atoms, weights, *bounds, scatter)
+        self.constant_dv = None
+        if n == 1 or not self.plan.size or (n == 2 and layout.rows == layout.sizes["mean"]):
+            self.constant_dv = self._dv(self.plan[0], np.ones(layout.rows))
+            self.constant_dv.flags.writeable = False
 
     def _extremes(self, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
         """The -inf/+inf atoms' term with these row minima and maxima; None without such atoms."""
@@ -242,184 +440,206 @@ class PhiEvaluator:
             return self.w_min * lo if self.w_min else self.w_max * hi
         return None
 
-    def values(self, i: int, dists: Sequence[np.ndarray], boundary_pure: bool, grad: bool = False):
-        """Action values for player i against the given opponent mixes.
+    def _complements(self, p: np.ndarray) -> Optional[np.ndarray]:
+        """q, what the plan is multiplied by: None for two players or one, p for three, else the outer products."""
+        if self.n < 3:
+            return None
+        if self.n == 3:
+            return p
+        parts = []
+        for rest in self.layout.complements:
+            outer = None
+            for l in rest:
+                mix = p[..., self.starts[l] : self.starts[l + 1]]
+                outer = mix if outer is None else (outer[..., :, None] * mix[..., None, :]).reshape(*p.shape[:-1], -1)
+            parts.append(outer)
+        return np.concatenate(parts, axis=-1)
 
-        Each mix is one vector, or a stack of them with a leading batch axis,
-        (B x actions), one row per profile; the values then come as (B x
-        actions), and counts["evaluator_calls"] counts B.  A stack is
-        evaluated with boundary_pure=True, the logit response's mode.
+    def values(self, p: np.ndarray, boundary_pure: bool = True, grad: bool = False):
+        """Every player's action values at the concatenated profile p, concatenated likewise.
 
+        p is one profile, (actions,), or a stack of them, (B x actions), one
+        row per profile; the values come in its shape, and
+        counts["evaluator_calls"] counts n per profile.
         boundary_pure=True evaluates the -inf/+inf atoms as pure-strategy
         min/max over all opponent profiles (the continuous logit functional);
         False restricts them to the support actually reached, i.e. the raw
-        statistic of the realized lottery.  The grids are contracted with the
-        opponents' mixes one opponent at a time, for a stack the last opponent
-        by one matmul over all its profiles and each other by a product summed
-        per profile; the mean branch's rows are its weighted value, and each
-        other branch is finished once, its atoms and the stack's profiles
-        stacked, by statistics.cgf_finish, which takes a stack's (grids x
-        actions x B) layout with each action's bounds as a column.  Where a
-        branch's terms underflowed on some row at the pure shift (cgf_finish
-        returns None), each profile of the stack is finished on its own, and
-        a profile whose terms underflowed is evaluated atom by atom by
-        normalized_cgf instead, which re-shifts to the reached support.
-
-        grad=True returns (values, blocks).  blocks(rows=None) builds player
-        i's derivative blocks for the given rows of the stack (all of them by
-        default), one per opponent j in self.others[i] order: the derivative
-        with respect to j's own mix, (actions of i) x (actions of j), with the
-        batch axis in front for a stack, exact along every direction that
-        keeps j's mix on the simplex.  Each is the grids, weighted by
-        cgf_finish's coefficients, contracted with every opponent's mix but
-        j's, so a caller that never calls blocks pays for the values only.
-        When the blocks do not move with the mixes, blocks() returns the
-        plan's own read-only tuple, without a batch axis.  The -inf/+inf
-        atoms add nothing to the blocks in either mode, as the reached
-        support is constant wherever the weights stay positive.
+        statistic of the realized lottery, player by player where an
+        opponent leaves an action unplayed.  One product q @ plan gives every
+        T_ij (see the class), the grid sums are read off them, and the
+        mean rows, the Taylor band and the tilts are each finished for every
+        player and profile at once.  Where some tilt's total underflowed at
+        the pure shift, that player's tilts are finished for that profile
+        alone by _reshift, atom by atom by normalized_cgf, which re-shifts to
+        the reached support.
+        grad=True returns (values, jacobian).  jacobian(rows=None) gives
+        dv/dp for the given rows of the stack (all of them by default),
+        (rows x actions x actions), or for one profile (actions x actions):
+        player i's derivatives in row block i and column block j, exact along
+        every direction that keeps j's mix on the simplex, and zero in the
+        diagonal blocks.  Block (i, j) is the finish's coefficients times
+        T_ij, summed over the grid rows, so a caller that never calls
+        jacobian pays for the values only.  When dv/dp does not move with
+        the mixes, jacobian() returns the plan's own read-only constant_dv,
+        without a batch axis.  The -inf/+inf atoms add nothing to dv/dp in
+        either mode, as the reached support is constant wherever the weights
+        stay positive.
         """
-        shape = self.shapes[i]
-        k = shape[0]
-        mixes = [dists[j] for j in self.others[i]]
-        stack = dists[i].ndim > 1
-        self.counts["evaluator_calls"] += len(dists[i]) if stack else 1
-        out = self.pure_extremes[i]
-        if out is not None and not boundary_pure and not all((d > 0).all() for d in mixes):
-            reached = self.tables[i][:, opponent_weights(dists, i) > 0]
-            out = self._extremes(reached.min(axis=1), reached.max(axis=1))
-        sums = self.grids[i]
-        lo, hi = self.pure_min[i], self.pure_max[i]
-        if stack:  # the profiles along a last axis: one matmul for the last opponent, then one product each
-            count = len(dists[i])
-            out = None if out is None else out[:, None]
-            lo, hi = lo[:, None], hi[:, None]
-            if mixes:
-                sums = sums.reshape(-1, shape[-1]) @ mixes[-1].T
-            else:
-                sums = np.repeat(sums.reshape(-1, 1), count, axis=1)
-            for mix in reversed(mixes[:-1]):
-                sums = (sums.reshape(-1, mix.shape[-1], count) * mix.T).sum(axis=1)
-            sums = sums.reshape(-1, k, count)  # (grid rows x actions x profiles)
-        else:
-            for mix in reversed(mixes):
-                sums = sums @ mix
-            sums = sums.reshape(-1, k)  # one row per grid
-        if self.linear[i]:
-            out = sums[0] if out is None else out + sums[0]
-        coefs, slopes = [], []
-        for a, w, rows in self.finishes[i]:
-            part = sums[rows]
-            finished = cgf_finish(part, a, w, lo, hi, self.spread[i], grad)
-            if finished is None:  # some row's terms underflowed: finish each profile on its own
-                value, coef, slope = self._finish_each(i, dists, part, a, w, grad)
-                slopes.append(slope)
-            elif grad:
-                value, coef = finished
-            else:
-                value = finished
+        stack = p.ndim > 1
+        self.counts["evaluator_calls"] += self.n * (len(p) if stack else 1)
+        q = self._complements(p)
+        pair_sums = self.plan[0] if q is None else q @ self.plan
+        out = self.pure_extremes
+        if out is not None and not boundary_pure:
+            out = self._reached(p, out)
+        if out is not None and stack and out.ndim == 1:
+            out = np.broadcast_to(out, p.shape)
+        coefs, underflowed = [], []
+        layout = self.layout
+        sums = self._grid_sums(p, pair_sums)
+        mean, taylor = layout.sizes["mean"], layout.sizes["mean"] + layout.sizes["taylor"]
+        if mean:
+            *_, scatter = self.tags["mean"]
+            value = sums[..., :mean] @ scatter
+            out = value if out is None else out + value
+            if grad:  # a mean row's value is its sum
+                coefs.append(np.ones(value.shape[:-1] + (mean,)))
+        if taylor > mean:
+            atoms, weights, lo, hi, scatter = self.tags["taylor"]
+            moments = np.moveaxis(sums[..., layout.taylor_rows], -2, 0)
+            finished = cgf_terms("taylor", moments, atoms, lo, hi, grad)
+            value, coef = finished if grad else (finished, None)
+            out = value @ scatter if out is None else out + value @ scatter
+            if grad:
+                coefs.append(np.moveaxis(coef * weights, 0, -2).reshape(*p.shape[:-1], -1) @ layout.taylor_gather)
+        if layout.rows > taylor:
+            value, coef, underflowed = self._tilts(p, sums[..., taylor:], grad)
+            out = value if out is None else out + value
             if grad:
                 coefs.append(coef)
-            out = value if out is None else out + value
-        if stack:
-            out = (out if out.shape[1] == count else np.repeat(out, count, axis=1)).T
+        if underflowed:
+            out = np.array(out)
+            for at, i, v, _ in underflowed:
+                out[at][self.starts[i] : self.starts[i + 1]] += v
         if not grad:
             return out
-        constant = self.constant_blocks[i]
-        if constant is not None:
-            return out, lambda rows=None: constant
+        if self.constant_dv is not None:
+            return out, lambda rows=None: self.constant_dv
+        coefs = np.concatenate(coefs, axis=-1)
 
-        def build(rows=None) -> list[np.ndarray]:
-            grads, picked_mixes = slopes, mixes
-            if rows is not None:
-                grads, picked_mixes = [x[rows] for x in slopes], [mix[rows] for mix in mixes]
-            weighted = self.grids[i][:k].reshape(shape) if self.linear[i] else None
-            if coefs:
-                coef = coefs[0] if len(coefs) == 1 else np.concatenate(coefs)
-                curved = self.grids[i][k:] if self.linear[i] else self.grids[i]
-                if stack:  # each profile's coefficients on the grids: (profiles x grid rows x actions)
-                    coef = (coef if rows is None else coef[:, :, rows]).transpose(2, 0, 1)
-                tilted = coef.reshape(*coef.shape[:-2], -1, *(1 for _ in mixes)) * curved
-                if coef.shape[-2] > 1:  # several grid rows per action: sum them
-                    tilted = tilted.reshape(*coef.shape, *shape[1:]).sum(axis=-1 - len(shape))
-                weighted = tilted if weighted is None else tilted + weighted
-            return _partials(sum(grads, weighted), picked_mixes)
+        def jacobian(rows=None) -> np.ndarray:
+            if rows is None:
+                dv = self._dv(pair_sums, coefs)
+                picked = {at: at for at, *_ in underflowed}
+            else:
+                dv = self._dv(pair_sums if q is None else pair_sums[rows], coefs[rows])
+                picked = {(r,): (t,) for t, r in enumerate(rows.tolist())}
+            for at, i, _, slope in underflowed:
+                if at in picked:
+                    self._add_blocks(dv[picked[at]], i, slope, None if q is None else q[at])
+            return dv
 
-        return out, build
+        return out, jacobian
 
-    def _finish_each(self, i: int, dists, part: np.ndarray, a: np.ndarray, w: np.ndarray, grad: bool):
-        """One branch finished for each profile on its own: (values, coefficients, slopes).
+    def _grid_sums(self, p: np.ndarray, pair_sums: np.ndarray) -> np.ndarray:
+        """Every player's grid sums, (... x rows): T_ij times p_j, summed, for player i's first opponent j."""
+        layout = self.layout
+        if self.n == 2:
+            return p @ self.sum_plan
+        if self.n == 1:
+            return np.broadcast_to(self.sum_plan, (*p.shape[:-1], layout.rows))
+        terms = pair_sums[..., layout.sum_cols] * p[..., layout.sum_mixes]
+        return np.add.reduceat(terms, layout.sum_starts, axis=-1) if layout.rows else terms
 
-        part is the branch's contracted grids for one profile, (grids x
-        actions), or a stack, (grids x actions x B); the values and
-        coefficients come in its layout, the slopes (B x actions x opponent
-        actions) for a stack.  A profile whose terms underflowed is
-        evaluated atom by atom by normalized_cgf, re-shifted to its reached
-        support; its coefficients are zero and its derivative comes as
-        slopes on the payoff grid.
+    def _tilts(self, p: np.ndarray, totals: np.ndarray, grad: bool):
+        """The tilts' part of the values, with their coefficients, and the profiles finished alone.
+
+        totals holds the tilt rows of the grid sums.  Returns (values,
+        coefficients or None, underflowed), where underflowed lists, for
+        each profile and player whose tilts underflowed, (place in the
+        stack, player, its tilts' values, their slope grid or None); those
+        players' rows add nothing to the values or coefficients returned.
         """
+        atoms, weights, lo, hi, scatter = self.tags["exp"]
+        low = totals < MIN_TOTAL
+        underflowed, dropped = [], None
+        if low.any():
+            dropped = np.zeros(totals.shape, dtype=bool)
+            owner = self.layout.exp_owner
+            for *at, i in sorted({(*place[:-1], int(owner[place[-1]])) for place in np.argwhere(low).tolist()}):
+                at = tuple(at)
+                dropped[at][owner == i] = True
+                underflowed.append((at, i, *self._reshift(i, p[at], grad)))
+            totals = np.where(dropped, 1.0, totals)
+        finished = cgf_terms("exp", totals, atoms, lo, hi, grad)
+        value, coef = finished if grad else (finished, None)
+        if dropped is not None:
+            value = np.where(dropped, 0.0, value)
+            coef = None if coef is None else np.where(dropped, 0.0, coef)
+        return value @ scatter, None if coef is None else coef * weights, underflowed
+
+    def _reshift(self, i: int, p: np.ndarray, grad: bool):
+        """Player i's tilts finished for one profile alone, atom by atom by normalized_cgf.
+
+        normalized_cgf re-shifts an atom whose terms underflowed to the
+        support the profile p reaches.  Returns (their weighted values, and
+        with grad their slope grid, (actions of i, *opponent actions), else
+        None).
+        """
+        a, w = self.branches[i]["exp"]
+        joint = opponent_weights([p[s:e] for s, e in zip(self.starts[:-1], self.starts[1:])], i)
         lo, hi, spread = self.pure_min[i], self.pure_max[i], self.spread[i]
-        shape = self.shapes[i]
-        stack = part.ndim > 2
-        value, coef = np.empty(part.shape[1:]), np.zeros(part.shape)
-        slope = np.zeros((part.shape[-1], *shape) if stack else shape)
-        for b in range(part.shape[-1]) if stack else [Ellipsis]:
-            at_b = (Ellipsis, b) if stack else Ellipsis
-            one = cgf_finish(part[at_b], a, w, lo, hi, spread, grad)
-            if one is None:  # re-shift to the reached support, atom by atom
-                joint = opponent_weights([d[b] for d in dists], i)
-                parts = [normalized_cgf(self.tables[i], joint, at, lo, hi, spread, grad) for at in a.tolist()]
-                if grad:
-                    slope[b] = sum(wt * s.reshape(shape) for wt, (_, s) in zip(w.tolist(), parts))
-                    parts = [v for v, _ in parts]
-                value[at_b] = w @ np.array(parts)
-            elif grad:
-                value[at_b], coef[at_b] = one
-            else:
-                value[at_b] = one
-        return value, coef, slope
+        parts = [normalized_cgf(self.tables[i], joint, at, lo, hi, spread, grad) for at in a.tolist()]
+        if not grad:
+            return w @ np.array(parts), None
+        slope = sum(wt * s.reshape(self.shapes[i]) for wt, (_, s) in zip(w.tolist(), parts))
+        return w @ np.array([v for v, _ in parts]), slope
+
+    def _reached(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The -inf/+inf term, over the payoffs reached for each player whose opponents leave an action unplayed."""
+        unplayed = np.logical_or.reduceat(~(p > 0), self.starts[:-1], axis=-1)
+        fixed = None
+        for *at, i in np.argwhere(unplayed.sum(axis=-1, keepdims=True) > unplayed).tolist():
+            at = tuple(at)
+            joint = opponent_weights([p[at][s:e] for s, e in zip(self.starts[:-1], self.starts[1:])], i)
+            reached = self.tables[i][:, joint > 0]
+            fixed = np.array(np.broadcast_to(out, p.shape)) if fixed is None else fixed
+            fixed[at][self.starts[i] : self.starts[i + 1]] = self._extremes(reached.min(axis=1), reached.max(axis=1))
+        return out if fixed is None else fixed
+
+    def _dv(self, pair_sums: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+        """dv/dp from T and the finish's coefficients on the grid sums' rows, for one profile or a stack."""
+        layout = self.layout
+        weighted = pair_sums * coefs[..., layout.coef_cols]
+        if layout.group_starts is not None:  # several grid rows per (a, b): sum them
+            weighted = np.add.reduceat(weighted, layout.group_starts, axis=-1)
+        size = self.starts[-1]
+        dv = np.zeros((*weighted.shape[:-1], size * size))
+        dv[..., layout.blocks_at] = weighted
+        return dv.reshape(*weighted.shape[:-1], size, size)
+
+    def _add_blocks(self, dv: np.ndarray, i: int, slope: np.ndarray, q: Optional[np.ndarray]) -> None:
+        """Add to one profile's dv/dp player i's blocks from a slope grid, laid out and contracted as the plan is."""
+        rows = slice(self.starts[i], self.starts[i + 1])
+        for j in self.others[i]:
+            top, bottom = self.layout.pair_rows[i, j]
+            laid = _layout(slope[None], self.others[i], j)
+            block = laid[0] if q is None else q[top:bottom] @ laid
+            dv[rows, self.starts[j] : self.starts[j + 1]] += block.reshape(len(slope), -1)
 
 
-def _partials(grid: np.ndarray, mixes: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """A (rows, n_1, ..., n_m) grid contracted with every mix but one.
-
-    Entry l keeps mixes[l]'s axis, (rows, n_l).  The axes after l go first,
-    by matmul on the last axis; then the axes before l, from l - 1 down, as
-    a vector times an array contracts the array's second-to-last axis.  The
-    mixes may be stacks, (B x n_l), and the grid may carry the same batch
-    axis in front; the entries then do too.
-    """
-    m = len(mixes)
-    stack = m > 0 and mixes[0].ndim > 1
-    suffix = [grid]  # suffix[t]: the last t axes contracted, m + 1 - t axes left after any batch axis
-    for t, mix in enumerate(reversed(mixes[1:])):
-        if stack:  # each row's mix against its own row of the grid: (B, 1, ..., n, 1)
-            suffix.append((suffix[-1] @ mix.reshape(len(mix), *(1,) * (m - 1 - t), -1, 1))[..., 0])
-        else:
-            suffix.append(suffix[-1] @ mix)
-    partials = []
-    for keep in range(m):
-        partial = suffix[m - 1 - keep]
-        for l in reversed(range(keep)):  # partial's axes: rows, n_1, ..., n_l, n_keep
-            if stack:  # (B, 1, ..., 1, n_l)
-                partial = (mixes[l].reshape(len(mixes[l]), *(1,) * (l + 2), -1) @ partial)[..., 0, :]
-            else:
-                partial = mixes[l] @ partial
-        partials.append(partial)
-    return partials
-
-
-def _logit(values: Sequence[np.ndarray], lam: float, starts: Sequence[int], owner: np.ndarray) -> np.ndarray:
+def _logit(values: np.ndarray, lam: float, starts: Sequence[int], owner: np.ndarray) -> np.ndarray:
     """Each player's logit response to its action values, concatenated.
 
     starts and owner are _full_chart's.  One softmax runs over the
     concatenated values: each player's max by np.maximum.reduceat, each
     player's total by its own sum (np.add.reduceat rounds differently on
-    slices of three or more).  Stacked values, (B x actions) each, give a
-    stack of responses; they are worked on transposed, one column per
+    slices of three or more).  A stack of values, (B x actions), gives a
+    stack of responses; it is worked on transposed, one column per
     profile, so that both take the same indexing.
     """
-    stack = values[0].ndim > 1
-    z = lam * (np.concatenate(values, axis=1).T if stack else np.concatenate(values))
+    stack = values.ndim > 1
+    z = lam * (values.T if stack else values)
     z -= np.maximum.reduceat(z, starts[:-1])[owner]
     e = np.exp(z)
     s = e / np.array([e[a:b].sum(axis=0) for a, b in zip(starts[:-1], starts[1:])])[owner]
@@ -427,10 +647,12 @@ def _logit(values: Sequence[np.ndarray], lam: float, starts: Sequence[int], owne
 
 
 def _response(evaluator: PhiEvaluator, lam: float, dists: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each player's logit response to one profile, or to a stack of them, (B x actions) each."""
+    """Each player's logit response to one profile, or to a stack of them, (B x actions) each.
+
+    The mixes are concatenated into one profile, or one stack, and evaluated by one values call.
+    """
     starts, _, owner, *_ = _full_chart(tuple(evaluator.game.action_counts))
-    values = [evaluator.values(i, dists, boundary_pure=True) for i in range(evaluator.n)]
-    s = _logit(values, lam, starts, owner)
+    s = _logit(evaluator.values(np.concatenate(dists, axis=-1), boundary_pure=True), lam, starts, owner)
     return [s[..., a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
@@ -631,26 +853,34 @@ def _newton(
 def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The solution of jac @ step = rhs for each row of a stack, jac (b x m x n) and rhs (b x m).
 
-    A stack of two or more rows takes one solve when every jac is square
-    and nonsingular.  Otherwise, and always for a lone row, each row is
-    solved alone, so it is factorised once: by LU, in the least-squares
-    sense when its jac is not square or is singular, and as NaN when least
-    squares fails too.
+    A row whose jac or rhs is not all finite gets a NaN step without a
+    LAPACK call: LAPACK's least squares would print its complaint about
+    the NaN to standard output.  The other rows take one solve when there
+    are two or more of them and every jac is square and nonsingular.
+    Otherwise, and always for a lone row, each row is solved alone, so it
+    is factorised once: by LU, in the least-squares sense when its jac is
+    not square or is singular, and as NaN when least squares fails too.
     """
-    if len(jac) > 1 and jac.shape[-1] == jac.shape[-2]:
+    step = np.empty(rhs.shape[:-1] + jac.shape[-1:])
+    rows = list(range(len(jac)))
+    # The totals are finite when every entry is; only when they are not is each row tested.
+    if not math.isfinite(float(np.add.reduce(jac, axis=None)) + float(np.add.reduce(rhs, axis=None))):
+        rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)).tolist()
+        step.fill(np.nan)
+    if len(rows) > 1 and jac.shape[-1] == jac.shape[-2]:
         try:
-            return np.linalg.solve(jac, rhs[..., None])[..., 0]
+            step[rows] = np.linalg.solve(jac[rows], rhs[rows][..., None])[..., 0]
+            return step
         except np.linalg.LinAlgError:
             pass  # some row is singular
-    step = np.empty(rhs.shape[:-1] + jac.shape[-1:])
-    for r, (a, b) in enumerate(zip(jac, rhs)):
+    for r in rows:
         try:
-            step[r] = np.linalg.solve(a, b)
+            step[r] = np.linalg.solve(jac[r], rhs[r])
             continue
         except np.linalg.LinAlgError:  # singular, or not square
             pass
         try:
-            step[r] = np.linalg.lstsq(a, b, rcond=None)[0]
+            step[r] = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
         except np.linalg.LinAlgError:
             step[r] = np.nan
     return step
@@ -684,53 +914,40 @@ def _logit_system(evaluator: PhiEvaluator, lam: float):
     """p - T(p) on the free coordinates of the full-support chart, with its exact Jacobian.
 
     The profile is evaluated once: _dists_from_theta fills the chart into
-    one vector p, and _logit runs over the concatenated values.  Player i's
+    one vector p, one values call gives every player's values,
+    concatenated, and their dv/dp, and _logit runs over them.  Player i's
     response s = logit(lam v_i) moves with opponent j's mix by
     lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.  The
     Jacobian is I - dT/dp taken to the chart: its free rows, times the
-    chart's columns.  The rows of dv/dp whose blocks are constant come
-    from the evaluator's constant_dv.  The evaluator's counts["jacobians"]
-    counts the Jacobians built.
+    chart's columns.  The evaluator's counts["jacobians"] counts the
+    Jacobians built.
     The system takes one point, theta, or a stack of them, (B x free), as
     _newton does.  A stack fills its chart by one _dists_from_theta into a
-    (B x actions) p, is evaluated by one values call per player and one
-    softmax, and its jacobian(rows=None) builds the Jacobians of the given
-    rows (all by default) together, (rows x free x free), counting one per
-    row.
+    (B x actions) p, is evaluated by one values call and one softmax, and
+    its jacobian(rows=None) builds the Jacobians of the given rows (all by
+    default) together, (rows x free x free), counting one per row.
     """
     counts = evaluator.game.action_counts
     starts, free, owner, chart, identity = _full_chart(tuple(counts))
     full = [range(k) for k in counts]
     heads = starts[:-1]
-    moving = [i for i, blocks in enumerate(evaluator.constant_blocks) if blocks is None]
-    fixed = evaluator.constant_dv  # dv_i/dd_j in row block i, column block j
 
     def system(theta: np.ndarray):
         stack = theta.ndim > 1
         p = np.empty((len(theta), starts[-1]) if stack else starts[-1])
-        dists = _dists_from_theta(theta, full, counts, out=p)
-        parts = [evaluator.values(i, dists, boundary_pure=True, grad=True) for i in range(evaluator.n)]
-        s = _logit([v for v, _ in parts], lam, starts, owner)
-        f = (p - s)[:, free] if stack else (p - s)[free]
+        _dists_from_theta(theta, full, counts, out=p)
+        v, dv_dp = evaluator.values(p, boundary_pure=True, grad=True)
+        s = _logit(v, lam, starts, owner)
+        f = (p - s)[..., free]
 
         def jacobian(rows=None) -> np.ndarray:
-            # A stack is worked on with its rows on the middle axis, (N x rows x N),
-            # so that it takes the same indexing as one profile's (N x N).
-            if stack:
-                sc = (s if rows is None else s[rows]).T[:, :, None]
-                dv = fixed[:, None].repeat(sc.shape[1], axis=1) if moving else fixed[:, None]
-                blocks = dv.swapaxes(0, 1)  # (rows x N x N), where the blocks come stacked
-            else:
-                sc = s[:, None]
-                dv = blocks = fixed.copy() if moving else fixed
-            evaluator.counts["jacobians"] += sc.shape[1] if stack else 1
-            for i in moving:
-                for j, block in zip(evaluator.others[i], parts[i][1](rows)):
-                    blocks[..., starts[i] : starts[i + 1], starts[j] : starts[j + 1]] = block
+            dv = dv_dp(rows)
+            sc = (s if rows is None else s[rows])[..., :, None]
+            evaluator.counts["jacobians"] += len(sc) if stack else 1
             weighted = sc * dv
-            mean = np.add.reduceat(weighted, heads, axis=0)  # s_i @ dv_i, one row per player
-            jac = (lam * (weighted - sc * mean[owner]))[free] @ chart
-            return identity - (jac.swapaxes(0, 1) if stack else jac)
+            mean = np.add.reduceat(weighted, heads, axis=-2)  # s_i @ dv_i, one row per player
+            jac = lam * (weighted - sc * mean[..., owner, :])
+            return identity - jac[..., free, :] @ chart
 
         return f, jacobian
 
@@ -923,7 +1140,7 @@ def _solve_fixed_point(
     stage runs only for the starts that the one before leaves unconverged:
     1. Newton from the start (12 steps), every start in lockstep: one
        _newton_polish on the stack of starts, so each round of it evaluates
-       all the starts still stepping by one values call per player.  Unstable
+       all the starts still stepping by one values call.  Unstable
        fixed points trap damped iteration in limit cycles but are reachable
        for Newton from nearby.
     2. WARM_UP damped steps at DAMPING from where Newton left each start,
@@ -951,7 +1168,7 @@ def _solve_fixed_point(
     gets it, with residual 0, and nothing is evaluated or counted.
     """
     if lam == 0:
-        return [([np.full(k, 1.0 / k) for k in evaluator.game.action_counts], 0.0) for _ in starts]
+        return _uniform_outcomes(evaluator.game.action_counts, len(starts))
     tol = cfg.tol_fixed_point
     outcomes = _newton_polish(evaluator, lam, starts, tol, max_steps=12)
     left = [r for r, (_, res) in enumerate(outcomes) if not res <= tol]
@@ -969,6 +1186,11 @@ def _solve_fixed_point(
     return outcomes
 
 
+def _uniform_outcomes(counts: Sequence[int], number: int) -> list[tuple[list[np.ndarray], float]]:
+    """The uniform profile with residual 0, once per start: every start's outcome at lambda = 0."""
+    return [([np.full(k, 1.0 / k) for k in counts], 0.0) for _ in range(number)]
+
+
 def _warm_up(
     evaluator: PhiEvaluator,
     lam: float,
@@ -978,8 +1200,8 @@ def _warm_up(
     """WARM_UP damped steps at DAMPING from some profiles in lockstep.
 
     Each step evaluates the logit response of every profile still stepping
-    by one _response, so by one values call per player and one softmax; a
-    lone profile is evaluated unstacked, as the unstacked kernels cost less.
+    by one _response, so by one values call and one softmax; a lone
+    profile is evaluated as one profile, not as a stack of one.
     A profile stops at its first iterate within tol of its response.
     Returns each profile's best iterate, the one of least sup-norm residual
     |p - T(p)|, with that residual; the steps taken are counted in the
@@ -1082,26 +1304,26 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     then follow their fixed-point homotopy path (see _solve_fixed_point).
     The first stage, Newton from the starts, runs them all in lockstep as
     one stack: each round evaluates every start still stepping by one
-    PhiEvaluator.values call per player and solves their steps by one
-    stacked np.linalg.solve, while each start keeps its own step, halvings
-    and stop, so it reaches the point it reaches alone.  A start whose full
+    PhiEvaluator.values call and solves their steps by one stacked
+    np.linalg.solve, while each start keeps its own step, halvings and
+    stop, so it reaches the point it reaches alone.  A start whose full
     step is rejected has all seven halvings of it evaluated in the next
     round, beside the other starts.  The warm-up and the Newton retry run
     the starts left in lockstep in the same way, each damped step
-    evaluating every start still stepping by one values call per player.
-    Only the homotopy paths run one start at a time.  At lam = 0 the
-    uniform profile is the only fixed point: every start converges to it,
-    with residual 0, without an evaluation.
+    evaluating every start still stepping by one values call.  Only the
+    homotopy paths run one start at a time.  At lam = 0 the uniform profile
+    is the only fixed point: every start converges to it, with residual 0,
+    and no PhiEvaluator is built.
     diagnostics: iterations, the damped steps (at most WARM_UP per start);
     newton_steps, the Newton steps on p - T(p); continuation_steps, the
     accepted predictor-corrector steps of the homotopy paths; starts and
-    starts_converged; evaluator_calls, the PhiEvaluator.values calls (one
-    per player per profile evaluated, a stacked call counting one per
+    starts_converged; evaluator_calls, the profiles PhiEvaluator.values
+    evaluated, times the number of players (a stacked call counting each
     profile in it, so the halvings of a rejected step that are evaluated
     but not taken count too); and jacobians, the Jacobians of p - T(p)
     built, by Newton and by the homotopy paths alike, one per start each
     time.  All but starts and starts_converged are read off the counts of
-    the solve's own PhiEvaluator.
+    the solve's own PhiEvaluator, and are 0 at lam = 0.
 
     At least one fixed point exists for every game and lambda >= 0; if no
     start converges a SolverError is raised rather than returning an empty
@@ -1110,9 +1332,12 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     if not 0 <= lam < math.inf:
         raise ValueError("lambda must be finite and nonnegative")
     cfg = cfg or SolverConfig()
-    evaluator = PhiEvaluator(game, phi)
     starts = _interior_starts(tuple(game.action_counts), cfg.seed, cfg.multistarts)
-    outcomes = _solve_fixed_point(evaluator, lam, starts, cfg)
+    if lam == 0:  # the uniform profile, before an evaluator and its plan are built
+        counts, outcomes = Counter(), _uniform_outcomes(game.action_counts, len(starts))
+    else:
+        evaluator = PhiEvaluator(game, phi)
+        counts, outcomes = evaluator.counts, _solve_fixed_point(evaluator, lam, starts, cfg)
 
     found = [(dists, res) for dists, res in outcomes if dists is not None]
     if not found:
@@ -1123,13 +1348,13 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     profiles = [MixedProfile(tuple(found[r][0])) for r in kept]
     residuals = [found[r][1] for r in kept]
     diagnostics = {
-        "iterations": evaluator.counts["iterations"],
-        "newton_steps": evaluator.counts["newton_steps"],
-        "continuation_steps": evaluator.counts["continuation_steps"],
+        "iterations": counts["iterations"],
+        "newton_steps": counts["newton_steps"],
+        "continuation_steps": counts["continuation_steps"],
         "starts": len(starts),
         "starts_converged": len(found),
-        "evaluator_calls": evaluator.counts["evaluator_calls"],
-        "jacobians": evaluator.counts["jacobians"],
+        "evaluator_calls": counts["evaluator_calls"],
+        "jacobians": counts["jacobians"],
     }
     return SolveResult(profiles, residuals, diagnostics)
 
@@ -1210,12 +1435,14 @@ def _best_response_gap(
 ) -> Optional[float]:
     """The largest shortfall of an action played above support_tol below its player's best value.
 
-    Values are the raw statistic of each action's realized lottery.  Returns
-    None as soon as one player's shortfall exceeds tol.
+    Values are the raw statistic of each action's realized lottery, every
+    player's from one values call.  Returns None as soon as one player's
+    shortfall exceeds tol.
     """
+    values = evaluator.values(np.concatenate(dists), boundary_pure=False)
     gap = 0.0
-    for i in range(evaluator.n):
-        vals = evaluator.values(i, dists, boundary_pure=False)
+    for i, (a, b) in enumerate(zip(evaluator.starts[:-1], evaluator.starts[1:])):
+        vals = values[a:b]
         played = dists[i] > support_tol
         best = vals.max()
         worst = vals[played].min() if played.any() else best
@@ -1312,30 +1539,23 @@ def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
 
     Player i's residual is v_i[sup_i[:-1]] - v_i[sup_i[-1]] under the raw
     statistic (boundary_pure=False); players with one support action have
-    none.  Its derivative comes from the same dv_i/dd_j as the logit's.
+    none.  The differences are one matrix, diff, over the concatenated
+    values: f = diff @ v, and the Jacobian is diff @ dv/dp @ diff.T, as the
+    chart of the supports moves p along the same differences.
     """
     counts = evaluator.game.action_counts
-    offsets = list(itertools.accumulate((len(s) - 1 for s in supports), initial=0))
-    movers = [i for i, sup in enumerate(supports) if len(sup) > 1]
+    starts = _full_chart(tuple(counts))[0]
+    pairs = [(starts[i] + a, starts[i] + sup[-1]) for i, sup in enumerate(supports) for a in sup[:-1]]
+    diff = np.zeros((len(pairs), starts[-1]))
+    diff[np.arange(len(pairs)), [a for a, _ in pairs]] = 1.0
+    diff[np.arange(len(pairs)), [b for _, b in pairs]] = -1.0
+    moves = diff.T.copy()
 
     def system(theta: np.ndarray):
-        dists = _dists_from_theta(theta, supports, counts)
-        parts = {i: evaluator.values(i, dists, boundary_pure=False, grad=True) for i in movers}
-        f = np.concatenate([v[list(supports[i][:-1])] - v[supports[i][-1]] for i, (v, _) in parts.items()])
-
-        def jacobian() -> np.ndarray:
-            jac = np.zeros((offsets[-1], offsets[-1]))
-            for i, (_, blocks) in parts.items():
-                sup_i = list(supports[i])
-                for j, block in zip(evaluator.others[i], blocks()):
-                    if len(supports[j]) > 1:
-                        diff = block[sup_i[:-1]] - block[sup_i[-1]]
-                        jac[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = _chart_columns(
-                            diff[:, list(supports[j])]
-                        )
-            return jac
-
-        return f, jacobian
+        p = np.empty(starts[-1])
+        _dists_from_theta(theta, supports, counts, out=p)
+        v, dv_dp = evaluator.values(p, boundary_pure=False, grad=True)
+        return diff @ v, lambda: diff @ dv_dp() @ moves
 
     return system
 
@@ -1460,14 +1680,15 @@ def _linear_half(
     _may_be_consistent; the others keep u and are not consistent.
     """
     rows, cols = own[:, :, None], opponent[:, None, :]
-    block = evaluator.constant_blocks[i][0][rows, cols]
+    j = evaluator.others[i][0]
+    block = evaluator.constant_dv[evaluator.starts[i] : evaluator.starts[i + 1], evaluator.starts[j] : evaluator.starts[j + 1]][rows, cols]
     weight = float(np.abs(evaluator.tables[i]).max()) or 1.0
     jac = np.empty(block.shape)
     jac[:, :-1] = block[:, :-1] - block[:, -1:]
     jac[:, -1] = weight
     rhs = np.zeros(block.shape[:2])
     rhs[:, -1] = weight
-    if evaluator.pure_extremes[i] is not None:
+    if evaluator.pure_extremes is not None:
         reached = evaluator.tables[i][rows, cols]
         extremes = evaluator._extremes(reached.min(axis=2), reached.max(axis=2))
         rhs[:, :-1] = extremes[:, -1:] - extremes[:, :-1]

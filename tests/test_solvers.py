@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import math
 import tracemalloc
@@ -100,7 +101,7 @@ class TestLogitResponse:
             p = MixedProfile(tuple(rng.dirichlet(np.ones(k)) for k in g.action_counts))
             evaluator = PhiEvaluator(g, phi)
             for i in range(g.num_players):
-                vals = evaluator.values(i, list(p.distributions), boundary_pure=True)
+                vals = _player_values(evaluator, i, p.distributions, boundary_pure=True)
                 for a in range(g.action_counts[i]):
                     direct = evaluate(phi, action_lottery(g, i, a, p))
                     assert abs(vals[a] - direct) <= 1e-12
@@ -133,7 +134,7 @@ class TestLogitResponse:
                 p = MixedProfile(tuple(dists))
                 evaluator = PhiEvaluator(g, phi)
                 for i in range(g.num_players):
-                    vals = evaluator.values(i, list(p.distributions), boundary_pure=False)
+                    vals = _player_values(evaluator, i, p.distributions, boundary_pure=False)
                     for a in range(g.action_counts[i]):
                         direct = evaluate(phi, action_lottery(g, i, a, p))
                         assert abs(vals[a] - direct) <= 1e-9 * scale
@@ -307,16 +308,16 @@ class TestSolveLqre:
         # Criterion 03's corpus game 112 at lambda = 5: its starts run every
         # stage, Newton, the damped warm-up and the homotopy path.
         # The first Newton stage, the warm-up and the Newton retry each run the
-        # starts as one stack, so a values call, a response and a Jacobian call
-        # count one per row of the stack they serve.
+        # starts as one stack, so a response and a Jacobian call count one per
+        # row of the stack they serve, and a values call one per player and row.
         rng = np.random.default_rng(777)
         game = [random_game(rng) for _ in range(113)][112]
         calls, jacobians, responses, newton_steps, continuation_steps = [], [], [], [], []
         values = PhiEvaluator.values
 
-        def counted_values(self, i, dists, *args, **kwargs):
-            calls.extend([i] * (len(dists[i]) if dists[i].ndim > 1 else 1))
-            return values(self, i, dists, *args, **kwargs)
+        def counted_values(self, p, *args, **kwargs):
+            calls.extend(list(range(self.n)) * (len(p) if p.ndim > 1 else 1))
+            return values(self, p, *args, **kwargs)
 
         logit_system = solvers._logit_system
 
@@ -864,24 +865,17 @@ class TestExactJacobians:
     def test_jacobian_reuses_the_evaluation(self):
         game = JACOBIAN_GAMES[1]
         evaluator = PhiEvaluator(game, K_PAIR)
-        calls = []
-        inner = evaluator.values
-
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return inner(*args, **kwargs)
-
-        evaluator.values = counted
+        products = _count_plan_products(evaluator)
         systems = [
             (_logit_system(evaluator, 2.0), np.array([0.4, 0.3, 0.3, 0.5])),
             (_support_system(evaluator, [(0, 1), (0, 2), (0, 1)]), np.array([0.4, 0.3, 0.5])),
         ]
         for system, theta in systems:
             f, jacobian = system(theta)
-            assert calls == [0, 1, 2]  # one evaluation per player
+            assert len(products) == 1  # one plan product per evaluation
             jacobian()
-            assert calls == [0, 1, 2]  # and none for the Jacobian
-            calls.clear()
+            assert len(products) == 1  # and none for the Jacobian
+            products.clear()
 
     def test_taylor_branch_is_not_the_mean(self):
         # The Taylor-band statistic's Jacobian differs from the expectation's
@@ -894,7 +888,7 @@ class TestExactJacobians:
 
 
 class TestValueBlocks:
-    """values(grad=True)'s blocks against central differences of values in each opponent's own mix."""
+    """values(grad=True)'s dv/dp blocks against central differences of values in each opponent's own mix."""
 
     @pytest.mark.parametrize("game", [JACOBIAN_GAMES[0], JACOBIAN_GAMES[1], JACOBIAN_GAMES[3]], ids=["2p", "3p", "4p"])
     @pytest.mark.parametrize("boundary_pure", [True, False])
@@ -921,28 +915,43 @@ class TestValueBlocks:
         dists = [rng.dirichlet(np.ones(k)) for k in game.action_counts]
         dists[-1][0] = 0.0  # a zero-weight action: the steep atoms' terms underflow on some rows
         dists[-1] /= dists[-1].sum()
-        h = 1e-7
+        stack_rng = np.random.default_rng(60)  # the stack and its directions, apart from dists' own draws
+        stack = _stack_around(dists, stack_rng)
         for phi in statistics:
             evaluator = PhiEvaluator(game, phi)
-            for i in range(game.num_players):
-                _, blocks = evaluator.values(i, dists, boundary_pure, grad=True)
-                blocks = blocks()
-                assert len(blocks) == game.num_players - 1
-                for j, block in zip(evaluator.others[i], blocks):
-                    assert block.shape == (game.action_counts[i], game.action_counts[j])
-                    for _ in range(2):
-                        # A direction inside the face of j's simplex that its mix lies on.
-                        step = rng.normal(size=dists[j].size) * (dists[j] > 0)
-                        step -= (dists[j] > 0) * step.sum() / (dists[j] > 0).sum()
-                        moved = [d.copy() for d in dists]
-                        moved[j] = dists[j] + h * step
-                        up = evaluator.values(i, moved, boundary_pure)
-                        moved[j] = dists[j] - h * step
-                        down = evaluator.values(i, moved, boundary_pure)
-                        np.testing.assert_allclose(
-                            block @ step, (up - down) / (2 * h), rtol=0, atol=1e-8, err_msg=f"{phi.describe()} {i} {j}"
-                        )
+            reshifted = _record_reshifts(evaluator, monkeypatch)
+            _assert_blocks_match_central_differences(evaluator, dists, boundary_pure, rng)
+            _assert_blocks_match_central_differences(evaluator, stack, boundary_pure, stack_rng)
+            if phi is statistics[-1] and game.num_players > 2:
+                # The fallback runs inside the stack, on its row of the test's own dists alone.
+                reshifted.clear()
+                evaluator.values(np.concatenate(stack, axis=-1), boundary_pure, grad=True)
+                assert reshifted and all(p == np.concatenate(dists).tolist() for p in reshifted)
         assert fallbacks, "no steep atom's terms underflowed"
+
+
+def _player_values(evaluator, i, dists, boundary_pure):
+    """Player i's action values, read off one values call on the concatenated profile (or stack)."""
+    values = evaluator.values(np.concatenate(dists, axis=-1), boundary_pure)
+    return values[..., evaluator.starts[i] : evaluator.starts[i + 1]]
+
+
+def _stack_around(dists, rng):
+    """A stack of three profiles, (3 x actions) per player: dists in row 0, then two totally mixed draws."""
+    return [np.stack([d, rng.dirichlet(np.ones(d.size)), rng.dirichlet(np.ones(d.size))]) for d in dists]
+
+
+def _record_reshifts(evaluator, monkeypatch):
+    """The concatenated profiles whose tilts the evaluator finishes alone, one per _reshift call."""
+    profiles = []
+    inner = evaluator._reshift
+
+    def recorded(i, p, grad):
+        profiles.append(p.tolist())
+        return inner(i, p, grad)
+
+    monkeypatch.setattr(evaluator, "_reshift", recorded)
+    return profiles
 
 
 def _reference_values(game, phi, i, dists, boundary_pure):
@@ -965,26 +974,52 @@ def _reference_values(game, phi, i, dists, boundary_pure):
 
 
 def _assert_blocks_match_central_differences(evaluator, dists, boundary_pure, rng, h=1e-7):
-    """TestValueBlocks' check: each block times a direction inside the face of j's mix."""
+    """TestValueBlocks' check: each block of dv/dp times a direction inside the face of j's mix.
+
+    dists is one profile or a stack, (B x actions) per player; each row of a
+    stack is checked against central differences of its own profile.
+    """
     game = evaluator.game
-    for i in range(game.num_players):
-        _, blocks = evaluator.values(i, dists, boundary_pure, grad=True)
-        for j, block in zip(evaluator.others[i], blocks()):
-            for _ in range(2):
-                step = rng.normal(size=dists[j].size) * (dists[j] > 0)
-                step -= (dists[j] > 0) * step.sum() / (dists[j] > 0).sum()
-                moved = [d.copy() for d in dists]
-                moved[j] = dists[j] + h * step
-                up = evaluator.values(i, moved, boundary_pure)
-                moved[j] = dists[j] - h * step
-                down = evaluator.values(i, moved, boundary_pure)
-                np.testing.assert_allclose(
-                    block @ step,
-                    (up - down) / (2 * h),
-                    rtol=0,
-                    atol=1e-8,
-                    err_msg=f"{evaluator.phi.describe()} {i} {j}",
-                )
+    size = sum(game.action_counts)
+    _, jacobian = evaluator.values(np.concatenate(dists, axis=-1), boundary_pure, grad=True)
+    dvs = jacobian()
+    rows = [[d[r] for d in dists] for r in range(len(dists[0]))] if dists[0].ndim > 1 else [dists]
+    assert dvs.shape[-2:] == (size, size)
+    for row, dv in zip(rows, np.broadcast_to(dvs, (len(rows), size, size))):
+        for i in range(game.num_players):
+            own = slice(evaluator.starts[i], evaluator.starts[i + 1])
+            assert not dv[own, own].any()  # a player's values do not move with its own mix
+            for j in evaluator.others[i]:
+                block = dv[own, evaluator.starts[j] : evaluator.starts[j + 1]]
+                for _ in range(2):
+                    step = rng.normal(size=row[j].size) * (row[j] > 0)
+                    step -= (row[j] > 0) * step.sum() / (row[j] > 0).sum()
+                    moved = [d.copy() for d in row]
+                    moved[j] = row[j] + h * step
+                    up = _player_values(evaluator, i, moved, boundary_pure)
+                    moved[j] = row[j] - h * step
+                    down = _player_values(evaluator, i, moved, boundary_pure)
+                    np.testing.assert_allclose(
+                        block @ step,
+                        (up - down) / (2 * h),
+                        rtol=0,
+                        atol=1e-8,
+                        err_msg=f"{evaluator.phi.describe()} {i} {j}",
+                    )
+
+
+def _count_plan_products(evaluator):
+    """Give the evaluator a view of its plan that lists each product q @ plan taken with it."""
+    products = []
+
+    class Counted(np.ndarray):
+        # A subclass's reflected product runs before ndarray's own.
+        def __rmatmul__(self, other):
+            products.append(np.shape(other))
+            return np.asarray(other) @ self.view(np.ndarray)
+
+    evaluator.plan = evaluator.plan.view(Counted)
+    return products
 
 
 class TestGroupedPlan:
@@ -1006,18 +1041,23 @@ class TestGroupedPlan:
             ((-math.inf, 0.1), (-1.5, 0.2), (taylor, 0.15), (0.0, 0.2), (1.5, 0.2), (math.inf, 0.15))
         )
         evaluator = PhiEvaluator(game, phi)
-        assert all(len(finishes) == 2 for finishes in evaluator.finishes)  # the Taylor band and the tilts
-        assert all(evaluator.linear)
+        # Every player's atoms take all three branches: the mean, the Taylor band and the tilts.
+        assert all(set(branches) == {"mean", "taylor", "exp"} for branches in evaluator.branches)
         dists = self._dists(game, 7)
+        stack = _stack_around(dists, np.random.default_rng(11))
         scale = 1.0 + float(np.max(np.abs(game.payoffs)))
         for i in range(game.num_players):
             np.testing.assert_allclose(
-                evaluator.values(i, dists, boundary_pure),
+                _player_values(evaluator, i, dists, boundary_pure),
                 _reference_values(game, phi, i, dists, boundary_pure),
                 rtol=0,
                 atol=1e-9 * scale,
             )
-        _assert_blocks_match_central_differences(evaluator, dists, boundary_pure, np.random.default_rng(8))
+            for r, got in enumerate(_player_values(evaluator, i, stack, boundary_pure)):
+                want = _reference_values(game, phi, i, [d[r] for d in stack], boundary_pure)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+        for profile in (dists, stack):
+            _assert_blocks_match_central_differences(evaluator, profile, boundary_pure, np.random.default_rng(8))
 
     @pytest.mark.parametrize("game", [JACOBIAN_GAMES[0], JACOBIAN_GAMES[1], JACOBIAN_GAMES[3]], ids=["2p", "3p", "4p"])
     @pytest.mark.parametrize("boundary_pure", [True, False])
@@ -1032,27 +1072,36 @@ class TestGroupedPlan:
 
         monkeypatch.setattr(solvers, "normalized_cgf", counted)
         dists = self._dists(game, 9)
+        stack = _stack_around(dists, np.random.default_rng(12))
         mild, steep_only = MAStatistic.single(-1.0), MAStatistic.single(steep)
         both = MAStatistic(((-1.0, 0.5), (steep, 0.5)))
         for phi in (mild, steep_only):
             fallbacks.clear()
             evaluator = PhiEvaluator(game, phi)
-            for i in range(game.num_players):
-                evaluator.values(i, dists, boundary_pure, grad=True)
+            evaluator.values(np.concatenate(dists), boundary_pure, grad=True)
             assert bool(fallbacks) == (phi is steep_only)  # only the steep tilt underflows
         evaluator = PhiEvaluator(game, both)
-        assert all(len(finishes) == 1 for finishes in evaluator.finishes)  # one group of two tilts
+        # One group of two tilts for every player.
+        assert all(set(branches) == {"exp"} and len(branches["exp"][0]) == 2 for branches in evaluator.branches)
         scale = 1.0 + float(np.max(np.abs(game.payoffs)))
         fallbacks.clear()
         for i in range(game.num_players):
             np.testing.assert_allclose(
-                evaluator.values(i, dists, boundary_pure),
+                _player_values(evaluator, i, dists, boundary_pure),
                 _reference_values(game, both, i, dists, boundary_pure),
                 rtol=0,
                 atol=1e-9 * scale,
             )
         assert fallbacks
         _assert_blocks_match_central_differences(evaluator, dists, boundary_pure, np.random.default_rng(10))
+        reshifted = _record_reshifts(evaluator, monkeypatch)
+        for i in range(game.num_players):
+            for r, got in enumerate(_player_values(evaluator, i, stack, boundary_pure)):
+                want = _reference_values(game, both, i, [d[r] for d in stack], boundary_pure)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+        if game.num_players > 2:  # the fallback runs inside the stack, on its row of the test's own dists alone
+            assert reshifted and all(p == np.concatenate(dists).tolist() for p in reshifted)
+        _assert_blocks_match_central_differences(evaluator, stack, boundary_pure, np.random.default_rng(10))
 
 
 def _reference_chart(theta, supports, counts):
@@ -1108,7 +1157,8 @@ class TestLogitSystem:
                     dists = _reference_chart(theta, supports, counts)
                     for got, want in zip(_dists_from_theta(theta, supports, counts), dists):
                         np.testing.assert_array_equal(got, want)
-                    responses = [_reference_logit(evaluator.values(i, dists, True), lam) for i in range(len(dists))]
+                    values = [_player_values(evaluator, i, dists, True) for i in range(len(dists))]
+                    responses = [_reference_logit(v, lam) for v in values]
                     for got, want in zip(_response(evaluator, lam, dists), responses):
                         np.testing.assert_array_equal(got, want)
                     expected = np.concatenate([(d - s)[:-1] for d, s in zip(dists, responses)])
@@ -1151,17 +1201,20 @@ class TestLogitSystem:
 
     def test_blocks_are_built_once_per_jacobian_taken(self, monkeypatch):
         # Newton from this start at lambda = 20 rejects trial points on its
-        # way to the root; those pay for values only.
+        # way to the root; those pay for values only.  Each evaluation takes
+        # one plan product, and each Jacobian reads dv/dp off it once.
         game = JACOBIAN_GAMES[1]
         built = []
-        inner = solvers._partials
+        inner = PhiEvaluator._dv
 
-        def counted(grid, mixes):
-            built.append(len(mixes))
-            return inner(grid, mixes)
+        def counted(self, *args):
+            built.append(args[0].shape)
+            return inner(self, *args)
 
-        monkeypatch.setattr(solvers, "_partials", counted)
-        logit = _logit_system(PhiEvaluator(game, K_PAIR), 20.0)
+        monkeypatch.setattr(PhiEvaluator, "_dv", counted)
+        evaluator = PhiEvaluator(game, K_PAIR)
+        products = _count_plan_products(evaluator)
+        logit = _logit_system(evaluator, 20.0)
         evaluations, jacobians = [], []
 
         def system(theta):
@@ -1179,24 +1232,24 @@ class TestLogitSystem:
         _, f, steps = _newton(system, theta, 1e-12, 40)
         assert abs(f).max() <= 1e-12
         assert len(evaluations) > 1 + steps  # some trial point was rejected
-        assert len(built) == game.num_players * len(jacobians)
+        assert len(products) == len(evaluations)  # one plan product per evaluation, none per Jacobian
+        assert len(built) == len(jacobians)
 
     def test_constant_blocks_are_shared_and_read_only(self):
         game = JACOBIAN_GAMES[0]
         extremes_only = MAStatistic(((-math.inf, 0.5), (math.inf, 0.5)))
         for phi in (EXPECTATION, MMM_THIRDS, extremes_only):
             evaluator = PhiEvaluator(game, phi)
-            dists = [np.full(k, 1.0 / k) for k in game.action_counts]
-            for i in range(2):
-                values, blocks = evaluator.values(i, dists, True, grad=True)
-                assert blocks() is evaluator.constant_blocks[i]
-                assert not any(block.flags.writeable for block in blocks())
-                if evaluator.pure_extremes[i] is not None:
-                    assert not evaluator.pure_extremes[i].flags.writeable
-                if phi is extremes_only:  # the values are the plan's own -inf/+inf term
-                    assert values is evaluator.pure_extremes[i]
-        assert all(blocks is None for blocks in PhiEvaluator(game, K_PAIR).constant_blocks)
-        assert all(blocks is None for blocks in PhiEvaluator(JACOBIAN_GAMES[1], MMM_THIRDS).constant_blocks)
+            p = np.concatenate([np.full(k, 1.0 / k) for k in game.action_counts])
+            values, jacobian = evaluator.values(p, True, grad=True)
+            assert jacobian() is evaluator.constant_dv
+            assert not evaluator.constant_dv.flags.writeable
+            if evaluator.pure_extremes is not None:
+                assert not evaluator.pure_extremes.flags.writeable
+            if phi is extremes_only:  # the values are the plan's own -inf/+inf term
+                assert values is evaluator.pure_extremes
+        assert PhiEvaluator(game, K_PAIR).constant_dv is None
+        assert PhiEvaluator(JACOBIAN_GAMES[1], MMM_THIRDS).constant_dv is None
 
 
 class TestLockstepStarts:
@@ -1371,9 +1424,10 @@ class TestLockstepStarts:
         assert lstsq_rows and all(row == 0.0 for row in lstsq_rows)
         assert max(np.abs(f[1:]).max(axis=1)) <= 1e-12  # the regular rows reach their roots
 
-    def test_a_row_whose_jacobian_turns_nan_stops_where_it_is(self, monkeypatch):
+    def test_a_row_whose_jacobian_turns_nan_stops_where_it_is(self, monkeypatch, capfd):
         # x^2 = 1 in each coordinate, whose Jacobian turns NaN left of x = -0.5, with its first
-        # column zero so that the LU solve finds it singular and least squares fails too.
+        # column zero.  Such a row gets its NaN step without a LAPACK call, so least squares
+        # is never handed a non-finite matrix and prints nothing to standard output.
         # The first start's capped step lands at x = -0.7: it takes no step from there and
         # leaves with that point, while the other rows reach their roots as alone.
         def system(theta):
@@ -1385,23 +1439,22 @@ class TestLockstepStarts:
 
             return theta * theta - 1.0, jacobian
 
-        failures = []
+        handed = []
         lstsq = np.linalg.lstsq
 
         def counted(a, b, rcond=None):
-            try:
-                return lstsq(a, b, rcond=rcond)
-            except np.linalg.LinAlgError:
-                failures.append(a.copy())
-                raise
+            handed.append(a.copy())
+            return lstsq(a, b, rcond=rcond)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted)
         starts = [np.array([-0.2, 0.9]), np.array([0.9, 0.4]), np.array([1.2, 1.1])]
         steps, f = self._assert_rows_run_as_alone(system, starts, 1e-12)
-        assert failures and all(np.isnan(a[:, 1]).all() for a in failures)
+        assert all(np.isfinite(a).all() for a in handed)
         theta, _, _ = _newton(system, starts[0], 1e-12, 12)
         assert theta[0] == -0.7 and steps[0] == 1
         assert max(np.abs(f[1:]).max(axis=1)) <= 1e-12
+        ctypes.CDLL(None).fflush(None)  # LAPACK prints through C's buffered stdout
+        assert capfd.readouterr().out == ""  # nothing reached file descriptor 1
 
     def test_a_row_whose_terms_underflow(self, monkeypatch):
         # At a = -966 the tilted terms of JACOBIAN_GAMES[1] underflow for a
