@@ -185,18 +185,20 @@ class _Layout:
     entries: dict
     taylor_rows: np.ndarray
     taylor_gather: np.ndarray
+    owner: np.ndarray
     exp_owner: np.ndarray
     complements: list
 
 
 @functools.lru_cache(maxsize=256)
-def _plan_layout(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, tuple], ...], ...]) -> _Layout:
-    """The index arrays of PhiEvaluator's plan for games of these action counts and branches.
+def _plan_layout(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, int], ...], ...]) -> _Layout:
+    """The index arrays of PhiEvaluator's plan for games of these action counts and branch sizes.
 
     branches lists, per player, each branch its atoms take, in _BRANCHES
-    order, with its atoms' (location, weight) pairs, none for the mean,
-    whose grid carries its atoms' total weight.  They fix everything but
-    the payoffs:
+    order, with the number of its atoms, 0 for the mean, whose grid carries
+    its atoms' total weight.  They fix everything but the payoffs and the
+    atoms themselves (see _plan_tags):
+    - owner, the player of each place in the concatenated profile;
     - the rows of the grid sums: place[i][g, a] is the row that player i's
       grid g gives at action a, the mean rows of every player first, then
       the Taylor band's moments, then the tilts; rows of them in all,
@@ -217,26 +219,22 @@ def _plan_layout(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, tuple
       opponent; for two players the matrix sum_plan, (actions x rows),
       does it, its entries picked by sum_plan_from as the plan's are, and
       for one player sum_plan_from picks the sums themselves;
-    - entries[branch] = (places, atoms, weights, scatter): one entry per
-      atom and action, player by player and atom by atom, with its place in
-      the concatenated actions, its atom's location and weight, and a
-      matrix (entries x actions) that sums the entries, weighted, into
-      their actions.  A mean entry is a mean row, of weight one; a tilt
-      entry is a tilt row, whose player exp_owner holds; a Taylor entry
-      reads its action's three moment rows, taylor_rows (3 x entries), and
-      the 0/1 matrix taylor_gather takes its three coefficients, (3 *
-      entries), back to those rows.
-    Cached per (counts, branches), as _full_chart is per shape: the arrays
-    are shared, and read-only.
+    - entries[branch], the places of the branch's entries in the
+      concatenated actions: one entry per atom and action, player by player
+      and atom by atom.  A mean entry is a mean row; a tilt entry is a tilt
+      row, whose player exp_owner holds; a Taylor entry reads its action's
+      three moment rows, taylor_rows (3 x entries), and the 0/1 matrix
+      taylor_gather takes its three coefficients, (3 * entries), back to
+      those rows.
+    Cached per (counts, branches), so every statistic whose branches have
+    these sizes shares the arrays; they are read-only.
     """
     n = len(counts)
     starts = list(itertools.accumulate(counts, initial=0))
     size = starts[-1]
-    # Per player and branch: (branch, grid count, atoms), a mean grid standing for one atom of weight one.
-    grids = [
-        [(b, 3 if b == "taylor" else len(atoms) or 1, atoms or ((0.0, 1.0),)) for b, atoms in player]
-        for player in branches
-    ]
+    owner = np.repeat(np.arange(n), counts)
+    # Per player and branch: (branch, grid count, atom count), a mean grid standing for one atom.
+    grids = [[(b, 3 if b == "taylor" else atoms or 1, atoms or 1) for b, atoms in player] for player in branches]
     heights = [sum(g for _, g, _ in player) for player in grids]
     place = [np.empty((h, k), dtype=np.intp) for h, k in zip(heights, counts)]
     sizes, row = dict.fromkeys(_BRANCHES, 0), 0
@@ -296,27 +294,22 @@ def _plan_layout(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, tuple
     # Each branch's entries: one per atom and action, player by player.
     entries, taylor_rows, taylor_gather, exp_owner = {}, np.zeros((3, 0), dtype=np.intp), np.zeros((0, 0)), empty
     for name in _BRANCHES:
-        places, tagged, moments = [empty], [np.zeros((0, 2))], []
+        places, moments = [], []
         for i, player in enumerate(grids):
             first = 0
             for b, g, atoms in player:
                 if b == name:
-                    places.append(np.tile(np.arange(starts[i], starts[i + 1]), len(atoms)))
-                    tagged.append(np.repeat(np.array(atoms), counts[i], axis=0))  # (location, weight) per entry
-                    moments.append(np.tile(place[i][first : first + 3], len(atoms)))
+                    places.append(np.tile(np.arange(starts[i], starts[i + 1]), atoms))
+                    moments.append(np.tile(place[i][first : first + 3], atoms))
                 first += g
-        if len(tagged) > 1:
-            places = np.concatenate(places)
-            atoms, weights = np.concatenate(tagged).T.copy()
-            scatter = np.zeros((len(places), size))
-            scatter[np.arange(len(places)), places] = weights
-            entries[name] = (places, atoms, weights, scatter)
+        if places:
+            places = entries[name] = np.concatenate(places)
             if name == "taylor":
                 taylor_rows = np.concatenate(moments, axis=1)
                 taylor_gather = np.zeros((taylor_rows.size, sizes[name]))
                 taylor_gather[np.arange(taylor_rows.size), taylor_rows.ravel() - sizes["mean"]] = 1.0
             if name == "exp":
-                exp_owner = np.searchsorted(starts, places, side="right") - 1
+                exp_owner = owner[places]
     layout = _Layout(
         rows=row,
         sizes=sizes,
@@ -332,17 +325,48 @@ def _plan_layout(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, tuple
         entries=entries,
         taylor_rows=taylor_rows,
         taylor_gather=taylor_gather,
+        owner=owner,
         exp_owner=exp_owner,
         complements=complements,
     )
     shared = (layout.coef_cols, layout.blocks_at, layout.group_starts, layout.sum_starts, sum_plan_from)
-    for array in (placed, sum_cols, sum_mixes, taylor_rows, taylor_gather, exp_owner, *shared):
+    for array in (placed, sum_cols, sum_mixes, taylor_rows, taylor_gather, owner, exp_owner, *shared, *entries.values()):
         if array is not None:
             array.flags.writeable = False
-    for entry in entries.values():
-        for array in entry:
-            array.flags.writeable = False
     return layout
+
+
+@functools.lru_cache(maxsize=256)
+def _plan_tags(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, tuple], ...], ...]) -> tuple[_Layout, dict]:
+    """The plan's layout for games of these action counts and branches, and the atoms its entries are tagged with.
+
+    branches is _plan_layout's, with each branch's atoms' (location,
+    weight) pairs in place of their number, none for the mean.  Returns
+    (layout, tags): the layout of these branches' sizes, which _plan_layout
+    caches apart, so a new statistic on a known shape shares it, and
+    tags[branch] = (atoms, weights, scatter), each entry's atom location
+    and weight, a mean entry's being (0, 1), and a matrix (entries x
+    actions) that sums the entries, weighted, into their actions.  Cached
+    per (counts, branches): the arrays are shared, and read-only.
+    """
+    layout = _plan_layout(counts, tuple(tuple((b, len(atoms)) for b, atoms in player) for player in branches))
+    tags = {}
+    for name, places in layout.entries.items():
+        tagged = [  # (location, weight) per entry
+            pair
+            for player, k in zip(branches, counts)
+            for b, pairs in player
+            if b == name
+            for pair in pairs or ((0.0, 1.0),)
+            for _ in range(k)
+        ]
+        atoms, weights = np.array([a for a, _ in tagged]), np.array([w for _, w in tagged])
+        scatter = np.zeros((len(places), sum(counts)))
+        scatter[np.arange(len(places)), places] = weights
+        for array in (atoms, weights, scatter):
+            array.flags.writeable = False
+        tags[name] = (atoms, weights, scatter)
+    return layout, tags
 
 
 class PhiEvaluator:
@@ -418,13 +442,15 @@ class PhiEvaluator:
             # The mean grid carries its atoms' total weight: only its branch enters the shape.
             atoms = {b: () if b == "mean" else tuple(zip(a.tolist(), w.tolist())) for b, (a, w) in branches.items()}
             shape.append(tuple(atoms.items()))
-        self.layout = layout = _plan_layout(tuple(counts), tuple(shape))
+        layout, tags = _plan_tags(tuple(counts), tuple(shape))
+        self.layout = layout
         flat = np.concatenate([*grids, _ZERO])
         self.plan = flat[layout.plan_from]
         self.sum_plan = None if layout.sum_plan_from is None else flat[layout.sum_plan_from]
-        # Each branch's entries tagged with (atoms, weights, lo, hi, scatter): see _plan_layout.
+        # Each branch's entries tagged with (atoms, weights, lo, hi, scatter): see _plan_tags.
         self.tags = {}
-        for name, (places, atoms, weights, scatter) in layout.entries.items():
+        for name, (atoms, weights, scatter) in tags.items():
+            places = layout.entries[name]
             bounds = (None, None) if name == "mean" else (lo[places], hi[places])
             self.tags[name] = (atoms, weights, *bounds, scatter)
         self.constant_dv = None
@@ -631,10 +657,10 @@ class PhiEvaluator:
 def _logit(values: np.ndarray, lam: float, starts: Sequence[int], owner: np.ndarray) -> np.ndarray:
     """Each player's logit response to its action values, concatenated.
 
-    starts and owner are _full_chart's.  One softmax runs over the
-    concatenated values: each player's max by np.maximum.reduceat, each
-    player's total by its own sum (np.add.reduceat rounds differently on
-    slices of three or more).  A stack of values, (B x actions), gives a
+    starts are a PhiEvaluator's, and owner its layout's.  One softmax runs
+    over the concatenated values: each player's max by np.maximum.reduceat,
+    each player's total by its own sum (np.add.reduceat rounds differently
+    on slices of three or more).  A stack of values, (B x actions), gives a
     stack of responses; it is worked on transposed, one column per
     profile, so that both take the same indexing.
     """
@@ -651,7 +677,7 @@ def _response(evaluator: PhiEvaluator, lam: float, dists: Sequence[np.ndarray]) 
 
     The mixes are concatenated into one profile, or one stack, and evaluated by one values call.
     """
-    starts, _, owner, *_ = _full_chart(tuple(evaluator.game.action_counts))
+    starts, owner = evaluator.starts, evaluator.layout.owner
     s = _logit(evaluator.values(np.concatenate(dists, axis=-1), boundary_pure=True), lam, starts, owner)
     return [s[..., a:b] for a, b in zip(starts[:-1], starts[1:])]
 
@@ -677,40 +703,55 @@ def verify_lqre(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) -> fl
 # ---------------------------------------------------------------------------
 
 
+def _cut(p: np.ndarray, starts: Sequence[int]) -> np.ndarray:
+    """p with each player's negative weights cut to zero and that player's mix renormalized.
+
+    p is one concatenated profile, (actions,), or a stack of them, (B x
+    actions); starts are where each player's mix starts in it.  Returns p
+    itself when no weight is negative, else a copy in which each row with a
+    negative weight is cut alone, mix by mix, so every row equals its own
+    cut, bit for bit.  A mix whose weights sum to one keeps a total of at
+    least one after the cut.
+    """
+    if not p.min() < 0.0:
+        return p
+    cut = np.array(p)
+    rows = np.atleast_2d(cut)  # a view of cut
+    for r in np.flatnonzero(rows.min(axis=1) < 0.0).tolist():
+        for a, b in zip(starts[:-1], starts[1:]):
+            vec = rows[r, a:b]
+            if vec.min() < 0.0:
+                np.maximum(vec, 0.0, out=vec)
+                vec /= vec.sum()
+    return cut
+
+
 def _dists_from_theta(
     theta: np.ndarray,
     supports: Sequence[Sequence[int]],
     counts: Sequence[int],
     out: Optional[np.ndarray] = None,
 ) -> list[np.ndarray]:
-    """The simplex chart: one mixed strategy per player from free coordinates.
+    """The simplex chart of some supports: one mixed strategy per player from free coordinates.
 
     Each player takes len(support) - 1 coordinates as the weights of all but
     the last support action; the last gets one minus their sum.  Negative
-    weights are cut to zero and the vector is renormalized (the weights sum
-    to one before the cut, so the total is never below one).  Each support
-    lists its actions in increasing order, so a full one is range(k).  The
-    mixes are filled in place as consecutive views of one vector, the
-    concatenated profile: out when it is given, else a new one.
-    theta may be one point or a stack of them, (B x free), filled into a
-    (B x actions) profile, each mix then a (B x k) view.  A stack is filled
-    through its transpose, one column per point, by the same slices as one
-    point; a row with a weight to cut is filled again alone, so every row
-    equals its own fill, bit for bit.
+    weights are then cut as _cut cuts them.  Each support lists its actions
+    in increasing order, so a full one is range(k).  The mixes are filled in
+    place as consecutive views of one vector, the concatenated profile: out
+    when it is given, else a new one.
     """
-    stack = theta.ndim > 1
-    out = np.empty((len(theta), sum(counts)) if stack else sum(counts)) if out is None else out
-    profile, coords = (out.T, theta.T) if stack else (out, theta)
+    out = np.empty(sum(counts)) if out is None else out
     dists = []
     pos = end = 0
     for sup, k in zip(supports, counts):
-        vec = profile[end : end + k]
+        vec = out[end : end + k]
         end += k
-        head = coords[pos : pos + len(sup) - 1]
+        head = theta[pos : pos + len(sup) - 1]
         pos += len(sup) - 1
         if len(sup) == k:  # the full support: no unplayed actions to leave at zero
             vec[:-1] = head
-            vec[-1] = 1.0 - np.add.reduce(head)  # head.sum(axis=0), without the method's wrapper
+            vec[-1] = 1.0 - np.add.reduce(head)  # head.sum(), without the method's wrapper
         else:
             idx = list(sup)
             vec.fill(0.0)
@@ -718,25 +759,8 @@ def _dists_from_theta(
             vec[idx[-1]] = 1.0 - np.add.reduce(head)
         dists.append(vec)
     if out.min() < 0.0:
-        if stack:
-            for r in np.flatnonzero(out.min(axis=1) < 0.0).tolist():
-                _dists_from_theta(theta[r], supports, counts, out=out[r])
-        else:
-            for vec in dists:
-                if vec.min() < 0.0:
-                    np.maximum(vec, 0.0, out=vec)
-                    vec /= vec.sum()
-    return [vec.T for vec in dists] if stack else dists
-
-
-def _chart_columns(cols: np.ndarray) -> np.ndarray:
-    """A derivative with respect to the weights of a support, taken to the chart's free weights.
-
-    cols holds one column per support action.  Inside the chart, raising
-    free weight t raises that action's weight and lowers the last support
-    action's by as much.
-    """
-    return cols[..., :-1] - cols[..., -1:]
+        out[:] = _cut(out, list(itertools.accumulate(counts, initial=0)))
+    return dists
 
 
 def _newton(
@@ -771,12 +795,12 @@ def _newton(
     square solve finds it singular.  They are capped at 0.5 in the sup
     norm, and a step is taken only if it lowers the residual, halving it up
     to seven times: far from a root a full step can overshoot into the
-    chart's clipped region.  Both pay on criterion 03's 600 logit solves
-    (two Dirichlet starts each): with the full step kept only when it
-    lowers the residual, they find 613 fixed points instead of 620, and the
-    starts that reach their homotopy paths take 882 continuation steps
-    instead of 325; with every full step kept, 614 and 435, and 11,065
-    Newton steps on p - T(p) instead of 6,698.
+    region where a weight is cut.  Both pay on criterion 03's 600 logit
+    solves (two Dirichlet starts each): with the full step kept only when
+    it lowers the residual, they find 610 fixed points instead of 625, and
+    the starts that reach their homotopy paths take 838 continuation steps
+    instead of 268; with every full step kept, 618 and 470, and 8,613
+    Newton steps on p - T(p) instead of 5,851.
     A stack's halvings are evaluated together: a row whose full step is
     rejected has all seven of its halvings evaluated by the next pass's
     system call, beside the other rows' trial points, and takes the first
@@ -886,70 +910,44 @@ def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return step
 
 
-@functools.lru_cache(maxsize=64)
-def _full_chart(counts: tuple[int, ...]):
-    """The full-support chart of a game with these action counts, as arrays.
-
-    Returns (starts, free, owner, chart, identity): where each player's mix
-    starts in the concatenated profile p (and its length), the places of the
-    free coordinates in p, the player of each place in p, chart, whose
-    column t is the change of p as free coordinate t rises (see
-    _chart_columns), and the identity on the free coordinates.  Cached per
-    shape, so the arrays are shared, and read-only.
-    """
-    starts = tuple(itertools.accumulate(counts, initial=0))
-    free = np.array([q for i, k in enumerate(counts) for q in range(starts[i], starts[i] + k - 1)], dtype=int)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    last = np.array(starts[1:]) - 1  # each player's eliminated coordinate
-    chart = np.zeros((starts[-1], free.size))
-    chart[free, np.arange(free.size)] = 1.0
-    chart[last[owner[free]], np.arange(free.size)] = -1.0
-    arrays = (free, owner, chart, np.eye(free.size))
-    for array in arrays:
-        array.flags.writeable = False
-    return (starts, *arrays)
-
-
 def _logit_system(evaluator: PhiEvaluator, lam: float):
-    """p - T(p) on the free coordinates of the full-support chart, with its exact Jacobian.
+    """f(p) = p - T(p^), the fixed-point residual on the concatenated profile p, with its exact Jacobian.
 
-    The profile is evaluated once: _dists_from_theta fills the chart into
-    one vector p, one values call gives every player's values,
-    concatenated, and their dv/dp, and _logit runs over them.  Player i's
-    response s = logit(lam v_i) moves with opponent j's mix by
-    lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.  The
-    Jacobian is I - dT/dp taken to the chart: its free rows, times the
-    chart's columns.  The evaluator's counts["jacobians"] counts the
-    Jacobians built.
-    The system takes one point, theta, or a stack of them, (B x free), as
-    _newton does.  A stack fills its chart by one _dists_from_theta into a
-    (B x actions) p, is evaluated by one values call and one softmax, and
-    its jacobian(rows=None) builds the Jacobians of the given rows (all by
-    default) together, (rows x free x free), counting one per row.
+    p^ is p with negative weights cut (_cut), and T the logit response.
+    The profile is evaluated once: one values call at p^ gives every
+    player's values, concatenated, and their dv/dp, and _logit runs over
+    them.  Player i's response s = logit(lam v_i) moves with opponent j's
+    mix by lam (diag s - s s^T) dv_i/dd_j; its own mix does not enter it.
+    The Jacobian is I - dT/dp, (actions x actions).  Each player's response
+    sums to one, so 1_i^T dT/dp = 0 and 1_i^T f = sum(p_i) - 1 is linear:
+    a Newton step from a point whose mixes sum to one keeps them there, up
+    to rounding, and on the simplex product it equals the step on the
+    chart of each player's free weights, whose Jacobian has the same
+    determinant.  The residual is p - T(p^), not p^ - T(p^), so that this
+    holds where a weight is cut too.  The evaluator's counts["jacobians"]
+    counts the Jacobians built.
+    The system takes one point, (actions,), or a stack of them, (B x
+    actions), as _newton does.  A stack is cut row by row, evaluated by one
+    values call and one softmax, and its jacobian(rows=None) builds the
+    Jacobians of the given rows (all by default) together, (rows x actions
+    x actions), counting one per row.
     """
-    counts = evaluator.game.action_counts
-    starts, free, owner, chart, identity = _full_chart(tuple(counts))
-    full = [range(k) for k in counts]
-    heads = starts[:-1]
+    starts, owner = evaluator.starts, evaluator.layout.owner
+    heads, identity = starts[:-1], np.eye(starts[-1])
 
-    def system(theta: np.ndarray):
-        stack = theta.ndim > 1
-        p = np.empty((len(theta), starts[-1]) if stack else starts[-1])
-        _dists_from_theta(theta, full, counts, out=p)
-        v, dv_dp = evaluator.values(p, boundary_pure=True, grad=True)
+    def system(p: np.ndarray):
+        v, dv_dp = evaluator.values(_cut(p, starts), boundary_pure=True, grad=True)
         s = _logit(v, lam, starts, owner)
-        f = (p - s)[..., free]
 
         def jacobian(rows=None) -> np.ndarray:
             dv = dv_dp(rows)
             sc = (s if rows is None else s[rows])[..., :, None]
-            evaluator.counts["jacobians"] += len(sc) if stack else 1
+            evaluator.counts["jacobians"] += len(sc) if p.ndim > 1 else 1
             weighted = sc * dv
             mean = np.add.reduceat(weighted, heads, axis=-2)  # s_i @ dv_i, one row per player
-            jac = lam * (weighted - sc * mean[..., owner, :])
-            return identity - jac[..., free, :] @ chart
+            return identity - lam * (weighted - sc * mean[..., owner, :])
 
-        return f, jacobian
+        return p - s, jacobian
 
     return system
 
@@ -961,31 +959,23 @@ def _newton_polish(
     tol: float,
     max_steps: int = 40,
 ) -> list[tuple[list[np.ndarray], float]]:
-    """Newton iteration on p - T(p) = 0 from some profiles in lockstep; works at unstable fixed points too.
+    """Newton iteration on f(p) = p - T(p^) = 0 from some profiles in lockstep; works at unstable fixed points too.
 
-    Each player's last coordinate is eliminated (it equals one minus the
-    rest), which removes the normalization null space from the
-    least-squares step.  The profiles run as one stack through _newton.
-    Returns (dists, sup-norm residual) for each profile; the Newton steps
-    taken are counted in the evaluator's counts["newton_steps"] and the
-    Jacobians built in its counts["jacobians"] (see _logit_system).
+    Each profile's mixes are concatenated into one p, and the profiles run
+    as one stack through _newton on _logit_system, which stops a profile
+    at sup |f| <= tol.  Returns (dists, sup |f|) for each profile, dists
+    being p^, p with negative weights cut, split by player; the Newton
+    steps taken are counted in the evaluator's counts["newton_steps"] and
+    the Jacobians built in its counts["jacobians"] (see _logit_system).
     """
-    counts = evaluator.game.action_counts
-    # Both p and T(p) sum to one, so the eliminated coordinate's residual is
-    # minus the block sum of the free ones: drive the free residual below
-    # tol / max block size, and read the sup-norm residual off it.
-    thetas = [np.concatenate([d[:-1] for d in dists]) for dists in profiles]
-    thetas, f, steps = _newton(_logit_system(evaluator, lam), thetas, tol / max(counts), max_steps)
+    starts = evaluator.starts
+    points = [np.concatenate(dists) for dists in profiles]
+    points, f, steps = _newton(_logit_system(evaluator, lam), points, tol, max_steps)
     evaluator.counts["newton_steps"] += sum(steps)
-    ends = list(itertools.accumulate(k - 1 for k in counts))
-    full = [range(k) for k in counts]
-    out = []
-    for row, f_row in zip(thetas, f):
-        res = float(np.abs(f_row).max(initial=0.0))
-        for a, b in zip([0, *ends], ends):
-            res = max(res, abs(float(f_row[a:b].sum())))
-        out.append((_dists_from_theta(row, full, counts), res))
-    return out
+    return [
+        (np.split(_cut(p, starts), starts[1:-1]), float(np.abs(f_row).max(initial=0.0)))
+        for p, f_row in zip(points, f)
+    ]
 
 
 def _continue(
@@ -1099,20 +1089,21 @@ def _bordered_newton(system, pred: np.ndarray, border: np.ndarray, tol: float):
     return z, True, contraction, jacobian()
 
 
-def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, theta0: np.ndarray):
-    """The fixed-point homotopy on the full-support chart, with its exact Jacobian.
+def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, p0: np.ndarray):
+    """The fixed-point homotopy on the concatenated profile, with its exact Jacobian.
 
-    H(theta, t) = (1 - t)(theta - theta0) + t f(theta), where f(theta) =
-    theta - T(theta) is _logit_system's residual, whose Jacobians the
-    evaluator counts.  Its Jacobian is [(1 - t)I + tJ | f - (theta -
-    theta0)], J being f's.
+    H(p, t) = (1 - t)(p - p0) + t f(p), where f(p) = p - T(p^) is
+    _logit_system's residual, whose Jacobians the evaluator counts.  Its
+    Jacobian is [(1 - t)I + tJ | f - (p - p0)], J being f's.  Each
+    player's block of H sums to sum(p_i) - 1, as f's does, so a path from
+    p0 on the simplex product stays on it.
     """
     logit = _logit_system(evaluator, lam)
 
     def system(y: np.ndarray):
-        theta, t = y[:-1], y[-1]
-        f, jacobian = logit(theta)
-        shift = theta - theta0
+        p, t = y[:-1], y[-1]
+        f, jacobian = logit(p)
+        shift = p - p0
 
         def jac() -> np.ndarray:
             block = t * jacobian()
@@ -1149,15 +1140,15 @@ def _solve_fixed_point(
        left.  A few damped steps carry most starts into Newton's basin.
     3. The start's fixed-point homotopy path (Chow, Mallet-Paret & Yorke,
        Math. Comp. 32, 1978), one start at a time: the zeros of
-       H(theta, t) = (1 - t)(theta - theta0) + t(theta - T(theta)) through
-       (theta0, 0), theta0 being the start's free coordinates, followed by
-       _continue towards t = 1 in at most cfg.max_iters steps.  At a zero, p
-       is a convex mix of the start and T(p), both interior, so the path
-       stays inside the simplex product, and for almost every start it
-       reaches t = 1.  Newton on p - T(p) finishes from where the path ends,
-       if that is at t >= END_GAME: the corrector stops at CORRECTOR_TOL,
-       and near weights of ~1e-8 the chart's clipping could stall it short
-       of t = 1.
+       H(p, t) = (1 - t)(p - p0) + t(p - T(p)) through (p0, 0), p0 being
+       the start's concatenated mixes, followed by _continue towards t = 1
+       in at most cfg.max_iters steps.  At a zero, p is a convex mix of the
+       start and T(p), both interior, so the path stays inside the simplex
+       product, and for almost every start it reaches t = 1.  Newton on
+       p - T(p) finishes from where the path ends, if that is at
+       t >= END_GAME: the corrector stops at CORRECTOR_TOL, and near
+       weights of ~1e-8 a corrector step that cuts a weight could stall it
+       short of t = 1.
     Each start's outcome is the one it reaches when solved alone.  The
     evaluator counts every profile evaluated, the halvings of a rejected
     Newton step that _newton evaluates together included, past the one
@@ -1207,7 +1198,7 @@ def _warm_up(
     |p - T(p)|, with that residual; the steps taken are counted in the
     evaluator's counts["iterations"].
     """
-    starts = _full_chart(tuple(evaluator.game.action_counts))[0]
+    starts = evaluator.starts
     places = list(zip(starts[:-1], starts[1:]))
     points = [np.concatenate(p) for p in profiles]  # each row's iterate, concatenated
     best, best_res = list(points), [math.inf] * len(points)
@@ -1247,10 +1238,10 @@ def _finish_start(
     tol = cfg.tol_fixed_point
     # The path cannot come back to t = 0, where H's only zero is the start, so
     # reaching t < 0 means the corrector jumped to another path: give up.
-    theta0 = np.concatenate([d[:-1] for d in start])
+    p0 = np.concatenate(start)
     y, _, accepted = _continue(
-        _fixed_point_homotopy(evaluator, lam, theta0),
-        np.append(theta0, 0.0),
+        _fixed_point_homotopy(evaluator, lam, p0),
+        np.append(p0, 0.0),
         1.0,
         cfg.max_iters,
         CORRECTOR_TOL,
@@ -1258,8 +1249,7 @@ def _finish_start(
     )
     evaluator.counts["continuation_steps"] += accepted
     if y[-1] >= END_GAME:
-        counts = evaluator.game.action_counts
-        end = _dists_from_theta(y[:-1], [range(k) for k in counts], counts)
+        end = np.split(y[:-1], evaluator.starts[1:-1])
         [(polished, pres)] = _newton_polish(evaluator, lam, [end], tol)
         if pres <= tol:
             return polished, pres
@@ -1297,11 +1287,13 @@ def _dedup(points: Sequence[Sequence[np.ndarray]], tol: float = DEDUP_TOL) -> li
 
 
 def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverConfig] = None) -> SolveResult:
-    """All logit fixed points found from multiple starts.
+    """The logit fixed points reached from the uniform start and cfg.multistarts Dirichlet starts.
 
-    The uniform start and cfg.multistarts Dirichlet starts drawn from
-    cfg.seed each run Newton, then WARM_UP damped steps and a Newton retry,
-    then follow their fixed-point homotopy path (see _solve_fixed_point).
+    The starts, drawn from cfg.seed, each run Newton on the concatenated
+    profile (see _logit_system), then WARM_UP damped steps and a Newton
+    retry, then follow their fixed-point homotopy path (see
+    _solve_fixed_point).  Nothing certifies that no fixed point was
+    missed: one that no start reaches is not returned.
     The first stage, Newton from the starts, runs them all in lockstep as
     one stack: each round evaluates every start still stepping by one
     PhiEvaluator.values call and solves their steps by one stacked
@@ -1544,7 +1536,7 @@ def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
     chart of the supports moves p along the same differences.
     """
     counts = evaluator.game.action_counts
-    starts = _full_chart(tuple(counts))[0]
+    starts = evaluator.starts
     pairs = [(starts[i] + a, starts[i] + sup[-1]) for i, sup in enumerate(supports) for a in sup[:-1]]
     diff = np.zeros((len(pairs), starts[-1]))
     diff[np.arange(len(pairs)), [a for a, _ in pairs]] = 1.0
@@ -1737,7 +1729,7 @@ def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, tup
     rest profiles are made as the limit needs, so the work and memory are
     O(limit) profiles, however many profiles the game has.  The listing
     depends on the action counts and the limit alone, so it is cached per
-    (shape, limit), as _full_chart is: the arrays are shared, and read-only.
+    (shape, limit): the arrays are shared, and read-only.
     """
     return _listing(tuple(counts), limit)
 

@@ -288,20 +288,20 @@ class TestSolveLqre:
             "jacobians": 0,
         }
         # Criterion 03's corpus game 4 (2x4x2) under the mean at lambda = 5:
-        # all three starts take the damped warm-up, 16 steps each, and two go
-        # on to their homotopy paths.  evaluator_calls counts the speculative
-        # halvings of rejected Newton steps too.
+        # two of the three starts take the damped warm-up, 16 steps each, and
+        # both go on to their homotopy paths.  evaluator_calls counts the
+        # speculative halvings of rejected Newton steps too.
         rng = np.random.default_rng(777)
         game = [random_game(rng) for _ in range(5)][4]
         d = solve_lqre(game, EXPECTATION, 5.0, SolverConfig(multistarts=2, max_iters=20_000)).diagnostics
         assert d == {
-            "iterations": 48,
-            "newton_steps": 35,
-            "continuation_steps": 20,
+            "iterations": 32,
+            "newton_steps": 25,
+            "continuation_steps": 22,
             "starts": 3,
             "starts_converged": 3,
-            "evaluator_calls": 816,
-            "jacobians": 108,
+            "evaluator_calls": 720,
+            "jacobians": 106,
         }
 
     def test_evaluator_calls_and_jacobians_match_counters(self, monkeypatch):
@@ -803,6 +803,18 @@ def _random_two_player_game(seed, counts):
     return Game(counts, rng.uniform(-2.0, 2.0, size=counts + (2,)))
 
 
+def _chart(counts):
+    """The simplex chart of full supports as a matrix: column t raises one free weight and lowers its player's last weight by as much."""
+    starts = np.cumsum((0, *counts))
+    cols = []
+    for i, k in enumerate(counts):
+        for a in range(k - 1):
+            col = np.zeros(starts[-1])
+            col[starts[i] + a], col[starts[i + 1] - 1] = 1.0, -1.0
+            cols.append(col)
+    return np.array(cols).T
+
+
 def _central_jacobian(system, theta, h=1e-6):
     cols = []
     for d in range(theta.size):
@@ -840,12 +852,32 @@ JACOBIAN_GAMES = [
 class TestExactJacobians:
     @pytest.mark.parametrize("game", JACOBIAN_GAMES)
     def test_logit_response_map(self, game):
+        # dv/dp is exact along directions that keep each mix on the simplex, so the
+        # Jacobian is checked along the chart's columns, each of which does.
         rng = np.random.default_rng(1)
+        chart = _chart(game.action_counts)
         for phi in _jacobian_statistics(game):
             system = _logit_system(PhiEvaluator(game, phi), 3.0)
-            theta = np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in game.action_counts])
-            exact = system(theta)[1]()
-            np.testing.assert_allclose(exact, _central_jacobian(system, theta), rtol=0, atol=1e-8, err_msg=phi.describe())
+            p = np.concatenate([rng.dirichlet(np.ones(k)) for k in game.action_counts])
+            exact = system(p)[1]() @ chart
+            along = _central_jacobian(lambda theta: system(p + chart @ theta), np.zeros(chart.shape[1]))
+            np.testing.assert_allclose(exact, along, rtol=0, atol=1e-8, err_msg=phi.describe())
+
+    @pytest.mark.parametrize("game", JACOBIAN_GAMES)
+    def test_determinant_is_the_charts(self, game):
+        # det(I - dT/dp) on the concatenated profile equals the determinant of the chart's
+        # Jacobian, (I - dT/dp) on the free rows times the chart, so a fixed point is regular
+        # in both coordinates alike, with the same sign.
+        rng = np.random.default_rng(3)
+        chart = _chart(game.action_counts)
+        free = np.flatnonzero(chart.max(axis=1) > 0.0)  # every place but each player's last
+        for phi in _jacobian_statistics(game):
+            system = _logit_system(PhiEvaluator(game, phi), 3.0)
+            for _ in range(2):
+                p = np.concatenate([rng.dirichlet(np.ones(k)) for k in game.action_counts])
+                jac = system(p)[1]()
+                full, charted = np.linalg.det(jac), np.linalg.det(jac[free] @ chart)
+                assert abs(full - charted) <= 1e-10 * abs(charted), phi.describe()
 
     @pytest.mark.parametrize("game", JACOBIAN_GAMES)
     def test_support_value_differences(self, game):
@@ -867,7 +899,7 @@ class TestExactJacobians:
         evaluator = PhiEvaluator(game, K_PAIR)
         products = _count_plan_products(evaluator)
         systems = [
-            (_logit_system(evaluator, 2.0), np.array([0.4, 0.3, 0.3, 0.5])),
+            (_logit_system(evaluator, 2.0), np.array([0.4, 0.6, 0.3, 0.3, 0.4, 0.5, 0.5])),
             (_support_system(evaluator, [(0, 1), (0, 2), (0, 1)]), np.array([0.4, 0.3, 0.5])),
         ]
         for system, theta in systems:
@@ -881,9 +913,9 @@ class TestExactJacobians:
         # The Taylor-band statistic's Jacobian differs from the expectation's
         # by far more than the tolerance above, so the tests tell them apart.
         game = JACOBIAN_GAMES[0]
-        theta = np.array([0.2, 0.5, 0.3, 0.1, 0.4])
+        p = np.array([0.2, 0.5, 0.3, 0.3, 0.1, 0.4, 0.2])
         taylor = _jacobian_statistics(game)[3]
-        jacs = [_logit_system(PhiEvaluator(game, phi), 3.0)(theta)[1]() for phi in (EXPECTATION, taylor)]
+        jacs = [_logit_system(PhiEvaluator(game, phi), 3.0)(p)[1]() for phi in (EXPECTATION, taylor)]
         assert np.max(np.abs(jacs[0] - jacs[1])) > 1e-6
 
 
@@ -1033,6 +1065,29 @@ class TestGroupedPlan:
         dists[-1] /= dists[-1].sum()
         return dists
 
+    def test_statistics_of_equal_branch_sizes_share_the_layout(self):
+        # The layout's index arrays depend on the shape and the branch sizes alone, so two
+        # statistics whose atoms take the same branches in the same numbers share them, while
+        # each evaluator's entries are tagged with its own atoms' locations and weights.
+        game = JACOBIAN_GAMES[1]
+        taylor = 0.9 * TAYLOR_CUTOFF / max(PhiEvaluator(game, EXPECTATION).spread)
+        first = PhiEvaluator(game, MAStatistic(((-1.5, 0.2), (taylor, 0.3), (0.0, 0.2), (1.5, 0.3))))
+        second = PhiEvaluator(game, MAStatistic(((-2.0, 0.4), (taylor / 2, 0.1), (0.0, 0.1), (2.5, 0.4))))
+        for evaluator in (first, second):
+            assert [{b: len(a) for b, (a, _) in branches.items()} for branches in evaluator.branches] == [
+                {"mean": 1, "taylor": 1, "exp": 2}
+            ] * game.num_players
+        assert first.layout is second.layout
+        for name in ("taylor", "exp"):
+            for evaluator in (first, second):
+                atoms, weights, *_, scatter = evaluator.tags[name]
+                own = [branches[name] for branches in evaluator.branches]
+                np.testing.assert_array_equal(atoms, np.concatenate([np.repeat(a, k) for (a, _), k in zip(own, game.action_counts)]))
+                np.testing.assert_array_equal(weights, np.concatenate([np.repeat(w, k) for (_, w), k in zip(own, game.action_counts)]))
+                np.testing.assert_array_equal(scatter.sum(axis=1), weights)
+            assert not np.array_equal(first.tags[name][0], second.tags[name][0])
+            assert not np.array_equal(first.tags[name][1], second.tags[name][1])
+
     @pytest.mark.parametrize("game", [JACOBIAN_GAMES[0], JACOBIAN_GAMES[1], JACOBIAN_GAMES[3]], ids=["2p", "3p", "4p"])
     @pytest.mark.parametrize("boundary_pure", [True, False])
     def test_every_branch_in_one_statistic(self, game, boundary_pure):
@@ -1113,6 +1168,15 @@ def _reference_chart(theta, supports, counts):
         vec = np.zeros(k)
         vec[list(sup)[:-1]] = head
         vec[list(sup)[-1]] = 1.0 - head.sum()
+        dists.append(vec)
+    return _reference_cut(dists)
+
+
+def _reference_cut(mixes):
+    """Each mix with its negative weights cut to zero and renormalized, one player at a time, each on its own array."""
+    dists = []
+    for vec in mixes:
+        vec = np.array(vec)
         if vec.min() < 0.0:
             np.maximum(vec, 0.0, out=vec)
             vec /= vec.sum()
@@ -1138,31 +1202,29 @@ class TestLogitSystem:
 
     @pytest.mark.parametrize("index", [0, 1, 2], ids=["cards-12x3", "cards-4x2", "corpus-3p"])
     def test_residual_is_bit_identical_to_per_player_logits(self, index):
-        # The profile-at-once chart and logit against the same steps taken
-        # one player at a time, each on its own array.
+        # The profile-at-once cut and logit against the same steps taken
+        # one player at a time, each on its own array: f = p - T(p^).
         game = self._games()[index]
         counts = game.action_counts
-        supports = [range(k) for k in counts]
+        places = np.cumsum(counts)[:-1]
         rng = np.random.default_rng(index)
-        thetas = [np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in counts]) for _ in range(4)]
-        cut = thetas[0].copy()
-        cut[0] = 1.3  # player 0's last weight falls below zero and is cut
-        thetas.append(cut)
-        assert min(d.min() for d in _reference_chart(cut, supports, counts)) == 0.0
+        points = [np.concatenate([rng.dirichlet(np.ones(k)) for k in counts]) for _ in range(4)]
+        cut = points[0].copy()
+        cut[counts[0] - 1] -= 1.3 - cut[0]  # player 0's mix still sums to one, its last weight below zero
+        cut[0] = 1.3
+        points.append(cut)
+        assert min(d.min() for d in _reference_cut(np.split(cut, places))) == 0.0
         for phi in (EXPECTATION, MMM_THIRDS, K_PAIR):
             evaluator = PhiEvaluator(game, phi)
             for lam in (0.5, 5.0, 200.0):
                 system = _logit_system(evaluator, lam)
-                for theta in thetas:
-                    dists = _reference_chart(theta, supports, counts)
-                    for got, want in zip(_dists_from_theta(theta, supports, counts), dists):
-                        np.testing.assert_array_equal(got, want)
+                for p in points:
+                    dists = _reference_cut(np.split(p, places))
                     values = [_player_values(evaluator, i, dists, True) for i in range(len(dists))]
                     responses = [_reference_logit(v, lam) for v in values]
                     for got, want in zip(_response(evaluator, lam, dists), responses):
                         np.testing.assert_array_equal(got, want)
-                    expected = np.concatenate([(d - s)[:-1] for d, s in zip(dists, responses)])
-                    np.testing.assert_array_equal(system(theta)[0], expected)
+                    np.testing.assert_array_equal(system(p)[0], p - np.concatenate(responses))
 
     def test_partial_supports_fill_as_one_player_at_a_time(self):
         game = self._games()[2]
@@ -1174,30 +1236,91 @@ class TestLogitSystem:
             for vec, want in zip(got, _reference_chart(theta, supports, counts)):
                 np.testing.assert_array_equal(vec, want)
 
-    @pytest.mark.parametrize(
-        "supports",
-        [[range(5), range(3), range(4)], [(0, 2, 3, 4), (1,), (0, 1, 3)], [(1, 4), (0, 1, 2), (2,)]],
-        ids=["full", "partial", "short"],
-    )
-    def test_a_stack_fills_each_row_as_alone(self, supports):
-        # Rows drawn inside the simplex and around it, so that some leave a weight below zero
-        # to cut and some do not; the four- and five-action supports sum three and four free
-        # weights.
-        counts = (5, 3, 4)
-        free = sum(len(s) - 1 for s in supports)
+    def test_full_supports_fill_as_one_player_at_a_time(self):
+        # The chart of full supports, as the support systems take it: a point inside, and one
+        # whose first player's last weight falls below zero and is cut.
+        counts = (2, 2, 4)
+        supports = [range(k) for k in counts]
+        rng = np.random.default_rng(4)
+        inside = np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in counts])
+        for theta in (inside, np.array([1.3, 0.5, 0.6, 0.2, 0.1])):
+            got = _dists_from_theta(theta, supports, counts)
+            for vec, want in zip(got, _reference_chart(theta, supports, counts)):
+                np.testing.assert_array_equal(vec, want)
+        assert got[0].tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["cards-12x3", "cards-4x2", "corpus-3p"])
+    def test_a_stack_cuts_each_row_as_alone(self, index, monkeypatch):
+        # Rows drawn inside the simplex product and around it, each mix summing to one as a
+        # Newton step leaves it, so that some have a weight below zero to cut and some do not.
+        # Each row of the stack hands values the profile it hands alone, bit for bit: p^, its
+        # mixes cut and renormalized where a weight is negative, and p itself elsewhere.
+        game = self._games()[index]
+        counts = game.action_counts
         rng = np.random.default_rng(6)
-        inside = [np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports]) for _ in range(6)]
-        thetas = np.concatenate([inside, rng.uniform(-0.3, 0.7, size=(6, free))])
-        stacked = _dists_from_theta(thetas, supports, counts)
-        assert [d.shape for d in stacked] == [(12, k) for k in counts]
+        inside = [np.concatenate([rng.dirichlet(np.ones(k)) for k in counts]) for _ in range(6)]
+        heads = [[rng.uniform(-0.3, 0.7, size=k - 1) for k in counts] for _ in range(6)]
+        around = [np.concatenate([np.append(h, 1.0 - h.sum()) for h in row]) for row in heads]
+        points = np.array(inside + around)
+        evaluator = PhiEvaluator(game, K_PAIR)
+        handed = []
+        inner = evaluator.values
+
+        def recorded(p, *args, **kwargs):
+            handed.append(p.copy())
+            return inner(p, *args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "values", recorded)
+        system = _logit_system(evaluator, 5.0)
+        system(points)
+        [stacked] = handed
         cut = 0
-        for r, theta in enumerate(thetas):
-            heads = np.split(theta, np.cumsum([len(s) - 1 for s in supports])[:-1])
-            cut += any(h.min(initial=0.0) < 0.0 or h.sum() > 1.0 for h in heads)  # a weight below zero
-            alone = _dists_from_theta(theta, supports, counts)
-            for got, want in zip(stacked, alone):
-                np.testing.assert_array_equal(got[r], want)
-        assert 0 < cut < len(thetas)
+        for r, p in enumerate(points):
+            handed.clear()
+            system(p)
+            [alone] = handed
+            np.testing.assert_array_equal(stacked[r], alone)
+            want = np.concatenate(_reference_cut(np.split(p, np.cumsum(counts)[:-1])))
+            np.testing.assert_array_equal(alone, want)
+            cut += p.min() < 0.0
+        assert 0 < cut < len(points)
+
+    def test_polish_keeps_every_trial_point_on_the_simplex_product(self, monkeypatch):
+        # Criterion 03's first 40 corpus games and statistics at lambda = 1 and 5, every stage
+        # of each solve: 1_i^T f = sum(p_i) - 1 is linear, so each point that _newton_polish
+        # evaluates, rejected steps and their halvings included, keeps each player's weights
+        # summing to one up to rounding.
+        polish, logit_system = solvers._newton_polish, solvers._logit_system
+        points, sizes = [], []
+
+        def recording_system(evaluator, lam):
+            system = logit_system(evaluator, lam)
+
+            def recorded(p):
+                points.extend(np.atleast_2d(p))
+                sizes.append(len(np.atleast_2d(p)))
+                return system(p)
+
+            return recorded
+
+        def recorded_polish(*args, **kwargs):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solvers, "_logit_system", recording_system)
+                return polish(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_newton_polish", recorded_polish)
+        rng = np.random.default_rng(777)
+        phis = [EXPECTATION, MMM_THIRDS, MAStatistic(((-math.inf, 0.3), (2.0, 0.7))), K_PAIR]
+        cfg = SolverConfig(multistarts=2, max_iters=20_000)
+        for index in range(40):
+            game = random_game(rng)
+            starts = np.cumsum((0, *game.action_counts))[:-1]
+            for lam in (1.0, 5.0):
+                points.clear()
+                solve_lqre(game, phis[index % len(phis)], lam, cfg)
+                sums = np.add.reduceat(np.array(points), starts, axis=1)
+                assert np.abs(sums - 1.0).max() <= 1e-13, (index, lam)
+        assert max(sizes) >= 7  # some pass evaluated a rejected step's halvings
 
     def test_blocks_are_built_once_per_jacobian_taken(self, monkeypatch):
         # Newton from this start at lambda = 20 rejects trial points on its
@@ -1228,8 +1351,8 @@ class TestLogitSystem:
             return f, taken
 
         rng = np.random.default_rng(0)
-        theta = np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in game.action_counts])
-        _, f, steps = _newton(system, theta, 1e-12, 40)
+        p = np.concatenate([rng.dirichlet(np.ones(k)) for k in game.action_counts])
+        _, f, steps = _newton(system, p, 1e-12, 40)
         assert abs(f).max() <= 1e-12
         assert len(evaluations) > 1 + steps  # some trial point was rejected
         assert len(products) == len(evaluations)  # one plan product per evaluation, none per Jacobian
@@ -1281,8 +1404,8 @@ class TestLockstepStarts:
     @staticmethod
     def _starts(game, count, seed):
         rng = np.random.default_rng(seed)
-        starts = [np.concatenate([np.full(k - 1, 1.0 / k) for k in game.action_counts])]
-        starts += [np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in game.action_counts]) for _ in range(count)]
+        starts = [np.concatenate([np.full(k, 1.0 / k) for k in game.action_counts])]
+        starts += [np.concatenate([rng.dirichlet(np.ones(k)) for k in game.action_counts]) for _ in range(count)]
         return starts
 
     @pytest.mark.parametrize("index", [1, 112, 0], ids=["2p-4x2", "3p-2x2x4", "3p-3x3x3"])
@@ -1304,19 +1427,22 @@ class TestLockstepStarts:
                     assert steps[0] == 0 and 1 in steps[1:]
 
     @pytest.mark.parametrize(
-        "index, phi, counts, paths",
+        "index, phi, counts, warmed, paths",
         [
-            (2, MAStatistic(((-math.inf, 0.3), (2.0, 0.7))), (3, 2), 0),
-            (4, EXPECTATION, (2, 4, 2), 2),
-            (79, K_PAIR, (4, 3), 1),
+            (2, MAStatistic(((-math.inf, 0.3), (2.0, 0.7))), (3, 2), 0, 0),
+            (4, EXPECTATION, (2, 4, 2), 2, 2),
+            (79, K_PAIR, (4, 3), 1, 1),
+            (110, MAStatistic(((-math.inf, 0.3), (2.0, 0.7))), (3, 3, 2), 3, 1),
         ],
-        ids=["op8", "op14", "op239"],
+        ids=["op8", "op14", "op239", "op332"],
     )
-    def test_warm_up_and_retry_give_each_start_its_outcome_alone(self, monkeypatch, index, phi, counts, paths):
-        # Criterion 03's corpus ops 8, 14 and 239 at lambda = 5, with two
-        # Dirichlet starts: all three starts leave the first Newton stage
-        # unconverged and take the damped warm-up and the Newton retry as one
-        # stack; two of them go on to their homotopy paths on op 14, one on op 239.
+    def test_warm_up_and_retry_give_each_start_its_outcome_alone(self, monkeypatch, index, phi, counts, warmed, paths):
+        # Criterion 03's corpus ops 8, 14, 239 and 332 at lambda = 5, with two
+        # Dirichlet starts: the first Newton stage runs all three starts as one
+        # stack; on op 8 each converges there, and on the others `warmed` of them
+        # leave it unconverged and take the damped warm-up and the Newton retry
+        # as one stack: two on op 14, which both go on to their homotopy paths,
+        # one on op 239, which does too, and all three on op 332, one of which does.
         polished, finished = [], []
         polish, finish = solvers._newton_polish, solvers._finish_start
 
@@ -1338,8 +1464,8 @@ class TestLockstepStarts:
         evaluator = PhiEvaluator(game, phi)
         outcomes = solvers._solve_fixed_point(evaluator, 5.0, starts, cfg)
         together = evaluator.counts
-        assert polished[:2] == [(3, 12), (3, 40)] and len(finished) == paths
-        assert together["iterations"] == 3 * solvers.WARM_UP
+        assert polished[:2] == [(3, 12)] + ([(warmed, 40)] if warmed else []) and len(finished) == paths
+        assert together["iterations"] == warmed * solvers.WARM_UP
         alone = Counter()
         for start, (dists, res) in zip(starts, outcomes):
             evaluator = PhiEvaluator(game, phi)
@@ -1472,7 +1598,7 @@ class TestLockstepStarts:
         evaluator = PhiEvaluator(game, MAStatistic.single(-966.0))
         starts = self._starts(game, 3, 0)
         unplayed = starts[1].copy()
-        unplayed[1:3] = [1.0, 0.0]  # player 1 plays its first action only
+        unplayed[2:5] = [1.0, 0.0, 0.0]  # player 1 plays its first action only
         starts.append(unplayed)
         for lam in (0.5, 5.0):
             fallbacks.clear()
