@@ -66,7 +66,8 @@ HOMOTOPY_LAMBDA_MAX = 200.0
 # solution set, but the K_PAIR elicitation on 12x3 card games took about 40%
 # longer, in Newton solves of 13-15-action supports.
 _CANDIDATE_CAP = 12
-# The most payoff differences _dominated_actions holds at once.
+# The most entries one chunk's arrays hold: reached opponent profiles and
+# counts in _dominated_actions, and the padded blocks of _linear_roots.
 _MARGIN_CHUNK = 1 << 16
 # Stage 2 lists at most this many times max_enum_supports support profiles.
 # The whole 12x3 card game, 28,665 profiles of which 3,819 survive dismissal,
@@ -713,7 +714,7 @@ def _cut(p: np.ndarray, starts: Sequence[int]) -> np.ndarray:
     cut, bit for bit.  A mix whose weights sum to one keeps a total of at
     least one after the cut.
     """
-    if not p.min() < 0.0:
+    if not p.min(initial=0.0) < 0.0:
         return p
     cut = np.array(p)
     rows = np.atleast_2d(cut)  # a view of cut
@@ -877,32 +878,32 @@ def _newton(
 def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The solution of jac @ step = rhs for each row of a stack, jac (b x m x n) and rhs (b x m).
 
-    A row whose jac or rhs is not all finite gets a NaN step without a
-    LAPACK call: LAPACK's least squares would print its complaint about
-    the NaN to standard output.  The other rows take one solve when there
-    are two or more of them and every jac is square and nonsingular.
-    Otherwise, and always for a lone row, each row is solved alone, so it
-    is factorised once: by LU, in the least-squares sense when its jac is
-    not square or is singular, and as NaN when least squares fails too.
+    When every jac is square, the whole stack takes one LU solve, kept when
+    it succeeds and jac and rhs are all finite.  Otherwise a row whose jac
+    or rhs is not all finite gets a NaN step without a LAPACK call:
+    LAPACK's least squares would print its complaint about the NaN to
+    standard output.  Each other row is solved alone: by LU, unless it is
+    the lone row whose LU just failed, so that it is factorised once; in
+    the least-squares sense when its jac is not square or is singular; and
+    as NaN when least squares fails too.  A row's LU step is the same bit
+    for bit whether it is solved alone or in the stack.
     """
-    step = np.empty(rhs.shape[:-1] + jac.shape[-1:])
-    rows = list(range(len(jac)))
-    # The totals are finite when every entry is; only when they are not is each row tested.
-    if not math.isfinite(float(np.add.reduce(jac, axis=None)) + float(np.add.reduce(rhs, axis=None))):
-        rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)).tolist()
-        step.fill(np.nan)
-    if len(rows) > 1 and jac.shape[-1] == jac.shape[-2]:
+    square = jac.shape[-1] == jac.shape[-2]
+    if square:
         try:
-            step[rows] = np.linalg.solve(jac[rows], rhs[rows][..., None])[..., 0]
-            return step
+            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+            if np.isfinite(jac).all() and np.isfinite(rhs).all():
+                return step
         except np.linalg.LinAlgError:
-            pass  # some row is singular
-    for r in rows:
-        try:
-            step[r] = np.linalg.solve(jac[r], rhs[r])
-            continue
-        except np.linalg.LinAlgError:  # singular, or not square
-            pass
+            pass  # some row is singular, or not finite
+    step = np.full(rhs.shape[:-1] + jac.shape[-1:], np.nan)
+    for r in np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)).tolist():
+        if square and len(jac) > 1:
+            try:
+                step[r] = np.linalg.solve(jac[r], rhs[r])
+                continue
+            except np.linalg.LinAlgError:  # singular
+                pass
         try:
             step[r] = np.linalg.lstsq(jac[r], rhs[r], rcond=None)[0]
         except np.linalg.LinAlgError:
@@ -1419,29 +1420,24 @@ def verify_nash_phi(
         raise ValueError("profile does not match the game")
     if not (0 <= tol < math.inf and 0 < support_tol < math.inf):
         raise ValueError("tol must be nonnegative and finite, and support_tol positive and finite")
-    return _best_response_gap(PhiEvaluator(game, phi), p.distributions, tol, support_tol) is not None
+    return not np.isnan(_best_response_gap(PhiEvaluator(game, phi), np.concatenate(p.distributions), tol, support_tol))
 
 
-def _best_response_gap(
-    evaluator: PhiEvaluator, dists: Sequence[np.ndarray], tol: float, support_tol: float
-) -> Optional[float]:
+def _best_response_gap(evaluator: PhiEvaluator, p: np.ndarray, tol: float, support_tol: float) -> np.ndarray:
     """The largest shortfall of an action played above support_tol below its player's best value.
 
-    Values are the raw statistic of each action's realized lottery, every
-    player's from one values call.  Returns None as soon as one player's
-    shortfall exceeds tol.
+    p is one concatenated profile, (actions,), or a stack of them, (B x
+    actions); the gaps come one per profile, in p's shape less its last
+    axis.  Values are the raw statistic of each action's realized lottery,
+    every player's and every profile's from one values call.  A profile
+    where some player's shortfall exceeds tol gets NaN.
     """
-    values = evaluator.values(np.concatenate(dists), boundary_pure=False)
-    gap = 0.0
-    for i, (a, b) in enumerate(zip(evaluator.starts[:-1], evaluator.starts[1:])):
-        vals = values[a:b]
-        played = dists[i] > support_tol
-        best = vals.max()
-        worst = vals[played].min() if played.any() else best
-        if worst < best - tol:
-            return None
-        gap = max(gap, float(best - worst))
-    return gap
+    values = evaluator.values(p, boundary_pure=False)
+    starts = evaluator.starts[:-1]
+    best = np.maximum.reduceat(values, starts, axis=-1)
+    # A player with no action above support_tol falls short by nothing.
+    worst = np.minimum(np.minimum.reduceat(np.where(p > support_tol, values, np.inf), starts, axis=-1), best)
+    return np.where((worst < best - tol).any(axis=-1), np.nan, (best - worst).max(axis=-1))
 
 
 def _dominated_actions(evaluator: PhiEvaluator, i: int, opponents: Sequence[np.ndarray]) -> np.ndarray:
@@ -1450,32 +1446,28 @@ def _dominated_actions(evaluator: PhiEvaluator, i: int, opponents: Sequence[np.n
     opponents holds the other players' supports in player order, each as a
     stack of bool masks (G x actions), row g of each making up entry g of the
     stack.  Returns (G x actions of i) bool.  The beating action may be any
-    of player i's actions.  Each entry gathers only the payoff columns its
-    supports reach, each support's actions repeated cyclically up to the
-    chunk's widest support of that player, which leaves every minimum as it
-    is, so one min-reduction serves a whole chunk of the stack.  A chunk
-    holds at most _MARGIN_CHUNK payoff differences, and its gathered
-    columns are made with it, so the scratch memory is bounded however
-    large the stack.
+    of player i's actions.  fails[(a, b), c] is 1 where b's payoff exceeds
+    a's by at most GAP_TOL at opponent profile c, and an entry's reached
+    profiles are the outer product of its opponents' masks, so one count
+    product, reached @ fails.T, gives for every entry and pair (a, b) the
+    reached profiles where b fails to beat a by more than GAP_TOL: a is
+    dominated when some b's count is 0, that is when every margin exceeds
+    GAP_TOL.  A chunk of the stack holds at most _MARGIN_CHUNK reached
+    profiles and counts, so the scratch memory is bounded however large
+    the stack.
     """
     table = evaluator.tables[i]  # (own actions) x (opponent profiles, flattened in player order)
-    k = len(table)
+    k, profiles = table.shape
+    fails = (table[None, :, :] - table[:, None, :] <= GAP_TOL).reshape(k * k, profiles).T.astype(float)
     stack = len(opponents[0]) if opponents else 1
-    widest = math.prod(int(m.sum(axis=1).max(initial=1)) for m in opponents)
-    step = max(1, _MARGIN_CHUNK // (k * k * widest))
+    step = max(1, _MARGIN_CHUNK // (k * k + profiles))
     out = np.empty((stack, k), dtype=bool)
     for lo in range(0, stack, step):
-        flat = np.zeros((min(step, stack - lo), 1), dtype=np.intp)  # each entry's reached columns
+        reached = np.ones((min(step, stack - lo), 1))
         for masks in opponents:
             m = masks[lo : lo + step]
-            size = m.sum(axis=1)
-            acts, first = np.nonzero(m)[1], np.cumsum(size) - size
-            padded = acts[first[:, None] + np.arange(size.max(initial=1)) % size[:, None]]
-            flat = (flat[:, :, None] * m.shape[1] + padded[:, None, :]).reshape(len(m), -1)
-        reached = np.take(table, flat.T, axis=1)
-        # margin[b, a, g]: the least amount by which b's payoff exceeds a's on entry g's reached profiles.
-        margin = (reached[:, None] - reached[None]).min(axis=2)
-        out[lo : lo + step] = (margin.max(axis=0) > GAP_TOL).T
+            reached = (reached[:, :, None] * m[:, None, :]).reshape(len(m), -1)
+        out[lo : lo + step] = ((reached @ fails).reshape(-1, k, k) == 0.0).any(axis=2)
     return out
 
 
@@ -1487,7 +1479,7 @@ def _dismissed(evaluator: PhiEvaluator, ids: np.ndarray, masks: Sequence[np.ndar
     players) indexes each profile's supports there.  For each player the
     profiles are grouped by the opponents' supports, keyed by one integer, and
     the dominated actions of every group are found by one _dominated_actions
-    call over the stack of groups.
+    call over the stack of groups, one count product per chunk of groups.
     """
     out = np.zeros(len(ids), dtype=bool)
     for i in range(evaluator.n):
@@ -1565,12 +1557,15 @@ def _solve_supports(
     per profile, in stack order: its mixes, or None.  A solution keeps every
     support weight above INTERIOR_TOL; a weight at zero is a boundary case
     that a smaller support covers.  On the linear path (_linear_supports)
-    the profiles are grouped by shape, (|S_0|, |S_1|), by one stable argsort
-    of a code of the shapes, and each group, its supports read off the masks
-    as action arrays, is solved as a stack by _linear_roots, whose root is
-    the projection of the uniform mix onto each half's solutions; that path
-    draws nothing.  Elsewhere each profile, its supports read off the masks
-    as action lists, is solved on its own by Newton from _newton_starts:
+    the stack, its supports gathered as bool rows whatever their sizes, is
+    solved by _linear_roots, whose root is the projection of the uniform
+    mix onto each half's solutions, in chunks of at most _MARGIN_CHUNK
+    entries of (actions of 0 x actions of 1) blocks, so the scratch memory
+    is bounded however large the stack; a profile's root does not depend
+    on its chunk.  The mixes of each profile are views of one row of its
+    concatenated roots, and that path draws nothing.  Elsewhere each
+    profile, its supports read off the masks as action lists, is solved
+    on its own by Newton from _newton_starts:
     the uniform mix on each support, then, while no start has given a root
     with every weight above INTERIOR_TOL, two Dirichlet draws from seed and
     the profile's supports alone, so that no root depends on the stack; a
@@ -1580,13 +1575,12 @@ def _solve_supports(
     counts = evaluator.game.action_counts
     tol = 1e-10 * scale
     out: list = [None] * len(ids)
-    if _linear_supports(evaluator) and len(ids):
-        code = masks[0].sum(axis=1)[ids[:, 0]] * (counts[1] + 1) + masks[1].sum(axis=1)[ids[:, 1]]
-        order = np.argsort(code, kind="stable")
-        for rows in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
-            actions = [np.nonzero(m[col])[1].reshape(len(rows), -1) for m, col in zip(masks, ids[rows].T)]
-            for q, theta in _linear_roots(evaluator, actions, tol):
-                out[rows[q]] = _dists_from_theta(theta, [sup[q] for sup in actions], counts)
+    if _linear_supports(evaluator):
+        step = max(1, _MARGIN_CHUNK // math.prod(counts))
+        for lo in range(0, len(ids), step):
+            rows, roots = _linear_roots(evaluator, [m[col] for m, col in zip(masks, ids[lo : lo + step].T)], tol)
+            for q, root in zip(rows.tolist(), roots):
+                out[lo + q] = np.split(root, evaluator.starts[1:-1])
         return out
     for r, row in enumerate(ids.tolist()):
         sups = [np.flatnonzero(m[t]).tolist() for m, t in zip(masks, row)]
@@ -1615,33 +1609,48 @@ def _newton_starts(sups: Sequence[Sequence[int]], seed: int) -> Iterator[np.ndar
 
 
 def _linear_roots(
-    evaluator: PhiEvaluator, actions: Sequence[np.ndarray], tol: float
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Interior roots of a stack of two-player support profiles of one shape on the linear path.
+    evaluator: PhiEvaluator, supports: Sequence[np.ndarray], tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior roots of a stack of two-player support profiles on the linear path, whatever their shapes.
 
-    actions[i] holds player i's supports, (B x |S_i|) action indices.
+    supports[i] holds player i's supports, (B x actions of i) bool rows.
     Player i's value differences depend on the opponent's weights alone, so
-    the system splits into two halves, each solved for the whole stack by
-    _linear_half as the projection of the uniform mix onto its solutions;
-    no start is drawn.  The half with more equations than unknowns (the
-    player with the larger support) goes first, and only the profiles where
-    it is consistent go on to the other half, which is not solved when none
-    is.  Yields (place in the stack, free weights) for each profile
-    consistent in both halves whose every support weight is above
-    INTERIOR_TOL.
+    the system splits into two halves, each solved by _linear_half as the
+    projection of the uniform mix onto its solutions; no start is drawn.
+    The profiles are split by which half goes first: the one with more
+    equations than unknowns, player 0's when |S_0| >= |S_1|, else player
+    1's.  Each part's first half is one _linear_half call, and only its
+    profiles where that half is consistent go on to the other half, one
+    more call, made only when some profile is.  The roots then take the
+    simplex chart's weights, as _dists_from_theta gives them: each
+    support's last action gets one minus the sum of the others, and a
+    negative weight is cut (_cut).  Returns (rows, roots): the places in
+    the stack, in increasing order, of the profiles consistent in both
+    halves whose every support weight is above INTERIOR_TOL, and their
+    roots as concatenated profiles, (rows x actions).
     """
-    i = 0 if actions[0].shape[1] >= actions[1].shape[1] else 1
-    first, consistent = _linear_half(evaluator, i, actions[i], actions[1 - i], tol)
-    kept = np.flatnonzero(consistent)
-    if not len(kept):
-        return
-    second, consistent = _linear_half(evaluator, 1 - i, actions[1 - i][kept], actions[i][kept], tol)
-    mixes = [None, None]
-    mixes[1 - i], mixes[i] = first[kept[consistent]], second[consistent]
-    interior = (mixes[0] > INTERIOR_TOL).all(axis=1) & (mixes[1] > INTERIOR_TOL).all(axis=1)
-    kept = kept[consistent]
-    for q in np.flatnonzero(interior).tolist():
-        yield int(kept[q]), np.concatenate([mix[q, :-1] for mix in mixes])
+    first = supports[0].sum(axis=1) >= supports[1].sum(axis=1)
+    mixes = [np.zeros(m.shape) for m in supports]
+    solved = np.zeros(len(first), dtype=bool)
+    for i, rows in enumerate((np.flatnonzero(first), np.flatnonzero(~first))):
+        if not len(rows):
+            continue
+        j = 1 - i
+        mixes[j][rows], consistent = _linear_half(evaluator, i, supports[i][rows], supports[j][rows], tol)
+        rows = rows[consistent]
+        if len(rows):
+            mixes[i][rows], solved[rows] = _linear_half(evaluator, j, supports[j][rows], supports[i][rows], tol)
+    for mix, sup in zip(mixes, supports):
+        solved &= ((mix > INTERIOR_TOL) | ~sup).all(axis=1)
+    rows = np.flatnonzero(solved)
+    at = np.arange(len(rows))
+    for p, (mix, sup) in enumerate(zip(mixes, supports)):
+        mix, sup = mix[rows], sup[rows]
+        last = sup.shape[1] - 1 - np.argmax(sup[:, ::-1], axis=1)
+        mix[at, last] = 0.0
+        mix[at, last] = 1.0 - mix.sum(axis=1)
+        mixes[p] = mix
+    return rows, _cut(np.concatenate(mixes, axis=1), evaluator.starts)
 
 
 def _linear_supports(evaluator: PhiEvaluator) -> bool:
@@ -1654,63 +1663,87 @@ def _linear_half(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Player i's indifference on a stack of two-player supports, solved for the opponent's mix.
 
-    own and opponent hold the supports, (B x |S_i|) and (B x |S_j|) action
-    indices.  Every finite atom sits at 0, so on the interior of the
-    supports v_i[S_i[:-1]] - v_i[S_i[-1]] is affine in the opponent's mix s
-    on S_j: the mean's part is read off player i's constant derivative
-    block, and the -inf/+inf atoms' part is the extremes of player i's
-    payoffs over S_i x S_j, which values(boundary_pure=False) gives at an
-    interior point.  Those differences at zero and one row for the weights'
-    sum at one make the system A s = c.  The sum row is weighted like player
-    i's payoffs, by max |u_i| (1 when every payoff is 0), so that tol means
-    the same on it as on the differences and A's rows keep one scale
-    whatever the payoffs' scale.  The root is the projection of the uniform mix u onto the solutions, u -
-    A^+ (A u - c) by one np.linalg.pinv on the stack, so it does not depend
-    on how either support orders its actions.  Returns the roots, (B x
-    |S_j|), and for each profile whether the half is consistent: A s within
-    tol of c at the root.  The pinv is taken only on the profiles that pass
-    _may_be_consistent; the others keep u and are not consistent.
+    own and opponent hold the supports S_i and S_j, (B x actions of i) and
+    (B x actions of j) bool rows.  Every finite atom sits at 0, so on the
+    interior of the supports v_i[S_i[:-1]] - v_i[S_i[-1]] is affine in the
+    opponent's mix s on S_j: the mean's part is read off player i's
+    constant derivative block, and the -inf/+inf atoms' part is the
+    extremes of player i's payoffs over S_i x S_j, which
+    values(boundary_pure=False) gives at an interior point.  Those
+    differences at zero and one row for the weights' sum at one make the
+    system A s = c.  The sum row is weighted like player i's payoffs, by
+    max |u_i| (1 when every payoff is 0), so that tol means the same on it
+    as on the differences and A's rows keep one scale whatever the payoffs'
+    scale.  Each profile's system sits at the front of one (actions of i x
+    actions of j) block: S_i's actions, in increasing order, fill the first
+    |S_i| rows, the sum row last among them, S_j's the first |S_j| columns,
+    and zeros the rest, so a profile's block depends on its own supports
+    alone and the whole stack is one array.  The root is the projection of
+    the uniform mix u onto the solutions, u - A^+ (A u - c) by one
+    np.linalg.pinv on the stack, so it does not depend on how either
+    support orders its actions.  Returns the roots as the opponent's mixes,
+    (B x actions of j), zero off S_j, and for each profile whether the half
+    is consistent: A s within tol of c at the root.  The pinv is taken only
+    on the profiles that pass _may_be_consistent, and not at all when none
+    does; the others keep u and are not consistent.
     """
-    rows, cols = own[:, :, None], opponent[:, None, :]
     j = evaluator.others[i][0]
-    block = evaluator.constant_dv[evaluator.starts[i] : evaluator.starts[i + 1], evaluator.starts[j] : evaluator.starts[j + 1]][rows, cols]
+    # Each profile's actions, its support's first, in increasing order: its block's rows and columns.
+    rows = np.argsort(~own, axis=1, kind="stable")
+    cols = np.argsort(~opponent, axis=1, kind="stable")
+    m, n = own.sum(axis=1), opponent.sum(axis=1)
+    at, last = np.arange(len(own)), m - 1
+    live = np.arange(opponent.shape[1]) < n[:, None]  # the columns S_j fills
+    below = np.arange(own.shape[1]) > last[:, None]  # the rows past the sum row
+    starts = evaluator.starts
+    dv = evaluator.constant_dv[starts[i] : starts[i + 1], starts[j] : starts[j + 1]]
+    block = dv[rows[:, :, None], cols[:, None, :]]
     weight = float(np.abs(evaluator.tables[i]).max()) or 1.0
-    jac = np.empty(block.shape)
-    jac[:, :-1] = block[:, :-1] - block[:, -1:]
-    jac[:, -1] = weight
-    rhs = np.zeros(block.shape[:2])
-    rhs[:, -1] = weight
+    jac = np.where(live[:, None, :], block - block[at, last][:, None, :], 0.0)
+    jac[below] = 0.0
+    jac[at, last] = np.where(live, weight, 0.0)
+    rhs = np.zeros(own.shape)
     if evaluator.pure_extremes is not None:
-        reached = evaluator.tables[i][rows, cols]
-        extremes = evaluator._extremes(reached.min(axis=2), reached.max(axis=2))
-        rhs[:, :-1] = extremes[:, -1:] - extremes[:, :-1]
-    roots = np.full(opponent.shape, 1.0 / opponent.shape[1])
-    consistent = _may_be_consistent(jac, -rhs, tol)
-    jac, rhs = jac[consistent], rhs[consistent, :, None]
-    mix = roots[consistent, :, None]
-    mix = mix - np.linalg.pinv(jac) @ (jac @ mix - rhs)
-    roots[consistent] = mix[..., 0]
-    consistent[consistent] = np.abs(jac @ mix - rhs).max(axis=(1, 2), initial=0.0) <= tol
+        reached = evaluator.tables[i][rows[:, :, None], cols[:, None, :]]
+        lo = np.where(live[:, None, :], reached, np.inf).min(axis=2)
+        hi = np.where(live[:, None, :], reached, -np.inf).max(axis=2)
+        extremes = evaluator._extremes(lo, hi)
+        rhs = np.where(below, 0.0, extremes[at, last][:, None] - extremes)
+    rhs[at, last] = weight
+    front = np.where(live, 1.0 / n[:, None], 0.0)
+    consistent = _may_be_consistent(jac, -rhs, m, n, tol)
+    if consistent.any():
+        jac, rhs = jac[consistent], rhs[consistent, :, None]
+        mix = front[consistent, :, None]
+        mix = mix - np.linalg.pinv(jac) @ (jac @ mix - rhs)
+        front[consistent] = mix[..., 0]
+        consistent[consistent] = np.abs(jac @ mix - rhs).max(axis=(1, 2)) <= tol
+    roots = np.zeros(opponent.shape)
+    np.put_along_axis(roots, cols, np.where(live, front, 0.0), axis=1)
     return roots, consistent
 
 
-def _may_be_consistent(jac: np.ndarray, const: np.ndarray, tol: float) -> np.ndarray:
+def _may_be_consistent(jac: np.ndarray, const: np.ndarray, m: np.ndarray, n: np.ndarray, tol: float) -> np.ndarray:
     """False for the rows of a stack of systems jac @ theta + const = 0 that no theta solves within tol.
 
-    A conservative test for _linear_half: on an overdetermined stack (more
-    equations, m, than unknowns) it takes the residual of const off the
-    columns of Q from a QR of jac.  range(Q) holds range(jac), so that
-    residual's 2-norm is at most the least-squares one, which is at most
-    sqrt(m) times its largest entry; so a row whose least-squares gap is
-    within tol passes, with a factor of 2 to spare for rounding.  Elsewhere
-    every row passes.
+    A conservative test for _linear_half, whose row r's system has m[r]
+    equations and n[r] unknowns at the front of its block, zeros
+    elsewhere.  On an overdetermined row (m > n) it takes the residual of
+    const off the first n columns of Q from a QR of jac, one QR for the
+    stack; the later columns, made for the zero columns, are masked off.
+    Those first n columns hold range(jac), so that residual's 2-norm is
+    at most the least-squares one, which is at most sqrt(m) times its
+    largest entry; so a row whose least-squares gap is within tol passes,
+    with a factor of 2 to spare for rounding.  Every other row passes, and
+    no QR is taken when every row is one.
     """
-    m, n = jac.shape[1:]
-    if m <= n:
+    over = m > n
+    if not over.any():
         return np.ones(len(jac), dtype=bool)
     q = np.linalg.qr(jac)[0]
+    q = q * (np.arange(q.shape[2]) < n[:, None])[:, None, :]
     residual = const - (q @ (q.transpose(0, 2, 1) @ const[..., None]))[..., 0]
-    return np.sqrt((residual * residual).sum(axis=1)) <= 2.0 * math.sqrt(m) * tol
+    return ~over | (np.sqrt((residual * residual).sum(axis=1)) <= 2.0 * np.sqrt(m) * tol)
 
 
 def _support_listing(counts: Sequence[int], limit: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -1870,9 +1903,10 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     (ids, masks), each player's supports as bool rows (see _dismissed), and
     the solutions that are best responses are kept in stack order.  On the
     linear path (_linear_supports: two players, every finite atom at 0) the
-    profiles are solved in stacks of one shape, (|S_0|, |S_1|), half by
-    half, the half with more equations than unknowns first, and each root
-    is the projection of the uniform mix onto the half's solutions: it
+    profiles are solved as one stack, whatever their shapes, in chunks of
+    bounded memory, half by half, the half with more equations than
+    unknowns first, and each root is
+    the projection of the uniform mix onto the half's solutions: it
     draws nothing, so cfg.seed does not matter there, and relabeling a
     player's actions relabels the roots.  So there an automorphism of the
     game, action permutations (s_0, s_1) with u(s_0 a, s_1 b) = u(a, b)
@@ -1884,8 +1918,11 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     each image keeps that gap as its residual: under an automorphism the
     image's action s(a) meets the lottery that a meets in the representative,
     so each player's values are permuted with the actions, and the image's gap
-    is the representative's up to rounding.  The accepted profiles are kept
-    in stack order, so the result is the unreduced solve's up to rounding.
+    is the representative's up to rounding.  On either path every root is
+    gap-tested by one values call on the stack of roots
+    (_best_response_gap), and a MixedProfile is made only for the accepted
+    profiles.  They are kept in stack order, so the result is the unreduced
+    solve's up to rounding.
     On the Newton path (three or more players, or a finite atom off 0) the
     profiles are solved one by one, each from the uniform mix and, until one
     gives a root inside the support, two starts drawn from cfg.seed and its
@@ -1904,8 +1941,9 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     would reject it.  Dismissed Stage-2 profiles count as examined and are
     reported as enumeration_pruned.  Each stage's profiles are dismissed
     together (_dismissed): for each player, the profiles are grouped by the
-    opponents' supports, and the margins of all groups are one
-    min-reduction over the payoffs each group's supports reach
+    opponents' supports, and every group's verdicts come from one count
+    product, the opponent profiles each group's supports reach times a 0/1
+    table of the pairs of actions that fail to clear GAP_TOL at each
     (_dominated_actions).
 
     diagnostics: homotopy_skipped, whether Stage 1 was skipped, always the
@@ -1960,26 +1998,29 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     group = symmetry.automorphisms(game) if len(ids) > 1 and _linear_supports(evaluator) else []
     lead, move = symmetry.orbits(group, ids, masks)
     reps = np.flatnonzero(lead == np.arange(len(ids)))
-    # The gap is taken once per orbit, on the representative's profile: an automorphism
-    # permutes each player's values as it permutes the actions, so the images share it.
-    roots: dict = {}  # representative -> (its root, its profile, its gap), for the accepted ones
-    for rep, dists in zip(reps.tolist(), _solve_supports(evaluator, ids[reps], masks, cfg.seed, scale)):
-        if dists is not None:
-            profile = MixedProfile(tuple(dists))
-            gap = _best_response_gap(evaluator, profile.distributions, GAP_TOL, cfg.support_tol)
-            if gap is not None:
-                roots[rep] = (dists, profile, gap)
+    # The gap is taken once per orbit, on the representative's profile, as MixedProfile normalizes
+    # it: an automorphism permutes each player's values as it permutes the actions, so the images
+    # share it.  Every representative's root is tested by one values call on their stack.
+    solved = _solve_supports(evaluator, ids[reps], masks, cfg.seed, scale)
+    places = [q for q, dists in enumerate(solved) if dists is not None]
+    roots: dict = {}  # representative -> (its root, its gap), for the accepted ones
+    if places:
+        stack = np.array([np.concatenate(solved[q]) for q in places])
+        parts = np.split(stack, evaluator.starts[1:-1], axis=1)
+        stack = np.concatenate([part / part.sum(axis=1, keepdims=True) for part in parts], axis=1)
+        gaps = _best_response_gap(evaluator, stack, GAP_TOL, cfg.support_tol).tolist()
+        roots = {int(reps[q]): (solved[q], gap) for q, gap in zip(places, gaps) if not math.isnan(gap)}
     accepted = np.zeros(len(ids), dtype=bool)
     accepted[list(roots)] = True
     inverses = [[np.argsort(perm) for perm in g] for g in group]
     found: list[tuple[MixedProfile, float]] = []
     for r in np.flatnonzero(accepted[lead]).tolist():
         rep = int(lead[r])
-        dists, profile, gap = roots[rep]
+        dists, gap = roots[rep]
         g, h = int(move[r]), int(move[rep])
         if g != h:  # the image x' of a mix x under a permutation s: x'[s(a)] = x[a]
-            profile = MixedProfile(tuple(d[inverse[perm]] for d, inverse, perm in zip(dists, inverses[h], group[g])))
-        found.append((profile, gap))
+            dists = [d[inverse[perm]] for d, inverse, perm in zip(dists, inverses[h], group[g])]
+        found.append((MixedProfile(tuple(dists)), gap))
     diagnostics["homotopy_skipped"] = complete
     diagnostics["homotopy_candidates"] = int(np.count_nonzero(accepted[lead[: len(candidates)]]))
     diagnostics["supports_solved"] = len(reps)

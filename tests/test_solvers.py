@@ -1672,13 +1672,15 @@ class TestSupportSolve:
             return half(*args)
 
         monkeypatch.setattr(solvers, "_linear_half", counted)
-        pure_opponent = [np.array([[0, 1], [0, 1]]), np.array([[0], [1]])]
-        assert list(solvers._linear_roots(evaluator, pure_opponent, 1e-10)) == []
+        pure_opponent = [np.array([[True, True], [True, True]]), np.array([[True, False], [False, True]])]
+        rows, roots = solvers._linear_roots(evaluator, pure_opponent, 1e-10)
+        assert len(rows) == len(roots) == 0
         assert calls == [2]
         calls.clear()
-        roots = list(solvers._linear_roots(evaluator, [np.array([[0, 1]]), np.array([[0, 1]])], 1e-10))
-        assert calls == [1, 1] and len(roots) == 1
-        np.testing.assert_allclose(roots[0][1], [0.5, 0.5], rtol=0, atol=1e-15)
+        full = np.ones((1, 2), dtype=bool)
+        rows, roots = solvers._linear_roots(evaluator, [full, full], 1e-10)
+        assert calls == [1, 1] and rows.tolist() == [0]
+        np.testing.assert_allclose(roots[0], [0.5, 0.5, 0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_zero_weight_solutions_are_rejected(self):
         game = make_card_game(0.4, [0, 1, 2], 0.01)
@@ -1702,8 +1704,8 @@ class TestSupportSolve:
         games += [random_game(rng, players=(2, 2), actions=(2, 5)) for _ in range(40)]
         pretest, tally = solvers._may_be_consistent, Counter()
 
-        def counted(jac, const, tol):
-            passed = pretest(jac, const, tol)
+        def counted(*args):
+            passed = pretest(*args)
             tally["rejected"] += int((~passed).sum())
             return passed
 
@@ -1711,20 +1713,18 @@ class TestSupportSolve:
         for game in games:
             evaluator = PhiEvaluator(game, phi)
             tol = 1e-10 * (1.0 + float(np.max(np.abs(game.payoffs))))
-            stacks: dict = {}  # the support profiles grouped by shape
-            for sups in _support_profiles(game.action_counts):
-                stacks.setdefault(tuple(map(len, sups)), []).append(sups)
-            for stack in stacks.values():
-                actions = [np.array([sups[i] for sups in stack]) for i in range(2)]
-                for i in (0, 1):
-                    args = (evaluator, i, actions[i], actions[1 - i], tol)
-                    roots, consistent = solvers._linear_half(*args)
-                    with monkeypatch.context() as m:
-                        m.setattr(solvers, "_may_be_consistent", lambda jac, *_: np.ones(len(jac), dtype=bool))
-                        all_roots, all_consistent = solvers._linear_half(*args)
-                    assert np.array_equal(consistent, all_consistent)
-                    np.testing.assert_array_equal(roots[consistent], all_roots[consistent])
-                    tally["consistent"] += int(consistent.sum())
+            # Every support profile in one stack, whatever its shape, as _linear_roots hands them on.
+            ids, supports = _indexed(list(_support_profiles(game.action_counts)), game.action_counts)
+            masks = [m[col] for m, col in zip(supports, ids.T)]
+            for i in (0, 1):
+                args = (evaluator, i, masks[i], masks[1 - i], tol)
+                roots, consistent = solvers._linear_half(*args)
+                with monkeypatch.context() as m:
+                    m.setattr(solvers, "_may_be_consistent", lambda jac, *_: np.ones(len(jac), dtype=bool))
+                    all_roots, all_consistent = solvers._linear_half(*args)
+                assert np.array_equal(consistent, all_consistent)
+                np.testing.assert_array_equal(roots[consistent], all_roots[consistent])
+                tally["consistent"] += int(consistent.sum())
         assert tally["rejected"] > 0 and tally["consistent"] > 0
 
     def test_consistency_pretest_passes_a_gap_spread_over_every_equation(self):
@@ -1739,7 +1739,7 @@ class TestSupportSolve:
         const = np.einsum("bmn,bn->bm", jac, rng.normal(size=(stack, n))) + r
         gap = np.abs(jac @ (-np.linalg.pinv(jac) @ const[..., None]) + const[..., None]).max(axis=(1, 2))
         assert (gap <= tol).all()
-        assert solvers._may_be_consistent(jac, const, tol).all()
+        assert solvers._may_be_consistent(jac, const, np.full(stack, m), np.full(stack, n), tol).all()
 
     @pytest.mark.parametrize(
         "phi",
@@ -1748,7 +1748,10 @@ class TestSupportSolve:
     )
     def test_one_stack_matches_one_solve_per_profile(self, phi):
         # Every support profile of the three games above, and the first 4,096 of a 12x3
-        # card game, solved as one list: stacks of every shape, half by half.
+        # card game, solved as one list, every shape in one stack, half by half (the card
+        # game's 4,096 in three chunks of at most _MARGIN_CHUNK block entries): each
+        # profile's mixes are those of its lone solve, bit for bit, as each profile's block
+        # depends on its own supports alone.
         games = [
             _random_two_player_game(11, (3, 4)),
             _random_two_player_game(12, (4, 4)),
@@ -1767,8 +1770,7 @@ class TestSupportSolve:
                 assert (dists is None) == (alone is None), sups
                 if dists is not None:
                     solved += sum(len(s) for s in sups) > 2
-                    for a, b in zip(dists, alone):
-                        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(dists, alone)), sups
         assert solved > 0
 
     @pytest.mark.parametrize(
@@ -2394,6 +2396,22 @@ class TestDominancePruning:
         assert _dominated(evaluator, 1, ((2,),)) == set()
         assert _dominated(evaluator, 1, ((1, 2),)) == set()
 
+    @pytest.mark.parametrize(
+        "margin, dominated", [(GAP_TOL, False), (np.nextafter(GAP_TOL, math.inf), True)], ids=["at", "above"]
+    )
+    def test_a_margin_of_exactly_gap_tol_does_not_dominate(self, margin, dominated):
+        # Player 0's action 1 beats action 0 by margin against opponent action 0 and by 1
+        # against opponent action 1: action 0 is dominated where both are reached only when
+        # margin is above GAP_TOL.  Player 1's payoffs all tie, so only player 0 dismisses.
+        u0 = np.array([[0.0, 0.0], [margin, 1.0]])
+        assert u0[1, 0] - u0[0, 0] == margin
+        evaluator = PhiEvaluator(Game((2, 2), np.stack([u0, np.zeros((2, 2))], axis=-1)), EXPECTATION)
+        assert _dominated(evaluator, 0, ((0, 1),)) == _dominated(evaluator, 0, ((0,),)) == ({0} if dominated else set())
+        assert _dominated(evaluator, 0, ((1,),)) == {0}
+        assert _dominated(evaluator, 1, ((0, 1),)) == set()
+        profiles = [((0,), (0, 1)), ((0, 1), (0, 1)), ((1,), (0, 1)), ((0,), (1,))]
+        assert _dismissed(evaluator, *_indexed(profiles, (2, 2))).tolist() == [dominated, dominated, False, True]
+
     @pytest.mark.parametrize("index", [0, 1, 3, 17])
     def test_matches_a_loop_over_opponent_profiles(self, index):
         game = _pruning_games()[index]
@@ -2433,7 +2451,7 @@ class TestDominancePruning:
                     continue
                 roots += 1
                 p = MixedProfile(tuple(dists))
-                assert _best_response_gap(evaluator, p.distributions, GAP_TOL, 1e-7) is None, sups
+                assert np.isnan(_best_response_gap(evaluator, np.concatenate(p.distributions), GAP_TOL, 1e-7)), sups
                 assert _reference_shortfall(game, phi, p) > GAP_TOL, sups
         assert roots > 10
 
@@ -2458,7 +2476,7 @@ class TestDominancePruning:
         evaluator = PhiEvaluator(game, EXPECTATION)
         ids, masks = _support_listing(game.action_counts, 30_000)
         whole = _dismissed(evaluator, ids, masks)
-        monkeypatch.setattr(solvers, "_MARGIN_CHUNK", 50)  # one to five entries per chunk
+        monkeypatch.setattr(solvers, "_MARGIN_CHUNK", 50)  # one or two entries per chunk
         assert (_dismissed(evaluator, ids, masks) == whole).all()
         assert len(whole) - whole.sum() == 3_819
 
