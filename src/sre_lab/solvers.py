@@ -727,43 +727,6 @@ def _cut(p: np.ndarray, starts: Sequence[int]) -> np.ndarray:
     return cut
 
 
-def _dists_from_theta(
-    theta: np.ndarray,
-    supports: Sequence[Sequence[int]],
-    counts: Sequence[int],
-    out: Optional[np.ndarray] = None,
-) -> list[np.ndarray]:
-    """The simplex chart of some supports: one mixed strategy per player from free coordinates.
-
-    Each player takes len(support) - 1 coordinates as the weights of all but
-    the last support action; the last gets one minus their sum.  Negative
-    weights are then cut as _cut cuts them.  Each support lists its actions
-    in increasing order, so a full one is range(k).  The mixes are filled in
-    place as consecutive views of one vector, the concatenated profile: out
-    when it is given, else a new one.
-    """
-    out = np.empty(sum(counts)) if out is None else out
-    dists = []
-    pos = end = 0
-    for sup, k in zip(supports, counts):
-        vec = out[end : end + k]
-        end += k
-        head = theta[pos : pos + len(sup) - 1]
-        pos += len(sup) - 1
-        if len(sup) == k:  # the full support: no unplayed actions to leave at zero
-            vec[:-1] = head
-            vec[-1] = 1.0 - np.add.reduce(head)  # head.sum(), without the method's wrapper
-        else:
-            idx = list(sup)
-            vec.fill(0.0)
-            vec[idx[:-1]] = head
-            vec[idx[-1]] = 1.0 - np.add.reduce(head)
-        dists.append(vec)
-    if out.min() < 0.0:
-        out[:] = _cut(out, list(itertools.accumulate(counts, initial=0)))
-    return dists
-
-
 def _newton(
     system: Callable[[np.ndarray], tuple[np.ndarray, Callable]],
     theta: np.ndarray,
@@ -1519,27 +1482,51 @@ def _indexed(profiles: Sequence[Sequence[tuple]], counts: Sequence[int]) -> tupl
 
 
 def _support_system(evaluator: PhiEvaluator, supports: Sequence[Sequence[int]]):
-    """The within-support value differences on the chart of the supports, with their exact Jacobian.
+    """Within-support indifference on the support weights, with its exact Jacobian.
 
-    Player i's residual is v_i[sup_i[:-1]] - v_i[sup_i[-1]] under the raw
-    statistic (boundary_pure=False); players with one support action have
-    none.  The differences are one matrix, diff, over the concatenated
-    values: f = diff @ v, and the Jacobian is diff @ dv/dp @ diff.T, as the
-    chart of the supports moves p along the same differences.
+    x holds the weights of the support actions, player by player, each
+    support in increasing order.  It is placed into the concatenated
+    profile p, zeros elsewhere, and p is cut (_cut).  Player i's residuals
+    are v_i[sup_i[:-1]] - v_i[sup_i[-1]] under the raw statistic
+    (boundary_pure=False), one matrix diff over the concatenated values,
+    and then one row sum(x_i) - 1 per player: f = [diff @ v ; S x - 1], S
+    being the 0/1 player-sum matrix.  Players with one support action have
+    no difference row.  The Jacobian is [diff @ dv/dp @ lift ; S], square,
+    where lift places the per-player centred part of x,
+    (I - S^T diag(1/|S_i|) S) x, into p.  Those directions keep every
+    mix's sum, and dv/dp is exact along them.  The centring makes the upper
+    rows orthogonal to S's, so even a least-squares step on a singular
+    Jacobian, as every two-player profile with |S_0| != |S_1| has off the
+    linear path, solves the sum rows exactly: a step from weights that sum
+    to one per player keeps them there, up to rounding.  The product is
+    taken as the differences' moves at the support places, each player's
+    taken relative to their last support action and then less their mean;
+    the first subtraction changes nothing in exact arithmetic and leaves
+    exact zeros where a player's weights move no difference, so that a
+    system whose differences do not move has the Jacobian [0 ; S] exactly.
     """
-    counts = evaluator.game.action_counts
     starts = evaluator.starts
+    places = [starts[i] + a for i, sup in enumerate(supports) for a in sup]
+    sizes = np.array([len(sup) for sup in supports])
+    ends = np.cumsum(sizes)  # where each player's weights end in x
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    sums = (owner == np.arange(len(sizes))[:, None]).astype(float)
     pairs = [(starts[i] + a, starts[i] + sup[-1]) for i, sup in enumerate(supports) for a in sup[:-1]]
     diff = np.zeros((len(pairs), starts[-1]))
     diff[np.arange(len(pairs)), [a for a, _ in pairs]] = 1.0
     diff[np.arange(len(pairs)), [b for _, b in pairs]] = -1.0
-    moves = diff.T.copy()
 
-    def system(theta: np.ndarray):
-        p = np.empty(starts[-1])
-        _dists_from_theta(theta, supports, counts, out=p)
-        v, dv_dp = evaluator.values(p, boundary_pure=False, grad=True)
-        return diff @ v, lambda: diff @ dv_dp() @ moves
+    def system(x: np.ndarray):
+        p = np.zeros(starts[-1])
+        p[places] = x
+        v, dv_dp = evaluator.values(_cut(p, starts), boundary_pure=False, grad=True)
+
+        def jacobian() -> np.ndarray:
+            moves = (diff @ dv_dp())[:, places]
+            moves = moves - moves[:, ends - 1][:, owner]  # 0 exactly where a player's weights move no difference
+            return np.concatenate([moves - (np.add.reduceat(moves, ends - sizes, axis=1) / sizes)[:, owner], sums])
+
+        return np.concatenate([diff @ v, np.add.reduceat(x, ends - sizes) - 1.0]), jacobian
 
     return system
 
@@ -1550,62 +1537,66 @@ def _solve_supports(
     masks: Sequence[np.ndarray],
     seed: int,
     scale: float,
-) -> list[Optional[list[np.ndarray]]]:
+) -> tuple[list[int], np.ndarray]:
     """Find within-support indifference, zeros of the value differences, for each profile of a stack.
 
-    The stack is (ids, masks), as _dismissed takes it.  Returns one entry
-    per profile, in stack order: its mixes, or None.  A solution keeps every
-    support weight above INTERIOR_TOL; a weight at zero is a boundary case
-    that a smaller support covers.  On the linear path (_linear_supports)
-    the stack, its supports gathered as bool rows whatever their sizes, is
-    solved by _linear_roots, whose root is the projection of the uniform
-    mix onto each half's solutions, in chunks of at most _MARGIN_CHUNK
-    entries of (actions of 0 x actions of 1) blocks, so the scratch memory
-    is bounded however large the stack; a profile's root does not depend
-    on its chunk.  The mixes of each profile are views of one row of its
-    concatenated roots, and that path draws nothing.  Elsewhere each
-    profile, its supports read off the masks as action lists, is solved
-    on its own by Newton from _newton_starts:
-    the uniform mix on each support, then, while no start has given a root
-    with every weight above INTERIOR_TOL, two Dirichlet draws from seed and
-    the profile's supports alone, so that no root depends on the stack; a
-    start with a zero Jacobian stops after one evaluation.  A profile of
-    single actions is returned as it is.
+    The stack is (ids, masks), as _dismissed takes it.  Returns (places,
+    roots): the places in the stack, in increasing order, of the profiles
+    solved, and their roots as concatenated profiles, (places x actions),
+    zero off the supports, each mix summing to one within the solve's
+    tolerance.  A solution keeps every support weight above INTERIOR_TOL; a
+    weight at zero is a boundary case that a smaller support covers.  On
+    the linear path (_linear_supports) the stack, its supports gathered as
+    bool rows whatever their sizes, is solved by _linear_roots, whose root
+    is the projection of the uniform mix onto each half's solutions, in
+    chunks of at most _MARGIN_CHUNK entries of (actions of 0 x actions of
+    1) blocks, so the scratch memory is bounded however large the stack; a
+    profile's root does not depend on its chunk, and that path draws
+    nothing.
+    Elsewhere each profile, its supports read off the masks as action
+    lists, is solved on its own by Newton on its support weights
+    (_support_system) from _newton_starts: the uniform mix on each support,
+    then, while no start has given a root with every weight above
+    INTERIOR_TOL, two Dirichlet draws from seed and the profile's supports
+    alone, so that no root depends on the stack.  A start whose value
+    differences do not move stops after one evaluation: its Jacobian is
+    [0 ; S], whose minimum-norm step is 0.  A profile of single actions is
+    solved at its start, every weight 1.
     """
-    counts = evaluator.game.action_counts
+    starts = evaluator.starts
     tol = 1e-10 * scale
-    out: list = [None] * len(ids)
+    places, roots = [], [np.zeros((0, starts[-1]))]
     if _linear_supports(evaluator):
-        step = max(1, _MARGIN_CHUNK // math.prod(counts))
+        step = max(1, _MARGIN_CHUNK // math.prod(evaluator.game.action_counts))
         for lo in range(0, len(ids), step):
-            rows, roots = _linear_roots(evaluator, [m[col] for m, col in zip(masks, ids[lo : lo + step].T)], tol)
-            for q, root in zip(rows.tolist(), roots):
-                out[lo + q] = np.split(root, evaluator.starts[1:-1])
-        return out
+            rows, found = _linear_roots(evaluator, [m[col] for m, col in zip(masks, ids[lo : lo + step].T)], tol)
+            places += (lo + rows).tolist()
+            roots.append(found)
+        return places, np.concatenate(roots)
     for r, row in enumerate(ids.tolist()):
-        sups = [np.flatnonzero(m[t]).tolist() for m, t in zip(masks, row)]
-        if max(map(len, sups)) == 1:
-            out[r] = _dists_from_theta(np.zeros(0), sups, counts)
-            continue
+        support = [m[t] for m, t in zip(masks, row)]
+        sups = [np.flatnonzero(m).tolist() for m in support]
         system = _support_system(evaluator, sups)
-        for theta in _newton_starts(sups, seed):
-            theta, f, _ = _newton(system, theta, tol, 24)
-            if abs(f).max() > tol:
-                continue
-            dists = _dists_from_theta(theta, sups, counts)
-            if all(vec[sup].min() > INTERIOR_TOL for sup, vec in zip(sups, dists)):
-                out[r] = dists
+        for x in _newton_starts(sups, seed):
+            x, f, _ = _newton(system, x, tol, 24)
+            if abs(f).max() <= tol and x.min() > INTERIOR_TOL:
+                root = np.zeros((1, starts[-1]))
+                root[:, np.concatenate(support)] = x
+                places.append(r)
+                roots.append(root)
                 break
-    return out
+    return places, np.concatenate(roots)
 
 
 def _newton_starts(sups: Sequence[Sequence[int]], seed: int) -> Iterator[np.ndarray]:
-    """Free weights of the uniform mix, then of two Dirichlet draws from a generator of seed and the supports alone."""
-    movers = [len(s) for s in sups if len(s) > 1]
-    yield np.concatenate([np.full(k - 1, 1.0 / k) for k in movers])
+    """Support weights of the uniform mix, then of two Dirichlet draws from a generator of seed and the supports alone.
+
+    A one-action support draws nothing and keeps its weight at 1.
+    """
+    yield np.concatenate([np.full(len(s), 1.0 / len(s)) for s in sups])
     rng = np.random.default_rng([seed, *(sum(1 << a for a in s) for s in sups)])
     for _ in range(2):
-        yield np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in movers])
+        yield np.concatenate([rng.dirichlet(np.ones(len(s))) if len(s) > 1 else np.ones(1) for s in sups])
 
 
 def _linear_roots(
@@ -1621,13 +1612,12 @@ def _linear_roots(
     equations than unknowns, player 0's when |S_0| >= |S_1|, else player
     1's.  Each part's first half is one _linear_half call, and only its
     profiles where that half is consistent go on to the other half, one
-    more call, made only when some profile is.  The roots then take the
-    simplex chart's weights, as _dists_from_theta gives them: each
-    support's last action gets one minus the sum of the others, and a
-    negative weight is cut (_cut).  Returns (rows, roots): the places in
-    the stack, in increasing order, of the profiles consistent in both
-    halves whose every support weight is above INTERIOR_TOL, and their
-    roots as concatenated profiles, (rows x actions).
+    more call, made only when some profile is.  Returns (rows, roots):
+    the places in the stack, in increasing order, of the profiles
+    consistent in both halves whose every support weight is above
+    INTERIOR_TOL, and their roots as concatenated profiles, (rows x
+    actions), as the projections give them: each mix sums to one up to
+    its half's residual.
     """
     first = supports[0].sum(axis=1) >= supports[1].sum(axis=1)
     mixes = [np.zeros(m.shape) for m in supports]
@@ -1643,14 +1633,7 @@ def _linear_roots(
     for mix, sup in zip(mixes, supports):
         solved &= ((mix > INTERIOR_TOL) | ~sup).all(axis=1)
     rows = np.flatnonzero(solved)
-    at = np.arange(len(rows))
-    for p, (mix, sup) in enumerate(zip(mixes, supports)):
-        mix, sup = mix[rows], sup[rows]
-        last = sup.shape[1] - 1 - np.argmax(sup[:, ::-1], axis=1)
-        mix[at, last] = 0.0
-        mix[at, last] = 1.0 - mix.sum(axis=1)
-        mixes[p] = mix
-    return rows, _cut(np.concatenate(mixes, axis=1), evaluator.starts)
+    return rows, np.concatenate(mixes, axis=1)[rows]
 
 
 def _linear_supports(evaluator: PhiEvaluator) -> bool:
@@ -1918,18 +1901,19 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     each image keeps that gap as its residual: under an automorphism the
     image's action s(a) meets the lottery that a meets in the representative,
     so each player's values are permuted with the actions, and the image's gap
-    is the representative's up to rounding.  On either path every root is
-    gap-tested by one values call on the stack of roots
-    (_best_response_gap), and a MixedProfile is made only for the accepted
-    profiles.  They are kept in stack order, so the result is the unreduced
-    solve's up to rounding.
+    is the representative's up to rounding.  On either path the solver
+    returns one stack of roots, each player's mixes in it are normalized
+    once, every root is gap-tested by one values call on that stack
+    (_best_response_gap), and a MixedProfile is made from those rows only
+    for the accepted profiles.  They are kept in stack order, so the result
+    is the unreduced solve's up to rounding.
     On the Newton path (three or more players, or a finite atom off 0) the
-    profiles are solved one by one, each from the uniform mix and, until one
-    gives a root inside the support, two starts drawn from cfg.seed and its
-    supports.  Each gives at most one root, so an equilibrium can be missed:
-    of a 2x2x2 game's two totally mixed equilibria, a solve returns one.
-    Newton's chart and those draws follow the action order, so there a
-    relabeling can move a root on a continuum of roots.
+    profiles are solved one by one, on their support weights, each from the
+    uniform mix and, until one gives a root inside the support, two starts
+    drawn from cfg.seed and its supports.  Each gives at most one root, so
+    an equilibrium can be missed: of a 2x2x2 game's two totally mixed
+    equilibria, a solve returns one.  Those draws follow the action order,
+    so there a relabeling can move a root on a continuum of roots.
 
     A support profile S is dismissed unsolved when some player i has an
     action a in S_i and an action b (in S_i or not) whose payoff exceeds a's
@@ -1998,25 +1982,23 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     group = symmetry.automorphisms(game) if len(ids) > 1 and _linear_supports(evaluator) else []
     lead, move = symmetry.orbits(group, ids, masks)
     reps = np.flatnonzero(lead == np.arange(len(ids)))
-    # The gap is taken once per orbit, on the representative's profile, as MixedProfile normalizes
-    # it: an automorphism permutes each player's values as it permutes the actions, so the images
-    # share it.  Every representative's root is tested by one values call on their stack.
-    solved = _solve_supports(evaluator, ids[reps], masks, cfg.seed, scale)
-    places = [q for q, dists in enumerate(solved) if dists is not None]
-    roots: dict = {}  # representative -> (its root, its gap), for the accepted ones
-    if places:
-        stack = np.array([np.concatenate(solved[q]) for q in places])
-        parts = np.split(stack, evaluator.starts[1:-1], axis=1)
-        stack = np.concatenate([part / part.sum(axis=1, keepdims=True) for part in parts], axis=1)
-        gaps = _best_response_gap(evaluator, stack, GAP_TOL, cfg.support_tol).tolist()
-        roots = {int(reps[q]): (solved[q], gap) for q, gap in zip(places, gaps) if not math.isnan(gap)}
+    # Each root's mixes are normalized once, for the gap test and for the accepted profiles.  The gap
+    # is taken once per orbit, on the representative's profile: an automorphism permutes each
+    # player's values as it permutes the actions, so the images share it.  Every representative's
+    # root is tested by one values call on their stack.
+    places, solved = _solve_supports(evaluator, ids[reps], masks, cfg.seed, scale)
+    mixes = [part / part.sum(axis=1, keepdims=True) for part in np.split(solved, evaluator.starts[1:-1], axis=1)]
+    gaps = _best_response_gap(evaluator, np.hstack(mixes), GAP_TOL, cfg.support_tol).tolist() if places else []
+    # representative -> (its row in mixes, its gap), for the accepted ones
+    roots = {int(reps[q]): (t, gap) for t, (q, gap) in enumerate(zip(places, gaps)) if not math.isnan(gap)}
     accepted = np.zeros(len(ids), dtype=bool)
     accepted[list(roots)] = True
     inverses = [[np.argsort(perm) for perm in g] for g in group]
     found: list[tuple[MixedProfile, float]] = []
     for r in np.flatnonzero(accepted[lead]).tolist():
         rep = int(lead[r])
-        dists, gap = roots[rep]
+        t, gap = roots[rep]
+        dists = [mix[t] for mix in mixes]
         g, h = int(move[r]), int(move[rep])
         if g != h:  # the image x' of a mix x under a permutation s: x'[s(a)] = x[a]
             dists = [d[inverse[perm]] for d, inverse, perm in zip(dists, inverses[h], group[g])]

@@ -44,7 +44,6 @@ from sre_lab.solvers import (
     _best_response_gap,
     _continue,
     _dismissed,
-    _dists_from_theta,
     _dominated_actions,
     _indexed,
     _linear_step,
@@ -580,11 +579,6 @@ class TestHomotopy:
 
 
 class TestNewton:
-    def test_chart_cuts_negative_weights_and_renormalizes(self):
-        # The last weight is one minus the unclipped free weights: [2, -5, 4] -> [2, 0, 4] / 6.
-        (vec,) = _dists_from_theta(np.array([2.0, -5.0]), [(0, 1, 2)], [3])
-        np.testing.assert_allclose(vec, [1 / 3, 0.0, 2 / 3], rtol=0, atol=1e-15)
-
     def test_solves_linear_system(self):
         a = np.array([[3.0, 1.0], [1.0, 2.0]])
         b = np.array([0.2, -0.1])
@@ -717,8 +711,13 @@ def _listed(counts, limit):
 
 
 def _solve(evaluator, profiles, seed, scale):
-    """_solve_supports on support profiles given as tuples of action tuples."""
-    return _solve_supports(evaluator, *_indexed(profiles, evaluator.game.action_counts), seed, scale)
+    """_solve_supports on support profiles given as tuples of action tuples: one entry per profile, its mixes or None."""
+    places, roots = _solve_supports(evaluator, *_indexed(profiles, evaluator.game.action_counts), seed, scale)
+    assert places == sorted(set(places)) and len(roots) == len(places)
+    out = [None] * len(profiles)
+    for q, root in zip(places, roots):
+        out[q] = np.split(root, evaluator.starts[1:-1])
+    return out
 
 
 def _edge_limits(totals):
@@ -767,27 +766,27 @@ class TestSupportProfiles:
 def _newton_support(evaluator, supports, seed, scale):
     """The Newton path of _solve_supports on one profile, from the same three starts.
 
-    The uniform mix, then two Dirichlet draws from a generator seeded by
-    seed and each player's support as a bitmask.  Returns (dists or None,
-    smallest support weight of Newton's accepted point).
+    Newton runs on the support weights, player by player: the uniform mix,
+    then two Dirichlet draws from a generator seeded by seed and each
+    player's support as a bitmask, a one-action support drawing nothing and
+    keeping its weight at 1.  Returns (dists or None, smallest support
+    weight of Newton's accepted point).
     """
-    counts = evaluator.game.action_counts
     system = _support_system(evaluator, supports)
     tol = 1e-10 * scale
-    starts = [np.concatenate([np.full(len(s) - 1, 1.0 / len(s)) for s in supports if len(s) > 1])]
+    starts = [np.concatenate([np.full(len(s), 1.0 / len(s)) for s in supports])]
     rng = np.random.default_rng([seed, *(sum(2**a for a in s) for s in supports)])
     for _ in range(2):
-        starts.append(
-            np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in supports if len(s) > 1])
-        )
-    for theta in starts:
-        theta, f, _ = _newton(system, theta, tol, 24)
+        starts.append(np.concatenate([rng.dirichlet(np.ones(len(s))) if len(s) > 1 else [1.0] for s in supports]))
+    for x in starts:
+        x, f, _ = _newton(system, x, tol, 24)
         if np.max(np.abs(f)) > tol:
             continue
-        dists = _dists_from_theta(theta, supports, counts)
-        low = min(vec[list(sup)].min() for sup, vec in zip(supports, dists))
-        if low > 1e-9:
-            return dists, low
+        dists = [np.zeros(k) for k in evaluator.game.action_counts]
+        for vec, sup, weights in zip(dists, supports, np.split(x, np.cumsum([len(s) for s in supports])[:-1])):
+            vec[list(sup)] = weights
+        if x.min() > 1e-9:
+            return dists, x.min()
     return None, None
 
 
@@ -881,17 +880,29 @@ class TestExactJacobians:
 
     @pytest.mark.parametrize("game", JACOBIAN_GAMES)
     def test_support_value_differences(self, game):
+        # The Jacobian on the support weights, along random directions that keep each
+        # player's sum, as many as the weights less the players, against central
+        # differences of f; its sum rows are the 0/1 player-sum matrix.
         rng = np.random.default_rng(2)
         for phi in _jacobian_statistics(game):
             evaluator = PhiEvaluator(game, phi)
             for _ in range(4):
-                # Sizes from 2 up, so every player has free weights.
+                # Sizes from 2 up, so every player has weights to move.
                 sups = [tuple(sorted(rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False))) for k in game.action_counts]
                 system = _support_system(evaluator, sups)
-                theta = np.concatenate([rng.dirichlet(np.ones(len(s)))[:-1] for s in sups])
-                exact = system(theta)[1]()
+                x = np.concatenate([rng.dirichlet(np.ones(len(s))) for s in sups])
+                owner = np.repeat(np.arange(len(sups)), [len(s) for s in sups])
+                moves = rng.normal(size=(x.size, x.size - len(sups)))
+                for i in range(len(sups)):
+                    moves[owner == i] -= moves[owner == i].mean(axis=0)
+                exact = system(x)[1]()
+                np.testing.assert_array_equal(exact[-len(sups) :], owner == np.arange(len(sups))[:, None])
                 np.testing.assert_allclose(
-                    exact, _central_jacobian(system, theta), rtol=0, atol=1e-8, err_msg=f"{phi.describe()} {sups}"
+                    exact @ moves,
+                    _central_jacobian(lambda t: system(x + moves @ t), np.zeros(moves.shape[1])),
+                    rtol=0,
+                    atol=1e-8,
+                    err_msg=f"{phi.describe()} {sups}",
                 )
 
     def test_jacobian_reuses_the_evaluation(self):
@@ -900,7 +911,7 @@ class TestExactJacobians:
         products = _count_plan_products(evaluator)
         systems = [
             (_logit_system(evaluator, 2.0), np.array([0.4, 0.6, 0.3, 0.3, 0.4, 0.5, 0.5])),
-            (_support_system(evaluator, [(0, 1), (0, 2), (0, 1)]), np.array([0.4, 0.3, 0.5])),
+            (_support_system(evaluator, [(0, 1), (0, 2), (0, 1)]), np.array([0.4, 0.6, 0.3, 0.7, 0.5, 0.5])),
         ]
         for system, theta in systems:
             f, jacobian = system(theta)
@@ -1159,19 +1170,6 @@ class TestGroupedPlan:
         _assert_blocks_match_central_differences(evaluator, stack, boundary_pure, np.random.default_rng(10))
 
 
-def _reference_chart(theta, supports, counts):
-    """The simplex chart filled one player at a time, each mix its own array."""
-    dists, pos = [], 0
-    for sup, k in zip(supports, counts):
-        head = theta[pos : pos + len(sup) - 1]
-        pos += len(sup) - 1
-        vec = np.zeros(k)
-        vec[list(sup)[:-1]] = head
-        vec[list(sup)[-1]] = 1.0 - head.sum()
-        dists.append(vec)
-    return _reference_cut(dists)
-
-
 def _reference_cut(mixes):
     """Each mix with its negative weights cut to zero and renormalized, one player at a time, each on its own array."""
     dists = []
@@ -1225,29 +1223,6 @@ class TestLogitSystem:
                     for got, want in zip(_response(evaluator, lam, dists), responses):
                         np.testing.assert_array_equal(got, want)
                     np.testing.assert_array_equal(system(p)[0], p - np.concatenate(responses))
-
-    def test_partial_supports_fill_as_one_player_at_a_time(self):
-        game = self._games()[2]
-        counts = game.action_counts
-        supports = [(1,), (0, 1), (0, 2, 3)]
-        rng = np.random.default_rng(3)
-        for theta in (np.array([0.25, 0.5, 0.125]), np.array([1.5, 0.7, 0.6]), rng.random(3)):
-            got = _dists_from_theta(theta, supports, counts)
-            for vec, want in zip(got, _reference_chart(theta, supports, counts)):
-                np.testing.assert_array_equal(vec, want)
-
-    def test_full_supports_fill_as_one_player_at_a_time(self):
-        # The chart of full supports, as the support systems take it: a point inside, and one
-        # whose first player's last weight falls below zero and is cut.
-        counts = (2, 2, 4)
-        supports = [range(k) for k in counts]
-        rng = np.random.default_rng(4)
-        inside = np.concatenate([rng.dirichlet(np.ones(k))[:-1] for k in counts])
-        for theta in (inside, np.array([1.3, 0.5, 0.6, 0.2, 0.1])):
-            got = _dists_from_theta(theta, supports, counts)
-            for vec, want in zip(got, _reference_chart(theta, supports, counts)):
-                np.testing.assert_array_equal(vec, want)
-        assert got[0].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("index", [0, 1, 2], ids=["cards-12x3", "cards-4x2", "corpus-3p"])
     def test_a_stack_cuts_each_row_as_alone(self, index, monkeypatch):
@@ -1634,6 +1609,66 @@ class TestLockstepStarts:
 
 class TestSupportSolve:
     @pytest.mark.parametrize(
+        "phi",
+        [K_PAIR, MAStatistic(((0.0, 0.5), (1.0, 0.5))), MAStatistic(((-math.inf, 0.2), (0.0, 0.3), (0.8, 0.5)))],
+        ids=["k-pair", "mean-and-exp", "extremes-mean-and-exp"],
+    )
+    def test_newton_keeps_each_sum_on_singular_systems(self, phi):
+        # Off the linear path a two-player profile with |S_0| != |S_1| has a singular Jacobian:
+        # the larger support's player has more difference rows than the opponent has weights
+        # to move.  No such profile of this 4x3 game has a root, so Newton takes
+        # least-squares steps from every start until it stalls, and every trial point keeps
+        # each player's weight sum within 1e-12 of 1.  Under K_PAIR, scaling a mix moves no
+        # value difference, so plain sum rows would keep the sums too; with an atom at 0 the
+        # mean's part scales with the mix, and the centring of the Jacobian keeps them.
+        game = _random_two_player_game(13, (4, 3))
+        evaluator = PhiEvaluator(game, phi)
+        tol = 1e-10 * (1.0 + float(np.max(np.abs(game.payoffs))))
+        subsets = [[c for size in range(2, k + 1) for c in itertools.combinations(range(k), size)] for k in (4, 3)]
+        profiles = [sups for sups in itertools.product(*subsets) if len(sups[0]) != len(sups[1])]
+        for sups in profiles:
+            system, points = _support_system(evaluator, sups), []
+
+            def recorded(x):
+                points.append(x)
+                return system(x)
+
+            for x in solvers._newton_starts(sups, 3):
+                x, f, _ = _newton(recorded, x, tol, 24)
+                assert np.abs(f).max() > tol, sups
+                assert np.linalg.matrix_rank(system(x)[1]()) < x.size, sups
+            sums = [(p[: len(sups[0])].sum(), p[len(sups[0]) :].sum()) for p in points]
+            assert len(points) > 3 and np.abs(np.array(sums) - 1.0).max() <= 1e-12, sups
+
+    @pytest.mark.parametrize("counts", [(2, 2), (3, 3), (2, 3, 2)])
+    def test_flat_value_differences_stop_after_one_evaluation(self, counts):
+        # Player 0's payoffs follow their own action alone and the other players' are constant,
+        # so no value difference moves with the weights: the Jacobian is [0 ; S] exactly, and
+        # its minimum-norm step is 0.  Newton evaluates once, builds one Jacobian and stops
+        # where it started, and _solve_supports finds no root.
+        payoffs = np.zeros(counts + (len(counts),))
+        payoffs[..., 0] = 0.7 * np.indices(counts)[0]
+        game = Game(counts, payoffs)
+        sups = tuple(tuple(range(k)) for k in counts)
+        for phi in (K_PAIR, MAStatistic(((-math.inf, 0.2), (0.0, 0.3), (0.8, 0.5)))):
+            evaluator = PhiEvaluator(game, phi)
+            system, calls = _support_system(evaluator, sups), []
+
+            def counted(x):
+                calls.append("f")
+                f, jacobian = system(x)
+                return f, lambda: calls.append("jacobian") or jacobian()
+
+            start = next(solvers._newton_starts(sups, 0))
+            x, f, steps = _newton(counted, start, 1e-10, 24)
+            assert calls == ["f", "jacobian"] and steps == 0, phi.describe()
+            np.testing.assert_array_equal(x, start)
+            assert np.abs(f).max() > 0.5
+            jac = system(start)[1]()
+            np.testing.assert_array_equal(jac[: -len(counts)], 0.0)
+            assert _solve(evaluator, [sups], 0, 2.0) == [None]
+
+    @pytest.mark.parametrize(
         "game",
         [
             _random_two_player_game(11, (3, 4)),
@@ -1801,7 +1836,7 @@ class TestSupportSolve:
         roots = 0
         for sups, dists, back in zip(profiles, solved, reverse):
             if max(map(len, sups)) == 1:  # a pure profile draws nothing and is returned as it is
-                expected = _dists_from_theta(np.zeros(0), sups, game.action_counts)
+                expected = [np.eye(k)[a] for k, (a,) in zip(game.action_counts, sups)]
             else:
                 expected = _newton_support(evaluator, sups, 3, scale)[0]
             for other in (back, _solve(evaluator, [sups], 3, scale)[0], expected):
@@ -2147,13 +2182,14 @@ class TestLabelFree:
             def solved(g):
                 return _solve_supports(PhiEvaluator(g, phi), *stack, 0, 1.0 + float(np.max(np.abs(g.payoffs))))
 
-            base, base_set = solved(game), _solution_arrays(solve_nash_phi(game, phi))
+            (base, base_roots), base_set = solved(game), _solution_arrays(solve_nash_phi(game, phi))
+            assert base, index
             for alpha in (1e-6, 1e-3, 1e3, 1e6):
                 scaled = Game(game.action_counts, alpha * game.payoffs)
-                for sups, want, got in zip(profiles, base, solved(scaled)):
-                    assert (want is None) == (got is None), (index, alpha, sups)
-                    if want is not None:
-                        assert max(np.abs(a - b).max() for a, b in zip(want, got)) <= 1e-9, (index, alpha, sups)
+                places, roots = solved(scaled)
+                assert places == base, (index, alpha, [profiles[q] for q in sorted(set(places) ^ set(base))])
+                gaps = np.abs(roots - base_roots).max(axis=1)
+                assert gaps.max() <= 1e-9, (index, alpha, profiles[base[int(gaps.argmax())]])
                 if alpha < 1e6:
                     assert _same_set(_solution_arrays(solve_nash_phi(scaled, phi)), base_set, 1e-9), (index, alpha)
 
