@@ -33,18 +33,18 @@ class Game:
     labels: Optional[tuple[tuple[str, ...], ...]] = None
 
     def __post_init__(self):
-        counts = tuple(int(k) for k in self.action_counts)
-        if len(counts) < 1 or any(k < 1 for k in counts):
+        counts = tuple(map(int, self.action_counts))
+        if not counts or min(counts) < 1:
             raise ValueError("every player needs at least one action")
         arr = np.asarray(self.payoffs, dtype=float)
         expected = counts + (len(counts),)
         if arr.shape != expected:
             raise ValueError(f"payoff tensor shape {arr.shape} != {expected}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("payoffs must be finite")
         if self.labels is not None:
-            labels = tuple(tuple(str(s) for s in per) for per in self.labels)
-            if tuple(len(per) for per in labels) != counts:
+            labels = tuple([tuple(map(str, per)) for per in self.labels])
+            if tuple(map(len, labels)) != counts:
                 raise ValueError("labels must list one name per action per player")
             object.__setattr__(self, "labels", labels)
         arr = arr.copy()
@@ -126,9 +126,9 @@ class MixedProfile:
             arr = np.asarray(vec, dtype=float).ravel()
             if arr.size == 0:
                 raise ValueError("empty distribution")
-            if np.any(arr < 0):
+            if np.fmin.reduce(arr) < 0.0:  # fmin skips NaN, so this is "some weight < 0"
                 raise ValueError("probabilities must be nonnegative")
-            total = arr.sum()
+            total = np.add.reduce(arr)
             if not abs(total - 1.0) <= PROFILE_SUM_TOL:  # NaN fails the test too
                 raise ValueError(f"probabilities sum to {total!r}, expected 1")
             arr = arr / total

@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -151,6 +150,8 @@ class SolveResult:
 
 # The branches of the normalized CGF that have grids, in the order of the grid sums' rows.
 _BRANCHES = ("mean", "taylor", "exp")
+# The work a PhiEvaluator's counts hold.
+_COUNTS = ("evaluator_calls", "iterations", "newton_steps", "continuation_steps", "jacobians")
 _ZERO = np.zeros(1)
 
 
@@ -189,6 +190,7 @@ class _Layout:
     owner: np.ndarray
     exp_owner: np.ndarray
     complements: list
+    identity: np.ndarray
 
 
 @functools.lru_cache(maxsize=256)
@@ -199,7 +201,8 @@ def _plan_layout(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, int],
     order, with the number of its atoms, 0 for the mean, whose grid carries
     its atoms' total weight.  They fix everything but the payoffs and the
     atoms themselves (see _plan_tags):
-    - owner, the player of each place in the concatenated profile;
+    - owner, the player of each place in the concatenated profile, and
+      identity, the (actions x actions) identity of _logit_system's Jacobians;
     - the rows of the grid sums: place[i][g, a] is the row that player i's
       grid g gives at action a, the mean rows of every player first, then
       the Taylor band's moments, then the tilts; rows of them in all,
@@ -329,8 +332,9 @@ def _plan_layout(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, int],
         owner=owner,
         exp_owner=exp_owner,
         complements=complements,
+        identity=np.eye(size),
     )
-    shared = (layout.coef_cols, layout.blocks_at, layout.group_starts, layout.sum_starts, sum_plan_from)
+    shared = (layout.coef_cols, layout.blocks_at, layout.group_starts, layout.sum_starts, sum_plan_from, layout.identity)
     for array in (placed, sum_cols, sum_mixes, taylor_rows, taylor_gather, owner, exp_owner, *shared, *entries.values()):
         if array is not None:
             array.flags.writeable = False
@@ -373,10 +377,14 @@ def _plan_tags(counts: tuple[int, ...], branches: tuple[tuple[tuple[str, tuple],
 class PhiEvaluator:
     """Per-(game, statistic) evaluation plan: every player's action values and their derivatives from one product.
 
-    When it is built, each player's finite atoms are grouped by the branch
-    of the normalized CGF they take on that player's table
-    (statistics.cgf_branches, kept per player in self.branches), and each
-    group is folded into fixed grids over player i's actions x each
+    Built once per (game, phi), for every evaluation on that pair: each
+    player's table (tables), its row minima, maxima and spread, its finite
+    atoms grouped by the branch of the normalized CGF they take on that
+    table (statistics.cgf_branches, kept per player in self.branches), and
+    the grids below, gathered into plan and sum_plan.  Only the layout's
+    index arrays, which the action counts and the branch sizes fix, are
+    shared between games (_plan_layout).  Each group of atoms is folded
+    into fixed grids over player i's actions x each
     opponent's actions (statistics.cgf_grids): the mean branch's table times
     its total weight, the raw moments of T - lo shared by the Taylor band,
     and exp(a(T - shift)) with the pure shift for each exponential tilt.
@@ -404,11 +412,11 @@ class PhiEvaluator:
     actions (None without such atoms), and constant_dv, dv/dp on the
     concatenated profile when it does not move with the mixes (one player;
     two players with every finite atom in the mean branch; no finite atom),
-    else None.  counts, one Counter, holds the work done with the plan, for
-    diagnostics: "evaluator_calls", n per profile that values evaluated,
-    kept by values itself, and "iterations", "newton_steps",
-    "continuation_steps" and "jacobians", kept by the logit solver's stages
-    (see _solve_fixed_point).
+    else None.  counts, a dict of the _COUNTS from 0, holds the work done
+    with the plan, for diagnostics: "evaluator_calls", n per profile that
+    values evaluated, kept by values itself, and "iterations",
+    "newton_steps", "continuation_steps" and "jacobians", kept by the logit
+    solver's stages (see _solve_fixed_point).
     """
 
     def __init__(self, game: Game, phi: MAStatistic):
@@ -417,32 +425,31 @@ class PhiEvaluator:
         self.n = n = game.num_players
         counts = game.action_counts
         self.tables = [action_payoff_matrix(game, i) for i in range(n)]
-        self.pure_min = [t.min(axis=1) for t in self.tables]
-        self.pure_max = [t.max(axis=1) for t in self.tables]
-        self.spread = [float(np.max(hi - lo)) for lo, hi in zip(self.pure_min, self.pure_max)]
+        self.starts = starts = list(itertools.accumulate(counts, initial=0))
+        self.spans = list(zip(starts[:-1], starts[1:]))  # each player's (start, end) in the concatenated profile
+        # Every player's row minima and maxima, concatenated; each player's own are views of them.
+        lo = np.concatenate([np.minimum.reduce(t, axis=1) for t in self.tables])
+        hi = np.concatenate([np.maximum.reduce(t, axis=1) for t in self.tables])
+        self.pure_min, self.pure_max = [lo[a:b] for a, b in self.spans], [hi[a:b] for a, b in self.spans]
+        self.spread = np.maximum.reduceat(hi - lo, starts[:-1]).tolist()
         self.w_min = phi.weight_at(-math.inf)
         self.w_max = phi.weight_at(math.inf)
         self.kernel_atoms = [(a, w) for a, w in phi.atoms if math.isfinite(a)]
         self.others = [[j for j in range(n) if j != i] for i in range(n)]
-        # Player i's table shaped (actions of i, *actions of each opponent).
-        self.shapes = [(counts[i], *(counts[j] for j in self.others[i])) for i in range(n)]
-        self.starts = list(itertools.accumulate(counts, initial=0))
-        self.counts = Counter()
-        lo, hi = np.concatenate(self.pure_min), np.concatenate(self.pure_max)
+        self.counts = dict.fromkeys(_COUNTS, 0)
         self.pure_extremes = self._extremes(lo, hi)
         if self.pure_extremes is not None:
             self.pure_extremes.flags.writeable = False
         # Every player's grids, raveled and concatenated, then a zero for the plan's empty places.
         self.branches, grids, shape = [], [], []
         for i, table in enumerate(self.tables):
-            grouped = cgf_branches(self.kernel_atoms, self.spread[i])
-            branches = {b: grouped[b] for b in _BRANCHES if b in grouped}
-            for b, (a, w) in branches.items():
+            branches = cgf_branches(self.kernel_atoms, self.spread[i])
+            for a, w in branches.values():
                 grids.append(cgf_grids(table, a, w, self.pure_min[i], self.pure_max[i], self.spread[i]).ravel())
             self.branches.append(branches)
             # The mean grid carries its atoms' total weight: only its branch enters the shape.
-            atoms = {b: () if b == "mean" else tuple(zip(a.tolist(), w.tolist())) for b, (a, w) in branches.items()}
-            shape.append(tuple(atoms.items()))
+            atoms = ((b, () if b == "mean" else tuple(zip(a.tolist(), w.tolist()))) for b, (a, w) in branches.items())
+            shape.append(tuple(atoms))
         layout, tags = _plan_tags(tuple(counts), tuple(shape))
         self.layout = layout
         flat = np.concatenate([*grids, _ZERO])
@@ -475,10 +482,10 @@ class PhiEvaluator:
             return p
         parts = []
         for rest in self.layout.complements:
-            outer = None
-            for l in rest:
+            outer = p[..., self.starts[rest[0]] : self.starts[rest[0] + 1]]
+            for l in rest[1:]:  # the width is spelled out: a stack of no profiles leaves none to infer
                 mix = p[..., self.starts[l] : self.starts[l + 1]]
-                outer = mix if outer is None else (outer[..., :, None] * mix[..., None, :]).reshape(*p.shape[:-1], -1)
+                outer = (outer[..., :, None] * mix[..., None, :]).reshape(*p.shape[:-1], outer.shape[-1] * mix.shape[-1])
             parts.append(outer)
         return np.concatenate(parts, axis=-1)
 
@@ -588,10 +595,9 @@ class PhiEvaluator:
         players' rows add nothing to the values or coefficients returned.
         """
         atoms, weights, lo, hi, scatter = self.tags["exp"]
-        low = totals < MIN_TOTAL
         underflowed, dropped = [], None
-        if low.any():
-            dropped = np.zeros(totals.shape, dtype=bool)
+        if np.fmin.reduce(totals, axis=None, initial=math.inf) < MIN_TOTAL:  # fmin passes over NaN
+            low, dropped = totals < MIN_TOTAL, np.zeros(totals.shape, dtype=bool)
             owner = self.layout.exp_owner
             for *at, i in sorted({(*place[:-1], int(owner[place[-1]])) for place in np.argwhere(low).tolist()}):
                 at = tuple(at)
@@ -614,12 +620,13 @@ class PhiEvaluator:
         None).
         """
         a, w = self.branches[i]["exp"]
-        joint = opponent_weights([p[s:e] for s, e in zip(self.starts[:-1], self.starts[1:])], i)
+        joint = opponent_weights([p[s:e] for s, e in self.spans], i)
         lo, hi, spread = self.pure_min[i], self.pure_max[i], self.spread[i]
         parts = [normalized_cgf(self.tables[i], joint, at, lo, hi, spread, grad) for at in a.tolist()]
         if not grad:
             return w @ np.array(parts), None
-        slope = sum(wt * s.reshape(self.shapes[i]) for wt, (_, s) in zip(w.tolist(), parts))
+        shape = (len(lo), *(self.game.action_counts[j] for j in self.others[i]))
+        slope = sum(wt * s.reshape(shape) for wt, (_, s) in zip(w.tolist(), parts))
         return w @ np.array([v for v, _ in parts]), slope
 
     def _reached(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -628,7 +635,7 @@ class PhiEvaluator:
         fixed = None
         for *at, i in np.argwhere(unplayed.sum(axis=-1, keepdims=True) > unplayed).tolist():
             at = tuple(at)
-            joint = opponent_weights([p[at][s:e] for s, e in zip(self.starts[:-1], self.starts[1:])], i)
+            joint = opponent_weights([p[at][s:e] for s, e in self.spans], i)
             reached = self.tables[i][:, joint > 0]
             fixed = np.array(np.broadcast_to(out, p.shape)) if fixed is None else fixed
             fixed[at][self.starts[i] : self.starts[i + 1]] = self._extremes(reached.min(axis=1), reached.max(axis=1))
@@ -669,7 +676,7 @@ def _logit(values: np.ndarray, lam: float, starts: Sequence[int], owner: np.ndar
     z = lam * (values.T if stack else values)
     z -= np.maximum.reduceat(z, starts[:-1])[owner]
     e = np.exp(z)
-    s = e / np.array([e[a:b].sum(axis=0) for a, b in zip(starts[:-1], starts[1:])])[owner]
+    s = e / np.array([np.add.reduce(e[a:b], axis=0) for a, b in zip(starts[:-1], starts[1:])])[owner]
     return s.T if stack else s
 
 
@@ -680,7 +687,7 @@ def _response(evaluator: PhiEvaluator, lam: float, dists: Sequence[np.ndarray]) 
     """
     starts, owner = evaluator.starts, evaluator.layout.owner
     s = _logit(evaluator.values(np.concatenate(dists, axis=-1), boundary_pure=True), lam, starts, owner)
-    return [s[..., a:b] for a, b in zip(starts[:-1], starts[1:])]
+    return [s[..., a:b] for a, b in evaluator.spans]
 
 
 def logit_response(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) -> MixedProfile:
@@ -896,8 +903,7 @@ def _logit_system(evaluator: PhiEvaluator, lam: float):
     Jacobians of the given rows (all by default) together, (rows x actions
     x actions), counting one per row.
     """
-    starts, owner = evaluator.starts, evaluator.layout.owner
-    heads, identity = starts[:-1], np.eye(starts[-1])
+    starts, owner, identity = evaluator.starts, evaluator.layout.owner, evaluator.layout.identity
 
     def system(p: np.ndarray):
         v, dv_dp = evaluator.values(_cut(p, starts), boundary_pure=True, grad=True)
@@ -908,7 +914,7 @@ def _logit_system(evaluator: PhiEvaluator, lam: float):
             sc = (s if rows is None else s[rows])[..., :, None]
             evaluator.counts["jacobians"] += len(sc) if p.ndim > 1 else 1
             weighted = sc * dv
-            mean = np.add.reduceat(weighted, heads, axis=-2)  # s_i @ dv_i, one row per player
+            mean = np.add.reduceat(weighted, starts[:-1], axis=-2)  # s_i @ dv_i, one row per player
             return identity - lam * (weighted - sc * mean[..., owner, :])
 
         return p - s, jacobian
@@ -932,14 +938,11 @@ def _newton_polish(
     steps taken are counted in the evaluator's counts["newton_steps"] and
     the Jacobians built in its counts["jacobians"] (see _logit_system).
     """
-    starts = evaluator.starts
     points = [np.concatenate(dists) for dists in profiles]
     points, f, steps = _newton(_logit_system(evaluator, lam), points, tol, max_steps)
     evaluator.counts["newton_steps"] += sum(steps)
-    return [
-        (np.split(_cut(p, starts), starts[1:-1]), float(np.abs(f_row).max(initial=0.0)))
-        for p, f_row in zip(points, f)
-    ]
+    cuts = [_cut(p, evaluator.starts) for p in points]
+    return [([p[a:b] for a, b in evaluator.spans], float(np.abs(f_row).max(initial=0.0))) for p, f_row in zip(cuts, f)]
 
 
 def _continue(
@@ -1162,8 +1165,7 @@ def _warm_up(
     |p - T(p)|, with that residual; the steps taken are counted in the
     evaluator's counts["iterations"].
     """
-    starts = evaluator.starts
-    places = list(zip(starts[:-1], starts[1:]))
+    spans = evaluator.spans
     points = [np.concatenate(p) for p in profiles]  # each row's iterate, concatenated
     best, best_res = list(points), [math.inf] * len(points)
     live = list(range(len(points)))
@@ -1173,7 +1175,7 @@ def _warm_up(
         evaluator.counts["iterations"] += len(live)
         p = np.array([points[r] for r in live])
         stack = p if len(live) > 1 else p[0]
-        t = np.concatenate(_response(evaluator, lam, [stack[..., a:b] for a, b in places]), axis=-1)
+        t = np.concatenate(_response(evaluator, lam, [stack[..., a:b] for a, b in spans]), axis=-1)
         res = np.abs(p - t).max(axis=1).tolist()
         damped = (1 - DAMPING) * p + DAMPING * t
         stepping = []
@@ -1184,7 +1186,7 @@ def _warm_up(
                 points[r] = damped[q]
                 stepping.append(r)
         live = stepping
-    return [([x[a:b] for a, b in places], res) for x, res in zip(best, best_res)]
+    return [([x[a:b] for a, b in spans], res) for x, res in zip(best, best_res)]
 
 
 def _finish_start(
@@ -1242,9 +1244,11 @@ def _dedup(points: Sequence[Sequence[np.ndarray]], tol: float = DEDUP_TOL) -> li
 
     A point is kept unless it is within tol of one kept before it.
     """
+    if len(points) < 2:  # nothing to compare
+        return list(range(len(points)))
     flat = np.array([np.concatenate(p) for p in points])
     kept: list[int] = []
-    for r in np.lexsort(np.round(flat, 9).T[::-1]).tolist() if points else []:
+    for r in np.lexsort(np.round(flat, 9).T[::-1]).tolist():
         if not kept or (np.abs(flat[kept] - flat[r]).max(axis=1) > tol).all():
             kept.append(r)
     return kept
@@ -1258,18 +1262,12 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     retry, then follow their fixed-point homotopy path (see
     _solve_fixed_point).  Nothing certifies that no fixed point was
     missed: one that no start reaches is not returned.
-    The first stage, Newton from the starts, runs them all in lockstep as
-    one stack: each round evaluates every start still stepping by one
-    PhiEvaluator.values call and solves their steps by one stacked
-    np.linalg.solve, while each start keeps its own step, halvings and
-    stop, so it reaches the point it reaches alone.  A start whose full
-    step is rejected has all seven halvings of it evaluated in the next
-    round, beside the other starts.  The warm-up and the Newton retry run
-    the starts left in lockstep in the same way, each damped step
-    evaluating every start still stepping by one values call.  Only the
-    homotopy paths run one start at a time.  At lam = 0 the uniform profile
-    is the only fixed point: every start converges to it, with residual 0,
-    and no PhiEvaluator is built.
+    Newton, the warm-up and the Newton retry run the starts in lockstep, one
+    values call per round for every start still stepping, and each start
+    reaches the point it reaches alone; only the homotopy paths run one
+    start at a time.  At lam = 0 the uniform profile is the only fixed
+    point: every start converges to it, with residual 0, and no
+    PhiEvaluator is built.
     diagnostics: iterations, the damped steps (at most WARM_UP per start);
     newton_steps, the Newton steps on p - T(p); continuation_steps, the
     accepted predictor-corrector steps of the homotopy paths; starts and
@@ -1290,7 +1288,7 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     cfg = cfg or SolverConfig()
     starts = _interior_starts(tuple(game.action_counts), cfg.seed, cfg.multistarts)
     if lam == 0:  # the uniform profile, before an evaluator and its plan are built
-        counts, outcomes = Counter(), _uniform_outcomes(game.action_counts, len(starts))
+        counts, outcomes = dict.fromkeys(_COUNTS, 0), _uniform_outcomes(game.action_counts, len(starts))
     else:
         evaluator = PhiEvaluator(game, phi)
         counts, outcomes = evaluator.counts, _solve_fixed_point(evaluator, lam, starts, cfg)

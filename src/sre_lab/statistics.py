@@ -48,17 +48,18 @@ def cgf_branches(atoms, spread: float) -> dict[str, tuple[np.ndarray, np.ndarray
     """The finite atoms grouped by the branch their normalized CGF takes on rows of this spread.
 
     Returns {branch: (locations, weights)} for "mean", "taylor" and "exp",
-    with only the branches that have atoms; atoms at -inf / +inf are left
-    out.  Each group is what cgf_grids and cgf_finish take as one.
+    in that order, with only the branches that have atoms; atoms at -inf /
+    +inf are left out.  Each group is what cgf_grids and cgf_finish take as
+    one.
     """
-    groups: dict[str, tuple[list, list]] = {}
+    groups: dict[str, tuple[list, list]] = {"mean": ([], []), "taylor": ([], []), "exp": ([], [])}
     for a, w in atoms:
         branch = _branch(a, spread)
         if branch != "extreme":
-            locations, weights = groups.setdefault(branch, ([], []))
+            locations, weights = groups[branch]
             locations.append(a)
             weights.append(w)
-    return {branch: (np.array(a), np.array(w)) for branch, (a, w) in groups.items()}
+    return {branch: (np.array(a), np.array(w)) for branch, (a, w) in groups.items() if a}
 
 
 def cgf_grids(

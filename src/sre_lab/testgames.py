@@ -92,7 +92,8 @@ def make_sure_thing_game(r: float, x: Sequence[float], n_players: int = 2) -> Ga
     m = xs.size
     if m < 1:
         raise ValueError("need at least one outcome")
-    u1 = np.vstack([np.full(m, float(r)), xs])
+    u1 = np.empty((2, m))
+    u1[0], u1[1] = float(r), xs
     return _one_chooser(u1, np.zeros_like(u1), ("b_r", "b_x"), map(str, range(m)), n_players)
 
 
@@ -238,8 +239,10 @@ def elicit_qre(spec: ConceptSpec, x: Sequence[float]) -> float:
     Each probe solves from the uniform start alone.  Player 2 earns zero
     whatever happens, so it mixes uniformly; player 1 then answers a fixed
     lottery, and the game has a single logit fixed point, reached from the
-    uniform start in one Newton step.  The estimate is read from play at
-    that fixed point alone, never from the statistic or the action values.
+    uniform start in at most one Newton step: at the threshold itself the
+    uniform profile already is the fixed point, and no step is taken.  The
+    estimate is read from play at that fixed point alone, never from the
+    statistic or the action values.
     """
     if spec.family != "logit":
         raise ValueError("elicit_qre needs an lqre concept")

@@ -905,6 +905,22 @@ class TestExactJacobians:
                     err_msg=f"{phi.describe()} {sups}",
                 )
 
+    @pytest.mark.parametrize("game", JACOBIAN_GAMES)
+    @pytest.mark.parametrize("boundary_pure", [True, False])
+    def test_a_stack_of_no_profiles(self, game, boundary_pure):
+        # A (0 x K) stack gives (0 x K) values and a (0 x K x K) Jacobian, for every number of
+        # players; a Jacobian that does not move with the mixes is the plan's constant.
+        size = sum(game.action_counts)
+        for phi in (EXPECTATION, K_PAIR):
+            evaluator = PhiEvaluator(game, phi)
+            assert evaluator.values(np.zeros((0, size)), boundary_pure).shape == (0, size)
+            values, jacobian = evaluator.values(np.zeros((0, size)), boundary_pure, grad=True)
+            assert values.shape == (0, size)
+            for rows in (None, np.zeros(0, dtype=np.intp)):
+                dv = jacobian(rows)
+                assert dv is evaluator.constant_dv or dv.shape == (0, size, size), phi.describe()
+            assert evaluator.counts["evaluator_calls"] == 0
+
     def test_jacobian_reuses_the_evaluation(self):
         game = JACOBIAN_GAMES[1]
         evaluator = PhiEvaluator(game, K_PAIR)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -191,13 +192,13 @@ class TestVectorFromLottery:
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """One entry per solve_lqre call made from testgames."""
+    """One entry per solve_lqre call made from testgames: its result."""
     calls = []
     inner = testgames.solve_lqre
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
+        calls.append(inner(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(testgames, "solve_lqre", counted)
     return calls
@@ -225,6 +226,10 @@ class TestElicitQre:
     def test_criterion_06_triples_take_few_solves(self, solve_calls):
         # Criterion 06's logit cases, drawn as it draws them.  Each probe is
         # one single-start solve, and a value takes about three of them.
+        # A probe reaches its fixed point in one Newton step, and in none at
+        # the threshold itself, where the uniform profile already is it: no
+        # damped or continuation step, and both players' values evaluated
+        # once per point.
         rng = np.random.default_rng(4242)
         for trial in range(20):
             phi = _random_statistic(rng)
@@ -232,6 +237,11 @@ class TestElicitQre:
             spec = ConceptSpec.lqre((0.5, 1.0, 5.0)[trial % 3], phi, FAST)
             assert abs(elicit_qre(spec, x) - evaluate(phi, Lottery.from_vector(x))) <= 1e-12
         assert len(solve_calls) <= 80
+        for d in (result.diagnostics for result in solve_calls):
+            assert d["newton_steps"] <= 1 and d["jacobians"] == d["newton_steps"], d
+            assert d["iterations"] == d["continuation_steps"] == 0, d
+            assert d["evaluator_calls"] == 2 * (1 + d["newton_steps"]), d
+        assert Counter(result.diagnostics["newton_steps"] for result in solve_calls) == {1: 38, 0: 20}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
