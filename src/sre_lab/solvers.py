@@ -31,7 +31,7 @@ from .games import (
 )
 from . import symmetry
 from .lotteries import DominanceVerdict
-from .statistics import MIN_TOTAL, MAStatistic, cgf_branches, cgf_grids, cgf_terms, normalized_cgf
+from .statistics import MIN_TOTAL, MAStatistic, cgf_branches, cgf_grids, normalized_cgf, taylor_terms, tilt_terms
 
 DEDUP_TOL = 1e-6
 # How far a played action may fall below its player's best value in a best response.
@@ -405,8 +405,9 @@ class PhiEvaluator:
     their branch, atom, weight and bounds, the mean rows of every player
     first, then the Taylor band's moments, then the tilts, so that each
     branch of every player is finished in one vectorised step
-    (statistics.cgf_terms).  Each derivative block dv_i/dp_j is the
-    finish's coefficients times T_ij, summed over the grid rows.
+    (statistics.taylor_terms and tilt_terms, the tilts' shifts computed
+    once, in the tags).  Each derivative block dv_i/dp_j is the finish's
+    coefficients times T_ij, summed over the grid rows.
     What does not move with the mixes is kept read-only: pure_extremes, the
     -inf/+inf term at the pure extremes, concatenated over the players'
     actions (None without such atoms), and constant_dv, dv/dp on the
@@ -455,11 +456,17 @@ class PhiEvaluator:
         flat = np.concatenate([*grids, _ZERO])
         self.plan = flat[layout.plan_from]
         self.sum_plan = None if layout.sum_plan_from is None else flat[layout.sum_plan_from]
-        # Each branch's entries tagged with (atoms, weights, lo, hi, scatter): see _plan_tags.
+        # Each branch's entries tagged with atoms, weights, what its finish reads of the row bounds and
+        # scatter (see _plan_tags): nothing for the mean, lo and hi for the Taylor band, the shift for the tilts.
         self.tags = {}
         for name, (atoms, weights, scatter) in tags.items():
             places = layout.entries[name]
-            bounds = (None, None) if name == "mean" else (lo[places], hi[places])
+            if name == "mean":
+                bounds = ()
+            elif name == "taylor":
+                bounds = (lo[places], hi[places])
+            else:  # the tilts' shift: hi where a > 0, lo where a < 0
+                bounds = (np.where(atoms > 0, hi[places], lo[places]),)
             self.tags[name] = (atoms, weights, *bounds, scatter)
         self.constant_dv = None
         if n == 1 or not self.plan.size or (n == 2 and layout.rows == layout.sizes["mean"]):
@@ -541,7 +548,7 @@ class PhiEvaluator:
         if taylor > mean:
             atoms, weights, lo, hi, scatter = self.tags["taylor"]
             moments = np.moveaxis(sums[..., layout.taylor_rows], -2, 0)
-            finished = cgf_terms("taylor", moments, atoms, lo, hi, grad)
+            finished = taylor_terms(moments, atoms, lo, hi, grad)
             value, coef = finished if grad else (finished, None)
             out = value @ scatter if out is None else out + value @ scatter
             if grad:
@@ -594,7 +601,7 @@ class PhiEvaluator:
         stack, player, its tilts' values, their slope grid or None); those
         players' rows add nothing to the values or coefficients returned.
         """
-        atoms, weights, lo, hi, scatter = self.tags["exp"]
+        atoms, weights, shift, scatter = self.tags["exp"]
         underflowed, dropped = [], None
         if np.fmin.reduce(totals, axis=None, initial=math.inf) < MIN_TOTAL:  # fmin passes over NaN
             low, dropped = totals < MIN_TOTAL, np.zeros(totals.shape, dtype=bool)
@@ -604,7 +611,7 @@ class PhiEvaluator:
                 dropped[at][owner == i] = True
                 underflowed.append((at, i, *self._reshift(i, p[at], grad)))
             totals = np.where(dropped, 1.0, totals)
-        finished = cgf_terms("exp", totals, atoms, lo, hi, grad)
+        finished = tilt_terms(totals, atoms, shift, grad)
         value, coef = finished if grad else (finished, None)
         if dropped is not None:
             value = np.where(dropped, 0.0, value)
@@ -680,14 +687,9 @@ def _logit(values: np.ndarray, lam: float, starts: Sequence[int], owner: np.ndar
     return s.T if stack else s
 
 
-def _response(evaluator: PhiEvaluator, lam: float, dists: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each player's logit response to one profile, or to a stack of them, (B x actions) each.
-
-    The mixes are concatenated into one profile, or one stack, and evaluated by one values call.
-    """
-    starts, owner = evaluator.starts, evaluator.layout.owner
-    s = _logit(evaluator.values(np.concatenate(dists, axis=-1), boundary_pure=True), lam, starts, owner)
-    return [s[..., a:b] for a, b in evaluator.spans]
+def _profile(evaluator: PhiEvaluator, point: np.ndarray) -> MixedProfile:
+    """The MixedProfile of one concatenated profile, each player's mix sliced off by the evaluator's spans."""
+    return MixedProfile(tuple(point[a:b] for a, b in evaluator.spans))
 
 
 def logit_response(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) -> MixedProfile:
@@ -697,7 +699,8 @@ def logit_response(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) ->
     if not p.matches(game):
         raise ValueError("profile does not match the game")
     evaluator = PhiEvaluator(game, phi)
-    return MixedProfile(tuple(_response(evaluator, lam, list(p.distributions))))
+    values = evaluator.values(np.concatenate(p.distributions))
+    return _profile(evaluator, _logit(values, lam, evaluator.starts, evaluator.layout.owner))
 
 
 def verify_lqre(game: Game, phi: MAStatistic, lam: float, p: MixedProfile) -> float:
@@ -758,9 +761,9 @@ def _newton(
     that start a step there by one jacobian call and solves them by one
     _linear_step.  The rows are kept as lists of points, so a row that
     moves is rebound, never written in place.
-    Returns (theta, f(theta), steps taken): for a stack, three lists with
-    one entry per start.  The stop test and step acceptance use the sup
-    norm of f.
+    Returns (theta, sup |f(theta)|, steps taken): for a stack, three lists
+    with one entry per start.  The stop test and step acceptance use that
+    sup norm of f, the residual returned.
     Steps solve the linearisation: exactly when the Jacobian is square and
     nonsingular, and in the least-squares sense when it is not square or a
     square solve finds it singular.  They are capped at 0.5 in the sup
@@ -841,8 +844,8 @@ def _newton(
         pending = sorted(following)
         cand = [points[r] + step[r] for r in pending]
     if single:
-        return points[0], f[0], steps[0]
-    return points, f, steps
+        return points[0], res[0], steps[0]
+    return points, res, steps
 
 
 def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -925,24 +928,22 @@ def _logit_system(evaluator: PhiEvaluator, lam: float):
 def _newton_polish(
     evaluator: PhiEvaluator,
     lam: float,
-    profiles: Sequence[Sequence[np.ndarray]],
+    points: np.ndarray,
     tol: float,
     max_steps: int = 40,
-) -> list[tuple[list[np.ndarray], float]]:
-    """Newton iteration on f(p) = p - T(p^) = 0 from some profiles in lockstep; works at unstable fixed points too.
+) -> tuple[np.ndarray, list[float]]:
+    """Newton iteration on f(p) = p - T(p^) = 0 from a stack of profiles in lockstep; works at unstable fixed points too.
 
-    Each profile's mixes are concatenated into one p, and the profiles run
-    as one stack through _newton on _logit_system, which stops a profile
-    at sup |f| <= tol.  Returns (dists, sup |f|) for each profile, dists
-    being p^, p with negative weights cut, split by player; the Newton
+    points is (B x actions), one concatenated profile per row, and runs as
+    one stack through _newton on _logit_system, which stops a row at
+    sup |f| <= tol.  Returns (p^, sup |f|): each row's p with negative
+    weights cut, (B x actions), and its residual, one per row; the Newton
     steps taken are counted in the evaluator's counts["newton_steps"] and
     the Jacobians built in its counts["jacobians"] (see _logit_system).
     """
-    points = [np.concatenate(dists) for dists in profiles]
-    points, f, steps = _newton(_logit_system(evaluator, lam), points, tol, max_steps)
+    points, res, steps = _newton(_logit_system(evaluator, lam), points, tol, max_steps)
     evaluator.counts["newton_steps"] += sum(steps)
-    cuts = [_cut(p, evaluator.starts) for p in points]
-    return [([p[a:b] for a, b in evaluator.spans], float(np.abs(f_row).max(initial=0.0))) for p, f_row in zip(cuts, f)]
+    return _cut(np.array(points), evaluator.starts), res
 
 
 def _continue(
@@ -1047,8 +1048,7 @@ def _bordered_newton(system, pred: np.ndarray, border: np.ndarray, tol: float):
 
         return g, jac
 
-    z, g, _ = _newton(bordered, pred, tol, MAX_CORRECTOR_STEPS)
-    res = float(abs(g).max())
+    z, res, _ = _newton(bordered, pred, tol, MAX_CORRECTOR_STEPS)
     if not res <= tol:
         return z, False, math.inf, None
     contraction = (trail[1] if len(trail) > 1 else res) / trail[0] if trail else 0.0
@@ -1085,12 +1085,15 @@ def _fixed_point_homotopy(evaluator: PhiEvaluator, lam: float, p0: np.ndarray):
 def _solve_fixed_point(
     evaluator: PhiEvaluator,
     lam: float,
-    starts: Sequence[list[np.ndarray]],
+    starts: np.ndarray,
     cfg: SolverConfig,
-) -> list[tuple[Optional[list[np.ndarray]], float]]:
-    """Fixed points of the logit response reached from each of some starts.
+) -> tuple[np.ndarray, list[float]]:
+    """Fixed points of the logit response reached from a stack of starts, (starts x actions), lam > 0.
 
-    Returns (dists or None, residual) for each start.  The work is counted
+    Returns (points, residuals): each start's point, (starts x actions),
+    and its sup-norm residual |p - T(p^)|; a start has converged exactly
+    when its residual is within cfg.tol_fixed_point, and one that has not
+    keeps its best damped iterate.  The work is counted
     in the evaluator's counts: the damped steps in "iterations", the Newton
     steps on p - T(p) in "newton_steps", the path's accepted steps in
     "continuation_steps" and the Jacobians of p - T(p) built in
@@ -1101,14 +1104,15 @@ def _solve_fixed_point(
        all the starts still stepping by one values call.  Unstable
        fixed points trap damped iteration in limit cycles but are reachable
        for Newton from nearby.
-    2. WARM_UP damped steps at DAMPING from where Newton left each start,
-       then Newton from each start's best iterate, the starts in lockstep
+    2. WARM_UP damped steps at DAMPING from where Newton left each start
+       (from the start itself where Newton's residual is not finite), then
+       Newton from each start's best iterate, the starts in lockstep
        again: one _warm_up and one _newton_polish on the stack of starts
        left.  A few damped steps carry most starts into Newton's basin.
     3. The start's fixed-point homotopy path (Chow, Mallet-Paret & Yorke,
        Math. Comp. 32, 1978), one start at a time: the zeros of
        H(p, t) = (1 - t)(p - p0) + t(p - T(p)) through (p0, 0), p0 being
-       the start's concatenated mixes, followed by _continue towards t = 1
+       the start, followed by _continue towards t = 1
        in at most cfg.max_iters steps.  At a zero, p is a convex mix of the
        start and T(p), both interior, so the path stays inside the simplex
        product, and for almost every start it reaches t = 1.  Newton on
@@ -1121,61 +1125,53 @@ def _solve_fixed_point(
     Newton step that _newton evaluates together included, past the one
     taken too; its counts add up over calls, so a caller that solves on
     one evaluator more than once reads the total.
-    At lam = 0 the response ignores the payoffs, so the uniform profile is
-    the only fixed point (McKelvey & Palfrey, GEB 10, 1995): every start
-    gets it, with residual 0, and nothing is evaluated or counted.
     """
-    if lam == 0:
-        return _uniform_outcomes(evaluator.game.action_counts, len(starts))
     tol = cfg.tol_fixed_point
-    outcomes = _newton_polish(evaluator, lam, starts, tol, max_steps=12)
-    left = [r for r, (_, res) in enumerate(outcomes) if not res <= tol]
+    points, res = _newton_polish(evaluator, lam, starts, tol, max_steps=12)
+    left = [r for r, x in enumerate(res) if not x <= tol]
     if not left:
-        return outcomes
-    froms = [outcomes[r][0] if outcomes[r][1] < math.inf else starts[r] for r in left]
-    for r, outcome in zip(left, _warm_up(evaluator, lam, froms, tol)):
-        outcomes[r] = outcome
-    left = [r for r in left if not outcomes[r][1] <= tol]
-    for r, (p, pres) in zip(left, _newton_polish(evaluator, lam, [outcomes[r][0] for r in left], tol)):
-        if pres <= tol:
-            outcomes[r] = p, pres
-        else:
-            outcomes[r] = _finish_start(evaluator, lam, starts[r], min(outcomes[r][1], pres), cfg)
-    return outcomes
-
-
-def _uniform_outcomes(counts: Sequence[int], number: int) -> list[tuple[list[np.ndarray], float]]:
-    """The uniform profile with residual 0, once per start: every start's outcome at lambda = 0."""
-    return [([np.full(k, 1.0 / k) for k in counts], 0.0) for _ in range(number)]
+        return points, res
+    froms = np.array([points[r] if res[r] < math.inf else starts[r] for r in left])
+    points[left], warmed = _warm_up(evaluator, lam, froms, tol)
+    for r, x in zip(left, warmed):
+        res[r] = x
+    left = [r for r in left if not res[r] <= tol]
+    if left:
+        polished, retried = _newton_polish(evaluator, lam, points[left], tol)
+        for q, r in enumerate(left):
+            if retried[q] <= tol:
+                points[r], res[r] = polished[q], retried[q]
+            else:
+                points[r], res[r] = _finish_start(evaluator, lam, starts[r], points[r], res[r], cfg)
+    return points, res
 
 
 def _warm_up(
     evaluator: PhiEvaluator,
     lam: float,
-    profiles: Sequence[Sequence[np.ndarray]],
+    points: np.ndarray,
     tol: float,
-) -> list[tuple[list[np.ndarray], float]]:
-    """WARM_UP damped steps at DAMPING from some profiles in lockstep.
+) -> tuple[np.ndarray, list[float]]:
+    """WARM_UP damped steps at DAMPING from a stack of profiles, (B x actions), in lockstep.
 
-    Each step evaluates the logit response of every profile still stepping
-    by one _response, so by one values call and one softmax; a lone
-    profile is evaluated as one profile, not as a stack of one.
-    A profile stops at its first iterate within tol of its response.
-    Returns each profile's best iterate, the one of least sup-norm residual
-    |p - T(p)|, with that residual; the steps taken are counted in the
-    evaluator's counts["iterations"].
+    Each step evaluates the logit response of every row still stepping by
+    one values call and one softmax; a lone row is evaluated as one
+    profile, not as a stack of one.
+    A row stops at its first iterate within tol of its response.
+    Returns each row's best iterate, the one of least sup-norm residual
+    |p - T(p)|, (B x actions), and that residual; the steps taken are
+    counted in the evaluator's counts["iterations"].
     """
-    spans = evaluator.spans
-    points = [np.concatenate(p) for p in profiles]  # each row's iterate, concatenated
-    best, best_res = list(points), [math.inf] * len(points)
+    starts, owner = evaluator.starts, evaluator.layout.owner
+    points = np.array(points)  # each row's iterate
+    best, best_res = points.copy(), [math.inf] * len(points)
     live = list(range(len(points)))
     for _ in range(WARM_UP):
         if not live:
             break
         evaluator.counts["iterations"] += len(live)
-        p = np.array([points[r] for r in live])
-        stack = p if len(live) > 1 else p[0]
-        t = np.concatenate(_response(evaluator, lam, [stack[..., a:b] for a, b in spans]), axis=-1)
+        p = points[live]
+        t = _logit(evaluator.values(p if len(live) > 1 else p[0]), lam, starts, owner)
         res = np.abs(p - t).max(axis=1).tolist()
         damped = (1 - DAMPING) * p + DAMPING * t
         stepping = []
@@ -1186,28 +1182,28 @@ def _warm_up(
                 points[r] = damped[q]
                 stepping.append(r)
         live = stepping
-    return [([x[a:b] for a, b in spans], res) for x, res in zip(best, best_res)]
+    return best, best_res
 
 
 def _finish_start(
     evaluator: PhiEvaluator,
     lam: float,
-    start: list[np.ndarray],
+    start: np.ndarray,
+    point: np.ndarray,
     res: float,
     cfg: SolverConfig,
-) -> tuple[Optional[list[np.ndarray]], float]:
-    """Stage 3 of _solve_fixed_point for one start, whose least residual so far is res.
+) -> tuple[np.ndarray, float]:
+    """Stage 3 of _solve_fixed_point for one start, whose best point so far, point, has residual res.
 
-    Returns (dists, residual) when the path and Newton from its end reach a
-    fixed point, else (None, res).
+    Returns Newton's point and residual from the end of the start's path
+    when they are within tol, else (point, res).
     """
     tol = cfg.tol_fixed_point
     # The path cannot come back to t = 0, where H's only zero is the start, so
     # reaching t < 0 means the corrector jumped to another path: give up.
-    p0 = np.concatenate(start)
     y, _, accepted = _continue(
-        _fixed_point_homotopy(evaluator, lam, p0),
-        np.append(p0, 0.0),
+        _fixed_point_homotopy(evaluator, lam, start),
+        np.append(start, 0.0),
         1.0,
         cfg.max_iters,
         CORRECTOR_TOL,
@@ -1215,41 +1211,38 @@ def _finish_start(
     )
     evaluator.counts["continuation_steps"] += accepted
     if y[-1] >= END_GAME:
-        end = np.split(y[:-1], evaluator.starts[1:-1])
-        [(polished, pres)] = _newton_polish(evaluator, lam, [end], tol)
-        if pres <= tol:
-            return polished, pres
-    return None, res
+        [end], [end_res] = _newton_polish(evaluator, lam, y[None, :-1], tol)
+        if end_res <= tol:
+            return end, end_res
+    return point, res
 
 
 @functools.lru_cache(maxsize=64)
-def _interior_starts(counts: tuple[int, ...], seed: int, multistarts: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The uniform start and multistarts Dirichlet starts drawn from seed.
+def _interior_starts(counts: tuple[int, ...], seed: int, multistarts: int) -> np.ndarray:
+    """The uniform start and multistarts Dirichlet starts drawn from seed, as concatenated profiles, (starts x actions).
 
-    Cached per (counts, seed, multistarts), so the arrays are shared, and
+    Cached per (counts, seed, multistarts), so the array is shared, and
     read-only.
     """
-    starts = [tuple(np.full(k, 1.0 / k) for k in counts)]
+    starts = [np.concatenate([np.full(k, 1.0 / k) for k in counts])]
     if multistarts:  # a lone start draws nothing, so it builds no generator
         rng = np.random.default_rng(seed)
-        starts.extend(tuple(rng.dirichlet(np.ones(k)) for k in counts) for _ in range(multistarts))
-    for start in starts:
-        for dist in start:
-            dist.flags.writeable = False
-    return tuple(starts)
+        starts.extend(np.concatenate([rng.dirichlet(np.ones(k)) for k in counts]) for _ in range(multistarts))
+    starts = np.array(starts)
+    starts.flags.writeable = False
+    return starts
 
 
-def _dedup(points: Sequence[Sequence[np.ndarray]], tol: float = DEDUP_TOL) -> list[int]:
-    """The places of the points kept, in the order of their concatenation rounded to 9 decimals.
+def _dedup(points: np.ndarray, tol: float = DEDUP_TOL) -> list[int]:
+    """The places of the rows of points, concatenated profiles, kept, in the order of those rows rounded to 9 decimals.
 
-    A point is kept unless it is within tol of one kept before it.
+    A row is kept unless it is within tol of one kept before it.
     """
     if len(points) < 2:  # nothing to compare
         return list(range(len(points)))
-    flat = np.array([np.concatenate(p) for p in points])
     kept: list[int] = []
-    for r in np.lexsort(np.round(flat, 9).T[::-1]).tolist():
-        if not kept or (np.abs(flat[kept] - flat[r]).max(axis=1) > tol).all():
+    for r in np.lexsort(np.round(points, 9).T[::-1]).tolist():
+        if not kept or (np.abs(points[kept] - points[r]).max(axis=1) > tol).all():
             kept.append(r)
     return kept
 
@@ -1265,8 +1258,12 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     Newton, the warm-up and the Newton retry run the starts in lockstep, one
     values call per round for every start still stepping, and each start
     reaches the point it reaches alone; only the homotopy paths run one
-    start at a time.  At lam = 0 the uniform profile is the only fixed
-    point: every start converges to it, with residual 0, and no
+    start at a time.  A start has converged when its residual is within
+    cfg.tol_fixed_point, and the converged starts' points are deduplicated
+    (_dedup) before their MixedProfiles are built.  At lam = 0 the response
+    ignores the payoffs, so the uniform profile, the first start, is the
+    only fixed point (McKelvey & Palfrey, GEB 10, 1995): every start
+    converges to it, the solve returns it with residual 0, and no
     PhiEvaluator is built.
     diagnostics: iterations, the damped steps (at most WARM_UP per start);
     newton_steps, the Newton steps on p - T(p); continuation_steps, the
@@ -1287,26 +1284,25 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
         raise ValueError("lambda must be finite and nonnegative")
     cfg = cfg or SolverConfig()
     starts = _interior_starts(tuple(game.action_counts), cfg.seed, cfg.multistarts)
-    if lam == 0:  # the uniform profile, before an evaluator and its plan are built
-        counts, outcomes = dict.fromkeys(_COUNTS, 0), _uniform_outcomes(game.action_counts, len(starts))
+    if lam == 0:  # every start converges to the first, the uniform profile, and nothing is evaluated
+        counts, converged = dict.fromkeys(_COUNTS, 0), len(starts)
+        profiles, residuals = [MixedProfile.uniform(game)], [0.0]
     else:
         evaluator = PhiEvaluator(game, phi)
-        counts, outcomes = evaluator.counts, _solve_fixed_point(evaluator, lam, starts, cfg)
-
-    found = [(dists, res) for dists, res in outcomes if dists is not None]
-    if not found:
-        raise SolverError(
-            f"no start converged within {cfg.max_iters} continuation steps (lambda={lam})"
-        )
-    kept = _dedup([dists for dists, _ in found])
-    profiles = [MixedProfile(tuple(found[r][0])) for r in kept]
-    residuals = [found[r][1] for r in kept]
+        counts = evaluator.counts
+        points, res = _solve_fixed_point(evaluator, lam, starts, cfg)
+        found = [r for r, x in enumerate(res) if x <= cfg.tol_fixed_point]
+        if not found:
+            raise SolverError(f"no start converged within {cfg.max_iters} continuation steps (lambda={lam})")
+        converged = len(found)
+        kept = [found[q] for q in _dedup(points[found])]
+        profiles, residuals = [_profile(evaluator, points[r]) for r in kept], [res[r] for r in kept]
     diagnostics = {
         "iterations": counts["iterations"],
         "newton_steps": counts["newton_steps"],
         "continuation_steps": counts["continuation_steps"],
         "starts": len(starts),
-        "starts_converged": len(found),
+        "starts_converged": converged,
         "evaluator_calls": counts["evaluator_calls"],
         "jacobians": counts["jacobians"],
     }
@@ -1331,9 +1327,11 @@ def homotopy_trace(
 ) -> list[tuple[float, MixedProfile]]:
     """Warm-started continuation of logit fixed points along increasing lambda.
 
-    Each grid point is solved from the previous point's fixed point by
-    _solve_fixed_point, as one start of solve_lqre is; the first, lambda =
-    0, is the uniform profile, exactly.  Past a fold of the
+    The trace opens with lambda = 0 and the uniform profile, exactly, the
+    only fixed point there, which is not solved for.  Each later grid point
+    is solved from the previous point's fixed point by _solve_fixed_point,
+    as one start of solve_lqre is, and is kept when its residual is within
+    cfg.tol_fixed_point.  Past a fold of the
     branch no fixed point is near; the damped warm-up or the start's
     homotopy path then reaches one on another branch, and the trace jumps
     there.  Raises HomotopyBreakdown (carrying the partial trace and last
@@ -1350,17 +1348,14 @@ def homotopy_trace(
         raise ValueError("need a finite lambda_max > 0 and steps >= 2")
     cfg = cfg or SolverConfig()
     evaluator = PhiEvaluator(game, phi)
-    trace: list[tuple[float, MixedProfile]] = []
-    current = [np.full(k, 1.0 / k) for k in game.action_counts]
-    for lam in homotopy_lambda_grid(lambda_max, steps):
-        [(dists, _)] = _solve_fixed_point(evaluator, lam, [current], cfg)
-        if dists is None:
-            last = trace[-1][0] if trace else 0.0
-            raise HomotopyBreakdown(
-                f"continuation stalled at lambda={lam:g} (last good {last:g})", trace, last
-            )
-        current = dists
-        trace.append((float(lam), MixedProfile(tuple(dists))))
+    current = _interior_starts(tuple(game.action_counts), cfg.seed, 0)  # the uniform profile alone, (1 x actions)
+    trace = [(0.0, _profile(evaluator, current[0]))]
+    for lam in homotopy_lambda_grid(lambda_max, steps)[1:]:
+        current, [res] = _solve_fixed_point(evaluator, lam, current, cfg)
+        if not res <= cfg.tol_fixed_point:
+            last = trace[-1][0]
+            raise HomotopyBreakdown(f"continuation stalled at lambda={lam:g} (last good {last:g})", trace, last)
+        trace.append((float(lam), _profile(evaluator, current[0])))
     return trace
 
 
@@ -1576,8 +1571,8 @@ def _solve_supports(
         sups = [np.flatnonzero(m).tolist() for m in support]
         system = _support_system(evaluator, sups)
         for x in _newton_starts(sups, seed):
-            x, f, _ = _newton(system, x, tol, 24)
-            if abs(f).max() <= tol and x.min() > INTERIOR_TOL:
+            x, res, _ = _newton(system, x, tol, 24)
+            if res <= tol and x.min() > INTERIOR_TOL:
                 root = np.zeros((1, starts[-1]))
                 root[:, np.concatenate(support)] = x
                 places.append(r)
@@ -1902,9 +1897,10 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     is the representative's up to rounding.  On either path the solver
     returns one stack of roots, each player's mixes in it are normalized
     once, every root is gap-tested by one values call on that stack
-    (_best_response_gap), and a MixedProfile is made from those rows only
-    for the accepted profiles.  They are kept in stack order, so the result
-    is the unreduced solve's up to rounding.
+    (_best_response_gap), the accepted profiles' rows, orbit images mapped,
+    are deduplicated on that stack (_dedup), and a MixedProfile is made
+    only for each row kept.  The accepted profiles are taken in stack
+    order, so the result is the unreduced solve's up to rounding.
     On the Newton path (three or more players, or a finite atom off 0) the
     profiles are solved one by one, on their support weights, each from the
     uniform mix and, until one gives a root inside the support, two starts
@@ -1985,32 +1981,30 @@ def solve_nash_phi(game: Game, phi: MAStatistic, cfg: Optional[SolverConfig] = N
     # player's values as it permutes the actions, so the images share it.  Every representative's
     # root is tested by one values call on their stack.
     places, solved = _solve_supports(evaluator, ids[reps], masks, cfg.seed, scale)
-    mixes = [part / part.sum(axis=1, keepdims=True) for part in np.split(solved, evaluator.starts[1:-1], axis=1)]
-    gaps = _best_response_gap(evaluator, np.hstack(mixes), GAP_TOL, cfg.support_tol).tolist() if places else []
-    # representative -> (its row in mixes, its gap), for the accepted ones
-    roots = {int(reps[q]): (t, gap) for t, (q, gap) in enumerate(zip(places, gaps)) if not math.isnan(gap)}
-    accepted = np.zeros(len(ids), dtype=bool)
-    accepted[list(roots)] = True
-    inverses = [[np.argsort(perm) for perm in g] for g in group]
-    found: list[tuple[MixedProfile, float]] = []
-    for r in np.flatnonzero(accepted[lead]).tolist():
-        rep = int(lead[r])
-        t, gap = roots[rep]
-        dists = [mix[t] for mix in mixes]
-        g, h = int(move[r]), int(move[rep])
-        if g != h:  # the image x' of a mix x under a permutation s: x'[s(a)] = x[a]
-            dists = [d[inverse[perm]] for d, inverse, perm in zip(dists, inverses[h], group[g])]
-        found.append((MixedProfile(tuple(dists)), gap))
+    totals = np.hstack([solved[:, a:b].sum(axis=1, keepdims=True) for a, b in evaluator.spans])
+    roots = solved / totals[:, evaluator.layout.owner]
+    gaps = _best_response_gap(evaluator, roots, GAP_TOL, cfg.support_tol)
+    # Each profile's representative's row in roots, -1 where that root is not a best response.
+    row = np.full(len(ids), -1)
+    good = ~np.isnan(gaps)
+    row[reps[places][good]] = np.flatnonzero(good)
+    accepted = np.flatnonzero(row[lead] >= 0)  # in stack order
+    taken = row[lead[accepted]]
+    points, gaps = roots[taken], gaps[taken]
+    if group:  # the image x' of a root x under a permutation s: x'[s(a)] = x[a], on the concatenated actions
+        perms = np.array([np.concatenate([s + perm for s, perm in zip(evaluator.starts, g)]) for g in group])
+        image = np.take_along_axis(np.argsort(perms, axis=1)[move[lead[accepted]]], perms[move[accepted]], axis=1)
+        points = np.take_along_axis(points, image, axis=1)
     diagnostics["homotopy_skipped"] = complete
-    diagnostics["homotopy_candidates"] = int(np.count_nonzero(accepted[lead[: len(candidates)]]))
+    diagnostics["homotopy_candidates"] = int(np.count_nonzero(row[lead[: len(candidates)]] >= 0))
     diagnostics["supports_solved"] = len(reps)
     diagnostics["automorphisms"] = max(len(group), 1)
     diagnostics["enumeration_examined"] = examined
     diagnostics["enumeration_pruned"] = examined - len(survivors)
     diagnostics["enumeration_truncated"] = not complete
 
-    kept = [found[r] for r in _dedup([p.distributions for p, _ in found])]
-    return SolveResult([p for p, _ in kept], [gap for _, gap in kept], diagnostics)
+    kept = _dedup(points)
+    return SolveResult([_profile(evaluator, points[r]) for r in kept], gaps[kept].tolist(), diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,8 @@ def cgf_finish(
       Returns None when the terms of some row of some atom underflowed, so
       that its total is below min_total; the caller then re-shifts to the
       extremes of the support itself.
-    The Taylor band's and the tilts' terms are cgf_terms', weighted here.
+    The Taylor band's and the tilts' terms are taylor_terms' and tilt_terms',
+    weighted here.
     """
     branch = _branch(a[0], spread)
     if branch == "mean":
@@ -142,7 +143,10 @@ def cgf_finish(
     col = a[:, None, None] if stack else a[:, None]  # one row per atom, broadcast over the rest
     if branch == "exp" and sums.min() < min_total:
         return None
-    finished = cgf_terms(branch, sums, col, lo, hi, grad)
+    if branch == "taylor":
+        finished = taylor_terms(sums, col, lo, hi, grad)
+    else:
+        finished = tilt_terms(sums, col, np.where(col > 0, hi, lo), grad)
     if not grad:
         return _atom_sum(w, finished, stack)
     value, coefs = finished
@@ -151,39 +155,43 @@ def cgf_finish(
     return _atom_sum(w, value, stack), (w[:, None, None] if stack else w[:, None]) * coefs
 
 
-def cgf_terms(branch: str, sums, a, lo, hi, grad: bool = False):
-    """Each atom's normalized CGF from its grids' weighted sums, before the atoms are weighted.
+def taylor_terms(moments, a, lo, hi, grad: bool = False):
+    """Each atom's Taylor-band term from the weighted raw moments (m1, m2, m3) of T - lo, before the atoms are weighted.
 
-    branch is "taylor" or "exp" (see cgf_branches), and a, lo, hi and the
-    sums broadcast against one another, one term per atom and row, so a
-    caller may tag every row with its own atom and bounds.
-    - Taylor band: sums are the weighted raw moments (m1, m2, m3) of T - lo,
-      and the term is E + a Var/2 + a^2 kappa3/6, clamped to [lo, hi].  With
-      grad, the coefficients on the three moments come too, (3 x terms),
-      zero where the clamp holds.
-    - Otherwise: sums are the weighted totals of exp(a(T - shift)), the
-      shift hi (a > 0) or lo (a < 0), and the term is shift + log(total) /
-      a.  With grad, the coefficient 1 / (a total) on the tilted grid comes
-      too.  The totals must not have underflowed (see cgf_finish).
+    a, lo, hi and each moment broadcast against one another, one term per
+    atom and row, so a caller may tag every row with its own atom and
+    bounds.  The term is E + a Var/2 + a^2 kappa3/6, clamped to [lo, hi].
+    With grad, the coefficients on the three moments come too, (3 x terms),
+    zero where the clamp holds.
     """
-    if branch == "taylor":
-        m1, m2, m3 = sums
-        square = m1 * m1
-        var = m2 - square
-        kappa3 = m3 - m1 * (3.0 * m2 - 2.0 * square)
-        raw = lo + m1 + (a / 2.0) * var + (a * a / 6.0) * kappa3
-        value = np.minimum(np.maximum(raw, lo), hi)
-        if not grad:
-            return value
-        # d raw / d w_c for X = T - lo, from d m_k / d w_c = X_c^k.
-        coefs = np.empty((3, *raw.shape))
-        coefs[0] = 1.0 - a * m1 + (a * a) * (square - m2 / 2.0)
-        coefs[1] = a / 2.0 - (a * a / 2.0) * m1
-        coefs[2] = a * a / 6.0
-        coefs[:, (raw < lo) | (raw > hi)] = 0.0
-        return value, coefs
-    value = np.where(a > 0, hi, lo) + np.log(sums) / a
-    return (value, 1.0 / (a * sums)) if grad else value
+    m1, m2, m3 = moments
+    square = m1 * m1
+    var = m2 - square
+    kappa3 = m3 - m1 * (3.0 * m2 - 2.0 * square)
+    raw = lo + m1 + (a / 2.0) * var + (a * a / 6.0) * kappa3
+    value = np.minimum(np.maximum(raw, lo), hi)
+    if not grad:
+        return value
+    # d raw / d w_c for X = T - lo, from d m_k / d w_c = X_c^k.
+    coefs = np.empty((3, *raw.shape))
+    coefs[0] = 1.0 - a * m1 + (a * a) * (square - m2 / 2.0)
+    coefs[1] = a / 2.0 - (a * a / 2.0) * m1
+    coefs[2] = a * a / 6.0
+    coefs[:, (raw < lo) | (raw > hi)] = 0.0
+    return value, coefs
+
+
+def tilt_terms(totals, a, shift, grad: bool = False):
+    """Each exponential tilt's term, shift + log(total) / a, from the weighted totals of exp(a(T - shift)).
+
+    a, shift and the totals broadcast against one another, as taylor_terms'
+    arguments do; the shift is hi where a > 0 and lo where a < 0, which a
+    caller that finishes many rows with the same atoms and bounds computes
+    once.  With grad, the coefficient 1 / (a total) on the tilted grid
+    comes too.  The totals must not have underflowed (see cgf_finish).
+    """
+    value = shift + np.log(totals) / a
+    return (value, 1.0 / (a * totals)) if grad else value
 
 
 def _atom_sum(w: np.ndarray, terms: np.ndarray, stack: bool) -> np.ndarray:
