@@ -49,6 +49,9 @@ WARM_UP = 16
 # p - T(p) where it ends, if that is at t >= END_GAME.
 CORRECTOR_TOL = 1e-4
 END_GAME = 0.9
+# The least |det(I - dT/dp)| at which a fixed point counts as regular, so that
+# its index, the sign of that determinant, is read (see _index_sum).
+REGULAR_DET = 1e-8
 # _continue's step control: the first step length and its bounds, the
 # corrector's Newton steps, and the first-step contraction and tangent turn
 # (radians) at which the step length is kept.
@@ -94,7 +97,9 @@ class SolverConfig:
 
     tol_fixed_point: float = 1e-10
     # The continuation steps, accepted or rejected, one start's homotopy path
-    # may take in solve_lqre and in each point of homotopy_trace.
+    # may take in solve_lqre and in each point of homotopy_trace.  A start
+    # takes its path only when Newton, the warm-up and the retry leave it and
+    # the fixed points already reached fail the index check (_solve_fixed_point).
     max_iters: int = 100_000
     multistarts: int = 16
     homotopy_steps: int = 160
@@ -774,7 +779,8 @@ def _newton(
     it lowers the residual, they find 610 fixed points instead of 625, and
     the starts that reach their homotopy paths take 838 continuation steps
     instead of 268; with every full step kept, 618 and 470, and 8,613
-    Newton steps on p - T(p) instead of 5,851.
+    Newton steps on p - T(p) instead of 5,851 (counted before the index
+    check of _solve_fixed_point kept most of those starts off their paths).
     A stack's halvings are evaluated together: a row whose full step is
     rejected has all seven of its halvings evaluated by the next pass's
     system call, beside the other rows' trial points, and takes the first
@@ -1120,11 +1126,20 @@ def _solve_fixed_point(
        t >= END_GAME: the corrector stops at CORRECTOR_TOL, and near
        weights of ~1e-8 a corrector step that cuts a weight could stall it
        short of t = 1.
-    Each start's outcome is the one it reaches when solved alone.  The
-    evaluator counts every profile evaluated, the halvings of a rejected
-    Newton step that _newton evaluates together included, past the one
-    taken too; its counts add up over calls, so a caller that solves on
-    one evaluator more than once reads the total.
+       Stage 3 runs only when the fixed points stages 1 and 2 reached fail to
+       certify the solve: no start has converged, or _index_sum over the
+       distinct converged points (the rows _dedup keeps) is None or not 1.
+       A sum other than 1 proves that a fixed point is missing; a sum of 1
+       certifies nothing, but then the stuck starts are left unconverged,
+       with their best damped iterates.  The check costs one stacked
+       evaluation and one Jacobian per point, counted like any other, and
+       is made only when some start is left after stage 2.
+    Each start's outcome through stage 2 is the one it reaches when solved
+    alone; whether a start left after stage 2 takes its path depends on
+    the others.  The evaluator counts every profile evaluated, the
+    halvings of a rejected Newton step that _newton evaluates together
+    included, past the one taken too; its counts add up over calls, so a
+    caller that solves on one evaluator more than once reads the total.
     """
     tol = cfg.tol_fixed_point
     points, res = _newton_polish(evaluator, lam, starts, tol, max_steps=12)
@@ -1141,9 +1156,30 @@ def _solve_fixed_point(
         for q, r in enumerate(left):
             if retried[q] <= tol:
                 points[r], res[r] = polished[q], retried[q]
-            else:
+        left = [r for r in left if not res[r] <= tol]
+    if left:
+        found = points[[r for r, x in enumerate(res) if x <= tol]]
+        if not len(found) or _index_sum(evaluator, lam, found[_dedup(found)]) != 1:
+            for r in left:
                 points[r], res[r] = _finish_start(evaluator, lam, starts[r], points[r], res[r], cfg)
     return points, res
+
+
+def _index_sum(evaluator: PhiEvaluator, lam: float, points: np.ndarray) -> Optional[int]:
+    """The sum of the indices sign det(I - dT/dp) over distinct fixed points, (B x actions), or None.
+
+    I - dT/dp is _logit_system's Jacobian, built for the whole stack from one
+    stacked evaluation and counted in the evaluator's counts; its
+    determinant equals the simplex chart's (test_determinant_is_the_charts).
+    T maps the product of simplices into its interior, so at regular fixed
+    points the indices of all of them sum to +1 (McKelvey & Palfrey, GEB 10,
+    1995; Demichelis & Germano, JET 94, 2000): a sum other than 1 over the
+    points given proves that some fixed point is not among them, while a sum
+    of 1 proves nothing.  None when some point's |det| is below REGULAR_DET,
+    as the index of a point that is not regular is not read off its sign.
+    """
+    det = np.linalg.det(_logit_system(evaluator, lam)(points)[1]())
+    return int(np.sign(det).sum()) if (np.abs(det) >= REGULAR_DET).all() else None
 
 
 def _warm_up(
@@ -1195,6 +1231,9 @@ def _finish_start(
 ) -> tuple[np.ndarray, float]:
     """Stage 3 of _solve_fixed_point for one start, whose best point so far, point, has residual res.
 
+    _solve_fixed_point calls it only for a start that stages 1 and 2 leave,
+    and only when no start has converged or the converged starts' distinct
+    fixed points fail the index check (_index_sum is None or not 1).
     Returns Newton's point and residual from the end of the start's path
     when they are within tol, else (point, res).
     """
@@ -1252,13 +1291,20 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
 
     The starts, drawn from cfg.seed, each run Newton on the concatenated
     profile (see _logit_system), then WARM_UP damped steps and a Newton
-    retry, then follow their fixed-point homotopy path (see
-    _solve_fixed_point).  Nothing certifies that no fixed point was
-    missed: one that no start reaches is not returned.
+    retry.  The starts these leave follow their fixed-point homotopy path
+    (see _solve_fixed_point) only when no start has converged or the
+    distinct fixed points reached fail the index check: some is not
+    regular (|det(I - dT/dp)| < REGULAR_DET), or the signs of those
+    determinants do not sum to +1, which proves that one is missing
+    (_index_sum).  Otherwise they are left unconverged, and count so in
+    starts_converged.  A sum of 1 certifies nothing either: nothing
+    certifies that no fixed point was missed, and one that no start
+    reaches is not returned.
     Newton, the warm-up and the Newton retry run the starts in lockstep, one
     values call per round for every start still stepping, and each start
     reaches the point it reaches alone; only the homotopy paths run one
-    start at a time.  A start has converged when its residual is within
+    start at a time, and whether a start takes its path depends on the
+    others.  A start has converged when its residual is within
     cfg.tol_fixed_point, and the converged starts' points are deduplicated
     (_dedup) before their MixedProfiles are built.  At lam = 0 the response
     ignores the payoffs, so the uniform profile, the first start, is the
@@ -1271,10 +1317,12 @@ def solve_lqre(game: Game, phi: MAStatistic, lam: float, cfg: Optional[SolverCon
     starts_converged; evaluator_calls, the profiles PhiEvaluator.values
     evaluated, times the number of players (a stacked call counting each
     profile in it, so the halvings of a rejected step that are evaluated
-    but not taken count too); and jacobians, the Jacobians of p - T(p)
-    built, by Newton and by the homotopy paths alike, one per start each
-    time.  All but starts and starts_converged are read off the counts of
-    the solve's own PhiEvaluator, and are 0 at lam = 0.
+    but not taken count too, and so does the index check's evaluation of
+    the fixed points it checks); and jacobians, the Jacobians of p - T(p)
+    built, by Newton, the index check and the homotopy paths alike, one
+    per start or point each time.  All but starts and starts_converged are
+    read off the counts of the solve's own PhiEvaluator, and are 0 at
+    lam = 0.
 
     At least one fixed point exists for every game and lambda >= 0; if no
     start converges a SolverError is raised rather than returning an empty
@@ -1333,8 +1381,8 @@ def homotopy_trace(
     as one start of solve_lqre is, and is kept when its residual is within
     cfg.tol_fixed_point.  Past a fold of the
     branch no fixed point is near; the damped warm-up or the start's
-    homotopy path then reaches one on another branch, and the trace jumps
-    there.  Raises HomotopyBreakdown (carrying the partial trace and last
+    homotopy path, which a lone start left by stages 1 and 2 always takes,
+    then reaches one on another branch, and the trace jumps there.  Raises HomotopyBreakdown (carrying the partial trace and last
     good lambda) if some point cannot be converged.  solve_nash_phi's
     docstring says when it skips the trace.  The trace reports no counts:
     its evaluator keeps them, over every grid point, and is dropped with

@@ -288,19 +288,21 @@ class TestSolveLqre:
         }
         # Criterion 03's corpus game 4 (2x4x2) under the mean at lambda = 5:
         # two of the three starts take the damped warm-up, 16 steps each, and
-        # both go on to their homotopy paths.  evaluator_calls counts the
-        # speculative halvings of rejected Newton steps too.
+        # the Newton retry leaves both.  The first Dirichlet start's fixed point
+        # is regular with index +1, so neither takes its homotopy path, and the
+        # index check's one evaluation and Jacobian are counted.  evaluator_calls
+        # counts the speculative halvings of rejected Newton steps too.
         rng = np.random.default_rng(777)
         game = [random_game(rng) for _ in range(5)][4]
         d = solve_lqre(game, EXPECTATION, 5.0, SolverConfig(multistarts=2, max_iters=20_000)).diagnostics
         assert d == {
             "iterations": 32,
-            "newton_steps": 25,
-            "continuation_steps": 22,
+            "newton_steps": 23,
+            "continuation_steps": 0,
             "starts": 3,
-            "starts_converged": 3,
-            "evaluator_calls": 720,
-            "jacobians": 106,
+            "starts_converged": 1,
+            "evaluator_calls": 468,
+            "jacobians": 28,
         }
 
     def test_a_solve_keeps_the_starts_within_tol_when_others_fail(self):
@@ -326,14 +328,15 @@ class TestSolveLqre:
             assert abs(verify_lqre(game, EXPECTATION, 5.0, profile) - r) <= 1e-12
 
     def test_evaluator_calls_and_jacobians_match_counters(self, monkeypatch):
-        # Criterion 03's corpus game 112 at lambda = 5: its starts run every
-        # stage, Newton, the damped warm-up and the homotopy path.
-        # The first Newton stage, the warm-up and the Newton retry each run the
-        # starts as one stack, so a damped step and a Jacobian call count one per
-        # row of the stack they serve, and a values call one per player and row.
+        # Criterion 03's corpus game 196 at lambda = 5 (op 590 of the benchmark): its
+        # starts run every stage, Newton, the damped warm-up, the index check, whose
+        # two fixed points sum to 0, and the homotopy path.
+        # The first Newton stage, the warm-up, the Newton retry and the index check
+        # each run the starts as one stack, so a damped step and a Jacobian call count
+        # one per row of the stack they serve, and a values call one per player and row.
         # Only the damped steps evaluate without derivatives: each is one response.
         rng = np.random.default_rng(777)
-        game = [random_game(rng) for _ in range(113)][112]
+        game = [random_game(rng) for _ in range(197)][196]
         calls, jacobians, responses, newton_steps, continuation_steps = [], [], [], [], []
         values = PhiEvaluator.values
 
@@ -390,10 +393,10 @@ class TestSolveLqre:
         assert 0 < d["jacobians"] < d["evaluator_calls"]
 
     def test_diagnostics_are_the_evaluators_counts(self, monkeypatch):
-        # Corpus game 112 at lambda = 5, whose starts run every stage: the solve reports
+        # Corpus game 196 at lambda = 5, whose starts run every stage: the solve reports
         # the counts its evaluator kept, and the evaluator keeps no other count.
         rng = np.random.default_rng(777)
-        game = [random_game(rng) for _ in range(113)][112]
+        game = [random_game(rng) for _ in range(197)][196]
         evaluators = []
 
         class Recorded(PhiEvaluator):
@@ -428,17 +431,154 @@ class TestSolveLqre:
         # Criterion 03's corpus at lambda = 5 under the expectation (ops 338
         # and 146 of the benchmark).  Damped iteration orbits there: one start
         # of game 112 runs 20,000 iterations without converging, and two of
-        # game 48 about 8,200 each before they converge.
+        # game 48 about 8,200 each before they converge.  Each start is solved
+        # alone, with no other start's fixed point to certify the solve, so a
+        # start that stages 1 and 2 leave takes its path, and every start converges.
         rng = np.random.default_rng(777)
         games = [random_game(rng) for _ in range(index + 1)]
         g = games[index]
         assert g.action_counts == counts
-        res = solve_lqre(g, EXPECTATION, 5.0, SolverConfig(multistarts=2, max_iters=20_000))
+        cfg = SolverConfig(multistarts=2, max_iters=20_000)
+        paths = 0
+        for start in solvers._interior_starts(g.action_counts, cfg.seed, cfg.multistarts):
+            evaluator = PhiEvaluator(g, EXPECTATION)
+            [point], [res] = solvers._solve_fixed_point(evaluator, 5.0, start[None], cfg)
+            assert res <= cfg.tol_fixed_point
+            assert evaluator.counts["iterations"] <= 16
+            assert verify_lqre(g, EXPECTATION, 5.0, solvers._profile(evaluator, point)) <= 1e-8
+            paths += evaluator.counts["continuation_steps"] > 0
+        assert paths == (1 if index == 112 else 2)
+
+
+def _coordination_points(lam):
+    """The symmetric 2x2 coordination game's logit fixed points at lam > 2, as concatenated profiles.
+
+    Each player plays its first action with the probability p = sigma(lam (2p - 1)),
+    sigma the logistic function: p = 1/2, and the root above 1/2 (by bisection) and its mirror.
+    """
+    lo, hi = 0.5 + 1e-9, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 1.0 / (1.0 + math.exp(-lam * (2.0 * mid - 1.0))) > mid else (lo, mid)
+    return [np.array([q, 1.0 - q, q, 1.0 - q]) for q in (lo, 0.5, 1.0 - lo)]
+
+
+COORDINATION = Game((2, 2), np.eye(2)[:, :, None].repeat(2, axis=2))
+
+
+class TestIndexSum:
+    """solvers._index_sum, and the check it gives _solve_fixed_point before any start takes its homotopy path."""
+
+    def test_coordination_game(self):
+        # At lam = 4 the coordination game has three fixed points: the two near its pure
+        # equilibria, each of index +1, and the uniform profile, of index -1.  All three sum
+        # to 1, and any two to 2 or 0.  The check evaluates the points as one stack and
+        # builds one Jacobian per point, counted like any other.
+        high, middle, low = _coordination_points(4.0)
+        evaluator = PhiEvaluator(COORDINATION, EXPECTATION)
+        assert solvers._index_sum(evaluator, 4.0, np.array([high, middle, low])) == 1
+        assert evaluator.counts["jacobians"] == 3 and evaluator.counts["evaluator_calls"] == 3 * 2
+        system = _logit_system(evaluator, 4.0)
+        assert max(np.abs(system(x)[0]).max() for x in (high, middle, low)) <= 1e-12
+        for pair, total in (([high, low], 2), ([high, middle], 0), ([middle, low], 0)):
+            assert solvers._index_sum(evaluator, 4.0, np.array(pair)) == total
+        assert [solvers._index_sum(evaluator, 4.0, x[None]) for x in (high, middle, low)] == [1, -1, 1]
+        # solve_lqre reaches all three from its default starts.
+        found = _solution_arrays(solve_lqre(COORDINATION, EXPECTATION, 4.0, SolverConfig()))
+        assert _same_set(found, [high, middle, low], 1e-9)
+
+    def test_matching_pennies(self):
+        # The uniform profile is the only fixed point, of index +1, at every lambda.
+        evaluator = PhiEvaluator(make_matching_pennies(), EXPECTATION)
+        for lam in (0.5, 5.0, 50.0):
+            assert solvers._index_sum(evaluator, lam, np.full((1, 4), 0.5)) == 1
+
+    def test_a_point_that_is_not_regular_gives_no_sum(self):
+        # At lam = 2 the uniform profile of the coordination game is where its branch
+        # splits: det(I - dT/dp) is 0 there, below solvers.REGULAR_DET, so no sum is read,
+        # alone or beside a regular point, while just above lam = 2 it is regular of index -1.
+        evaluator = PhiEvaluator(COORDINATION, EXPECTATION)
+        uniform = np.full(4, 0.5)
+        assert abs(np.linalg.det(_logit_system(evaluator, 2.0)(uniform)[1]())) < solvers.REGULAR_DET
+        assert solvers._index_sum(evaluator, 2.0, uniform[None]) is None
+        assert solvers._index_sum(evaluator, 2.0, np.array([uniform, [0.9, 0.1, 0.9, 0.1]])) is None
+        assert solvers._index_sum(evaluator, 2.5, uniform[None]) == -1
+
+    @staticmethod
+    def _corpus_solve(monkeypatch, index, cfg):
+        # Criterion 03's corpus game at lambda = 5 under the expectation, with every index sum recorded.
+        sums = []
+        index_sum = solvers._index_sum
+
+        def recorded(evaluator, lam, points):
+            sums.append(index_sum(evaluator, lam, points))
+            return sums[-1]
+
+        monkeypatch.setattr(solvers, "_index_sum", recorded)
+        rng = np.random.default_rng(777)
+        game = [random_game(rng) for _ in range(index + 1)][index]
+        return game, solve_lqre(game, EXPECTATION, 5.0, cfg), sums
+
+    @pytest.mark.parametrize("index, total, found", [(180, 2, 2), (196, 0, 3)], ids=["op542", "op590"])
+    def test_a_sum_other_than_one_sends_the_stuck_starts_down_their_paths(self, monkeypatch, index, total, found):
+        # Ops 542 and 590 of the benchmark, under criterion 03's configuration: the starts that
+        # stages 1 and 2 leave follow their paths, and all three converge; op 590's path reaches
+        # the third fixed point, which makes its set's indices sum to 1.
+        cfg = SolverConfig(multistarts=2, max_iters=20_000)
+        game, res, sums = self._corpus_solve(monkeypatch, index, cfg)
         d = res.diagnostics
-        assert d["starts_converged"] == d["starts"]
-        assert d["iterations"] <= 16 * d["starts"]
-        for p in res.profiles:
-            assert verify_lqre(g, EXPECTATION, 5.0, p) <= 1e-8
+        assert sums == [total] and d["continuation_steps"] > 0
+        assert d["starts_converged"] == d["starts"] == 3 and len(res.profiles) == found
+        assert all(r <= cfg.tol_fixed_point for r in res.residuals)
+        if found == 3:
+            evaluator = PhiEvaluator(game, EXPECTATION)
+            assert solvers._index_sum(evaluator, 5.0, np.array(_solution_arrays(res))) == 1
+
+    @pytest.mark.parametrize("index, converged", [(48, 1), (112, 2)], ids=["op146", "op338"])
+    def test_a_certified_solve_runs_no_path(self, monkeypatch, index, converged):
+        # Ops 146 and 338 of the benchmark: the starts that converge reach one fixed point, of
+        # index +1, so the others stay stuck and take no path.  The solve returns the set its
+        # three starts reach when each is solved alone, on its path where it needs one.
+        cfg = SolverConfig(multistarts=2, max_iters=20_000)
+        game, res, sums = self._corpus_solve(monkeypatch, index, cfg)
+        d = res.diagnostics
+        assert sums == [1] and d["continuation_steps"] == 0 and d["starts_converged"] == converged
+        alone = []
+        for start in solvers._interior_starts(game.action_counts, cfg.seed, cfg.multistarts):
+            evaluator = PhiEvaluator(game, EXPECTATION)
+            [point], [r] = solvers._solve_fixed_point(evaluator, 5.0, start[None], cfg)
+            assert r <= cfg.tol_fixed_point
+            alone.append(point)
+        alone = np.array(alone)
+        assert _same_set(_solution_arrays(res), list(alone[solvers._dedup(alone)]), DEDUP_TOL)
+
+    def test_a_lone_stuck_start_takes_its_path(self, monkeypatch):
+        # With no multistart, corpus game 4 at lambda = 5 (op 14 of the benchmark) has only
+        # the uniform start, which stages 1 and 2 leave: with no converged start to check,
+        # it takes its path and converges.
+        game, res, sums = self._corpus_solve(monkeypatch, 4, SolverConfig(multistarts=0, max_iters=20_000))
+        d = res.diagnostics
+        assert sums == [] and d["continuation_steps"] > 0 and d["starts_converged"] == d["starts"] == 1
+
+    def test_a_stuck_trace_point_takes_its_path(self, monkeypatch):
+        # The homotopy trace of the 37th game of random_game(default_rng(4)), a 3x4 game, solves
+        # each grid point from the last point alone: the point near lambda = 12.2 is left by
+        # stages 1 and 2 and converges on its path, and the trace reaches lambda_max.
+        finished = []
+        finish = solvers._finish_start
+
+        def counted(*args):
+            out = finish(*args)
+            finished.append(out[1])
+            return out
+
+        monkeypatch.setattr(solvers, "_finish_start", counted)
+        rng = np.random.default_rng(4)
+        game = [random_game(rng) for _ in range(37)][36]
+        assert game.action_counts == (3, 4)
+        trace = homotopy_trace(game, EXPECTATION, 200.0, 160, SolverConfig(multistarts=2, max_iters=20_000))
+        assert len(trace) == 160 and trace[-1][0] == pytest.approx(200.0)
+        assert len(finished) == 1 and finished[0] <= 1e-10
 
 
 class TestContinue:
@@ -1451,7 +1591,7 @@ class TestLockstepStarts:
                     assert steps[0] == 0 and 1 in steps[1:]
 
     @pytest.mark.parametrize(
-        "index, phi, counts, warmed, paths",
+        "index, phi, counts, warmed, stuck",
         [
             (2, MAStatistic(((-math.inf, 0.3), (2.0, 0.7))), (3, 2), 0, 0),
             (4, EXPECTATION, (2, 4, 2), 2, 2),
@@ -1460,15 +1600,19 @@ class TestLockstepStarts:
         ],
         ids=["op8", "op14", "op239", "op332"],
     )
-    def test_warm_up_and_retry_give_each_start_its_outcome_alone(self, monkeypatch, index, phi, counts, warmed, paths):
+    def test_warm_up_and_retry_give_each_start_its_outcome_alone(self, monkeypatch, index, phi, counts, warmed, stuck):
         # Criterion 03's corpus ops 8, 14, 239 and 332 at lambda = 5, with two
         # Dirichlet starts: the first Newton stage runs all three starts as one
         # stack; on op 8 each converges there, and on the others `warmed` of them
         # leave it unconverged and take the damped warm-up and the Newton retry
-        # as one stack: two on op 14, which both go on to their homotopy paths,
-        # one on op 239, which does too, and all three on op 332, one of which does.
-        polished, finished = [], []
-        polish, finish = solvers._newton_polish, solvers._finish_start
+        # as one stack: two on op 14, which both stay stuck, one on op 239, which
+        # does too, and all three on op 332, one of which does.  On each of these
+        # the converged starts' fixed points sum to index +1, so no start takes its
+        # homotopy path: every row ends where stages 1 and 2 leave it alone, which
+        # a lone run shows with its own path cut off.  The index check's counts are
+        # the stack's only others: one evaluation and one Jacobian per point checked.
+        polished, finished, checked = [], [], []
+        polish, finish, index_sum = solvers._newton_polish, solvers._finish_start, solvers._index_sum
 
         def counted_polish(evaluator, lam, profiles, tol, max_steps=40):
             polished.append((len(profiles), max_steps))
@@ -1478,8 +1622,15 @@ class TestLockstepStarts:
             finished.append(args[2])
             return finish(*args)
 
+        def counted_index_sum(evaluator, lam, points):
+            before = dict(evaluator.counts)
+            out = index_sum(evaluator, lam, points)
+            checked.append((len(points), out, Counter({k: evaluator.counts[k] - before[k] for k in before})))
+            return out
+
         monkeypatch.setattr(solvers, "_newton_polish", counted_polish)
         monkeypatch.setattr(solvers, "_finish_start", counted_finish)
+        monkeypatch.setattr(solvers, "_index_sum", counted_index_sum)
         rng = np.random.default_rng(777)
         game = [random_game(rng) for _ in range(index + 1)][index]
         assert game.action_counts == counts
@@ -1487,18 +1638,28 @@ class TestLockstepStarts:
         starts = solvers._interior_starts(game.action_counts, cfg.seed, cfg.multistarts)
         evaluator = PhiEvaluator(game, phi)
         points, residuals = solvers._solve_fixed_point(evaluator, 5.0, starts, cfg)
-        together = evaluator.counts
-        assert polished[:2] == [(3, 12)] + ([(warmed, 40)] if warmed else []) and len(finished) == paths
+        together = Counter(evaluator.counts)
+        assert polished[:2] == [(3, 12)] + ([(warmed, 40)] if warmed else []) and finished == []
         assert together["iterations"] == warmed * solvers.WARM_UP
         assert points.shape == starts.shape and len(residuals) == len(starts)
+        assert sum(not res <= cfg.tol_fixed_point for res in residuals) == stuck
+        if stuck:
+            [(size, total, gate)] = checked
+            assert total == 1 and gate == Counter(evaluator_calls=size * game.num_players, jacobians=size)
+            together -= gate
+        else:
+            assert checked == []
+        # Alone, a stuck start has no other start's fixed point to certify it and would take its path.
+        monkeypatch.setattr(solvers, "_finish_start", lambda evaluator, lam, start, point, res, cfg: (point, res))
         alone = Counter()
         for start, point, res in zip(starts, points, residuals):
             evaluator = PhiEvaluator(game, phi)
             [point_alone], [res_alone] = solvers._solve_fixed_point(evaluator, 5.0, start[None], cfg)
             alone.update(evaluator.counts)
-            assert res <= cfg.tol_fixed_point and res_alone <= cfg.tol_fixed_point
+            assert (res <= cfg.tol_fixed_point) == (res_alone <= cfg.tol_fixed_point)
             assert abs(res - res_alone) <= 1e-12
             np.testing.assert_allclose(point, point_alone, rtol=0, atol=1e-12)
+        assert len(checked) == (1 if stuck else 0)  # a lone start's check needs another converged start
         assert together == alone
 
     @staticmethod
