@@ -450,8 +450,8 @@ class PhiEvaluator:
         self.branches, grids, shape = [], [], []
         for i, table in enumerate(self.tables):
             branches = cgf_branches(self.kernel_atoms, self.spread[i])
-            for a, w in branches.values():
-                grids.append(cgf_grids(table, a, w, self.pure_min[i], self.pure_max[i], self.spread[i]).ravel())
+            for branch, (a, w) in branches.items():
+                grids.append(cgf_grids(branch, table, a, w, self.pure_min[i], self.pure_max[i]).ravel())
             self.branches.append(branches)
             # The mean grid carries its atoms' total weight: only its branch enters the shape.
             atoms = ((b, () if b == "mean" else tuple(zip(a.tolist(), w.tolist()))) for b, (a, w) in branches.items())
@@ -754,9 +754,9 @@ def _newton(
     (n,), run in lockstep.  system(theta) at one point returns f(theta) and
     a function that gives the Jacobian at theta from what evaluating f
     computed.  A system given a stack must also take a stack of points,
-    (b x n), and return f at each, (b x m), and a function jacobian(rows)
+    (b x n), and return f at each, (b x n), and a function jacobian(rows)
     that gives the Jacobians of the given rows of that stack, (len(rows) x
-    m x n), or of all of them for rows=None; a lone point is always
+    n x n), or of all of them for rows=None; a lone point is always
     evaluated as one point, as the unstacked kernels cost less.  A
     Jacobian is built only where a step starts.  Every row keeps its own
     step, halvings and stop, so it follows the trajectory it follows alone;
@@ -769,18 +769,19 @@ def _newton(
     Returns (theta, sup |f(theta)|, steps taken): for a stack, three lists
     with one entry per start.  The stop test and step acceptance use that
     sup norm of f, the residual returned.
-    Steps solve the linearisation: exactly when the Jacobian is square and
-    nonsingular, and in the least-squares sense when it is not square or a
-    square solve finds it singular.  They are capped at 0.5 in the sup
-    norm, and a step is taken only if it lowers the residual, halving it up
-    to seven times: far from a root a full step can overshoot into the
-    region where a weight is cut.  Both pay on criterion 03's 600 logit
-    solves (two Dirichlet starts each): with the full step kept only when
-    it lowers the residual, they find 610 fixed points instead of 625, and
-    the starts that reach their homotopy paths take 838 continuation steps
-    instead of 268; with every full step kept, 618 and 470, and 8,613
-    Newton steps on p - T(p) instead of 5,851 (counted before the index
-    check of _solve_fixed_point kept most of those starts off their paths).
+    Every system has as many equations as unknowns, so every Jacobian is
+    square.  Steps solve the linearisation: exactly when the Jacobian is
+    nonsingular, and in the least-squares sense when a solve finds it
+    singular.  They are capped at 0.5 in the sup norm, and a step is taken
+    only if it lowers the residual, halving it up to seven times: far from
+    a root a full step can overshoot into the region where a weight is cut.
+    Both pay on criterion 03's 600 logit solves (two Dirichlet starts
+    each): with the full step kept only when it lowers the residual, they
+    find 610 fixed points instead of 625, and the starts that reach their
+    homotopy paths take 838 continuation steps instead of 268; with every
+    full step kept, 618 and 470, and 8,613 Newton steps on p - T(p) instead
+    of 5,851 (counted before the index check of _solve_fixed_point kept
+    most of those starts off their paths).
     A stack's halvings are evaluated together: a row whose full step is
     rejected has all seven of its halvings evaluated by the next pass's
     system call, beside the other rows' trial points, and takes the first
@@ -855,29 +856,26 @@ def _newton(
 
 
 def _linear_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The solution of jac @ step = rhs for each row of a stack, jac (b x m x n) and rhs (b x m).
+    """The solution of jac @ step = rhs for each row of a stack, jac (b x n x n), square, and rhs (b x n).
 
-    When every jac is square, the whole stack takes one LU solve, kept when
-    it succeeds and jac and rhs are all finite.  Otherwise a row whose jac
-    or rhs is not all finite gets a NaN step without a LAPACK call:
-    LAPACK's least squares would print its complaint about the NaN to
-    standard output.  Each other row is solved alone: by LU, unless it is
-    the lone row whose LU just failed, so that it is factorised once; in
-    the least-squares sense when its jac is not square or is singular; and
-    as NaN when least squares fails too.  A row's LU step is the same bit
-    for bit whether it is solved alone or in the stack.
+    The whole stack takes one LU solve, kept when it succeeds and jac and
+    rhs are all finite.  Otherwise a row whose jac or rhs is not all finite
+    gets a NaN step without a LAPACK call: LAPACK's least squares would
+    print its complaint about the NaN to standard output.  Each other row
+    is solved alone: by LU, unless it is the lone row whose LU just failed,
+    so that it is factorised once; in the least-squares sense when its jac
+    is singular; and as NaN when least squares fails too.  A row's LU step
+    is the same bit for bit whether it is solved alone or in the stack.
     """
-    square = jac.shape[-1] == jac.shape[-2]
-    if square:
-        try:
-            step = np.linalg.solve(jac, rhs[..., None])[..., 0]
-            if np.isfinite(jac).all() and np.isfinite(rhs).all():
-                return step
-        except np.linalg.LinAlgError:
-            pass  # some row is singular, or not finite
-    step = np.full(rhs.shape[:-1] + jac.shape[-1:], np.nan)
+    try:
+        step = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        if np.isfinite(jac).all() and np.isfinite(rhs).all():
+            return step
+    except np.linalg.LinAlgError:
+        pass  # some row is singular, or not finite
+    step = np.full(rhs.shape, np.nan)
     for r in np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)).tolist():
-        if square and len(jac) > 1:
+        if len(jac) > 1:
             try:
                 step[r] = np.linalg.solve(jac[r], rhs[r])
                 continue
@@ -1272,16 +1270,16 @@ def _interior_starts(counts: tuple[int, ...], seed: int, multistarts: int) -> np
     return starts
 
 
-def _dedup(points: np.ndarray, tol: float = DEDUP_TOL) -> list[int]:
+def _dedup(points: np.ndarray) -> list[int]:
     """The places of the rows of points, concatenated profiles, kept, in the order of those rows rounded to 9 decimals.
 
-    A row is kept unless it is within tol of one kept before it.
+    A row is kept unless it is within DEDUP_TOL of one kept before it.
     """
     if len(points) < 2:  # nothing to compare
         return list(range(len(points)))
     kept: list[int] = []
     for r in np.lexsort(np.round(points, 9).T[::-1]).tolist():
-        if not kept or (np.abs(points[kept] - points[r]).max(axis=1) > tol).all():
+        if not kept or (np.abs(points[kept] - points[r]).max(axis=1) > DEDUP_TOL).all():
             kept.append(r)
     return kept
 

@@ -41,7 +41,8 @@ def _branch(a: float, spread: float) -> str:
         return "extreme"
     if a == 0.0 or spread == 0.0:  # a constant row is its own mean, whatever a is
         return "mean"
-    return "taylor" if abs(a) * spread < TAYLOR_CUTOFF else "exp"
+    # In Python floats, where |a| * spread overflows to inf without a warning.
+    return "taylor" if abs(float(a)) * float(spread) < TAYLOR_CUTOFF else "exp"
 
 
 def cgf_branches(atoms, spread: float) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -49,8 +50,7 @@ def cgf_branches(atoms, spread: float) -> dict[str, tuple[np.ndarray, np.ndarray
 
     Returns {branch: (locations, weights)} for "mean", "taylor" and "exp",
     in that order, with only the branches that have atoms; atoms at -inf /
-    +inf are left out.  Each group is what cgf_grids and cgf_finish take as
-    one.
+    +inf are left out.  Each group is what cgf_grids takes as one.
     """
     groups: dict[str, tuple[list, list]] = {"mean": ([], []), "taylor": ([], []), "exp": ([], [])}
     for a, w in atoms:
@@ -63,96 +63,37 @@ def cgf_branches(atoms, spread: float) -> dict[str, tuple[np.ndarray, np.ndarray
 
 
 def cgf_grids(
-    table: np.ndarray, a: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray, spread: float
+    branch: str, table: np.ndarray, a: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Stage one of the normalized CGF: the grids whose weighted row sums it is finished from.
+    """The grids whose weighted row sums the normalized CGF is finished from.
 
-    table is an (actions x opponent profiles) table; lo, hi and spread are as
-    for normalized_cgf.  a and w hold the locations and weights of atoms that
-    all take one branch (see cgf_branches).  Returns the grids stacked,
-    (grids x actions x opponent profiles).  They depend on the table alone,
-    not on the weights of the columns, so a caller evaluating many weight
-    vectors builds them once:
-    - a = 0, or every row constant (spread = 0): the table times the atoms'
-      total weight, whose row sums are their weighted value;
-    - a = -inf / +inf: none;
-    - |a| * spread < TAYLOR_CUTOFF: the raw moments (T - lo)^1, ^2, ^3, shared
-      by every atom of the band;
-    - otherwise: exp(a(T - shift)) for each atom, shifted by hi (a > 0) or lo
+    table is an (actions x opponent profiles) table; lo and hi are as for
+    normalized_cgf.  a and w hold the locations and weights of finite atoms
+    that all take this branch (see cgf_branches).  Returns the grids
+    stacked, (grids x actions x opponent profiles).  They depend on the
+    table alone, not on the weights of the columns, so a caller evaluating
+    many weight vectors builds them once:
+    - "mean": the table times the atoms' total weight, whose row sums are
+      their weighted value;
+    - "taylor": the raw moments (T - lo)^1, ^2, ^3, shared by every atom of
+      the band;
+    - "exp": exp(a(T - shift)) for each atom, shifted by hi (a > 0) or lo
       (a < 0).  The exponent is capped at 0: after a re-shift to the
       support's extremes, columns outside the support can lie beyond the
       shift, where exp would overflow and inf * 0 turn a total into NaN;
       their weight is zero, so the cap leaves the values alone.
     """
-    branch = _branch(a[0], spread)
     if branch == "mean":
         total = float(w.sum())
         return (table if total == 1.0 else total * table)[None]
-    if branch == "extreme":
-        return np.empty((0, *table.shape))
     if branch == "taylor":
         x = table - lo[:, None]
         x2 = x * x
         return np.stack([x, x2, x2 * x])
     shift = np.where(a[:, None] > 0, hi, lo)
-    return np.exp(np.minimum(a[:, None, None] * (table - shift[:, :, None]), 0.0))
-
-
-def cgf_finish(
-    sums: np.ndarray,
-    a: np.ndarray,
-    w: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    spread: float,
-    grad: bool = False,
-    min_total: float = MIN_TOTAL,
-):
-    """Stage two of the normalized CGF: a branch's weighted value from its grids' weighted sums.
-
-    sums is a (grids x rows) array: row g is grid g of cgf_grids, made with
-    the same a, w, lo, hi and spread, times weights that sum to one.
-    Returns sum_t w[t] k_{a[t]} for each row, or with grad (values, coefs),
-    where coefs[g] holds each row's coefficient on grid g in the derivative:
-    the value of row r moves with weights[c] by sum_g coefs[g, r] *
-    grid_g[r, c] along every direction inside the simplex.  The atoms of
-    the branch are finished together, on rows stacked by atom.
-    A stack of B weight vectors comes as (grids x rows x B), with lo and hi
-    (rows x 1), broadcast over the stack; the values then come as (rows x
-    B) and the coefs as (grids x rows x B).
-    - Mean: the row sums (the grid carries the weight), with coefficient one.
-    - a = -inf / +inf, one atom of weight one (normalized_cgf's case): lo / hi,
-      which do not move with the weights.
-    - Taylor band: the cumulant expansion E + a Var/2 + a^2 kappa3/6 from the
-      raw moments, clamped to [lo, hi]; the coefficients are zero where the
-      clamp holds.
-    - Otherwise: shift + log(total) / a, with coefficient w / (a total).
-      Returns None when the terms of some row of some atom underflowed, so
-      that its total is below min_total; the caller then re-shifts to the
-      extremes of the support itself.
-    The Taylor band's and the tilts' terms are taylor_terms' and tilt_terms',
-    weighted here.
-    """
-    branch = _branch(a[0], spread)
-    if branch == "mean":
-        return (sums[0], np.ones(sums.shape)) if grad else sums[0]
-    if branch == "extreme":
-        value = hi if a[0] > 0 else lo
-        return (value, np.zeros((0, len(lo)))) if grad else value
-    stack = sums.ndim > 2
-    col = a[:, None, None] if stack else a[:, None]  # one row per atom, broadcast over the rest
-    if branch == "exp" and sums.min() < min_total:
-        return None
-    if branch == "taylor":
-        finished = taylor_terms(sums, col, lo, hi, grad)
-    else:
-        finished = tilt_terms(sums, col, np.where(col > 0, hi, lo), grad)
-    if not grad:
-        return _atom_sum(w, finished, stack)
-    value, coefs = finished
-    if branch == "taylor":
-        return _atom_sum(w, value, stack), _atom_sum(w, coefs, stack)
-    return _atom_sum(w, value, stack), (w[:, None, None] if stack else w[:, None]) * coefs
+    # An exponent that overflows is -inf, a term of exactly 0, or is capped on a column of weight 0.
+    with np.errstate(over="ignore"):
+        return np.exp(np.minimum(a[:, None, None] * (table - shift[:, :, None]), 0.0))
 
 
 def taylor_terms(moments, a, lo, hi, grad: bool = False):
@@ -188,21 +129,12 @@ def tilt_terms(totals, a, shift, grad: bool = False):
     arguments do; the shift is hi where a > 0 and lo where a < 0, which a
     caller that finishes many rows with the same atoms and bounds computes
     once.  With grad, the coefficient 1 / (a total) on the tilted grid
-    comes too.  The totals must not have underflowed (see cgf_finish).
+    comes too.  No total may have underflowed below MIN_TOTAL: a caller
+    re-shifts those rows to the extremes of the support they reach first,
+    as normalized_cgf does.
     """
     value = shift + np.log(totals) / a
     return (value, 1.0 / (a * totals)) if grad else value
-
-
-def _atom_sum(w: np.ndarray, terms: np.ndarray, stack: bool) -> np.ndarray:
-    """w @ terms: the terms summed over their atoms axis, weighted.
-
-    A stack's terms, (... x atoms x rows x B), are summed as (... x atoms x
-    rows * B), so that one matrix product finishes every row of the stack.
-    """
-    if not stack:
-        return w @ terms
-    return (w @ terms.reshape(*terms.shape[:-2], -1)).reshape(*terms.shape[:-3], *terms.shape[-2:])
 
 
 _ONE = np.ones(1)
@@ -227,36 +159,47 @@ def normalized_cgf(
     every a when spread = 0 (each row is constant); a = -inf / +inf return
     lo / hi.  Finite nonzero a uses the cumulant expansion
     E + a Var/2 + a^2 kappa3/6, clamped to [lo, hi], when
-    |a| * spread < TAYLOR_CUTOFF.  Otherwise it uses a log-sum-exp shifted
-    by hi (a > 0) or lo (a < 0), which stays inside the support up to
-    rounding; when the terms of some row underflow (its total falls below
-    MIN_TOTAL), the shifts move to the extremes of the support itself.
-    It runs the two stages, cgf_grids and cgf_finish, on one atom of weight
-    one and one weight vector; PhiEvaluator builds the grids of each branch
-    once and finishes them for many.
+    |a| * spread < TAYLOR_CUTOFF (taylor_terms).  Otherwise it uses a
+    log-sum-exp shifted by hi (a > 0) or lo (a < 0) (tilt_terms), which
+    stays inside the support up to rounding; when the terms of some row
+    underflow (its total falls below MIN_TOTAL), the shifts move to the
+    extremes of the support itself.  The row sums are taken of cgf_grids'
+    grids, which PhiEvaluator builds once per table and finishes for many
+    weight vectors and atoms.
 
     grad=True returns (values, slopes) instead, where slopes[r, c] is the
     derivative of row r's value with respect to weights[c] along the
     simplex (up to a constant per row, which no direction inside it sees),
-    made from the same intermediates as the values: the table itself at
-    a = 0, zero at -inf / +inf (lo and hi do not move with the weights), a
-    cubic in T - lo in the Taylor band (zero where the clamp holds), and the
+    made from the same grids as the values: the table itself at a = 0,
+    zero at -inf / +inf (lo and hi do not move with the weights), a cubic
+    in T - lo in the Taylor band (zero where the clamp holds), and the
     tilted weights exp(a(T - shift)) / (a E[exp(a(T - shift))]).
     """
+    branch = _branch(a, spread)
+    if branch == "extreme":
+        value = hi if a > 0 else lo
+        return (value, np.zeros(table.shape)) if grad else value
     atom = np.array([a], dtype=float)
-    grids = cgf_grids(table, atom, _ONE, lo, hi, spread)
-    finished = cgf_finish(grids @ weights, atom, _ONE, lo, hi, spread, grad)
-    if finished is None:
+    grids = cgf_grids(branch, table, atom, _ONE, lo, hi)
+    sums = grids @ weights
+    if branch == "exp" and sums.min() < MIN_TOTAL:
         reached = table[:, weights > 0]
         lo, hi = reached.min(axis=1), reached.max(axis=1)
-        grids = cgf_grids(table, atom, _ONE, lo, hi, spread)
-        # Each total now holds the term exp(0) times a positive weight.
-        finished = cgf_finish(grids @ weights, atom, _ONE, lo, hi, spread, grad, min_total=0.0)
+        grids = cgf_grids(branch, table, atom, _ONE, lo, hi)
+        sums = grids @ weights  # each total now holds the term exp(0) times a positive weight
+    if branch == "mean":  # the grid carries the weight: a row's value is its sum, with coefficient one
+        finished = (sums[0], np.ones(sums.shape)) if grad else sums[0]
+    elif branch == "taylor":
+        finished = taylor_terms(sums, a, lo, hi, grad)
+    else:
+        finished = tilt_terms(sums[0], a, hi if a > 0 else lo, grad)
+    value, coefs = finished if grad else (finished, None)
+    if branch != "mean":  # a zero comes out as 0.0, never -0.0, as from a weighted sum (the mean's, PhiEvaluator's)
+        value = value + 0.0
     if not grad:
-        return finished
-    value, coefs = finished
+        return value
     slopes = np.zeros(table.shape)
-    for coef, grid in zip(coefs, grids):
+    for coef, grid in zip(coefs.reshape(len(grids), -1), grids):
         slopes += coef[:, None] * grid
     return value, slopes
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from sre_lab.statistics import (
     TAYLOR_CUTOFF,
     MAStatistic,
     cara_certainty_equivalent,
-    cgf_finish,
-    cgf_grids,
+    cgf_branches,
     evaluate,
     is_positively_homogeneous,
     k_a,
@@ -43,6 +43,16 @@ class TestKernel:
     def test_infinite_limits(self):
         assert k_a(COIN, math.inf) == 1.0
         assert k_a(COIN, -math.inf) == 0.0
+
+    def test_huge_tilts_do_not_warn(self):
+        # |a| * spread overflows the branch test, and every exponent but one overflows to
+        # -inf, a term of exactly 0; neither is an error.
+        x = Lottery.from_vector([0.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert k_a(x, 1e10) == 1e300
+            assert k_a(x, -1e10) == 6.931471805599453e-11
+            assert evaluate(MAStatistic(((-1e10, 0.5), (1e10, 0.5))), x) == 0.5 * 1e300 + 0.5 * 6.931471805599453e-11
 
     def test_nan_location_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -140,34 +150,46 @@ class TestKernelSlopes:
         assert np.all(np.isfinite(slopes))
 
 
-class TestStackedFinish:
-    @pytest.mark.parametrize("grad", [False, True])
-    @pytest.mark.parametrize(
-        "a, w", [([0.0], [1.0]), ([2e-5, -1e-5], [0.4, 0.6]), ([-1.3, 0.7, 2.0], [0.2, 0.5, 0.3])],
-        ids=["mean", "taylor", "exp"],
-    )
-    def test_a_stack_finishes_as_its_rows_flattened(self, a, w, grad):
-        # A stack of weight vectors, (grids x rows x B) with (rows x 1) bounds, against the
-        # same sums flattened to rows * B rows, each row's bounds repeated for the stack.
-        rng = np.random.default_rng(8)
-        table = rng.uniform(-2.0, 2.0, size=(4, 6))
-        lo, hi = table.min(axis=1), table.max(axis=1)
-        a, w = np.array(a), np.array(w)
-        spread = float(np.max(hi - lo))
-        assert spread < 4.0  # so that |a| * spread < TAYLOR_CUTOFF for both Taylor atoms
-        grids = cgf_grids(table, a, w, lo, hi, spread)
-        count = 5
-        sums = grids @ rng.dirichlet(np.ones(6), size=count).T  # (grids x rows x B)
-        stacked = cgf_finish(sums, a, w, lo[:, None], hi[:, None], spread, grad)
-        flat = cgf_finish(
-            sums.reshape(len(sums), -1), a, w, np.repeat(lo, count), np.repeat(hi, count), spread, grad
-        )
-        if not grad:
-            stacked, flat = (stacked,), (flat,)
-        assert len(stacked) == len(flat)
-        for got, want in zip(stacked, flat):
-            assert got.shape == (*want.shape[:-1], 4, count)
-            np.testing.assert_array_equal(got, want.reshape(got.shape))
+class TestCgfBranches:
+    def test_groups_come_back_in_mean_taylor_exp_order(self):
+        # PhiEvaluator lays out its rows in this order without sorting them again.
+        spread = 2.0
+        atoms = [(3.0, 0.1), (1e-5, 0.2), (0.0, 0.3), (-1.0, 0.15), (-2e-5, 0.25)]
+        groups = cgf_branches(atoms, spread)
+        assert list(groups) == ["mean", "taylor", "exp"]
+        locations = {branch: a.tolist() for branch, (a, _) in groups.items()}
+        assert locations == {"mean": [0.0], "taylor": [1e-5, -2e-5], "exp": [3.0, -1.0]}
+
+    def test_only_nonempty_groups_are_returned(self):
+        assert list(cgf_branches([(2.0, 0.5), (-3.0, 0.5)], 1.0)) == ["exp"]
+        assert list(cgf_branches([(1e-6, 1.0)], 1.0)) == ["taylor"]
+        assert cgf_branches([(-math.inf, 0.5), (math.inf, 0.5)], 1.0) == {}
+
+    def test_extreme_atoms_are_dropped(self):
+        groups = cgf_branches([(-math.inf, 0.25), (0.0, 0.5), (math.inf, 0.25)], 1.0)
+        assert list(groups) == ["mean"]
+        a, w = groups["mean"]
+        assert a.tolist() == [0.0] and w.tolist() == [0.5]
+
+    def test_a_constant_table_puts_every_finite_atom_in_the_mean(self):
+        groups = cgf_branches([(-math.inf, 0.1), (-5.0, 0.2), (1e-6, 0.3), (0.0, 0.4)], 0.0)
+        assert list(groups) == ["mean"]
+        a, w = groups["mean"]
+        assert a.tolist() == [-5.0, 1e-6, 0.0] and w.tolist() == [0.2, 0.3, 0.4]
+
+    def test_taylor_band_is_below_the_cutoff(self):
+        spread = 4.0
+        edge = TAYLOR_CUTOFF / spread
+        groups = cgf_branches([(-0.5 * edge, 0.2), (edge, 0.3), (-edge, 0.1), (0.9 * edge, 0.4)], spread)
+        assert {branch: a.tolist() for branch, (a, _) in groups.items()} == {
+            "taylor": [-0.5 * edge, 0.9 * edge],
+            "exp": [edge, -edge],
+        }
+
+    def test_each_weight_stays_with_its_atom(self):
+        atoms = [(-2.0, 0.05), (1e-7, 0.15), (0.0, 0.2), (4.0, 0.25), (-1e-7, 0.35)]
+        for branch, (a, w) in cgf_branches(atoms, 1.0).items():
+            assert list(zip(a.tolist(), w.tolist())) == [atom for atom in atoms if atom[0] in a.tolist()]
 
 
 class TestStatisticType:
