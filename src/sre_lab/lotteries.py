@@ -51,7 +51,8 @@ def _canonical(outcomes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     rows = np.arange(len(xs))[:, None]
     order = np.argsort(xs, axis=1, kind="stable")
     xs, ws = xs[rows, order], weights[rows, order]
-    gaps = xs[:, 1:] - xs[:, :-1]
+    with np.errstate(over="ignore"):  # an infinite gap is above MERGE_TOL and starts a group
+        gaps = xs[:, 1:] - xs[:, :-1]
     starts = np.ones(xs.shape, dtype=bool)
     starts[:, 1:] = gaps > MERGE_TOL
     # Between two such gaps the first outcome starts the only group, unless
@@ -144,9 +145,13 @@ class Lottery:
         return float(self.outcomes[-1])
 
     def cdf(self, thresholds: np.ndarray) -> np.ndarray:
-        """P(X <= t) for each t, treating outcomes within MERGE_TOL of t as <= t."""
+        """P(X <= t) for each t, treating outcomes within MERGE_TOL of t as <= t.
+
+        The search counts the outcomes <= t + MERGE_TOL, so an outcome equal
+        to t counts even where t + MERGE_TOL rounds back to t (|t| >= 2^14).
+        """
         cum = np.concatenate([[0.0], np.cumsum(self.weights)])
-        idx = np.searchsorted(self.outcomes, np.asarray(thresholds, dtype=float) + MERGE_TOL)
+        idx = np.searchsorted(self.outcomes, np.asarray(thresholds, dtype=float) + MERGE_TOL, side="right")
         return cum[idx]
 
     def is_close(self, other: "Lottery", tol: float = 1e-9) -> bool:
@@ -237,8 +242,8 @@ def _fosd_blocks(tables: Sequence[tuple[np.ndarray, np.ndarray]], tol: float) ->
     mass = np.zeros((len(xs), len(values) + 1))
     mass[np.nonzero(held)[0], np.searchsorted(values, atoms) + 1] = ws[held]
     own = mass[:, 1:] > 0
-    # cdfs[a, j]: the weight of row a's outcomes below values[j] + MERGE_TOL.
-    cdfs = np.cumsum(mass, axis=1)[:, np.searchsorted(values, values + MERGE_TOL)]
+    # cdfs[a, j]: the weight of row a's outcomes at or below values[j] + MERGE_TOL, read as Lottery.cdf reads.
+    cdfs = np.cumsum(mass, axis=1)[:, np.searchsorted(values, values + MERGE_TOL, side="right")]
     # F_a - F_b at the outcomes of row a, then at those of row b: other points read -inf.
     left = np.concatenate([np.where(own, cdfs, -np.inf), cdfs], axis=1)
     right = np.concatenate([cdfs, np.where(own, cdfs, np.inf)], axis=1)

@@ -189,10 +189,14 @@ def random_shifts(rng: np.random.Generator, game: Game, scale: float = 1.0) -> l
 
 
 def _outcomes(x: Sequence[float]) -> np.ndarray:
-    """The card or lottery values x as a float array, refused when empty."""
+    """The card or lottery values x as a float array, refused when empty, not 1-D or not finite."""
     xs = np.asarray(x, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("x must be a 1-D vector of values")
     if xs.size == 0:
         raise ValueError("x must hold at least one value")
+    if not np.isfinite(xs).all():
+        raise ValueError("x must hold finite values only")
     return xs
 
 
@@ -227,14 +231,17 @@ def elicit_qre(spec: ConceptSpec, x: Sequence[float]) -> float:
     probed first; g(r) = p_1(b_x) - 1/2 must not have the wrong sign there,
     and a statistic equal to min x or max x (the minimum or the maximum,
     say) puts the root on an end of the bracket, which is then returned as
-    it stands.  Otherwise each probe steps r to r + h(r) when that point is
-    finite and lies strictly inside the bracket, and to the bracket's
-    midpoint when it does not; a choice probability of 0 is saturated play,
-    with h = +-inf.  It stops once |h(r)| <= 1e-12 max(1, |r|) and returns
-    r + h(r), or once the bracket is narrower than 1e-12 max(1, |lo|, |hi|)
-    and returns its midpoint.  As h is linear in r, one step from an end
-    whose play is not saturated lands on the root to rounding, and the next
-    probe confirms it.
+    it stands.  As h is linear in r with slope -1, each end's reading
+    r + h(r) is the root itself, to rounding, when its play is not
+    saturated; a choice probability of 0 is saturated play, with h = +-inf.
+    So when both readings are finite and agree to 1e-12 max(1, |lo|, |hi|),
+    the two probes confirm each other and the reading of the end with the
+    smaller |h| is returned, with no third solve.  Otherwise each probe
+    steps r to r + h(r) when that point is finite and lies strictly inside
+    the bracket, and to the bracket's midpoint when it does not.  It stops
+    once |h(r)| <= 1e-12 max(1, |r|) and returns r + h(r), or once the
+    bracket is narrower than 1e-12 max(1, |lo|, |hi|) and returns its
+    midpoint.
 
     Each probe solves from the uniform start alone.  Player 2 earns zero
     whatever happens, so it mixes uniformly; player 1 then answers a fixed
@@ -274,6 +281,9 @@ def elicit_qre(spec: ConceptSpec, x: Sequence[float]) -> float:
     if g_hi >= 0.0:
         return hi
     r, h = (lo, h_lo) if abs(h_lo) <= abs(h_hi) else (hi, h_hi)
+    finite = math.isfinite(h_lo) and math.isfinite(h_hi)
+    if finite and abs((lo + h_lo) - (hi + h_hi)) <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+        return r + h
     for _ in range(ELICIT_MAX_PROBES):
         if abs(h) <= 1e-12 * max(1.0, abs(r)):
             return r + h

@@ -287,6 +287,48 @@ class TestFosdTable:
         assert verdict.shape == weak.shape == (0, 0)
 
 
+class TestLargeOutcomes:
+    """FOSD is ordinal: a positive rescaling of every outcome changes no verdict, even
+    where t + MERGE_TOL rounds back to t (|t| >= 2^14)."""
+
+    @pytest.mark.parametrize("s", [1.0, 1e4, 2e4, 1e5, 1e10])
+    def test_cdf_counts_the_outcome_at_its_threshold(self, s):
+        np.testing.assert_array_equal(Lottery.from_vector([s, 2 * s]).cdf([s, 2 * s]), [0.5, 1.0])
+
+    @pytest.mark.parametrize("s", [1.0, 1e4, 2e4, 1e5, 1e10])
+    def test_shifting_half_the_mass_up_dominates_at_any_scale(self, s):
+        x, y = Lottery.from_vector([0.0, s]), Lottery.from_vector([-s, s])
+        assert fosd_compare(x, y) is DominanceVerdict.STRICT_FOSD
+        verdict, _ = fosd_table(np.array([[0.0, s], [-s, s]]), np.array([0.5, 0.5]))
+        assert verdict[0, 1] is DominanceVerdict.STRICT_FOSD
+        assert verdict[1, 0] is DominanceVerdict.STRICT_FOSD_REVERSED
+
+    def test_verdicts_unchanged_when_scaled(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            table = rng.integers(-3, 4, size=(5, 4)).astype(float)
+            weights = rng.dirichlet(np.ones(4))
+            verdict, weak = fosd_table(table, weights)
+            lots = [Lottery(row, weights) for row in table]
+            for scale in (1e5, 1e10):
+                scaled_verdict, scaled_weak = fosd_table(scale * table, weights)
+                np.testing.assert_array_equal(scaled_verdict, verdict)
+                np.testing.assert_array_equal(scaled_weak, weak)
+                scaled = [Lottery(scale * row, weights) for row in table]
+                for a, b in np.ndindex(5, 5):
+                    assert fosd_compare(scaled[a], scaled[b]) is fosd_compare(lots[a], lots[b])
+
+    def test_outcomes_whose_gap_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = Lottery.from_vector([-1e308, 1e308])
+            np.testing.assert_array_equal(wide.outcomes, [-1e308, 1e308])
+            np.testing.assert_array_equal(wide.weights, [0.5, 0.5])
+            verdict, weak = fosd_table(np.array([[0.0, 1e308], [-1e308, 1e308]]), np.array([0.5, 0.5]))
+            assert fosd_compare(Lottery.from_vector([0.0, 1e308]), wide) is DominanceVerdict.STRICT_FOSD
+        assert verdict[0, 1] is DominanceVerdict.STRICT_FOSD and weak[0, 1] and not weak[1, 0]
+
+
 class TestGridApproximations:
     def test_dyadic_lottery_fixed(self):
         x = Lottery.from_vector([0.0, 1.0])

@@ -2910,6 +2910,17 @@ class TestOrdinalChecks:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             verify_fosd_qre(g, p, tol=value)
 
+    @pytest.mark.parametrize("s", [1.0, 1e5, 1e10])
+    def test_dominated_action_flagged_at_any_payoff_scale(self, s):
+        # Player 0's actions pay (0, s) and (-s, s) against a uniform opponent: action 1 is
+        # strictly dominated at every positive scale s, since FOSD is ordinal.
+        g = Game((2, 2), np.stack([np.array([[0.0, s], [-s, s]]), np.zeros((2, 2))], axis=-1))
+        p = MixedProfile((np.array([0.0, 1.0]), np.array([0.5, 0.5])))
+        violations = verify_fosd_nash(g, p)
+        assert [(v["kind"], v["player"], v["action"], v["dominated_by"]) for v in violations] == [
+            ("dominated_action_played", 0, 1, 0)
+        ]
+
     def test_interiority_violation(self):
         g = make_matching_pennies()
         violations = verify_fosd_qre(g, MixedProfile.pure(g, [0, 1]))

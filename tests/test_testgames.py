@@ -190,6 +190,15 @@ class TestVectorFromLottery:
             vector_from_lottery(x, max_m=50)
 
 
+# Values x that neither elicitation takes, each refused by name before a game is built.
+BAD_VECTORS = [
+    ([math.nan, 1.0], "x must hold finite"),
+    ([0.0, math.inf], "x must hold finite"),
+    ([[0.0, 1.0], [2.0, 3.0]], "x must be a 1-D"),
+]
+BAD_VECTOR_IDS = ["nan", "inf", "2x2"]
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
     """One entry per solve_lqre call made from testgames: its result."""
@@ -225,23 +234,67 @@ class TestElicitQre:
 
     def test_criterion_06_triples_take_few_solves(self, solve_calls):
         # Criterion 06's logit cases, drawn as it draws them.  Each probe is
-        # one single-start solve, and a value takes about three of them.
-        # A probe reaches its fixed point in one Newton step, and in none at
-        # the threshold itself, where the uniform profile already is it: no
-        # damped or continuation step, and both players' values evaluated
-        # once per point.
+        # one single-start solve, and every value takes just the two end
+        # probes, whose readings confirm each other.  A probe reaches its
+        # fixed point in one Newton step, and in none at the threshold
+        # itself, where the uniform profile already is it (two ends sit on
+        # it): no damped or continuation step, and both players' values
+        # evaluated once per point.
         rng = np.random.default_rng(4242)
         for trial in range(20):
             phi = _random_statistic(rng)
             x = rng.uniform(-2.0, 2.0, size=int(rng.integers(2, 5)))
             spec = ConceptSpec.lqre((0.5, 1.0, 5.0)[trial % 3], phi, FAST)
             assert abs(elicit_qre(spec, x) - evaluate(phi, Lottery.from_vector(x))) <= 1e-12
-        assert len(solve_calls) <= 80
+        assert len(solve_calls) == 40
         for d in (result.diagnostics for result in solve_calls):
             assert d["newton_steps"] <= 1 and d["jacobians"] == d["newton_steps"], d
             assert d["iterations"] == d["continuation_steps"] == 0, d
             assert d["evaluator_calls"] == 2 * (1 + d["newton_steps"]), d
-        assert Counter(result.diagnostics["newton_steps"] for result in solve_calls) == {1: 38, 0: 20}
+        assert Counter(result.diagnostics["newton_steps"] for result in solve_calls) == {1: 38, 0: 2}
+
+    @staticmethod
+    def _log_odds(monkeypatch, h):
+        """Let solve_lqre play log-odds lam * h(r) for player 1, saturated at h = +-inf; returns the probed r."""
+        probes = []
+
+        def play(game, phi, lam, cfg):
+            r = float(game.payoffs[0, 0, 0])
+            probes.append(r)
+            z = lam * h(r)
+            p_x = 1.0 / (1.0 + math.exp(-z)) if math.isfinite(z) else float(z > 0)
+            return SolveResult([MixedProfile((np.array([1.0 - p_x, p_x]), np.full(2, 0.5)))], [0.0], {})
+
+        monkeypatch.setattr(testgames, "solve_lqre", play)
+        return probes
+
+    def test_disagreeing_end_readings_step_to_the_root(self, monkeypatch):
+        # h(r) = 0.4 - r + 0.01 (r - 0.4)^2 has its root at 0.4, but its ends read 0.4016 and
+        # 0.4036: finite and apart, so the search steps on from the end nearer the root.
+        probes = self._log_odds(monkeypatch, lambda r: 0.4 - r + 0.01 * (r - 0.4) ** 2)
+        assert elicit_qre(ConceptSpec.lqre(1.0, solver=FAST), [0.0, 1.0]) == pytest.approx(0.4, abs=1e-12)
+        assert len(probes) >= 3
+
+    @pytest.mark.parametrize("saturated", [(0.0,), (1.0,), (0.0, 1.0)], ids=["lo", "hi", "both"])
+    def test_infinite_end_reading_takes_no_shortcut(self, monkeypatch, saturated):
+        # Play is affine with its root at 0.4, but a choice probability is 0 at the ends
+        # listed: their readings are infinite, so the two end probes never settle the value.
+        probes = self._log_odds(monkeypatch, lambda r: math.copysign(math.inf, 0.4 - r) if r in saturated else 0.4 - r)
+        assert elicit_qre(ConceptSpec.lqre(1.0, solver=FAST), [0.0, 1.0]) == pytest.approx(0.4, abs=1e-12)
+        assert len(probes) >= 3
+
+    @pytest.mark.parametrize("root", [0.2, 0.8])
+    def test_returns_reading_of_less_saturated_end(self, monkeypatch, root):
+        # Both ends read the root to within the stop, 4e-13 apart: h carries a wobble that
+        # differs by end.  The value returned is the reading of the end nearer the root,
+        # whose |h| is smaller, read from its play to rounding.
+        def h(r):
+            return root - r + (2e-13 if r == 0.0 else -2e-13)
+
+        probes = self._log_odds(monkeypatch, h)
+        near = 0.0 if root < 0.5 else 1.0
+        assert elicit_qre(ConceptSpec.lqre(1.0, solver=FAST), [0.0, 1.0]) == pytest.approx(near + h(near), abs=1e-14)
+        assert probes == [0.0, 1.0]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -261,6 +314,12 @@ class TestElicitQre:
     def test_rejects_empty_vector(self, solve_calls):
         with pytest.raises(ValueError, match="at least one value"):
             elicit_qre(ConceptSpec.lqre(1.0), [])
+        assert solve_calls == []
+
+    @pytest.mark.parametrize("x, message", BAD_VECTORS, ids=BAD_VECTOR_IDS)
+    def test_rejects_malformed_vector(self, solve_calls, x, message):
+        with pytest.raises(ValueError, match=message):
+            elicit_qre(ConceptSpec.lqre(1.0), x)
         assert solve_calls == []
 
     @pytest.mark.parametrize("end, pick", [(-math.inf, min), (math.inf, max)])
@@ -372,3 +431,9 @@ class TestElicitFosd:
         monkeypatch.setattr(testgames, "solve_nash_phi", None)  # no probe may run
         with pytest.raises(ValueError, match="at least one value"):
             elicit_fosd(ConceptSpec.nash(), [])
+
+    @pytest.mark.parametrize("x, message", BAD_VECTORS, ids=BAD_VECTOR_IDS)
+    def test_rejects_malformed_vector(self, monkeypatch, x, message):
+        monkeypatch.setattr(testgames, "solve_nash_phi", None)  # no probe may run
+        with pytest.raises(ValueError, match=message):
+            elicit_fosd(ConceptSpec.nash(), x)
